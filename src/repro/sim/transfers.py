@@ -65,21 +65,10 @@ from ..model.units import BYTES_PER_MB, bytes_to_mb, MBIT_PER_MB, transfer_time_
 from .engine import Simulator
 from .events import Event
 
-try:  # optional: vectorised bottleneck search for large fills
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 #: Residual payload (in MB) below which a transfer counts as finished.
 #: Far above float noise accumulated by settling (≈1e-13 MB), far below
 #: one byte (1e-6 MB), so no real payload is ever silently dropped.
 _EPS_MB = 1e-9
-
-#: Fills over at least this many links use the numpy bottleneck search
-#: (when numpy is importable).  Below it, array setup costs more than
-#: the scalar scan saves.  The dispatch is observable only in wall
-#: time: the vector search is bit-identical to the scalar one.
-_VECTOR_MIN_LINKS = 48
 
 
 class TransferModel(enum.Enum):
@@ -341,10 +330,6 @@ class TransferEngine:
         self.incremental = incremental or sharded
         self.sharded = sharded
         self.self_check = self_check
-        #: Minimum involved-link count for the numpy bottleneck search;
-        #: benchmarks/tests lower it to force (or raise it to disable)
-        #: the vector path.
-        self.vector_min_links = _VECTOR_MIN_LINKS
         self._links: Dict[str, Link] = {}
         self._active: Dict[int, Transfer] = {}
         self._uploads: Dict[str, Dict[int, Transfer]] = {}
@@ -662,10 +647,9 @@ class TransferEngine:
         return worst
 
     def reference_rates(self) -> Dict[int, float]:
-        """Max-min rates from a scalar full fill over every active
-        transfer, computed without touching engine state — the oracle
-        the incremental closure fill (and the vector search) must match
-        bit-for-bit."""
+        """Max-min rates from a full fill over every active transfer,
+        computed without touching engine state — the oracle the
+        incremental closure fill must match bit-for-bit."""
         record: Dict[int, float] = {}
         if self._active:
             self._fill(self._active, record=record)
@@ -765,11 +749,10 @@ class TransferEngine:
         if dt <= 0:
             return
         for transfer in self._active.values():
-            if transfer.rate_mbps > 0:
-                transfer.remaining_mb = max(
-                    0.0,
-                    transfer.remaining_mb - transfer.rate_mbps / MBIT_PER_MB * dt,
-                )
+            rate = transfer.rate_mbps
+            if rate > 0:
+                left = transfer.remaining_mb - rate / MBIT_PER_MB * dt
+                transfer.remaining_mb = left if left > 0.0 else 0.0
 
     def _settle_one(self, transfer: Transfer) -> None:
         """Bring one transfer's ``remaining_mb`` up to the current
@@ -800,32 +783,52 @@ class TransferEngine:
         utilisation as the **sum of allocated rates** — independent of
         the loop's own capacity bookkeeping, so an over-allocation bug
         is observable.  With ``record`` the rates go into that mapping
-        instead and no engine state is touched (the scalar reference
-        oracle).
+        instead and no engine state is touched (the reference rates
+        ``self_check`` compares against).
+
+        Two invariants keep the kernel lean.  Whole components mean
+        every occupant of an involved link is in ``transfers``, so a
+        link's unfrozen count starts at its occupancy.  And every
+        transfer frozen in one round subtracts the same share, so the
+        order in which a round freezes them cannot change any float.
         """
-        capacity_left: Dict[str, float] = {}
-        unfrozen_count: Dict[str, int] = {}
-        involved: List[Link] = []
+        capacity_left: Dict[Link, float] = {}
+        unfrozen_count: Dict[Link, int] = {}
         for transfer in transfers.values():
             for link in transfer.links:
-                if link.name not in capacity_left:
-                    capacity_left[link.name] = link.capacity_mbps
-                    unfrozen_count[link.name] = 0
-                    involved.append(link)
-                unfrozen_count[link.name] += 1
-        if (
-            record is None
-            and _np is not None
-            and len(involved) >= self.vector_min_links
-        ):
-            self._fill_vector(transfers, involved, capacity_left, unfrozen_count)
-        else:
-            self._fill_scalar(
-                transfers, involved, capacity_left, unfrozen_count, record
-            )
+                if link not in unfrozen_count:
+                    capacity_left[link] = link.capacity_mbps
+                    unfrozen_count[link] = len(link.transfers)
+        rates: Dict[int, float] = {} if record is None else record
+        remaining = len(transfers)
+        while remaining > 0:
+            # Bottleneck link: the one whose equal split is smallest,
+            # ties broken by name.
+            best_link: Optional[Link] = None
+            best_share = 0.0
+            for link, count in unfrozen_count.items():
+                if count == 0:
+                    continue
+                share = capacity_left[link] / count
+                if best_link is None or share < best_share or (
+                    share == best_share and link.name < best_link.name
+                ):
+                    best_link, best_share = link, share
+            assert best_link is not None  # remaining > 0 implies a link
+            for tid, transfer in best_link.transfers.items():
+                if tid in rates:
+                    continue
+                rates[tid] = best_share
+                remaining -= 1
+                for link in transfer.links:
+                    left = capacity_left[link] - best_share
+                    capacity_left[link] = left if left > 0.0 else 0.0
+                    unfrozen_count[link] -= 1
         if record is None:
+            for tid, transfer in transfers.items():
+                transfer.rate_mbps = rates[tid]
             self.transfers_visited += len(transfers)
-            self._record_peaks(involved)
+            self._record_peaks(unfrozen_count)  # keys: the involved links
             if self.trace is not None:
                 # Integer transfer ids as keys — json.dumps stringifies
                 # them at export; skipping str() here keeps the hot
@@ -837,100 +840,6 @@ class TransferEngine:
                         tid: t.rate_mbps for tid, t in transfers.items()
                     },
                 )
-
-    def _fill_scalar(
-        self,
-        transfers: Dict[int, Transfer],
-        involved: List[Link],
-        capacity_left: Dict[str, float],
-        unfrozen_count: Dict[str, int],
-        record: Optional[Dict[int, float]],
-    ) -> None:
-        frozen: Dict[int, bool] = {}
-        remaining = len(transfers)
-        while remaining > 0:
-            # Bottleneck link: the one whose equal split is smallest.
-            best_link: Optional[Link] = None
-            best_share = 0.0
-            for link in involved:
-                count = unfrozen_count[link.name]
-                if count == 0:
-                    continue
-                share = capacity_left[link.name] / count
-                if best_link is None or share < best_share or (
-                    share == best_share and link.name < best_link.name
-                ):
-                    best_link, best_share = link, share
-            assert best_link is not None  # remaining > 0 implies a link
-            for tid in sorted(best_link.transfers):
-                if tid in frozen:
-                    continue
-                transfer = best_link.transfers[tid]
-                if record is None:
-                    transfer.rate_mbps = best_share
-                else:
-                    record[tid] = best_share
-                frozen[tid] = True
-                remaining -= 1
-                for link in transfer.links:
-                    capacity_left[link.name] = max(
-                        0.0, capacity_left[link.name] - best_share
-                    )
-                    unfrozen_count[link.name] -= 1
-
-    def _fill_vector(
-        self,
-        transfers: Dict[int, Transfer],
-        involved: List[Link],
-        capacity_left: Dict[str, float],
-        unfrozen_count: Dict[str, int],
-    ) -> None:
-        """The scalar fill with its bottleneck *search* vectorised.
-
-        Only the per-round scan for the minimum equal split moves into
-        numpy; freezing and capacity subtraction stay scalar in the
-        identical order, and IEEE-754 division/compare are elementwise
-        identical between numpy float64 and Python floats — so the
-        rates are bit-identical to :meth:`_fill_scalar` (pinned by the
-        self-check tests, which force the oracle through the scalar
-        path).
-        """
-        names = [link.name for link in involved]
-        index = {name: i for i, name in enumerate(names)}
-        caps = _np.array([capacity_left[name] for name in names], dtype=_np.float64)
-        counts = _np.array(
-            [unfrozen_count[name] for name in names], dtype=_np.int64
-        )
-        # Tie-break rank: position in name-sorted order, so argmin over
-        # (share, rank) matches the scalar "smallest share, then
-        # lexicographically smallest name" rule.
-        rank = _np.empty(len(names), dtype=_np.int64)
-        for pos, i in enumerate(
-            sorted(range(len(names)), key=lambda j: names[j])
-        ):
-            rank[i] = pos
-        frozen: Dict[int, bool] = {}
-        remaining = len(transfers)
-        while remaining > 0:
-            shares = _np.where(
-                counts > 0, caps / _np.maximum(counts, 1), _np.inf
-            )
-            best = shares.min()
-            candidates = _np.flatnonzero(shares == best)
-            i = int(candidates[_np.argmin(rank[candidates])])
-            best_link = involved[i]
-            best_share = float(best)
-            for tid in sorted(best_link.transfers):
-                if tid in frozen:
-                    continue
-                transfer = best_link.transfers[tid]
-                transfer.rate_mbps = best_share
-                frozen[tid] = True
-                remaining -= 1
-                for link in transfer.links:
-                    j = index[link.name]
-                    caps[j] = max(0.0, float(caps[j]) - best_share)
-                    counts[j] -= 1
 
     def _record_peaks(self, involved: Iterable[Link]) -> None:
         """Update peak utilisation from the rates actually allocated."""
@@ -973,11 +882,11 @@ class TransferEngine:
         # Earliest completion under the new rates.
         next_dt = float("inf")
         for transfer in self._active.values():
-            if transfer.rate_mbps > 0:
-                next_dt = min(
-                    next_dt,
-                    transfer.remaining_mb * MBIT_PER_MB / transfer.rate_mbps,
-                )
+            rate = transfer.rate_mbps
+            if rate > 0:
+                dt = transfer.remaining_mb * MBIT_PER_MB / rate
+                if dt < next_dt:
+                    next_dt = dt
         if next_dt == float("inf"):  # pragma: no cover - defensive
             return
         generation = self._generation
@@ -989,8 +898,17 @@ class TransferEngine:
         if generation != self._generation:
             return  # stale wake-up: rates changed since it was armed
         self._settle()
+        # Force-finish rule, as in the incremental drain: a residue whose
+        # predicted completion cannot advance the clock (sub-ulp at late
+        # simulated times) finishes now, or the wake re-arms at ``now``
+        # forever.
+        now = self.sim.now
         finished = [
-            t for t in self._active.values() if t.remaining_mb <= _EPS_MB
+            t for t in self._active.values()
+            if t.remaining_mb <= _EPS_MB or (
+                t.rate_mbps > 0
+                and now + t.remaining_mb * MBIT_PER_MB / t.rate_mbps <= now
+            )
         ]
         for transfer in sorted(finished, key=lambda t: t.id):
             self._finish(transfer)
@@ -1313,7 +1231,7 @@ class TransferEngine:
                     prof.heap_push(shard.name)
 
     def _assert_reference_rates(self) -> None:
-        """Compare live rates against the scalar full-fill oracle
+        """Compare live rates against the full-fill oracle
         (exact equality — max-min decomposes over components with
         identical arithmetic, so any drift is a bug)."""
         expected = self.reference_rates()

@@ -262,16 +262,23 @@ class TestReplicatorTimeResolved:
             assert cache.reserved_bytes == 0  # every copy landed
 
     def test_run_mode_time_resolved_is_deterministic(self):
-        from repro.experiments.p2p import build_scenario, run_mode
+        from repro.scenarios import (
+            ScenarioSpec,
+            SimulationSession,
+            TopologySpec,
+            TransferSpec,
+            WorkloadSpec,
+        )
         from repro.sim.transfers import TransferModel
 
-        scenario = build_scenario(n_devices=8, n_images=4, pulls_per_device=3)
-        first = run_mode(
-            scenario, "hybrid+p2p", transfer_model=TransferModel.TIME_RESOLVED
+        spec = ScenarioSpec(
+            mode="hybrid+p2p",
+            topology=TopologySpec(n_devices=8),
+            workload=WorkloadSpec(n_images=4, pulls_per_device=3),
+            transfer=TransferSpec(model=TransferModel.TIME_RESOLVED),
         )
-        second = run_mode(
-            scenario, "hybrid+p2p", transfer_model=TransferModel.TIME_RESOLVED
-        )
+        first = SimulationSession(spec).run()
+        second = SimulationSession(spec).run()
         assert first.bytes_by_registry == second.bytes_by_registry
         assert first.bytes_from_peers == second.bytes_from_peers
         assert first.transfer_s == pytest.approx(second.transfer_s)

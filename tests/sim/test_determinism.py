@@ -198,12 +198,22 @@ def test_second_barrier_child_failure_is_also_consumed():
 
 def test_seeded_replicator_schedules_are_reproducible():
     """Two identical seeded P2P experiment runs agree byte-for-byte."""
-    from repro.experiments.p2p import build_scenario, run_mode
+    from repro.scenarios import (
+        ScenarioSpec,
+        SimulationSession,
+        TopologySpec,
+        WorkloadSpec,
+    )
 
+    spec = ScenarioSpec(
+        mode="hybrid+p2p",
+        topology=TopologySpec(n_devices=6, n_regions=2),
+        workload=WorkloadSpec(n_images=4),
+        seed=99,
+    )
     outcomes = []
     for _ in range(2):
-        scenario = build_scenario(n_devices=6, n_images=4, n_regions=2, seed=99)
-        outcome = run_mode(scenario, "hybrid+p2p")
+        outcome = SimulationSession(spec).run()
         replicator = outcome.replicator
         outcomes.append(
             (

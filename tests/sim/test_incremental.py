@@ -22,11 +22,11 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fill_oracle import reference_fill
 from test_transfers import MB, run_transfer, star_network
 
 from repro import scenarios
 from repro.scenarios import SimulationSession
-from repro.sim import transfers as transfers_mod
 from repro.sim.engine import Simulator
 from repro.sim.transfers import TransferEngine
 
@@ -56,13 +56,15 @@ cancel_specs = st.lists(
 )
 
 
-def _run_trace(specs, cancels, uplink, downlink, **engine_kw):
+def _run_trace(
+    specs, cancels, uplink, downlink, engine_cls=TransferEngine, **engine_kw
+):
     """Replay one start/cancel trace; returns (engine, run records)."""
     network = star_network(
         n_devices=5, uplink_mbps=uplink, downlink_mbps=downlink
     )
     sim = Simulator()
-    engine = TransferEngine(sim, network, **engine_kw)
+    engine = engine_cls(sim, network, **engine_kw)
     runs = []
 
     def launch(at_s, src, dst, size):
@@ -284,52 +286,128 @@ class TestKnownTimelines:
 
 
 # ----------------------------------------------------------------------
-# the numpy bottleneck search must be bit-identical to the scalar one
+# the fill kernel is pinned against a frozen copy of the old one
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(
-    transfers_mod._np is None, reason="numpy unavailable"
+class OracleEngine(TransferEngine):
+    """Rates from the frozen reference fill instead of the live kernel
+    (same bookkeeping otherwise), so a trace replayed through it is the
+    pre-rewrite engine's timeline."""
+
+    def _fill(self, transfers, record=None):
+        assert record is None  # replayed without self_check
+        rates = reference_fill(transfers)
+        for tid, transfer in transfers.items():
+            transfer.rate_mbps = rates[tid]
+        self.transfers_visited += len(transfers)
+        self._record_peaks(
+            {link: None for t in transfers.values() for link in t.links}
+        )
+
+
+class CheckedEngine(TransferEngine):
+    """The live kernel, compared with the frozen reference after every
+    fill: exact rate equality per recompute."""
+
+    def _fill(self, transfers, record=None):
+        super()._fill(transfers, record)
+        if record is None:
+            actual = {tid: t.rate_mbps for tid, t in transfers.items()}
+            assert actual == reference_fill(transfers), self.sim.now
+
+
+#: Traces dense enough that fills take several bottleneck rounds:
+#: payloads big enough to overlap, starts packed into a few seconds.
+overlapping_specs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=20 * MB, max_value=400 * MB),
+        st.floats(min_value=0.0, max_value=8.0),
+    ),
+    min_size=2,
+    max_size=14,
 )
-@settings(max_examples=40, deadline=None)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    specs=trace_specs,
+    specs=overlapping_specs,
+    cancels=cancel_specs,
     uplink=st.sampled_from([60.0, 150.0]),
-    downlink=st.sampled_from([90.0, 300.0]),
+    downlink=st.sampled_from([None, 90.0, 300.0]),
+    incremental=st.booleans(),
 )
-def test_vector_fill_matches_scalar_exactly(specs, uplink, downlink):
-    """``vector_min_links=1`` forces the numpy path for every fill;
-    self_check compares each solution against the scalar reference, so
-    any ordering or rounding divergence raises immediately.  The end
-    times must then be *exactly* equal, not approximately: identical
-    rates feed identical settling arithmetic."""
-    def run(vector_min_links):
-        network = star_network(
-            n_devices=5, uplink_mbps=uplink, downlink_mbps=downlink
-        )
-        sim = Simulator()
-        engine = TransferEngine(
-            sim, network, incremental=True, self_check=True
-        )
-        engine.vector_min_links = vector_min_links
-        runs = []
+def test_fill_kernel_matches_frozen_reference(
+    specs, cancels, uplink, downlink, incremental
+):
+    """Shared registry egress (``uplink`` shapes the origin too), random
+    cancellations, full and incremental recompute: every fill's rates
+    equal the frozen reference's exactly, and so every end time equals
+    the reference engine's exactly."""
+    checked, checked_runs = _run_trace(
+        specs, cancels, uplink, downlink,
+        engine_cls=CheckedEngine, incremental=incremental,
+    )
+    oracle, oracle_runs = _run_trace(
+        specs, cancels, uplink, downlink,
+        engine_cls=OracleEngine, incremental=incremental,
+    )
+    assert checked.recomputes == oracle.recomputes
+    assert checked.transfers_visited == oracle.transfers_visited
+    assert [r["end"] for r in checked_runs] == [r["end"] for r in oracle_runs]
+    assert [r["ok"] for r in checked_runs] == [r["ok"] for r in oracle_runs]
 
-        def launch(at_s, src, dst, size):
-            yield sim.timeout(at_s)
-            runs.append(run_transfer(
-                sim, engine, src, dst, size,
-                src_is_registry=(src == "origin"),
-            ))
 
-        for src_i, dst_i, size, at_s in specs:
-            src = "origin" if src_i == dst_i else f"d{src_i}"
-            sim.process(launch(at_s, src, f"d{dst_i}", size))
-        sim.run()
-        return engine, runs
+# ----------------------------------------------------------------------
+# late simulated times: sub-ulp residues must finish, not livelock
+# ----------------------------------------------------------------------
+class BoundedEngine(TransferEngine):
+    """Raises instead of spinning when recomputes run away."""
 
-    vector_engine, vector_runs = run(vector_min_links=1)
-    scalar_engine, scalar_runs = run(vector_min_links=10**9)
-    assert vector_engine.completed == scalar_engine.completed == len(specs)
-    for v, s in zip(vector_runs, scalar_runs):
-        assert v["end"] == s["end"]
+    def _recompute(self):
+        if self.recomputes > 100:
+            raise RuntimeError(f"recompute livelock at t={self.sim.now}")
+        super()._recompute()
+
+    def _recompute_incremental(self, seeds):
+        if self.recomputes > 100:
+            raise RuntimeError(f"recompute livelock at t={self.sim.now}")
+        super()._recompute_incremental(seeds)
+
+
+@pytest.mark.parametrize("incremental", [False, True])
+@pytest.mark.parametrize("sizes", [
+    (72136255, 305589002, 33880219),
+    (30360788, 49169211, 45565308),
+    (127756288, 318171667, 292180842),
+])
+def test_late_transfers_finish_without_livelock(sizes, incremental):
+    """Three registry pulls on their own 1 Gbit/s channels, started at
+    t=1e6 s, where one ulp of the clock is ~1e-10 s.  Settling leaves a
+    residue above the finish threshold whose predicted completion
+    rounds back to ``now``; without the force-finish rule the full
+    engine's wake re-armed at ``now`` forever."""
+    from repro.model.network import NetworkModel
+
+    network = NetworkModel()
+    for i in range(len(sizes)):
+        network.connect_registry("origin", f"d{i}", 1000.0)
+    sim = Simulator()
+    engine = BoundedEngine(sim, network, incremental=incremental)
+    ends = {}
+
+    def launch(i, size):
+        yield sim.timeout(1e6)
+        transfer = engine.start("origin", f"d{i}", size, src_is_registry=True)
+        yield transfer.done
+        ends[i] = sim.now
+
+    for i, size in enumerate(sizes):
+        sim.process(launch(i, size))
+    sim.run()
+    assert engine.completed == len(sizes)
+    for i, size in enumerate(sizes):
+        assert ends[i] == pytest.approx(1e6 + size * 8 / 1e9, abs=1e-6)
 
 
 # ----------------------------------------------------------------------
