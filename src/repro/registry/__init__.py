@@ -15,12 +15,7 @@ from .chunks import (
 )
 from .client import PullPolicy, PullResult, RegistryClient
 from .digest import digest_bytes, digest_text, is_digest, short_digest
-from .discovery import (
-    DiscoveryBackend,
-    GossipDiscovery,
-    OmniscientDiscovery,
-    ViewRecord,
-)
+from .discovery import DiscoveryBackend, GossipDiscovery, OmniscientDiscovery
 from .hub import DockerHub, PointOfPresence, PullRateLimiter, RateLimitExceeded
 from .images import OFFICIAL_BASES, BaseImage, build_image, split_sizes, synthetic_blob
 from .manifest import ImageManifest, LayerDescriptor, ManifestList
@@ -104,7 +99,6 @@ __all__ = [
     "Repository",
     "RepositoryIndex",
     "SourceKind",
-    "ViewRecord",
     "build_image",
     "digest_bytes",
     "digest_text",

@@ -25,51 +25,48 @@ two implementations:
 
 Versioning
 ----------
-Gossip records are ``(incarnation, seq, present)`` triples per
-``(holder, digest)``.  ``seq`` is the holder's own monotone event
-counter (every cache add/evict/remove bumps it), ``incarnation`` bumps
-each time the holder re-joins the swarm — so a device re-joining with
-a stale cache cannot be shadowed by tombstones from its previous life.
-Merges keep the strictly newer record; on a version tie the *absent*
-record wins, which makes local stale-miss suppression sticky (a viewer
-that observed a holder to be stale never un-observes it from
-equally-old gossip).
+A gossip record is one fact about ``(holder, digest)`` at a version
+``(incarnation, seq)``, stored as a single packed int key::
+
+    key = ((incarnation << 32 | seq) << 1) | absent
+
+``seq`` is the holder's own monotone event counter (every cache
+add/evict/remove bumps it), ``incarnation`` bumps each time the holder
+re-joins the swarm — so a device re-joining with a stale cache cannot
+be shadowed by tombstones from its previous life.  Merges keep the
+strictly newer record; on a version tie the *absent* record wins,
+which makes local stale-miss suppression sticky (a viewer that
+observed a holder to be stale never un-observes it from equally-old
+gossip).  The packing makes plain ``>`` on keys exactly that rule: the
+version fills the high bits and the low bit breaks ties toward
+*absent*.  ``seq`` must stay below ``2**32`` (a holder that got there
+raises rather than misorder its records).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
+from ..model.units import require_non_negative, require_positive
 from .cache import CacheEvent, ImageCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.engine import Simulator
     from .p2p import PeerIndex
 
+#: Bits of a packed version key that hold ``seq`` (above the absent bit).
+_SEQ_BITS = 32
 
-@dataclass(frozen=True)
-class ViewRecord:
-    """One gossip fact: holder × digest at a version."""
-
-    incarnation: int
-    seq: int
-    present: bool
-
-    @property
-    def version(self) -> Tuple[int, int]:
-        return (self.incarnation, self.seq)
+#: A round-start snapshot of one participant's knowledge: its records
+#: grouped by digest as ``(holder, key)`` pairs, plus the record count.
+Payload = Tuple[Dict[str, List[Tuple[str, int]]], int]
 
 
-def _newer(incoming: ViewRecord, current: Optional[ViewRecord]) -> bool:
-    """Merge rule: strictly newer version wins; ties keep *absent*."""
-    if current is None:
-        return True
-    if incoming.version != current.version:
-        return incoming.version > current.version
-    return current.present and not incoming.present
+def _version_key(incarnation: int, seq: int, present: bool) -> int:
+    """The packed record key; ``>`` on keys is the merge rule."""
+    return ((incarnation << _SEQ_BITS | seq) << 1) | (not present)
 
 
 class DiscoveryBackend:
@@ -155,9 +152,9 @@ class GossipDiscovery(DiscoveryBackend):
     random partners and exchanges its knowledge — its own first-hand
     cache state plus everything second-hand it has heard.  Merging
     follows the versioning rules in the module docstring; per digest a
-    view keeps at most ``view_cap`` *present* entries (the freshest
-    ones), which is what makes the views partial rather than
-    eventually-global.
+    view keeps at most ``view_cap`` *present* entries and ``view_cap``
+    tombstones (the freshest of each), which is what makes the views
+    partial rather than eventually-global.
 
     The backend is **not authoritative**: callers must verify a chosen
     holder against ground truth and report failures via
@@ -181,12 +178,10 @@ class GossipDiscovery(DiscoveryBackend):
     ) -> None:
         if fanout < 1:
             raise ValueError(f"fanout must be >= 1, got {fanout}")
-        if period_s <= 0:
-            raise ValueError(f"period_s must be > 0, got {period_s}")
+        require_positive(period_s, "period_s")
         if view_cap < 1:
             raise ValueError(f"view_cap must be >= 1, got {view_cap}")
-        if latency_s < 0:
-            raise ValueError(f"latency_s must be >= 0, got {latency_s}")
+        require_non_negative(latency_s, "latency_s")
         if exchange not in ("push-pull", "digest-summary"):
             raise ValueError(
                 f"unknown exchange {exchange!r}; expected 'push-pull' or "
@@ -216,13 +211,17 @@ class GossipDiscovery(DiscoveryBackend):
         self.loss_rate = loss_rate
         self.observer = observer
         self._rng = np.random.default_rng(seed)
-        # viewer -> digest -> holder -> record (second-hand knowledge;
-        # a viewer's knowledge about itself lives in _firsthand only).
-        self._views: Dict[str, Dict[str, Dict[str, ViewRecord]]] = {
+        # viewer -> digest -> holder -> key (second-hand knowledge; a
+        # viewer's knowledge about itself lives in _firsthand only).
+        self._views: Dict[str, Dict[str, Dict[str, int]]] = {observer: {}}
+        # viewer -> digest -> (key, holder) of the lowest kept present
+        # entry, only while that digest's present class is exactly full
+        # (see _deliver).
+        self._floors: Dict[str, Dict[str, Tuple[int, str]]] = {
             observer: {}
         }
-        # device -> digest -> record (authoritative self-knowledge).
-        self._firsthand: Dict[str, Dict[str, ViewRecord]] = {}
+        # device -> digest -> key (authoritative self-knowledge).
+        self._firsthand: Dict[str, Dict[str, int]] = {}
         self._clock: Dict[str, int] = {}
         self._incarnation: Dict[str, int] = {}
         self._caches: Dict[str, ImageCache] = {}
@@ -257,6 +256,7 @@ class GossipDiscovery(DiscoveryBackend):
         self._caches[device] = cache
         self._firsthand[device] = {}
         self._views.setdefault(device, {})
+        self._floors.setdefault(device, {})
 
         def listener(event: CacheEvent, _device: str = device) -> None:
             self._on_cache_event(_device, event)
@@ -280,6 +280,7 @@ class GossipDiscovery(DiscoveryBackend):
         del self._firsthand[device]
         del self._clock[device]
         self._views.pop(device, None)
+        self._floors.pop(device, None)
 
     def _on_cache_event(self, device: str, event: CacheEvent) -> None:
         self._note_firsthand(
@@ -289,9 +290,15 @@ class GossipDiscovery(DiscoveryBackend):
     def _note_firsthand(
         self, device: str, digest: str, size_bytes: int, present: bool
     ) -> None:
-        self._clock[device] += 1
-        self._firsthand[device][digest] = ViewRecord(
-            self._incarnation[device], self._clock[device], present
+        seq = self._clock[device] + 1
+        if seq >= 1 << _SEQ_BITS:
+            raise OverflowError(
+                f"{device!r} exhausted its {_SEQ_BITS}-bit gossip event "
+                f"counter"
+            )
+        self._clock[device] = seq
+        self._firsthand[device][digest] = _version_key(
+            self._incarnation[device], seq, present
         )
         if present:
             self._sizes[digest] = size_bytes
@@ -303,7 +310,7 @@ class GossipDiscovery(DiscoveryBackend):
         records = self._views.get(viewer, {}).get(digest)
         if not records:
             return frozenset()
-        return frozenset(h for h, r in records.items() if r.present)
+        return frozenset(h for h, key in records.items() if not key & 1)
 
     def management_view(self, digest: str) -> FrozenSet[str]:
         return self.view(self.observer, digest)
@@ -323,13 +330,14 @@ class GossipDiscovery(DiscoveryBackend):
         if records is None:
             return
         current = records.get(holder)
-        if current is not None and current.present:
+        if current is not None and not current & 1:
             # Suppress locally at the same version: the tie-breaking
             # merge rule (absent wins ties) keeps the suppression from
-            # being revived by equally-old gossip.
-            records[holder] = ViewRecord(
-                current.incarnation, current.seq, False
-            )
+            # being revived by equally-old gossip.  The present class
+            # shrank (and the tombstones may now overflow the cap), so
+            # the digest's floor no longer holds.
+            records[holder] = current | 1
+            self._floors[viewer].pop(digest, None)
 
     # ------------------------------------------------------------------
     # anti-entropy rounds
@@ -418,29 +426,68 @@ class GossipDiscovery(DiscoveryBackend):
         for receiver, sender in deliveries:
             self._deliver(receiver, payloads[sender])
 
-    def _deliver(
-        self, receiver: str, payload: List[Tuple[str, str, ViewRecord]]
-    ) -> None:
-        """Apply one directed payload, metering wire records.
+    def _deliver(self, receiver: str, payload: Payload) -> None:
+        """Merge one directed payload into ``receiver``'s view and meter
+        its wire records.
 
-        Under ``digest-summary`` only the records strictly newer than
-        the receiver's current knowledge cross the wire (the summary
-        handshake filters the rest) — the merge result is identical to
-        a full push-pull because :meth:`_merge` discards non-newer
-        records anyway; only the metered ``records_sent`` differs.
+        A payload holds at most one record per ``(holder, digest)``, so
+        the merge is a per-holder maximum of keys, then the cap on each
+        digest the payload changed.  ``digest-summary`` meters only the
+        records strictly newer than the receiver's view (the summary
+        handshake filters the rest); the merge is the same either way.
+
+        While a digest's present class is exactly full, a present record
+        about an unknown holder that ranks below the stored floor is
+        *deferred*, since the cap would evict it again.  It is inserted
+        only if something else in its group changes the digest.  The
+        registry README explains why this is exact.
         """
         view = self._views.get(receiver)
         if view is None:
             return  # receiver departed before delivery
+        groups, count = payload
+        floors = self._floors[receiver]
+        newer = 0
+        for digest, group in groups.items():
+            records = view.get(digest)
+            if records is None:
+                records, floor = {}, None
+            else:
+                floor = floors.get(digest)
+            changed = False
+            deferred: List[Tuple[str, int]] = []
+            for holder, key in group:
+                if holder == receiver:
+                    continue  # self-knowledge is first-hand only
+                current = records.get(holder)
+                if current is None:
+                    newer += 1
+                    if (
+                        floor is not None
+                        and not key & 1
+                        and (key, holder) < floor
+                    ):
+                        deferred.append((holder, key))
+                    else:
+                        records[holder] = key
+                        changed = True
+                elif key > current:
+                    newer += 1
+                    records[holder] = key
+                    changed = True
+            if not changed:
+                continue  # only deferred news: the cap would undo it
+            records.update(deferred)
+            view[digest] = records  # a no-op unless the digest is new
+            floor = self._enforce_cap(records)
+            if floor is None:
+                floors.pop(digest, None)
+            else:
+                floors[digest] = floor
         if self.exchange == "digest-summary":
-            payload = [
-                (holder, digest, record)
-                for holder, digest, record in payload
-                if holder != receiver
-                and _newer(record, view.get(digest, {}).get(holder))
-            ]
-        self.records_sent += len(payload)
-        self._merge(receiver, payload)
+            self.records_sent += newer
+        else:
+            self.records_sent += count
 
     def _exchange(self, a: str, b: str) -> None:
         """One immediate push-pull between ``a`` and ``b`` (tests)."""
@@ -450,56 +497,56 @@ class GossipDiscovery(DiscoveryBackend):
         self._deliver(b, payload_a)
         self._deliver(a, payload_b)
 
-    def _payload(self, name: str) -> List[Tuple[str, str, ViewRecord]]:
-        """Everything ``name`` knows: first-hand state + its view."""
-        out: List[Tuple[str, str, ViewRecord]] = []
+    def _payload(self, name: str) -> Payload:
+        """Everything ``name`` knows — its view plus its first-hand
+        records, each in its digest's group — snapshotted, with the
+        record count a push-pull ships."""
+        groups = {
+            digest: list(records.items())
+            for digest, records in self._views.get(name, {}).items()
+        }
+        count = sum(map(len, groups.values()))
         firsthand = self._firsthand.get(name)
         if firsthand is not None:
-            for digest, record in firsthand.items():
-                out.append((name, digest, record))
-        for digest, records in self._views.get(name, {}).items():
-            for holder, record in records.items():
-                out.append((holder, digest, record))
-        return out
+            count += len(firsthand)
+            for digest, key in firsthand.items():
+                group = groups.get(digest)
+                if group is None:
+                    groups[digest] = [(name, key)]
+                else:
+                    group.append((name, key))
+        return groups, count
 
-    def _merge(
-        self, viewer: str, payload: List[Tuple[str, str, ViewRecord]]
-    ) -> None:
-        view = self._views.get(viewer)
-        if view is None:
-            return  # viewer departed mid-round
-        touched: Set[str] = set()
-        for holder, digest, record in payload:
-            if holder == viewer:
-                continue  # self-knowledge is first-hand only
-            records = view.setdefault(digest, {})
-            if _newer(record, records.get(holder)):
-                records[holder] = record
-                touched.add(digest)
-        for digest in sorted(touched):
-            self._enforce_cap(view[digest])
-
-    def _enforce_cap(self, records: Dict[str, ViewRecord]) -> None:
+    def _enforce_cap(
+        self, records: Dict[str, int]
+    ) -> Optional[Tuple[int, str]]:
         """Keep at most ``view_cap`` present and ``view_cap`` absent
-        entries per digest (freshest win).
+        entries per digest (freshest win, ``(key, holder)`` order).
 
         Capping tombstones too keeps view memory bounded at
         ``2·view_cap`` records per digest under sustained churn; an
         early-dropped tombstone can at worst let an old rumour
         resurface, which the verification path then meters and
         re-suppresses (self-healing).
+
+        Returns the floor — the lowest kept present ``(key, holder)`` —
+        when the present class is left exactly full, else ``None``.
         """
-        for wanted in (True, False):
-            matching = [
-                (h, r) for h, r in records.items() if r.present is wanted
-            ]
-            if len(matching) <= self.view_cap:
-                continue
-            matching.sort(
-                key=lambda item: (item[1].version, item[0]), reverse=True
-            )
-            for holder, _record in matching[self.view_cap:]:
+        cap = self.view_cap
+        present = [(k, h) for h, k in records.items() if not k & 1]
+        if len(records) - len(present) > cap:
+            absent = [(k, h) for h, k in records.items() if k & 1]
+            absent.sort(reverse=True)
+            for _key, holder in absent[cap:]:
                 del records[holder]
+        if len(present) < cap:
+            return None
+        if len(present) == cap:
+            return min(present)
+        present.sort(reverse=True)
+        for _key, holder in present[cap:]:
+            del records[holder]
+        return present[cap - 1]
 
     # ------------------------------------------------------------------
     # diagnostics

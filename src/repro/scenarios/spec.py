@@ -37,6 +37,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..model.units import require_non_negative, require_positive
 from ..registry.chunks import DEFAULT_CHUNK_SIZE_BYTES
 from ..util import did_you_mean
 from ..sim.churn import ChurnConfig
@@ -51,11 +52,6 @@ DISCOVERY_BACKENDS = ("omniscient", "gossip")
 
 #: The pull-schedule shapes a workload can take.
 WORKLOAD_KINDS = ("zipf", "cold-waves")
-
-
-def _require_positive(name: str, value: float) -> None:
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -96,13 +92,13 @@ class TopologySpec:
             raise ValueError("a swarm needs at least 2 devices")
         if self.n_regions < 1:
             raise ValueError(f"n_regions must be >= 1, got {self.n_regions}")
-        _require_positive("cache_gb", self.cache_gb)
+        require_positive(self.cache_gb, "cache_gb")
         for name in ("device_nic_mbps", "hub_egress_mbps",
                      "regional_egress_mbps", "hub_trunk_mbps",
                      "regional_trunk_mbps"):
             value = getattr(self, name)
             if value is not None:
-                _require_positive(name, value)
+                require_positive(value, name)
         if self.hub_trunk_mbps is not None and self.hub_egress_mbps is not None:
             raise ValueError(
                 "hub_trunk_mbps and hub_egress_mbps both shape hub egress; "
@@ -150,7 +146,7 @@ class WorkloadSpec:
             raise ValueError(
                 f"pulls_per_device must be >= 1, got {self.pulls_per_device}"
             )
-        _require_positive("horizon_s", self.horizon_s)
+        require_positive(self.horizon_s, "horizon_s")
         if self.kind == "cold-waves":
             if self.n_images < 2:
                 raise ValueError(
@@ -165,7 +161,7 @@ class WorkloadSpec:
                 )
             stagger_s = self.stagger_s if self.stagger_s is not None else 1.0
             object.__setattr__(self, "stagger_s", stagger_s)
-            _require_positive("stagger_s", stagger_s)
+            require_positive(stagger_s, "stagger_s")
         elif self.stagger_s is not None:
             raise ValueError(
                 "stagger_s only applies to the cold-waves workload "
@@ -323,16 +319,12 @@ class DiscoverySpec:
                 raise ValueError(
                     f"gossip_fanout must be >= 1, got {fanout}"
                 )
-            _require_positive("gossip_period_s", period_s)
+            require_positive(period_s, "gossip_period_s")
             if view_cap < 1:
                 raise ValueError(
                     f"gossip_view_cap must be >= 1, got {view_cap}"
                 )
-            if latency_s < 0:
-                raise ValueError(
-                    f"gossip_latency_s must be >= 0, got "
-                    f"{latency_s}"
-                )
+            require_non_negative(latency_s, "gossip_latency_s")
             if exchange not in GOSSIP_EXCHANGES:
                 raise ValueError(
                     f"unknown gossip_exchange {exchange!r}; "
@@ -425,8 +417,8 @@ class ReplicationSpec:
     hot_fraction: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require_positive("interval_s", self.interval_s)
-        _require_positive("hot_threshold", self.hot_threshold)
+        require_positive(self.interval_s, "interval_s")
+        require_positive(self.hot_threshold, "hot_threshold")
         if self.target_replicas < 1:
             raise ValueError(
                 f"target_replicas must be >= 1, got {self.target_replicas}"
@@ -466,7 +458,7 @@ class ChunkSpec:
     parallel: int = 4
 
     def __post_init__(self) -> None:
-        _require_positive("size_bytes", self.size_bytes)
+        require_positive(self.size_bytes, "size_bytes")
         if self.parallel < 1:
             raise ValueError(f"parallel must be >= 1, got {self.parallel}")
 
@@ -497,7 +489,7 @@ class TelemetrySpec:
 
     def __post_init__(self) -> None:
         if self.metrics_period_s is not None:
-            _require_positive("metrics_period_s", self.metrics_period_s)
+            require_positive(self.metrics_period_s, "metrics_period_s")
 
     @property
     def enabled(self) -> bool:

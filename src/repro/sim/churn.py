@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
+from ..model.units import require_positive
 from .rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -64,14 +65,8 @@ class ChurnConfig:
     min_online: int = 2
 
     def __post_init__(self) -> None:
-        if self.mean_uptime_s <= 0:
-            raise ValueError(
-                f"mean_uptime_s must be > 0, got {self.mean_uptime_s}"
-            )
-        if self.mean_downtime_s <= 0:
-            raise ValueError(
-                f"mean_downtime_s must be > 0, got {self.mean_downtime_s}"
-            )
+        require_positive(self.mean_uptime_s, "mean_uptime_s")
+        require_positive(self.mean_downtime_s, "mean_downtime_s")
         if self.min_online < 1:
             raise ValueError(f"min_online must be >= 1, got {self.min_online}")
 

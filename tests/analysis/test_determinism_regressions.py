@@ -10,7 +10,7 @@ i.e. independent of the interpreter's hash seed.
 import json
 from types import SimpleNamespace
 
-from repro.registry.discovery import GossipDiscovery, ViewRecord
+from repro.registry.discovery import GossipDiscovery, _version_key
 from repro.registry.p2p import AdaptiveReplicator, PeerIndex
 from repro.sweep.runner import _cache_path, _store_cached
 from repro.telemetry.recorder import TraceRecorder
@@ -69,22 +69,37 @@ def test_coherence_violations_report_in_sorted_digest_order():
 
 
 def test_gossip_merge_cap_is_payload_order_independent():
-    def run(payload):
-        g = GossipDiscovery(view_cap=2)
-        g._views["viewer"] = {}
-        g._merge("viewer", payload)
-        return g._views["viewer"]
+    def key(seq):
+        return _version_key(1, seq, True)
 
-    payload = [
-        (f"holder-{i}", f"sha:{d}", ViewRecord(1, i, True))
+    def run(groups, prefill):
+        g = GossipDiscovery(view_cap=2)
+        viewer = g.observer
+        if prefill:
+            # A full present class at seq 2/3: a floor exists, so part
+            # of each group ranks below it and is deferred.
+            g._deliver(viewer, ({
+                digest: [("holder-8", key(2)), ("holder-9", key(3))]
+                for digest in groups
+            }, 0))
+        g._deliver(viewer, (groups, 0))
+        return g._views[viewer]
+
+    groups = {
+        f"sha:{d}": [(f"holder-{i}", key(i)) for i in range(6)]
         for d in "ab"
-        for i in range(6)
-    ]
-    assert run(payload) == run(list(reversed(payload)))
+    }
+    backwards = {
+        digest: list(reversed(group))
+        for digest, group in reversed(list(groups.items()))
+    }
+    for prefill in (False, True):
+        assert run(groups, prefill) == run(backwards, prefill)
     # The cap kept the freshest entries, not an arbitrary subset.
-    view = run(payload)
-    for digest in ("sha:a", "sha:b"):
-        assert sorted(view[digest]) == ["holder-4", "holder-5"]
+    for prefill in (False, True):
+        view = run(groups, prefill)
+        for digest in ("sha:a", "sha:b"):
+            assert sorted(view[digest]) == ["holder-4", "holder-5"]
 
 
 def test_sweep_cache_export_is_key_order_independent(tmp_path):

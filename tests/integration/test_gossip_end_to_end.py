@@ -1,10 +1,11 @@
 """End-to-end: gossip discovery and churn on the full pull stack.
 
 Covers the three integration seams the discovery refactor touches:
-the experiment driver (``run_mode`` with gossip + churn), the kubelet
-(``stale_peer_misses`` metered next to ``bytes_from_peers``), and the
-headline ``p2p-gossip`` experiment (omniscient must never *understate*
-savings relative to gossip by more than noise).
+scenario sessions (gossip + churn specs through ``SimulationSession``),
+the kubelet (``stale_peer_misses`` metered next to
+``bytes_from_peers``), and the headline ``p2p-gossip`` experiment
+(omniscient must never *understate* savings relative to gossip by more
+than noise).
 """
 
 import dataclasses
@@ -25,22 +26,39 @@ from repro.registry.discovery import GossipDiscovery
 from repro.registry.hub import DockerHub
 from repro.registry.images import OFFICIAL_BASES, build_image
 from repro.registry.p2p import P2PRegistry, PeerSwarm
-from repro.sim.churn import ChurnConfig
+from repro.scenarios import (
+    ChurnSpec,
+    DiscoverySpec,
+    ScenarioSpec,
+    SimulationSession,
+    TopologySpec,
+    WorkloadSpec,
+)
 from repro.sim.engine import Simulator
 
 
 class TestRunModeWithGossip:
+    """The gossip and churn runs the retired ``run_mode`` calls made,
+    now described as specs and run through ``SimulationSession``."""
+
     @pytest.fixture(scope="class")
-    def scenario(self):
-        return p2p.build_scenario(
-            n_devices=10, n_images=4, pulls_per_device=3, n_regions=2
+    def base(self):
+        return ScenarioSpec(
+            mode="hybrid+p2p",
+            topology=TopologySpec(n_devices=10, n_regions=2),
+            workload=WorkloadSpec(n_images=4, pulls_per_device=3),
         )
 
-    def test_gossip_never_beats_omniscient_origin_traffic(self, scenario):
-        omni = p2p.run_mode(scenario, "hybrid+p2p")
-        gossip = p2p.run_mode(
-            scenario, "hybrid+p2p", discovery="gossip", gossip_period_s=120.0
-        )
+    def test_gossip_never_beats_omniscient_origin_traffic(self, base):
+        omni = SimulationSession(base).run()
+        gossip = SimulationSession(
+            dataclasses.replace(
+                base,
+                discovery=DiscoverySpec(
+                    backend="gossip", gossip_period_s=120.0
+                ),
+            )
+        ).run()
         assert gossip.pulls == omni.pulls
         # Partial views can only hide committed replicas, never invent
         # them: gossip peer traffic is bounded by omniscient's and the
@@ -51,32 +69,33 @@ class TestRunModeWithGossip:
         assert omni.gossip_rounds == 0
         assert gossip.gossip_rounds > 0
 
-    def test_churn_skips_offline_pulls_and_counts_them(self, scenario):
-        churn = ChurnConfig(
+    def test_churn_skips_offline_pulls_and_counts_them(self, base):
+        churn = ChurnSpec(
             mean_uptime_s=400.0, mean_downtime_s=200.0, min_online=3
         )
-        outcome = p2p.run_mode(scenario, "hybrid+p2p", churn=churn)
+        session = SimulationSession(dataclasses.replace(base, churn=churn))
+        outcome = session.run()
         assert outcome.departures > 0
-        assert outcome.pulls + outcome.skipped_pulls == len(scenario.schedule)
+        assert outcome.pulls + outcome.skipped_pulls == len(
+            session.scenario.schedule
+        )
         assert outcome.unfinished_pulls == 0
 
-    def test_gossip_plus_churn_meters_stale_misses(self, scenario):
-        churn = ChurnConfig(
-            mean_uptime_s=300.0, mean_downtime_s=300.0, min_online=3
+    def test_gossip_plus_churn_meters_stale_misses(self, base):
+        spec = dataclasses.replace(
+            base,
+            discovery=DiscoverySpec(backend="gossip", gossip_period_s=60.0),
+            churn=ChurnSpec(
+                mean_uptime_s=300.0, mean_downtime_s=300.0, min_online=3
+            ),
         )
-        outcome = p2p.run_mode(
-            scenario,
-            "hybrid+p2p",
-            discovery="gossip",
-            gossip_period_s=60.0,
-            churn=churn,
-        )
+        outcome = SimulationSession(spec).run()
         # Departed holders linger in partial views until tripped over.
         assert outcome.stale_peer_misses > 0
 
-    def test_unknown_discovery_rejected(self, scenario):
+    def test_unknown_discovery_rejected(self):
         with pytest.raises(ValueError, match="discovery"):
-            p2p.run_mode(scenario, "hybrid+p2p", discovery="psychic")
+            DiscoverySpec(backend="psychic")
 
 
 class TestGossipExperiment:

@@ -17,13 +17,14 @@ from repro.registry.digest import digest_text
 from repro.registry.discovery import (
     GossipDiscovery,
     OmniscientDiscovery,
-    ViewRecord,
-    _newer,
+    _version_key,
 )
 from repro.registry.hub import DockerHub
 from repro.registry.images import build_image
 from repro.registry.p2p import AdaptiveReplicator, P2PRegistry, PeerSwarm, SourceKind
 from repro.sim.engine import Simulator
+
+from gossip_oracle import ViewRecord, _newer
 
 D = [digest_text(f"disc-layer-{i}") for i in range(6)]
 
@@ -273,6 +274,11 @@ class TestGossipTransport:
     def test_bad_transport_knobs_rejected(self):
         with pytest.raises(ValueError, match="latency_s"):
             GossipDiscovery(latency_s=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="latency_s"):
+                GossipDiscovery(latency_s=bad)
+            with pytest.raises(ValueError, match="period_s"):
+                GossipDiscovery(period_s=bad)
         with pytest.raises(ValueError, match="exchange"):
             GossipDiscovery(exchange="telepathy")
 
@@ -282,15 +288,105 @@ class TestGossipTransport:
 # ----------------------------------------------------------------------
 class TestMergeRule:
     def test_strictly_newer_wins(self):
-        old = ViewRecord(1, 2, True)
-        assert _newer(ViewRecord(1, 3, False), old)
-        assert _newer(ViewRecord(2, 0, True), old)
-        assert not _newer(ViewRecord(1, 1, False), old)
+        old = _version_key(1, 2, True)
+        assert _version_key(1, 3, False) > old
+        assert _version_key(2, 0, True) > old
+        assert not _version_key(1, 1, False) > old
 
     def test_tie_prefers_absent(self):
-        assert _newer(ViewRecord(1, 2, False), ViewRecord(1, 2, True))
-        assert not _newer(ViewRecord(1, 2, True), ViewRecord(1, 2, False))
-        assert not _newer(ViewRecord(1, 2, True), ViewRecord(1, 2, True))
+        assert _version_key(1, 2, False) > _version_key(1, 2, True)
+        assert not _version_key(1, 2, True) > _version_key(1, 2, False)
+        assert not _version_key(1, 2, True) > _version_key(1, 2, True)
+
+    def test_key_order_is_the_record_merge_rule(self):
+        # Exhaustively over small versions, and at the seq boundary:
+        # key > key is exactly the record-object rule it replaced.
+        seqs = (0, 1, 2, 2**32 - 1)
+        records = [
+            ViewRecord(inc, seq, present)
+            for inc in (1, 2, 3)
+            for seq in seqs
+            for present in (True, False)
+        ]
+        for a in records:
+            for b in records:
+                key_a = _version_key(a.incarnation, a.seq, a.present)
+                key_b = _version_key(b.incarnation, b.seq, b.present)
+                assert (key_a > key_b) == _newer(a, b), (a, b)
+
+    def test_seq_overflow_fails_loudly(self):
+        disc = GossipDiscovery(seed=1)
+        mesh_swarm(n=2, discovery=disc)
+        disc._clock["d0"] = 2**32 - 2
+        disc._note_firsthand("d0", D[0], 10, present=True)  # last seq
+        with pytest.raises(OverflowError, match="d0"):
+            disc._note_firsthand("d0", D[1], 10, present=True)
+
+
+# ----------------------------------------------------------------------
+# view cap floor
+# ----------------------------------------------------------------------
+def key(seq, present=True):
+    return _version_key(1, seq, present)
+
+
+def offer(disc, viewer, digest, *records):
+    """Deliver one payload of ``(holder, key)`` records about
+    ``digest`` to ``viewer``."""
+    disc._deliver(viewer, ({digest: list(records)}, len(records)))
+
+
+class TestViewCapFloor:
+    def full_view(self):
+        """An observer view of D[0] whose present class is exactly full
+        (view_cap=2): h2 is the floor entry."""
+        disc = GossipDiscovery(view_cap=2, seed=1)
+        viewer = disc.observer
+        offer(disc, viewer, D[0], ("h3", key(3)), ("h2", key(2)))
+        assert disc.view(viewer, D[0]) == {"h2", "h3"}
+        return disc, viewer
+
+    def test_below_floor_record_is_absorbed(self):
+        disc, viewer = self.full_view()
+        offer(disc, viewer, D[0], ("h1", key(1)))
+        assert disc._views[viewer][D[0]] == {"h3": key(3), "h2": key(2)}
+
+    def test_demotion_in_the_same_payload_admits_a_below_floor_record(self):
+        # h3's drop frees a present slot, so h1 — below the floor the
+        # view had before this payload — must take it.
+        disc, viewer = self.full_view()
+        offer(
+            disc, viewer, D[0], ("h1", key(1)), ("h3", key(4, present=False))
+        )
+        assert disc.view(viewer, D[0]) == {"h1", "h2"}
+        assert disc._views[viewer][D[0]]["h3"] == key(4, present=False)
+
+    def test_record_miss_then_below_floor_record_is_admitted(self):
+        disc, viewer = self.full_view()
+        disc.record_miss(viewer, "h3", D[0])
+        assert disc.view(viewer, D[0]) == {"h2"}
+        offer(disc, viewer, D[0], ("h1", key(1)))
+        assert disc.view(viewer, D[0]) == {"h1", "h2"}
+
+    def test_below_floor_record_still_replaces_a_known_tombstone(self):
+        # h1 is known absent at seq 1; a newer presence below the floor
+        # replaces the tombstone and is then capped away, so the view
+        # forgets h1 entirely — a change the floor must not skip.
+        disc, viewer = self.full_view()
+        offer(disc, viewer, D[0], ("h1", key(1, present=False)))
+        assert "h1" in disc._views[viewer][D[0]]
+        offer(disc, viewer, D[0], ("h1", key(2)))
+        assert disc._views[viewer][D[0]] == {"h3": key(3), "h2": key(2)}
+
+    def test_below_floor_records_count_as_newer_under_digest_summary(self):
+        disc = GossipDiscovery(view_cap=2, seed=1, exchange="digest-summary")
+        viewer = disc.observer
+        offer(disc, viewer, D[0], ("h3", key(3)), ("h2", key(2)))
+        sent = disc.records_sent
+        offer(disc, viewer, D[0], ("h1", key(1)), ("h2", key(2)))
+        # h1 is news to the viewer (it crosses the wire) even though the
+        # cap then drops it; h2 is already known and does not.
+        assert disc.records_sent == sent + 1
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.model.network import NetworkModel
 from repro.model.units import BYTES_PER_GB
 from repro.registry.cache import ImageCache
 from repro.registry.digest import digest_text
-from repro.registry.discovery import GossipDiscovery, ViewRecord
+from repro.registry.discovery import GossipDiscovery, _version_key
 from repro.registry.p2p import PeerSwarm
 
 DIGESTS = [digest_text(f"gossip-prop-{i}") for i in range(4)]
@@ -104,12 +104,18 @@ class TestBoundedConvergence:
 
 #: Version-ordered events a viewer can observe about one (holder,
 #: digest) pair, as (incarnation, seq, present) triples.
-records = st.builds(
-    ViewRecord,
-    incarnation=st.integers(min_value=1, max_value=3),
-    seq=st.integers(min_value=0, max_value=6),
-    present=st.booleans(),
+records = st.tuples(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=6),
+    st.booleans(),
 )
+
+
+def offer(discovery, viewer, holder, digest, record):
+    """Deliver a one-record payload about ``holder`` to ``viewer``."""
+    discovery._deliver(
+        viewer, ({digest: [(holder, _version_key(*record))]}, 1)
+    )
 
 
 class TestMonotoneStaleness:
@@ -129,17 +135,15 @@ class TestMonotoneStaleness:
         report h again."""
         swarm, caches, discovery = build_swarm(3, fanout=1, seed=0)
         holder, viewer, digest = "d1", "d0", DIGESTS[0]
-        inc, seq = drop
-        drop_record = ViewRecord(inc, seq, False)
-        discovery._merge(viewer, [(holder, digest, drop_record)])
+        offer(discovery, viewer, holder, digest, (*drop, False))
         assert holder not in discovery.view(viewer, digest)
         for record in merges:
-            discovery._merge(viewer, [(holder, digest, record)])
+            offer(discovery, viewer, holder, digest, record)
         reported = holder in discovery.view(viewer, digest)
         # The entry may only be reported if some merged record was a
         # *strictly newer* presence than the observed drop.
         legitimately_revived = any(
-            r.present and r.version > drop_record.version for r in merges
+            present and (inc, seq) > drop for inc, seq, present in merges
         )
         if not legitimately_revived:
             assert not reported
@@ -161,5 +165,5 @@ class TestMonotoneStaleness:
         # re-merge every *other* participant's (old) knowledge at d0.
         discovery.record_miss("d0", "d1", DIGESTS[0])
         for other in ("d2", "d3"):
-            discovery._merge("d0", discovery._payload(other))
+            discovery._deliver("d0", discovery._payload(other))
         assert "d1" not in discovery.view("d0", DIGESTS[0])

@@ -373,6 +373,23 @@ class TestOverrides:
         with pytest.raises(ValueError, match="TIME_RESOLVED"):
             with_overrides(ScenarioSpec(), {"chunks.enabled": "true"})
 
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "discovery.gossip_period_s",
+            "discovery.gossip_latency_s",
+            "topology.cache_gb",
+            "workload.horizon_s",
+            "churn.mean_uptime_s",
+        ],
+    )
+    def test_non_finite_values_rejected_naming_the_field(self, path, raw):
+        # --set parses values with json.loads, which yields nan/inf
+        # floats; NaN slips past plain `<= 0` / `< 0` range checks.
+        with pytest.raises(ValueError, match=path.split(".")[1]):
+            with_overrides(scenarios.get("p2p-gossip"), {path: raw})
+
     def test_unknown_paths_rejected(self):
         with pytest.raises(ValueError, match="unknown override section"):
             with_overrides(ScenarioSpec(), {"nonsense.field": "1"})

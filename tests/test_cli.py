@@ -159,6 +159,14 @@ class TestScenarioSubcommand:
         ]) == 2
         assert "bad override" in capsys.readouterr().err
 
+    def test_non_finite_override_fails_cleanly(self, capsys):
+        assert main([
+            "scenario", "p2p-gossip",
+            "--set", "discovery.gossip_period_s=NaN", "--json",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "gossip_period_s must be finite" in err
+
     def test_missing_preset_fails_cleanly(self, capsys):
         assert main(["scenario"]) == 2
         assert "preset" in capsys.readouterr().err
