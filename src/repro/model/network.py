@@ -51,9 +51,6 @@ class Channel:
 #: datasets).  Wired per device like a registry channel.
 INGRESS = "__ingress__"
 
-#: Shared empty in-neighbor set for devices nothing connects to.
-_NO_NEIGHBOURS: frozenset = frozenset()
-
 #: Shared empty channel row for devices nothing connects to.
 _NO_CHANNELS: Dict[str, "Channel"] = {}
 
@@ -87,10 +84,15 @@ class NetworkModel:
     both directions at once (the common symmetric case).  Lookups for
     missing channels raise ``KeyError`` — a missing channel is a
     topology bug, not a zero-bandwidth link.
+
+    Device channels live in one store, a row per destination mapping
+    each source to its :class:`Channel`; every device-channel lookup
+    reads it.  :meth:`connect_device_mesh` builds one frozen channel
+    and shares it across every row it writes, and it validates the
+    bandwidth and the names before writing anything.
     """
 
     def __init__(self) -> None:
-        self._device_channels: Dict[Tuple[str, str], Channel] = {}
         self._registry_channels: Dict[Tuple[str, str], Channel] = {}
         self._uplinks: Dict[str, float] = {}
         self._downlinks: Dict[str, float] = {}
@@ -101,12 +103,7 @@ class NetworkModel:
         self._path_cache: Dict[
             Tuple[str, str, bool], Tuple[List[LinkSpec], float]
         ] = {}
-        # Devices with a channel *into* each device.  Peer selection
-        # intersects holder sets against this (only an in-neighbor can
-        # serve a transfer), which keeps lookups proportional to a
-        # device's degree instead of a hot layer's holder count.
-        self._in_neighbors: Dict[str, set] = {}
-        # The same channels grouped per destination: source → Channel.
+        # Device channels grouped per destination: dst → src → Channel.
         # Candidate-source scans fetch the row once and probe it with
         # plain string keys instead of hashing a tuple per candidate.
         self._channels_into: Dict[str, Dict[str, Channel]] = {}
@@ -139,12 +136,8 @@ class NetworkModel:
         channel = Channel(bandwidth_mbps, rtt_s)
         self._path_cache.clear()
         self._pref_cache.clear()
-        self._device_channels[(a, b)] = channel
-        self._in_neighbors.setdefault(b, set()).add(a)
         self._channels_into.setdefault(b, {})[a] = channel
         if symmetric:
-            self._device_channels[(b, a)] = channel
-            self._in_neighbors.setdefault(a, set()).add(b)
             self._channels_into.setdefault(a, {})[b] = channel
 
     def connect_device_mesh(
@@ -157,12 +150,26 @@ class NetworkModel:
 
         Convenience for P2P swarm topologies where every device in a
         region can serve layers to every other.  Existing channels
-        between the named devices are overwritten.
+        between the named devices are overwritten.  Every channel of
+        the mesh is one shared frozen :class:`Channel`, and each
+        member's row gains the other members in ``names`` order — the
+        rows :meth:`connect_devices` would leave pair by pair.  The
+        bandwidth and the names are validated before anything is
+        written, so a rejected mesh leaves the network unchanged.
         """
         members = list(names)
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                self.connect_devices(a, b, bandwidth_mbps, rtt_s)
+        mesh_row = dict.fromkeys(members, Channel(bandwidth_mbps, rtt_s))
+        if len(mesh_row) < len(members):
+            dup = next(n for i, n in enumerate(members) if n in members[:i])
+            raise ValueError(f"loopback channel on {dup!r} is implicit")
+        if len(members) < 2:
+            return
+        self._path_cache.clear()
+        self._pref_cache.clear()
+        for dst in members:
+            row = self._channels_into.setdefault(dst, {})
+            row.update(mesh_row)
+            del row[dst]  # mesh_row names dst too; loopback is implicit
 
     def connect_registry(
         self,
@@ -183,7 +190,7 @@ class NetworkModel:
         if src == dst:
             return None
         try:
-            return self._device_channels[(src, dst)]
+            return self._channels_into[dst][src]
         except KeyError:
             raise KeyError(f"no channel between devices {src!r} and {dst!r}") from None
 
@@ -201,34 +208,16 @@ class NetworkModel:
 
     def has_device_channel(self, src: str, dst: str) -> bool:
         """Whether a (non-loopback) channel ``src → dst`` exists."""
-        return (src, dst) in self._device_channels
-
-    def device_channel_if_any(self, src: str, dst: str) -> Optional[Channel]:
-        """The ``src → dst`` channel, or None when absent.
-
-        The non-raising hot-path variant of :meth:`device_channel` for
-        scans that probe many candidate sources per lookup.
-        """
-        return self._device_channels.get((src, dst))
+        return src in self._channels_into.get(dst, _NO_CHANNELS)
 
     def channels_into(self, dst: str) -> Dict[str, Channel]:
         """Source → channel for every device channel into ``dst``.
 
-        A *live* mapping maintained alongside the channel matrix —
-        read-only for callers.  Source-selection scans fetch the row
-        once and probe candidates with plain string keys.
+        The store's own row, in connection order — read-only for
+        callers.  Source-selection scans fetch the row once and probe
+        candidates with plain string keys.
         """
         return self._channels_into.get(dst, _NO_CHANNELS)
-
-    def device_in_neighbors(self, dst: str) -> frozenset:
-        """Devices with a channel into ``dst``.
-
-        The returned set is a *live view* maintained alongside the
-        channel matrix — callers must treat it as read-only.  Peer
-        selection intersects candidate holders against it so a lookup
-        costs the device's degree, not the holder count.
-        """
-        return self._in_neighbors.get(dst, _NO_NEIGHBOURS)
 
     def device_sources_by_preference(self, dst: str) -> Tuple[str, ...]:
         """In-neighbors of ``dst``, fastest first (ties by name).
@@ -238,13 +227,18 @@ class NetworkModel:
         candidate set is the *first* entry of this list contained in
         it.  Built lazily per device and invalidated by topology
         mutations; swarm-scale peer lookups walk it with O(1)
-        membership probes instead of scanning every holder.
+        membership probes instead of scanning every holder.  Sources
+        are grouped by bandwidth, so only names are sorted per group.
         """
         cached = self._pref_cache.get(dst)
         if cached is None:
-            row = self._channels_into.get(dst, _NO_CHANNELS)
+            groups: Dict[float, List[str]] = {}
+            for src, channel in self.channels_into(dst).items():
+                groups.setdefault(channel.bandwidth_mbps, []).append(src)
             cached = tuple(
-                sorted(row, key=lambda src: (-row[src].bandwidth_mbps, src))
+                src
+                for bandwidth in sorted(groups, reverse=True)
+                for src in sorted(groups[bandwidth])
             )
             self._pref_cache[dst] = cached
         return cached
@@ -440,6 +434,7 @@ class NetworkModel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"NetworkModel(device_channels={len(self._device_channels)}, "
+            "NetworkModel(device_channels="
+            f"{sum(map(len, self._channels_into.values()))}, "
             f"registry_channels={len(self._registry_channels)})"
         )

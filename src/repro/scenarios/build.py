@@ -162,19 +162,28 @@ def build_swarm_scenario(spec: ScenarioSpec) -> SwarmScenario:
 
 
 def _zipf_schedule(rng, devices, references, work):
-    """Zipf-skewed demand with exponential arrivals, sorted by time."""
+    """Zipf-skewed demand with exponential arrivals, sorted by time.
+
+    Demand is one ``choice`` draw over every pull and each device's
+    gaps one ``exponential`` draw, which yield the same values and
+    leave each stream where per-pull draws would (the gap after a
+    device's last pull is drawn but unused).
+    """
     n_images = len(references)
     weights = np.array([1.0 / (rank + 1) ** 1.1 for rank in range(n_images)])
     weights /= weights.sum()
     demand = rng.stream("p2p.demand")
     arrivals = rng.stream("p2p.arrivals")
+    picks = demand.choice(
+        n_images, size=(len(devices), work.pulls_per_device), p=weights
+    ).tolist()
     schedule: List[Tuple[float, str, ImageReference]] = []
-    for dev in devices:
+    for dev, dev_picks in zip(devices, picks):
         t = float(arrivals.uniform(0.0, work.horizon_s * 0.3))
-        for _ in range(work.pulls_per_device):
-            ref = references[int(demand.choice(n_images, p=weights))]
-            schedule.append((t, dev.name, ref))
-            t += float(arrivals.exponential(work.horizon_s * 0.1))
+        gaps = arrivals.exponential(work.horizon_s * 0.1, size=len(dev_picks))
+        for pick, gap in zip(dev_picks, gaps.tolist()):
+            schedule.append((t, dev.name, references[pick]))
+            t += gap
     schedule.sort(key=lambda item: (item[0], item[1]))
     return schedule
 

@@ -171,7 +171,7 @@ def synthetic_environment(
     network = NetworkModel()
     names = fleet.names()
     stream = registry.stream(f"net:{n_devices}")
-    for i, a in enumerate(names):
+    for a in names:
         network.connect_registry(
             "docker-hub", a, hub_bw_mbps * float(stream.uniform(0.9, 1.1)),
             rtt_s=hub_startup_s,
@@ -181,8 +181,7 @@ def synthetic_environment(
             rtt_s=regional_startup_s,
         )
         network.connect_ingress(a, 200.0)
-        for b in names[i + 1 :]:
-            network.connect_devices(a, b, lan_bw_mbps)
+    network.connect_device_mesh(names, lan_bw_mbps)
     catalog = RegistryCatalog.of(
         RegistryInfo("docker-hub", RegistryKind.HUB),
         RegistryInfo("regional", RegistryKind.REGIONAL),

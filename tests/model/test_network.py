@@ -1,6 +1,8 @@
 """Network model: channels, the Size/BW terms, and ingress."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model.network import INGRESS, Channel, NetworkModel
 
@@ -65,6 +67,67 @@ class TestTopology:
 
     def test_registries_reaching(self, net):
         assert net.registries_reaching("medium") == ["hub", INGRESS]
+
+
+def _rows(model, names):
+    return {dst: list(model.channels_into(dst).items()) for dst in names}
+
+
+class TestDeviceMesh:
+    def test_mesh_shares_one_channel(self):
+        model = NetworkModel()
+        model.connect_device_mesh(["a", "b", "c"], 800.0, rtt_s=0.02)
+        channel = model.device_channel("a", "b")
+        assert channel == Channel(800.0, 0.02)
+        assert all(
+            model.device_channel(src, dst) is channel
+            for src in "abc" for dst in "abc" if src != dst
+        )
+
+    def test_duplicate_name_leaves_network_unchanged(self):
+        model = NetworkModel()
+        model.connect_devices("a", "b", 100.0)
+        before = _rows(model, "abcd")
+        with pytest.raises(ValueError, match="loopback channel on 'b'"):
+            model.connect_device_mesh(["a", "b", "c", "b", "d"], 800.0)
+        assert _rows(model, "abcd") == before
+        assert not model.has_device_channel("a", "c")
+        assert model.device_bandwidth_mbps("a", "b") == 100.0
+
+    @pytest.mark.parametrize(
+        "bandwidth, rtt",
+        [(0.0, 0.0), (-5.0, 0.0), (float("nan"), 0.0), (10.0, -1.0)],
+    )
+    @pytest.mark.parametrize("names", [[], ["a"]])
+    def test_small_mesh_still_validates_its_channel(self, names, bandwidth, rtt):
+        with pytest.raises(ValueError):
+            NetworkModel().connect_device_mesh(names, bandwidth, rtt_s=rtt)
+
+
+class TestPreferenceOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edges=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.integers(0, 5),
+                st.sampled_from([25.0, 100.0, 100.0, 800.0]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_matches_bandwidth_then_name_sort(self, edges):
+        model = NetworkModel()
+        for src, dst, bandwidth in edges:
+            if src != dst:
+                model.connect_devices(
+                    f"d{src}", f"d{dst}", bandwidth, symmetric=False
+                )
+        for dst in (f"d{i}" for i in range(6)):
+            row = model.channels_into(dst)
+            assert model.device_sources_by_preference(dst) == tuple(
+                sorted(row, key=lambda s: (-row[s].bandwidth_mbps, s))
+            )
 
 
 class TestTransferQueries:
