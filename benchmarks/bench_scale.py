@@ -268,12 +268,11 @@ _SHARD_QUICK_GUARD_WAVE_S = 120.0
 _SHARD_100K_GUARD_WAVE_S = 600.0
 
 #: Minimum monolithic/trunk-sliced ratio of recompute-visited
-#: transfers at 10k devices.  Sharded vs incremental on the *same*
-#: topology is bit-identical (equal visited, asserted in the tier-1
-#: differential tests); the benchmark win is topology+engine
-#: co-design — per-region trunk slices keep each registry closure
-#: regional, where a monolithic uplink couples every in-flight
-#: registry pull on the planet into one component.
+#: transfers at 10k devices.  "incremental" and "sharded" name the
+#: same closure engine (equal visited by construction); the benchmark
+#: win is topology+engine co-design — per-region trunk slices keep
+#: each registry closure regional, where a monolithic uplink couples
+#: every in-flight registry pull on the planet into one component.
 _SHARD_VISITED_RATIO_MIN = 5.0
 
 
@@ -329,7 +328,7 @@ def _swarm100k_run(
         recomputes=engine.recomputes,
         visited=engine.transfers_visited,
         makespan_s=outcome.makespan_s,
-        shards=len(engine._shards) if engine.sharded else 0,
+        shards=len(engine._shards) if engine.incremental else 0,
     )
 
 

@@ -56,8 +56,8 @@ _NO_CHANNELS: Dict[str, "Channel"] = {}
 
 #: Shard label for links not owned by any single region: inter-region
 #: channels, monolithic registry egress, and links between endpoints
-#: whose region was never declared.  The sharded transfer engine keeps
-#: one catch-all shard under this name.
+#: whose region was never declared.  The transfer engine's sharded
+#: deadline index keeps one catch-all shard under this name.
 TRUNK = "@trunk"
 
 

@@ -262,8 +262,7 @@ class SimulationSession:
                 self.sim,
                 scenario.network,
                 default_upload_budget=spec.transfer.upload_budget,
-                incremental=(spec.transfer.recompute == "incremental"),
-                sharded=(spec.transfer.recompute == "sharded"),
+                incremental=(spec.transfer.recompute != "full"),
             )
 
         self._busy: Dict[str, int] = {}

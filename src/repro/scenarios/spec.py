@@ -171,11 +171,11 @@ class WorkloadSpec:
 
 #: Fair-share recompute strategies of the time-resolved engine.
 #: ``"full"`` re-solves every active transfer per event (the
-#: historically pinned default); ``"incremental"`` re-solves only the
-#: dirty closure the event perturbed — identical rates, swarm-scale
-#: event cost.  ``"sharded"`` adds region-sharded deadline-index
-#: maintenance on top of the incremental mode — still bit-identical,
-#: and index upkeep scales with the busy region instead of the swarm.
+#: historically pinned default); ``"incremental"`` runs the closure
+#: engine, which re-solves only the dirty closure the event perturbed
+#: on a region-sharded deadline index — identical rates, swarm-scale
+#: event cost.  ``"sharded"`` is a second name for the closure engine,
+#: kept so historical spec dicts, presets and cache keys still resolve.
 RECOMPUTE_MODES = ("full", "incremental", "sharded")
 
 

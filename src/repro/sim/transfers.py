@@ -16,36 +16,33 @@ EdgePier's seeder-contention observation) and supports **mid-transfer
 cancellation** (a departing peer fails its in-flight uploads, and the
 freed bandwidth is redistributed immediately).
 
-Recompute modes
+Recompute paths
 ---------------
 The default (``incremental=False``) re-runs progressive filling over
 the *entire* active set on every event — simple, and byte-for-byte
-pinned by the historical experiments.  ``incremental=True`` re-solves
-only the **dirty closure**: the connected component(s) of the
-transfer–link bipartite graph touching the links whose membership the
-event changed.  Max-min fairness decomposes exactly over connected
-components (a transfer's rate depends only on the capacities and
-membership of links it can reach through shared transfers), so the
-closure fill produces *bit-identical* rates to a full recompute — an
-invariant the engine can verify on every event (``self_check=True``)
-and the Hypothesis differential tests pin down.  Progress accounting
-becomes lazy (per-transfer ``settled_s``) and completions are tracked
-in a deadline heap instead of a rescan, so an event on an idle corner
-of a 10k-device swarm costs the size of its component, not the swarm.
+pinned by the historical experiments.  ``incremental=True`` is the
+**closure engine**: it re-solves only the **dirty closure**, the
+connected component(s) of the transfer–link bipartite graph touching
+the links whose membership the event changed.  Max-min fairness
+decomposes exactly over connected components (a transfer's rate
+depends only on the capacities and membership of links it can reach
+through shared transfers), so the closure fill produces
+*bit-identical* rates to a full recompute — an invariant the engine
+can verify on every event (``self_check=True``) and the Hypothesis
+differential tests pin down.  Progress accounting becomes lazy
+(per-transfer ``settled_s``), so an event on an idle corner of a
+10k-device swarm costs the size of its component, not the swarm.
 
-``sharded=True`` layers region sharding on top of the incremental
-mode: every link carries the region that owns it (the ``shard`` field
-of :class:`~repro.model.network.LinkSpec`, :data:`~repro.model.network.TRUNK`
-for inter-region links), each transfer homes in a shard, and the
-single global deadline heap becomes **per-shard heaps** under a
+The closure engine tracks predicted completions in a region-sharded
+deadline index: every link carries the region that owns it (the
+``shard`` field of :class:`~repro.model.network.LinkSpec`,
+:data:`~repro.model.network.TRUNK` for inter-region links), each
+transfer homes in a shard, and each shard keeps its own heap under a
 shard-front heap.  An event in region A touches A's heap (plus the
-trunk's, when it crosses regions) — never region B's — so the lazy
-index scales with the busy region, not the swarm.  Closure search is
-unchanged: a transfer spanning shards joins their closures for that
-solve and for nothing else, which is the cross-shard merge rule.  The
-shard fronts always republish to the true global minimum before the
-wake is (re)armed, so the timeout-creation pattern — and therefore
-the whole event trace — is bit-identical to the incremental mode.
+trunk's, when it crosses regions) — never region B's — so index
+upkeep scales with the busy region, not the swarm.  A topology
+without regions is one trunk shard.  Closure search ignores shards:
+a transfer spanning shards joins their closures for that solve.
 
 Which model a simulation uses is selected by :class:`TransferModel`:
 ``ANALYTIC`` keeps the paper-faithful instant-accounting path bit-for-
@@ -251,7 +248,7 @@ class Transfer:
 
 
 class _Shard:
-    """Per-region slice of the lazy deadline index (sharded mode).
+    """Per-region slice of the closure engine's lazy deadline index.
 
     ``heap`` holds ``(deadline, transfer id, token)`` entries for
     transfers homed in this shard; ``front`` is the earliest
@@ -291,16 +288,10 @@ class TransferEngine:
     and asserts equality — a test hook, quadratic, never for
     production runs).  ``transfers_visited`` counts the transfers each
     mode actually re-rates, so scale benchmarks can compare the work
-    directly.
-
-    ``sharded=True`` (implies incremental) splits the deadline index
-    by the region shard each link carries: per-shard heaps under a
-    shard-front heap, one global wake armed at the minimum front.
-    Rates, traces and all counters stay bit-identical to the
-    incremental mode (the module docstring explains why); what changes
-    is that deadline-index maintenance — pushes, drains, stale-entry
-    pruning — touches only the shards an event involves instead of one
-    world-sized heap.
+    directly.  The incremental mode's deadline index is split by the
+    region shard each link carries: per-shard heaps under a
+    shard-front heap, one global wake armed at the minimum front, so
+    index upkeep touches only the shards an event involves.
 
     Upload budgets
     --------------
@@ -318,7 +309,6 @@ class TransferEngine:
         default_upload_budget: Optional[int] = None,
         incremental: bool = False,
         self_check: bool = False,
-        sharded: bool = False,
     ) -> None:
         if default_upload_budget is not None and default_upload_budget < 0:
             raise ValueError(
@@ -327,8 +317,7 @@ class TransferEngine:
         self.sim = sim
         self.network = network
         self.default_upload_budget = default_upload_budget
-        self.incremental = incremental or sharded
-        self.sharded = sharded
+        self.incremental = incremental
         self.self_check = self_check
         self._links: Dict[str, Link] = {}
         self._active: Dict[int, Transfer] = {}
@@ -339,18 +328,16 @@ class TransferEngine:
         self._clock_s = sim.now
         self._generation = 0
         self._wake: Optional[Event] = None
-        # incremental mode: predicted completions as a lazy min-heap of
-        # (deadline, transfer id, token); _tokens holds each transfer's
-        # latest token, so stale entries are skipped when they surface.
-        self._deadline_heap: List[Tuple[float, int, int]] = []
-        self._tokens: Dict[int, int] = {}
-        self._token_seq = itertools.count()
-        self._wake_deadline = float("inf")
-        # sharded mode: the deadline index above splits into per-shard
-        # heaps; _front_heap holds (front deadline, shard name, pub
+        # incremental mode: predicted completions as lazy per-shard
+        # min-heaps of (deadline, transfer id, token); _tokens holds each
+        # transfer's latest token, so stale entries are skipped when they
+        # surface.  _front_heap holds (front deadline, shard name, pub
         # stamp) and _touched names the shards whose front may have
         # moved since the last publish (re-published before every arm,
         # so the armed wake always tracks the true global minimum).
+        self._tokens: Dict[int, int] = {}
+        self._token_seq = itertools.count()
+        self._wake_deadline = float("inf")
         self._shards: Dict[str, _Shard] = {}
         self._front_heap: List[Tuple[float, str, int]] = []
         self._touched: set = set()
@@ -371,8 +358,7 @@ class TransferEngine:
         self.trace = None
         #: Optional self-profiler receiving per-recompute wall-clock ns,
         #: closure sizes, and per-shard heap push/pop/invalidation
-        #: counts ("@global" = the incremental mode's single deadline
-        #: heap, "@front" = the sharded mode's shard-front heap).
+        #: counts ("@front" = the shard-front heap).
         self.profile = None
         #: Reallocation-solve sequence (the closure id trace records
         #: carry — one per fill, shared by the rates it assigned).
@@ -515,8 +501,11 @@ class TransferEngine:
     def _cancel_batch(
         self, transfers: Sequence[Transfer], reason: str
     ) -> int:
+        # One entry per transfer: a repeat would be counted and failed
+        # twice, and the second ``done.fail`` raises mid-batch.
+        unique = {t.id: t for t in transfers}
         victims = [
-            t for t in transfers
+            t for t in unique.values()
             if not t.cancelled and t.completed_s is None
         ]
         if not victims:
@@ -701,13 +690,11 @@ class TransferEngine:
     def _detach(self, transfer: Transfer) -> None:
         transfer.active = False
         self._active.pop(transfer.id, None)
-        had_token = self._tokens.pop(transfer.id, None) is not None
-        if had_token and self.sharded:
+        if self._tokens.pop(transfer.id, None) is not None:
             # The popped token invalidates a heap entry; the home
             # shard's published front may now be stale, so it must
             # republish before the next arm (otherwise the wake could
-            # fire earlier than the incremental mode's, skewing the
-            # event trace the modes must share).
+            # fire at a deadline that no longer exists).
             self._touched.add(transfer.shard)
         for link in transfer.links:
             link.transfers.pop(transfer.id, None)
@@ -977,11 +964,11 @@ class TransferEngine:
             self.profile.note_recompute(perf_counter_ns() - t0, len(closure))
         if self.self_check:
             self._assert_reference_rates()
-        if self.sharded:
-            self._arm_wake_sharded()
-        else:
-            self._arm_wake_incremental()
+        self._arm_wake_sharded()
 
+    # ------------------------------------------------------------------
+    # region-sharded deadline index (incremental mode)
+    # ------------------------------------------------------------------
     def _push_deadline(self, transfer: Transfer) -> None:
         """(Re)index one transfer's predicted completion time."""
         if transfer.rate_mbps > 0:
@@ -991,102 +978,14 @@ class TransferEngine:
             )
             token = next(self._token_seq)
             self._tokens[transfer.id] = token
-            if self.sharded:
-                shard = self._shard(transfer.shard)
-                heapq.heappush(shard.heap, (deadline, transfer.id, token))
-                self._touched.add(shard.name)
-                if self.profile is not None:
-                    self.profile.heap_push(shard.name)
-            else:
-                heapq.heappush(
-                    self._deadline_heap, (deadline, transfer.id, token)
-                )
-                if self.profile is not None:
-                    self.profile.heap_push("@global")
+            shard = self._shard(transfer.shard)
+            heapq.heappush(shard.heap, (deadline, transfer.id, token))
+            self._touched.add(shard.name)
+            if self.profile is not None:
+                self.profile.heap_push(shard.name)
         else:  # pragma: no cover - a filled transfer always has a rate
             self._tokens.pop(transfer.id, None)
 
-    def _arm_wake_incremental(self) -> None:
-        """Point the engine's single wake-up at the heap's earliest
-        still-valid deadline (stale tops are lazily dropped)."""
-        heap = self._deadline_heap
-        while heap and self._tokens.get(heap[0][1]) != heap[0][2]:
-            heapq.heappop(heap)
-            if self.profile is not None:
-                self.profile.heap_invalidate("@global")
-        live = self._wake is not None and not self._wake.processed
-        if not heap:
-            if live:
-                self._generation += 1
-                self._wake.void()
-                self._wake = None
-            return
-        deadline = heap[0][0]
-        if live:
-            if deadline == self._wake_deadline:
-                return  # armed wake already fires at the right time
-            self._wake.void()
-        self._generation += 1
-        generation = self._generation
-        wake = self.sim.timeout(max(0.0, deadline - self.sim.now))
-        wake.add_callback(
-            lambda _evt, g=generation: self._on_wake_incremental(g)
-        )
-        self._wake = wake
-        self._wake_deadline = deadline
-
-    def _on_wake_incremental(self, generation: int) -> None:
-        if generation != self._generation:
-            return  # stale wake-up: the heap front changed since
-        now = self.sim.now
-        heap = self._deadline_heap
-        prof = self.profile
-        finished: List[Transfer] = []
-        while heap:
-            deadline, tid, token = heap[0]
-            if self._tokens.get(tid) != token:
-                heapq.heappop(heap)
-                if prof is not None:
-                    prof.heap_invalidate("@global")
-                continue
-            if deadline > now:
-                break
-            heapq.heappop(heap)
-            if prof is not None:
-                prof.heap_pop("@global")
-            transfer = self._active[tid]
-            self._settle_one(transfer)
-            if transfer.remaining_mb <= _EPS_MB:
-                finished.append(transfer)
-                continue
-            # Residual payload above the finish threshold: re-predict.
-            # If the new deadline cannot advance the clock (a sub-ulp
-            # residue of the timeout's float rounding), finishing now
-            # is the only way to guarantee progress.
-            deadline = (
-                transfer.settled_s
-                + transfer.remaining_mb * MBIT_PER_MB / transfer.rate_mbps
-            )
-            if deadline <= now:
-                finished.append(transfer)
-            else:
-                token = next(self._token_seq)
-                self._tokens[tid] = token
-                heapq.heappush(heap, (deadline, tid, token))
-                if prof is not None:
-                    prof.heap_push("@global")
-        if finished:
-            seeds: List[Link] = []
-            for transfer in sorted(finished, key=lambda t: t.id):
-                seeds.extend(transfer.links)
-                self._finish(transfer)
-            self._recompute_incremental(seeds)
-        else:
-            self._arm_wake_incremental()
-
-    # ------------------------------------------------------------------
-    # sharded deadline index (region-sharded mode)
-    # ------------------------------------------------------------------
     def _shard(self, name: str) -> _Shard:
         shard = self._shards.get(name)
         if shard is None:
@@ -1108,7 +1007,7 @@ class TransferEngine:
         heap (the old stamp invalidates lazily).  Untouched shards
         cannot have a stale top — every token change marks its shard —
         so the front-heap minimum equals the minimum over *all* valid
-        deadlines, exactly what the incremental mode arms at.
+        deadlines.  A wake already armed at that deadline is kept.
         """
         prof = self.profile
         if self._touched:
@@ -1190,11 +1089,10 @@ class TransferEngine:
     def _drain_shard(
         self, shard: _Shard, now: float, finished: List[Transfer]
     ) -> None:
-        """Pop one shard's due entries — the incremental drain loop,
-        scoped to the shard.  A shard whose published front is later
-        than ``now`` provably has no due entry (the front *is* its
-        minimum valid deadline), which is why undrained shards need no
-        scan at all."""
+        """Pop one shard's due entries into ``finished``.  A shard whose
+        published front is later than ``now`` provably has no due entry
+        (the front *is* its minimum valid deadline), which is why
+        undrained shards need no scan at all."""
         heap = shard.heap
         prof = self.profile
         while heap:
@@ -1214,9 +1112,10 @@ class TransferEngine:
             if transfer.remaining_mb <= _EPS_MB:
                 finished.append(transfer)
                 continue
-            # Same force-finish rule as the incremental drain: a
-            # re-predicted deadline that cannot advance the clock
-            # finishes now, or progress stalls on float residue.
+            # Residual payload above the finish threshold: re-predict.
+            # A re-predicted deadline that cannot advance the clock (a
+            # sub-ulp residue of the timeout's float rounding) finishes
+            # now, or progress stalls on float residue.
             deadline = (
                 transfer.settled_s
                 + transfer.remaining_mb * MBIT_PER_MB / transfer.rate_mbps

@@ -29,7 +29,7 @@ the record schema and the Chrome-trace mapping.
 
 from .capture import TelemetryCapture, active_capture
 from .metrics import ALL_SCOPE, METRICS_SCHEMA, MetricsSampler, merged_csv
-from .profile import FRONT_HEAP, GLOBAL_HEAP, EngineProfile, closure_bucket
+from .profile import FRONT_HEAP, EngineProfile, closure_bucket
 from .recorder import (
     TraceEvent,
     TraceRecorder,
@@ -41,7 +41,6 @@ __all__ = [
     "ALL_SCOPE",
     "EngineProfile",
     "FRONT_HEAP",
-    "GLOBAL_HEAP",
     "METRICS_SCHEMA",
     "MetricsSampler",
     "TelemetryCapture",

@@ -5,7 +5,7 @@
 ``TelemetrySpec.profile`` is on.  The engine notes, per fair-share
 recompute, the wall-clock nanoseconds spent and the dirty-closure size,
 and counts every deadline-heap push / pop / lazy invalidation per shard
-— the concrete work the incremental and region-sharded solvers exist
+— the concrete work the closure engine's region-sharded index exists
 to reduce.  A summary lands on ``ModeOutcome.engine_profile`` (and,
 flattened, in sweep rows), so a perf regression in the solvers becomes
 a measurable diff instead of an anecdote.
@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-#: Heap label of the incremental mode's single global deadline heap.
-GLOBAL_HEAP = "@global"
-
-#: Heap label of the sharded mode's shard-front heap.
+#: Heap label of the closure engine's shard-front heap.
 FRONT_HEAP = "@front"
 
 
@@ -91,8 +88,7 @@ class EngineProfile:
 
         ``closure_size_hist`` keys are the bucket labels of
         :func:`closure_bucket`; ``heaps`` keys are shard names, with
-        :data:`GLOBAL_HEAP` for the incremental mode's single heap and
-        :data:`FRONT_HEAP` for the sharded mode's front heap.
+        :data:`FRONT_HEAP` for the shard-front heap.
         """
         return {
             "recomputes": self.recomputes,

@@ -27,8 +27,8 @@ from repro.scenarios import (
     WorkloadSpec,
     with_overrides,
 )
-from repro.scenarios import canonical_hash, canonical_json
-from repro.scenarios.spec import parse_set_flags
+from repro.scenarios import SimulationSession, canonical_hash, canonical_json
+from repro.scenarios.spec import RECOMPUTE_MODES, parse_set_flags
 from repro.sim.churn import ChurnConfig
 from repro.sim.transfers import TransferModel
 
@@ -247,7 +247,7 @@ def _transfers_and_chunks():
             TransferSpec,
             model=st.just(TransferModel.TIME_RESOLVED),
             upload_budget=st.one_of(st.none(), st.integers(1, 8)),
-            recompute=st.sampled_from(("full", "incremental")),
+            recompute=st.sampled_from(RECOMPUTE_MODES),
         ),
         st.builds(
             ChunkSpec,
@@ -476,6 +476,22 @@ class TestCacheKey:
             key = with_overrides(base, {path: value}).cache_key()
             assert key not in keys, f"{path} did not perturb the key"
             keys.add(key)
+
+    def test_closure_engine_names_keep_distinct_keys(self):
+        # "incremental" and "sharded" run one engine, but historical
+        # spec dicts and sweep cells keyed by either must still resolve.
+        specs = {
+            name: ScenarioSpec(
+                mode="hybrid+p2p",
+                transfer=TransferSpec(model="time-resolved", recompute=name),
+            )
+            for name in ("incremental", "sharded")
+        }
+        inc, sh = specs["incremental"], specs["sharded"]
+        assert inc.to_dict() != sh.to_dict()
+        assert inc.cache_key() != sh.cache_key()
+        for spec in specs.values():
+            assert SimulationSession(spec).engine.incremental
 
     def test_key_is_hex_sha256(self):
         key = ScenarioSpec().cache_key()

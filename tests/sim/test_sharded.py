@@ -1,16 +1,15 @@
-"""Differential tests for the region-sharded recompute mode.
+"""Differential tests for the closure engine's region-sharded index.
 
-``sharded=True`` keeps the incremental engine's closure-local rate
-solve untouched and shards only the *deadline index*: per-region
-heaps under a lazy shard-front heap, one global wake armed at the
-minimum front.  Its contract is therefore strictly stronger than the
-incremental mode's: the event sequence — every wake instant, every
-settle, every recompute — must be **bit-identical** to the
-incremental engine's on the same trace, because the front heap's
-minimum valid deadline always equals the monolithic heap's.  The
+``incremental=True`` keeps the closure-local rate solve and shards the
+*deadline index*: per-region heaps under a lazy shard-front heap, one
+global wake armed at the minimum front.  Its contract against the
+single global heap it replaced (kept frozen in ``index_oracle.py``) is
+that the event sequence — every wake instant, every settle, every
+recompute — is **bit-identical** on the same trace, because the front
+heap's minimum valid deadline always equals the single heap's.  The
 tests here assert exact (``==``, not approx) end times and exact
-``transfers_visited`` equality against incremental mode, plus the
-usual self-checked rate identity against the full solve.
+``transfers_visited`` equality against that oracle, plus the usual
+self-checked rate identity against the full solve.
 
 Cross-shard transfers (paths mixing links owned by different regions
 and the trunk) need no special merge machinery — the dirty-closure
@@ -18,6 +17,8 @@ walk already crosses shard boundaries by following the shared links —
 so the traces here deliberately route traffic across regions.
 """
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -25,6 +26,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from index_oracle import SingleHeapEngine
 from test_transfers import MB, run_transfer, star_network
 
 from repro import scenarios
@@ -100,12 +102,14 @@ cancel_specs = st.lists(
 )
 
 
-def _run_regioned_trace(specs, cancels, **engine_kw):
+def _run_regioned_trace(
+    specs, cancels, engine_cls=TransferEngine, **engine_kw
+):
     """Replay one start/cancel trace over the regioned topology."""
     network = regioned_network()
     names = _device_names()
     sim = Simulator()
-    engine = TransferEngine(sim, network, **engine_kw)
+    engine = engine_cls(sim, network, **engine_kw)
     runs = []
 
     def launch(at_s, src, dst, size):
@@ -147,7 +151,7 @@ def test_sharded_rates_match_full_on_cross_region_traces(specs):
     asserts rate-for-rate equality — including closures that span
     several region shards plus the trunk."""
     engine, _ = _run_regioned_trace(
-        specs, [], sharded=True, self_check=True
+        specs, [], incremental=True, self_check=True
     )
     assert engine.completed == len(specs)
     assert not engine.active_transfers
@@ -158,7 +162,7 @@ def test_sharded_rates_match_full_on_cross_region_traces(specs):
 @given(specs=region_trace_specs, cancels=cancel_specs)
 def test_sharded_rates_match_full_under_churn_cancellation(specs, cancels):
     engine, _ = _run_regioned_trace(
-        specs, cancels, sharded=True, self_check=True
+        specs, cancels, incremental=True, self_check=True
     )
     assert engine.completed + engine.cancellations == len(specs)
     assert not engine.active_transfers
@@ -168,12 +172,14 @@ def test_sharded_rates_match_full_under_churn_cancellation(specs, cancels):
 @settings(max_examples=50, deadline=None)
 @given(specs=region_trace_specs, cancels=cancel_specs)
 def test_sharded_is_bit_identical_to_incremental(specs, cancels):
-    """The tentpole contract: same trace through both modes must give
-    *exactly* equal completion instants (no approx — the sharded wake
-    fires at the same instants, settling the same chunkings) and
-    exactly equal recompute work."""
-    inc, inc_runs = _run_regioned_trace(specs, cancels, incremental=True)
-    sh, sh_runs = _run_regioned_trace(specs, cancels, sharded=True)
+    """The index contract: the same trace through the sharded index
+    and the frozen single heap must give *exactly* equal completion
+    instants (no approx — the sharded wake fires at the same instants,
+    settling the same chunkings) and exactly equal recompute work."""
+    inc, inc_runs = _run_regioned_trace(
+        specs, cancels, engine_cls=SingleHeapEngine
+    )
+    sh, sh_runs = _run_regioned_trace(specs, cancels, incremental=True)
     assert sh.completed == inc.completed
     assert sh.cancellations == inc.cancellations
     assert sh.transfers_visited == inc.transfers_visited
@@ -189,7 +195,7 @@ def test_full_and_sharded_timelines_agree(specs):
     """Against the full engine the usual settling-noise tolerance
     applies (different chunking), like the incremental suite."""
     full, full_runs = _run_regioned_trace(specs, [])
-    sh, sh_runs = _run_regioned_trace(specs, [], sharded=True)
+    sh, sh_runs = _run_regioned_trace(specs, [], incremental=True)
     assert full.completed == sh.completed == len(specs)
     assert sh.transfers_visited <= full.transfers_visited
     for a, b in zip(full_runs, sh_runs):
@@ -210,11 +216,13 @@ def test_full_and_sharded_timelines_agree(specs):
 )
 def test_endgame_duplicate_finishes_stay_identical(specs):
     """Same-size transfers finishing at the same instant exercise the
-    multi-finish wake path (ties broken by transfer id in both modes);
-    the traces must still agree exactly."""
+    multi-finish wake path (ties broken by transfer id in both
+    indexes); the traces must still agree exactly."""
     trace = [(s, d, 64 * MB, at) for s, d, at in specs]
-    inc, inc_runs = _run_regioned_trace(trace, [], incremental=True)
-    sh, sh_runs = _run_regioned_trace(trace, [], sharded=True)
+    inc, inc_runs = _run_regioned_trace(
+        trace, [], engine_cls=SingleHeapEngine
+    )
+    sh, sh_runs = _run_regioned_trace(trace, [], incremental=True)
     assert sh.completed == inc.completed == len(trace)
     assert sh.transfers_visited == inc.transfers_visited
     for a, b in zip(inc_runs, sh_runs):
@@ -237,12 +245,12 @@ def test_endgame_duplicate_finishes_stay_identical(specs):
 )
 def test_sharded_on_unsharded_topology_matches_incremental(specs, uplink):
     """A topology with no regions at all degenerates to one trunk
-    shard; the engine must still replay the incremental traces
+    shard; the engine must still replay the single-heap traces
     exactly (the star network is the incremental suite's fixture)."""
-    def run(**kw):
+    def run(engine_cls, **kw):
         network = star_network(n_devices=5, uplink_mbps=uplink)
         sim = Simulator()
-        engine = TransferEngine(sim, network, **kw)
+        engine = engine_cls(sim, network, **kw)
         runs = []
 
         def launch(at_s, src, dst, size):
@@ -258,8 +266,8 @@ def test_sharded_on_unsharded_topology_matches_incremental(specs, uplink):
         sim.run()
         return engine, runs
 
-    inc, inc_runs = run(incremental=True)
-    sh, sh_runs = run(sharded=True)
+    inc, inc_runs = run(SingleHeapEngine)
+    sh, sh_runs = run(TransferEngine, incremental=True)
     assert sh.completed == inc.completed == len(specs)
     assert sh.transfers_visited == inc.transfers_visited
     assert set(sh.shard_fronts()) <= {TRUNK}
@@ -275,7 +283,7 @@ class TestShardIndex:
         network = regioned_network(n_regions=3)
         names = _device_names()
         sim = Simulator()
-        engine = TransferEngine(sim, network, sharded=True)
+        engine = TransferEngine(sim, network, incremental=True)
         # registry pull into each region + one cross-region pull
         for name in names:
             run_transfer(
@@ -303,24 +311,17 @@ class TestShardIndex:
             front == math.inf for front in engine.shard_fronts().values()
         )
 
-    def test_sharded_implies_incremental(self):
-        engine = TransferEngine(
-            Simulator(), NetworkModel(), sharded=True
-        )
-        assert engine.incremental
-        assert engine.sharded
-
     def test_link_shard_reassignment_is_loud(self):
         network = regioned_network()
         sim = Simulator()
-        engine = TransferEngine(sim, network, sharded=True)
+        engine = TransferEngine(sim, network, incremental=True)
         engine._link("up:origin@R0", 120.0, shard="R0")
         with pytest.raises(ValueError, match="shard"):
             engine._link("up:origin@R0", 120.0, shard="R1")
 
 
 # ----------------------------------------------------------------------
-# preset-level outcome identity: sharded is a drop-in for incremental
+# preset-level outcome identity: both spec names pin one outcome
 # ----------------------------------------------------------------------
 _TIME_RESOLVED_PRESETS = [
     name
@@ -328,14 +329,32 @@ _TIME_RESOLVED_PRESETS = [
     if scenarios.get(name).transfer.model.value == "time-resolved"
 ]
 
+#: Outcome digests of the time-resolved presets (swarm presets shrunk
+#: to 120 devices in at most 6 regions) on the closure engine, as
+#: pinned when ``"incremental"`` still ran a single global deadline
+#: heap: the first 8 hex digits of the sha256 of the sorted-key JSON of
+#: the deterministic outcome dict.
+_PRESET_DIGESTS = {
+    "p2p-chunked": "6659e5ec",
+    "p2p-contended": "a5a733bf",
+    "p2p-swarm-scale": "d900a02d",
+    "p2p-swarm-100k": "23b18a5f",
+}
+
+
+def _outcome_digest(outcome) -> str:
+    deterministic = scenarios.deterministic_outcome_dict(outcome.to_dict())
+    blob = json.dumps(deterministic, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:8]
+
 
 @pytest.mark.parametrize("preset", _TIME_RESOLVED_PRESETS)
 def test_preset_outcomes_match_incremental_engine(preset):
     """Every registered time-resolved preset replayed through the
-    sharded engine must reproduce the incremental outcome dict
-    *exactly* — including ``engine_transfers_visited``, the work
-    counter the two modes share by construction (the swarm presets
-    are downsized so the comparison stays test-sized)."""
+    closure engine under either spec name must reproduce its pinned
+    outcome digest *exactly* — including ``engine_transfers_visited``
+    (the swarm presets are downsized so the run stays test-sized)."""
+    assert preset in _PRESET_DIGESTS, f"pin a digest for {preset!r}"
     base = scenarios.get(preset)
     if base.topology.n_devices > 200:
         base = replace(
@@ -346,18 +365,12 @@ def test_preset_outcomes_match_incremental_engine(preset):
                 n_regions=min(base.topology.n_regions, 6),
             ),
         )
-    inc_spec = replace(
-        base, transfer=replace(base.transfer, recompute="incremental")
-    )
-    sh_spec = replace(
-        base, transfer=replace(base.transfer, recompute="sharded")
-    )
-    inc = SimulationSession(inc_spec).run()
-    session = SimulationSession(sh_spec)
-    assert session.engine.sharded
-    session.engine.self_check = True
-    sh = session.run()
-    # Deterministic surface only: wall-clock fields differ per run.
-    assert scenarios.deterministic_outcome_dict(sh.to_dict()) == (
-        scenarios.deterministic_outcome_dict(inc.to_dict())
-    )
+    for recompute in ("incremental", "sharded"):
+        spec = replace(
+            base, transfer=replace(base.transfer, recompute=recompute)
+        )
+        session = SimulationSession(spec)
+        assert session.engine.incremental
+        session.engine.self_check = True
+        digest = _outcome_digest(session.run())
+        assert digest == _PRESET_DIGESTS[preset], recompute

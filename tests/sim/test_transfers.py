@@ -394,6 +394,40 @@ class TestCancellation:
         assert slow_b["ok"] is False
         assert slow_a["end"] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_cancel_many_cancels_a_repeated_transfer_once(self, incremental):
+        """Regression: a transfer listed twice in one batch was counted
+        twice, and its second ``done.fail`` raised mid-batch after the
+        engine state had already changed."""
+        network = star_network()
+        sim = Simulator()
+        engine = TransferEngine(sim, network, incremental=incremental)
+        transfer = engine.start(
+            "origin", "d0", 500 * MB, src_is_registry=True
+        )
+        caught = []
+        result = {}
+
+        def waiter():
+            try:
+                yield transfer.done
+            except TransferCancelled as exc:
+                caught.append(exc)
+
+        def axe():
+            yield sim.timeout(1.0)
+            before = engine.recomputes
+            result["n"] = engine.cancel_many([transfer, transfer], "dup")
+            result["recomputes"] = engine.recomputes - before
+
+        sim.process(waiter())
+        sim.process(axe())
+        sim.run()
+        assert result == {"n": 1, "recomputes": 1}
+        assert engine.cancellations == 1
+        assert [exc.reason for exc in caught] == ["dup"]
+        assert not engine.active_transfers
+
     def test_cancel_uploads_from_batches_into_one_recompute(self):
         """Regression: a departing seeder with k uploads used to run
         the settle + detach + recompute cycle k times.  The batch must

@@ -5,12 +5,12 @@ import io
 
 import pytest
 
+from repro.model.network import TRUNK
 from repro.telemetry import (
     ALL_SCOPE,
     METRICS_SCHEMA,
     EngineProfile,
     FRONT_HEAP,
-    GLOBAL_HEAP,
     MetricsSampler,
     TelemetryCapture,
     TraceRecorder,
@@ -83,12 +83,12 @@ class TestEngineProfile:
 
     def test_heap_counters_per_shard(self):
         prof = EngineProfile()
-        prof.heap_push(GLOBAL_HEAP)
+        prof.heap_push(TRUNK)
         prof.heap_push("region-1")
         prof.heap_pop("region-1")
         prof.heap_invalidate(FRONT_HEAP)
         heaps = prof.summary()["heaps"]
-        assert heaps[GLOBAL_HEAP] == {
+        assert heaps[TRUNK] == {
             "pushes": 1, "pops": 0, "invalidations": 0,
         }
         assert heaps["region-1"]["pops"] == 1
