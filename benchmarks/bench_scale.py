@@ -21,7 +21,7 @@ Two sweeps run:
   a wall-time guard — the guard is what keeps the incremental-mode
   scaling win from silently regressing in CI, and
 * the ``p2p-swarm-100k`` preset's trunk-sliced cold waves through the
-  region-sharded engine: at 10k devices the trunk-sliced sharded
+  closure engine: at 10k devices the trunk-sliced
   topology is compared against the same total registry egress served
   as one monolithic uplink (≥5× fewer recompute-visited transfers —
   the co-design win: slicing keeps every registry closure regional),
@@ -257,7 +257,7 @@ def check_swarm_sweep(rows) -> None:
 
 
 # ----------------------------------------------------------------------
-# region-sharded engine on the trunk-sliced 100k preset
+# closure engine on the trunk-sliced 100k preset
 # ----------------------------------------------------------------------
 #: Wall guard per wave for the --quick 25k-device sharded canary
 #: (measured ~22 s/wave; headroom for slower CI machines).
@@ -328,7 +328,7 @@ def _swarm100k_run(
         recomputes=engine.recomputes,
         visited=engine.transfers_visited,
         makespan_s=outcome.makespan_s,
-        shards=len(engine._shards) if engine.incremental else 0,
+        shards=len({link.shard for link in engine.links()}),
     )
 
 
@@ -363,7 +363,8 @@ def check_sharded_sweep(rows) -> None:
         assert row["wave_s"] < guard, (
             f"{row['devices']}-device sharded cold wave took "
             f"{row['wave_s']:.1f} s wall (guard: {guard:.0f} s) — "
-            f"per-shard recompute scaling has regressed"
+            f"the closure engine no longer scales with per-region "
+            f"components"
         )
         assert row["shards"] > 0
     by_trunking = {
@@ -460,7 +461,7 @@ def main(argv=None) -> int:
         )
     )
     print()
-    print("== region-sharded cold waves (p2p-swarm-100k preset) ==")
+    print("== trunk-sliced cold waves (p2p-swarm-100k preset) ==")
     sharded_rows = run_sharded_sweep(quick)
     print(
         f"{'devices':>8} {'mode':>12} {'trunked':>8} {'build s':>8} "

@@ -56,8 +56,8 @@ _NO_CHANNELS: Dict[str, "Channel"] = {}
 
 #: Shard label for links not owned by any single region: inter-region
 #: channels, monolithic registry egress, and links between endpoints
-#: whose region was never declared.  The transfer engine's sharded
-#: deadline index keeps one catch-all shard under this name.
+#: whose region was never declared.  Shards only label links: the
+#: metrics sampler reports trunk utilisation under this name.
 TRUNK = "@trunk"
 
 
@@ -68,8 +68,9 @@ class LinkSpec:
     The time-resolved :class:`~repro.sim.transfers.TransferEngine`
     materialises these into live :class:`~repro.sim.transfers.Link`
     objects; the analytic path never looks at them.  ``shard`` names
-    the region that owns the link for per-shard recompute scheduling
-    (:data:`TRUNK` when no single region does).
+    the region that owns the link (:data:`TRUNK` when no single region
+    does); it labels the link for per-region utilisation metrics and
+    never affects a rate or the engine's scheduling.
     """
 
     name: str
@@ -301,8 +302,8 @@ class NetworkModel:
         Regions drive the ``shard`` field of the :class:`LinkSpec`\\ s
         :meth:`transfer_path` emits: an endpoint's up/down links belong
         to its region, an intra-region channel to the shared region,
-        and everything else to :data:`TRUNK`.  Purely a scheduling
-        label — capacities and path shapes are unaffected.
+        and everything else to :data:`TRUNK`.  Purely a label —
+        capacities and path shapes are unaffected.
         """
         if not region:
             raise ValueError(f"empty region for endpoint {endpoint!r}")

@@ -251,8 +251,9 @@ register(
         # into per-region trunk links instead of one monolithic uplink:
         # a shared uplink would couple every in-flight registry pull on
         # the planet into one connected component, while a trunk slice
-        # keeps each region's closure regional — the topology the
-        # sharded deadline index is built for.  The inter-region
+        # keeps each region's closure regional, so the closure engine
+        # re-solves and indexes small per-region components
+        # ("sharded" names that engine).  The inter-region
         # gateway mesh is off because it is quadratic in regions
         # (5000 regions would mean ~25M WAN channels); inter-region
         # traffic rides the trunks.
@@ -278,7 +279,7 @@ register(
     ),
     description=(
         "100k-device cold waves over 5000 trunk-sliced regions through "
-        "the region-sharded engine — the interactive-scale benchmark "
+        "the closure engine — the interactive-scale benchmark "
         "scenario"
     ),
     family="p2p-swarm-scale",

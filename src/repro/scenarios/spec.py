@@ -173,9 +173,10 @@ class WorkloadSpec:
 #: ``"full"`` re-solves every active transfer per event (the
 #: historically pinned default); ``"incremental"`` runs the closure
 #: engine, which re-solves only the dirty closure the event perturbed
-#: on a region-sharded deadline index — identical rates, swarm-scale
-#: event cost.  ``"sharded"`` is a second name for the closure engine,
-#: kept so historical spec dicts, presets and cache keys still resolve.
+#: and indexes completions with one heap entry per solved component —
+#: identical rates, swarm-scale event cost.  ``"sharded"`` is a second
+#: name for the closure engine, kept so historical spec dicts, presets
+#: and cache keys still resolve.
 RECOMPUTE_MODES = ("full", "incremental", "sharded")
 
 

@@ -33,16 +33,13 @@ differential tests pin down.  Progress accounting becomes lazy
 (per-transfer ``settled_s``), so an event on an idle corner of a
 10k-device swarm costs the size of its component, not the swarm.
 
-The closure engine tracks predicted completions in a region-sharded
-deadline index: every link carries the region that owns it (the
-``shard`` field of :class:`~repro.model.network.LinkSpec`,
-:data:`~repro.model.network.TRUNK` for inter-region links), each
-transfer homes in a shard, and each shard keeps its own heap under a
-shard-front heap.  An event in region A touches A's heap (plus the
-trunk's, when it crosses regions) — never region B's — so index
-upkeep scales with the busy region, not the swarm.  A topology
-without regions is one trunk shard.  Closure search ignores shards:
-a transfer spanning shards joins their closures for that solve.
+The closure engine tracks predicted completions in a component
+deadline index: the dirty-closure walk yields the closure one connected
+component at a time, and one lazy min-heap holds one entry per solved
+component, keyed by its earliest member deadline.  A component is always
+re-solved whole, so a live entry's key is its members' exact minimum
+and one wake armed at the heap's earliest live entry fires exactly when
+a per-transfer index would.
 
 Which model a simulation uses is selected by :class:`TransferModel`:
 ``ANALYTIC`` keeps the paper-faithful instant-accounting path bit-for-
@@ -66,6 +63,10 @@ from .events import Event
 #: Far above float noise accumulated by settling (≈1e-13 MB), far below
 #: one byte (1e-6 MB), so no real payload is ever silently dropped.
 _EPS_MB = 1e-9
+
+#: Profile label of the closure engine's deadline heap (mirrors
+#: ``repro.telemetry.DEADLINE_HEAP``; this package never imports it).
+_DEADLINE_HEAP = "@deadline"
 
 
 class TransferModel(enum.Enum):
@@ -119,8 +120,9 @@ class Link:
             raise ValueError(f"link {name!r} capacity must be > 0")
         self.name = name
         self.capacity_mbps = capacity_mbps
-        #: Region that owns this link for per-shard scheduling
-        #: (:data:`~repro.model.network.TRUNK` when none does).
+        #: Region that owns this link
+        #: (:data:`~repro.model.network.TRUNK` when none does); the
+        #: metrics sampler groups link utilisation by it.
         self.shard = shard
         #: Active transfers keyed by transfer id (insertion ordered —
         #: determinism depends on it).
@@ -156,7 +158,8 @@ class Transfer:
         "rate_mbps",
         "active",
         "settled_s",
-        "shard",
+        "deadline_s",
+        "component",
     )
 
     def __init__(
@@ -192,16 +195,10 @@ class Transfer:
         #: Simulated time up to which ``remaining_mb`` is accounted
         #: (incremental mode settles lazily, per dirty closure).
         self.settled_s = requested_s
-        #: Home shard for the per-shard deadline index: the last
-        #: region-owned link of the path (the destination side), the
-        #: trunk when the whole path is trunk.  Purely an index
-        #: placement — any deterministic choice yields the same rates.
-        shard = TRUNK
-        for link in reversed(links):
-            if link.shard != TRUNK:
-                shard = link.shard
-                break
-        self.shard = shard
+        #: Closure engine only: the solved component whose heap entry
+        #: indexes this transfer (None outside one).  Indexing also
+        #: sets ``deadline_s``, the predicted completion time.
+        self.component: Optional[_Component] = None
 
     @property
     def lower_bound_s(self) -> float:
@@ -247,23 +244,20 @@ class Transfer:
         )
 
 
-class _Shard:
-    """Per-region slice of the closure engine's lazy deadline index.
+class _Component:
+    """One connected component of a closure solve: the unit the
+    closure engine's deadline index holds one heap entry for.
 
-    ``heap`` holds ``(deadline, transfer id, token)`` entries for
-    transfers homed in this shard; ``front`` is the earliest
-    still-valid deadline as of the last publish, ``pub`` the publish
-    stamp that validates this shard's entry in the engine's
-    shard-front heap (older stamps are lazily discarded there).
+    ``live`` drops to False when any member is re-solved or detached,
+    which retires the component's heap entry (skipped lazily when it
+    surfaces).
     """
 
-    __slots__ = ("name", "heap", "pub", "front")
+    __slots__ = ("members", "live")
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.heap: List[Tuple[float, int, int]] = []
-        self.pub = 0
-        self.front = float("inf")
+    def __init__(self, members: List[Transfer]) -> None:
+        self.members = members
+        self.live = True
 
 
 class TransferEngine:
@@ -288,10 +282,9 @@ class TransferEngine:
     and asserts equality — a test hook, quadratic, never for
     production runs).  ``transfers_visited`` counts the transfers each
     mode actually re-rates, so scale benchmarks can compare the work
-    directly.  The incremental mode's deadline index is split by the
-    region shard each link carries: per-shard heaps under a
-    shard-front heap, one global wake armed at the minimum front, so
-    index upkeep touches only the shards an event involves.
+    directly.  The incremental mode indexes predicted completions with
+    one heap entry per solved component, and arms its single wake at
+    the earliest live entry.
 
     Upload budgets
     --------------
@@ -328,19 +321,13 @@ class TransferEngine:
         self._clock_s = sim.now
         self._generation = 0
         self._wake: Optional[Event] = None
-        # incremental mode: predicted completions as lazy per-shard
-        # min-heaps of (deadline, transfer id, token); _tokens holds each
-        # transfer's latest token, so stale entries are skipped when they
-        # surface.  _front_heap holds (front deadline, shard name, pub
-        # stamp) and _touched names the shards whose front may have
-        # moved since the last publish (re-published before every arm,
-        # so the armed wake always tracks the true global minimum).
-        self._tokens: Dict[int, int] = {}
-        self._token_seq = itertools.count()
+        # incremental mode: the component deadline index, a lazy
+        # min-heap of (earliest member deadline, seq, component); an
+        # entry whose component is no longer live is skipped when it
+        # surfaces.
+        self._deadlines: List[Tuple[float, int, _Component]] = []
+        self._deadline_seq = itertools.count()
         self._wake_deadline = float("inf")
-        self._shards: Dict[str, _Shard] = {}
-        self._front_heap: List[Tuple[float, str, int]] = []
-        self._touched: set = set()
         # diagnostics
         self.started = 0
         self.completed = 0
@@ -357,8 +344,8 @@ class TransferEngine:
         #: and engine.reallocate records.
         self.trace = None
         #: Optional self-profiler receiving per-recompute wall-clock ns,
-        #: closure sizes, and per-shard heap push/pop/invalidation
-        #: counts ("@front" = the shard-front heap).
+        #: closure sizes, and deadline-heap push/pop/invalidation counts
+        #: (label "@deadline").
         self.profile = None
         #: Reallocation-solve sequence (the closure id trace records
         #: carry — one per fill, shared by the rates it assigned).
@@ -520,7 +507,7 @@ class TransferEngine:
             self._release_slot(transfer)
             if transfer.active:
                 if self.incremental:
-                    self._settle_one(transfer)
+                    self._settle_one(transfer, self.sim.now)
                 seeds.extend(transfer.links)
                 self._detach(transfer)
         if any_active:
@@ -690,12 +677,12 @@ class TransferEngine:
     def _detach(self, transfer: Transfer) -> None:
         transfer.active = False
         self._active.pop(transfer.id, None)
-        if self._tokens.pop(transfer.id, None) is not None:
-            # The popped token invalidates a heap entry; the home
-            # shard's published front may now be stale, so it must
-            # republish before the next arm (otherwise the wake could
-            # fire at a deadline that no longer exists).
-            self._touched.add(transfer.shard)
+        component = transfer.component
+        if component is not None:
+            # Retire the indexed component: a cancelled transfer alone
+            # in it leaves an empty closure, so no re-solve would.
+            component.live = False
+            transfer.component = None
         for link in transfer.links:
             link.transfers.pop(transfer.id, None)
 
@@ -741,17 +728,15 @@ class TransferEngine:
                 left = transfer.remaining_mb - rate / MBIT_PER_MB * dt
                 transfer.remaining_mb = left if left > 0.0 else 0.0
 
-    def _settle_one(self, transfer: Transfer) -> None:
-        """Bring one transfer's ``remaining_mb`` up to the current
-        clock at its (unchanged) rate."""
-        dt = self.sim.now - transfer.settled_s
-        transfer.settled_s = self.sim.now
+    def _settle_one(self, transfer: Transfer, now: float) -> None:
+        """Bring one transfer's ``remaining_mb`` up to ``now`` (the
+        current clock) at its (unchanged) rate."""
+        dt = now - transfer.settled_s
+        transfer.settled_s = now
         if dt <= 0 or transfer.rate_mbps <= 0:
             return
-        transfer.remaining_mb = max(
-            0.0,
-            transfer.remaining_mb - transfer.rate_mbps / MBIT_PER_MB * dt,
-        )
+        left = transfer.remaining_mb - transfer.rate_mbps / MBIT_PER_MB * dt
+        transfer.remaining_mb = left if left > 0.0 else 0.0
 
     # ------------------------------------------------------------------
     # progressive filling (shared by both recompute modes)
@@ -914,29 +899,37 @@ class TransferEngine:
         refills that closure.  Transfers outside the closure share no
         link with it, directly or transitively, so their max-min rates
         are provably unchanged — skipping them is what breaks the
-        every-event-scans-everything cost wall.
+        every-event-scans-everything cost wall.  The walk starts one
+        depth-first search per unseen seed, so each search yields one
+        whole component, which the deadline index then holds as one
+        entry.
         """
         self.recomputes += 1
         # Observation only: feeds the profiler, never an outcome.
         t0 = perf_counter_ns() if self.profile is not None else 0  # repro-lint: disable=wall-clock-in-sim
+        now = self.sim.now
         seen: set = set()
-        stack: List[Link] = []
-        for link in seeds:
-            if link.name not in seen:
-                seen.add(link.name)
-                stack.append(link)
         closure: Dict[int, Transfer] = {}
-        while stack:
-            link = stack.pop()
-            for tid, transfer in link.transfers.items():
-                if tid in closure:
-                    continue
-                closure[tid] = transfer
-                self._settle_one(transfer)
-                for other in transfer.links:
-                    if other.name not in seen:
-                        seen.add(other.name)
-                        stack.append(other)
+        components: List[List[Transfer]] = []
+        for seed in seeds:
+            if seed in seen:
+                continue
+            seen.add(seed)
+            stack = [seed]
+            members: List[Transfer] = []
+            while stack:
+                for tid, transfer in stack.pop().transfers.items():
+                    if tid in closure:
+                        continue
+                    closure[tid] = transfer
+                    members.append(transfer)
+                    self._settle_one(transfer, now)
+                    for other in transfer.links:
+                        if other not in seen:
+                            seen.add(other)
+                            stack.append(other)
+            if members:
+                components.append(members)
         if len(closure) == 1:
             # Degenerate (and, off the hot spots, most common) closure:
             # a transfer alone on all its links.  Its max-min rate is
@@ -948,7 +941,6 @@ class TransferEngine:
             for link in transfer.links:
                 if rate > link.peak_utilisation_mbps:
                     link.peak_utilisation_mbps = rate
-            self._push_deadline(transfer)
             if self.trace is not None:
                 self.trace.record(
                     self.sim.now, "engine.reallocate", "",
@@ -957,91 +949,64 @@ class TransferEngine:
                 )
         elif closure:
             self._fill(closure)
-            for transfer in closure.values():
-                self._push_deadline(transfer)
+        for members in components:
+            self._index_component(members)
         if self.profile is not None:
             # repro-lint: disable=wall-clock-in-sim
             self.profile.note_recompute(perf_counter_ns() - t0, len(closure))
         if self.self_check:
             self._assert_reference_rates()
-        self._arm_wake_sharded()
+        self._arm_deadline_wake()
 
     # ------------------------------------------------------------------
-    # region-sharded deadline index (incremental mode)
+    # component deadline index (incremental mode)
     # ------------------------------------------------------------------
-    def _push_deadline(self, transfer: Transfer) -> None:
-        """(Re)index one transfer's predicted completion time."""
-        if transfer.rate_mbps > 0:
+    def _index_component(self, members: List[Transfer]) -> None:
+        """Predict each member's completion and index the component
+        once, under its earliest member deadline.  Each member's
+        previous component is retired: a closure is a union of whole
+        old components, so none of them keeps a member outside it."""
+        component = _Component(members)
+        earliest = float("inf")
+        for transfer in members:
+            old = transfer.component
+            if old is not None:
+                old.live = False
+            transfer.component = component
             deadline = (
                 transfer.settled_s
                 + transfer.remaining_mb * MBIT_PER_MB / transfer.rate_mbps
             )
-            token = next(self._token_seq)
-            self._tokens[transfer.id] = token
-            shard = self._shard(transfer.shard)
-            heapq.heappush(shard.heap, (deadline, transfer.id, token))
-            self._touched.add(shard.name)
-            if self.profile is not None:
-                self.profile.heap_push(shard.name)
-        else:  # pragma: no cover - a filled transfer always has a rate
-            self._tokens.pop(transfer.id, None)
+            transfer.deadline_s = deadline
+            if deadline < earliest:
+                earliest = deadline
+        heapq.heappush(
+            self._deadlines, (earliest, next(self._deadline_seq), component)
+        )
+        if self.profile is not None:
+            self.profile.heap_push(_DEADLINE_HEAP)
 
-    def _shard(self, name: str) -> _Shard:
-        shard = self._shards.get(name)
-        if shard is None:
-            shard = _Shard(name)
-            self._shards[name] = shard
-        return shard
+    def _arm_deadline_wake(self) -> None:
+        """Point the single wake-up at the earliest live component.
 
-    def shard_fronts(self) -> Dict[str, float]:
-        """Earliest pending deadline per shard (``inf`` when idle) —
-        introspection for tests and diagnostics."""
-        return {name: shard.front for name, shard in self._shards.items()}
-
-    def _arm_wake_sharded(self) -> None:
-        """Republish touched shard fronts, then point the single
-        wake-up at the shard-front heap's earliest valid entry.
-
-        Publishing prunes each touched shard's stale heap tops and,
-        when the front moved, stamps a fresh entry into the front
-        heap (the old stamp invalidates lazily).  Untouched shards
-        cannot have a stale top — every token change marks its shard —
-        so the front-heap minimum equals the minimum over *all* valid
-        deadlines.  A wake already armed at that deadline is kept.
+        Retired entries on top are discarded first, so the top key is
+        the minimum over every indexed transfer's deadline.  A wake
+        already armed at that deadline is kept.
         """
+        heap = self._deadlines
         prof = self.profile
-        if self._touched:
-            for name in sorted(self._touched):
-                shard = self._shards[name]
-                heap = shard.heap
-                while heap and self._tokens.get(heap[0][1]) != heap[0][2]:
-                    heapq.heappop(heap)
-                    if prof is not None:
-                        prof.heap_invalidate(name)
-                front = heap[0][0] if heap else float("inf")
-                if front != shard.front:
-                    shard.front = front
-                    shard.pub += 1
-                    if front != float("inf"):
-                        heapq.heappush(
-                            self._front_heap, (front, name, shard.pub)
-                        )
-                        if prof is not None:
-                            prof.heap_push("@front")
-            self._touched.clear()
-        fronts = self._front_heap
-        while fronts and self._shards[fronts[0][1]].pub != fronts[0][2]:
-            heapq.heappop(fronts)
+        while heap and not heap[0][2].live:
+            heapq.heappop(heap)
             if prof is not None:
-                prof.heap_invalidate("@front")
+                prof.heap_invalidate(_DEADLINE_HEAP)
         live = self._wake is not None and not self._wake.processed
-        if not fronts:
+        if not heap:
             if live:
                 self._generation += 1
                 self._wake.void()
                 self._wake = None
             return
-        deadline = fronts[0][0]
+        deadline = heap[0][0]
         if live:
             if deadline == self._wake_deadline:
                 return  # armed wake already fires at the right time
@@ -1050,33 +1015,65 @@ class TransferEngine:
         generation = self._generation
         wake = self.sim.timeout(max(0.0, deadline - self.sim.now))
         wake.add_callback(
-            lambda _evt, g=generation: self._on_wake_sharded(g)
+            lambda _evt, g=generation: self._on_deadline_wake(g)
         )
         self._wake = wake
         self._wake_deadline = deadline
 
-    def _on_wake_sharded(self, generation: int) -> None:
+    def _on_deadline_wake(self, generation: int) -> None:
+        """Drain every due component.  Its due members are settled and
+        either finished or re-predicted; a component that lost no
+        member is re-indexed at its new minimum, and one that did is
+        re-solved whole by the recompute over the finished links."""
         if generation != self._generation:
-            return  # stale wake-up: the front heap changed since
+            return  # stale wake-up: the index changed since
         now = self.sim.now
-        fronts = self._front_heap
+        heap = self._deadlines
         prof = self.profile
         finished: List[Transfer] = []
-        while fronts:
-            front, name, pub = fronts[0]
-            shard = self._shards[name]
-            if shard.pub != pub:
-                heapq.heappop(fronts)
+        while heap:
+            earliest, _seq, component = heap[0]
+            if not component.live:
+                heapq.heappop(heap)
                 if prof is not None:
-                    prof.heap_invalidate("@front")
+                    prof.heap_invalidate(_DEADLINE_HEAP)
                 continue
-            if front > now:
+            if earliest > now:
                 break
-            heapq.heappop(fronts)
+            heapq.heappop(heap)
             if prof is not None:
-                prof.heap_pop("@front")
-            self._drain_shard(shard, now, finished)
-            self._touched.add(name)
+                prof.heap_pop(_DEADLINE_HEAP)
+            n_finished = len(finished)
+            earliest = float("inf")
+            for transfer in component.members:
+                deadline = transfer.deadline_s
+                if deadline <= now:
+                    self._settle_one(transfer, now)
+                    if transfer.remaining_mb <= _EPS_MB:
+                        finished.append(transfer)
+                        continue
+                    # Residual payload above the finish threshold:
+                    # re-predict.  A re-predicted deadline that cannot
+                    # advance the clock (a sub-ulp residue of the
+                    # timeout's float rounding) finishes now, or
+                    # progress stalls on float residue.
+                    deadline = (
+                        transfer.settled_s
+                        + transfer.remaining_mb * MBIT_PER_MB
+                        / transfer.rate_mbps
+                    )
+                    if deadline <= now:
+                        finished.append(transfer)
+                        continue
+                    transfer.deadline_s = deadline
+                if deadline < earliest:
+                    earliest = deadline
+            if len(finished) == n_finished:
+                heapq.heappush(
+                    heap, (earliest, next(self._deadline_seq), component)
+                )
+                if prof is not None:
+                    prof.heap_push(_DEADLINE_HEAP)
         if finished:
             seeds: List[Link] = []
             for transfer in sorted(finished, key=lambda t: t.id):
@@ -1084,50 +1081,7 @@ class TransferEngine:
                 self._finish(transfer)
             self._recompute_incremental(seeds)
         else:
-            self._arm_wake_sharded()
-
-    def _drain_shard(
-        self, shard: _Shard, now: float, finished: List[Transfer]
-    ) -> None:
-        """Pop one shard's due entries into ``finished``.  A shard whose
-        published front is later than ``now`` provably has no due entry
-        (the front *is* its minimum valid deadline), which is why
-        undrained shards need no scan at all."""
-        heap = shard.heap
-        prof = self.profile
-        while heap:
-            deadline, tid, token = heap[0]
-            if self._tokens.get(tid) != token:
-                heapq.heappop(heap)
-                if prof is not None:
-                    prof.heap_invalidate(shard.name)
-                continue
-            if deadline > now:
-                break
-            heapq.heappop(heap)
-            if prof is not None:
-                prof.heap_pop(shard.name)
-            transfer = self._active[tid]
-            self._settle_one(transfer)
-            if transfer.remaining_mb <= _EPS_MB:
-                finished.append(transfer)
-                continue
-            # Residual payload above the finish threshold: re-predict.
-            # A re-predicted deadline that cannot advance the clock (a
-            # sub-ulp residue of the timeout's float rounding) finishes
-            # now, or progress stalls on float residue.
-            deadline = (
-                transfer.settled_s
-                + transfer.remaining_mb * MBIT_PER_MB / transfer.rate_mbps
-            )
-            if deadline <= now:
-                finished.append(transfer)
-            else:
-                token = next(self._token_seq)
-                self._tokens[tid] = token
-                heapq.heappush(heap, (deadline, tid, token))
-                if prof is not None:
-                    prof.heap_push(shard.name)
+            self._arm_deadline_wake()
 
     def _assert_reference_rates(self) -> None:
         """Compare live rates against the full-fill oracle

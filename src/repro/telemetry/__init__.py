@@ -11,7 +11,7 @@ The unified telemetry layer of the swarm stack.  Three sinks:
   cache occupancy, gossip view staleness;
 * :class:`EngineProfile` — wall-clock and work counters inside the
   transfer engine (per-recompute ns, dirty-closure size histogram,
-  per-shard heap push/pop/invalidation counts).
+  deadline-heap push/pop/invalidation counts).
 
 Everything hangs off the ``telemetry`` section of a
 :class:`~repro.scenarios.spec.ScenarioSpec` (default fully off —
@@ -29,7 +29,7 @@ the record schema and the Chrome-trace mapping.
 
 from .capture import TelemetryCapture, active_capture
 from .metrics import ALL_SCOPE, METRICS_SCHEMA, MetricsSampler, merged_csv
-from .profile import FRONT_HEAP, EngineProfile, closure_bucket
+from .profile import DEADLINE_HEAP, EngineProfile, closure_bucket
 from .recorder import (
     TraceEvent,
     TraceRecorder,
@@ -39,8 +39,8 @@ from .recorder import (
 
 __all__ = [
     "ALL_SCOPE",
+    "DEADLINE_HEAP",
     "EngineProfile",
-    "FRONT_HEAP",
     "METRICS_SCHEMA",
     "MetricsSampler",
     "TelemetryCapture",

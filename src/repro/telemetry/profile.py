@@ -4,11 +4,12 @@
 :class:`~repro.sim.transfers.TransferEngine` (``engine.profile``) when
 ``TelemetrySpec.profile`` is on.  The engine notes, per fair-share
 recompute, the wall-clock nanoseconds spent and the dirty-closure size,
-and counts every deadline-heap push / pop / lazy invalidation per shard
-— the concrete work the closure engine's region-sharded index exists
-to reduce.  A summary lands on ``ModeOutcome.engine_profile`` (and,
-flattened, in sweep rows), so a perf regression in the solvers becomes
-a measurable diff instead of an anecdote.
+and counts every deadline-heap push / pop / lazy invalidation under the
+heap's label — the index upkeep that the closure engine's heap, with
+one entry per solved component, keeps small.  A summary lands on
+``ModeOutcome.engine_profile`` (and, flattened, in sweep rows), so a
+perf regression in the solvers becomes a measurable diff instead of an
+anecdote.
 
 All counters are *work* counters except the ``_ns`` aggregates, which
 are wall-clock and therefore nondeterministic — the sweep aggregate's
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-#: Heap label of the closure engine's shard-front heap.
-FRONT_HEAP = "@front"
+#: Heap label of the closure engine's component deadline heap.
+DEADLINE_HEAP = "@deadline"
 
 
 def closure_bucket(size: int) -> str:
@@ -45,7 +46,7 @@ class EngineProfile:
         self.transfers_rerated = 0
         # int power-of-two buckets; rendered as strings in summary().
         self._closure_hist: Dict[int, int] = {}
-        # shard -> [pushes, pops, invalidations]; flat lists keep the
+        # heap label -> [pushes, pops, invalidations]; flat lists keep the
         # per-heap-op cost to one dict lookup + one index increment.
         self._heaps: Dict[str, List[int]] = {}
 
@@ -62,33 +63,33 @@ class EngineProfile:
         self._closure_hist[bucket] = self._closure_hist.get(bucket, 0) + 1
 
     # -- deadline-heap work --------------------------------------------
-    def heap_push(self, shard: str) -> None:
+    def heap_push(self, heap: str) -> None:
         try:
-            self._heaps[shard][0] += 1
+            self._heaps[heap][0] += 1
         except KeyError:
-            self._heaps[shard] = [1, 0, 0]
+            self._heaps[heap] = [1, 0, 0]
 
-    def heap_pop(self, shard: str) -> None:
+    def heap_pop(self, heap: str) -> None:
         """A *due* entry popped for draining."""
         try:
-            self._heaps[shard][1] += 1
+            self._heaps[heap][1] += 1
         except KeyError:
-            self._heaps[shard] = [0, 1, 0]
+            self._heaps[heap] = [0, 1, 0]
 
-    def heap_invalidate(self, shard: str) -> None:
-        """A stale (token-mismatched / stamp-mismatched) entry pruned."""
+    def heap_invalidate(self, heap: str) -> None:
+        """A stale (retired) entry pruned."""
         try:
-            self._heaps[shard][2] += 1
+            self._heaps[heap][2] += 1
         except KeyError:
-            self._heaps[shard] = [0, 0, 1]
+            self._heaps[heap] = [0, 0, 1]
 
     # -- export ---------------------------------------------------------
     def summary(self) -> Dict[str, Any]:
         """JSON-safe summary for ``ModeOutcome.engine_profile``.
 
         ``closure_size_hist`` keys are the bucket labels of
-        :func:`closure_bucket`; ``heaps`` keys are shard names, with
-        :data:`FRONT_HEAP` for the shard-front heap.
+        :func:`closure_bucket`; ``heaps`` keys are heap labels
+        (:data:`DEADLINE_HEAP` for the closure engine's heap).
         """
         return {
             "recomputes": self.recomputes,
@@ -100,11 +101,11 @@ class EngineProfile:
                 for bucket, count in sorted(self._closure_hist.items())
             },
             "heaps": {
-                shard: {
+                heap: {
                     "pushes": counters[0],
                     "pops": counters[1],
                     "invalidations": counters[2],
                 }
-                for shard, counters in sorted(self._heaps.items())
+                for heap, counters in sorted(self._heaps.items())
             },
         }

@@ -1,20 +1,23 @@
 """Frozen reference for the closure engine's deadline index.
 
 :class:`SingleHeapEngine` is the live :class:`TransferEngine` with its
-region-sharded deadline index swapped for an unchanged copy of the
-single global heap the incremental mode shipped before every closure
-engine ran on per-shard heaps: one lazy min-heap of ``(deadline,
-transfer id, token)``, one wake armed at its earliest valid entry, and
-a drain loop over that one heap.  The rate solve, settling, and
-cancellation paths are inherited, so any divergence is the index's
-(the inherited ``_detach`` still marks shards touched; nothing here
-reads them).
-It stays here as the oracle the sharded index must match exactly:
+component deadline index swapped for an unchanged copy of the single
+global heap the closure engine shipped with: one lazy min-heap of
+``(deadline, transfer id, token)`` that every re-solve re-pushes each
+transfer it touched into, one wake armed at its earliest valid entry,
+and a drain loop over that one heap.  The dirty-closure walk that feeds
+it is frozen too (one name-keyed walk over all seeds, one push per
+transfer), and ``_detach`` pops the transfer's token.  The rate solve,
+settling, and cancellation paths are inherited, so any divergence is
+the index's.
+It stays here as the oracle the component index must match exactly:
 same wake instants, same end times, same work counters.
 """
 
 import heapq
-from typing import List, Tuple
+import itertools
+from time import perf_counter_ns
+from typing import Dict, Iterable, List, Tuple
 
 from repro.model.units import MBIT_PER_MB
 from repro.sim.transfers import _EPS_MB, Link, Transfer, TransferEngine
@@ -30,6 +33,58 @@ class SingleHeapEngine(TransferEngine):
     def __init__(self, sim, network, **kwargs) -> None:
         super().__init__(sim, network, incremental=True, **kwargs)
         self._deadline_heap: List[Tuple[float, int, int]] = []
+        self._tokens: Dict[int, int] = {}
+        self._token_seq = itertools.count()
+
+    def _detach(self, transfer: Transfer) -> None:
+        super()._detach(transfer)
+        self._tokens.pop(transfer.id, None)
+
+    def _recompute_incremental(self, seeds: Iterable[Link]) -> None:
+        self.recomputes += 1
+        t0 = perf_counter_ns() if self.profile is not None else 0
+        seen: set = set()
+        stack: List[Link] = []
+        for link in seeds:
+            if link.name not in seen:
+                seen.add(link.name)
+                stack.append(link)
+        closure: Dict[int, Transfer] = {}
+        while stack:
+            link = stack.pop()
+            for tid, transfer in link.transfers.items():
+                if tid in closure:
+                    continue
+                closure[tid] = transfer
+                self._settle_one(transfer, self.sim.now)
+                for other in transfer.links:
+                    if other.name not in seen:
+                        seen.add(other.name)
+                        stack.append(other)
+        if len(closure) == 1:
+            (transfer,) = closure.values()
+            rate = min(link.capacity_mbps for link in transfer.links)
+            transfer.rate_mbps = rate
+            self.transfers_visited += 1
+            for link in transfer.links:
+                if rate > link.peak_utilisation_mbps:
+                    link.peak_utilisation_mbps = rate
+            self._push_deadline(transfer)
+            if self.trace is not None:
+                self.trace.record(
+                    self.sim.now, "engine.reallocate", "",
+                    closure=next(self._closure_seq), n=1,
+                    rates={transfer.id: rate},
+                )
+        elif closure:
+            self._fill(closure)
+            for transfer in closure.values():
+                self._push_deadline(transfer)
+        if self.profile is not None:
+            self.profile.note_recompute(perf_counter_ns() - t0, len(closure))
+        if self.self_check:
+            self._assert_reference_rates()
+        self._arm_wake_incremental()
 
     def _push_deadline(self, transfer: Transfer) -> None:
         if transfer.rate_mbps > 0:
@@ -46,10 +101,6 @@ class SingleHeapEngine(TransferEngine):
                 self.profile.heap_push(GLOBAL_HEAP)
         else:
             self._tokens.pop(transfer.id, None)
-
-    def _arm_wake_sharded(self) -> None:
-        # The live closure engine arms through this hook.
-        self._arm_wake_incremental()
 
     def _arm_wake_incremental(self) -> None:
         heap = self._deadline_heap
@@ -98,7 +149,7 @@ class SingleHeapEngine(TransferEngine):
             if prof is not None:
                 prof.heap_pop(GLOBAL_HEAP)
             transfer = self._active[tid]
-            self._settle_one(transfer)
+            self._settle_one(transfer, now)
             if transfer.remaining_mb <= _EPS_MB:
                 finished.append(transfer)
                 continue

@@ -1,25 +1,25 @@
-"""Differential tests for the closure engine's region-sharded index.
+"""Differential tests for the closure engine's component deadline index.
 
-``incremental=True`` keeps the closure-local rate solve and shards the
-*deadline index*: per-region heaps under a lazy shard-front heap, one
-global wake armed at the minimum front.  Its contract against the
-single global heap it replaced (kept frozen in ``index_oracle.py``) is
-that the event sequence — every wake instant, every settle, every
-recompute — is **bit-identical** on the same trace, because the front
-heap's minimum valid deadline always equals the single heap's.  The
-tests here assert exact (``==``, not approx) end times and exact
-``transfers_visited`` equality against that oracle, plus the usual
-self-checked rate identity against the full solve.
+``incremental=True`` keeps the closure-local rate solve and indexes
+predicted completions with one lazy heap entry per solved connected
+component, keyed by its earliest member deadline, under one armed
+wake.  Its contract against the per-transfer single global heap it
+replaced (kept frozen in ``index_oracle.py``) is that the event
+sequence — every wake instant, every settle, every recompute — is
+**bit-identical** on the same trace, because the minimum over live
+component entries always equals the single heap's minimum valid
+deadline.  The tests here assert exact (``==``, not approx) end times
+and exact ``transfers_visited`` equality against that oracle, plus the
+usual self-checked rate identity against the full solve.
 
-Cross-shard transfers (paths mixing links owned by different regions
-and the trunk) need no special merge machinery — the dirty-closure
-walk already crosses shard boundaries by following the shared links —
-so the traces here deliberately route traffic across regions.
+The traces deliberately route traffic across regions (paths mixing
+links owned by different regions and the trunk), so one closure often
+spans several components and one component often spans several
+regions.
 """
 
 import hashlib
 import json
-import math
 
 import pytest
 from dataclasses import replace
@@ -30,7 +30,7 @@ from index_oracle import SingleHeapEngine
 from test_transfers import MB, run_transfer, star_network
 
 from repro import scenarios
-from repro.model.network import TRUNK, NetworkModel
+from repro.model.network import NetworkModel
 from repro.scenarios import SimulationSession
 from repro.sim.engine import Simulator
 from repro.sim.transfers import TransferEngine
@@ -172,10 +172,11 @@ def test_sharded_rates_match_full_under_churn_cancellation(specs, cancels):
 @settings(max_examples=50, deadline=None)
 @given(specs=region_trace_specs, cancels=cancel_specs)
 def test_sharded_is_bit_identical_to_incremental(specs, cancels):
-    """The index contract: the same trace through the sharded index
+    """The index contract: the same trace through the component index
     and the frozen single heap must give *exactly* equal completion
-    instants (no approx — the sharded wake fires at the same instants,
-    settling the same chunkings) and exactly equal recompute work."""
+    instants (no approx — the component wake fires at the same
+    instants, settling the same chunkings) and exactly equal recompute
+    work."""
     inc, inc_runs = _run_regioned_trace(
         specs, cancels, engine_cls=SingleHeapEngine
     )
@@ -244,9 +245,10 @@ def test_endgame_duplicate_finishes_stay_identical(specs):
     uplink=st.sampled_from([None, 60.0, 150.0]),
 )
 def test_sharded_on_unsharded_topology_matches_incremental(specs, uplink):
-    """A topology with no regions at all degenerates to one trunk
-    shard; the engine must still replay the single-heap traces
-    exactly (the star network is the incremental suite's fixture)."""
+    """A topology with no regions at all (every link on the trunk,
+    shared registry egress coupling the pulls) must still replay the
+    single-heap traces exactly (the star network is the incremental
+    suite's fixture)."""
     def run(engine_cls, **kw):
         network = star_network(n_devices=5, uplink_mbps=uplink)
         sim = Simulator()
@@ -270,47 +272,84 @@ def test_sharded_on_unsharded_topology_matches_incremental(specs, uplink):
     sh, sh_runs = run(TransferEngine, incremental=True)
     assert sh.completed == inc.completed == len(specs)
     assert sh.transfers_visited == inc.transfers_visited
-    assert set(sh.shard_fronts()) <= {TRUNK}
     for a, b in zip(inc_runs, sh_runs):
         assert b["end"] == a["end"]
 
 
 # ----------------------------------------------------------------------
-# shard bookkeeping
+# index bookkeeping
 # ----------------------------------------------------------------------
-class TestShardIndex:
-    def test_shards_materialise_per_region_plus_trunk(self):
-        network = regioned_network(n_regions=3)
-        names = _device_names()
-        sim = Simulator()
-        engine = TransferEngine(sim, network, incremental=True)
-        # registry pull into each region + one cross-region pull
-        for name in names:
-            run_transfer(
-                sim, engine, "origin", name, 64 * MB, src_is_registry=True
-            )
-        run_transfer(sim, engine, "r0d1", "r1d0", 64 * MB)
-        fronts = {}
-
-        def probe():
-            # past the handshake RTT, before anything completes: every
-            # transfer is active and indexed.
-            yield sim.timeout(0.1)
-            fronts.update(engine.shard_fronts())
-
-        sim.process(probe())
-        sim.run()
-        assert {"R0", "R1", "R2"} <= set(fronts)
-        # the cross-region pull's path is all trunk-owned (WAN channel,
-        # no region in common), so a trunk heap exists with a live
-        # front at probe time.
-        assert TRUNK in fronts
-        assert all(front < math.inf for front in fronts.values())
-        assert engine.completed == len(names) + 1
-        assert all(
-            front == math.inf for front in engine.shard_fronts().values()
+def _replay_registry_pulls(engine_cls, pulls, churn, **engine_kw):
+    """Registry pulls ``(dst, size)`` over two regions, plus a
+    ``churn(sim, engine, runs)`` process; returns engine and runs."""
+    network = regioned_network(n_regions=2)
+    sim = Simulator()
+    engine = engine_cls(sim, network, **engine_kw)
+    runs = {
+        dst: run_transfer(
+            sim, engine, "origin", dst, size, src_is_registry=True
         )
+        for dst, size in pulls
+    }
+    sim.process(churn(sim, engine, runs))
+    sim.run()
+    return engine, runs
 
+
+def _assert_matches_oracle(pulls, churn):
+    oracle, oracle_runs = _replay_registry_pulls(
+        SingleHeapEngine, pulls, churn
+    )
+    engine, runs = _replay_registry_pulls(
+        TransferEngine, pulls, churn, incremental=True, self_check=True
+    )
+    assert engine.completed == oracle.completed
+    assert engine.cancellations == oracle.cancellations
+    assert engine.transfers_visited == oracle.transfers_visited
+    assert not engine.active_transfers
+    for name, record in runs.items():
+        assert record["end"] == oracle_runs[name]["end"], name
+        assert record["ok"] == oracle_runs[name]["ok"], name
+    return engine
+
+
+class TestComponentIndex:
+    def test_closure_spanning_two_components_keeps_both_deadlines(self):
+        """One batch cancel leaves a closure of two disjoint components
+        (R0's and R1's surviving pulls); re-solving R0 alone later must
+        not drop R1's deadline.  Indexing the closure as one entry
+        would retire R1's survivor along with R0's."""
+        def churn(sim, engine, runs):
+            yield sim.timeout(1.0)
+            engine.cancel_many(
+                [runs["r0d0"]["transfer"], runs["r1d0"]["transfer"]],
+                "trace",
+            )
+            yield sim.timeout(1.0)
+            runs["again"] = run_transfer(
+                sim, engine, "origin", "r0d0", 64 * MB, src_is_registry=True
+            )
+
+        pulls = [(dst, 64 * MB) for dst in ("r0d0", "r0d1", "r1d0", "r1d1")]
+        engine = _assert_matches_oracle(pulls, churn)
+        assert engine.completed == 3
+        assert engine.cancellations == 2
+
+    def test_cancelling_a_lone_transfer_retires_its_deadline(self):
+        """A cancelled transfer alone in its component leaves an empty
+        closure, so only ``_detach`` can retire its heap entry; a live
+        stale entry would later "finish" the cancelled transfer."""
+        def churn(sim, engine, runs):
+            yield sim.timeout(1.0)
+            engine.cancel(runs["r0d0"]["transfer"], "trace")
+
+        pulls = [("r0d0", 64 * MB), ("r1d0", 640 * MB)]
+        engine = _assert_matches_oracle(pulls, churn)
+        assert engine.completed == 1
+        assert engine.cancellations == 1
+
+
+class TestShardIndex:
     def test_link_shard_reassignment_is_loud(self):
         network = regioned_network()
         sim = Simulator()

@@ -5,12 +5,14 @@ import io
 
 import pytest
 
-from repro.model.network import TRUNK
+from repro.model.network import NetworkModel
+from repro.sim.engine import Simulator
+from repro.sim.transfers import TransferEngine
 from repro.telemetry import (
     ALL_SCOPE,
+    DEADLINE_HEAP,
     METRICS_SCHEMA,
     EngineProfile,
-    FRONT_HEAP,
     MetricsSampler,
     TelemetryCapture,
     TraceRecorder,
@@ -82,17 +84,44 @@ class TestEngineProfile:
         assert summary["closure_size_hist"] == {"4": 1, "8": 1}
 
     def test_heap_counters_per_shard(self):
+        """Counters are keyed by the heap label the caller passes."""
         prof = EngineProfile()
-        prof.heap_push(TRUNK)
-        prof.heap_push("region-1")
-        prof.heap_pop("region-1")
-        prof.heap_invalidate(FRONT_HEAP)
+        prof.heap_push(DEADLINE_HEAP)
+        prof.heap_push("@other")
+        prof.heap_pop("@other")
+        prof.heap_invalidate(DEADLINE_HEAP)
         heaps = prof.summary()["heaps"]
-        assert heaps[TRUNK] == {
-            "pushes": 1, "pops": 0, "invalidations": 0,
+        assert heaps[DEADLINE_HEAP] == {
+            "pushes": 1, "pops": 0, "invalidations": 1,
         }
-        assert heaps["region-1"]["pops"] == 1
-        assert heaps[FRONT_HEAP]["invalidations"] == 1
+        assert heaps["@other"]["pops"] == 1
+
+    def test_closure_engine_reports_one_deadline_heap(self):
+        """The closure engine counts its heap work under
+        :data:`DEADLINE_HEAP`, one entry per solved component: two
+        pulls sharing one egress are one component, a third pull on
+        its own link is another."""
+        network = NetworkModel()
+        for name in ("d0", "d1", "d2"):
+            network.connect_registry("origin", name, 90.0)
+        network.set_uplink("origin", 100.0)
+        network.connect_registry("mirror", "d2", 50.0)
+        sim = Simulator()
+        engine = TransferEngine(sim, network, incremental=True)
+        engine.profile = prof = EngineProfile()
+        engine.start("origin", "d0", 10_000_000, src_is_registry=True)
+        engine.start("origin", "d1", 20_000_000, src_is_registry=True)
+        engine.start("mirror", "d2", 10_000_000, src_is_registry=True)
+        sim.run()
+        assert engine.completed == 3
+        heaps = prof.summary()["heaps"]
+        assert set(heaps) == {DEADLINE_HEAP}
+        counters = heaps[DEADLINE_HEAP]
+        assert counters["pushes"] == (
+            counters["pops"] + counters["invalidations"]
+        )
+        # one push per activation solve, one per solve after d0 finishes
+        assert counters["pushes"] == 4
 
 
 class TestTelemetryCapture:
