@@ -10,20 +10,15 @@ Three parts:
 
 * **chunk size × swarm size grid** — ``hybrid+p2p`` under the
   time-resolved engine, single-source vs chunked, on the standard
-  layer-sharing workload.  The whole grid (plus the recompute twins
-  below) is ONE declarative :class:`repro.sweep.SweepSpec` — variant
-  bundles carry the swarm-size scaling rule — executed by
+  layer-sharing workload.  The whole grid is ONE declarative
+  :class:`repro.sweep.SweepSpec` — variant bundles carry the
+  swarm-size scaling rule — executed by
   :func:`repro.sweep.run_sweep` through a worker pool with a fresh
   content-addressed cell cache; throughput lands in
   ``BENCH_sweep.json``.  Checks the chunked planner never pulls *more*
   origin bytes than single-source; small chunks × large swarms is
   where the engine's rate recomputation cost shows (the chunk-size
   floor at scale).
-* **recompute-mode comparison** — the fine-chunk (8 MB) cell in both
-  ``full`` and ``incremental`` fair-share recompute modes: outcomes
-  must match exactly while incremental visits ≥10× fewer transfers at
-  1000 devices (the chunked-load acceptance check for the incremental
-  engine; ``--quick`` checks outcome equality on the small cell).
 * **contended cold-wave makespan** — the headline effect: every device
   pulls the same image nearly at once; chunked rarest-first scheduling
   over full + partial holders must beat the single-source makespan.
@@ -70,14 +65,12 @@ SWEEP_SIZES = (10, 100, 1000)
 CHUNK_SIZES = (8 * MB, 32 * MB, 128 * MB)
 
 
-def _variant_name(n: int, chunk_size, recompute: str) -> str:
+def _variant_name(n: int, chunk_size) -> str:
     suffix = "single" if chunk_size is None else f"c{chunk_size // MB}"
-    if recompute != "full":
-        suffix += f"/{recompute}"
     return f"n{n}/{suffix}"
 
 
-def _variant_bundle(n: int, chunk_size, recompute: str) -> dict:
+def _variant_bundle(n: int, chunk_size) -> dict:
     """One grid cell as a dotted-override bundle.
 
     The swarm-size scaling rule (regions and catalogue growing with the
@@ -89,7 +82,6 @@ def _variant_bundle(n: int, chunk_size, recompute: str) -> dict:
         "topology.n_devices": sized.topology.n_devices,
         "topology.n_regions": sized.topology.n_regions,
         "workload.n_images": sized.workload.n_images,
-        "transfer.recompute": recompute,
     }
     if chunk_size is not None:
         bundle["chunks.enabled"] = True
@@ -97,34 +89,21 @@ def _variant_bundle(n: int, chunk_size, recompute: str) -> dict:
     return bundle
 
 
-def chunk_sweep(
-    grid_sizes, grid_chunks, scale_chunks, recompute_cell
-) -> SweepSpec:
+def chunk_sweep(grid_sizes, grid_chunks, scale_chunks) -> SweepSpec:
     """The whole bench as one declarative sweep.
 
     Variants: per grid size, a single-source baseline plus one chunked
-    cell per chunk size; the 1000-device scale cells; and the
-    ``recompute_cell`` (n, chunk_size) twinned under incremental
-    fair-share recompute (baseline included — the comparison also
-    checks incremental recompute leaves the *single-source* outcome
-    untouched).
+    cell per chunk size, and likewise the 1000-device scale cells.
     """
     variants = {}
     for n, chunks in [(n, grid_chunks) for n in grid_sizes] + [
         (1000, scale_chunks)
     ]:
-        variants[_variant_name(n, None, "full")] = (
-            _variant_bundle(n, None, "full")
-        )
+        variants[_variant_name(n, None)] = _variant_bundle(n, None)
         for chunk_size in chunks:
-            variants[_variant_name(n, chunk_size, "full")] = (
-                _variant_bundle(n, chunk_size, "full")
+            variants[_variant_name(n, chunk_size)] = (
+                _variant_bundle(n, chunk_size)
             )
-    inc_n, inc_chunk = recompute_cell
-    for chunk_size in (None, inc_chunk):
-        variants[_variant_name(inc_n, chunk_size, "incremental")] = (
-            _variant_bundle(inc_n, chunk_size, "incremental")
-        )
     base = _scenario_spec(
         grid_sizes[0],
         transfer=TransferSpec(
@@ -135,7 +114,7 @@ def chunk_sweep(
         name="chunk-grid",
         description=(
             "single-source vs chunked origin traffic across chunk size "
-            "× swarm size, plus the recompute-mode twin cells"
+            "× swarm size"
         ),
         base=base,
         variants=variants,
@@ -143,15 +122,13 @@ def chunk_sweep(
     )
 
 
-def derive_row(by_variant: dict, n: int, chunk_size: int,
-               recompute: str = "full") -> dict:
+def derive_row(by_variant: dict, n: int, chunk_size: int) -> dict:
     """One single-vs-chunked comparison row off the sweep aggregate."""
-    single = by_variant[_variant_name(n, None, recompute)]
-    chunked = by_variant[_variant_name(n, chunk_size, recompute)]
+    single = by_variant[_variant_name(n, None)]
+    chunked = by_variant[_variant_name(n, chunk_size)]
     return dict(
         devices=n,
         chunk_mb=chunk_size // MB,
-        recompute=recompute,
         pulls=chunked["pulls"],
         single_origin_gb=single["origin_bytes"] / BYTES_PER_GB,
         chunked_origin_gb=chunked["origin_bytes"] / BYTES_PER_GB,
@@ -214,42 +191,6 @@ def check_grid(rows) -> None:
         # every pull finished: wasted bytes only appear under churn,
         # and this grid runs churn-free
         assert row["wasted_mb"] == 0, f"waste without churn: {row}"
-
-
-#: Minimum full/incremental ratio of recompute-visited transfers on
-#: the 1000-device fine-chunk cell — chunked pulls multiply transfer
-#: starts/finishes, so this is where closure-local recompute matters
-#: most (the acceptance criterion for the incremental engine).
-VISITED_RATIO_MIN = 10.0
-
-
-def check_recompute_modes(full_row, inc_row, min_ratio: float) -> None:
-    """Incremental recompute must do less work and change nothing else.
-
-    The two rows come from identical scenarios differing only in the
-    engine's recompute mode; incremental fair-share rates are
-    bit-identical to the full solve, so every outcome column must match
-    *exactly* while the engine visits ``min_ratio``× fewer transfers.
-    """
-    for key in (
-        "pulls",
-        "single_origin_gb",
-        "chunked_origin_gb",
-        "single_peer_gb",
-        "chunked_peer_gb",
-        "endgame_dupes",
-        "wasted_mb",
-    ):
-        assert full_row[key] == inc_row[key], (
-            f"recompute modes disagree on {key}: "
-            f"{full_row[key]} vs {inc_row[key]}"
-        )
-    ratio = full_row["visited"] / max(inc_row["visited"], 1)
-    assert ratio >= min_ratio, (
-        f"incremental recompute visited only {ratio:.1f}x fewer "
-        f"transfers than full on the {full_row['devices']}-device "
-        f"{full_row['chunk_mb']} MB cell (required: {min_ratio:.0f}x)"
-    )
 
 
 def check_makespan(row) -> None:
@@ -341,12 +282,10 @@ def main(argv=None) -> int:
         grid_sizes = (10,)
         grid_chunks = (8 * MB, 32 * MB)
         scale_chunks = (128 * MB,)
-        recompute_cell, ratio_min = (10, 8 * MB), 1.0
     else:
         grid_sizes = (10, 100)
         grid_chunks = CHUNK_SIZES
         scale_chunks = CHUNK_SIZES
-        recompute_cell, ratio_min = (1000, 8 * MB), VISITED_RATIO_MIN
     workers = min(4, os.cpu_count() or 1)
 
     print("== contended cold wave: single-source vs chunked makespan ==")
@@ -362,10 +301,8 @@ def main(argv=None) -> int:
     # under --quick: sustaining four-digit swarms is the acceptance
     # criterion; only the coarsest chunking, whose engine cost is
     # lowest — finer chunks multiply transfer starts/finishes and the
-    # fair-share recompute behind them, the chunk-size floor at scale)
-    # and the incremental-recompute twin cells.
-    sweep = chunk_sweep(grid_sizes, grid_chunks, scale_chunks,
-                        recompute_cell)
+    # fair-share recompute behind them, the chunk-size floor at scale).
+    sweep = chunk_sweep(grid_sizes, grid_chunks, scale_chunks)
     with tempfile.TemporaryDirectory() as cache_dir:
         result = run_sweep(sweep, cache_dir=cache_dir, workers=workers)
     record = write_bench_record("bench_chunks", result.stats, quick=quick)
@@ -389,22 +326,6 @@ def main(argv=None) -> int:
     _print_rows(scale)
     check_grid(scale)
     print("scale OK: chunked swarm scheduling sustained 1000 devices")
-
-    # Recompute-mode differential on the fine-chunk (8 MB) cell.
-    # --quick compares the small grid cell (outcome equality is the
-    # cheap CI sanity); the full run compares the 1000-device cell and
-    # requires the >=10x visited-work ratio.
-    inc_n, inc_chunk = recompute_cell
-    full_row = derive_row(by_variant, inc_n, inc_chunk)
-    inc_row = derive_row(by_variant, inc_n, inc_chunk, "incremental")
-    print("== recompute-mode comparison (fine-chunk cell) ==")
-    _print_rows([full_row, inc_row])
-    check_recompute_modes(full_row, inc_row, ratio_min)
-    print(
-        "recompute OK: identical outcomes, incremental visited "
-        f"{full_row['visited'] / max(inc_row['visited'], 1):.0f}x "
-        "fewer transfers"
-    )
 
     if quick:
         # The CI smoke job must also exercise this module's bench_*

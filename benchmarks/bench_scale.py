@@ -8,26 +8,24 @@ shrinks them for the CI smoke job)::
 
     PYTHONPATH=src python benchmarks/bench_scale.py [--quick]
 
-Two sweeps run:
+Three sweeps run:
 
 * a steady pull stream through the bare :class:`TransferEngine` over
   fleets of 10/100/1000 devices (bounded concurrency, as real arrival
   processes have), checking wall time stays **sub-quadratic** in fleet
-  size, and
+  size,
 * the ``p2p-swarm-scale`` preset's cold waves through the full
-  scenario stack, comparing the ``full`` and ``incremental`` recompute
-  modes at 1000 devices (same makespan, ≥10× fewer recompute-visited
-  transfers) and sustaining a **10k-device** swarm interactively under
-  a wall-time guard — the guard is what keeps the incremental-mode
-  scaling win from silently regressing in CI, and
+  scenario stack, sustaining a **10k-device** swarm interactively
+  under a wall-time guard — the guard is what keeps the closure
+  engine's scaling win from silently regressing in CI, and
 * the ``p2p-swarm-100k`` preset's trunk-sliced cold waves through the
-  closure engine: at 10k devices the trunk-sliced
-  topology is compared against the same total registry egress served
-  as one monolithic uplink (≥5× fewer recompute-visited transfers —
-  the co-design win: slicing keeps every registry closure regional),
-  and the full **100k-device** swarm runs interactively under its own
-  wall guard.  ``--quick`` runs a 25k-device sharded canary instead
-  (the 100k build alone costs ~13 s; the wave ~190 s).
+  closure engine: at 10k devices the trunk-sliced topology is compared
+  against the same total registry egress served as one monolithic
+  uplink (≥5× fewer recompute-visited transfers — the co-design win:
+  slicing keeps every registry closure regional), and the full
+  **100k-device** swarm runs interactively under its own wall guard.
+  ``--quick`` runs a 25k-device trunk-sliced canary instead (the 100k
+  build alone costs ~13 s; the wave ~190 s).
 """
 
 import dataclasses
@@ -91,7 +89,7 @@ _ENGINE_PAYLOAD_BYTES = 250_000_000  # 20 s at channel speed
 _ENGINE_SPACING_S = 2.0
 
 
-def _engine_run(n_devices: int, recompute: str = "full") -> dict:
+def _engine_run(n_devices: int) -> dict:
     """One steady pull stream through the engine; returns timings."""
     network = NetworkModel()
     for i in range(n_devices):
@@ -100,7 +98,7 @@ def _engine_run(n_devices: int, recompute: str = "full") -> dict:
         network.set_downlink(name, _ENGINE_CHANNEL_MBPS * 2)
     network.set_uplink("origin", _ENGINE_UPLINK_MBPS)
     sim = Simulator()
-    engine = TransferEngine(sim, network, incremental=(recompute == "incremental"))
+    engine = TransferEngine(sim, network)
 
     def one(i: int, name: str):
         yield sim.timeout(i * _ENGINE_SPACING_S)
@@ -118,7 +116,6 @@ def _engine_run(n_devices: int, recompute: str = "full") -> dict:
     assert engine.peak_oversubscription() <= 1.0 + 1e-9
     return dict(
         devices=n_devices,
-        recompute=recompute,
         wall_s=wall_s,
         recomputes=engine.recomputes,
         visited=engine.transfers_visited,
@@ -126,9 +123,9 @@ def _engine_run(n_devices: int, recompute: str = "full") -> dict:
     )
 
 
-def run_engine_sweep(sizes=(10, 100, 1000), recompute: str = "full") -> list:
+def run_engine_sweep(sizes=(10, 100, 1000)) -> list:
     """Wall time of the engine across fleet sizes (steady concurrency)."""
-    return [_engine_run(n, recompute) for n in sizes]
+    return [_engine_run(n) for n in sizes]
 
 
 def check_engine_sweep(rows) -> None:
@@ -158,24 +155,18 @@ def bench_engine_steady_stream(benchmark):
 # ----------------------------------------------------------------------
 # swarm-scale cold waves through the full scenario stack
 # ----------------------------------------------------------------------
-#: Wall-time guard per cold wave for the 10k-device incremental cell.
-#: Interactive runs finish a wave in well under 10 s on a workstation;
-#: the guard carries headroom for slower CI machines while still
-#: catching a regression back to full-recompute scaling (which is
+#: Wall-time guard per cold wave for the 10k-device cell.  Interactive
+#: runs finish a wave in well under 10 s on a workstation; the guard
+#: carries headroom for slower CI machines while still catching a
+#: regression to re-solving every active transfer per event (which is
 #: more than an order of magnitude off).
 _SWARM_GUARD_WAVE_S = 45.0
-
-#: Minimum full/incremental ratio of recompute-visited transfers on
-#: the 1000-device cold-wave cell.
-_SWARM_VISITED_RATIO_MIN = 10.0
 
 #: The cold-waves workload schedules exactly two waves.
 _SWARM_WAVES = 2
 
 
-def _swarm_run(
-    n_devices: int, n_regions: int, stagger_s: float, recompute: str
-) -> dict:
+def _swarm_run(n_devices: int, n_regions: int, stagger_s: float) -> dict:
     """The ``p2p-swarm-scale`` preset resized; returns timings.
 
     ``n_regions`` grows with the fleet because regions are full-mesh
@@ -189,7 +180,6 @@ def _swarm_run(
             spec.topology, n_devices=n_devices, n_regions=n_regions
         ),
         workload=dataclasses.replace(spec.workload, stagger_s=stagger_s),
-        transfer=dataclasses.replace(spec.transfer, recompute=recompute),
     )
     build_start = time.perf_counter()
     session = SimulationSession(spec)
@@ -202,7 +192,6 @@ def _swarm_run(
     assert engine.peak_oversubscription() <= 1.0 + 1e-9
     return dict(
         devices=n_devices,
-        recompute=recompute,
         build_s=build_s,
         wall_s=wall_s,
         wave_s=wall_s / _SWARM_WAVES,
@@ -212,54 +201,27 @@ def _swarm_run(
     )
 
 
-def run_swarm_sweep(quick: bool) -> list:
-    """Cold waves at 1000 (both recompute modes) and 10k devices.
-
-    ``--quick`` runs only the 10k incremental cell — the wall-guarded
-    CI canary for the scaling win.
-    """
-    cells = [(10_000, 100, 0.05, "incremental")]
-    if not quick:
-        cells = [
-            (1000, 20, 0.25, "full"),
-            (1000, 20, 0.25, "incremental"),
-        ] + cells
-    return [_swarm_run(*cell) for cell in cells]
+def run_swarm_sweep() -> list:
+    """Cold waves at 10k devices — the wall-guarded CI canary for the
+    closure engine's scaling win."""
+    return [_swarm_run(10_000, 100, 0.05)]
 
 
 def check_swarm_sweep(rows) -> None:
-    """Wall-time guard plus the incremental-vs-full work ratio."""
+    """Wall-time guard on every 10k-device cell."""
     for row in rows:
-        if row["devices"] >= 10_000 and row["recompute"] == "incremental":
+        if row["devices"] >= 10_000:
             assert row["wave_s"] < _SWARM_GUARD_WAVE_S, (
                 f"10k-device cold wave took {row['wave_s']:.1f} s wall "
-                f"(guard: {_SWARM_GUARD_WAVE_S:.0f} s) — incremental "
-                f"recompute scaling has regressed"
+                f"(guard: {_SWARM_GUARD_WAVE_S:.0f} s) — closure-engine "
+                f"scaling has regressed"
             )
-    by_mode = {
-        row["recompute"]: row for row in rows if row["devices"] == 1000
-    }
-    if "full" in by_mode and "incremental" in by_mode:
-        full, inc = by_mode["full"], by_mode["incremental"]
-        ratio = full["visited"] / max(inc["visited"], 1)
-        assert ratio >= _SWARM_VISITED_RATIO_MIN, (
-            f"incremental recompute visited only {ratio:.1f}x fewer "
-            f"transfers than full at 1000 devices "
-            f"(required: {_SWARM_VISITED_RATIO_MIN:.0f}x)"
-        )
-        drift = abs(full["makespan_s"] - inc["makespan_s"]) / max(
-            full["makespan_s"], 1e-9
-        )
-        assert drift < 1e-6, (
-            f"recompute modes disagree on makespan: {full['makespan_s']} "
-            f"vs {inc['makespan_s']}"
-        )
 
 
 # ----------------------------------------------------------------------
 # closure engine on the trunk-sliced 100k preset
 # ----------------------------------------------------------------------
-#: Wall guard per wave for the --quick 25k-device sharded canary
+#: Wall guard per wave for the --quick 25k-device trunk-sliced canary
 #: (measured ~22 s/wave; headroom for slower CI machines).
 _SHARD_QUICK_GUARD_WAVE_S = 120.0
 
@@ -268,11 +230,10 @@ _SHARD_QUICK_GUARD_WAVE_S = 120.0
 _SHARD_100K_GUARD_WAVE_S = 600.0
 
 #: Minimum monolithic/trunk-sliced ratio of recompute-visited
-#: transfers at 10k devices.  "incremental" and "sharded" name the
-#: same closure engine (equal visited by construction); the benchmark
-#: win is topology+engine co-design — per-region trunk slices keep
-#: each registry closure regional, where a monolithic uplink couples
-#: every in-flight registry pull on the planet into one component.
+#: transfers at 10k devices.  The benchmark win is topology+engine
+#: co-design — per-region trunk slices keep each registry closure
+#: regional, where a monolithic uplink couples every in-flight
+#: registry pull on the planet into one component.
 _SHARD_VISITED_RATIO_MIN = 5.0
 
 
@@ -280,7 +241,6 @@ def _swarm100k_run(
     n_devices: int,
     n_regions: int,
     stagger_s: float,
-    recompute: str,
     trunked: bool = True,
 ) -> dict:
     """The ``p2p-swarm-100k`` preset resized; returns timings.
@@ -307,7 +267,6 @@ def _swarm100k_run(
         spec,
         topology=topology,
         workload=dataclasses.replace(spec.workload, stagger_s=stagger_s),
-        transfer=dataclasses.replace(spec.transfer, recompute=recompute),
     )
     build_start = time.perf_counter()
     session = SimulationSession(spec)
@@ -320,7 +279,6 @@ def _swarm100k_run(
     assert engine.peak_oversubscription() <= 1.0 + 1e-9
     return dict(
         devices=n_devices,
-        recompute=recompute,
         trunked=trunked,
         build_s=build_s,
         wall_s=wall_s,
@@ -333,19 +291,20 @@ def _swarm100k_run(
 
 
 def run_sharded_sweep(quick: bool) -> list:
-    """Trunk-sliced sharded cold waves; see the module docstring.
+    """Trunk-sliced cold waves; see the module docstring.
 
-    ``--quick`` runs only the 25k-device sharded canary.  The full run
-    adds the 10k trunked-vs-monolithic comparison (the monolithic cell
-    alone costs ~3.5 min wall: that is the point) and the 100k swarm.
+    ``--quick`` runs only the 25k-device trunk-sliced canary.  The full
+    run adds the 10k trunked-vs-monolithic comparison (the monolithic
+    cell alone costs ~3.5 min wall: that is the point) and the 100k
+    swarm.
     """
     if quick:
-        cells = [(25_000, 1250, 0.02, "sharded", True)]
+        cells = [(25_000, 1250, 0.02, True)]
     else:
         cells = [
-            (10_000, 500, 0.05, "sharded", True),
-            (10_000, 500, 0.05, "incremental", False),
-            (100_000, 5000, 0.01, "sharded", True),
+            (10_000, 500, 0.05, True),
+            (10_000, 500, 0.05, False),
+            (100_000, 5000, 0.01, True),
         ]
     return [_swarm100k_run(*cell) for cell in cells]
 
@@ -353,7 +312,7 @@ def run_sharded_sweep(quick: bool) -> list:
 def check_sharded_sweep(rows) -> None:
     """Wall guards plus the trunk-sliced-vs-monolithic work ratio."""
     for row in rows:
-        if row["recompute"] != "sharded":
+        if not row["trunked"]:
             continue
         guard = (
             _SHARD_100K_GUARD_WAVE_S
@@ -361,7 +320,7 @@ def check_sharded_sweep(rows) -> None:
             else _SHARD_QUICK_GUARD_WAVE_S
         )
         assert row["wave_s"] < guard, (
-            f"{row['devices']}-device sharded cold wave took "
+            f"{row['devices']}-device trunk-sliced cold wave took "
             f"{row['wave_s']:.1f} s wall (guard: {guard:.0f} s) — "
             f"the closure engine no longer scales with per-region "
             f"components"
@@ -396,9 +355,8 @@ def _write_sharded_record(rows) -> None:
         "rows": [
             {
                 key: row[key]
-                for key in ("devices", "recompute", "trunked", "build_s",
-                            "wall_s", "wave_s", "visited", "makespan_s",
-                            "shards")
+                for key in ("devices", "trunked", "build_s", "wall_s",
+                            "wave_s", "visited", "makespan_s", "shards")
             }
             for row in rows
         ],
@@ -421,56 +379,47 @@ def main(argv=None) -> int:
     sizes = (10, 100) if quick else (10, 100, 1000)
     print("== transfer-engine scaling (steady pull stream) ==")
     print(
-        f"{'devices':>8} {'mode':>12} {'wall s':>8} {'recomputes':>11} "
+        f"{'devices':>8} {'wall s':>8} {'recomputes':>11} "
         f"{'visited':>9} {'sim end s':>10}"
     )
-    for recompute in ("full", "incremental"):
-        rows = run_engine_sweep(sizes, recompute)
-        for row in rows:
-            print(
-                f"{row['devices']:>8} {row['recompute']:>12} "
-                f"{row['wall_s']:>8.3f} {row['recomputes']:>11} "
-                f"{row['visited']:>9} {row['sim_end_s']:>10.1f}"
-            )
-        check_engine_sweep(rows)
+    rows = run_engine_sweep(sizes)
+    for row in rows:
+        print(
+            f"{row['devices']:>8} {row['wall_s']:>8.3f} "
+            f"{row['recomputes']:>11} {row['visited']:>9} "
+            f"{row['sim_end_s']:>10.1f}"
+        )
+    check_engine_sweep(rows)
     print("engine sweep OK: wall time is sub-quadratic in fleet size")
     print()
     print("== swarm-scale cold waves (p2p-swarm-scale preset) ==")
-    swarm_rows = run_swarm_sweep(quick)
+    swarm_rows = run_swarm_sweep()
     print(
-        f"{'devices':>8} {'mode':>12} {'build s':>8} {'wall s':>8} "
-        f"{'s/wave':>7} {'recomputes':>11} {'visited':>9} {'makespan':>9}"
+        f"{'devices':>8} {'build s':>8} {'wall s':>8} {'s/wave':>7} "
+        f"{'recomputes':>11} {'visited':>9} {'makespan':>9}"
     )
     for row in swarm_rows:
         print(
-            f"{row['devices']:>8} {row['recompute']:>12} "
-            f"{row['build_s']:>8.1f} {row['wall_s']:>8.1f} "
-            f"{row['wave_s']:>7.1f} {row['recomputes']:>11} "
-            f"{row['visited']:>9} {row['makespan_s']:>9.1f}"
+            f"{row['devices']:>8} {row['build_s']:>8.1f} "
+            f"{row['wall_s']:>8.1f} {row['wave_s']:>7.1f} "
+            f"{row['recomputes']:>11} {row['visited']:>9} "
+            f"{row['makespan_s']:>9.1f}"
         )
     check_swarm_sweep(swarm_rows)
     print(
         f"swarm sweep OK: 10k-device waves under {_SWARM_GUARD_WAVE_S:.0f} s"
-        + (
-            ""
-            if quick
-            else (
-                f", incremental visits >={_SWARM_VISITED_RATIO_MIN:.0f}x "
-                f"fewer transfers at 1000 devices"
-            )
-        )
     )
     print()
     print("== trunk-sliced cold waves (p2p-swarm-100k preset) ==")
     sharded_rows = run_sharded_sweep(quick)
     print(
-        f"{'devices':>8} {'mode':>12} {'trunked':>8} {'build s':>8} "
+        f"{'devices':>8} {'trunked':>8} {'build s':>8} "
         f"{'wall s':>8} {'s/wave':>7} {'visited':>9} {'shards':>7} "
         f"{'makespan':>9}"
     )
     for row in sharded_rows:
         print(
-            f"{row['devices']:>8} {row['recompute']:>12} "
+            f"{row['devices']:>8} "
             f"{str(row['trunked']):>8} {row['build_s']:>8.1f} "
             f"{row['wall_s']:>8.1f} {row['wave_s']:>7.1f} "
             f"{row['visited']:>9} {row['shards']:>7} "
@@ -479,13 +428,13 @@ def main(argv=None) -> int:
     check_sharded_sweep(sharded_rows)
     if quick:
         print(
-            f"sharded sweep OK: 25k-device waves under "
+            f"trunk-sliced sweep OK: 25k-device waves under "
             f"{_SHARD_QUICK_GUARD_WAVE_S:.0f} s"
         )
     else:
         _write_sharded_record(sharded_rows)
         print(
-            f"sharded sweep OK: 100k-device waves under "
+            f"trunk-sliced sweep OK: 100k-device waves under "
             f"{_SHARD_100K_GUARD_WAVE_S:.0f} s, trunk slicing visits "
             f">={_SHARD_VISITED_RATIO_MIN:.0f}x fewer transfers than "
             f"monolithic egress at 10k devices"

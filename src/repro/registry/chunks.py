@@ -592,8 +592,8 @@ class ChunkSwarmPlanner:
             transfer = live[0]
             if transfer.rate_mbps > 0:
                 # engine.remaining_mb projects lazily-settled progress
-                # forward to the current clock (incremental mode keeps
-                # transfer.remaining_mb fresh only per dirty closure).
+                # forward to the current clock (the engine settles
+                # transfer.remaining_mb only per dirty closure).
                 remaining_s = (
                     engine.remaining_mb(transfer) * 8.0 / transfer.rate_mbps
                 )

@@ -252,11 +252,10 @@ register(
         # a shared uplink would couple every in-flight registry pull on
         # the planet into one connected component, while a trunk slice
         # keeps each region's closure regional, so the closure engine
-        # re-solves and indexes small per-region components
-        # ("sharded" names that engine).  The inter-region
-        # gateway mesh is off because it is quadratic in regions
-        # (5000 regions would mean ~25M WAN channels); inter-region
-        # traffic rides the trunks.
+        # re-solves and indexes small per-region components.  The
+        # inter-region gateway mesh is off because it is quadratic in
+        # regions (5000 regions would mean ~25M WAN channels);
+        # inter-region traffic rides the trunks.
         topology=TopologySpec(
             n_devices=100_000,
             n_regions=5000,
@@ -270,7 +269,6 @@ register(
         transfer=TransferSpec(
             model="time-resolved",
             upload_budget=4,
-            recompute="sharded",
         ),
         # One replication sweep scans every tracked digest x region;
         # at 100k devices even the 600 s swarm-scale cadence would
@@ -304,7 +302,6 @@ register(
         transfer=TransferSpec(
             model="time-resolved",
             upload_budget=4,
-            recompute="incremental",
         ),
         # Replication sweeps scan every tracked digest × region; at
         # swarm scale a 2-minute cadence would spend more wall time on
@@ -312,8 +309,8 @@ register(
         replication=ReplicationSpec(interval_s=600.0),
     ),
     description=(
-        "1000-device cold waves through the incremental fair-share "
-        "engine (upload budget 4) — the swarm-scale benchmark scenario"
+        "1000-device cold waves through the closure engine (upload "
+        "budget 4) — the swarm-scale benchmark scenario"
     ),
     family="p2p-swarm-scale",
 )

@@ -104,9 +104,9 @@ class ModeOutcome:
     bytes_wasted: int = 0
     #: Duplicate chunk requests issued by the chunked endgame.
     chunk_endgame_dupes: int = 0
-    #: Transfers the time-resolved engine's fair-share recompute
-    #: visited over the run (0 analytic) — the work counter the
-    #: incremental-recompute acceptance ratio is measured on.
+    #: Transfers the time-resolved engine's fair-share recomputes
+    #: re-rated over the run (0 analytic): each event's dirty closure,
+    #: so the counter measures solve work, not outcome.
     engine_transfers_visited: int = 0
     #: Wall-clock seconds spent assembling the session (scenario build
     #: plus wiring).  Wall-clock, hence nondeterministic — every
@@ -262,7 +262,6 @@ class SimulationSession:
                 self.sim,
                 scenario.network,
                 default_upload_budget=spec.transfer.upload_budget,
-                incremental=(spec.transfer.recompute != "full"),
             )
 
         self._busy: Dict[str, int] = {}

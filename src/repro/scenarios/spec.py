@@ -169,17 +169,6 @@ class WorkloadSpec:
             )
 
 
-#: Fair-share recompute strategies of the time-resolved engine.
-#: ``"full"`` re-solves every active transfer per event (the
-#: historically pinned default); ``"incremental"`` runs the closure
-#: engine, which re-solves only the dirty closure the event perturbed
-#: and indexes completions with one heap entry per solved component —
-#: identical rates, swarm-scale event cost.  ``"sharded"`` is a second
-#: name for the closure engine, kept so historical spec dicts, presets
-#: and cache keys still resolve.
-RECOMPUTE_MODES = ("full", "incremental", "sharded")
-
-
 @dataclass(frozen=True)
 class TransferSpec:
     """How bytes become elapsed time.
@@ -189,14 +178,13 @@ class TransferSpec:
     shared-bandwidth :class:`~repro.sim.transfers.TransferEngine`.
     ``upload_budget`` caps concurrent uploads per device and is only
     meaningful (and only accepted) with the time-resolved model — the
-    analytic model has no engine to enforce it.  ``recompute`` selects
-    the engine's fair-share recompute strategy (see
-    :data:`RECOMPUTE_MODES`) and likewise needs the engine.
+    analytic model has no engine to enforce it.  The engine has one
+    fair-share recompute (it re-solves only the connected components
+    an event perturbs), so no field selects one.
     """
 
     model: TransferModel = TransferModel.ANALYTIC
     upload_budget: Optional[int] = None
-    recompute: str = "full"
 
     def __post_init__(self) -> None:
         if not isinstance(self.model, TransferModel):
@@ -213,19 +201,6 @@ class TransferSpec:
                     "upload_budget needs the time-resolved transfer model "
                     "(the analytic model has no engine to enforce it)"
                 )
-        if self.recompute not in RECOMPUTE_MODES:
-            raise ValueError(
-                f"unknown recompute mode {self.recompute!r}; expected one "
-                f"of {RECOMPUTE_MODES}"
-            )
-        if (
-            self.recompute != "full"
-            and self.model is not TransferModel.TIME_RESOLVED
-        ):
-            raise ValueError(
-                "recompute selection needs the time-resolved transfer "
-                "model (the analytic model never recomputes rates)"
-            )
 
     @property
     def time_resolved(self) -> bool:

@@ -16,27 +16,24 @@ EdgePier's seeder-contention observation) and supports **mid-transfer
 cancellation** (a departing peer fails its in-flight uploads, and the
 freed bandwidth is redistributed immediately).
 
-Recompute paths
----------------
-The default (``incremental=False``) re-runs progressive filling over
-the *entire* active set on every event — simple, and byte-for-byte
-pinned by the historical experiments.  ``incremental=True`` is the
-**closure engine**: it re-solves only the **dirty closure**, the
-connected component(s) of the transfer–link bipartite graph touching
-the links whose membership the event changed.  Max-min fairness
-decomposes exactly over connected components (a transfer's rate
-depends only on the capacities and membership of links it can reach
-through shared transfers), so the closure fill produces
-*bit-identical* rates to a full recompute — an invariant the engine
-can verify on every event (``self_check=True``) and the Hypothesis
-differential tests pin down.  Progress accounting becomes lazy
-(per-transfer ``settled_s``), so an event on an idle corner of a
-10k-device swarm costs the size of its component, not the swarm.
+Dirty-closure recompute
+-----------------------
+An event re-solves only its **dirty closure**, the connected
+component(s) of the transfer–link bipartite graph touching the links
+whose membership the event changed.  Max-min fairness decomposes
+exactly over connected components (a transfer's rate depends only on
+the capacities and membership of links it can reach through shared
+transfers), so the closure fill produces *bit-identical* rates to a
+fill over every active transfer — an invariant the engine can verify
+on every event (``self_check=True``) and the Hypothesis differential
+tests pin down.  Progress accounting is lazy (per-transfer
+``settled_s``), so an event on an idle corner of a 10k-device swarm
+costs the size of its component, not the swarm.
 
-The closure engine tracks predicted completions in a component
-deadline index: the dirty-closure walk yields the closure one connected
-component at a time, and one lazy min-heap holds one entry per solved
-component, keyed by its earliest member deadline.  A component is always
+Predicted completions live in a component deadline index: the
+dirty-closure walk yields the closure one connected component at a
+time, and one lazy min-heap holds one entry per solved component,
+keyed by its earliest member deadline.  A component is always
 re-solved whole, so a live entry's key is its members' exact minimum
 and one wake armed at the heap's earliest live entry fires exactly when
 a per-transfer index would.
@@ -64,7 +61,7 @@ from .events import Event
 #: one byte (1e-6 MB), so no real payload is ever silently dropped.
 _EPS_MB = 1e-9
 
-#: Profile label of the closure engine's deadline heap (mirrors
+#: Profile label of the engine's deadline heap (mirrors
 #: ``repro.telemetry.DEADLINE_HEAP``; this package never imports it).
 _DEADLINE_HEAP = "@deadline"
 
@@ -193,11 +190,11 @@ class Transfer:
         #: not yet finished/cancelled).
         self.active = False
         #: Simulated time up to which ``remaining_mb`` is accounted
-        #: (incremental mode settles lazily, per dirty closure).
+        #: (settled lazily, per dirty closure).
         self.settled_s = requested_s
-        #: Closure engine only: the solved component whose heap entry
-        #: indexes this transfer (None outside one).  Indexing also
-        #: sets ``deadline_s``, the predicted completion time.
+        #: The solved component whose heap entry indexes this transfer
+        #: (None outside one).  Indexing also sets ``deadline_s``, the
+        #: predicted completion time.
         self.component: Optional[_Component] = None
 
     @property
@@ -246,7 +243,7 @@ class Transfer:
 
 class _Component:
     """One connected component of a closure solve: the unit the
-    closure engine's deadline index holds one heap entry for.
+    deadline index holds one heap entry for.
 
     ``live`` drops to False when any member is re-solved or detached,
     which retires the component's heap entry (skipped lazily when it
@@ -272,19 +269,17 @@ class TransferEngine:
 
     Recompute cost
     --------------
-    In the default full mode every event costs ``O(active transfers +
-    involved links)``.  With ``incremental=True`` an event costs only
-    its **dirty closure** — the connected component(s) of the
-    transfer–link graph reachable from the links whose membership
-    changed.  Because max-min fairness is exactly decomposable over
-    components, the closure fill is bit-identical to a full recompute
-    (``self_check=True`` re-derives the full solution after every event
-    and asserts equality — a test hook, quadratic, never for
-    production runs).  ``transfers_visited`` counts the transfers each
-    mode actually re-rates, so scale benchmarks can compare the work
-    directly.  The incremental mode indexes predicted completions with
-    one heap entry per solved component, and arms its single wake at
-    the earliest live entry.
+    An event costs only its **dirty closure** — the connected
+    component(s) of the transfer–link graph reachable from the links
+    whose membership changed.  Because max-min fairness is exactly
+    decomposable over components, the closure fill is bit-identical to
+    a fill over every active transfer (``self_check=True`` re-derives
+    that full solution after every event and asserts equality — a test
+    hook, quadratic, never for production runs).
+    ``transfers_visited`` counts the transfers actually re-rated, so
+    scale benchmarks can compare the work directly.  Predicted
+    completions are indexed with one heap entry per solved component,
+    and the single wake is armed at the earliest live entry.
 
     Upload budgets
     --------------
@@ -300,7 +295,6 @@ class TransferEngine:
         sim: Simulator,
         network,
         default_upload_budget: Optional[int] = None,
-        incremental: bool = False,
         self_check: bool = False,
     ) -> None:
         if default_upload_budget is not None and default_upload_budget < 0:
@@ -310,7 +304,6 @@ class TransferEngine:
         self.sim = sim
         self.network = network
         self.default_upload_budget = default_upload_budget
-        self.incremental = incremental
         self.self_check = self_check
         self._links: Dict[str, Link] = {}
         self._active: Dict[int, Transfer] = {}
@@ -318,13 +311,11 @@ class TransferEngine:
         self._inbound: Dict[Tuple[str, str], Transfer] = {}
         self._budgets: Dict[str, Optional[int]] = {}
         self._ids = itertools.count()
-        self._clock_s = sim.now
         self._generation = 0
         self._wake: Optional[Event] = None
-        # incremental mode: the component deadline index, a lazy
-        # min-heap of (earliest member deadline, seq, component); an
-        # entry whose component is no longer live is skipped when it
-        # surfaces.
+        # The component deadline index: a lazy min-heap of (earliest
+        # member deadline, seq, component); an entry whose component is
+        # no longer live is skipped when it surfaces.
         self._deadlines: List[Tuple[float, int, _Component]] = []
         self._deadline_seq = itertools.count()
         self._wake_deadline = float("inf")
@@ -334,10 +325,9 @@ class TransferEngine:
         self.cancellations = 0
         self.recomputes = 0
         self.bytes_completed = 0
-        #: Transfers assigned a rate, summed over all recomputes — the
-        #: work metric the scale benchmarks compare across modes (full
-        #: mode re-rates every active transfer per event; incremental
-        #: mode only its dirty closure).
+        #: Transfers assigned a rate, summed over all recomputes (each
+        #: re-rates its dirty closure) — the work metric the scale
+        #: benchmarks compare.
         self.transfers_visited = 0
         # telemetry (duck-typed, None = off; see repro.telemetry).
         #: Optional trace sink receiving transfer.start/finish/cancel
@@ -497,24 +487,17 @@ class TransferEngine:
         ]
         if not victims:
             return 0
-        any_active = any(t.active for t in victims)
-        if any_active and not self.incremental:
-            self._settle()
         seeds: List[Link] = []
         for transfer in victims:
             transfer.cancelled = True
             self.cancellations += 1
             self._release_slot(transfer)
             if transfer.active:
-                if self.incremental:
-                    self._settle_one(transfer, self.sim.now)
+                self._settle_one(transfer, self.sim.now)
                 seeds.extend(transfer.links)
                 self._detach(transfer)
-        if any_active:
-            if self.incremental:
-                self._recompute_incremental(seeds)
-            else:
-                self._recompute()
+        if seeds:
+            self._recompute(seeds)
         # Event failure is deferred (callbacks run when the queue
         # processes the event), so failing after the single recompute
         # preserves the per-victim ordering waiters observe.
@@ -547,14 +530,13 @@ class TransferEngine:
     def remaining_mb(self, transfer: Transfer) -> float:
         """The transfer's unsent payload as of *now*.
 
-        In full mode ``transfer.remaining_mb`` is already as fresh as
-        the last engine event; in incremental mode settling is lazy per
-        dirty closure, so mid-flight readers (the chunked endgame's
-        straggler detection) must project progress forward to the
-        current clock.  Non-mutating: querying never perturbs the
-        engine's own accounting.
+        ``transfer.remaining_mb`` is settled lazily, per dirty closure,
+        so mid-flight readers (the chunked endgame's straggler
+        detection) get an active transfer's progress projected forward
+        to the current clock.  Non-mutating: querying never perturbs
+        the engine's own accounting.
         """
-        if not (self.incremental and transfer.active):
+        if not transfer.active:
             return transfer.remaining_mb
         dt = self.sim.now - transfer.settled_s
         if dt <= 0 or transfer.rate_mbps <= 0:
@@ -625,7 +607,7 @@ class TransferEngine:
     def reference_rates(self) -> Dict[int, float]:
         """Max-min rates from a full fill over every active transfer,
         computed without touching engine state — the oracle the
-        incremental closure fill must match bit-for-bit."""
+        closure fill must match bit-for-bit."""
         record: Dict[int, float] = {}
         if self._active:
             self._fill(self._active, record=record)
@@ -662,17 +644,12 @@ class TransferEngine:
             # handshake completes — it never occupies a link.
             self._finish(transfer)
             return
-        if not self.incremental:
-            self._settle()
         transfer.active = True
         transfer.settled_s = self.sim.now
         self._active[transfer.id] = transfer
         for link in transfer.links:
             link.transfers[transfer.id] = transfer
-        if self.incremental:
-            self._recompute_incremental(transfer.links)
-        else:
-            self._recompute()
+        self._recompute(transfer.links)
 
     def _detach(self, transfer: Transfer) -> None:
         transfer.active = False
@@ -714,20 +691,6 @@ class TransferEngine:
             )
         transfer.done.succeed(transfer)
 
-    def _settle(self) -> None:
-        """Account progress made at the current rates since the last
-        rate change, bringing every ``remaining_mb`` up to date (full
-        mode; incremental mode settles lazily via :meth:`_settle_one`)."""
-        dt = self.sim.now - self._clock_s
-        self._clock_s = self.sim.now
-        if dt <= 0:
-            return
-        for transfer in self._active.values():
-            rate = transfer.rate_mbps
-            if rate > 0:
-                left = transfer.remaining_mb - rate / MBIT_PER_MB * dt
-                transfer.remaining_mb = left if left > 0.0 else 0.0
-
     def _settle_one(self, transfer: Transfer, now: float) -> None:
         """Bring one transfer's ``remaining_mb`` up to ``now`` (the
         current clock) at its (unchanged) rate."""
@@ -739,7 +702,7 @@ class TransferEngine:
         transfer.remaining_mb = left if left > 0.0 else 0.0
 
     # ------------------------------------------------------------------
-    # progressive filling (shared by both recompute modes)
+    # progressive filling
     # ------------------------------------------------------------------
     def _fill(
         self,
@@ -749,9 +712,9 @@ class TransferEngine:
         """Progressive filling over ``transfers``.
 
         ``transfers`` must be a union of whole connected components of
-        the transfer–link graph (the full active set always is; the
-        incremental dirty closure is by construction).  Assigns each
-        transfer its max-min fair rate and records per-link peak
+        the transfer–link graph (a dirty closure is by construction, and
+        so is the active set :meth:`reference_rates` fills).  Assigns
+        each transfer its max-min fair rate and records per-link peak
         utilisation as the **sum of allocated rates** — independent of
         the loop's own capacity bookkeeping, so an over-allocation bug
         is observable.  With ``record`` the rates go into that mapping
@@ -823,73 +786,9 @@ class TransferEngine:
                 link.peak_utilisation_mbps = utilisation
 
     # ------------------------------------------------------------------
-    # full recompute (the default mode)
+    # dirty-closure recompute
     # ------------------------------------------------------------------
-    def _recompute(self) -> None:
-        """Progressive filling over the whole active set, then arm a
-        wake-up at the earliest predicted completion."""
-        self.recomputes += 1
-        self._generation += 1
-        # Retract the previously armed wake-up: a stale one must not
-        # drag the clock out to a prediction that no longer holds
-        # (e.g. the sole transfer on a slow link was just cancelled).
-        if self._wake is not None and not self._wake.processed:
-            self._wake.void()
-        self._wake = None
-        if not self._active:
-            return
-        if self.profile is not None:
-            # Observation only: wall time feeds the profiler, never the
-            # simulation clock or any outcome.
-            t0 = perf_counter_ns()  # repro-lint: disable=wall-clock-in-sim
-            self._fill(self._active)
-            self.profile.note_recompute(
-                perf_counter_ns() - t0,  # repro-lint: disable=wall-clock-in-sim
-                len(self._active),
-            )
-        else:
-            self._fill(self._active)
-        if self.self_check:
-            self._assert_reference_rates()
-        # Earliest completion under the new rates.
-        next_dt = float("inf")
-        for transfer in self._active.values():
-            rate = transfer.rate_mbps
-            if rate > 0:
-                dt = transfer.remaining_mb * MBIT_PER_MB / rate
-                if dt < next_dt:
-                    next_dt = dt
-        if next_dt == float("inf"):  # pragma: no cover - defensive
-            return
-        generation = self._generation
-        wake = self.sim.timeout(next_dt)
-        wake.add_callback(lambda _evt, g=generation: self._on_wake(g))
-        self._wake = wake
-
-    def _on_wake(self, generation: int) -> None:
-        if generation != self._generation:
-            return  # stale wake-up: rates changed since it was armed
-        self._settle()
-        # Force-finish rule, as in the incremental drain: a residue whose
-        # predicted completion cannot advance the clock (sub-ulp at late
-        # simulated times) finishes now, or the wake re-arms at ``now``
-        # forever.
-        now = self.sim.now
-        finished = [
-            t for t in self._active.values()
-            if t.remaining_mb <= _EPS_MB or (
-                t.rate_mbps > 0
-                and now + t.remaining_mb * MBIT_PER_MB / t.rate_mbps <= now
-            )
-        ]
-        for transfer in sorted(finished, key=lambda t: t.id):
-            self._finish(transfer)
-        self._recompute()
-
-    # ------------------------------------------------------------------
-    # incremental recompute (dirty-closure mode)
-    # ------------------------------------------------------------------
-    def _recompute_incremental(self, seeds: Iterable[Link]) -> None:
+    def _recompute(self, seeds: Iterable[Link]) -> None:
         """Re-solve only the connected component(s) touching ``seeds``.
 
         ``seeds`` are the links whose membership the triggering event
@@ -959,7 +858,7 @@ class TransferEngine:
         self._arm_deadline_wake()
 
     # ------------------------------------------------------------------
-    # component deadline index (incremental mode)
+    # component deadline index
     # ------------------------------------------------------------------
     def _index_component(self, members: List[Transfer]) -> None:
         """Predict each member's completion and index the component
@@ -1014,13 +913,11 @@ class TransferEngine:
         self._generation += 1
         generation = self._generation
         wake = self.sim.timeout(max(0.0, deadline - self.sim.now))
-        wake.add_callback(
-            lambda _evt, g=generation: self._on_deadline_wake(g)
-        )
+        wake.add_callback(lambda _evt, g=generation: self._on_wake(g))
         self._wake = wake
         self._wake_deadline = deadline
 
-    def _on_deadline_wake(self, generation: int) -> None:
+    def _on_wake(self, generation: int) -> None:
         """Drain every due component.  Its due members are settled and
         either finished or re-predicted; a component that lost no
         member is re-indexed at its new minimum, and one that did is
@@ -1079,7 +976,7 @@ class TransferEngine:
             for transfer in sorted(finished, key=lambda t: t.id):
                 seeds.extend(transfer.links)
                 self._finish(transfer)
-            self._recompute_incremental(seeds)
+            self._recompute(seeds)
         else:
             self._arm_deadline_wake()
 

@@ -27,8 +27,8 @@ from repro.scenarios import (
     WorkloadSpec,
     with_overrides,
 )
-from repro.scenarios import SimulationSession, canonical_hash, canonical_json
-from repro.scenarios.spec import RECOMPUTE_MODES, parse_set_flags
+from repro.scenarios import canonical_hash, canonical_json
+from repro.scenarios.spec import parse_set_flags
 from repro.sim.churn import ChurnConfig
 from repro.sim.transfers import TransferModel
 
@@ -82,18 +82,6 @@ class TestSectionValidation:
         with pytest.raises(ValueError, match="transfer model"):
             TransferSpec(model="psychic")
 
-    def test_unknown_recompute_mode_rejected(self):
-        with pytest.raises(ValueError, match="recompute mode"):
-            TransferSpec(model="time-resolved", recompute="psychic")
-
-    def test_incremental_recompute_needs_time_resolved(self):
-        with pytest.raises(ValueError, match="time-resolved"):
-            TransferSpec(
-                model=TransferModel.ANALYTIC, recompute="incremental"
-            )
-        spec = TransferSpec(model="time-resolved", recompute="incremental")
-        assert spec.recompute == "incremental"
-
     def test_unknown_discovery_rejected(self):
         with pytest.raises(ValueError, match="discovery"):
             DiscoverySpec(backend="psychic")
@@ -126,12 +114,6 @@ class TestSectionValidation:
             ReplicationSpec(interval_s=0.0)
         with pytest.raises(ValueError, match="target_replicas"):
             ReplicationSpec(target_replicas=0)
-
-    def test_sharded_recompute_needs_time_resolved(self):
-        with pytest.raises(ValueError, match="time-resolved"):
-            TransferSpec(model=TransferModel.ANALYTIC, recompute="sharded")
-        spec = TransferSpec(model="time-resolved", recompute="sharded")
-        assert spec.recompute == "sharded"
 
     def test_trunk_slices_exclude_monolithic_egress(self):
         with pytest.raises(ValueError, match="hub"):
@@ -247,7 +229,6 @@ def _transfers_and_chunks():
             TransferSpec,
             model=st.just(TransferModel.TIME_RESOLVED),
             upload_budget=st.one_of(st.none(), st.integers(1, 8)),
-            recompute=st.sampled_from(RECOMPUTE_MODES),
         ),
         st.builds(
             ChunkSpec,
@@ -333,6 +314,14 @@ class TestRoundTrip:
     def test_unknown_section_key_rejected(self):
         with pytest.raises(ValueError, match="TopologySpec"):
             ScenarioSpec.from_dict({"topology": {"devices": 4}})
+
+    def test_engine_selection_key_rejected(self):
+        # The transfer engine has one recompute path, so a spec dict
+        # that still names one is refused, not silently ignored.
+        with pytest.raises(ValueError, match="recompute"):
+            ScenarioSpec.from_dict(
+                {"transfer": {"model": "time-resolved", "recompute": "full"}}
+            )
 
     def test_null_section_only_for_churn(self):
         assert ScenarioSpec.from_dict({"churn": None}).churn is None
@@ -477,22 +466,6 @@ class TestCacheKey:
             assert key not in keys, f"{path} did not perturb the key"
             keys.add(key)
 
-    def test_closure_engine_names_keep_distinct_keys(self):
-        # "incremental" and "sharded" run one engine, but historical
-        # spec dicts and sweep cells keyed by either must still resolve.
-        specs = {
-            name: ScenarioSpec(
-                mode="hybrid+p2p",
-                transfer=TransferSpec(model="time-resolved", recompute=name),
-            )
-            for name in ("incremental", "sharded")
-        }
-        inc, sh = specs["incremental"], specs["sharded"]
-        assert inc.to_dict() != sh.to_dict()
-        assert inc.cache_key() != sh.cache_key()
-        for spec in specs.values():
-            assert SimulationSession(spec).engine.incremental
-
     def test_key_is_hex_sha256(self):
         key = ScenarioSpec().cache_key()
         assert len(key) == 64
@@ -593,7 +566,6 @@ class TestPresets:
     def test_swarm_scale_preset_uses_incremental_engine(self):
         spec = scenarios.get("p2p-swarm-scale")
         assert spec.transfer.model is TransferModel.TIME_RESOLVED
-        assert spec.transfer.recompute == "incremental"
         assert spec.topology.n_devices == 1000
         assert spec.workload.kind == "cold-waves"
         # No hub/regional egress shaping: a shared registry uplink

@@ -27,11 +27,10 @@ GLOBAL_HEAP = "@global"
 
 
 class SingleHeapEngine(TransferEngine):
-    """The closure engine (``incremental=True``) on the frozen
-    single-heap deadline index."""
+    """The engine on the frozen single-heap deadline index."""
 
     def __init__(self, sim, network, **kwargs) -> None:
-        super().__init__(sim, network, incremental=True, **kwargs)
+        super().__init__(sim, network, **kwargs)
         self._deadline_heap: List[Tuple[float, int, int]] = []
         self._tokens: Dict[int, int] = {}
         self._token_seq = itertools.count()
@@ -40,7 +39,7 @@ class SingleHeapEngine(TransferEngine):
         super()._detach(transfer)
         self._tokens.pop(transfer.id, None)
 
-    def _recompute_incremental(self, seeds: Iterable[Link]) -> None:
+    def _recompute(self, seeds: Iterable[Link]) -> None:
         self.recomputes += 1
         t0 = perf_counter_ns() if self.profile is not None else 0
         seen: set = set()
@@ -174,6 +173,6 @@ class SingleHeapEngine(TransferEngine):
             for transfer in sorted(finished, key=lambda t: t.id):
                 seeds.extend(transfer.links)
                 self._finish(transfer)
-            self._recompute_incremental(seeds)
+            self._recompute(seeds)
         else:
             self._arm_wake_incremental()

@@ -1,6 +1,6 @@
-"""Differential tests for the incremental fair-share recompute.
+"""Differential tests for the engine's dirty-closure recompute.
 
-The incremental engine's contract is **bit-identical rates**: on every
+The engine's contract is **bit-identical rates**: on every
 start/finish/cancel it re-solves only the dirty closure — the
 connected component(s) of the transfer–link graph the event perturbed
 — and because max-min fairness decomposes exactly over components,
@@ -9,20 +9,23 @@ re-derives the full scalar solution after every recompute and raises
 on any mismatch, so the Hypothesis traces here fail loudly on the
 first divergent rate instead of on a downstream timing drift.
 
-Completion *times* are compared with a tight relative tolerance, not
-exactly: the two modes settle progress in different chunkings (full
-mode advances every active transfer at every event, incremental mode
-advances a transfer only when its closure is touched), so the
-accumulated ``remaining_mb`` values can differ by float rounding even
-though every instantaneous rate is identical.
+Whole timelines are compared against :class:`FullModeEngine`
+(``full_oracle.py``), a frozen copy of the full mode that re-solved
+every active transfer on every event.  Completion *times* are compared
+with a tight relative tolerance, not exactly: the two settle progress
+in different chunkings (full mode advances every active transfer at
+every event, the closure engine advances a transfer only when its
+closure is touched), so the accumulated ``remaining_mb`` values can
+differ by float rounding even though every instantaneous rate is
+identical.
 """
 
 import pytest
-from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fill_oracle import reference_fill
+from full_oracle import FullModeEngine
 from test_transfers import MB, run_transfer, star_network
 
 from repro import scenarios
@@ -111,10 +114,10 @@ def _run_trace(
 def test_incremental_rates_match_full_on_random_traces(
     specs, uplink, downlink
 ):
-    """self_check re-solves the whole system after every incremental
+    """self_check re-solves the whole system after every closure
     recompute and asserts rate-for-rate equality."""
     engine, runs = _run_trace(
-        specs, [], uplink, downlink, incremental=True, self_check=True
+        specs, [], uplink, downlink, self_check=True
     )
     assert engine.completed == len(specs)
     assert not engine.active_transfers
@@ -131,7 +134,7 @@ def test_incremental_rates_match_full_under_cancellation(
     specs, cancels, uplink
 ):
     engine, runs = _run_trace(
-        specs, cancels, uplink, None, incremental=True, self_check=True
+        specs, cancels, uplink, None, self_check=True
     )
     assert engine.completed + engine.cancellations == len(specs)
     assert not engine.active_transfers
@@ -145,16 +148,17 @@ def test_incremental_rates_match_full_under_cancellation(
     downlink=st.sampled_from([None, 90.0, 300.0]),
 )
 def test_full_and_incremental_timelines_agree(specs, uplink, downlink):
-    """Same trace through both modes: every transfer completes at the
-    same instant up to settling-order float noise."""
-    full, full_runs = _run_trace(specs, [], uplink, downlink)
-    inc, inc_runs = _run_trace(
-        specs, [], uplink, downlink, incremental=True
+    """Same trace through the full-mode oracle and the closure engine:
+    every transfer completes at the same instant up to settling-order
+    float noise."""
+    full, full_runs = _run_trace(
+        specs, [], uplink, downlink, engine_cls=FullModeEngine
     )
+    inc, inc_runs = _run_trace(specs, [], uplink, downlink)
     assert full.completed == inc.completed == len(specs)
     for a, b in zip(full_runs, inc_runs):
         assert a["requested"] == b["requested"]
-        assert b["end"] == pytest.approx(a["end"], rel=1e-9, abs=1e-9)
+        assert b["end"] == pytest.approx(a["end"], rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,19 +170,19 @@ def test_incremental_never_visits_more_transfers(specs, uplink):
     """The dirty closure is a subset of the active set, so the visited
     counter — the work metric the scale benchmarks compare — can never
     exceed full mode's on the same trace."""
-    full, _ = _run_trace(specs, [], uplink, None)
-    inc, _ = _run_trace(specs, [], uplink, None, incremental=True)
+    full, _ = _run_trace(specs, [], uplink, None, engine_cls=FullModeEngine)
+    inc, _ = _run_trace(specs, [], uplink, None)
     assert inc.transfers_visited <= full.transfers_visited
 
 
 def test_independent_components_stay_untouched():
     """Three disjoint peer pairs: each event's closure is exactly one
-    transfer, so incremental work stays linear while full mode
-    re-rates every active transfer per event."""
-    def build(incremental):
+    transfer, so closure work stays linear while full mode re-rates
+    every active transfer per event."""
+    def build(engine_cls):
         network = star_network(n_devices=6)
         sim = Simulator()
-        engine = TransferEngine(sim, network, incremental=incremental)
+        engine = engine_cls(sim, network)
         runs = []
 
         def launch(at_s, src, dst):
@@ -192,8 +196,8 @@ def test_independent_components_stay_untouched():
         sim.run()
         return engine, runs
 
-    full, full_runs = build(incremental=False)
-    inc, inc_runs = build(incremental=True)
+    full, full_runs = build(FullModeEngine)
+    inc, inc_runs = build(TransferEngine)
     assert full.completed == inc.completed == 3
     for a, b in zip(full_runs, inc_runs):
         assert b["end"] == pytest.approx(a["end"], rel=1e-12)
@@ -206,13 +210,13 @@ def test_independent_components_stay_untouched():
 
 
 # ----------------------------------------------------------------------
-# pinned timelines: the exact numbers of the full-mode unit tests
+# pinned timelines: the exact numbers of the test_transfers unit tests
 # ----------------------------------------------------------------------
 class TestKnownTimelines:
     def test_late_arrival_shares_then_survivor_speeds_up(self):
         network = star_network(uplink_mbps=100.0)
         sim = Simulator()
-        engine = TransferEngine(sim, network, incremental=True)
+        engine = TransferEngine(sim, network)
         a = run_transfer(
             sim, engine, "origin", "d0", 100 * MB, src_is_registry=True
         )
@@ -234,7 +238,7 @@ class TestKnownTimelines:
     def test_cancel_releases_bandwidth_immediately(self):
         network = star_network(uplink_mbps=100.0)
         sim = Simulator()
-        engine = TransferEngine(sim, network, incremental=True)
+        engine = TransferEngine(sim, network)
         a = run_transfer(
             sim, engine, "origin", "d0", 100 * MB, src_is_registry=True
         )
@@ -257,7 +261,7 @@ class TestKnownTimelines:
         network = NetworkModel()
         network.connect_registry("origin", "d0", 1.0)  # finish at t=800
         sim = Simulator()
-        engine = TransferEngine(sim, network, incremental=True)
+        engine = TransferEngine(sim, network)
         r = run_transfer(
             sim, engine, "origin", "d0", 100 * MB, src_is_registry=True
         )
@@ -273,7 +277,7 @@ class TestKnownTimelines:
     def test_zero_size_and_rtt_unchanged(self):
         network = star_network(rtt_s=1.5)
         sim = Simulator()
-        engine = TransferEngine(sim, network, incremental=True)
+        engine = TransferEngine(sim, network)
         zero = run_transfer(
             sim, engine, "origin", "d0", 0, src_is_registry=True
         )
@@ -335,22 +339,19 @@ overlapping_specs = st.lists(
     cancels=cancel_specs,
     uplink=st.sampled_from([60.0, 150.0]),
     downlink=st.sampled_from([None, 90.0, 300.0]),
-    incremental=st.booleans(),
 )
 def test_fill_kernel_matches_frozen_reference(
-    specs, cancels, uplink, downlink, incremental
+    specs, cancels, uplink, downlink
 ):
-    """Shared registry egress (``uplink`` shapes the origin too), random
-    cancellations, full and incremental recompute: every fill's rates
-    equal the frozen reference's exactly, and so every end time equals
-    the reference engine's exactly."""
+    """Shared registry egress (``uplink`` shapes the origin too) and
+    random cancellations: every fill's rates equal the frozen
+    reference's exactly, and so every end time equals the reference
+    engine's exactly."""
     checked, checked_runs = _run_trace(
-        specs, cancels, uplink, downlink,
-        engine_cls=CheckedEngine, incremental=incremental,
+        specs, cancels, uplink, downlink, engine_cls=CheckedEngine
     )
     oracle, oracle_runs = _run_trace(
-        specs, cancels, uplink, downlink,
-        engine_cls=OracleEngine, incremental=incremental,
+        specs, cancels, uplink, downlink, engine_cls=OracleEngine
     )
     assert checked.recomputes == oracle.recomputes
     assert checked.transfers_visited == oracle.transfers_visited
@@ -364,36 +365,30 @@ def test_fill_kernel_matches_frozen_reference(
 class BoundedEngine(TransferEngine):
     """Raises instead of spinning when recomputes run away."""
 
-    def _recompute(self):
+    def _recompute(self, seeds):
         if self.recomputes > 100:
             raise RuntimeError(f"recompute livelock at t={self.sim.now}")
-        super()._recompute()
-
-    def _recompute_incremental(self, seeds):
-        if self.recomputes > 100:
-            raise RuntimeError(f"recompute livelock at t={self.sim.now}")
-        super()._recompute_incremental(seeds)
+        super()._recompute(seeds)
 
 
-@pytest.mark.parametrize("incremental", [False, True])
 @pytest.mark.parametrize("sizes", [
     (72136255, 305589002, 33880219),
     (30360788, 49169211, 45565308),
     (127756288, 318171667, 292180842),
 ])
-def test_late_transfers_finish_without_livelock(sizes, incremental):
+def test_late_transfers_finish_without_livelock(sizes):
     """Three registry pulls on their own 1 Gbit/s channels, started at
     t=1e6 s, where one ulp of the clock is ~1e-10 s.  Settling leaves a
     residue above the finish threshold whose predicted completion
-    rounds back to ``now``; without the force-finish rule the full
-    engine's wake re-armed at ``now`` forever."""
+    rounds back to ``now``; without the force-finish rule the wake
+    would re-arm at ``now`` forever."""
     from repro.model.network import NetworkModel
 
     network = NetworkModel()
     for i in range(len(sizes)):
         network.connect_registry("origin", f"d{i}", 1000.0)
     sim = Simulator()
-    engine = BoundedEngine(sim, network, incremental=incremental)
+    engine = BoundedEngine(sim, network)
     ends = {}
 
     def launch(i, size):
@@ -411,22 +406,23 @@ def test_late_transfers_finish_without_livelock(sizes, incremental):
 
 
 # ----------------------------------------------------------------------
-# the pinned presets are bit-for-bit preserved (default path) and
-# outcome-equivalent under the incremental engine
+# the experiment presets match the frozen full-mode engine
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("preset", ["p2p-contended", "p2p-chunked"])
-def test_preset_outcomes_match_full_engine(preset):
-    """The two time-resolved experiment presets replayed through the
-    incremental engine (with self_check on) must reproduce the pinned
-    full-mode outcomes: counts and byte totals exactly, clock-derived
+def test_preset_outcomes_match_full_engine(preset, monkeypatch):
+    """The two time-resolved experiment presets through the closure
+    engine (with self_check on) must reproduce the frozen full-mode
+    engine's outcomes: counts and byte totals exactly, clock-derived
     floats to within settling noise."""
     base = scenarios.get(preset)
-    assert base.transfer.recompute == "full"  # the pinned default path
-    full = SimulationSession(base).run()
-    spec = replace(
-        base, transfer=replace(base.transfer, recompute="incremental")
-    )
-    session = SimulationSession(spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            "repro.scenarios.session.TransferEngine", FullModeEngine
+        )
+        reference_session = SimulationSession(base)
+    assert type(reference_session.engine) is FullModeEngine
+    full = reference_session.run()
+    session = SimulationSession(base)
     session.engine.self_check = True
     inc = session.run()
     # Compare the deterministic surface; wall-clock fields differ
@@ -437,11 +433,13 @@ def test_preset_outcomes_match_full_engine(preset):
     for key, expected in reference.items():
         actual = candidate[key]
         if key == "engine_transfers_visited":
-            # The recompute work counter is the one field the two
-            # modes *must* disagree on: visiting fewer transfers per
-            # event is the incremental engine's reason to exist.
-            assert 0 < actual <= expected, key
+            # The one field the two *must* disagree on: both presets
+            # couple their pulls through shared egress, where visiting
+            # fewer transfers per event is the closure engine's reason
+            # to exist.  Equal counts would mean the oracle no longer
+            # runs full mode and the comparison is vacuous.
+            assert 0 < actual < expected, key
         elif isinstance(expected, float):
-            assert actual == pytest.approx(expected, rel=1e-9, abs=1e-9), key
+            assert actual == pytest.approx(expected, rel=1e-12), key
         else:
             assert actual == expected, key

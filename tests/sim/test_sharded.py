@@ -1,16 +1,18 @@
-"""Differential tests for the closure engine's component deadline index.
+"""Differential tests for the engine's component deadline index.
 
-``incremental=True`` keeps the closure-local rate solve and indexes
-predicted completions with one lazy heap entry per solved connected
-component, keyed by its earliest member deadline, under one armed
-wake.  Its contract against the per-transfer single global heap it
-replaced (kept frozen in ``index_oracle.py``) is that the event
-sequence — every wake instant, every settle, every recompute — is
-**bit-identical** on the same trace, because the minimum over live
-component entries always equals the single heap's minimum valid
-deadline.  The tests here assert exact (``==``, not approx) end times
-and exact ``transfers_visited`` equality against that oracle, plus the
-usual self-checked rate identity against the full solve.
+The engine indexes predicted completions with one lazy heap entry per
+solved connected component, keyed by its earliest member deadline,
+under one armed wake.  Its contract against the per-transfer single
+global heap it replaced (kept frozen in ``index_oracle.py``) is that
+the event sequence — every wake instant, every settle, every
+recompute — is **bit-identical** on the same trace, because the
+minimum over live component entries always equals the single heap's
+minimum valid deadline.  The tests here assert exact (``==``, not
+approx) end times and exact ``transfers_visited`` equality against
+that oracle, plus the usual self-checked rate identity against the
+full solve.  Every oracle run also asserts that the live component
+heap stayed empty, so a live method shadowing the oracle's frozen one
+cannot turn a comparison into the engine against itself.
 
 The traces deliberately route traffic across regions (paths mixing
 links owned by different regions and the trunk), so one closure often
@@ -26,6 +28,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from full_oracle import FullModeEngine
 from index_oracle import SingleHeapEngine
 from test_transfers import MB, run_transfer, star_network
 
@@ -34,6 +37,14 @@ from repro.model.network import NetworkModel
 from repro.scenarios import SimulationSession
 from repro.sim.engine import Simulator
 from repro.sim.transfers import TransferEngine
+
+
+def _assert_live_index_unused(oracle) -> None:
+    """The oracle ran its own frozen index: the live component heap
+    stayed empty for the whole run (each push onto it draws one
+    sequence number)."""
+    assert not oracle._deadlines
+    assert next(oracle._deadline_seq) == 0
 
 
 # ----------------------------------------------------------------------
@@ -150,9 +161,7 @@ def test_sharded_rates_match_full_on_cross_region_traces(specs):
     """self_check re-solves the whole system after every recompute and
     asserts rate-for-rate equality — including closures that span
     several region shards plus the trunk."""
-    engine, _ = _run_regioned_trace(
-        specs, [], incremental=True, self_check=True
-    )
+    engine, _ = _run_regioned_trace(specs, [], self_check=True)
     assert engine.completed == len(specs)
     assert not engine.active_transfers
     assert engine.peak_oversubscription() <= 1.0 + 1e-9
@@ -161,9 +170,7 @@ def test_sharded_rates_match_full_on_cross_region_traces(specs):
 @settings(max_examples=60, deadline=None)
 @given(specs=region_trace_specs, cancels=cancel_specs)
 def test_sharded_rates_match_full_under_churn_cancellation(specs, cancels):
-    engine, _ = _run_regioned_trace(
-        specs, cancels, incremental=True, self_check=True
-    )
+    engine, _ = _run_regioned_trace(specs, cancels, self_check=True)
     assert engine.completed + engine.cancellations == len(specs)
     assert not engine.active_transfers
     assert engine.peak_oversubscription() <= 1.0 + 1e-9
@@ -180,7 +187,8 @@ def test_sharded_is_bit_identical_to_incremental(specs, cancels):
     inc, inc_runs = _run_regioned_trace(
         specs, cancels, engine_cls=SingleHeapEngine
     )
-    sh, sh_runs = _run_regioned_trace(specs, cancels, incremental=True)
+    _assert_live_index_unused(inc)
+    sh, sh_runs = _run_regioned_trace(specs, cancels)
     assert sh.completed == inc.completed
     assert sh.cancellations == inc.cancellations
     assert sh.transfers_visited == inc.transfers_visited
@@ -193,14 +201,18 @@ def test_sharded_is_bit_identical_to_incremental(specs, cancels):
 @settings(max_examples=40, deadline=None)
 @given(specs=region_trace_specs)
 def test_full_and_sharded_timelines_agree(specs):
-    """Against the full engine the usual settling-noise tolerance
-    applies (different chunking), like the incremental suite."""
-    full, full_runs = _run_regioned_trace(specs, [])
-    sh, sh_runs = _run_regioned_trace(specs, [], incremental=True)
+    """Against the frozen full-mode engine the usual settling-noise
+    tolerance applies (different chunking), like the
+    ``test_incremental`` suite."""
+    full, full_runs = _run_regioned_trace(
+        specs, [], engine_cls=FullModeEngine
+    )
+    _assert_live_index_unused(full)
+    sh, sh_runs = _run_regioned_trace(specs, [])
     assert full.completed == sh.completed == len(specs)
     assert sh.transfers_visited <= full.transfers_visited
     for a, b in zip(full_runs, sh_runs):
-        assert b["end"] == pytest.approx(a["end"], rel=1e-9, abs=1e-9)
+        assert b["end"] == pytest.approx(a["end"], rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -223,7 +235,8 @@ def test_endgame_duplicate_finishes_stay_identical(specs):
     inc, inc_runs = _run_regioned_trace(
         trace, [], engine_cls=SingleHeapEngine
     )
-    sh, sh_runs = _run_regioned_trace(trace, [], incremental=True)
+    _assert_live_index_unused(inc)
+    sh, sh_runs = _run_regioned_trace(trace, [])
     assert sh.completed == inc.completed == len(trace)
     assert sh.transfers_visited == inc.transfers_visited
     for a, b in zip(inc_runs, sh_runs):
@@ -249,10 +262,10 @@ def test_sharded_on_unsharded_topology_matches_incremental(specs, uplink):
     shared registry egress coupling the pulls) must still replay the
     single-heap traces exactly (the star network is the incremental
     suite's fixture)."""
-    def run(engine_cls, **kw):
+    def run(engine_cls):
         network = star_network(n_devices=5, uplink_mbps=uplink)
         sim = Simulator()
-        engine = engine_cls(sim, network, **kw)
+        engine = engine_cls(sim, network)
         runs = []
 
         def launch(at_s, src, dst, size):
@@ -269,7 +282,8 @@ def test_sharded_on_unsharded_topology_matches_incremental(specs, uplink):
         return engine, runs
 
     inc, inc_runs = run(SingleHeapEngine)
-    sh, sh_runs = run(TransferEngine, incremental=True)
+    _assert_live_index_unused(inc)
+    sh, sh_runs = run(TransferEngine)
     assert sh.completed == inc.completed == len(specs)
     assert sh.transfers_visited == inc.transfers_visited
     for a, b in zip(inc_runs, sh_runs):
@@ -300,8 +314,9 @@ def _assert_matches_oracle(pulls, churn):
     oracle, oracle_runs = _replay_registry_pulls(
         SingleHeapEngine, pulls, churn
     )
+    _assert_live_index_unused(oracle)
     engine, runs = _replay_registry_pulls(
-        TransferEngine, pulls, churn, incremental=True, self_check=True
+        TransferEngine, pulls, churn, self_check=True
     )
     assert engine.completed == oracle.completed
     assert engine.cancellations == oracle.cancellations
@@ -353,14 +368,14 @@ class TestShardIndex:
     def test_link_shard_reassignment_is_loud(self):
         network = regioned_network()
         sim = Simulator()
-        engine = TransferEngine(sim, network, incremental=True)
+        engine = TransferEngine(sim, network)
         engine._link("up:origin@R0", 120.0, shard="R0")
         with pytest.raises(ValueError, match="shard"):
             engine._link("up:origin@R0", 120.0, shard="R1")
 
 
 # ----------------------------------------------------------------------
-# preset-level outcome identity: both spec names pin one outcome
+# preset-level outcome identity
 # ----------------------------------------------------------------------
 _TIME_RESOLVED_PRESETS = [
     name
@@ -370,9 +385,9 @@ _TIME_RESOLVED_PRESETS = [
 
 #: Outcome digests of the time-resolved presets (swarm presets shrunk
 #: to 120 devices in at most 6 regions) on the closure engine, as
-#: pinned when ``"incremental"`` still ran a single global deadline
-#: heap: the first 8 hex digits of the sha256 of the sorted-key JSON of
-#: the deterministic outcome dict.
+#: pinned when it still ran a single global deadline heap: the first 8
+#: hex digits of the sha256 of the sorted-key JSON of the deterministic
+#: outcome dict.
 _PRESET_DIGESTS = {
     "p2p-chunked": "6659e5ec",
     "p2p-contended": "a5a733bf",
@@ -390,9 +405,9 @@ def _outcome_digest(outcome) -> str:
 @pytest.mark.parametrize("preset", _TIME_RESOLVED_PRESETS)
 def test_preset_outcomes_match_incremental_engine(preset):
     """Every registered time-resolved preset replayed through the
-    closure engine under either spec name must reproduce its pinned
-    outcome digest *exactly* — including ``engine_transfers_visited``
-    (the swarm presets are downsized so the run stays test-sized)."""
+    engine must reproduce its pinned outcome digest *exactly* —
+    including ``engine_transfers_visited`` (the swarm presets are
+    downsized so the run stays test-sized)."""
     assert preset in _PRESET_DIGESTS, f"pin a digest for {preset!r}"
     base = scenarios.get(preset)
     if base.topology.n_devices > 200:
@@ -404,12 +419,6 @@ def test_preset_outcomes_match_incremental_engine(preset):
                 n_regions=min(base.topology.n_regions, 6),
             ),
         )
-    for recompute in ("incremental", "sharded"):
-        spec = replace(
-            base, transfer=replace(base.transfer, recompute=recompute)
-        )
-        session = SimulationSession(spec)
-        assert session.engine.incremental
-        session.engine.self_check = True
-        digest = _outcome_digest(session.run())
-        assert digest == _PRESET_DIGESTS[preset], recompute
+    session = SimulationSession(base)
+    session.engine.self_check = True
+    assert _outcome_digest(session.run()) == _PRESET_DIGESTS[preset]

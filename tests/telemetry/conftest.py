@@ -11,9 +11,9 @@ from repro import scenarios
 def quick_swarm_spec():
     """The ``p2p-swarm-scale`` preset shrunk to a quick cell.
 
-    400 devices across 10 regions keeps the incremental sharded engine,
-    cold waves, churn, and replication all exercised while a full run
-    stays well under a second.
+    400 devices across 10 regions keeps the closure engine, cold
+    waves, churn, and replication all exercised while a full run stays
+    well under a second.
     """
     spec = scenarios.get("p2p-swarm-scale")
     return dataclasses.replace(

@@ -97,7 +97,7 @@ class TestEngineProfile:
         assert heaps["@other"]["pops"] == 1
 
     def test_closure_engine_reports_one_deadline_heap(self):
-        """The closure engine counts its heap work under
+        """The engine counts its heap work under
         :data:`DEADLINE_HEAP`, one entry per solved component: two
         pulls sharing one egress are one component, a third pull on
         its own link is another."""
@@ -107,7 +107,7 @@ class TestEngineProfile:
         network.set_uplink("origin", 100.0)
         network.connect_registry("mirror", "d2", 50.0)
         sim = Simulator()
-        engine = TransferEngine(sim, network, incremental=True)
+        engine = TransferEngine(sim, network)
         engine.profile = prof = EngineProfile()
         engine.start("origin", "d0", 10_000_000, src_is_registry=True)
         engine.start("origin", "d1", 20_000_000, src_is_registry=True)
