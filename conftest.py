@@ -11,3 +11,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+
+def pytest_configure(config):
+    # A deprecated path that something calls again fails the suite
+    # instead of printing a warning nobody reads.
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")

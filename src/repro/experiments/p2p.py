@@ -20,9 +20,7 @@ every layer already cached anywhere in a region can be served locally.
 Every experiment here is driven by the declarative scenario API
 (:mod:`repro.scenarios`): a frozen :class:`ScenarioSpec` per
 configuration, variants derived with :func:`dataclasses.replace`, and
-one :class:`SimulationSession` per run.  The historical ``run_mode``
-entry point survives as a thin deprecated shim over that API; its
-sixteen keywords map 1:1 onto spec sections.
+one :class:`SimulationSession` per run.
 
 Two transfer models are supported (see
 :class:`~repro.sim.transfers.TransferModel`): the default ``ANALYTIC``
@@ -38,13 +36,10 @@ deliberately overlapping schedule.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..model.units import BYTES_PER_GB
-from ..registry.chunks import DEFAULT_CHUNK_SIZE_BYTES
-from ..sim.churn import ChurnConfig
 from ..sim.rng import DEFAULT_SEED
 from ..sim.transfers import TransferModel
 from .. import scenarios
@@ -58,11 +53,7 @@ from ..scenarios import (
     ReplicationSpec,
     ScenarioSpec,
     SimulationSession,
-    SwarmDevice,
-    SwarmScenario,
-    TopologySpec,
     TransferSpec,
-    WorkloadSpec,
     build_swarm_scenario,
 )
 from .runner import ExperimentResult
@@ -72,12 +63,6 @@ __all__ = [
     "DISCOVERY_BACKENDS",
     "CHURN_REGIMES",
     "CHUNKED_CHURN_REGIMES",
-    "ModeOutcome",
-    "SwarmDevice",
-    "SwarmScenario",
-    "build_scenario",
-    "build_contended_scenario",
-    "run_mode",
     "run",
     "run_contended",
     "run_gossip",
@@ -85,208 +70,28 @@ __all__ = [
 ]
 
 
-def build_scenario(
-    n_devices: int = 12,
-    n_images: int = 6,
-    pulls_per_device: int = 4,
-    n_regions: int = 3,
-    cache_gb: float = 12.0,
-    horizon_s: float = 3600.0,
-    seed: int = DEFAULT_SEED,
-) -> SwarmScenario:
-    """A deterministic layer-sharing workload on an ``n_devices`` swarm.
-
-    Legacy-signature wrapper over
-    :func:`repro.scenarios.build_swarm_scenario`; see
-    :class:`~repro.scenarios.TopologySpec` /
-    :class:`~repro.scenarios.WorkloadSpec` for the declarative form.
-    """
-    spec = ScenarioSpec(
-        topology=TopologySpec(
-            n_devices=n_devices, n_regions=n_regions, cache_gb=cache_gb
-        ),
-        workload=WorkloadSpec(
-            kind="zipf",
-            n_images=n_images,
-            pulls_per_device=pulls_per_device,
-            horizon_s=horizon_s,
-        ),
-        seed=seed,
-    )
-    return build_swarm_scenario(spec)
-
-
 def _contended_base(
-    n_devices: int,
-    n_regions: int,
-    stagger_s: float,
-    seed: int,
-    cache_gb: float = 12.0,
+    n_devices: int, n_regions: int, stagger_s: float, seed: int
 ) -> ScenarioSpec:
     """The ``p2p-contended`` preset resized — the single source of the
     contended topology/cold-wave shape (NIC and egress shaping live in
-    the preset, never re-inlined here)."""
+    the preset, never re-inlined here).
+
+    Every device pulls the same image ``stagger_s`` apart, then a
+    second image sharing its base, so both waves are cold.  Analytic
+    admission publishes the first puller's layers at pull start, so
+    followers plan LAN peer fetches; time-resolved admission publishes
+    nothing until a transfer completes, so most of a wave goes to the
+    origin and contends for the shared NIC and egress links.
+    """
     preset = scenarios.get("p2p-contended")
     return replace(
         preset,
         topology=replace(
-            preset.topology,
-            n_devices=n_devices,
-            n_regions=n_regions,
-            cache_gb=cache_gb,
+            preset.topology, n_devices=n_devices, n_regions=n_regions
         ),
         workload=replace(preset.workload, stagger_s=stagger_s),
         seed=seed,
-    )
-
-
-def build_contended_scenario(
-    n_devices: int = 8,
-    n_regions: int = 2,
-    cache_gb: float = 12.0,
-    stagger_s: float = 1.0,
-    seed: int = DEFAULT_SEED,
-) -> SwarmScenario:
-    """A worst-case-overlap schedule: every device pulls the *same*
-    image almost simultaneously (``stagger_s`` apart), twice.
-
-    Each wave is where the models diverge: analytic admission
-    publishes the first puller's layers at pull start, so every
-    follower plans a LAN peer fetch; time-resolved admission publishes
-    nothing until a transfer actually completes, so the bulk of a wave
-    goes to the origin and additionally contends for link capacity.
-    The second wave pulls a *different* image (sharing a base with the
-    first), so both waves are cold and the gap compounds.
-
-    Devices also get shared NIC links (uplink/downlink) and the
-    registries shared egress links, so time-resolved transfers contend
-    at the endpoints, not just on individual channels.
-    """
-    return build_swarm_scenario(
-        _contended_base(n_devices, n_regions, stagger_s, seed, cache_gb)
-    )
-
-
-def run_mode(
-    scenario: SwarmScenario,
-    mode: str,
-    replicator_interval_s: float = 120.0,
-    replicator_hot_threshold: float = 3.0,
-    replicator_target_replicas: int = 2,
-    transfer_model: TransferModel = TransferModel.ANALYTIC,
-    upload_budget: Optional[int] = None,
-    discovery: str = "omniscient",
-    gossip_fanout: int = 2,
-    gossip_period_s: float = 60.0,
-    gossip_view_cap: int = 8,
-    churn: Optional[ChurnConfig] = None,
-    chunked: bool = False,
-    chunk_size_bytes: int = DEFAULT_CHUNK_SIZE_BYTES,
-    chunk_parallel: int = 4,
-    replicator_churn_aware: bool = False,
-) -> ModeOutcome:
-    """Execute the scenario's pull schedule under one tier configuration.
-
-    .. deprecated::
-        ``run_mode`` is a compatibility shim: its sixteen keywords are
-        translated into a :class:`~repro.scenarios.ScenarioSpec` and
-        run through :class:`~repro.scenarios.SimulationSession`.  New
-        code should build specs directly (or start from a preset via
-        :func:`repro.scenarios.get`) — specs validate cross-field
-        rules at construction, serialise, and compose.
-
-    Legacy keyword semantics are preserved exactly: gossip knobs are
-    ignored unless ``discovery="gossip"``, ``upload_budget`` is
-    ignored under the analytic model, and
-    ``replicator_churn_aware=True`` without a ``churn`` config is a
-    no-op.
-    """
-    warnings.warn(
-        "run_mode(**kwargs) is deprecated; build a "
-        "repro.scenarios.ScenarioSpec and use SimulationSession instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = _legacy_spec(
-        scenario=scenario,
-        mode=mode,
-        replicator_interval_s=replicator_interval_s,
-        replicator_hot_threshold=replicator_hot_threshold,
-        replicator_target_replicas=replicator_target_replicas,
-        transfer_model=transfer_model,
-        upload_budget=upload_budget,
-        discovery=discovery,
-        gossip_fanout=gossip_fanout,
-        gossip_period_s=gossip_period_s,
-        gossip_view_cap=gossip_view_cap,
-        churn=churn,
-        chunked=chunked,
-        chunk_size_bytes=chunk_size_bytes,
-        chunk_parallel=chunk_parallel,
-        replicator_churn_aware=replicator_churn_aware,
-    )
-    return SimulationSession(spec, scenario=scenario).run()
-
-
-def _legacy_spec(
-    scenario: SwarmScenario,
-    mode: str,
-    replicator_interval_s: float,
-    replicator_hot_threshold: float,
-    replicator_target_replicas: int,
-    transfer_model: TransferModel,
-    upload_budget: Optional[int],
-    discovery: str,
-    gossip_fanout: int,
-    gossip_period_s: float,
-    gossip_view_cap: int,
-    churn: Optional[ChurnConfig],
-    chunked: bool,
-    chunk_size_bytes: int,
-    chunk_parallel: int,
-    replicator_churn_aware: bool,
-) -> ScenarioSpec:
-    """Map the historical ``run_mode`` keywords onto a spec.
-
-    The spec's topology/workload sections are placeholders — the
-    caller's pre-built ``scenario`` supersedes them (see
-    :class:`SimulationSession`) — but every run-affecting keyword maps
-    onto its validated section.
-    """
-    time_resolved = transfer_model is TransferModel.TIME_RESOLVED
-    if discovery == "gossip":
-        discovery_spec = DiscoverySpec(
-            backend="gossip",
-            gossip_fanout=gossip_fanout,
-            gossip_period_s=gossip_period_s,
-            gossip_view_cap=gossip_view_cap,
-        )
-    else:
-        # Legacy calls always carried (default) gossip knobs; they were
-        # ignored without the gossip backend, and still are.
-        discovery_spec = DiscoverySpec(backend=discovery)
-    return ScenarioSpec(
-        mode=mode,
-        transfer=TransferSpec(
-            model=transfer_model,
-            # Ignored by the analytic model, exactly as before.
-            upload_budget=upload_budget if time_resolved else None,
-        ),
-        discovery=discovery_spec,
-        churn=None if churn is None else ChurnSpec.from_config(churn),
-        replication=ReplicationSpec(
-            interval_s=replicator_interval_s,
-            hot_threshold=replicator_hot_threshold,
-            target_replicas=replicator_target_replicas,
-            # Legacy quietly no-op'd churn awareness without churn.
-            churn_aware=replicator_churn_aware and churn is not None,
-        ),
-        chunks=ChunkSpec(
-            enabled=chunked,
-            size_bytes=chunk_size_bytes,
-            parallel=chunk_parallel,
-        ),
-        seed=scenario.seed,
     )
 
 

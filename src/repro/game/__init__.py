@@ -2,12 +2,12 @@
 
 Solvers
 -------
+The scheduler and the A3 solver ablation run these four:
+
 * :func:`pure_equilibria` — fast pure-strategy search (DEEP's fast path)
 * :func:`support_enumeration` — exhaustive mixed equilibria (reference)
 * :func:`lemke_howson` / :func:`lemke_howson_all` — complementary pivoting
-* :func:`vertex_enumeration` — independent cross-check
 * :func:`fictitious_play` — learning dynamics (ablation)
-* :func:`solve_zero_sum` — exact LP solution for zero-sum games
 """
 
 from .dilemma import (
@@ -25,47 +25,26 @@ from .normal_form import (
     dedupe_equilibria,
     support,
 )
-from .pure import (
-    best_pure_outcome,
-    iterated_elimination,
-    minimax_pure,
-    pure_equilibria,
-    strictly_dominated_cols,
-    strictly_dominated_rows,
-)
-from .replicator import ReplicatorResult, replicator_dynamics
+from .pure import pure_equilibria
 from .support_enumeration import all_equilibria, support_enumeration
-from .vertex_enumeration import polytope_vertices, vertex_enumeration
-from .zero_sum import ZeroSumSolution, solve_zero_sum
 
 __all__ = [
     "DegenerateGameError",
     "Equilibrium",
     "FictitiousPlayResult",
     "NormalFormGame",
-    "ZeroSumSolution",
     "all_equilibria",
     "as_strategy",
-    "best_pure_outcome",
     "coordination_game",
     "dedupe_equilibria",
     "energy_game",
     "exploitability",
     "fictitious_play",
-    "iterated_elimination",
     "lemke_howson",
     "lemke_howson_all",
     "matching_pennies",
-    "minimax_pure",
-    "polytope_vertices",
     "prisoners_dilemma",
     "pure_equilibria",
-    "ReplicatorResult",
-    "replicator_dynamics",
-    "solve_zero_sum",
-    "strictly_dominated_cols",
-    "strictly_dominated_rows",
     "support",
     "support_enumeration",
-    "vertex_enumeration",
 ]

@@ -102,10 +102,6 @@ class NormalFormGame:
     def n_cols(self) -> int:
         return self.A.shape[1]
 
-    @property
-    def is_zero_sum(self) -> bool:
-        return bool(np.allclose(self.A + self.B, 0.0))
-
     # ------------------------------------------------------------------
     # payoffs
     # ------------------------------------------------------------------
@@ -177,19 +173,6 @@ class NormalFormGame:
         shift_b = 1.0 - self.B.min() if self.B.min() <= 0 else 0.0
         return NormalFormGame(
             self.A + shift_a, self.B + shift_b, self.row_labels, self.col_labels
-        )
-
-    def restrict(self, rows: Iterable[int], cols: Iterable[int]) -> "NormalFormGame":
-        """Subgame on the given row/column subsets."""
-        row_index = list(rows)
-        col_index = list(cols)
-        if not row_index or not col_index:
-            raise ValueError("restriction must keep >= 1 row and column")
-        return NormalFormGame(
-            self.A[np.ix_(row_index, col_index)],
-            self.B[np.ix_(row_index, col_index)],
-            [self.row_labels[i] for i in row_index],
-            [self.col_labels[j] for j in col_index],
         )
 
     def transpose(self) -> "NormalFormGame":

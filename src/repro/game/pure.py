@@ -1,4 +1,4 @@
-"""Pure-strategy analysis: pure Nash equilibria and dominance.
+"""Pure-strategy Nash equilibria.
 
 Pure equilibria are what DEEP ultimately deploys (a microservice is
 pulled from exactly one registry onto exactly one device), so the pure
@@ -8,7 +8,7 @@ validate it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -28,84 +28,3 @@ def pure_equilibria(game: NormalFormGame, tol: float = 1e-9) -> List[Equilibrium
     cells = np.argwhere(row_best & col_best)
     return [Equilibrium.of(game, int(i), int(j)) for i, j in cells]
 
-
-def best_pure_outcome(
-    game: NormalFormGame, maximise: str = "row"
-) -> Tuple[int, int]:
-    """The cell maximising one player's (or joint) payoff.
-
-    ``maximise`` ∈ {"row", "col", "welfare"}.  Used by DEEP as the
-    cooperative reference point (the "both cooperate" cell of the
-    prisoner's dilemma framing).
-    """
-    if maximise == "row":
-        target = game.A
-    elif maximise == "col":
-        target = game.B
-    elif maximise == "welfare":
-        target = game.A + game.B
-    else:
-        raise ValueError(f"unknown objective {maximise!r}")
-    flat = int(np.argmax(target))
-    return np.unravel_index(flat, target.shape)  # type: ignore[return-value]
-
-
-def strictly_dominated_rows(game: NormalFormGame, tol: float = 1e-12) -> List[int]:
-    """Rows strictly dominated by another *pure* row."""
-    A = game.A
-    dominated: List[int] = []
-    for i in range(game.n_rows):
-        for k in range(game.n_rows):
-            if k != i and np.all(A[k] > A[i] + tol):
-                dominated.append(i)
-                break
-    return dominated
-
-
-def strictly_dominated_cols(game: NormalFormGame, tol: float = 1e-12) -> List[int]:
-    """Columns strictly dominated by another *pure* column."""
-    B = game.B
-    dominated: List[int] = []
-    for j in range(game.n_cols):
-        for k in range(game.n_cols):
-            if k != j and np.all(B[:, k] > B[:, j] + tol):
-                dominated.append(j)
-                break
-    return dominated
-
-
-def iterated_elimination(
-    game: NormalFormGame, max_rounds: int = 100
-) -> Tuple[NormalFormGame, List[int], List[int]]:
-    """Iterated elimination of strictly dominated pure strategies.
-
-    Returns the reduced game plus the *surviving* row and column
-    indices (into the original game).  Elimination preserves the Nash
-    equilibria of the original game, so solvers may run on the reduced
-    game and lift the result back.
-    """
-    rows = list(range(game.n_rows))
-    cols = list(range(game.n_cols))
-    current = game
-    for _ in range(max_rounds):
-        dead_rows = strictly_dominated_rows(current)
-        if dead_rows and current.n_rows - len(dead_rows) >= 1:
-            keep = [i for i in range(current.n_rows) if i not in dead_rows]
-            rows = [rows[i] for i in keep]
-            current = current.restrict(keep, range(current.n_cols))
-            continue
-        dead_cols = strictly_dominated_cols(current)
-        if dead_cols and current.n_cols - len(dead_cols) >= 1:
-            keep = [j for j in range(current.n_cols) if j not in dead_cols]
-            cols = [cols[j] for j in keep]
-            current = current.restrict(range(current.n_rows), keep)
-            continue
-        break
-    return current, rows, cols
-
-
-def minimax_pure(game: NormalFormGame) -> Tuple[int, float]:
-    """Row player's pure maximin strategy and its guaranteed value."""
-    worst_case = game.A.min(axis=1)
-    best = int(np.argmax(worst_case))
-    return best, float(worst_case[best])

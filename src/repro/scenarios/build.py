@@ -1,12 +1,9 @@
 """Materialise a :class:`ScenarioSpec` into a runnable swarm scenario.
 
-The builder is a faithful port of the original
-``experiments.p2p.build_scenario`` / ``build_contended_scenario`` pair,
-driven by :class:`~repro.scenarios.spec.TopologySpec` and
-:class:`~repro.scenarios.spec.WorkloadSpec` instead of positional
-keywords — RNG stream names, draw order, and network construction are
-bit-for-bit identical, which is what keeps the historical experiment
-outputs pinned.
+Construction is driven by :class:`~repro.scenarios.spec.TopologySpec`
+and :class:`~repro.scenarios.spec.WorkloadSpec`.  RNG stream names,
+draw order, and network construction are fixed, which is what keeps
+the historical experiment outputs pinned.
 """
 
 from __future__ import annotations

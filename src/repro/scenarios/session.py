@@ -4,13 +4,11 @@
 :class:`~repro.scenarios.spec.ScenarioSpec` into a wired simulation —
 simulator, network, caches, :class:`~repro.registry.p2p.PeerSwarm`,
 discovery backend, churn process, transfer engine, registry chain, and
-replicator — and exposes ``session.run() -> ModeOutcome``.  Everything
-``experiments.p2p.run_mode`` used to wire by hand at sixteen call-site
-keywords happens here, driven by the spec's validated sections.
+replicator — and exposes ``session.run() -> ModeOutcome``, driven by
+the spec's validated sections.
 
-The run loop is a faithful port of the historical ``run_mode`` body:
 RNG stream names ("p2p.gossip", "p2p.churn"), process creation order
-(pull processes first, replicator last), and accounting are identical,
+(pull processes first, replicator last), and accounting are fixed,
 which keeps every experiment output bit-for-bit pinned to PR 4.
 """
 

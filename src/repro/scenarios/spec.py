@@ -1,8 +1,6 @@
 """Typed, validated, serializable scenario specifications.
 
-Four PRs of registry-tier growth left every experiment re-wiring the
-same sixteen knobs by hand at each ``run_mode`` call site.  This module
-replaces that call-site wiring with small frozen dataclasses — one per
+A scenario is described by small frozen dataclasses — one per
 concern — composed into a :class:`ScenarioSpec`:
 
 * :class:`TopologySpec`    — swarm size, regions, caches, NIC shaping
@@ -14,9 +12,8 @@ concern — composed into a :class:`ScenarioSpec`:
 * :class:`ChunkSpec`       — chunked multi-source pulls
 * :class:`TelemetrySpec`   — opt-in traces / metrics / profiling
 
-Every cross-field rule that used to live (or hide) inside ``run_mode``
-is enforced at *construction* time — an invalid combination can never
-reach the simulator:
+Every cross-field rule is enforced at *construction* time — an
+invalid combination can never reach the simulator:
 
 * chunked pulls require the time-resolved transfer model,
 * an upload budget is only meaningful with the time-resolved model,

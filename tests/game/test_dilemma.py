@@ -36,7 +36,8 @@ class TestPrisonersDilemma:
 
 class TestClassics:
     def test_matching_pennies_zero_sum(self):
-        assert matching_pennies().is_zero_sum
+        g = matching_pennies()
+        np.testing.assert_array_equal(g.A + g.B, 0.0)
 
     def test_coordination_validation(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ def pd():
 class TestConstruction:
     def test_zero_sum_default(self):
         g = NormalFormGame([[1.0, -1.0], [-1.0, 1.0]])
-        assert g.is_zero_sum
+        np.testing.assert_array_equal(g.B, -g.A)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -101,15 +101,6 @@ class TestTransformations:
         assert shifted.A.min() > 0 and shifted.B.min() > 0
         assert shifted.is_nash(1, 1)
         assert not shifted.is_nash(0, 0)
-
-    def test_restrict(self, pd):
-        sub = pd.restrict([1], [0, 1])
-        assert sub.shape == (1, 2)
-        assert sub.A[0, 0] == 5.0
-
-    def test_restrict_empty_rejected(self, pd):
-        with pytest.raises(ValueError):
-            pd.restrict([], [0])
 
     def test_transpose_swaps_players(self, pd):
         t = pd.transpose()

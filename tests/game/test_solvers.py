@@ -6,22 +6,16 @@ import pytest
 from repro.game import (
     NormalFormGame,
     all_equilibria,
-    best_pure_outcome,
     coordination_game,
     exploitability,
     fictitious_play,
-    iterated_elimination,
     lemke_howson,
     lemke_howson_all,
     matching_pennies,
-    minimax_pure,
     prisoners_dilemma,
     pure_equilibria,
-    solve_zero_sum,
-    strictly_dominated_cols,
-    strictly_dominated_rows,
-    vertex_enumeration,
 )
+from vertex_oracle import vertex_enumeration
 
 
 class TestPure:
@@ -35,38 +29,6 @@ class TestPure:
     def test_coordination_two_pure(self):
         profiles = {e.pure_profile() for e in pure_equilibria(coordination_game())}
         assert profiles == {(0, 0), (1, 1)}
-
-    def test_best_pure_outcome_welfare(self):
-        # PD welfare max is mutual cooperation.
-        assert best_pure_outcome(prisoners_dilemma(), "welfare") == (0, 0)
-
-    def test_dominance_in_pd(self):
-        pd = prisoners_dilemma()
-        assert strictly_dominated_rows(pd) == [0]
-        assert strictly_dominated_cols(pd) == [0]
-
-    def test_iterated_elimination_solves_pd(self):
-        reduced, rows, cols = iterated_elimination(prisoners_dilemma())
-        assert (rows, cols) == ([1], [1])
-        assert reduced.shape == (1, 1)
-
-    def test_elimination_preserves_ne(self):
-        g = NormalFormGame(
-            [[3.0, 1.0, 0.0], [2.0, 2.0, 5.0]],
-            [[1.0, 2.0, 0.0], [1.0, 3.0, 2.0]],
-        )
-        reduced, rows, cols = iterated_elimination(g)
-        for eq in all_equilibria(reduced):
-            # Lift back and verify in the original game.
-            x = np.zeros(g.n_rows)
-            y = np.zeros(g.n_cols)
-            x[rows] = eq.row_strategy
-            y[cols] = eq.col_strategy
-            assert g.is_nash(x, y)
-
-    def test_minimax_pure(self):
-        row, value = minimax_pure(matching_pennies())
-        assert value == -1.0  # any pure row can be exploited
 
 
 class TestSupportEnumeration:
@@ -89,12 +51,13 @@ class TestSupportEnumeration:
             assert g.is_nash(eq.row_strategy, eq.col_strategy)
 
     def test_all_returned_are_nash(self):
-        rng = np.random.default_rng(3)
-        g = NormalFormGame(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
-        eqs = all_equilibria(g)
-        assert eqs, "random nondegenerate game must have >= 1 NE"
-        for eq in eqs:
-            assert g.is_nash(eq.row_strategy, eq.col_strategy)
+        for seed, shape in ((3, (4, 4)), (42, (4, 6))):
+            rng = np.random.default_rng(seed)
+            g = NormalFormGame(rng.normal(size=shape), rng.normal(size=shape))
+            eqs = all_equilibria(g)
+            assert eqs, "random nondegenerate game must have >= 1 NE"
+            for eq in eqs:
+                assert g.is_nash(eq.row_strategy, eq.col_strategy)
 
 
 class TestLemkeHowson:
@@ -119,10 +82,11 @@ class TestLemkeHowson:
             assert g.is_nash(eq.row_strategy, eq.col_strategy)
 
     def test_bigger_game_is_nash(self):
-        rng = np.random.default_rng(11)
-        g = NormalFormGame(rng.normal(size=(5, 4)), rng.normal(size=(5, 4)))
-        eq = lemke_howson(g, 0)
-        assert g.is_nash(eq.row_strategy, eq.col_strategy, tol=1e-6)
+        for seed, shape in ((11, (5, 4)), (42, (4, 6))):
+            rng = np.random.default_rng(seed)
+            g = NormalFormGame(rng.normal(size=shape), rng.normal(size=shape))
+            eq = lemke_howson(g, 0)
+            assert g.is_nash(eq.row_strategy, eq.col_strategy, tol=1e-6)
 
 
 class TestVertexEnumeration:
@@ -135,36 +99,6 @@ class TestVertexEnumeration:
             assert len(se) == len(ve)
             for eq in ve:
                 assert any(eq.close_to(other, tol=1e-6) for other in se)
-
-
-class TestZeroSum:
-    def test_matching_pennies_value_zero(self):
-        sol = solve_zero_sum(matching_pennies())
-        assert sol.value == pytest.approx(0.0, abs=1e-9)
-        np.testing.assert_allclose(sol.row_strategy, [0.5, 0.5], atol=1e-9)
-
-    def test_biased_game_value(self):
-        A = np.array([[2.0, -1.0], [-1.0, 1.0]])
-        sol = solve_zero_sum(NormalFormGame(A))
-        # value = (2*1 - 1*1)/(2+1+1+1) = 1/5
-        assert sol.value == pytest.approx(0.2)
-
-    def test_solution_is_nash(self):
-        rng = np.random.default_rng(17)
-        A = rng.normal(size=(4, 5))
-        g = NormalFormGame(A)
-        sol = solve_zero_sum(g)
-        assert g.is_nash(sol.row_strategy, sol.col_strategy, tol=1e-6)
-
-    def test_non_zero_sum_rejected(self):
-        with pytest.raises(ValueError):
-            solve_zero_sum(prisoners_dilemma())
-
-    def test_dominant_strategy_game(self):
-        A = np.array([[5.0, 4.0], [1.0, 0.0]])  # row 0 dominates
-        sol = solve_zero_sum(NormalFormGame(A))
-        assert sol.row_strategy[0] == pytest.approx(1.0)
-        assert sol.value == pytest.approx(4.0)
 
 
 class TestFictitiousPlay:

@@ -1,4 +1,5 @@
-"""Vertex enumeration over the best-response polytopes.
+"""Reference solver for the Nash tests: vertex enumeration over the
+best-response polytopes.
 
 Every Nash equilibrium of a nondegenerate bimatrix game corresponds to
 a *fully labelled* pair of vertices of the polytopes
@@ -12,7 +13,8 @@ whose labels cover ``{0, …, m+n−1}``.
 
 Cubic-ish in the number of constraint subsets, fine for the small games
 DEEP builds, and a genuinely independent implementation to cross-check
-support enumeration and Lemke–Howson in the property tests.
+support enumeration against.  Nothing in the library runs it; it stays
+here as that oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from .normal_form import Equilibrium, NormalFormGame, dedupe_equilibria
+from repro.game.normal_form import (
+    Equilibrium,
+    NormalFormGame,
+    dedupe_equilibria,
+)
 
 _TOL = 1e-9
 

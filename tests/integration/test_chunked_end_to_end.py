@@ -1,35 +1,43 @@
 """Chunked swarm pulls end to end: experiment driver, CLI surface.
 
 The acceptance criteria of the chunking subsystem, pinned as tests:
-with ``chunked=False`` the experiment driver behaves exactly as
-before (covered by the bit-for-bit suite elsewhere); with
-``chunked=True`` a contended cold-start wave completes measurably
-faster than single-source pulls, origin traffic drops, and mid-wave
-seeder departures waste chunk-sized — not layer-sized — byte counts.
+with chunking off the experiment code behaves exactly as before
+(covered by the bit-for-bit suite elsewhere); with chunking on a
+contended cold-start wave completes measurably faster than
+single-source pulls, origin traffic drops, and mid-wave seeder
+departures waste chunk-sized — not layer-sized — byte counts.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro import scenarios
 from repro.experiments import p2p
-from repro.sim.churn import ChurnConfig
+from repro.scenarios import (
+    ChurnSpec,
+    ReplicationSpec,
+    SimulationSession,
+    TransferSpec,
+)
 from repro.sim.transfers import TransferModel
+
+
+def _chunked_spec(chunked: bool, **changes):
+    """The ``p2p-chunked`` preset with chunking switched on or off."""
+    preset = scenarios.get("p2p-chunked")
+    return replace(
+        preset, chunks=replace(preset.chunks, enabled=chunked), **changes
+    )
 
 
 @pytest.fixture(scope="module")
 def wave_outcomes():
     """The cold contended wave under both planners (no churn)."""
-    out = {}
-    for chunked in (False, True):
-        scenario = p2p.build_contended_scenario(n_devices=8, n_regions=2)
-        out[chunked] = p2p.run_mode(
-            scenario,
-            "hybrid+p2p",
-            transfer_model=TransferModel.TIME_RESOLVED,
-            upload_budget=2,
-            chunked=chunked,
-            chunk_size_bytes=16_000_000,
-        )
-    return out
+    return {
+        chunked: SimulationSession(_chunked_spec(chunked)).run()
+        for chunked in (False, True)
+    }
 
 
 class TestChunkedWave:
@@ -57,32 +65,24 @@ class TestChunkedWave:
         # (replicator copies are metered separately in both runs)
         assert single_total == chunked_total
 
-    def test_chunked_requires_the_time_resolved_model(self):
-        scenario = p2p.build_contended_scenario(n_devices=4)
-        with pytest.raises(ValueError, match="TIME_RESOLVED"):
-            p2p.run_mode(scenario, "hybrid+p2p", chunked=True)
-
 
 class TestChunkedUnderChurn:
     def test_seeder_churn_wastes_less_with_chunking(self):
-        churn = ChurnConfig(
+        workload = replace(
+            scenarios.get("p2p-chunked").workload, stagger_s=10.0
+        )
+        churn = ChurnSpec(
             mean_uptime_s=25.0, mean_downtime_s=100.0, min_online=2
         )
-        outcomes = {}
-        for chunked in (False, True):
-            scenario = p2p.build_contended_scenario(
-                n_devices=8, n_regions=2, stagger_s=10.0
-            )
-            outcomes[chunked] = p2p.run_mode(
-                scenario,
-                "hybrid+p2p",
-                transfer_model=TransferModel.TIME_RESOLVED,
-                upload_budget=2,
+        outcomes = {
+            chunked: SimulationSession(_chunked_spec(
+                chunked,
+                workload=workload,
                 churn=churn,
-                chunked=chunked,
-                chunk_size_bytes=16_000_000,
-                replicator_churn_aware=chunked,
-            )
+                replication=ReplicationSpec(churn_aware=chunked),
+            )).run()
+            for chunked in (False, True)
+        }
         single, chunked_out = outcomes[False], outcomes[True]
         # the flaky regime must actually exercise mid-flight fallback
         assert single.bytes_wasted > 0
@@ -110,15 +110,15 @@ class TestChunkedExperiment:
 
 class TestPeerlessModesStayPeerless:
     def test_chunked_hybrid_never_uses_peers(self):
-        # run_mode passes chunked to every mode; the peer-less tiers
-        # must stay peer-less when chunked (use_peers gates chunks too)
-        scenario = p2p.build_contended_scenario(n_devices=6, n_regions=2)
-        outcome = p2p.run_mode(
-            scenario,
-            "hybrid",
-            transfer_model=TransferModel.TIME_RESOLVED,
-            chunked=True,
-            chunk_size_bytes=16_000_000,
-        )
+        # A chunked spec may name any mode; the peer-less tiers must
+        # stay peer-less when chunked (use_peers gates chunks too)
+        preset = scenarios.get("p2p-chunked")
+        session = SimulationSession(_chunked_spec(
+            True,
+            mode="hybrid",
+            topology=replace(preset.topology, n_devices=6),
+            transfer=TransferSpec(model=TransferModel.TIME_RESOLVED),
+        ))
+        outcome = session.run()
         assert outcome.bytes_from_peers == 0
-        assert outcome.pulls == len(scenario.schedule)
+        assert outcome.pulls == len(session.scenario.schedule)

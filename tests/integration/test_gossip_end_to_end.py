@@ -37,9 +37,9 @@ from repro.scenarios import (
 from repro.sim.engine import Simulator
 
 
-class TestRunModeWithGossip:
-    """The gossip and churn runs the retired ``run_mode`` calls made,
-    now described as specs and run through ``SimulationSession``."""
+class TestGossipAndChurnSessions:
+    """Gossip discovery and churn described as specs and run through
+    ``SimulationSession`` on the full pull stack."""
 
     @pytest.fixture(scope="class")
     def base(self):

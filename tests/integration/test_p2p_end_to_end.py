@@ -7,8 +7,11 @@ integration (a DeviceRuntime wired to a P2PRegistry pulls from a peer
 and records the three-tier registry in its execution trace).
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro import scenarios
 from repro.devices.specs import MEDIUM_POWER, MEDIUM_SPEC
 from repro.experiments import p2p
 from repro.model.application import Microservice
@@ -20,15 +23,17 @@ from repro.registry.images import OFFICIAL_BASES, build_image
 from repro.registry.p2p import P2PRegistry, PeerSwarm
 from repro.model.network import NetworkModel
 from repro.devices.executor import DeviceRuntime
+from repro.scenarios import SimulationSession, TransferSpec
 from repro.sim.engine import Simulator
+from repro.sim.transfers import TransferModel
 
 
 @pytest.fixture(scope="module")
 def outcomes():
-    scenario = p2p.build_scenario(
-        n_devices=12, n_images=6, pulls_per_device=4, n_regions=3
-    )
-    return {mode: p2p.run_mode(scenario, mode) for mode in p2p.MODES}
+    return {
+        mode: SimulationSession(replace(scenarios.get("p2p"), mode=mode)).run()
+        for mode in p2p.MODES
+    }
 
 
 def test_p2p_strictly_lowers_origin_bytes_vs_hybrid(outcomes):
@@ -134,23 +139,23 @@ class TestContendedOverlap:
 
     @pytest.fixture(scope="class")
     def contended(self):
-        from repro.sim.transfers import TransferModel
-
         out = {}
         for model in (TransferModel.ANALYTIC, TransferModel.TIME_RESOLVED):
-            scenario = p2p.build_contended_scenario(n_devices=8)
-            hybrid = p2p.run_mode(
-                scenario, "hybrid", transfer_model=model, upload_budget=2
+            spec = replace(
+                scenarios.get("p2p-contended"),
+                transfer=TransferSpec(
+                    model=model,
+                    upload_budget=(
+                        2 if model is TransferModel.TIME_RESOLVED else None
+                    ),
+                ),
             )
-            swarm = p2p.run_mode(
-                scenario, "hybrid+p2p", transfer_model=model, upload_budget=2
-            )
+            hybrid = SimulationSession(replace(spec, mode="hybrid")).run()
+            swarm = SimulationSession(spec).run()
             out[model] = (hybrid, swarm)
         return out
 
     def test_savings_strictly_lower_when_time_resolved(self, contended):
-        from repro.sim.transfers import TransferModel
-
         saving = {
             model: hybrid.origin_bytes - swarm.origin_bytes
             for model, (hybrid, swarm) in contended.items()
@@ -170,8 +175,6 @@ class TestContendedOverlap:
         assert len(origins) == 1
 
     def test_contention_slows_transfers_down(self, contended):
-        from repro.sim.transfers import TransferModel
-
         _, analytic_swarm = contended[TransferModel.ANALYTIC]
         _, resolved_swarm = contended[TransferModel.TIME_RESOLVED]
         assert resolved_swarm.transfer_s > analytic_swarm.transfer_s

@@ -261,13 +261,14 @@ class TestReplicatorTimeResolved:
         for cache in caches.values():
             assert cache.reserved_bytes == 0  # every copy landed
 
-    def test_run_mode_time_resolved_is_deterministic(self):
+    def test_time_resolved_session_is_deterministic(self):
         from repro.scenarios import (
             ScenarioSpec,
             SimulationSession,
             TopologySpec,
             TransferSpec,
             WorkloadSpec,
+            deterministic_outcome_dict,
         )
         from repro.sim.transfers import TransferModel
 
@@ -279,9 +280,9 @@ class TestReplicatorTimeResolved:
         )
         first = SimulationSession(spec).run()
         second = SimulationSession(spec).run()
-        assert first.bytes_by_registry == second.bytes_by_registry
-        assert first.bytes_from_peers == second.bytes_from_peers
-        assert first.transfer_s == pytest.approx(second.transfer_s)
+        assert deterministic_outcome_dict(
+            first.to_dict()
+        ) == deterministic_outcome_dict(second.to_dict())
 
 
 class TestRateLimitedRegistry:

@@ -1,10 +1,9 @@
-"""SimulationSession: assembly, equivalence with the legacy path, and
-the deprecated ``run_mode`` shim.
+"""SimulationSession: assembly, scenario reuse, and the outcome dict.
 
-The headline guarantees: (1) a session run is field-for-field
-identical to the historical ``run_mode`` wiring on every configuration
-axis (transfer model, discovery, churn, chunking), and (2) the shim
-still honours the legacy keyword semantics while warning.
+The headline guarantee: a session run on a scenario that an earlier
+session already ran equals a session that builds its own, on every
+configuration axis (transfer model, discovery, churn, chunking) — the
+experiments share one scenario across the modes they compare.
 """
 
 import dataclasses
@@ -12,7 +11,6 @@ import dataclasses
 import pytest
 
 from repro import scenarios
-from repro.experiments import p2p
 from repro.scenarios import (
     ChunkSpec,
     ChurnSpec,
@@ -33,14 +31,6 @@ def _small_spec(**kwargs) -> ScenarioSpec:
         "workload", WorkloadSpec(kind="zipf", n_images=4, pulls_per_device=3)
     )
     return ScenarioSpec(**kwargs)
-
-
-def _outcome_key(outcome) -> dict:
-    # Wall-clock (and profile) fields differ between any two runs;
-    # equivalence is over the deterministic surface only.
-    data = scenarios.deterministic_outcome_dict(outcome.to_dict())
-    data.pop("replicator")  # live-object summary, compared separately
-    return data
 
 
 class TestAssembly:
@@ -83,8 +73,10 @@ class TestAssembly:
             )
 
 
-class TestLegacyEquivalence:
-    """New-API outputs pinned to the legacy ``run_mode`` path."""
+class TestScenarioReuse:
+    """``run``, ``run_contended`` and ``run_gossip`` run every mode they
+    compare on one built scenario, so a run must leave nothing in it
+    that changes the next run."""
 
     CASES = {
         "analytic-omniscient": dict(),
@@ -108,89 +100,19 @@ class TestLegacyEquivalence:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_session_matches_run_mode(self, case):
-        kwargs = self.CASES[case]
-        spec = _small_spec(**kwargs)
+    def test_reused_scenario_matches_fresh_build(self, case):
+        spec = _small_spec(**self.CASES[case])
         scenario = build_swarm_scenario(spec)
-        legacy_kwargs = dict(
-            transfer_model=spec.transfer.model,
-            upload_budget=spec.transfer.upload_budget,
-            discovery=spec.discovery.backend,
-            churn=None if spec.churn is None else spec.churn.to_config(),
-            chunked=spec.chunks.enabled,
-            chunk_size_bytes=spec.chunks.size_bytes,
-        )
-        if spec.discovery.backend == "gossip":
-            legacy_kwargs.update(
-                gossip_fanout=spec.discovery.gossip_fanout,
-                gossip_period_s=spec.discovery.gossip_period_s,
-                gossip_view_cap=spec.discovery.gossip_view_cap,
-            )
-        with pytest.deprecated_call():
-            legacy = p2p.run_mode(scenario, spec.mode, **legacy_kwargs)
+        SimulationSession(
+            dataclasses.replace(spec, mode="hybrid"), scenario=scenario
+        ).run()
+        reused = SimulationSession(spec, scenario=scenario).run()
         fresh = SimulationSession(spec).run()
-        assert _outcome_key(fresh) == _outcome_key(legacy)
-        assert (fresh.to_dict()["replicator"] is None) == (
-            legacy.to_dict()["replicator"] is None
-        )
-
-    def test_spec_built_scenario_matches_legacy_builders(self):
-        spec = _small_spec(seed=11)
-        new = build_swarm_scenario(spec)
-        old = p2p.build_scenario(
-            n_devices=6, n_images=4, pulls_per_device=3, n_regions=2, seed=11
-        )
-        assert [d.name for d in new.devices] == [d.name for d in old.devices]
-        assert new.schedule == old.schedule
-
-        contended_spec = ScenarioSpec(
-            topology=TopologySpec(
-                n_devices=4,
-                n_regions=2,
-                device_nic_mbps=400.0,
-                hub_egress_mbps=500.0,
-                regional_egress_mbps=300.0,
-            ),
-            workload=WorkloadSpec(
-                kind="cold-waves", n_images=2, pulls_per_device=1,
-                stagger_s=2.0,
-            ),
-        )
-        new_contended = build_swarm_scenario(contended_spec)
-        old_contended = p2p.build_contended_scenario(
-            n_devices=4, n_regions=2, stagger_s=2.0
-        )
-        assert new_contended.schedule == old_contended.schedule
-
-
-class TestRunModeShim:
-    def test_run_mode_warns_deprecation(self):
-        scenario = p2p.build_scenario(n_devices=4, n_images=3)
-        with pytest.deprecated_call():
-            p2p.run_mode(scenario, "hybrid")
-
-    def test_legacy_upload_budget_ignored_under_analytic(self):
-        # The historical signature accepted (and ignored) an upload
-        # budget with the analytic model; the shim must not let the
-        # spec validation reject it.
-        scenario = p2p.build_scenario(n_devices=4, n_images=3)
-        with pytest.deprecated_call():
-            outcome = p2p.run_mode(scenario, "hybrid", upload_budget=2)
-        assert outcome.pulls == len(scenario.schedule)
-
-    def test_legacy_churn_aware_without_churn_is_noop(self):
-        scenario = p2p.build_scenario(n_devices=4, n_images=3)
-        with pytest.deprecated_call():
-            outcome = p2p.run_mode(
-                scenario, "hybrid+p2p", replicator_churn_aware=True
-            )
-        assert outcome.pulls == len(scenario.schedule)
-
-    def test_legacy_gossip_knobs_ignored_under_omniscient(self):
-        scenario = p2p.build_scenario(n_devices=4, n_images=3)
-        with pytest.deprecated_call():
-            outcome = p2p.run_mode(scenario, "hybrid+p2p", gossip_fanout=7)
-        assert outcome.gossip_rounds == 0
+        # Wall-clock (and profile) fields differ between any two runs;
+        # equivalence is over the deterministic surface only.
+        assert scenarios.deterministic_outcome_dict(
+            reused.to_dict()
+        ) == scenarios.deterministic_outcome_dict(fresh.to_dict())
 
 
 class TestModeOutcomeDict:

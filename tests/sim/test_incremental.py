@@ -210,86 +210,6 @@ def test_independent_components_stay_untouched():
 
 
 # ----------------------------------------------------------------------
-# pinned timelines: the exact numbers of the test_transfers unit tests
-# ----------------------------------------------------------------------
-class TestKnownTimelines:
-    def test_late_arrival_shares_then_survivor_speeds_up(self):
-        network = star_network(uplink_mbps=100.0)
-        sim = Simulator()
-        engine = TransferEngine(sim, network)
-        a = run_transfer(
-            sim, engine, "origin", "d0", 100 * MB, src_is_registry=True
-        )
-        b = {}
-
-        def late():
-            yield sim.timeout(5.0)
-            transfer = engine.start(
-                "origin", "d1", 100 * MB, src_is_registry=True
-            )
-            yield transfer.done
-            b["end"] = sim.now
-
-        sim.process(late())
-        sim.run()
-        assert a["end"] == pytest.approx(13.0)
-        assert b["end"] == pytest.approx(18.0)
-
-    def test_cancel_releases_bandwidth_immediately(self):
-        network = star_network(uplink_mbps=100.0)
-        sim = Simulator()
-        engine = TransferEngine(sim, network)
-        a = run_transfer(
-            sim, engine, "origin", "d0", 100 * MB, src_is_registry=True
-        )
-        b = run_transfer(
-            sim, engine, "origin", "d1", 100 * MB, src_is_registry=True
-        )
-
-        def axe():
-            yield sim.timeout(4.0)
-            engine.cancel(b["transfer"], "test")
-
-        sim.process(axe())
-        sim.run()
-        assert b["ok"] is False and b["end"] == pytest.approx(4.0)
-        assert a["end"] == pytest.approx(11.5)
-
-    def test_cancel_does_not_drag_the_clock_to_the_stale_prediction(self):
-        from repro.model.network import NetworkModel
-
-        network = NetworkModel()
-        network.connect_registry("origin", "d0", 1.0)  # finish at t=800
-        sim = Simulator()
-        engine = TransferEngine(sim, network)
-        r = run_transfer(
-            sim, engine, "origin", "d0", 100 * MB, src_is_registry=True
-        )
-
-        def axe():
-            yield sim.timeout(1.0)
-            engine.cancel(r["transfer"], "churn")
-
-        sim.process(axe())
-        end = sim.run()
-        assert end == pytest.approx(1.0)  # not 800.0
-
-    def test_zero_size_and_rtt_unchanged(self):
-        network = star_network(rtt_s=1.5)
-        sim = Simulator()
-        engine = TransferEngine(sim, network)
-        zero = run_transfer(
-            sim, engine, "origin", "d0", 0, src_is_registry=True
-        )
-        payload = run_transfer(
-            sim, engine, "origin", "d1", 100 * MB, src_is_registry=True
-        )
-        sim.run()
-        assert zero["end"] == pytest.approx(1.5)
-        assert payload["end"] == pytest.approx(11.5)  # 1.5 rtt + 10 s
-
-
-# ----------------------------------------------------------------------
 # the fill kernel is pinned against a frozen copy of the old one
 # ----------------------------------------------------------------------
 class OracleEngine(TransferEngine):

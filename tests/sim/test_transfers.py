@@ -97,13 +97,22 @@ class TestSingleTransfer:
         assert r["end"] == pytest.approx(12.0)
 
     def test_zero_size_completes_after_latency_only(self):
-        network = star_network(rtt_s=1.5)
-        sim = Simulator()
-        engine = TransferEngine(sim, network)
-        r = run_transfer(sim, engine, "origin", "d0", 0, src_is_registry=True)
-        sim.run()
-        assert r["end"] == pytest.approx(1.5)
-        assert engine.completed == 1
+        # Alone, and beside a 100 MB transfer it must not delay
+        # (1.5 s RTT + 100 MB at 80 Mbit/s = 11.5 s).
+        for with_payload in (False, True):
+            network = star_network(rtt_s=1.5)
+            sim = Simulator()
+            engine = TransferEngine(sim, network)
+            r = run_transfer(sim, engine, "origin", "d0", 0, src_is_registry=True)
+            if with_payload:
+                payload = run_transfer(
+                    sim, engine, "origin", "d1", 100 * MB, src_is_registry=True
+                )
+            sim.run()
+            assert r["end"] == pytest.approx(1.5)
+            assert engine.completed == 1 + with_payload
+            if with_payload:
+                assert payload["end"] == pytest.approx(11.5)
 
     def test_loopback_is_instant(self):
         network = star_network()
