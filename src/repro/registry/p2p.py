@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import (
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -46,7 +47,7 @@ from typing import (
 
 from ..model.device import Arch
 from ..model.network import NetworkModel
-from ..model.units import bytes_to_mb
+from ..model.units import bytes_to_mb, require_positive
 from ..sim.engine import Simulator
 from ..sim.transfers import (
     TransferCancelled,
@@ -256,8 +257,15 @@ class PeerSwarm:
         """Whether ``device`` is currently joined (not churned out)."""
         return device in self._regions
 
-    def members(self, region: str) -> FrozenSet[str]:
-        return frozenset(self._members.get(region, ()))
+    def members(self, region: str) -> AbstractSet[str]:
+        """Live member set of ``region`` — **read-only**, aliased.
+
+        Like :meth:`PeerIndex.holders_view`: no per-call copy, but the
+        result mutates as devices join and depart.  Callers must
+        consume it immediately (set algebra, iteration) and never
+        store it across simulated time; copy it for a stable snapshot.
+        """
+        return self._members.get(region, _NO_HOLDERS)
 
     # ------------------------------------------------------------------
     # peer lookup
@@ -1073,10 +1081,14 @@ class AdaptiveReplicator:
         hotness: str = "global",
         hot_fraction: Optional[float] = None,
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {interval_s}")
+        require_positive(interval_s, "interval_s")
+        require_positive(hot_threshold, "hot_threshold")
         if target_replicas < 1:
             raise ValueError(f"target_replicas must be >= 1, got {target_replicas}")
+        if max_actions_per_cycle < 1:
+            raise ValueError(
+                f"max_actions_per_cycle must be >= 1, got {max_actions_per_cycle}"
+            )
         if not 0.0 <= decay < 1.0:
             raise ValueError(f"decay must be in [0, 1), got {decay}")
         if hotness not in ("global", "per-region"):
@@ -1201,10 +1213,13 @@ class AdaptiveReplicator:
                 key=lambda d: (-swarm_score[d], d),
             )
         actions: List[ReplicationAction] = []
+        # Membership cannot change inside a cycle (a sweep runs at one
+        # instant; departures are other processes' events).
+        regions = self.swarm.regions()
         for digest in hot:
             if len(actions) >= self.max_actions_per_cycle:
                 break
-            for region in self.swarm.regions():
+            for region in regions:
                 if len(actions) >= self.max_actions_per_cycle:
                     break
                 if hot_pairs is not None and (digest, region) not in hot_pairs:
@@ -1241,21 +1256,24 @@ class AdaptiveReplicator:
         # gossip discovery a partial, possibly stale picture of the
         # replica map (the continuous-reasoning realism axis); under
         # omniscient discovery exactly the committed set, as before.
-        holders = set(discovery.management_view(digest))
-        if not holders:
+        view = discovery.management_view(digest)
+        if not view:
             return None  # nobody to copy from; the next pull will seed it
-        in_region = holders & self.swarm.members(region)
-        if self._effective_replicas(in_region) >= self.target_replicas:
+        # Decide on the live sets: the intersection iterates its smaller
+        # operand (the region's members, not a hot layer's thousand
+        # holders), and almost every check ends here, copying nothing.
+        members = self.swarm.members(region)
+        if self._effective_replicas(members & view) >= self.target_replicas:
             return None
         size = discovery.size_of(digest)
         if size is None:
             return None
+        # This region may receive a copy: snapshot the view, because
+        # ``_verified_source`` prunes stale entries from it and, under
+        # omniscient discovery, ``cache.add`` grows the live set.
+        holders = set(view)
         candidates = sorted(
-            (
-                member
-                for member in self.swarm.members(region)
-                if member not in holders
-            ),
+            (member for member in members if member not in holders),
             key=lambda m: (-index.cache_of(m).free_bytes, m),
         )
         for target in candidates:
@@ -1301,7 +1319,7 @@ class AdaptiveReplicator:
             )
         return None
 
-    def _effective_replicas(self, holders: Set[str]) -> float:
+    def _effective_replicas(self, holders: AbstractSet[str]) -> float:
         """Availability-weighted replica count of one region's holders.
 
         Face-value counting treats a replica on a device that is

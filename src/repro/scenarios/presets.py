@@ -270,9 +270,11 @@ register(
             model="time-resolved",
             upload_budget=4,
         ),
-        # One replication sweep scans every tracked digest x region;
-        # at 100k devices even the 600 s swarm-scale cadence would
-        # dominate the run, so sweep once per wave gap.
+        # One replication sweep per wave gap.  The cadence dates from
+        # sweeps that copied a hot layer's whole holder set for every
+        # region they checked; a sweep now costs hot digests x region
+        # members, so wall time no longer forces it.  It stays because
+        # the sweep instants shape this preset's pinned outputs.
         replication=ReplicationSpec(interval_s=1800.0),
     ),
     description=(
@@ -303,9 +305,12 @@ register(
             model="time-resolved",
             upload_budget=4,
         ),
-        # Replication sweeps scan every tracked digest × region; at
-        # swarm scale a 2-minute cadence would spend more wall time on
-        # sweeps than on the waves themselves.
+        # A 10-minute replication cadence.  It dates from sweeps that
+        # copied a hot layer's whole holder set for every region they
+        # checked, when a 2-minute cadence cost more wall time than the
+        # waves; a sweep now costs hot digests × region members.  It
+        # stays because the sweep instants shape this preset's pinned
+        # outputs.
         replication=ReplicationSpec(interval_s=600.0),
     ),
     description=(

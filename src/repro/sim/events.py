@@ -151,8 +151,8 @@ class Timeout(Event):
         value: Any = None,
         daemon: bool = False,
     ) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout: {delay}")
+        if not delay >= 0:  # NaN compares false
+            raise ValueError(f"negative or NaN timeout: {delay}")
         super().__init__(env)
         self.daemon = daemon
         self.delay = delay
@@ -181,8 +181,8 @@ class EventQueue:
 
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Enqueue ``event`` to process at ``now + delay``."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        if not delay >= 0:  # NaN compares false
+            raise ValueError(f"negative or NaN delay: {delay}")
         event._queued = True
         if not event.daemon:
             self._foreground += 1

@@ -1,5 +1,7 @@
 """Tests for the P2P tier: peer index, pull planner, and replicator."""
 
+from collections.abc import Set as AbstractSet
+
 import pytest
 
 from repro.model.device import Arch
@@ -8,6 +10,7 @@ from repro.model.units import BYTES_PER_GB
 from repro.registry.base import ImageReference, RegistryError
 from repro.registry.cache import ImageCache
 from repro.registry.digest import digest_text
+from repro.registry.discovery import OmniscientDiscovery
 from repro.registry.hub import DockerHub
 from repro.registry.images import OFFICIAL_BASES, build_image
 from repro.registry.manifest import ImageManifest, LayerDescriptor
@@ -469,6 +472,17 @@ class TestAdaptiveReplicator:
         with pytest.raises(ValueError, match="hotness"):
             self.build(hotness="everywhere")
 
+    def test_bad_cadence_knobs_rejected(self):
+        sim, swarm = Simulator(), PeerSwarm(NetworkModel())
+        for bad in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="interval_s"):
+                AdaptiveReplicator(sim, swarm, interval_s=bad)
+            with pytest.raises(ValueError, match="hot_threshold"):
+                AdaptiveReplicator(sim, swarm, hot_threshold=bad)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="max_actions_per_cycle"):
+                AdaptiveReplicator(sim, swarm, max_actions_per_cycle=bad)
+
     def test_actions_carry_transfer_seconds(self):
         _sim, swarm, replicator = self.build()
         swarm.index.cache_of("r0-d0").add(D[0], 500)
@@ -492,6 +506,60 @@ class TestAdaptiveReplicator:
                 [(a.digest, a.region, a.target) for c in replicator.history for a in c.actions]
             )
         assert outcomes[0] == outcomes[1]
+
+    def test_provisioned_regions_never_scan_holders(self):
+        # Every region already meets the target for a hot layer: the
+        # sweep must decide from membership probes alone, without
+        # iterating (or copying) the layer's holder set.
+        index = PeerIndex()
+        network = NetworkModel()
+        swarm = PeerSwarm(network, index, _NoScanDiscovery(index))
+        for region in ("r0", "r1", "r2"):
+            members = [f"{region}-d{i}" for i in range(3)]
+            network.connect_device_mesh(members, 800.0)
+            for name in members:
+                swarm.add_device(name, small_cache(1000, name), region=region)
+            for name in members[:2]:
+                index.cache_of(name).add(D[0], 50)
+        replicator = AdaptiveReplicator(
+            Simulator(), swarm, interval_s=10.0, hot_threshold=3.0,
+            target_replicas=2,
+        )
+        for _ in range(5):
+            swarm.record_demand(D[0], "r0-d2")
+        cycle = replicator.run_cycle()
+        assert cycle.hot_digests == (D[0],)
+        assert cycle.actions == ()
+        assert cycle.replica_counts == {D[0]: 6}
+
+
+class _NoScanView(AbstractSet):
+    """A live holder set that fails the test if anything iterates it.
+
+    Membership probes and ``len`` pass through; set algebra against it
+    iterates the other operand (``_from_iterable`` builds a plain set).
+    """
+
+    def __init__(self, live):
+        self._live = live
+
+    def __contains__(self, item):
+        return item in self._live
+
+    def __len__(self):
+        return len(self._live)
+
+    def __iter__(self):
+        raise AssertionError("replicator scanned the whole holder set")
+
+    @classmethod
+    def _from_iterable(cls, iterable):
+        return set(iterable)
+
+
+class _NoScanDiscovery(OmniscientDiscovery):
+    def management_view(self, digest):
+        return _NoScanView(self.index.holders_view(digest))
 
 
 class _FlakyChurn:

@@ -38,8 +38,12 @@ class TestEventQueue:
 
     def test_negative_delay_rejected(self):
         q = EventQueue()
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                Event(q).succeed(delay=bad)
         with pytest.raises(ValueError):
-            Event(q).succeed(delay=-1.0)
+            Timeout(q, float("nan"))
+        assert q.empty()
 
 
 class TestEvent:
