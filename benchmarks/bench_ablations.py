@@ -1,6 +1,4 @@
-"""Benchmarks A1/A2 (bandwidth sweep, cache/dedup ablations) plus the
-two sweep-preset ablation studies the ROADMAP deferred to the sweep
-engine.
+"""Ablation studies run as sweep presets: replicator policy, gossip transport.
 
 Run directly for the studies (``--quick`` shrinks each grid to a
 2 × 2 × 1-seed corner for the CI smoke job)::
@@ -19,60 +17,23 @@ Run directly for the studies (``--quick`` shrinks each grid to a
   at every loss rate.
 
 Both run through :func:`repro.sweep.run_sweep` (worker pool, fresh
-content-addressed cache) and land their throughput in
-``BENCH_sweep.json``.  The ``bench_*`` functions are pytest-benchmark
-micro-benchmarks of the paper-ablation experiments, matching the other
-``benchmarks/`` modules.
+content-addressed cache); a full run lands their throughput in
+``BENCH_sweep.json``.
 """
 
+import argparse
 import os
 import sys
 import tempfile
 from pathlib import Path
 
-_HERE = Path(__file__).resolve().parent
-for _p in (str(_HERE.parent / "src"), str(_HERE)):
-    if _p not in sys.path:
-        sys.path.insert(0, _p)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dataclasses import replace  # noqa: E402
 
-from repro.experiments import ablations  # noqa: E402
 from repro.sweep import get_sweep, run_sweep, write_bench_record  # noqa: E402
 
 
-def bench_ablation_cache_dedup(benchmark, testbed):
-    result = benchmark.pedantic(
-        lambda: ablations.cache_and_dedup(testbed), rounds=3, iterations=1
-    )
-    by_name = {row["scenario"]: row for row in result.rows}
-    assert by_name["whole-image warm"]["bytes_pulled_gb"] == 0.0
-    assert (
-        by_name["layered cold"]["bytes_pulled_gb"]
-        < by_name["whole-image cold"]["bytes_pulled_gb"]
-    )
-
-
-def bench_ablation_solver_comparison(benchmark, testbed):
-    result = benchmark.pedantic(
-        lambda: ablations.solver_comparison(testbed), rounds=3, iterations=1
-    )
-    assert all(row["plan_equals_support"] for row in result.rows)
-
-
-def bench_ablation_bandwidth_point(benchmark):
-    """One sweep point (including recalibration + testbed rebuild)."""
-    result = benchmark.pedantic(
-        lambda: ablations.bandwidth_sweep(multipliers=[1.0]),
-        rounds=3,
-        iterations=1,
-    )
-    assert len(result.rows) == 1
-
-
-# ----------------------------------------------------------------------
-# the sweep-preset studies
-# ----------------------------------------------------------------------
 def _cell_groups(rows, group_by, within):
     """rows → {group key: {within value: row}} for pairwise checks."""
     groups = {}
@@ -155,23 +116,25 @@ def _print_rows(rows, columns) -> None:
 
 
 def run_study(name: str, quick: bool, workers: int):
-    """One registered sweep preset, executed and recorded."""
+    """One registered sweep preset, executed; a full run is recorded."""
     spec = get_sweep(name)
     if quick:
         spec = _shrink(spec)
     with tempfile.TemporaryDirectory() as cache_dir:
         result = run_sweep(spec, cache_dir=cache_dir, workers=workers)
-    record = write_bench_record(
-        f"bench_ablations[{name}]", result.stats, quick=quick
-    )
-    print(f"sweep {name}: {record}")
+    if not quick:
+        record = write_bench_record(f"bench_ablations[{name}]", result.stats)
+        print(f"sweep {name}: {record}")
     return result
 
 
 def main(argv=None) -> int:
-    from _smoke import parse_quick, smoke_main
-
-    quick = parse_quick(sys.argv[1:] if argv is None else list(argv))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="each grid shrunk to its 2 x 2 x 1-seed corner",
+    )
+    quick = parser.parse_args(argv).quick
     workers = min(4, os.cpu_count() or 1)
 
     print("== replicator-policy study (demand-decay × hotness scope) ==")
@@ -194,9 +157,7 @@ def main(argv=None) -> int:
     check_gossip_transport(transport.rows)
     print("gossip-transport OK: digest-summary converges identically "
           "with strictly fewer wire records")
-
-    # The paper-ablation micro-benchmarks, as before.
-    return smoke_main(globals(), [])
+    return 0
 
 
 if __name__ == "__main__":

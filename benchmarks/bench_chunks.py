@@ -6,7 +6,7 @@ criterion)::
 
     PYTHONPATH=src python benchmarks/bench_chunks.py [--quick]
 
-Three parts:
+Two parts:
 
 * **chunk size × swarm size grid** — ``hybrid+p2p`` under the
   time-resolved engine, single-source vs chunked, on the standard
@@ -14,7 +14,7 @@ Three parts:
   :class:`repro.sweep.SweepSpec` — variant bundles carry the
   swarm-size scaling rule — executed by
   :func:`repro.sweep.run_sweep` through a worker pool with a fresh
-  content-addressed cell cache; throughput lands in
+  content-addressed cell cache; a full run's throughput lands in
   ``BENCH_sweep.json``.  Checks the chunked planner never pulls *more*
   origin bytes than single-source; small chunks × large swarms is
   where the engine's rate recomputation cost shows (the chunk-size
@@ -22,11 +22,9 @@ Three parts:
 * **contended cold-wave makespan** — the headline effect: every device
   pulls the same image nearly at once; chunked rarest-first scheduling
   over full + partial holders must beat the single-source makespan.
-* **pytest-benchmark micro-benchmarks** of the chunk hot paths
-  (map construction, rarest-first ordering, ledger updates), matching
-  the other ``benchmarks/`` modules.
 """
 
+import argparse
 import os
 import sys
 import tempfile
@@ -37,20 +35,8 @@ for _p in (str(_HERE.parent / "src"), str(_HERE)):
     if _p not in sys.path:
         sys.path.insert(0, _p)
 
-from dataclasses import replace  # noqa: E402
-
 from bench_p2p import _scenario_spec  # noqa: E402 - shared scaling rule
-from repro.model.network import NetworkModel  # noqa: E402
 from repro.model.units import BYTES_PER_GB  # noqa: E402
-from repro.registry.cache import ImageCache  # noqa: E402
-from repro.registry.chunks import (  # noqa: E402
-    ChunkLedger,
-    ChunkMap,
-    ChunkSwarmPlanner,
-)
-from repro.registry.digest import digest_text  # noqa: E402
-from repro.registry.hub import DockerHub  # noqa: E402
-from repro.registry.p2p import PeerSwarm  # noqa: E402
 from repro import scenarios  # noqa: E402
 from repro.scenarios import TransferSpec  # noqa: E402
 from repro.sim.transfers import TransferModel  # noqa: E402
@@ -210,74 +196,13 @@ def _print_rows(rows) -> None:
         print(" ".join(cells))
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark micro-benchmarks (chunk hot paths)
-# ----------------------------------------------------------------------
-LAYER = digest_text("bench-layer")
-
-
-def _planner(n_devices: int = 32, full_holders: int = 8, partial_holders: int = 8):
-    hub = DockerHub(name="docker-hub")
-    network = NetworkModel()
-    names = [f"edge-{i:03d}" for i in range(n_devices)]
-    network.connect_device_mesh(names, 800.0)
-    for name in names:
-        network.connect_registry(hub.name, name, 60.0)
-    swarm = PeerSwarm(network)
-    caches = {}
-    for name in names:
-        caches[name] = ImageCache(4.0, name)
-        swarm.add_device(name, caches[name], region="lab")
-    planner = ChunkSwarmPlanner(swarm, [hub], chunk_size_bytes=8 * MB, seed=11)
-    cmap = ChunkMap(LAYER, 1000 * MB, 8 * MB)  # 125 chunks
-    for name in names[:full_holders]:
-        caches[name].add(LAYER, 1000 * MB)
-    for i, name in enumerate(names[full_holders:full_holders + partial_holders]):
-        store = planner.store_for(name, caches[name])
-        store.begin_layer(cmap)
-        for index in range(0, cmap.n_chunks, i + 2):
-            store.commit_chunk(LAYER, index)
-    return planner, cmap
-
-
-def bench_chunk_map_build(benchmark):
-    """Chunking a 1 GB layer into 125 digest-addressed chunks."""
-    cmap = benchmark(lambda: ChunkMap(LAYER, 1000 * MB, 8 * MB))
-    assert cmap.n_chunks == 125
-
-
-def bench_rarest_first_order(benchmark):
-    """Rarest-first ordering over 125 chunks × 16 visible holders."""
-    planner, cmap = _planner()
-    order = benchmark(lambda: planner.rarest_first("edge-031", cmap))
-    assert len(order) == cmap.n_chunks
-
-
-def bench_availability_lookup(benchmark):
-    """The per-chunk holder count the scheduler calls in its loop."""
-    planner, cmap = _planner()
-    count = benchmark(lambda: planner.availability("edge-031", LAYER, 0))
-    assert count > 0
-
-
-def bench_ledger_churn(benchmark):
-    """Partial-holding bookkeeping under constant chunk turnover."""
-    ledger = ChunkLedger()
-
-    def cycle():
-        for index in range(64):
-            ledger.add_chunk("edge-000", LAYER, index)
-        ledger.drop_layer("edge-000", LAYER)
-        return ledger.chunk_holders(LAYER, 0)
-
-    holders = benchmark(cycle)
-    assert holders == frozenset()
-
-
 def main(argv=None) -> int:
-    from _smoke import parse_quick
-
-    quick = parse_quick(sys.argv[1:] if argv is None else list(argv))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="10-device grid, two chunk sizes, one 1000-device cell",
+    )
+    quick = parser.parse_args(argv).quick
     if quick:
         grid_sizes = (10,)
         grid_chunks = (8 * MB, 32 * MB)
@@ -305,8 +230,9 @@ def main(argv=None) -> int:
     sweep = chunk_sweep(grid_sizes, grid_chunks, scale_chunks)
     with tempfile.TemporaryDirectory() as cache_dir:
         result = run_sweep(sweep, cache_dir=cache_dir, workers=workers)
-    record = write_bench_record("bench_chunks", result.stats, quick=quick)
-    print(f"sweep {sweep.name}: {record}")
+    if not quick:
+        record = write_bench_record("bench_chunks", result.stats)
+        print(f"sweep {sweep.name}: {record}")
     by_variant = {row["variant"]: row for row in result.rows}
 
     print("== chunk size × swarm size grid ==")
@@ -326,13 +252,6 @@ def main(argv=None) -> int:
     _print_rows(scale)
     check_grid(scale)
     print("scale OK: chunked swarm scheduling sustained 1000 devices")
-
-    if quick:
-        # The CI smoke job must also exercise this module's bench_*
-        # micro-benchmarks, like every other benchmark script.
-        from _smoke import smoke_main
-
-        return smoke_main(globals(), [])
     return 0
 
 

@@ -23,14 +23,11 @@ sweep's tidy aggregate:
 
 ``--quick`` also re-runs the grid through a 2-process pool against a
 fresh cache and asserts the parallel aggregate is byte-identical to
-the serial one; the run's throughput lands in ``BENCH_sweep.json``
+the serial one.  A full run's throughput lands in ``BENCH_sweep.json``
 (:func:`repro.sweep.write_bench_record`).
-
-The ``bench_*`` functions are pytest-benchmark micro-benchmarks of the
-gossip hot paths (round execution, view lookup), matching the other
-``benchmarks/`` modules.
 """
 
+import argparse
 import os
 import sys
 import tempfile
@@ -45,11 +42,6 @@ from dataclasses import asdict, replace  # noqa: E402
 
 from bench_p2p import _scenario_spec  # noqa: E402 - shared scaling rule
 from repro.model.units import BYTES_PER_GB  # noqa: E402
-from repro.registry.cache import ImageCache  # noqa: E402
-from repro.registry.digest import digest_text  # noqa: E402
-from repro.registry.discovery import GossipDiscovery  # noqa: E402
-from repro.registry.p2p import PeerSwarm  # noqa: E402
-from repro.model.network import NetworkModel  # noqa: E402
 from repro.scenarios import ChurnSpec  # noqa: E402
 from repro.sweep import SweepSpec, run_sweep, write_bench_record  # noqa: E402
 
@@ -228,59 +220,13 @@ def _print_rows(rows, extra=()) -> None:
         print(" ".join(cells))
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark micro-benchmarks (gossip hot paths)
-# ----------------------------------------------------------------------
-def _gossiping_swarm(n_devices: int = 64, layers_per_device: int = 6):
-    network = NetworkModel()
-    names = [f"edge-{i:04d}" for i in range(n_devices)]
-    network.connect_device_mesh(names, 800.0)
-    discovery = GossipDiscovery(fanout=2, period_s=30.0, seed=11)
-    swarm = PeerSwarm(network, discovery=discovery)
-    for i, name in enumerate(names):
-        cache = ImageCache(4.0, name)
-        swarm.add_device(name, cache, region=f"region-{i % 4}")
-        for j in range(layers_per_device):
-            digest = digest_text(f"layer-{(i + j) % (n_devices // 2)}")
-            cache.add(digest, 50_000_000)
-    return swarm, discovery
-
-
-def bench_gossip_round(benchmark):
-    """One full anti-entropy round over a 64-device swarm."""
-    _swarm, discovery = _gossiping_swarm()
-    benchmark(discovery.run_round)
-    assert discovery.rounds > 0
-
-
-def bench_gossip_view_lookup(benchmark):
-    """The planner-facing view query after views have converged."""
-    swarm, discovery = _gossiping_swarm()
-    for _ in range(8):
-        discovery.run_round()
-    digest = digest_text("layer-1")
-    viewer = "edge-0010"
-
-    holders = benchmark(lambda: discovery.view(viewer, digest))
-    assert holders  # converged views must know a popular layer
-
-
-def bench_best_peer_under_gossip(benchmark):
-    """Swarm peer selection through the gossip view."""
-    swarm, discovery = _gossiping_swarm()
-    for _ in range(8):
-        discovery.run_round()
-    digest = digest_text("layer-1")
-
-    peer = benchmark(lambda: swarm.best_peer(digest, "edge-0010"))
-    assert peer is not None
-
-
 def main(argv=None) -> int:
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from _smoke import parse_quick
-
-    quick = parse_quick(sys.argv[1:] if argv is None else list(argv))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="10-device grid plus the serial-vs-parallel determinism check",
+    )
+    quick = parser.parse_args(argv).quick
     grid_n = 10 if quick else 100
     global FANOUTS, PERIODS_S
     if quick:
@@ -293,10 +239,11 @@ def main(argv=None) -> int:
     sweep = realism_sweep(grid_n)
     with tempfile.TemporaryDirectory() as cache_dir:
         result = run_sweep(sweep, cache_dir=cache_dir, workers=workers)
-    record = write_bench_record(
-        "bench_gossip", result.stats, devices=grid_n, quick=quick
-    )
-    print(f"sweep {sweep.name}: {record}")
+    if not quick:
+        record = write_bench_record(
+            "bench_gossip", result.stats, devices=grid_n
+        )
+        print(f"sweep {sweep.name}: {record}")
     grid, churn_rows = derive_rows(result, grid_n)
     all_rows = []
 
@@ -353,12 +300,6 @@ def main(argv=None) -> int:
             "parallel sweep aggregate diverged from the serial one"
         )
         print("determinism OK: 2-worker aggregate byte-identical")
-
-        # The CI smoke job must also exercise this module's bench_*
-        # micro-benchmarks, like every other benchmark script.
-        from _smoke import smoke_main
-
-        return smoke_main(globals(), [])
     return 0
 
 

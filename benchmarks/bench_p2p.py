@@ -1,4 +1,4 @@
-"""P2P tier benchmarks: swarm-size sweep and hot-path micro-benches.
+"""P2P tier benchmark: the hybrid vs hybrid+P2P swarm-size sweep.
 
 Run directly for the 10/100/1000-device sweep the acceptance criteria
 ask for (``--quick`` shrinks it to 10 devices for the CI smoke job)::
@@ -14,11 +14,9 @@ replica counts have stabilised).  The sweep then repeats under
 bandwidth transfer engine — checking the peer tier still wins when
 transfers contend for links and commit-at-completion hides in-flight
 layers, and that the engine sustains the 1000-device run.
-
-The ``bench_*`` functions are pytest-benchmark micro-benchmarks of the
-planner and pull hot paths, matching the other ``benchmarks/`` modules.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -26,10 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dataclasses import replace  # noqa: E402
 
-from repro.model.device import Arch  # noqa: E402
 from repro.model.units import BYTES_PER_GB  # noqa: E402
-from repro.registry.cache import ImageCache  # noqa: E402
-from repro.registry.p2p import P2PRegistry, PeerSwarm  # noqa: E402
 from repro.scenarios import (  # noqa: E402
     ScenarioSpec,
     SimulationSession,
@@ -112,60 +107,6 @@ def check_sweep(rows) -> None:
     )
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark micro-benchmarks (hot paths of the new tier)
-# ----------------------------------------------------------------------
-def _small_swarm():
-    scenario = build_swarm_scenario(ScenarioSpec(
-        topology=TopologySpec(n_devices=10, n_regions=2),
-        workload=WorkloadSpec(kind="zipf", n_images=4),
-    ))
-    swarm = PeerSwarm(scenario.network)
-    caches = {}
-    for dev in scenario.devices:
-        caches[dev.name] = ImageCache(dev.cache_gb, dev.name)
-        swarm.add_device(dev.name, caches[dev.name], region=dev.region)
-    facade = P2PRegistry(swarm, [scenario.regional, scenario.hub])
-    return scenario, swarm, caches, facade
-
-
-def bench_p2p_cold_pull(benchmark):
-    scenario, _swarm, caches, facade = _small_swarm()
-    ref = scenario.references[0]
-    device = scenario.devices[0].name
-
-    def cold_pull():
-        # clear() keeps the peer index coherent via remove events, so
-        # every round is a true cold pull.
-        caches[device].clear()
-        return facade.pull(ref, Arch.AMD64, device, caches[device])
-
-    result = benchmark(cold_pull)
-    assert result.bytes_total > 0
-
-
-def bench_p2p_plan_warm_swarm(benchmark):
-    scenario, _swarm, caches, facade = _small_swarm()
-    seeder = scenario.devices[0].name
-    for ref in scenario.references:
-        facade.pull(ref, Arch.AMD64, seeder, caches[seeder])
-    target = scenario.devices[1].name
-
-    def plan():
-        return facade.plan(
-            scenario.references[0], Arch.AMD64, target, caches[target]
-        )
-
-    plan_result = benchmark(plan)
-    assert plan_result.bytes_from_peers > 0
-
-
-def bench_sweep_small(benchmark):
-    """Full 10-device hybrid-vs-p2p comparison (the sweep's unit)."""
-    rows = benchmark(lambda: run_sweep(sizes=(10,)))
-    assert rows[0]["p2p_origin_gb"] < rows[0]["hybrid_origin_gb"]
-
-
 def _print_rows(rows) -> None:
     header = (
         f"{'devices':>8} {'pulls':>6} {'hybrid GB':>10} {'p2p GB':>8} "
@@ -189,10 +130,11 @@ def _print_rows(rows) -> None:
 
 
 def main(argv=None) -> int:
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from _smoke import parse_quick
-
-    quick = parse_quick(sys.argv[1:] if argv is None else list(argv))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--quick", action="store_true", help="10 devices only (CI smoke)"
+    )
+    quick = parser.parse_args(argv).quick
     sizes = (10,) if quick else SWEEP_SIZES
     rows = run_sweep(sizes)
     print("== P2P swarm-size sweep (origin = hub+regional bytes) ==")
@@ -219,12 +161,6 @@ def main(argv=None) -> int:
         )
     print("engine sweep OK: P2P still wins under contention, and "
           "time-resolved savings never exceed analytic ones")
-    if quick:
-        # The CI smoke job must also exercise this module's bench_*
-        # micro-benchmarks, like every other benchmark script.
-        from _smoke import smoke_main
-
-        return smoke_main(globals(), [])
     return 0
 
 

@@ -1,10 +1,7 @@
-"""Benchmark A4: scheduling scalability on synthetic instances.
+"""Transfer-engine scaling: fleet-size sweeps and wall-guarded cold waves.
 
-Times DEEP's Nash sweep as the device fleet and DAG grow — the knob
-the paper's two-device testbed never exercises.
-
-Run directly for the transfer-engine scaling sweeps (``--quick``
-shrinks them for the CI smoke job)::
+Run directly for the sweeps (``--quick`` shrinks them for the CI smoke
+job)::
 
     PYTHONPATH=src python benchmarks/bench_scale.py [--quick]
 
@@ -28,6 +25,7 @@ Three sweeps run:
   build alone costs ~13 s; the wave ~190 s).
 """
 
+import argparse
 import dataclasses
 import sys
 import time
@@ -35,46 +33,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import pytest  # noqa: E402
-
 from repro import scenarios  # noqa: E402
-from repro.core.baselines import GreedyEnergyScheduler  # noqa: E402
-from repro.core.scheduler import DeepScheduler  # noqa: E402
 from repro.model.network import NetworkModel  # noqa: E402
 from repro.scenarios.session import SimulationSession  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
-from repro.sim.rng import RngRegistry  # noqa: E402
 from repro.sim.transfers import TransferEngine  # noqa: E402
-from repro.workloads.synthetic import (  # noqa: E402
-    SyntheticConfig,
-    synthetic_application,
-    synthetic_environment,
-)
-
-
-def _instance(n_devices: int, width: int):
-    rng = RngRegistry(99)
-    env = synthetic_environment(n_devices, rng)
-    app = synthetic_application(
-        f"bench-{n_devices}x{width}",
-        SyntheticConfig(layers=4, width=width),
-        rng,
-    )
-    return env, app
-
-
-@pytest.mark.parametrize("n_devices,width", [(2, 2), (4, 3), (8, 4)])
-def bench_deep_scaling(benchmark, n_devices, width):
-    env, app = _instance(n_devices, width)
-    result = benchmark(lambda: DeepScheduler().schedule(app, env))
-    result.plan.validate_against(app)
-
-
-@pytest.mark.parametrize("n_devices,width", [(8, 4)])
-def bench_greedy_scaling_reference(benchmark, n_devices, width):
-    env, app = _instance(n_devices, width)
-    result = benchmark(lambda: GreedyEnergyScheduler().schedule(app, env))
-    result.plan.validate_against(app)
 
 
 # ----------------------------------------------------------------------
@@ -144,12 +107,6 @@ def check_engine_sweep(rows) -> None:
             f"{small['devices']} to {big['devices']} devices "
             f"(sub-quadratic bound: {size_ratio ** 1.5:.1f}x)"
         )
-
-
-def bench_engine_steady_stream(benchmark):
-    """pytest-benchmark unit: the 100-device steady stream."""
-    row = benchmark.pedantic(lambda: _engine_run(100), rounds=3, iterations=1)
-    assert row["recomputes"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -372,10 +329,12 @@ def _write_sharded_record(rows) -> None:
 
 
 def main(argv=None) -> int:
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from _smoke import parse_quick
-
-    quick = parse_quick(sys.argv[1:] if argv is None else list(argv))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="10/100-device engine sweep, 10k wave, 25k trunk-sliced canary",
+    )
+    quick = parser.parse_args(argv).quick
     sizes = (10, 100) if quick else (10, 100, 1000)
     print("== transfer-engine scaling (steady pull stream) ==")
     print(
@@ -439,13 +398,8 @@ def main(argv=None) -> int:
             f">={_SHARD_VISITED_RATIO_MIN:.0f}x fewer transfers than "
             f"monolithic egress at 10k devices"
         )
-    if quick:
-        from _smoke import smoke_main
-
-        return smoke_main(globals(), [])
     return 0
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
     raise SystemExit(main())

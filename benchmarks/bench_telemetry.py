@@ -18,6 +18,7 @@ window (the retained trace events otherwise attract collector pauses
 into the traced side).
 """
 
+import argparse
 import dataclasses
 import gc
 import sys
@@ -95,10 +96,12 @@ def check_overhead(rows) -> None:
 
 
 def main(argv=None) -> int:
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from _smoke import parse_quick
-
-    quick = parse_quick(sys.argv[1:] if argv is None else list(argv))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="200 devices only, two rounds",
+    )
+    quick = parser.parse_args(argv).quick
     sizes = ((200, 8),) if quick else ((200, 8), (400, 10))
     rounds = 2 if quick else 5
     print("== telemetry overhead (p2p-swarm-scale quick cells) ==")

@@ -112,6 +112,7 @@ class TestAblations:
 
     def test_bandwidth_sweep_monotone_share(self):
         result = ablations.bandwidth_sweep(multipliers=[0.6, 1.0, 1.6])
+        assert result.column("bw_multiplier") == [0.6, 1.0, 1.6]
         shares = result.column("deep_regional_share")
         assert shares[0] <= shares[-1]
         # At very poor regional bandwidth the hub wins; at very good,

@@ -7,7 +7,7 @@ and the independent algorithms must agree with each other.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -76,6 +76,10 @@ def test_lemke_howson_agrees_with_nash_test(payoffs):
     suppress_health_check=[HealthCheck.filter_too_much],
 )
 @given(payoffs=games(3, 3))
+@example(payoffs=(
+    np.array([[0.0, 3.0], [1.0, 2.0]]),
+    np.array([[2.2250738585e-311, 3.0], [1.0, 2.0]]),
+))
 def test_vertex_and_support_enumeration_agree(payoffs):
     A, B = payoffs
     # The agreement guarantee holds for nondegenerate games only;

@@ -100,6 +100,19 @@ class TestVertexEnumeration:
             for eq in ve:
                 assert any(eq.close_to(other, tol=1e-6) for other in se)
 
+    def test_subnormal_payoff_stays_finite(self):
+        # A subnormal payoff makes one basis solve overflow to inf
+        # without raising LinAlgError; that candidate must be skipped,
+        # not fed into the feasibility test as inf * 0 = nan.
+        g = NormalFormGame(
+            np.array([[0.0, 3.0], [1.0, 2.0]]),
+            np.array([[2.2250738585e-311, 3.0], [1.0, 2.0]]),
+        )
+        with np.errstate(invalid="raise"):
+            ve = vertex_enumeration(g)
+        for eq in all_equilibria(g):
+            assert any(eq.close_to(other, tol=1e-6) for other in ve)
+
 
 class TestFictitiousPlay:
     def test_converges_on_matching_pennies(self):

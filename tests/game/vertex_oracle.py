@@ -56,6 +56,10 @@ def polytope_vertices(
             point = np.linalg.solve(system, target)
         except np.linalg.LinAlgError:
             continue
+        # A near-singular basis (e.g. a subnormal payoff) can overflow
+        # to inf without raising; it pins no vertex.
+        if not np.all(np.isfinite(point)):
+            continue
         if np.any(full_m @ point > full_b + _TOL):
             continue  # infeasible
         labels = frozenset(

@@ -6,7 +6,7 @@ orchestrator → meters — and checks the invariants that must hold for
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.baselines import GreedyEnergyScheduler
@@ -36,6 +36,7 @@ def make_instance(seed: int, n_devices: int, layers: int, width: int):
     layers=st.integers(2, 4),
     width=st.integers(1, 3),
 )
+@example(seed=99, n_devices=8, layers=4, width=4)
 def test_deep_plans_are_always_feasible_and_complete(
     seed, n_devices, layers, width
 ):
@@ -82,6 +83,7 @@ def test_deep_never_beaten_by_more_than_penalty_margin(seed):
     env, app = make_instance(seed, 3, 3, 2)
     deep = DeepScheduler().schedule(app, env)
     greedy = GreedyEnergyScheduler().schedule(app, env)
+    greedy.plan.validate_against(app)
     assert deep.total_energy_j <= greedy.total_energy_j * 1.10 + 1.0
 
 

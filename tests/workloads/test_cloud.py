@@ -48,6 +48,7 @@ class TestOffloading:
         env = cloud_environment(testbed, CloudConfig(static_watts=1.0))
         app = video_processing(testbed.calibration)
         result = DeepScheduler().schedule(app, env)
+        result.plan.validate_against(app)
         assert any(a.device == CLOUD_NAME for a in result.plan)
         # Offloading must beat the edge-only schedule.
         edge_only = DeepScheduler().schedule(app, testbed.env)
