@@ -17,3 +17,13 @@ def pytest_configure(config):
     # A deprecated path that something calls again fails the suite
     # instead of printing a warning nobody reads.
     config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+    # Except one third-party warning (later lines take precedence): when
+    # a Hypothesis test fails, its reporter imports libcst to propose a
+    # patch, and libcst subclasses the deprecated
+    # ``mypy_extensions.TypedDict``.  As an error, that warning crashes
+    # pytest (INTERNALERROR) before the falsifying example is printed.
+    config.addinivalue_line(
+        "filterwarnings",
+        r"ignore:mypy_extensions\.TypedDict is deprecated"
+        r":DeprecationWarning:libcst\.",
+    )

@@ -257,6 +257,18 @@ class _Component:
         self.live = True
 
 
+def _link_table(transfers: Iterable[Transfer]) -> Dict[Link, List[float]]:
+    """The link table :meth:`TransferEngine._fill` consumes, built from
+    a union of whole components: each of their links mapped to
+    ``[capacity, occupancy]``."""
+    links: Dict[Link, List[float]] = {}
+    for transfer in transfers:
+        for link in transfer.links:
+            if link not in links:
+                links[link] = [link.capacity_mbps, len(link.transfers)]
+    return links
+
+
 class TransferEngine:
     """Shared-bandwidth transfer scheduler on the DES clock.
 
@@ -610,7 +622,9 @@ class TransferEngine:
         closure fill must match bit-for-bit."""
         record: Dict[int, float] = {}
         if self._active:
-            self._fill(self._active, record=record)
+            self._fill(
+                self._active, _link_table(self._active.values()), record
+            )
         return record
 
     # ------------------------------------------------------------------
@@ -707,63 +721,76 @@ class TransferEngine:
     def _fill(
         self,
         transfers: Dict[int, Transfer],
+        links: Dict[Link, List[float]],
         record: Optional[Dict[int, float]] = None,
     ) -> None:
         """Progressive filling over ``transfers``.
 
         ``transfers`` must be a union of whole connected components of
         the transfer–link graph (a dirty closure is by construction, and
-        so is the active set :meth:`reference_rates` fills).  Assigns
-        each transfer its max-min fair rate and records per-link peak
-        utilisation as the **sum of allocated rates** — independent of
-        the loop's own capacity bookkeeping, so an over-allocation bug
-        is observable.  With ``record`` the rates go into that mapping
-        instead and no engine state is touched (the reference rates
-        ``self_check`` compares against).
+        so is the active set :meth:`reference_rates` fills).  ``links``
+        is the fill's link table, which the fill consumes: every link
+        of ``transfers`` mapped to ``[capacity left, unfrozen count]``,
+        seeded with its capacity and occupancy.  The closure walk in
+        :meth:`_recompute` builds it as it finds each link;
+        :meth:`reference_rates` builds it with :func:`_link_table`.
+        Assigns each transfer its max-min fair rate and records
+        per-link peak utilisation as the **sum of allocated rates** —
+        independent of the loop's own capacity bookkeeping, so an
+        over-allocation bug is observable.  With ``record`` the rates
+        go into that mapping instead and no engine state is touched
+        (the reference rates ``self_check`` compares against).
 
-        Two invariants keep the kernel lean.  Whole components mean
-        every occupant of an involved link is in ``transfers``, so a
-        link's unfrozen count starts at its occupancy.  And every
-        transfer frozen in one round subtracts the same share, so the
-        order in which a round freezes them cannot change any float.
+        Four facts keep the kernel lean and exact.  Whole components
+        mean every occupant of a link in the table is in ``transfers``,
+        so a link's unfrozen count starts at its occupancy.  Every transfer
+        frozen in one round subtracts the same share, so the order in
+        which a round freezes them cannot change any float.  The
+        bottleneck is the least ``(share, name)``, so the table's order
+        cannot change it, and a table link with no occupant (a seed the
+        triggering event emptied) is skipped like any drained link.
+        And once the bottleneck carries every transfer still unfrozen,
+        that round is the last: it freezes them and skips the link
+        updates, which nothing would read again.
         """
-        capacity_left: Dict[Link, float] = {}
-        unfrozen_count: Dict[Link, int] = {}
-        for transfer in transfers.values():
-            for link in transfer.links:
-                if link not in unfrozen_count:
-                    capacity_left[link] = link.capacity_mbps
-                    unfrozen_count[link] = len(link.transfers)
         rates: Dict[int, float] = {} if record is None else record
         remaining = len(transfers)
-        while remaining > 0:
+        while True:
             # Bottleneck link: the one whose equal split is smallest,
             # ties broken by name.
             best_link: Optional[Link] = None
             best_share = 0.0
-            for link, count in unfrozen_count.items():
+            for link, (capacity_left, count) in links.items():
                 if count == 0:
                     continue
-                share = capacity_left[link] / count
+                share = capacity_left / count
                 if best_link is None or share < best_share or (
                     share == best_share and link.name < best_link.name
                 ):
                     best_link, best_share = link, share
-            assert best_link is not None  # remaining > 0 implies a link
+            assert best_link is not None  # an unfrozen transfer remains
+            if links[best_link][1] == remaining:
+                # The last round: every unfrozen transfer crosses the
+                # bottleneck.
+                for tid in best_link.transfers:
+                    if tid not in rates:
+                        rates[tid] = best_share
+                break
             for tid, transfer in best_link.transfers.items():
                 if tid in rates:
                     continue
                 rates[tid] = best_share
                 remaining -= 1
                 for link in transfer.links:
-                    left = capacity_left[link] - best_share
-                    capacity_left[link] = left if left > 0.0 else 0.0
-                    unfrozen_count[link] -= 1
+                    state = links[link]
+                    left = state[0] - best_share
+                    state[0] = left if left > 0.0 else 0.0
+                    state[1] -= 1
         if record is None:
             for tid, transfer in transfers.items():
                 transfer.rate_mbps = rates[tid]
             self.transfers_visited += len(transfers)
-            self._record_peaks(unfrozen_count)  # keys: the involved links
+            self._record_peaks(links)
             if self.trace is not None:
                 # Integer transfer ids as keys — json.dumps stringifies
                 # them at export; skipping str() here keeps the hot
@@ -801,19 +828,21 @@ class TransferEngine:
         every-event-scans-everything cost wall.  The walk starts one
         depth-first search per unseen seed, so each search yields one
         whole component, which the deadline index then holds as one
-        entry.
+        entry.  The walk also builds the fill's link table: each link
+        it finds is recorded once, with its capacity and occupancy, and
+        that record is also how the walk knows it has seen the link.
         """
         self.recomputes += 1
         # Observation only: feeds the profiler, never an outcome.
         t0 = perf_counter_ns() if self.profile is not None else 0  # repro-lint: disable=wall-clock-in-sim
         now = self.sim.now
-        seen: set = set()
+        links: Dict[Link, List[float]] = {}
         closure: Dict[int, Transfer] = {}
         components: List[List[Transfer]] = []
         for seed in seeds:
-            if seed in seen:
+            if seed in links:
                 continue
-            seen.add(seed)
+            links[seed] = [seed.capacity_mbps, len(seed.transfers)]
             stack = [seed]
             members: List[Transfer] = []
             while stack:
@@ -824,8 +853,10 @@ class TransferEngine:
                     members.append(transfer)
                     self._settle_one(transfer, now)
                     for other in transfer.links:
-                        if other not in seen:
-                            seen.add(other)
+                        if other not in links:
+                            links[other] = [
+                                other.capacity_mbps, len(other.transfers)
+                            ]
                             stack.append(other)
             if members:
                 components.append(members)
@@ -847,7 +878,7 @@ class TransferEngine:
                     rates={transfer.id: rate},
                 )
         elif closure:
-            self._fill(closure)
+            self._fill(closure, links)
         for members in components:
             self._index_component(members)
         if self.profile is not None:

@@ -11,7 +11,8 @@ for sub-ulp residues) and recomputes everything again.  It carries its
 own ``_activate``, ``_cancel_batch``, ``remaining_mb``, ``_settle``,
 ``_recompute`` and ``_on_wake``, so none of its events run through the
 live recompute or the component deadline index.  The fill kernel
-(``_fill``), finishing and slot bookkeeping are inherited.
+(``_fill``, handed a link table built by ``_link_table``), finishing
+and slot bookkeeping are inherited.
 
 It stays here as the oracle the closure engine must match: identical
 rates, completion times within float-settling noise, and never more
@@ -27,6 +28,7 @@ from repro.sim.transfers import (
     Transfer,
     TransferCancelled,
     TransferEngine,
+    _link_table,
 )
 
 
@@ -113,12 +115,12 @@ class FullModeEngine(TransferEngine):
             return
         if self.profile is not None:
             t0 = perf_counter_ns()
-            self._fill(self._active)
+            self._fill(self._active, _link_table(self._active.values()))
             self.profile.note_recompute(
                 perf_counter_ns() - t0, len(self._active)
             )
         else:
-            self._fill(self._active)
+            self._fill(self._active, _link_table(self._active.values()))
         if self.self_check:
             self._assert_reference_rates()
         next_dt = float("inf")

@@ -7,9 +7,10 @@ global heap the closure engine shipped with: one lazy min-heap of
 transfer it touched into, one wake armed at its earliest valid entry,
 and a drain loop over that one heap.  The dirty-closure walk that feeds
 it is frozen too (one name-keyed walk over all seeds, one push per
-transfer), and ``_detach`` pops the transfer's token.  The rate solve,
-settling, and cancellation paths are inherited, so any divergence is
-the index's.
+transfer), and ``_detach`` pops the transfer's token.  The rate solve
+(handed a link table built by ``_link_table``, since the frozen walk
+builds none), settling, and cancellation paths are inherited, so any
+divergence is the index's.
 It stays here as the oracle the component index must match exactly:
 same wake instants, same end times, same work counters.
 """
@@ -20,7 +21,13 @@ from time import perf_counter_ns
 from typing import Dict, Iterable, List, Tuple
 
 from repro.model.units import MBIT_PER_MB
-from repro.sim.transfers import _EPS_MB, Link, Transfer, TransferEngine
+from repro.sim.transfers import (
+    _EPS_MB,
+    Link,
+    Transfer,
+    TransferEngine,
+    _link_table,
+)
 
 #: Profile label of the single heap.
 GLOBAL_HEAP = "@global"
@@ -76,7 +83,7 @@ class SingleHeapEngine(TransferEngine):
                     rates={transfer.id: rate},
                 )
         elif closure:
-            self._fill(closure)
+            self._fill(closure, _link_table(closure.values()))
             for transfer in closure.values():
                 self._push_deadline(transfer)
         if self.profile is not None:

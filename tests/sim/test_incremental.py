@@ -29,6 +29,7 @@ from full_oracle import FullModeEngine
 from test_transfers import MB, run_transfer, star_network
 
 from repro import scenarios
+from repro.model.network import NetworkModel
 from repro.scenarios import SimulationSession
 from repro.sim.engine import Simulator
 from repro.sim.transfers import TransferEngine
@@ -217,7 +218,7 @@ class OracleEngine(TransferEngine):
     (same bookkeeping otherwise), so a trace replayed through it is the
     pre-rewrite engine's timeline."""
 
-    def _fill(self, transfers, record=None):
+    def _fill(self, transfers, links, record=None):
         assert record is None  # replayed without self_check
         rates = reference_fill(transfers)
         for tid, transfer in transfers.items():
@@ -230,10 +231,30 @@ class OracleEngine(TransferEngine):
 
 class CheckedEngine(TransferEngine):
     """The live kernel, compared with the frozen reference after every
-    fill: exact rate equality per recompute."""
+    fill: exact rate equality per recompute.  The link table the fill
+    is handed is checked first: it lists every link the fill's
+    transfers cross, each seeded at its capacity and occupancy; every
+    occupant of a listed link is in the fill; and a listed link no fill
+    transfer crosses is empty.  ``tables`` keeps each closure fill's
+    table as handed in, keyed by link name."""
 
-    def _fill(self, transfers, record=None):
-        super()._fill(transfers, record)
+    def __init__(self, sim, network, **kwargs):
+        super().__init__(sim, network, **kwargs)
+        self.tables = []
+
+    def _fill(self, transfers, links, record=None):
+        involved = {link for t in transfers.values() for link in t.links}
+        assert involved <= links.keys(), self.sim.now
+        for link, (capacity, count) in links.items():
+            assert capacity == link.capacity_mbps, link.name
+            assert count == len(link.transfers), link.name
+            assert link.transfers.keys() <= transfers.keys(), link.name
+            assert link in involved or count == 0, link.name
+        if record is None:
+            self.tables.append(
+                {link.name: list(state) for link, state in links.items()}
+            )
+        super()._fill(transfers, links, record)
         if record is None:
             actual = {tid: t.rate_mbps for tid, t in transfers.items()}
             assert actual == reference_fill(transfers), self.sim.now
@@ -279,6 +300,101 @@ def test_fill_kernel_matches_frozen_reference(
     assert [r["ok"] for r in checked_runs] == [r["ok"] for r in oracle_runs]
 
 
+class TestFillRules:
+    """Hand-solved fills for the kernel's two shortcuts: the closure
+    walk hands the fill its link table, and the round whose bottleneck
+    carries every unfrozen transfer is the last.  Each runs on
+    :class:`CheckedEngine`, so every fill also matches the frozen
+    reference exactly."""
+
+    def test_first_bottleneck_short_of_the_component_is_not_last(self):
+        """Three pulls share a 100 Mbit/s registry uplink; d0's own
+        channel (20) is the first bottleneck but carries one of the
+        three.  The uplink then splits its remaining 80 between the
+        other two, and the last round must leave d0's 20 alone."""
+        network = NetworkModel()
+        for device, mbps in (("d0", 20.0), ("d1", 80.0), ("d2", 80.0)):
+            network.connect_registry("origin", device, mbps)
+        network.set_uplink("origin", 100.0)
+        engine = CheckedEngine(Simulator(), network)
+        pulls = [
+            engine.start("origin", device, 400 * MB, src_is_registry=True)
+            for device in ("d0", "d1", "d2")
+        ]
+        assert [t.rate_mbps for t in pulls] == [20.0, 40.0, 40.0]
+        table = engine.tables[-1]
+        assert table["up:origin"] == [100.0, 3]
+        assert table["chan:origin->d0"] == [20.0, 1]
+
+    def test_closure_of_two_components(self):
+        """A batch cancel on two separate seeders re-solves both
+        components in one closure, whose table also holds the two
+        channels the victims emptied.  d3's uplink (60 over two) is the
+        first bottleneck; d0's (100 over two) carries what is left."""
+        network = NetworkModel()
+        devices = [f"d{i}" for i in range(6)]
+        network.connect_device_mesh(devices, 800.0)
+        network.set_uplink("d0", 100.0)
+        network.set_uplink("d3", 60.0)
+        sim = Simulator()
+        engine = CheckedEngine(sim, network)
+        runs = [
+            run_transfer(sim, engine, src, dst, 400 * MB)
+            for src, dst in (
+                ("d0", "d1"), ("d0", "d2"), ("d0", "d5"),
+                ("d3", "d4"), ("d3", "d5"), ("d3", "d2"),
+            )
+        ]
+        sim.run(until=1.0)
+        x1, x2, x_victim, y1, y2, y_victim = (r["transfer"] for r in runs)
+        fills = len(engine.tables)
+        assert engine.cancel_many([x_victim, y_victim], "test") == 2
+        assert len(engine.tables) == fills + 1  # one fill for both
+        assert [t.rate_mbps for t in (x1, x2, y1, y2)] == [
+            50.0, 50.0, 30.0, 30.0
+        ]
+        table = engine.tables[-1]
+        assert table["up:d0"] == [100.0, 2]
+        assert table["up:d3"] == [60.0, 2]
+        assert table["chan:d0->d5"] == [800.0, 0]
+        assert table["chan:d3->d2"] == [800.0, 0]
+        # One deadline entry per component, not one for the closure.
+        assert x1.component is x2.component
+        assert y1.component is y2.component
+        assert x1.component is not y1.component
+        sim.run()
+        assert engine.completed == 4
+        assert [r["ok"] for r in runs] == [True, True, False] * 2
+
+    def test_finish_that_empties_a_seed_link(self):
+        """d0's short push to d1 finishes first and leaves its channel
+        empty: the re-solve's table lists that channel first, with no
+        occupant, and the fill skips it.  The registry pull stays at its
+        30 Mbit/s channel and the other push takes the downlink's
+        remaining 70."""
+        network = NetworkModel()
+        network.connect_device_mesh(["d0", "d1", "d2"], 800.0)
+        network.connect_registry("origin", "d1", 30.0)
+        network.set_downlink("d1", 100.0)
+        sim = Simulator()
+        engine = CheckedEngine(sim, network)
+        short = engine.start("d0", "d1", 10 * MB)
+        pull = engine.start("origin", "d1", 400 * MB, src_is_registry=True)
+        push = engine.start("d2", "d1", 400 * MB)
+        assert [t.rate_mbps for t in (short, pull, push)] == [
+            35.0, 30.0, 35.0
+        ]
+        sim.run(until=3.0)
+        assert short.completed_s == pytest.approx(80.0 / 35.0)
+        table = engine.tables[-1]
+        assert next(iter(table)) == "chan:d0->d1"
+        assert table["chan:d0->d1"] == [800.0, 0]
+        assert table["down:d1"] == [100.0, 2]
+        assert [pull.rate_mbps, push.rate_mbps] == [30.0, 70.0]
+        sim.run()
+        assert engine.completed == 3
+
+
 # ----------------------------------------------------------------------
 # late simulated times: sub-ulp residues must finish, not livelock
 # ----------------------------------------------------------------------
@@ -302,8 +418,6 @@ def test_late_transfers_finish_without_livelock(sizes):
     residue above the finish threshold whose predicted completion
     rounds back to ``now``; without the force-finish rule the wake
     would re-arm at ``now`` forever."""
-    from repro.model.network import NetworkModel
-
     network = NetworkModel()
     for i in range(len(sizes)):
         network.connect_registry("origin", f"d{i}", 1000.0)

@@ -37,6 +37,7 @@ from repro.model.network import NetworkModel
 from repro.scenarios import SimulationSession
 from repro.sim.engine import Simulator
 from repro.sim.transfers import TransferEngine
+from repro.telemetry import DEADLINE_HEAP, EngineProfile
 
 
 def _assert_live_index_unused(oracle) -> None:
@@ -395,6 +396,18 @@ _PRESET_DIGESTS = {
     "p2p-swarm-100k": "23b18a5f",
 }
 
+#: The engine's work counters on the same runs: recomputes, then the
+#: deadline heap's pushes, pops and invalidations.  The digest covers
+#: ``engine_transfers_visited`` but none of these, so a change that
+#: only makes the engine faster must leave them equal too; one that
+#: moves them updates the pin and says why.
+_PRESET_WORK = {
+    "p2p-chunked": (853, 809, 326, 483),
+    "p2p-contended": (176, 152, 88, 64),
+    "p2p-swarm-scale": (2627, 1709, 1319, 390),
+    "p2p-swarm-100k": (2639, 2621, 1320, 1301),
+}
+
 
 def _outcome_digest(outcome) -> str:
     deterministic = scenarios.deterministic_outcome_dict(outcome.to_dict())
@@ -406,9 +419,11 @@ def _outcome_digest(outcome) -> str:
 def test_preset_outcomes_match_incremental_engine(preset):
     """Every registered time-resolved preset replayed through the
     engine must reproduce its pinned outcome digest *exactly* —
-    including ``engine_transfers_visited`` (the swarm presets are
-    downsized so the run stays test-sized)."""
+    including ``engine_transfers_visited`` — and its pinned work
+    counters (the swarm presets are downsized so the run stays
+    test-sized)."""
     assert preset in _PRESET_DIGESTS, f"pin a digest for {preset!r}"
+    assert preset in _PRESET_WORK, f"pin the work counters of {preset!r}"
     base = scenarios.get(preset)
     if base.topology.n_devices > 200:
         base = replace(
@@ -421,4 +436,12 @@ def test_preset_outcomes_match_incremental_engine(preset):
         )
     session = SimulationSession(base)
     session.engine.self_check = True
+    profile = session.engine.profile = EngineProfile()
     assert _outcome_digest(session.run()) == _PRESET_DIGESTS[preset]
+    heap = profile.summary()["heaps"][DEADLINE_HEAP]
+    assert (
+        session.engine.recomputes,
+        heap["pushes"],
+        heap["pops"],
+        heap["invalidations"],
+    ) == _PRESET_WORK[preset]
