@@ -9,7 +9,7 @@ The package is layered bottom-up:
 * :mod:`repro.devices` / :mod:`repro.energy` — the two-device testbed
   and its energy meters (pyRAPL / wall-plug stand-ins);
 * :mod:`repro.game` — Nash solvers (the Nashpy replacement);
-* :mod:`repro.core` — DEEP's scheduler, baselines, and pipeline;
+* :mod:`repro.core` — DEEP's scheduler and baselines;
 * :mod:`repro.orchestrator` — Kubernetes-flavoured rollout;
 * :mod:`repro.workloads` — Table II data, calibration, the case-study
   DAGs, and the wired testbed;

@@ -1,5 +1,5 @@
-"""DEEP's core: cost tables, per-microservice games, the Nash scheduler,
-the paper's baselines, and the Figure-1 pipeline."""
+"""DEEP's core: cost tables, per-microservice games, the Nash scheduler
+and the paper's baselines."""
 
 from .baselines import (
     FixedRegistryScheduler,
@@ -17,31 +17,14 @@ from .games import (
     microservice_game,
     select_equilibrium,
 )
-from .pipeline import (
-    DependencyReport,
-    DeploymentBundle,
-    RequirementReport,
-    analyze_dependencies,
-    analyze_requirements,
-    plan_deployment,
-)
 from .placement import Assignment, PlacementError, PlacementPlan
-from .scheduler import (
-    CacheAffinityScheduler,
-    DeepScheduler,
-    NashSolver,
-    ScheduleResult,
-    SchedulerBase,
-)
+from .scheduler import DeepScheduler, NashSolver, ScheduleResult, SchedulerBase
 
 __all__ = [
     "Assignment",
-    "CacheAffinityScheduler",
     "CostMatrix",
     "CostTable",
     "DeepScheduler",
-    "DependencyReport",
-    "DeploymentBundle",
     "Environment",
     "FixedRegistryScheduler",
     "GreedyEnergyScheduler",
@@ -52,15 +35,11 @@ __all__ = [
     "PlacementError",
     "PlacementPlan",
     "RandomScheduler",
-    "RequirementReport",
     "RoundRobinScheduler",
     "ScheduleResult",
     "SchedulerBase",
     "SchedulerState",
-    "analyze_dependencies",
-    "analyze_requirements",
     "build_penalties",
     "microservice_game",
-    "plan_deployment",
     "select_equilibrium",
 ]

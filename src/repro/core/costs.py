@@ -11,22 +11,13 @@ onto a device cost zero deployment time there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..sim.transfers import TransferEngine
-
 from ..model.application import Application, Microservice
-from ..model.metrics import (
-    CostRecord,
-    EnergyBreakdown,
-    PhaseTimes,
-    energy_breakdown,
-    phase_times,
-)
-from ..model.units import gb_to_bytes, gb_to_mb
+from ..model.metrics import CostRecord, energy_breakdown, phase_times
+from ..model.units import gb_to_bytes
 from .environment import Environment
 
 
@@ -49,33 +40,14 @@ class SchedulerState:
     def is_cached(self, device: str, image: str) -> bool:
         return image in self.cached_images.get(device, set())
 
-    def peer_holders(self, image: str, exclude: str = "") -> List[str]:
-        """Devices (other than ``exclude``) already holding ``image``.
-
-        These are the candidate P2P sources a peer-aware deployment can
-        pull from instead of a registry.  Sorted for determinism.
-        """
-        return sorted(
-            device
-            for device, images in self.cached_images.items()
-            if device != exclude and image in images
-        )
-
     def commit(
         self,
         service: Microservice,
         registry: str,
         device: str,
         completion_s: float,
-        via: str = "",
     ) -> None:
-        """Record the consequences of one assignment.
-
-        ``via`` is the transfer-source label (``peer:<dev>`` when the
-        P2P tier serves the image): peer-served deployments occupy the
-        device's storage but do not add to the registry's served-bytes
-        congestion account — the registry never moved those bytes.
-        """
+        """Record the consequences of one assignment."""
         images = self.cached_images.setdefault(device, set())
         if service.image not in images:
             images.add(service.image)
@@ -83,10 +55,9 @@ class SchedulerState:
             self.storage_used_bytes[device] = (
                 self.storage_used_bytes.get(device, 0) + size
             )
-            if not via.startswith("peer:"):
-                self.registry_bytes[registry] = (
-                    self.registry_bytes.get(registry, 0) + size
-                )
+            self.registry_bytes[registry] = (
+                self.registry_bytes.get(registry, 0) + size
+            )
         self.busy_s[device] = self.busy_s.get(device, 0.0) + completion_s
         self.upstream_devices[service.name] = device
 
@@ -114,9 +85,6 @@ class CostMatrix:
     energy_j: np.ndarray
     completion_s: np.ndarray
     feasible: np.ndarray
-    #: Image the service deploys (lets cache-affinity schedulers score
-    #: peer/local residency without re-deriving it from the app).
-    image: str = ""
 
     def any_feasible(self) -> bool:
         return bool(self.feasible.any())
@@ -136,136 +104,11 @@ class CostMatrix:
 
 
 class CostTable:
-    """Evaluates the paper's cost equations against scheduler state.
+    """Evaluates the paper's cost equations against scheduler state."""
 
-    Parameters
-    ----------
-    app / env:
-        The application DAG and deployment environment.
-    peer_transfers:
-        When True, the deployment term ``Td`` additionally considers
-        pulling the image from a *peer device* already holding it
-        (P2P tier): ``Td = Size / max(BW_gj, BW_kj)`` over committed
-        holders ``k`` with a channel to the target.  Off by default so
-        the paper's two-tier numbers are reproduced unchanged.
-    engine:
-        Optional live :class:`~repro.sim.transfers.TransferEngine`.
-        When given, peer-vs-registry deployment estimates use the
-        engine's *current* fair-share link rates instead of nominal
-        analytic ``Size/BW`` — a congested seeder or saturated
-        registry egress stops looking attractive the moment it is
-        busy.  Off by default (analytic estimates, unchanged numbers).
-    chunk_sources:
-        How many peer holders a chunked multi-source pull may draw
-        from in parallel.  At the default 1 the peer ``Td`` is the
-        single fastest holder (bit-for-bit the historical estimate);
-        at k > 1 it prices a
-        :class:`~repro.registry.chunks.ChunkSwarmPlanner`-style
-        transfer — the image moving at the *aggregate* fair-share rate
-        of the k best reachable holders, the way chunks actually land.
-    """
-
-    def __init__(
-        self,
-        app: Application,
-        env: Environment,
-        peer_transfers: bool = False,
-        engine: Optional["TransferEngine"] = None,
-        chunk_sources: int = 1,
-    ) -> None:
-        if chunk_sources < 1:
-            raise ValueError(f"chunk_sources must be >= 1, got {chunk_sources}")
+    def __init__(self, app: Application, env: Environment) -> None:
         self.app = app
         self.env = env
-        self.peer_transfers = peer_transfers
-        self.engine = engine
-        self.chunk_sources = chunk_sources
-
-    # ------------------------------------------------------------------
-    # the P2P deployment term
-    # ------------------------------------------------------------------
-    def peer_deploy_seconds(
-        self, state: SchedulerState, service: Microservice, device_name: str
-    ) -> Tuple[float, str]:
-        """Fastest peer-sourced deployment of ``service`` onto a device.
-
-        Returns ``(seconds, peer)``; ``(inf, "")`` when no committed
-        holder of the image has a channel to ``device_name``.  With a
-        live engine the per-peer estimate reflects the seeder's
-        *current* contended rate, so a peer mid-upload scores worse
-        than an idle one.
-        """
-        best_s = float("inf")
-        best_peer = ""
-        size_mb = gb_to_mb(service.cold_pull_gb)
-        per_peer: List[Tuple[float, str]] = []
-        for peer in state.peer_holders(service.image, exclude=device_name):
-            if not self.env.network.has_device_channel(peer, device_name):
-                continue
-            if self.engine is not None:
-                seconds = self.engine.estimated_transfer_s(
-                    peer, device_name, size_mb
-                )
-            else:
-                channel = self.env.network.device_channel(peer, device_name)
-                seconds = channel.transfer_time_s(size_mb)
-            per_peer.append((seconds, peer))
-            if seconds < best_s:
-                best_s, best_peer = seconds, peer
-        if self.chunk_sources > 1 and len(per_peer) > 1 and size_mb > 0:
-            # Multi-source Td: a chunked pull streams from the k best
-            # holders at once, so the image moves at their *aggregate*
-            # rate.  Each holder's effective rate is backed out of its
-            # single-source estimate (which already reflects live
-            # fair-share contention when an engine is attached); the
-            # fastest holder stays the nominal "peer" of the estimate.
-            # The sum can only be realised up to the destination's
-            # shared downlink — k holders cannot deliver k× the NIC.
-            top = sorted(per_peer)[: self.chunk_sources]
-            aggregate_rate = sum(
-                size_mb * 8.0 / seconds for seconds, _peer in top if seconds > 0
-            )
-            downlink = self.env.network.downlink_mbps(device_name)
-            if downlink is not None:
-                aggregate_rate = min(aggregate_rate, downlink)
-            if aggregate_rate > 0:
-                best_s = min(best_s, size_mb * 8.0 / aggregate_rate)
-        return best_s, best_peer
-
-    def registry_deploy_seconds(
-        self, registry: str, device_name: str, size_gb: float
-    ) -> float:
-        """Registry-sourced ``Td`` — engine-aware when one is attached."""
-        if self.engine is not None:
-            return self.engine.estimated_transfer_s(
-                registry, device_name, gb_to_mb(size_gb), src_is_registry=True
-            )
-        return self.env.network.deployment_time_s(registry, device_name, size_gb)
-
-    def transfer_source(
-        self,
-        name: str,
-        registry: str,
-        device_name: str,
-        state: Optional[SchedulerState] = None,
-    ) -> str:
-        """Where the deployment bytes of one assignment come from.
-
-        ``"cached"`` (already resident), ``"peer:<device>"`` (P2P tier
-        beats the registry channel), or ``"registry:<name>"``.
-        """
-        state = state or SchedulerState()
-        service = self.app.service(name)
-        if state.is_cached(device_name, service.image):
-            return "cached"
-        if self.peer_transfers:
-            peer_s, peer = self.peer_deploy_seconds(state, service, device_name)
-            registry_s = self.registry_deploy_seconds(
-                registry, device_name, service.cold_pull_gb
-            )
-            if peer and peer_s < registry_s:
-                return f"peer:{peer}"
-        return f"registry:{registry}"
 
     def record(
         self,
@@ -287,20 +130,6 @@ class CostTable:
         times = phase_times(
             service, device, self.env.network, registry, incoming, cached
         )
-        if not cached and self.engine is not None:
-            # Contention-aware Td: the registry path priced at the
-            # engine's current fair-share rate, not nominal bandwidth.
-            times = PhaseTimes(
-                self.registry_deploy_seconds(
-                    registry, device_name, service.cold_pull_gb
-                ),
-                times.transfer_s,
-                times.compute_s,
-            )
-        if self.peer_transfers and not cached:
-            peer_s, peer = self.peer_deploy_seconds(state, service, device_name)
-            if peer and peer_s < times.deploy_s:
-                times = PhaseTimes(peer_s, times.transfer_s, times.compute_s)
         scale = self.env.intensity(name, device_name)
         energy = energy_breakdown(times, device, scale)
         return CostRecord(
@@ -357,5 +186,4 @@ class CostTable:
             energy_j=energy,
             completion_s=completion,
             feasible=feasible,
-            image=service.image,
         )

@@ -20,19 +20,11 @@ class PlacementError(ValueError):
 
 @dataclass(frozen=True)
 class Assignment:
-    """One microservice's deployment decision.
-
-    ``via`` records where the deployment bytes actually come from:
-    ``"registry:<name>"`` (the paper's two-tier pull), ``"peer:<dev>"``
-    (the P2P tier serves the image from another device's cache), or
-    ``"cached"`` (already resident, zero transfer).  Empty for plans
-    produced without source tracking.
-    """
+    """One microservice's deployment decision."""
 
     service: str
     registry: str
     device: str
-    via: str = ""
 
 
 @dataclass
@@ -47,14 +39,10 @@ class PlacementPlan:
     application: str
     assignments: Dict[str, Assignment] = field(default_factory=dict)
 
-    def assign(
-        self, service: str, registry: str, device: str, via: str = ""
-    ) -> Assignment:
+    def assign(self, service: str, registry: str, device: str) -> Assignment:
         if service in self.assignments:
             raise PlacementError(f"{service!r} assigned twice")
-        assignment = Assignment(
-            service=service, registry=registry, device=device, via=via
-        )
+        assignment = Assignment(service=service, registry=registry, device=device)
         self.assignments[service] = assignment
         return assignment
 
@@ -134,23 +122,6 @@ class PlacementPlan:
             return 0.0
         hits = sum(1 for a in self.assignments.values() if a.registry == registry)
         return hits / len(self.assignments)
-
-    def peer_share(self) -> float:
-        """Fraction (0–1) of deployments served by the P2P tier."""
-        if not self.assignments:
-            return 0.0
-        hits = sum(
-            1 for a in self.assignments.values() if a.via.startswith("peer:")
-        )
-        return hits / len(self.assignments)
-
-    def source_counts(self) -> Dict[str, int]:
-        """Transfer-source label → number of assignments using it."""
-        counts: Dict[str, int] = {}
-        for a in self.assignments.values():
-            label = a.via.split(":", 1)[0] if a.via else "unknown"
-            counts[label] = counts.get(label, 0) + 1
-        return counts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlacementPlan({self.application!r}, n={len(self.assignments)})"

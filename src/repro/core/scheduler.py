@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from ..game.fictitious_play import fictitious_play
 from ..game.lemke_howson import DegenerateGameError, lemke_howson_all
@@ -28,7 +26,7 @@ from ..model.application import Application
 from ..model.metrics import CostRecord
 from .costs import CostMatrix, CostTable, SchedulerState
 from .environment import Environment
-from .games import NO_PENALTIES, PenaltyWeights, microservice_game, select_equilibrium
+from .games import PenaltyWeights, microservice_game, select_equilibrium
 from .placement import PlacementError, PlacementPlan
 
 
@@ -71,29 +69,9 @@ class SchedulerBase:
         """Return (registry_index, device_index) into the cost matrix."""
         raise NotImplementedError
 
-    #: Subclasses that reason over the P2P tier set this so the cost
-    #: table folds peer-sourced deployment times into ``Td``.
-    peer_transfers = False
-
-    #: Optional live :class:`~repro.sim.transfers.TransferEngine`:
-    #: contention-aware schedulers attach one so deployment estimates
-    #: reflect current link utilisation instead of nominal ``size/BW``.
-    engine = None
-
-    #: Peer holders a chunked multi-source pull may stream from in
-    #: parallel; 1 (the default) keeps the single-fastest-holder ``Td``
-    #: estimate bit-for-bit.
-    chunk_sources = 1
-
     def schedule(self, app: Application, env: Environment) -> ScheduleResult:
         """Produce a full plan for ``app`` in ``env``."""
-        table = CostTable(
-            app,
-            env,
-            peer_transfers=self.peer_transfers,
-            engine=self.engine,
-            chunk_sources=self.chunk_sources,
-        )
+        table = CostTable(app, env)
         state = SchedulerState()
         plan = PlacementPlan(application=app.name)
         records: List[CostRecord] = []
@@ -114,14 +92,9 @@ class SchedulerBase:
             registry = costs.registries[g]
             device = costs.devices[d]
             record = table.record(name, registry, device, state)
-            via = table.transfer_source(name, registry, device, state)
-            plan.assign(name, registry, device, via=via)
+            plan.assign(name, registry, device)
             state.commit(
-                app.service(name),
-                registry,
-                device,
-                record.times.completion_s,
-                via=via,
+                app.service(name), registry, device, record.times.completion_s
             )
             records.append(record)
             diagnostics[name] = getattr(self, "_last_equilibria", 0)
@@ -184,86 +157,3 @@ class DeepScheduler(SchedulerBase):
             equilibria = pure_equilibria(game)
         self._last_equilibria = len(equilibria)
         return select_equilibrium(game, equilibria, costs)
-
-
-class CacheAffinityScheduler(SchedulerBase):
-    """Peer-aware cache-affinity scheduling for the P2P tier.
-
-    Scores every feasible cell by completion time, discounted where
-    image bytes are already nearby: a full ``local_weight`` discount
-    when the image is resident on the device (``Td`` is already zero,
-    the discount additionally rewards reusing warm nodes over spreading
-    pulls), and a ``peer_weight`` discount when a committed peer with a
-    device channel holds it (the swarm serves the pull at LAN speed).
-    ``peer_transfers`` is on, so the underlying cost matrix already
-    prices peer-sourced deployments into ``Td`` — the discounts bias
-    *placement* toward layer-sharing devices on top of that.
-
-    Attaching a live :class:`~repro.sim.transfers.TransferEngine`
-    closes the loop with the time-resolved transfer layer: deployment
-    estimates in the cost matrix use the engine's *current* fair-share
-    link rates (a congested channel prices higher than an idle one),
-    and the peer-affinity discount is withheld from seeders that are
-    already at their concurrent-upload budget — a saturated peer is no
-    peer at all.
-
-    ``chunk_sources > 1`` prices peer-sourced deployments the way a
-    chunked multi-source pull actually lands them — at the aggregate
-    fair-share rate of the k best reachable holders (see
-    :class:`~repro.core.costs.CostTable`).  The saturation rule is
-    already chunk-friendly: the peer-affinity discount survives as
-    long as *any* reachable holder is below its upload budget, which
-    is precisely the condition under which a chunked pull can route
-    around saturated seeders.
-    """
-
-    name = "cache-affinity"
-    peer_transfers = True
-
-    def __init__(
-        self,
-        local_weight: float = 0.3,
-        peer_weight: float = 0.15,
-        engine=None,
-        chunk_sources: int = 1,
-    ) -> None:
-        if not 0.0 <= local_weight < 1.0 or not 0.0 <= peer_weight < 1.0:
-            raise ValueError("affinity weights must be in [0, 1)")
-        if chunk_sources < 1:
-            raise ValueError(f"chunk_sources must be >= 1, got {chunk_sources}")
-        self.local_weight = local_weight
-        self.peer_weight = peer_weight
-        self.engine = engine
-        self.chunk_sources = chunk_sources
-
-    def _usable_peer(self, peer: str, device: str, env: Environment) -> bool:
-        if not env.network.has_device_channel(peer, device):
-            return False
-        return self.engine is None or self.engine.can_upload(peer)
-
-    def choose(
-        self, costs: CostMatrix, state: SchedulerState, env: Environment
-    ) -> Tuple[int, int]:
-        best: Optional[Tuple[int, int]] = None
-        best_score = float("inf")
-        for d, device in enumerate(costs.devices):
-            feasible_g = np.flatnonzero(costs.feasible[:, d])
-            if feasible_g.size == 0:
-                continue
-            if state.is_cached(device, costs.image):
-                discount = 1.0 - self.local_weight
-            elif any(
-                self._usable_peer(peer, device, env)
-                for peer in state.peer_holders(costs.image, exclude=device)
-            ):
-                discount = 1.0 - self.peer_weight
-            else:
-                discount = 1.0
-            for g in feasible_g:
-                score = float(costs.completion_s[g, d]) * discount
-                if score < best_score:
-                    best_score = score
-                    best = (int(g), d)
-        if best is None:  # pragma: no cover - schedule() pre-checks feasibility
-            raise PlacementError(f"no feasible cell for {costs.service!r}")
-        return best

@@ -14,7 +14,7 @@ stage parallelism in the orchestrator happens across devices only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Tuple
 
 from ..model.application import Microservice
 from ..model.device import Device, Phase
@@ -24,10 +24,8 @@ from ..model.units import bytes_to_mb
 from ..registry.base import ImageReference, Registry
 from ..registry.cache import ImageCache
 from ..registry.client import PullPolicy, PullResult, RegistryClient
-from ..registry.p2p import P2PPullResult, P2PRegistry
 from ..sim.engine import Simulator
 from ..sim.resources import Resource
-from ..sim.transfers import TransferEngine, TransferModel
 from .power import PowerTrace
 from .storage import StorageLedger
 
@@ -51,7 +49,7 @@ class ExecutionRecord:
     start_s: float
     times: PhaseTimes
     energy: EnergyBreakdown
-    pull: Union[PullResult, P2PPullResult]
+    pull: PullResult
     intensity: float
 
     @property
@@ -72,16 +70,7 @@ class ExecutionRecord:
 
 
 class DeviceRuntime:
-    """One device's runtime state inside a simulation.
-
-    When a :class:`~repro.registry.p2p.P2PRegistry` is attached the
-    deploy phase uses the three-tier pull plan, which is inherently
-    *layered*: ``pull_policy`` and the whole-image ``warm_fraction``
-    calibration do not apply on that path (shared base layers are
-    deduplicated for real instead of being approximated).  Compare
-    P2P runs against ``PullPolicy.LAYERED`` baselines, not
-    ``WHOLE_IMAGE`` ones, to isolate the effect of the peer tier.
-    """
+    """One device's runtime state inside a simulation."""
 
     def __init__(
         self,
@@ -90,35 +79,15 @@ class DeviceRuntime:
         network: NetworkModel,
         pull_policy: PullPolicy = PullPolicy.WHOLE_IMAGE,
         intensity: IntensityFn = unit_intensity,
-        p2p: Optional[P2PRegistry] = None,
-        transfer_model: TransferModel = TransferModel.ANALYTIC,
-        engine: Optional[TransferEngine] = None,
     ) -> None:
-        if transfer_model is TransferModel.TIME_RESOLVED and engine is None:
-            raise ValueError(
-                "TransferModel.TIME_RESOLVED needs a shared TransferEngine"
-            )
         self.sim = sim
         self.device = device
         self.network = network
-        self.transfer_model = transfer_model
-        self.engine = engine
         self.cache = ImageCache(device.spec.storage_gb, device.name)
         self.scratch = StorageLedger(device.spec.storage_gb, device.name)
         self.trace = PowerTrace(device)
         self.client = RegistryClient(pull_policy)
         self.intensity = intensity
-        self.p2p = p2p
-        if p2p is not None:
-            # The discovery backend's processes (gossip anti-entropy
-            # rounds) must tick on this runtime's clock; binding is a
-            # no-op for the omniscient default or when the cluster
-            # already bound it.
-            p2p.swarm.discovery.bind(sim)
-            # Joining the swarm publishes this device's cache contents
-            # to the peer index (and keeps them published via the
-            # cache subscription hook).
-            p2p.swarm.add_device(device.name, self.cache, region=device.region)
         self._lock = Resource(sim, 1)
         self.records: List[ExecutionRecord] = []
 
@@ -174,80 +143,26 @@ class DeviceRuntime:
             power = self.device.power
 
             # Phase 1 — deployment: pull what the cache doesn't hold.
-            pull: Union[PullResult, P2PPullResult]
-            if self.transfer_model is TransferModel.TIME_RESOLVED:
-                # Pulls run through the shared-bandwidth engine: layers
-                # occupy links for their real (contended) duration and
-                # enter the cache at transfer completion.
-                if self.p2p is not None:
-                    pull = yield from self.p2p.pull_process(
-                        reference,
-                        self.device.arch,
-                        self.name,
-                        self.cache,
-                        self.engine,
-                    )
-                    registry_name = self.p2p.name
-                else:
-                    scale = 1.0
-                    if self.client.policy is PullPolicy.WHOLE_IMAGE:
-                        scale = 1.0 - service.warm_fraction
-                    pull = yield from self.client.pull_process(
-                        registry,
-                        reference,
-                        self.device.arch,
-                        self.cache,
-                        self.engine,
-                        client_name=self.name,
-                        bytes_scale=scale,
-                    )
-                    registry_name = registry.name
-                deploy_s = self.sim.now - start_s
-                if deploy_s > 0:
-                    # Recorded retroactively — the duration is only
-                    # known once the contended transfers complete.
-                    self.trace.record(
-                        start_s, deploy_s, Phase.PULL, label=service.name
-                    )
-            else:
-                if self.p2p is not None:
-                    # Three-tier pull: each missing layer comes from its
-                    # cheapest source (peer → regional → hub); the plan's
-                    # per-channel estimate is the deployment time.
-                    pull = self.p2p.pull(
-                        reference,
-                        self.device.arch,
-                        self.name,
-                        self.cache,
-                        now_s=self.sim.now,
-                    )
-                    registry_name = self.p2p.name
-                    deploy_s = pull.seconds
-                else:
-                    pull = self.client.pull(
-                        registry,
-                        reference,
-                        self.device.arch,
-                        self.cache,
-                        client_name=self.name,
-                        now_s=self.sim.now,
-                    )
-                    registry_name = registry.name
-                    transferred = pull.bytes_transferred
-                    if self.client.policy is PullPolicy.WHOLE_IMAGE:
-                        # The whole-image model cannot see shared base
-                        # layers; the calibrated warm fraction
-                        # approximates them (layered mode dedups for
-                        # real instead).
-                        transferred = int(
-                            transferred * (1.0 - service.warm_fraction)
-                        )
-                    deploy_s = self.pull_seconds(registry.name, transferred)
-                if deploy_s > 0:
-                    self.trace.record(
-                        self.sim.now, deploy_s, Phase.PULL, label=service.name
-                    )
-                    yield self.sim.timeout(deploy_s)
+            pull = self.client.pull(
+                registry,
+                reference,
+                self.device.arch,
+                self.cache,
+                client_name=self.name,
+                now_s=self.sim.now,
+            )
+            transferred = pull.bytes_transferred
+            if self.client.policy is PullPolicy.WHOLE_IMAGE:
+                # The whole-image model cannot see shared base layers;
+                # the calibrated warm fraction approximates them
+                # (layered mode dedups for real instead).
+                transferred = int(transferred * (1.0 - service.warm_fraction))
+            deploy_s = self.pull_seconds(registry.name, transferred)
+            if deploy_s > 0:
+                self.trace.record(
+                    self.sim.now, deploy_s, Phase.PULL, label=service.name
+                )
+                yield self.sim.timeout(deploy_s)
 
             # Phase 2 — dataflow transmission (upstream + ingress).
             transfer_s = self.transfer_seconds(incoming, service.ingress_mb)
@@ -280,7 +195,7 @@ class DeviceRuntime:
             record = ExecutionRecord(
                 service=service.name,
                 device=self.name,
-                registry=registry_name,
+                registry=registry.name,
                 start_s=start_s,
                 times=times,
                 energy=energy,

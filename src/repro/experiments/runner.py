@@ -20,7 +20,6 @@ from ..orchestrator.controller import (
     ExecutionReport,
 )
 from ..registry.client import PullPolicy
-from ..sim.transfers import TransferModel
 from ..workloads.testbed import Testbed
 
 
@@ -104,14 +103,9 @@ class ExperimentResult:
 def make_cluster(
     testbed: Testbed,
     pull_policy: PullPolicy = PullPolicy.WHOLE_IMAGE,
-    transfer_model: TransferModel = TransferModel.ANALYTIC,
 ) -> Cluster:
     """A fresh cluster wired to the testbed's devices and registries."""
-    cluster = Cluster(
-        pull_policy=pull_policy,
-        intensity=testbed.env.intensity,
-        transfer_model=transfer_model,
-    )
+    cluster = Cluster(pull_policy=pull_policy, intensity=testbed.env.intensity)
     for device in testbed.devices():
         cluster.register_node(device, testbed.network)
     for registry in testbed.registries():

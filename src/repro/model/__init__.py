@@ -16,7 +16,6 @@ from .metrics import (
     compute_time_s,
     deployment_time_s,
     energy_breakdown,
-    microservice_cost,
     phase_times,
     total_completion_s,
     total_energy_j,
@@ -49,7 +48,6 @@ __all__ = [
     "compute_time_s",
     "deployment_time_s",
     "energy_breakdown",
-    "microservice_cost",
     "phase_times",
     "total_completion_s",
     "total_energy_j",

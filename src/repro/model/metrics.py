@@ -17,16 +17,16 @@ total ``EC_total(A, R, D)`` sums ``EC`` over the schedule.
 
 These functions are pure: they read the models and return numbers.
 State (image caches, device occupancy) is injected by the caller via
-the ``cached`` flag and the upstream placement mapping, which keeps the
-equations testable in isolation.
+the ``cached`` flag and the incoming flows, which keeps the equations
+testable in isolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from .application import Application, Microservice
+from .application import Microservice
 from .device import Device, Phase
 from .network import NetworkModel
 from .units import processing_time_s
@@ -153,11 +153,6 @@ def phase_times(
     )
 
 
-def utilization(service: Microservice, device: Device) -> float:
-    """Fraction of the device's cores the microservice occupies."""
-    return min(1.0, service.requirements.cores / device.spec.cores)
-
-
 def energy_breakdown(
     times: PhaseTimes,
     device: Device,
@@ -191,53 +186,6 @@ class CostRecord:
     @property
     def energy_j(self) -> float:
         return self.energy.total_j
-
-
-def microservice_cost(
-    app: Application,
-    name: str,
-    registry: str,
-    device: Device,
-    network: NetworkModel,
-    upstream_devices: Optional[Mapping[str, str]] = None,
-    cached: bool = False,
-    full_utilization: bool = True,
-) -> CostRecord:
-    """Evaluate ``CT`` and ``EC`` for placing ``name`` on ``device``.
-
-    Parameters
-    ----------
-    app:
-        The application DAG (provides the in-flows of ``name``).
-    upstream_devices:
-        Partial schedule mapping upstage microservice names to device
-        names.  In-flows whose producer is unplaced are skipped — the
-        scheduler calls this incrementally in topological order, so by
-        the time a microservice is costed all its producers are placed.
-    cached:
-        Whether the image already resides on ``device`` (zero ``Td``).
-    full_utilization:
-        The paper executes microservices non-concurrently, giving each
-        the full device (utilisation 1).  Set ``False`` to scale the
-        compute power by the core fraction instead.
-    """
-    service = app.service(name)
-    upstream_devices = upstream_devices or {}
-    incoming = [
-        (upstream_devices[flow.src], flow.size_mb)
-        for flow in app.in_flows(name)
-        if flow.src in upstream_devices
-    ]
-    times = phase_times(service, device, network, registry, incoming, cached)
-    util = 1.0 if full_utilization else utilization(service, device)
-    energy = energy_breakdown(times, device, util)
-    return CostRecord(
-        service=name,
-        registry=registry,
-        device=device.name,
-        times=times,
-        energy=energy,
-    )
 
 
 def total_energy_j(records: Sequence[CostRecord]) -> float:

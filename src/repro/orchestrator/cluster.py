@@ -14,9 +14,7 @@ from ..model.device import Device
 from ..model.network import NetworkModel
 from ..registry.base import Registry
 from ..registry.client import PullPolicy
-from ..registry.p2p import P2PRegistry
 from ..sim.engine import Simulator
-from ..sim.transfers import TransferEngine, TransferModel
 
 
 class ClusterError(RuntimeError):
@@ -31,24 +29,10 @@ class Cluster:
         sim: Optional[Simulator] = None,
         pull_policy: PullPolicy = PullPolicy.WHOLE_IMAGE,
         intensity: IntensityFn = unit_intensity,
-        p2p: Optional[P2PRegistry] = None,
-        transfer_model: TransferModel = TransferModel.ANALYTIC,
-        engine: Optional[TransferEngine] = None,
     ) -> None:
         self.sim = sim if sim is not None else Simulator()
         self.pull_policy = pull_policy
         self.intensity = intensity
-        self.p2p = p2p
-        if p2p is not None:
-            # The discovery backend runs its processes (gossip
-            # anti-entropy rounds) on the cluster's clock; binding is a
-            # no-op for the omniscient default.
-            p2p.swarm.discovery.bind(self.sim)
-        self.transfer_model = transfer_model
-        #: The fleet-wide shared-bandwidth engine (time-resolved mode).
-        #: Created lazily at first node registration when not injected,
-        #: so all kubelet pulls contend on one set of links.
-        self.engine = engine
         self._nodes: Dict[str, DeviceRuntime] = {}
         self._registries: Dict[str, Registry] = {}
 
@@ -59,17 +43,12 @@ class Cluster:
         """Join a device to the cluster (kubelet registration)."""
         if device.name in self._nodes:
             raise ClusterError(f"node {device.name!r} already registered")
-        if self.transfer_model is TransferModel.TIME_RESOLVED and self.engine is None:
-            self.engine = TransferEngine(self.sim, network)
         runtime = DeviceRuntime(
             sim=self.sim,
             device=device,
             network=network,
             pull_policy=self.pull_policy,
             intensity=self.intensity,
-            p2p=self.p2p,
-            transfer_model=self.transfer_model,
-            engine=self.engine,
         )
         self._nodes[device.name] = runtime
         return runtime

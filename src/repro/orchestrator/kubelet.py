@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from ..devices.executor import DeviceRuntime, ExecutionRecord
+from ..devices.executor import DeviceRuntime
 from ..model.application import Microservice
 from ..registry.base import Registry
-from ..registry.p2p import SourceKind
-from ..registry.repository import ManifestNotFound
 from .monitoring import Monitor
 from .objects import ImagePullPolicy, Pod, PodPhase
 
@@ -44,6 +42,11 @@ class Kubelet:
         (forcing a re-pull), matching Kubernetes semantics; the default
         ``IF_NOT_PRESENT`` reuses the device cache — the behaviour the
         paper's deployment-time model assumes.
+
+        A pod whose pull or run raises (a missing manifest, a
+        rate-limited hub, a full cache) is marked ``FAILED``, logged as
+        ``pod-failed`` and counted in ``pods_failed`` before the error
+        propagates.
         """
         sim = self.runtime.sim
         if pod.node != self.node_name:
@@ -57,16 +60,15 @@ class Kubelet:
         self.monitor.log(
             sim.now, "pull-start", pod.name, f"{pod.image} from {pod.registry}"
         )
-        if pod.pull_policy is ImagePullPolicy.ALWAYS:
-            manifest = registry.resolve(pod.image, self.runtime.device.arch)
-            for digest in manifest.layer_digests():
-                self.runtime.cache.remove(digest)
-
         try:
+            if pod.pull_policy is ImagePullPolicy.ALWAYS:
+                manifest = registry.resolve(pod.image, self.runtime.device.arch)
+                for digest in manifest.layer_digests():
+                    self.runtime.cache.remove(digest)
             record = yield from self.runtime.run_microservice(
                 service, registry, pod.image, incoming
             )
-        except (ManifestNotFound, KeyError) as exc:
+        except Exception as exc:
             pod.transition(sim.now, PodPhase.FAILED, str(exc))
             self.monitor.log(sim.now, "pod-failed", pod.name, str(exc))
             self.monitor.count("pods_failed")
@@ -92,47 +94,9 @@ class Kubelet:
         )
         self.monitor.count("pods_succeeded")
         self.monitor.count("bytes_pulled", record.pull.bytes_transferred)
-        # Per-source byte accounting: experiments read peer savings off
-        # the monitor instead of re-deriving them from pull plans.
-        self.monitor.count(
-            "bytes_from_peers", getattr(record.pull, "bytes_from_peers", 0)
-        )
-        # Stale discovery entries this pull tripped over (gossip views
-        # pointing at evicted layers or departed holders); 0 on the
-        # two-tier path and under omniscient discovery.
-        self.monitor.count(
-            "stale_peer_misses", getattr(record.pull, "stale_peer_misses", 0)
-        )
-        # Bytes a mid-flight fallback threw away (whole-layer restarts
-        # on the single-source path, lost chunks / losing endgame
-        # duplicates on the chunked path) and duplicate chunk requests
-        # the chunked endgame issued; 0 on analytic pulls.
-        self.monitor.count(
-            "bytes_wasted", getattr(record.pull, "bytes_wasted", 0)
-        )
-        self.monitor.count(
-            "chunk_endgame_dupes",
-            getattr(record.pull, "chunk_endgame_dupes", 0),
-        )
-        for source, count in sorted(self._bytes_by_source(record).items()):
-            self.monitor.count(f"bytes_from.{source}", count)
+        if record.pull.bytes_transferred:
+            self.monitor.count(
+                f"bytes_from.{record.pull.registry}",
+                record.pull.bytes_transferred,
+            )
         return record
-
-    @staticmethod
-    def _bytes_by_source(record: ExecutionRecord) -> dict:
-        """Transferred bytes keyed by the serving source's name.
-
-        Three-tier pulls break down per plan layer (peer device names
-        and registry names alike); two-tier pulls attribute everything
-        to the single registry that served them.
-        """
-        pull = record.pull
-        plan = getattr(pull, "plan", None)
-        out: dict = {}
-        if plan is not None:
-            for layer in plan.layers:
-                if layer.kind is not SourceKind.LOCAL:
-                    out[layer.source] = out.get(layer.source, 0) + layer.size_bytes
-        elif pull.bytes_transferred:
-            out[pull.registry] = pull.bytes_transferred
-        return out

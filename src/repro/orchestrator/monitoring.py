@@ -69,8 +69,8 @@ class Monitor:
         return self._counters.get(name, 0.0)
 
     def counters(self) -> Dict[str, float]:
-        """All counters (e.g. ``bytes_pulled``, ``bytes_from_peers``,
-        ``bytes_from.<source>``) by name."""
+        """All counters (e.g. ``bytes_pulled``, ``bytes_from.<registry>``)
+        by name."""
         return dict(self._counters)
 
     def gauges(self) -> Dict[str, float]:

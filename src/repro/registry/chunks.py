@@ -511,40 +511,14 @@ class ChunkSwarmPlanner:
         """Full-replica holders as ``device`` sees them (index-free)."""
         return self.swarm.discovery.view(device, layer_digest) - {device}
 
-    def availability(self, device: str, layer_digest: str, index: int) -> int:
-        """Holders of one chunk as ``device`` can see them: full
-        replicas in the discovery view (unverified — this is a count
-        for ordering, verification happens at fetch time) plus partial
-        holders in the ledger."""
-        full = self._full_holders(device, layer_digest)
-        partial = self.ledger.chunk_holders(layer_digest, index) - {device}
-        return len(full | partial)
-
-    def rarest_first(
-        self, device: str, cmap: ChunkMap, pending: Optional[Set[int]] = None
-    ) -> List[int]:
-        """Pending chunks ordered rarest-first (seeded stable ties).
-
-        Public so the ordering itself is testable without running a
-        simulation: sorted by (availability, seeded hash, index).
-        """
-        indices = (
-            sorted(pending) if pending is not None else range(cmap.n_chunks)
-        )
-        # One discovery lookup per ordering, not per index: the full-
-        # holder set does not depend on the chunk.
-        full = self._full_holders(device, cmap.layer_digest)
-        layer = cmap.layer_digest
-        return sorted(
-            indices,
-            key=lambda i: (
-                len(full | (self.ledger.chunk_holders(layer, i) - {device})),
-                self._tiebreak(device, layer, i),
-                i,
-            ),
-        )
-
     def _next_chunk(self, st: _LayerFetch, device: str) -> Optional[int]:
+        """Claim the rarest pending chunk of ``st`` for ``device``.
+
+        Rarity counts the holders ``device`` can see: full replicas in
+        its discovery view (unverified — verification happens at fetch
+        time) plus partial holders in the ledger.  Ties fall to the
+        seeded :meth:`_tiebreak`, then to the index.
+        """
         if not st.pending:
             return None
         layer = st.cmap.layer_digest

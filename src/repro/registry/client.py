@@ -19,8 +19,8 @@ joules via the network and power models.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from ..model.device import Arch
 from .base import ImageReference, Registry
@@ -84,90 +84,6 @@ class RegistryClient:
 
     def __init__(self, policy: PullPolicy = PullPolicy.WHOLE_IMAGE) -> None:
         self.policy = policy
-
-    def pull_process(
-        self,
-        registry: Registry,
-        reference: ImageReference,
-        arch: Arch,
-        cache: ImageCache,
-        engine,
-        client_name: str = "device",
-        bytes_scale: float = 1.0,
-    ):
-        """Time-resolved two-tier pull: a DES process returning the
-        :class:`PullResult`.
-
-        Byte accounting is identical to :meth:`pull`; what changes is
-        *when* things happen: the payload occupies the registry→device
-        shared links of ``engine`` for its real duration, and missing
-        layers enter the cache (reserve → commit) only when the
-        transfer completes, so concurrent observers never see bytes
-        that are still in flight.  ``bytes_scale`` scales the bytes
-        *moved on the wire* only (the executor passes the whole-image
-        warm fraction through it, mirroring the analytic deploy-time
-        scaling); the reported ``bytes_transferred`` stays unscaled.
-        """
-        manifest = registry.resolve(reference, arch)
-        total_layers = list(manifest.layers)
-        bytes_total = manifest.total_layer_bytes
-        if cache.has_image(manifest):
-            for digest in manifest.layer_digests():
-                cache.touch(digest)
-            return PullResult(
-                reference=reference,
-                registry=registry.name,
-                manifest=manifest,
-                bytes_total=bytes_total,
-                bytes_transferred=0,
-                layers_total=len(total_layers),
-                layers_transferred=0,
-            )
-        registry.meter_pull(client_name, engine.sim.now)
-        if self.policy is PullPolicy.WHOLE_IMAGE:
-            transferred_layers = total_layers
-            bytes_transferred = bytes_total
-        else:
-            missing_digests = set(cache.missing_layers(manifest))
-            transferred_layers = [
-                layer for layer in total_layers if layer.digest in missing_digests
-            ]
-            bytes_transferred = sum(l.size_bytes for l in transferred_layers)
-        for layer in transferred_layers:
-            registry.fetch_blob(layer.digest)
-        missing = [l for l in manifest.layers if l.digest not in cache]
-        evictions: List[EvictionRecord] = []
-        reserved: List[str] = []
-        try:
-            for layer in missing:
-                evictions.extend(cache.reserve(layer.digest, layer.size_bytes))
-                reserved.append(layer.digest)
-        except Exception:
-            # Release only what *this* call reserved — a concurrent
-            # owner's reservation of a shared layer is not ours to drop.
-            for digest in reserved:
-                cache.release(digest)
-            raise
-        moved = int(round(bytes_transferred * bytes_scale))
-        if moved > 0:
-            transfer = engine.start(
-                registry.name, client_name, moved, src_is_registry=True
-            )
-            yield transfer.done
-        for layer in missing:
-            cache.commit(layer.digest)
-        for digest in manifest.layer_digests():
-            cache.touch(digest)
-        return PullResult(
-            reference=reference,
-            registry=registry.name,
-            manifest=manifest,
-            bytes_total=bytes_total,
-            bytes_transferred=bytes_transferred,
-            layers_total=len(total_layers),
-            layers_transferred=len(transferred_layers),
-            evictions=tuple(evictions),
-        )
 
     def pull(
         self,

@@ -3,10 +3,9 @@
 The paper provisions its regional Docker registry on a local MinIO
 server (Sec. IV-C): an S3-compatible object store holding the image
 blobs and manifests.  This module reproduces the storage semantics the
-registry needs — buckets, keyed objects, ETags, prefix listing,
-multipart upload, and a capacity quota (the paper provisions "a
-specific storage capacity according to the user's requirements
-(e.g., 100 GB)").
+registry needs — buckets, keyed objects, ETags, prefix listing and a
+capacity quota (the paper provisions "a specific storage capacity
+according to the user's requirements (e.g., 100 GB)").
 
 Objects may be *materialised* (real bytes, ETag = MD5 like S3) or
 *synthetic* (nominal size only, ETag derived from the declared digest),
@@ -16,8 +15,8 @@ matching the two blob kinds in :mod:`repro.registry.blobstore`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..model.units import BYTES_PER_GB
 
@@ -40,10 +39,6 @@ class BucketAlreadyExists(MinioError):
 
 class QuotaExceeded(MinioError):
     """Put would exceed the store's provisioned capacity."""
-
-
-class UploadNotFound(MinioError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -75,13 +70,6 @@ def _etag_synthetic(key: str, size_bytes: int) -> str:
     ).hexdigest()
 
 
-@dataclass
-class _MultipartUpload:
-    bucket: str
-    key: str
-    parts: Dict[int, bytes] = field(default_factory=dict)
-
-
 class MinioStore:
     """An in-memory S3-compatible object store with a capacity quota.
 
@@ -99,8 +87,6 @@ class MinioStore:
             None if capacity_gb is None else int(capacity_gb * BYTES_PER_GB)
         )
         self._buckets: Dict[str, Dict[str, _StoredObject]] = {}
-        self._uploads: Dict[str, _MultipartUpload] = {}
-        self._upload_seq = 0
 
     # ------------------------------------------------------------------
     # buckets
@@ -114,15 +100,6 @@ class MinioStore:
 
     def bucket_exists(self, bucket: str) -> bool:
         return bucket in self._buckets
-
-    def list_buckets(self) -> List[str]:
-        return list(self._buckets)
-
-    def remove_bucket(self, bucket: str) -> None:
-        objects = self._bucket(bucket)
-        if objects:
-            raise MinioError(f"bucket {bucket!r} not empty")
-        del self._buckets[bucket]
 
     def _bucket(self, bucket: str) -> Dict[str, _StoredObject]:
         try:
@@ -225,41 +202,3 @@ class MinioStore:
             return objects[key]
         except KeyError:
             raise NoSuchKey(f"{bucket}/{key}") from None
-
-    # ------------------------------------------------------------------
-    # multipart upload (S3 semantics: parts assembled on completion)
-    # ------------------------------------------------------------------
-    def initiate_multipart(self, bucket: str, key: str) -> str:
-        self._bucket(bucket)  # must exist
-        self._upload_seq += 1
-        upload_id = f"upload-{self._upload_seq}"
-        self._uploads[upload_id] = _MultipartUpload(bucket=bucket, key=key)
-        return upload_id
-
-    def upload_part(self, upload_id: str, part_number: int, data: bytes) -> str:
-        if part_number < 1:
-            raise ValueError(f"part numbers start at 1, got {part_number}")
-        upload = self._upload(upload_id)
-        upload.parts[part_number] = data
-        return _etag_of(data)
-
-    def complete_multipart(self, upload_id: str) -> ObjectInfo:
-        """Assemble parts in part-number order into the final object."""
-        upload = self._upload(upload_id)
-        if not upload.parts:
-            raise MinioError(f"multipart {upload_id} has no parts")
-        assembled = b"".join(
-            upload.parts[n] for n in sorted(upload.parts)
-        )
-        del self._uploads[upload_id]
-        return self.put_object(upload.bucket, upload.key, assembled)
-
-    def abort_multipart(self, upload_id: str) -> None:
-        self._upload(upload_id)
-        del self._uploads[upload_id]
-
-    def _upload(self, upload_id: str) -> _MultipartUpload:
-        try:
-            return self._uploads[upload_id]
-        except KeyError:
-            raise UploadNotFound(upload_id) from None

@@ -885,8 +885,8 @@ class P2PRegistry:
 
         One :class:`LayerSource` per distinct serving source, sized by
         the chunk bytes it delivered — so downstream accounting
-        (``bytes_by_registry``, kubelet ``bytes_from.<name>`` counters)
-        is chunk-granular for free.  The layer's wall-clock duration is
+        (``bytes_by_registry``, ``bytes_from_peers``) is chunk-granular
+        for free.  The layer's wall-clock duration is
         carried by the largest contributor (ties: source name) and the
         rest report 0 s, keeping ``plan.seconds`` a sum of per-layer
         wall times like the single-source path.  A layer that landed
@@ -1376,19 +1376,6 @@ class AdaptiveReplicator:
         return all(
             not cycle.actions for cycle in self.history[-quiet_cycles:]
         )
-
-    def replica_trajectory(self, digest: str) -> List[int]:
-        """Replica count of ``digest`` after each recorded cycle.
-
-        Cycles in which the digest was not hot carry the last known
-        count forward (the replicator only measures what it looks at).
-        """
-        out: List[int] = []
-        last = 0
-        for cycle in self.history:
-            last = cycle.replica_counts.get(digest, last)
-            out.append(last)
-        return out
 
     def total_actions(self) -> int:
         return sum(len(cycle.actions) for cycle in self.history)

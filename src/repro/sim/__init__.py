@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation kernel used by the testbed."""
 
 from .churn import ChurnConfig, ChurnEvent, ChurnProcess
-from .engine import AllOf, Interrupt, Process, Simulator
+from .engine import AllOf, Process, Simulator
 from .events import Event, EventQueue, Timeout
 from .resources import Resource
 from .rng import DEFAULT_SEED, RngRegistry, default_registry
@@ -14,7 +14,6 @@ __all__ = [
     "DEFAULT_SEED",
     "Event",
     "EventQueue",
-    "Interrupt",
     "Process",
     "Resource",
     "RngRegistry",

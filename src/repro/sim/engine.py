@@ -28,14 +28,6 @@ from .events import Event, EventQueue, Timeout
 ProcessGenerator = Generator[Event, Any, Any]
 
 
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupts."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """A running process; itself an event that fires on termination.
 
@@ -44,48 +36,16 @@ class Process(Event):
     failure mode — a crashed process is a crashed simulation).
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: EventQueue, generator: ProcessGenerator) -> None:
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         bootstrap = Event(env)
         bootstrap.succeed(None)
         bootstrap.add_callback(self._resume)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise RuntimeError("cannot interrupt a finished process")
-        poke = Event(self.env)
-        poke._value = Interrupt(cause)
-        poke._ok = False
-        poke._triggered = True
-        self.env.schedule(poke, 0.0)
-        poke.add_callback(self._resume)
-
     def _resume(self, event: Event) -> None:
-        if self.triggered:  # already finished (e.g. interrupted then done)
-            # A failure aimed at a finished process (an interrupt that
-            # raced with completion) has no one left to handle it;
-            # consume it so run() doesn't crash a healthy simulation.
-            if not event.ok:
-                event.mark_consumed()
-            return
-        if self._target is not None and event is not self._target:
-            # A stale wake-up (interrupt raced with the awaited event):
-            # only deliver interrupts; ignore anything else.  A *real*
-            # failure of an abandoned event is deliberately NOT marked
-            # consumed — a crashed child process must still re-raise
-            # from run() (no silent failure mode).
-            if not isinstance(event.value, Interrupt):
-                return
-        self._target = None
         try:
             if event.ok:
                 next_event = self._generator.send(event.value)
@@ -103,7 +63,6 @@ class Process(Event):
             raise TypeError(
                 f"process yielded {next_event!r}; processes must yield Event"
             )
-        self._target = next_event
         next_event.add_callback(self._resume)
 
 

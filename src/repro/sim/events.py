@@ -68,8 +68,8 @@ class Event:
     def mark_consumed(self) -> None:
         """Record that this event's failure was delivered to a waiter.
 
-        A consumed failure is handled (e.g. an ``Interrupt`` caught by
-        its target process) and must not re-raise from ``run()``.
+        A consumed failure is handled (e.g. a failed event thrown into
+        the process waiting on it) and must not re-raise from ``run()``.
         """
         self._consumed = True
 

@@ -564,42 +564,29 @@ class TransferEngine:
     def links(self) -> List[Link]:
         return list(self._links.values())
 
-    def estimated_rate_mbps(
-        self, src: str, dst: str, src_is_registry: bool = False
-    ) -> float:
-        """Fair-share rate a transfer started *now* would roughly get.
-
-        Walks the ``src → dst`` path and takes, per link, the equal
-        split among the link's current occupants plus the newcomer —
-        the first-order max-min estimate (the true allocation can be
-        higher when other occupants are bottlenecked elsewhere).  Links
-        with no live state count at full capacity.  Loopback is
-        ``inf``.  This is the utilisation signal contention-aware
-        schedulers consume instead of the analytic nominal bandwidth.
-        """
-        specs, _latency_s = self.network.transfer_path(
-            src, dst, src_is_registry=src_is_registry
-        )
-        return self._share_over(specs)
-
-    def _share_over(self, specs) -> float:
-        rate = float("inf")
-        for spec in specs:
-            link = self._links.get(spec.name)
-            occupants = len(link.transfers) if link is not None else 0
-            rate = min(rate, spec.capacity_mbps / (occupants + 1))
-        return rate
-
     def estimated_transfer_s(
         self, src: str, dst: str, size_mb: float, src_is_registry: bool = False
     ) -> float:
-        """Contention-aware counterpart of ``Channel.transfer_time_s``."""
+        """Contention-aware counterpart of ``Channel.transfer_time_s``.
+
+        Takes, per link of the ``src → dst`` path, the equal split
+        among the link's current occupants plus the newcomer — the
+        first-order max-min estimate (the true allocation can be higher
+        when other occupants are bottlenecked elsewhere).  Links with
+        no live state count at full capacity.  Loopback and empty
+        transfers cost 0.
+        """
         specs, latency_s = self.network.transfer_path(
             src, dst, src_is_registry=src_is_registry
         )
         if not specs or size_mb <= 0:
             return 0.0
-        return latency_s + transfer_time_s(size_mb, self._share_over(specs))
+        rate = float("inf")
+        for spec in specs:
+            link = self._links.get(spec.name)
+            occupants = len(link.transfers) if link is not None else 0
+            rate = min(rate, spec.capacity_mbps / (occupants + 1))
+        return latency_s + transfer_time_s(size_mb, rate)
 
     def peak_oversubscription(self) -> float:
         """Worst observed ``allocated / capacity`` over all links.

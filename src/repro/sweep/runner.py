@@ -125,13 +125,19 @@ def _load_cached(
             f"corrupt sweep cache entry {path} ({error}); delete it to "
             f"re-run the cell"
         ) from error
-    if document.get("key") != key:
-        raise ValueError(
-            f"sweep cache entry {path} holds key {document.get('key')!r}; "
-            f"delete it to re-run the cell"
-        )
-    # Entries written before per-cell timing existed carry no wall_ms.
-    return document["outcome"], float(document.get("wall_ms", 0.0))
+    if not isinstance(document, dict):
+        problem = "not a JSON object"
+    elif document.get("key") != key:
+        problem = f"holds key {document.get('key')!r}"
+    elif not isinstance(document.get("outcome"), dict):
+        problem = "no outcome object"
+    else:
+        # Entries written before per-cell timing existed carry no wall_ms.
+        return document["outcome"], float(document.get("wall_ms", 0.0))
+    raise ValueError(
+        f"corrupt sweep cache entry {path} ({problem}); delete it to "
+        f"re-run the cell"
+    )
 
 def _store_cached(
     cache_dir: Path, key: str, spec_dict: Dict[str, Any],

@@ -136,6 +136,10 @@ class TestCostTable:
 
         record = table.record("a", "hub", "big", state)
         assert record.times.deploy_s == 0.0
+        # Two-tier costing: another device's copy does not shorten Td
+        # (1 GB over the 80 Mbit/s hub channel).
+        record = table.record("a", "hub", "tiny", state)
+        assert record.times.deploy_s == pytest.approx(100.0)
 
     def test_upstream_transfer_in_costs(self):
         env = make_env()
@@ -149,6 +153,8 @@ class TestCostTable:
         state2.commit(app.service("a"), "hub", "big", 10.0)
         record_local = table.record("b", "hub", "big", state2)
         assert record_local.times.transfer_s == 0.0
+        # An unplaced producer's flow is skipped, not costed.
+        assert table.record("b", "hub", "big").times.transfer_s == 0.0
 
     def test_cached_device_stays_feasible_when_storage_full(self):
         """An image already on a device is not re-downloaded, so the

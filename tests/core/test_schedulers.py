@@ -10,11 +10,6 @@ from repro.core.baselines import (
     RoundRobinScheduler,
 )
 from repro.core.games import PenaltyWeights
-from repro.core.pipeline import (
-    analyze_dependencies,
-    analyze_requirements,
-    plan_deployment,
-)
 from repro.core.placement import PlacementError
 from repro.core.scheduler import DeepScheduler, NashSolver
 from repro.workloads.testbed import HUB_NAME, REGIONAL_NAME
@@ -99,39 +94,3 @@ class TestBaselines:
     def test_random_is_feasible(self, video_app, env):
         result = RandomScheduler().schedule(video_app, env)
         result.plan.validate_against(video_app)
-
-
-class TestPipeline:
-    def test_requirement_analysis_passes_testbed(self, video_app, env):
-        reports = analyze_requirements(video_app, env)
-        assert len(reports) == 6
-        assert all(r.satisfiable for r in reports)
-
-    def test_requirement_analysis_fails_loudly(self, video_app, env):
-        broken = type(env)(
-            fleet=env.fleet,
-            network=env.network,
-            registries=env.registries,
-            availability=lambda reg, img: False,  # nothing hosted anywhere
-            intensity=env.intensity,
-        )
-        with pytest.raises(PlacementError, match="unsatisfiable"):
-            analyze_requirements(video_app, broken)
-
-    def test_dependency_analysis(self, video_app):
-        report = analyze_dependencies(video_app)
-        assert report.order[0] == "vp-transcode"
-        assert report.barrier_count == 3
-        assert len(report.stages) == 4
-
-    def test_plan_deployment_bundle(self, text_app, env):
-        bundle = plan_deployment(text_app, env)
-        assert bundle.schedule.plan.covers(text_app)
-        assert bundle.dependencies.barrier_count == 3
-        assert len(bundle.requirements) == 6
-
-    def test_plan_deployment_custom_scheduler(self, text_app, env):
-        bundle = plan_deployment(
-            text_app, env, FixedRegistryScheduler(HUB_NAME)
-        )
-        assert all(a.registry == HUB_NAME for a in bundle.schedule.plan)

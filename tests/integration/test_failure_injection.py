@@ -18,7 +18,7 @@ from repro.model.application import (
     Microservice,
     ResourceRequirements,
 )
-from repro.orchestrator import ApplicationController, PodPhase
+from repro.orchestrator import ApplicationController, ImagePullPolicy, PodPhase
 from repro.registry.base import ImageReference
 from repro.registry.cache import CacheFull, ImageCache
 from repro.registry.hub import PullRateLimiter, RateLimitExceeded
@@ -62,33 +62,37 @@ class TestSchedulingFailures:
 class TestRolloutFailures:
     def test_missing_image_fails_pod_and_raises(self, testbed, video_app):
         plan = DeepScheduler().schedule(video_app, testbed.env).plan
-        cluster = make_cluster(testbed)
-        controller = ApplicationController(cluster)
         # Corrupt the reference table: point one image at a ghost repo.
         broken = dict(testbed.references)
         key = ("docker-hub", "vp-frame")
         if plan.registry_of("vp-frame") == "regional":
             key = ("regional", "vp-frame")
         broken[key] = ImageReference("ghost/nowhere")
-        with pytest.raises((ManifestNotFound, RuntimeError)):
-            controller.execute(video_app, plan, broken)
-        failed = [p for p in controller_failed_pods(controller)]
-        assert any(p.service == "vp-frame" for p in failed)
+        # ALWAYS resolves the image before pulling it; the pod must fail
+        # at that step too, not stay PULLING.
+        for policy in (ImagePullPolicy.IF_NOT_PRESENT, ImagePullPolicy.ALWAYS):
+            controller = ApplicationController(make_cluster(testbed))
+            with pytest.raises((ManifestNotFound, RuntimeError)):
+                controller.execute(video_app, plan, broken, pull_policy=policy)
+            failed = [p for p in controller_failed_pods(controller)]
+            assert any(p.service == "vp-frame" for p in failed), policy
 
     def test_rate_limited_hub_mid_rollout(self, testbed, video_app):
         plan = DeepScheduler().schedule(video_app, testbed.env).plan
         hub_pulls = sum(1 for a in plan if a.registry == "docker-hub")
         assert hub_pulls >= 2
         cluster = make_cluster(testbed)
+        controller = ApplicationController(cluster)
         limiter = PullRateLimiter(limit=1, window_s=1e9)
         testbed.hub.rate_limiter = limiter
         try:
             with pytest.raises(RateLimitExceeded):
-                ApplicationController(cluster).execute(
-                    video_app, plan, testbed.references
-                )
+                controller.execute(video_app, plan, testbed.references)
         finally:
             testbed.hub.rate_limiter = None  # restore shared fixture
+        # The throttled pod fails visibly instead of staying PULLING.
+        assert len(controller.monitor.events_of("pod-failed")) == 1
+        assert controller.monitor.counter("pods_failed") == 1
 
 
 class TestCacheFailures:

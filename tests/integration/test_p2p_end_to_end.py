@@ -2,9 +2,7 @@
 
 Runs the full three-mode experiment on a small swarm and checks the
 headline claim — hybrid+P2P moves strictly fewer bytes out of the
-hub+regional origin tiers than plain hybrid — plus the executor-level
-integration (a DeviceRuntime wired to a P2PRegistry pulls from a peer
-and records the three-tier registry in its execution trace).
+hub+regional origin tiers than plain hybrid.
 """
 
 from dataclasses import replace
@@ -12,19 +10,8 @@ from dataclasses import replace
 import pytest
 
 from repro import scenarios
-from repro.devices.specs import MEDIUM_POWER, MEDIUM_SPEC
 from repro.experiments import p2p
-from repro.model.application import Microservice
-from repro.model.device import Device
-from repro.model.units import BYTES_PER_GB
-from repro.registry.base import ImageReference
-from repro.registry.hub import DockerHub
-from repro.registry.images import OFFICIAL_BASES, build_image
-from repro.registry.p2p import P2PRegistry, PeerSwarm
-from repro.model.network import NetworkModel
-from repro.devices.executor import DeviceRuntime
 from repro.scenarios import SimulationSession, TransferSpec
-from repro.sim.engine import Simulator
 from repro.sim.transfers import TransferModel
 
 
@@ -79,58 +66,6 @@ def test_experiment_table_renders(outcomes):
     text = result.to_text()
     assert "hybrid+p2p" in text
     assert any("less from" in note for note in result.notes)
-
-
-def test_device_runtime_pulls_through_the_p2p_tier():
-    """Executor integration: second device's deploy is a peer pull."""
-    hub = DockerHub(name="docker-hub")
-    mlist, blobs = build_image(
-        "acme/app", 0.5, base=OFFICIAL_BASES["python:3.9-slim"]
-    )
-    hub.push_image("acme/app", "latest", mlist, blobs)
-
-    import dataclasses
-
-    specs = [
-        Device(
-            spec=dataclasses.replace(MEDIUM_SPEC, name=name),
-            power=MEDIUM_POWER,
-            region="lab",
-        )
-        for name in ("edge-a", "edge-b")
-    ]
-
-    network = NetworkModel()
-    network.connect_devices("edge-a", "edge-b", 800.0)
-    for device in specs:
-        network.connect_registry("docker-hub", device.name, 80.0)
-
-    sim = Simulator()
-    swarm = PeerSwarm(network)
-    facade = P2PRegistry(swarm, [hub])
-    runtimes = [
-        DeviceRuntime(sim=sim, device=device, network=network, p2p=facade)
-        for device in specs
-    ]
-    service = Microservice(name="svc", image="acme/app", size_gb=0.5)
-    ref = ImageReference("acme/app")
-
-    first = runtimes[0].run_microservice(service, hub, ref)
-    done_first = sim.process(first)
-    sim.run()
-    second = runtimes[1].run_microservice(service, hub, ref)
-    sim.process(second)
-    sim.run()
-
-    rec_a = runtimes[0].records[0]
-    rec_b = runtimes[1].records[0]
-    assert rec_a.registry == facade.name
-    assert rec_a.pull.bytes_from_peers == 0
-    assert rec_b.pull.bytes_from_peers == rec_b.pull.bytes_transferred > 0
-    # Peer bandwidth (800 Mbps) is 10x the hub channel: deployment is
-    # proportionally faster on the peer-served device.
-    assert rec_b.times.deploy_s < rec_a.times.deploy_s
-    assert done_first.value.service == "svc"
 
 
 class TestContendedOverlap:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.model.application import (
-    Application,
-    Dataflow,
-    Microservice,
-    ResourceRequirements,
-)
+from repro.model.application import Microservice, ResourceRequirements
 from repro.model.device import Arch, Device, DeviceSpec, PowerModel
 from repro.model.metrics import (
     CostRecord,
@@ -16,7 +11,6 @@ from repro.model.metrics import (
     compute_time_s,
     deployment_time_s,
     energy_breakdown,
-    microservice_cost,
     phase_times,
     total_completion_s,
     total_energy_j,
@@ -136,16 +130,22 @@ class TestEnergyBreakdown:
 
 
 class TestMicroserviceCost:
-    def _app(self, service):
-        up = Microservice(name="up", image="up", size_gb=0.1)
-        app = Application("t", [up, service], [Dataflow("up", "svc", 100.0)])
-        return app
+    """``CT`` and ``EC`` of one placement, composed the way the cost
+    table composes them: :func:`phase_times` then
+    :func:`energy_breakdown`."""
+
+    def _record(self, device, net, service, incoming=(), cached=False):
+        times = phase_times(service, device, net, "hub", incoming, cached)
+        return CostRecord(
+            service=service.name,
+            registry="hub",
+            device=device.name,
+            times=times,
+            energy=energy_breakdown(times, device),
+        )
 
     def test_full_cost_record(self, device, net, service):
-        app = self._app(service)
-        record = microservice_cost(
-            app, "svc", "hub", device, net, upstream_devices={"up": "d1"}
-        )
+        record = self._record(device, net, service, incoming=[("d1", 100.0)])
         assert record.times.deploy_s == pytest.approx(100.0)
         assert record.times.transfer_s == pytest.approx(10.0)
         assert record.times.compute_s == pytest.approx(5.0)
@@ -155,18 +155,11 @@ class TestMicroserviceCost:
             2 * 100 + 0.5 * 10 + 10 * 5 + 1 * 115
         )
 
-    def test_unplaced_upstream_skipped(self, device, net, service):
-        app = self._app(service)
-        record = microservice_cost(app, "svc", "hub", device, net)
-        assert record.times.transfer_s == 0.0
-
     def test_cached_removes_deploy(self, device, net, service):
-        app = self._app(service)
-        record = microservice_cost(app, "svc", "hub", device, net, cached=True)
+        record = self._record(device, net, service, cached=True)
         assert record.times.deploy_s == 0.0
 
     def test_totals(self, device, net, service):
-        app = self._app(service)
-        r = microservice_cost(app, "svc", "hub", device, net)
+        r = self._record(device, net, service)
         assert total_energy_j([r, r]) == pytest.approx(2 * r.energy_j)
         assert total_completion_s([r, r]) == pytest.approx(2 * r.completion_s)

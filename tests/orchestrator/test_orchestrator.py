@@ -246,8 +246,7 @@ class TestPullPolicies:
 
 
 class TestPullByteCounters:
-    """The monitor, not the pull plans, is the source of truth for
-    per-source traffic (satellite: peer-served byte metering)."""
+    """The monitor meters each rollout's pulled bytes per registry."""
 
     def test_two_tier_rollout_attributes_bytes_to_registries(
         self, testbed, video_app, plan
@@ -259,7 +258,6 @@ class TestPullByteCounters:
         assert counters["bytes_pulled"] == sum(
             r.pull.bytes_transferred for r in report.records
         )
-        assert counters["bytes_from_peers"] == 0
         by_source = {
             name[len("bytes_from."):]: value
             for name, value in counters.items()
@@ -267,265 +265,3 @@ class TestPullByteCounters:
         }
         assert sum(by_source.values()) == counters["bytes_pulled"]
         assert all(cluster.registry(name) for name in by_source)
-
-    def test_p2p_rollout_meters_peer_bytes(self, testbed):
-        import dataclasses
-
-        from repro.devices.executor import DeviceRuntime
-        from repro.devices.specs import MEDIUM_POWER, MEDIUM_SPEC
-        from repro.model.application import Microservice
-        from repro.model.device import Device
-        from repro.model.network import NetworkModel
-        from repro.orchestrator.kubelet import Kubelet
-        from repro.orchestrator.objects import Pod as PodObj
-        from repro.registry.hub import DockerHub
-        from repro.registry.images import OFFICIAL_BASES, build_image
-        from repro.registry.p2p import P2PRegistry, PeerSwarm
-        from repro.sim.engine import Simulator
-
-        hub = DockerHub(name="docker-hub")
-        mlist, blobs = build_image(
-            "acme/app", 0.5, base=OFFICIAL_BASES["python:3.9-slim"]
-        )
-        hub.push_image("acme/app", "latest", mlist, blobs)
-        network = NetworkModel()
-        network.connect_devices("edge-a", "edge-b", 800.0)
-        for name in ("edge-a", "edge-b"):
-            network.connect_registry("docker-hub", name, 80.0)
-        sim = Simulator()
-        swarm = PeerSwarm(network)
-        facade = P2PRegistry(swarm, [hub])
-        monitor = Monitor()
-        runtimes = {
-            name: DeviceRuntime(
-                sim=sim,
-                device=Device(
-                    spec=dataclasses.replace(MEDIUM_SPEC, name=name),
-                    power=MEDIUM_POWER,
-                    region="lab",
-                ),
-                network=network,
-                p2p=facade,
-            )
-            for name in ("edge-a", "edge-b")
-        }
-        service = Microservice(name="svc", image="acme/app", size_gb=0.5)
-        for i, name in enumerate(("edge-a", "edge-b")):
-            pod = PodObj(
-                name=f"svc-{name}", service="svc", image=ImageReference("acme/app"),
-                node=name, registry=facade.name,
-            )
-            kubelet = Kubelet(runtimes[name], monitor)
-            sim.process(kubelet.run_pod(pod, service, hub))
-            sim.run()
-        counters = monitor.counters()
-        assert counters["bytes_from_peers"] > 0
-        assert counters["bytes_from.edge-a"] == counters["bytes_from_peers"]
-        assert (
-            counters["bytes_from.docker-hub"] + counters["bytes_from_peers"]
-            == counters["bytes_pulled"]
-        )
-
-
-class TestTimeResolvedCluster:
-    """Pulls driven as engine processes instead of analytic sleeps."""
-
-    def test_sequential_rollout_matches_analytic_when_uncontended(
-        self, testbed, video_app, plan
-    ):
-        from repro.sim.transfers import TransferModel
-
-        analytic = ApplicationController(make_cluster(testbed)).execute(
-            video_app, plan, testbed.references
-        )
-        resolved = ApplicationController(
-            make_cluster(testbed, transfer_model=TransferModel.TIME_RESOLVED)
-        ).execute(video_app, plan, testbed.references)
-        # Sequential rollout never overlaps transfers, so fair sharing
-        # degenerates to the analytic size/BW times.
-        assert resolved.makespan_s == pytest.approx(analytic.makespan_s)
-        assert resolved.total_energy_j == pytest.approx(analytic.total_energy_j)
-        by_name = {r.service: r for r in analytic.records}
-        for record in resolved.records:
-            assert record.times.deploy_s == pytest.approx(
-                by_name[record.service].times.deploy_s
-            )
-
-    def test_stage_parallel_contention_cannot_beat_analytic(
-        self, testbed, video_app, plan
-    ):
-        from repro.sim.transfers import TransferModel
-
-        analytic = ApplicationController(make_cluster(testbed)).execute(
-            video_app, plan, testbed.references, mode=ExecutionMode.STAGE_PARALLEL
-        )
-        tr_cluster = make_cluster(
-            testbed, transfer_model=TransferModel.TIME_RESOLVED
-        )
-        resolved = ApplicationController(tr_cluster).execute(
-            video_app, plan, testbed.references, mode=ExecutionMode.STAGE_PARALLEL
-        )
-        # Shared links can only slow concurrent pulls down, never
-        # speed them up past the uncontended analytic bound.
-        assert resolved.makespan_s >= analytic.makespan_s - 1e-9
-        assert tr_cluster.engine is not None
-        assert tr_cluster.engine.peak_oversubscription() <= 1.0 + 1e-9
-
-
-class TestChunkedKubeletCounters:
-    """Chunked pulls metered through the kubelet at chunk granularity."""
-
-    def test_chunked_rollout_splits_bytes_from_by_chunk_source(self):
-        import dataclasses
-
-        from repro.devices.executor import DeviceRuntime
-        from repro.devices.specs import MEDIUM_POWER, MEDIUM_SPEC
-        from repro.model.application import Microservice
-        from repro.model.device import Device
-        from repro.model.network import NetworkModel
-        from repro.orchestrator.kubelet import Kubelet
-        from repro.orchestrator.objects import Pod as PodObj
-        from repro.registry.hub import DockerHub
-        from repro.registry.images import build_image
-        from repro.registry.p2p import P2PRegistry, PeerSwarm
-        from repro.sim.engine import Simulator
-        from repro.sim.transfers import TransferEngine, TransferModel
-
-        hub = DockerHub(name="docker-hub")
-        # single-layer image: every per-source split below is chunk
-        # granular by construction (layer granularity would be one row)
-        mlist, blobs = build_image("acme/mono", 0.4, base=None, app_layers=1)
-        hub.push_image("acme/mono", "latest", mlist, blobs)
-        network = NetworkModel()
-        names = ("edge-a", "edge-b", "edge-c")
-        network.connect_device_mesh(list(names), 100.0)
-        for name in names:
-            network.connect_registry("docker-hub", name, 80.0)
-        sim = Simulator()
-        # budget 2 + window 4: a cold pull *must* spread chunks across
-        # both seeders instead of pinning the tie-break winner
-        engine = TransferEngine(sim, network, default_upload_budget=2)
-        swarm = PeerSwarm(network)
-        facade = P2PRegistry(
-            swarm, [hub], chunked=True, chunk_size_bytes=16_000_000
-        )
-        monitor = Monitor()
-        runtimes = {
-            name: DeviceRuntime(
-                sim=sim,
-                device=Device(
-                    spec=dataclasses.replace(MEDIUM_SPEC, name=name),
-                    power=MEDIUM_POWER,
-                    region="lab",
-                ),
-                network=network,
-                p2p=facade,
-                transfer_model=TransferModel.TIME_RESOLVED,
-                engine=engine,
-            )
-            for name in names
-        }
-        service = Microservice(name="svc", image="acme/mono", size_gb=0.4)
-        # warm two seeders sequentially, then pull onto the third: its
-        # chunks stream from both peers (and possibly the hub)
-        for name in names:
-            pod = PodObj(
-                name=f"svc-{name}",
-                service="svc",
-                image=ImageReference("acme/mono"),
-                node=name,
-                registry=facade.name,
-            )
-            kubelet = Kubelet(runtimes[name], monitor)
-            sim.process(kubelet.run_pod(pod, service, hub))
-            sim.run()
-        counters = monitor.counters()
-        assert counters["bytes_from_peers"] > 0
-        peer_split = {
-            name: counters.get(f"bytes_from.{name}", 0)
-            for name in ("edge-a", "edge-b")
-        }
-        # chunk-granular attribution: the cold pull drew from *both*
-        # warm seeders, each credited its own chunk bytes
-        assert all(v > 0 for v in peer_split.values())
-        assert sum(peer_split.values()) == counters["bytes_from_peers"]
-        assert (
-            counters.get("bytes_from.docker-hub", 0)
-            + counters["bytes_from_peers"]
-            == counters["bytes_pulled"]
-        )
-        # chunked counters exist and report a clean run
-        assert counters["bytes_wasted"] == 0
-        assert counters["chunk_endgame_dupes"] == 0
-
-    def test_kubelet_meters_restart_waste(self):
-        import dataclasses
-
-        from repro.devices.executor import DeviceRuntime
-        from repro.devices.specs import MEDIUM_POWER, MEDIUM_SPEC
-        from repro.model.application import Microservice
-        from repro.model.device import Device
-        from repro.model.network import NetworkModel
-        from repro.orchestrator.kubelet import Kubelet
-        from repro.orchestrator.objects import Pod as PodObj
-        from repro.registry.hub import DockerHub
-        from repro.registry.images import build_image
-        from repro.registry.p2p import P2PRegistry, PeerSwarm
-        from repro.sim.engine import Simulator
-        from repro.sim.transfers import TransferEngine, TransferModel
-
-        hub = DockerHub(name="docker-hub")
-        mlist, blobs = build_image("acme/mono", 0.4, base=None, app_layers=1)
-        hub.push_image("acme/mono", "latest", mlist, blobs)
-        network = NetworkModel()
-        network.connect_devices("edge-a", "edge-b", 100.0)
-        for name in ("edge-a", "edge-b"):
-            network.connect_registry("docker-hub", name, 80.0)
-        sim = Simulator()
-        engine = TransferEngine(sim, network)
-        swarm = PeerSwarm(network)
-        facade = P2PRegistry(swarm, [hub])  # single-source
-        monitor = Monitor()
-        runtimes = {
-            name: DeviceRuntime(
-                sim=sim,
-                device=Device(
-                    spec=dataclasses.replace(MEDIUM_SPEC, name=name),
-                    power=MEDIUM_POWER,
-                    region="lab",
-                ),
-                network=network,
-                p2p=facade,
-                transfer_model=TransferModel.TIME_RESOLVED,
-                engine=engine,
-            )
-            for name in ("edge-a", "edge-b")
-        }
-        service = Microservice(name="svc", image="acme/mono", size_gb=0.4)
-        pod_a = PodObj(
-            name="svc-a", service="svc", image=ImageReference("acme/mono"),
-            node="edge-a", registry=facade.name,
-        )
-        sim.process(
-            Kubelet(runtimes["edge-a"], monitor).run_pod(pod_a, service, hub)
-        )
-        sim.run()
-        pod_b = PodObj(
-            name="svc-b", service="svc", image=ImageReference("acme/mono"),
-            node="edge-b", registry=facade.name,
-        )
-        sim.process(
-            Kubelet(runtimes["edge-b"], monitor).run_pod(pod_b, service, hub)
-        )
-
-        def departure():
-            # edge-b sources the layer from edge-a (100 > 80 Mbit);
-            # kill the seeder mid-transfer to force a restart
-            yield sim.timeout(10.0)
-            swarm.remove_device("edge-a", engine=engine)
-
-        sim.process(departure())
-        sim.run()
-        counters = monitor.counters()
-        # the abandoned transfer's delivered bytes are metered, loudly
-        assert counters["bytes_wasted"] > 0

@@ -17,7 +17,14 @@ from repro.model.network import NetworkModel
 from repro.model.units import BYTES_PER_GB
 from repro.registry.base import RegistryError
 from repro.registry.cache import ImageCache
-from repro.registry.chunks import ChunkLedger, ChunkMap, ChunkStore, ChunkSwarmPlanner
+from repro.registry.chunks import (
+    ChunkFetchOutcome,
+    ChunkLedger,
+    ChunkMap,
+    ChunkStore,
+    ChunkSwarmPlanner,
+    _LayerFetch,
+)
 from repro.registry.digest import digest_text
 from repro.registry.hub import DockerHub
 from repro.registry.p2p import PeerSwarm
@@ -172,6 +179,15 @@ def _planner(seed: int):
     return ChunkSwarmPlanner(swarm, [hub], chunk_size_bytes=10, seed=seed)
 
 
+def _claim_order(planner, cmap):
+    """Chunks in the order ``_next_chunk`` claims them for edge-0."""
+    st = _LayerFetch(cmap, ChunkFetchOutcome(cmap.layer_digest))
+    order = []
+    while (index := planner._next_chunk(st, "edge-0")) is not None:
+        order.append(index)
+    return order
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
@@ -179,18 +195,15 @@ def _planner(seed: int):
 )
 def test_rarest_first_is_deterministic_per_seed(seed, layer_size):
     cmap = ChunkMap(LAYER, layer_size, 10)
-    order_a = _planner(seed).rarest_first("edge-0", cmap)
-    order_b = _planner(seed).rarest_first("edge-0", cmap)
+    order_a = _claim_order(_planner(seed), cmap)
+    order_b = _claim_order(_planner(seed), cmap)
     assert order_a == order_b
     assert sorted(order_a) == list(range(cmap.n_chunks))
-    # and the ordering key really is (availability, seeded hash, index)
+    # With no holders every chunk is equally rare, so the claim order
+    # is the seeded hash order (index breaks hash ties).
     planner = _planner(seed)
     expected = sorted(
         range(cmap.n_chunks),
-        key=lambda i: (
-            planner.availability("edge-0", LAYER, i),
-            planner._tiebreak("edge-0", LAYER, i),
-            i,
-        ),
+        key=lambda i: (planner._tiebreak("edge-0", LAYER, i), i),
     )
-    assert planner.rarest_first("edge-0", cmap) == expected
+    assert _claim_order(planner, cmap) == expected

@@ -15,10 +15,12 @@ from repro.model.network import NetworkModel
 from repro.registry.base import ImageReference, RegistryError
 from repro.registry.cache import ImageCache
 from repro.registry.chunks import (
+    ChunkFetchOutcome,
     ChunkLedger,
     ChunkMap,
     ChunkStore,
     ChunkSwarmPlanner,
+    _LayerFetch,
 )
 from repro.registry.digest import digest_text, is_digest
 from repro.registry.hub import DockerHub
@@ -202,19 +204,42 @@ def planner_on_lan(n_devices: int = 4, seed: int = 0):
     return planner, swarm, caches, hub
 
 
+def claim_order(planner, device, cmap, pending=None):
+    """Chunks of ``cmap`` in the order ``_next_chunk`` claims them for
+    ``device`` (the selection every chunk worker runs)."""
+    st = _LayerFetch(cmap, ChunkFetchOutcome(cmap.layer_digest))
+    if pending is not None:
+        st.pending = set(pending)
+    order = []
+    while (index := planner._next_chunk(st, device)) is not None:
+        order.append(index)
+    return order
+
+
 class TestRarestFirst:
     def test_availability_counts_full_and_partial_holders(self):
         planner, swarm, caches, _hub = planner_on_lan()
         cmap = ChunkMap(LAYER, 40 * MB, 10 * MB)
-        # edge-1 holds the full layer; edge-2 holds only chunk 0.
+        # edge-1 holds the full layer; edge-3 holds only chunk 0; a
+        # stale ledger entry also lists edge-1 for chunk 1.
         caches["edge-1"].add(LAYER, 40 * MB)
-        store2 = planner.store_for("edge-2", caches["edge-2"])
-        store2.begin_layer(cmap)
-        store2.commit_chunk(LAYER, 0)
-        assert planner.availability("edge-0", LAYER, 0) == 2
-        assert planner.availability("edge-0", LAYER, 1) == 1
-        # the viewer itself never counts
-        assert planner.availability("edge-2", LAYER, 0) == 1
+        store3 = planner.store_for("edge-3", caches["edge-3"])
+        store3.begin_layer(cmap)
+        store3.commit_chunk(LAYER, 0)
+        planner.ledger.add_chunk("edge-1", LAYER, 1)
+        # Rarity is |full ∪ partial|: chunk 0 has two holders, chunks
+        # 1–3 one each (edge-1 counts once for chunk 1).
+        order = claim_order(planner, "edge-0", cmap)
+        assert order[-1] == 0
+        assert set(order[:3]) == {1, 2, 3}
+        # The viewer itself never counts: to edge-3 every chunk has the
+        # one full holder, so the seeded tie-break alone decides (and it
+        # does not put chunk 0 last, where counting edge-3 would).
+        by_tiebreak = sorted(
+            range(4), key=lambda i: planner._tiebreak("edge-3", LAYER, i)
+        )
+        assert by_tiebreak[-1] != 0
+        assert claim_order(planner, "edge-3", cmap) == by_tiebreak
 
     def test_rarer_chunks_order_first(self):
         planner, swarm, caches, _hub = planner_on_lan()
@@ -224,7 +249,7 @@ class TestRarestFirst:
         store2.begin_layer(cmap)
         store2.commit_chunk(LAYER, 0)
         store2.commit_chunk(LAYER, 1)
-        order = planner.rarest_first("edge-0", cmap)
+        order = claim_order(planner, "edge-0", cmap)
         # chunks 2/3 have one holder, chunks 0/1 have two
         assert set(order[:2]) == {2, 3}
         assert set(order[2:]) == {0, 1}
@@ -234,16 +259,16 @@ class TestRarestFirst:
         planner_a, *_ = planner_on_lan(seed=7)
         planner_b, *_ = planner_on_lan(seed=7)
         planner_c, *_ = planner_on_lan(seed=8)
-        order_a = planner_a.rarest_first("edge-0", cmap)
-        order_b = planner_b.rarest_first("edge-0", cmap)
-        order_c = planner_c.rarest_first("edge-0", cmap)
+        order_a = claim_order(planner_a, "edge-0", cmap)
+        order_b = claim_order(planner_b, "edge-0", cmap)
+        order_c = claim_order(planner_c, "edge-0", cmap)
         assert order_a == order_b  # same seed → identical schedule
         assert order_a != order_c  # different seed → different ties
-        # repeated calls are stable
-        assert planner_a.rarest_first("edge-0", cmap) == order_a
+        # repeated fetches are stable
+        assert claim_order(planner_a, "edge-0", cmap) == order_a
         # and a restricted pending set preserves the relative order
         pending = set(order_a[:10])
-        assert planner_a.rarest_first("edge-0", cmap, pending) == order_a[:10]
+        assert claim_order(planner_a, "edge-0", cmap, pending) == order_a[:10]
 
     def test_tiebreak_disperses_across_devices(self):
         # Equal-rarity chunks must be claimed in different orders on
@@ -251,8 +276,8 @@ class TestRarestFirst:
         # partial seeding never gets a chunk the neighbours lack.
         cmap = ChunkMap(LAYER, 320 * MB, 10 * MB)
         planner, *_ = planner_on_lan()
-        order_0 = planner.rarest_first("edge-0", cmap)
-        order_1 = planner.rarest_first("edge-1", cmap)
+        order_0 = claim_order(planner, "edge-0", cmap)
+        order_1 = claim_order(planner, "edge-1", cmap)
         assert order_0 != order_1
 
 
@@ -395,6 +420,19 @@ class TestChunkedPull:
             if layer.kind is SourceKind.PEER
         }
         assert len(peer_sources) >= 2  # chunks drawn from both holders
+        # Chunk-granular attribution: each seeder is credited its own
+        # chunk bytes, and peers plus registries cover every byte moved.
+        assert result.bytes_from_peers == sum(
+            layer.size_bytes
+            for layer in result.plan.layers
+            if layer.kind is SourceKind.PEER
+        )
+        assert (
+            sum(result.bytes_by_registry().values()) + result.bytes_from_peers
+            == result.bytes_transferred
+        )
+        assert result.bytes_wasted == 0
+        assert result.chunk_endgame_dupes == 0
 
     def test_seeder_departure_loses_one_chunk_not_the_layer(self):
         # edge-1 seeds the whole (single-layer) image to edge-0, then

@@ -1,4 +1,4 @@
-"""MinIO-style object store: buckets, objects, quota, multipart."""
+"""MinIO-style object store: buckets, objects, quota."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.registry.minio import (
     NoSuchBucket,
     NoSuchKey,
     QuotaExceeded,
-    UploadNotFound,
 )
 
 
@@ -21,9 +20,11 @@ def store():
 
 
 class TestBuckets:
-    def test_create_and_list(self, store):
+    def test_make_bucket_then_exists(self, store):
+        assert not store.bucket_exists("other")
         store.make_bucket("other")
-        assert set(store.list_buckets()) == {"b", "other"}
+        assert store.bucket_exists("other")
+        assert store.bucket_exists("b")
 
     def test_duplicate_bucket_rejected(self, store):
         with pytest.raises(BucketAlreadyExists):
@@ -33,15 +34,6 @@ class TestBuckets:
         with pytest.raises(NoSuchBucket):
             store.put_object("ghost", "k", b"x")
 
-    def test_remove_empty_bucket(self, store):
-        store.make_bucket("tmp")
-        store.remove_bucket("tmp")
-        assert not store.bucket_exists("tmp")
-
-    def test_remove_non_empty_bucket_rejected(self, store):
-        store.put_object("b", "k", b"x")
-        with pytest.raises(MinioError):
-            store.remove_bucket("b")
 
 
 class TestObjects:
@@ -107,34 +99,3 @@ class TestQuota:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             MinioStore(capacity_gb=0.0)
-
-
-class TestMultipart:
-    def test_parts_assemble_in_order(self, store):
-        upload = store.initiate_multipart("b", "assembled")
-        store.upload_part(upload, 2, b"world")
-        store.upload_part(upload, 1, b"hello ")
-        info = store.complete_multipart(upload)
-        assert store.get_object("b", "assembled") == b"hello world"
-        assert info.size_bytes == 11
-
-    def test_abort_discards(self, store):
-        upload = store.initiate_multipart("b", "k")
-        store.upload_part(upload, 1, b"x")
-        store.abort_multipart(upload)
-        with pytest.raises(UploadNotFound):
-            store.complete_multipart(upload)
-
-    def test_complete_empty_rejected(self, store):
-        upload = store.initiate_multipart("b", "k")
-        with pytest.raises(MinioError):
-            store.complete_multipart(upload)
-
-    def test_part_numbers_start_at_one(self, store):
-        upload = store.initiate_multipart("b", "k")
-        with pytest.raises(ValueError):
-            store.upload_part(upload, 0, b"x")
-
-    def test_unknown_upload_rejected(self, store):
-        with pytest.raises(UploadNotFound):
-            store.upload_part("bogus", 1, b"x")

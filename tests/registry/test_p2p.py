@@ -288,6 +288,14 @@ class TestP2PRegistry:
         second = facade.pull(ref, Arch.AMD64, "b", swarm.index.cache_of("b"))
         assert second.bytes_by_registry() == {}
         assert second.bytes_from_peers == second.bytes_transferred > 0
+        assert {
+            layer.source
+            for layer in second.plan.layers
+            if layer.kind is SourceKind.PEER
+        } == {"a"}
+        # The 800 Mbit/s peer channel is 10x the hub's: the peer-served
+        # deployment is proportionally faster.
+        assert second.seconds < first.seconds
         # And a's repeat pull is a pure cache hit.
         third = facade.pull(ref, Arch.AMD64, "a", swarm.index.cache_of("a"))
         assert third.cache_hit

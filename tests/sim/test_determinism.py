@@ -3,18 +3,19 @@
 The adaptive replicator (and every benchmark) relies on the engine
 being a pure function of its inputs: two runs of the same seeded
 scenario must produce identical event orderings and final clocks —
-including through ``AllOf`` barriers and ``Interrupt`` delivery, where
-tie-breaking by insertion sequence is what keeps traces stable.
+including through ``AllOf`` barriers and a failed event thrown into the
+process waiting on it, where tie-breaking by insertion sequence is what
+keeps traces stable.
 """
 
 from typing import List, Tuple
 
-from repro.sim.engine import Interrupt, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
 
 def scripted_scenario(seed: int) -> Tuple[List[Tuple[float, str]], float]:
-    """A scenario exercising timeouts, barriers, and interrupts.
+    """A scenario exercising timeouts, barriers, and a thrown failure.
 
     Returns the (time, label) trace and the final clock.
     """
@@ -38,22 +39,24 @@ def scripted_scenario(seed: int) -> Tuple[List[Tuple[float, str]], float]:
 
     sim.process(barrier_watcher())
 
+    alarm = sim.event()
+
     def sleeper():
         try:
-            yield sim.timeout(1000.0)
-            trace.append((sim.now, "sleeper:uninterrupted"))
-        except Interrupt as interrupt:
-            trace.append((sim.now, f"sleeper:interrupted:{interrupt.cause}"))
+            yield alarm
+            trace.append((sim.now, "sleeper:woken"))
+        except RuntimeError as exc:
+            trace.append((sim.now, f"sleeper:failed:{exc}"))
             yield sim.timeout(float(rng.stream("sleeper").uniform(0.5, 2.0)))
             trace.append((sim.now, "sleeper:recovered"))
 
-    sleeping = sim.process(sleeper())
+    sim.process(sleeper())
 
-    def interrupter():
-        yield sim.timeout(float(rng.stream("interrupter").uniform(1.0, 3.0)))
-        sleeping.interrupt("poke")
+    def poker():
+        yield sim.timeout(float(rng.stream("poker").uniform(1.0, 3.0)))
+        alarm.fail(RuntimeError("poke"))
 
-    sim.process(interrupter())
+    sim.process(poker())
 
     final = sim.run()
     return trace, final
@@ -67,8 +70,10 @@ def test_same_seed_same_trace_and_clock():
     # The barrier fired exactly once, after every worker step.
     barriers = [label for _, label in first_trace if label.startswith("barrier")]
     assert len(barriers) == 1
-    interrupted = [l for _, l in first_trace if "interrupted" in l]
-    assert interrupted == ["sleeper:interrupted:poke"]
+    # The failure reached the waiting process, which handled it (so
+    # run() did not re-raise it) and carried on.
+    sleeper = [l for _, l in first_trace if l.startswith("sleeper")]
+    assert sleeper == ["sleeper:failed:poke", "sleeper:recovered"]
 
 
 def test_rng_streams_are_stable_across_registries():
@@ -107,27 +112,6 @@ def test_run_until_is_deterministic():
     assert first_clock == second_clock == 25.0
 
 
-def test_caught_interrupt_does_not_reraise_from_run():
-    sim = Simulator()
-    seen = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            seen.append(interrupt.cause)
-
-    target = sim.process(sleeper())
-
-    def poker():
-        yield sim.timeout(1.0)
-        target.interrupt("poke")
-
-    sim.process(poker())
-    sim.run()  # must not re-raise the handled Interrupt
-    assert seen == ["poke"]
-
-
 def test_handled_barrier_failure_does_not_reraise_from_run():
     sim = Simulator()
     seen = []
@@ -147,30 +131,6 @@ def test_handled_barrier_failure_does_not_reraise_from_run():
     sim.process(breaker())
     sim.run()  # the barrier adopted the failure and the waiter caught it
     assert seen == ["child failed"]
-
-
-def test_interrupt_racing_with_completion_does_not_crash_run():
-    # The interrupter acts first in the same tick the target finishes:
-    # the target is still alive when interrupted, but its own timeout
-    # is already queued ahead of the poke, so the poke lands on an
-    # already-finished process and must be swallowed.
-    sim = Simulator()
-    done = []
-    handoff = []
-
-    def interrupter():
-        yield sim.timeout(3.0)
-        handoff[0].interrupt("race")
-
-    sim.process(interrupter())
-
-    def target():
-        yield sim.timeout(3.0)
-        done.append("target")
-
-    handoff.append(sim.process(target()))
-    sim.run()  # must not re-raise the undeliverable Interrupt
-    assert done == ["target"]
 
 
 def test_second_barrier_child_failure_is_also_consumed():

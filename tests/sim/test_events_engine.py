@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, Event, EventQueue, Interrupt, Simulator, Timeout
+from repro.sim import AllOf, Event, EventQueue, Simulator, Timeout
 
 
 class TestEventQueue:

@@ -228,6 +228,52 @@ class TestRemainingPayload:
         assert engine.remaining_mb(transfer) == 0.0
 
 
+class TestEstimatedTransfer:
+    """``estimated_transfer_s`` prices the chunk endgame's registry
+    fetch: latency plus payload at the equal split of each path link
+    among its occupants and the newcomer."""
+
+    @staticmethod
+    def engine(rtt_s=0.0):
+        network = NetworkModel()
+        network.connect_devices("medium", "small", 800.0, rtt_s=rtt_s)
+        network.connect_registry("hub", "small", 80.0)
+        return TransferEngine(Simulator(), network)
+
+    def test_idle_path_takes_latency_plus_size_over_capacity(self):
+        engine = self.engine(rtt_s=0.5)
+        # 0.5 s RTT + 1000 MB * 8 / 800 Mbit/s.
+        assert engine.estimated_transfer_s(
+            "medium", "small", 1000.0
+        ) == pytest.approx(10.5)
+
+    def test_each_occupant_halves_the_newcomers_share(self):
+        engine = self.engine()
+        engine.start("medium", "small", 500 * MB)
+        assert engine.estimated_transfer_s(
+            "medium", "small", 1000.0
+        ) == pytest.approx(1000.0 * 8 / 400.0)
+        engine.start("medium", "small", 500 * MB)
+        assert engine.estimated_transfer_s(
+            "medium", "small", 1000.0
+        ) == pytest.approx(1000.0 * 8 / (800.0 / 3))
+
+    def test_loopback_and_empty_transfers_are_free(self):
+        engine = self.engine()
+        assert engine.estimated_transfer_s("small", "small", 1000.0) == 0.0
+        assert engine.estimated_transfer_s("medium", "small", 0.0) == 0.0
+
+    def test_registry_paths_are_estimated_too(self):
+        engine = self.engine()
+        assert engine.estimated_transfer_s(
+            "hub", "small", 1000.0, src_is_registry=True
+        ) == pytest.approx(100.0)
+        engine.start("hub", "small", 500 * MB, src_is_registry=True)
+        assert engine.estimated_transfer_s(
+            "hub", "small", 1000.0, src_is_registry=True
+        ) == pytest.approx(200.0)
+
+
 class TestUploadBudgets:
     def test_budget_exhaustion_raises_and_slot_frees_on_completion(self):
         network = star_network()

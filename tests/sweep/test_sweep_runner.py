@@ -154,12 +154,20 @@ class TestResume:
         }
         assert executed_markers(tmp_path / "markers") == new_keys
 
-    def test_corrupt_cache_entry_is_loud(self, tmp_path):
+    @pytest.mark.parametrize(
+        "body",
+        ["{ truncated", "[]", "null", '{"key": "<key>"}'],
+        ids=["truncated", "list", "null", "no-outcome"],
+    )
+    def test_corrupt_cache_entry_is_loud(self, tmp_path, body):
+        # Valid JSON that is not an entry object with an object outcome
+        # fails like a truncated file, not with an AttributeError or a
+        # KeyError from inside the loader.
         sweep = small_sweep(axes={}, seeds=(1,))
         run_sweep(sweep, cache_dir=tmp_path)
         (cell,) = sweep.cells()
         path = tmp_path / f"{cell.key}.json"
-        path.write_text("{ truncated")
+        path.write_text(body.replace("<key>", cell.key))
         with pytest.raises(ValueError, match="corrupt sweep cache"):
             run_sweep(sweep, cache_dir=tmp_path)
 
