@@ -124,12 +124,6 @@ class ModuleContext:
             yield current
             current = self.parents.get(current)
 
-    def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return ancestor
-        return None
-
     def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
         for ancestor in self.ancestors(node):
             if isinstance(ancestor, ast.ClassDef):

@@ -1,5 +1,5 @@
 """Edge-device simulator: the paper's two-device testbed, power traces,
-storage accounting, and the per-device execution runtime."""
+and the per-device execution runtime."""
 
 from .executor import DeviceRuntime, ExecutionRecord, IntensityFn, unit_intensity
 from .power import PowerSegment, PowerTrace
@@ -13,7 +13,6 @@ from .specs import (
     medium_device,
     small_device,
 )
-from .storage import StorageExhausted, StorageLedger
 
 __all__ = [
     "DeviceRuntime",
@@ -27,8 +26,6 @@ __all__ = [
     "SMALL_POWER",
     "SMALL_SPEC",
     "SMALL_SPEED_MIPS",
-    "StorageExhausted",
-    "StorageLedger",
     "medium_device",
     "small_device",
     "unit_intensity",

@@ -1,10 +1,11 @@
 """Device runtime: executes microservices on the simulated testbed.
 
 A :class:`DeviceRuntime` bundles everything one edge device owns —
-image cache, storage ledger, power trace, and an execution lock — and
-exposes :meth:`run_microservice`, a DES process that walks the paper's
-three phases (deploy → receive dataflow → process) while recording the
-power segments the energy meters integrate.
+image cache, power trace, and an execution lock — and exposes
+:meth:`run_microservice`, a DES process that walks the paper's three
+phases (deploy → receive dataflow → process) while recording the power
+segments the energy meters integrate.  Phase durations and energy come
+from the model's cost equations (:mod:`repro.model.metrics`).
 
 Microservices execute **non-concurrently per device** (the paper's
 execution model, Sec. III-D): the execution lock serialises them, so
@@ -18,7 +19,13 @@ from typing import Callable, Iterable, List, Tuple
 
 from ..model.application import Microservice
 from ..model.device import Device, Phase
-from ..model.metrics import EnergyBreakdown, PhaseTimes
+from ..model.metrics import (
+    EnergyBreakdown,
+    PhaseTimes,
+    compute_time_s,
+    energy_breakdown,
+    transmission_time_s,
+)
 from ..model.network import NetworkModel
 from ..model.units import bytes_to_mb
 from ..registry.base import ImageReference, Registry
@@ -27,7 +34,6 @@ from ..registry.client import PullPolicy, PullResult, RegistryClient
 from ..sim.engine import Simulator
 from ..sim.resources import Resource
 from .power import PowerTrace
-from .storage import StorageLedger
 
 #: (ms_name, device_name) -> compute intensity multiplier.  Calibration
 #: fits these so simulated EC matches Table II per microservice.
@@ -84,7 +90,6 @@ class DeviceRuntime:
         self.device = device
         self.network = network
         self.cache = ImageCache(device.spec.storage_gb, device.name)
-        self.scratch = StorageLedger(device.spec.storage_gb, device.name)
         self.trace = PowerTrace(device)
         self.client = RegistryClient(pull_policy)
         self.intensity = intensity
@@ -106,21 +111,6 @@ class DeviceRuntime:
             registry_name, self.name
         ).transfer_time_s(bytes_to_mb(transferred_bytes))
 
-    def transfer_seconds(
-        self, incoming: Iterable[Tuple[str, float]], ingress_mb: float
-    ) -> float:
-        """``Tc`` for upstream flows plus external ingress."""
-        total = sum(
-            self.network.dataflow_time_s(src, self.name, mb)
-            for src, mb in incoming
-        )
-        if ingress_mb > 0:
-            total += self.network.ingress_time_s(self.name, ingress_mb)
-        return total
-
-    def compute_seconds(self, service: Microservice) -> float:
-        return service.requirements.cpu_mi / self.device.spec.speed_mips
-
     # ------------------------------------------------------------------
     # the execution process
     # ------------------------------------------------------------------
@@ -140,7 +130,6 @@ class DeviceRuntime:
         yield grant
         try:
             start_s = self.sim.now
-            power = self.device.power
 
             # Phase 1 — deployment: pull what the cache doesn't hold.
             pull = self.client.pull(
@@ -165,7 +154,9 @@ class DeviceRuntime:
                 yield self.sim.timeout(deploy_s)
 
             # Phase 2 — dataflow transmission (upstream + ingress).
-            transfer_s = self.transfer_seconds(incoming, service.ingress_mb)
+            transfer_s = transmission_time_s(
+                self.network, incoming, self.name, service.ingress_mb
+            )
             if transfer_s > 0:
                 self.trace.record(
                     self.sim.now, transfer_s, Phase.TRANSFER, label=service.name
@@ -174,7 +165,7 @@ class DeviceRuntime:
 
             # Phase 3 — processing.
             scale = self.intensity(service.name, self.name)
-            compute_s = self.compute_seconds(service)
+            compute_s = compute_time_s(service, self.device)
             if compute_s > 0:
                 self.trace.record(
                     self.sim.now,
@@ -186,12 +177,7 @@ class DeviceRuntime:
                 yield self.sim.timeout(compute_s)
 
             times = PhaseTimes(deploy_s, transfer_s, compute_s)
-            energy = EnergyBreakdown(
-                pull_j=power.active_watts(Phase.PULL) * deploy_s,
-                transfer_j=power.active_watts(Phase.TRANSFER) * transfer_s,
-                compute_j=power.active_watts(Phase.COMPUTE, scale) * compute_s,
-                static_j=power.static_watts * times.completion_s,
-            )
+            energy = energy_breakdown(times, self.device, scale)
             record = ExecutionRecord(
                 service=service.name,
                 device=self.name,
@@ -206,7 +192,3 @@ class DeviceRuntime:
             return record
         finally:
             self._lock.release()
-
-    def total_used_bytes(self) -> int:
-        """Images + scratch currently occupying the device's storage."""
-        return self.cache.used_bytes + self.scratch.used_bytes

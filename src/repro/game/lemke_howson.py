@@ -55,9 +55,6 @@ class _Tableau:
     def column_of(self, label: int) -> int:
         return self.labels.index(label)
 
-    def is_basic(self, label: int) -> bool:
-        return label in self.basic
-
     def pivot(self, entering_label: int) -> int:
         """Bring ``entering_label`` into the basis; return the leaver.
 

@@ -130,12 +130,6 @@ class NormalFormGame:
         best = utilities.max()
         return [int(i) for i in np.flatnonzero(utilities >= best - tol)]
 
-    def col_best_responses(self, row_strategy, tol: float = 1e-9) -> List[int]:
-        """Pure columns maximising utility against ``row_strategy``."""
-        utilities = self.col_payoff_vector(row_strategy)
-        best = utilities.max()
-        return [int(j) for j in np.flatnonzero(utilities >= best - tol)]
-
     def is_best_response_row(self, row_strategy, col_strategy, tol=1e-8) -> bool:
         """Is ``row_strategy`` optimal against ``col_strategy``?
 

@@ -66,11 +66,6 @@ def gb_to_bytes(size_gb: float) -> int:
     return int(round(size_gb * BYTES_PER_GB))
 
 
-def bytes_to_gb(size_bytes: int) -> float:
-    """Convert bytes to gigabytes."""
-    return size_bytes / BYTES_PER_GB
-
-
 def mb_to_bytes(size_mb: float) -> int:
     """Convert megabytes to whole bytes (rounded to nearest byte)."""
     return int(round(size_mb * BYTES_PER_MB))

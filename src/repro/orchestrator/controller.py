@@ -72,10 +72,6 @@ class ExecutionReport:
     def total_energy_j(self) -> float:
         return self.ledger.total_j()
 
-    @property
-    def measured_energy_j(self) -> float:
-        return sum(r.measured_j for r in self.readings)
-
     def record_of(self, service: str) -> ExecutionRecord:
         for record in self.records:
             if record.service == service:

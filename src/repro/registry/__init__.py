@@ -35,7 +35,6 @@ from .p2p import (
     P2PRegistry,
     PeerIndex,
     PeerSwarm,
-    PullPlan,
     PullPlanner,
     ReplicationAction,
     ReplicatorCycle,
@@ -83,7 +82,6 @@ __all__ = [
     "PeerIndex",
     "PeerSwarm",
     "PointOfPresence",
-    "PullPlan",
     "PullPlanner",
     "PullPolicy",
     "PullRateLimiter",

@@ -18,8 +18,8 @@ while every one of its layers survives.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..model.units import BYTES_PER_GB
 from .manifest import ImageManifest
@@ -79,7 +79,14 @@ class ImageCache:
     completion (the digest becomes an entry and the ``"add"`` event
     fires) or :meth:`release`\\ s on abort.  The analytic pull path
     keeps using :meth:`add`/:meth:`admit_image`, which admit instantly.
+    A pull that finds a layer reserved waits for the reservation to
+    settle (:meth:`when_settled`), whoever owns it.
     """
+
+    #: Digest -> callbacks waiting for its reservation to settle.  Set
+    #: on the first :meth:`when_settled`: almost no cache ever has a
+    #: waiter, so none pays for an empty map.
+    _waiters: Optional[Dict[str, List[Callable[[], None]]]] = None
 
     def __init__(self, capacity_gb: float, device: str = "") -> None:
         if capacity_gb <= 0:
@@ -225,6 +232,28 @@ class ImageCache:
     def is_reserved(self, digest: str) -> bool:
         return digest in self._reserved
 
+    def when_settled(self, digest: str, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, when ``digest``'s reservation settles.
+
+        A reservation settles when it is committed, released, dropped by
+        :meth:`clear` or absorbed by an instant :meth:`add`.  Waiting on
+        a digest that is not reserved is a :class:`ReservationError`:
+        there is nothing in flight to wait for.
+        """
+        if digest not in self._reserved:
+            raise ReservationError(
+                f"{digest} is not reserved on {self.device or 'device'}"
+            )
+        if self._waiters is None:
+            self._waiters = {}
+        self._waiters.setdefault(digest, []).append(callback)
+
+    def _settled(self, digest: str) -> None:
+        waiters = self._waiters
+        if waiters:
+            for callback in waiters.pop(digest, ()):
+                callback()
+
     def reserve(self, digest: str, size_bytes: int) -> List[EvictionRecord]:
         """Hold capacity for a transfer that will land ``digest``.
 
@@ -279,6 +308,7 @@ class ImageCache:
             self._used -= old_size
         self._entries[digest] = size
         self._used += size
+        self._settled(digest)
         if old_size != size:
             self._emit("add", digest, size)
         return True
@@ -289,6 +319,7 @@ class ImageCache:
         if size is None:
             return False
         self._reserved_total -= size
+        self._settled(digest)
         return True
 
     def remove(self, digest: str) -> bool:
@@ -307,8 +338,10 @@ class ImageCache:
         # Pending reservations are dropped too: a cleared device has no
         # business completing transfers into its old state (a commit
         # after clear raises ReservationError, loudly).
-        self._reserved.clear()
+        reserved, self._reserved = self._reserved, {}
         self._reserved_total = 0
+        for digest in reserved:
+            self._settled(digest)
         for digest, size in dropped:
             self._emit("remove", digest, size)
 

@@ -56,7 +56,6 @@ from typing import (
     FrozenSet,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
     TYPE_CHECKING,
@@ -74,8 +73,7 @@ from .cache import CacheEvent, EvictionRecord, ImageCache
 from .digest import DIGEST_PREFIX
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .base import Registry
-    from .p2p import PeerSwarm
+    from .p2p import PullPlanner
 
 #: Default chunk size (decimal MB convention, like image sizes): large
 #: enough that per-chunk latency does not dominate, small enough that a
@@ -367,7 +365,6 @@ class ChunkFetchOutcome:
     stale_misses: int = 0
     wasted_bytes: int = 0
     endgame_dupes: int = 0
-    chunk_transfers: int = 0
     #: True when the layer landed without moving bytes (it was already
     #: present / absorbed by a concurrent insert before any transfer).
     local: bool = False
@@ -412,9 +409,12 @@ class ChunkSwarmPlanner:
 
     Parameters
     ----------
-    swarm / registries:
-        Topology + discovery (holders of full replicas) and the
-        preference-ordered registry fallback chain (regional → hub).
+    planner:
+        The facade's :class:`~repro.registry.p2p.PullPlanner`: its
+        swarm (topology + discovery of full replicas), its
+        preference-ordered registry chain and registry choice, and its
+        ``use_peers`` (a peer-less planner keeps every chunk on the
+        registry tier).
     chunk_size_bytes:
         The unit of transfer.
     max_parallel:
@@ -425,23 +425,17 @@ class ChunkSwarmPlanner:
     endgame:
         When True, straggling peer-sourced chunks are re-requested
         from the registry tier once no unclaimed chunks remain; the
-        duplicate bytes are metered in ``endgame_dupes`` /
+        duplicate bytes are metered in each fetch's ``endgame_dupes`` /
         ``wasted_bytes``.
-    use_peers:
-        False restricts every chunk to the registry tier (mirrors
-        ``PullPlanner(use_peers=False)`` — the peer-less baselines
-        must stay peer-less when chunked).
     """
 
     def __init__(
         self,
-        swarm: "PeerSwarm",
-        registries: Sequence["Registry"],
+        planner: "PullPlanner",
         chunk_size_bytes: int = DEFAULT_CHUNK_SIZE_BYTES,
         max_parallel: int = 4,
         seed: int = 0,
         endgame: bool = True,
-        use_peers: bool = True,
     ) -> None:
         if max_parallel < 1:
             raise ValueError(f"max_parallel must be >= 1, got {max_parallel}")
@@ -449,26 +443,20 @@ class ChunkSwarmPlanner:
             raise ValueError(
                 f"chunk_size_bytes must be > 0, got {chunk_size_bytes}"
             )
-        self.swarm = swarm
-        self.registries = list(registries)
+        self.planner = planner
+        self.swarm = planner.swarm
         self.chunk_size_bytes = chunk_size_bytes
         self.max_parallel = max_parallel
         self.seed = seed
         self.endgame = endgame
-        self.use_peers = use_peers
         self.ledger = ChunkLedger()
         self._stores: Dict[str, ChunkStore] = {}
-        self._inflight_layers: Dict[Tuple[str, str], object] = {}
-        # planner-wide diagnostics
-        self.chunk_transfers = 0
-        self.endgame_dupes = 0
-        self.wasted_bytes = 0
         #: Optional telemetry trace sink (duck-typed, None = off):
         #: receives one ``chunk.endgame`` record per duplicate start.
         self.trace = None
 
     # ------------------------------------------------------------------
-    # stores and join events
+    # stores
     # ------------------------------------------------------------------
     def store_for(self, device: str, cache: ImageCache) -> ChunkStore:
         store = self._stores.get(device)
@@ -480,12 +468,6 @@ class ChunkSwarmPlanner:
                 f"device {device!r} re-registered with a different cache"
             )
         return store
-
-    def inflight_event(self, device: str, layer_digest: str):
-        """The completion event of an in-flight chunked fetch of
-        ``layer_digest`` onto ``device`` (None when there is none).
-        Concurrent pulls wait on it instead of double-fetching."""
-        return self._inflight_layers.get((device, layer_digest))
 
     # ------------------------------------------------------------------
     # rarest-first selection
@@ -575,33 +557,18 @@ class ChunkSwarmPlanner:
                 # Still in its connection-latency phase: fall back to
                 # the payload over the path's bottleneck capacity.
                 remaining_s = transfer.lower_bound_s
-            registry_s = self._best_registry_seconds(
-                st.cmap.chunk(index), device, engine
+            registry = self.planner.best_registry(
+                st.cmap.layer_digest,
+                bytes_to_mb(st.cmap.chunk(index).size_bytes),
+                device,
+                engine,
             )
-            if registry_s is None or registry_s >= 0.8 * remaining_s:
+            if registry is None or registry[0] >= 0.8 * remaining_s:
                 continue
             candidates.append((transfer.requested_s, index))
         if not candidates:
             return None
         return min(candidates)[1]
-
-    def _best_registry_seconds(
-        self, chunk: Chunk, device: str, engine: TransferEngine
-    ) -> Optional[float]:
-        network = self.swarm.network
-        best: Optional[float] = None
-        size_mb = bytes_to_mb(chunk.size_bytes)
-        for registry in self.registries:
-            if chunk.layer_digest not in registry.blobs:
-                continue
-            if not network.has_registry_channel(registry.name, device):
-                continue
-            seconds = engine.estimated_transfer_s(
-                registry.name, device, size_mb, src_is_registry=True
-            )
-            if best is None or seconds < best:
-                best = seconds
-        return best
 
     # ------------------------------------------------------------------
     # per-chunk source resolution
@@ -624,51 +591,35 @@ class ChunkSwarmPlanner:
         which is ground truth, and are only required to still be swarm
         members.
         """
-        network = self.swarm.network
+        swarm = self.swarm
         layer = chunk.layer_digest
         size_mb = bytes_to_mb(chunk.size_bytes)
-        best_peer: Optional[Tuple[float, str]] = None
-        if self.use_peers and not registry_only:
+        best: Optional[Tuple[float, str, str]] = None
+        if self.planner.use_peers and not registry_only:
             partial = self.ledger.chunk_holders(layer, chunk.index)
             candidates: Set[str] = set()
-            for holder in self.swarm.discovery.view(device, layer):
+            for holder in swarm.discovery.view(device, layer):
                 if holder != device and holder not in excluded:
                     candidates.add(holder)
             for holder in partial:
                 if (
                     holder != device
                     and holder not in excluded
-                    and self.swarm.is_member(holder)
+                    and swarm.is_member(holder)
                 ):
                     candidates.add(holder)
-            while candidates:
-                peer = self.swarm._fastest(candidates, device)
-                if peer is None:
-                    break
-                if peer not in partial and not self.swarm.verify_holder(
-                    device, peer, layer
-                ):
-                    st.outcome.stale_misses += 1
-                    candidates.discard(peer)
-                    continue
-                seconds = network.device_channel(peer, device).transfer_time_s(
-                    size_mb
-                )
-                best_peer = (seconds, peer)
-                break
-        best: Optional[Tuple[float, str, str]] = None
-        if best_peer is not None:
-            best = (best_peer[0], "peer", best_peer[1])
-        for registry in self.registries:
-            if layer not in registry.blobs:
-                continue
-            if not network.has_registry_channel(registry.name, device):
-                continue
-            seconds = network.registry_channel(
-                registry.name, device
-            ).transfer_time_s(size_mb)
-            if best is None or seconds < best[0]:
-                best = (seconds, "registry", registry.name)
+            peer, misses = swarm.fastest_verified(
+                candidates, device, layer, device, trusted=partial
+            )
+            st.outcome.stale_misses += misses
+            if peer is not None:
+                seconds = swarm.network.device_channel(
+                    peer, device
+                ).transfer_time_s(size_mb)
+                best = (seconds, "peer", peer)
+        registry = self.planner.best_registry(layer, size_mb, device)
+        if registry is not None and (best is None or registry[0] < best[0]):
+            return "registry", registry[1]
         if best is None:
             return None
         return best[1], best[2]
@@ -701,8 +652,6 @@ class ChunkSwarmPlanner:
         cmap = ChunkMap(layer_digest, layer_size_bytes, self.chunk_size_bytes)
         outcome.evictions.extend(store.begin_layer(cmap))
         st = _LayerFetch(cmap, outcome)
-        done_event = sim.event()
-        self._inflight_layers[(device, layer_digest)] = done_event
         started_s = sim.now
         try:
             workers = [
@@ -724,16 +673,9 @@ class ChunkSwarmPlanner:
             )
             store.abort_layer(layer_digest)
             raise
-        finally:
-            del self._inflight_layers[(device, layer_digest)]
-            if not done_event.triggered:
-                done_event.succeed(None)
         store.finish_layer(layer_digest)
         outcome.seconds = sim.now - started_s
         outcome.local = not outcome.bytes_by_source
-        self.chunk_transfers += outcome.chunk_transfers
-        self.endgame_dupes += outcome.endgame_dupes
-        self.wasted_bytes += outcome.wasted_bytes
         return outcome
 
     def _worker(
@@ -811,17 +753,11 @@ class ChunkSwarmPlanner:
                             device,
                             chunk.size_bytes,
                             src_is_registry=True,
-                            # An endgame duplicate deliberately races a
-                            # live transfer for the same chunk; starting
-                            # it digest-less keeps it out of the inbound
-                            # index (which maps each (dst, digest) to
-                            # exactly one joinable transfer).
-                            digest="" if duplicate else chunk.digest,
+                            digest=chunk.digest,
                         )
                 except UploadBudgetExceeded:
                     excluded.add(source)
                     continue
-                st.outcome.chunk_transfers += 1
                 if duplicate:
                     st.outcome.endgame_dupes += 1
                     if self.trace is not None:

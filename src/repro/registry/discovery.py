@@ -571,7 +571,3 @@ class GossipDiscovery(DiscoveryBackend):
         if not ratios:
             return 1.0
         return float(sum(ratios) / len(ratios))
-
-    def view_entries(self, viewer: str) -> int:
-        """Total records in ``viewer``'s partial view (cap diagnostics)."""
-        return sum(len(r) for r in self._views.get(viewer, {}).values())

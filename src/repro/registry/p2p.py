@@ -31,7 +31,7 @@ Components
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     AbstractSet,
     Dict,
@@ -159,9 +159,6 @@ class PeerIndex:
 
     def tracked_digests(self) -> List[str]:
         return list(self._holders)
-
-    def replica_count(self, digest: str) -> int:
-        return len(self._holders.get(digest, ()))
 
     def coherence_violations(self) -> List[str]:
         """Index-vs-cache mismatches (must be empty; used by tests)."""
@@ -316,6 +313,35 @@ class PeerSwarm:
                 return peer
         return None
 
+    def fastest_verified(
+        self,
+        candidates: Set[str],
+        dst: str,
+        digest: str,
+        viewer: str,
+        trusted: AbstractSet[str] = _NO_HOLDERS,
+    ) -> Tuple[Optional[str], int]:
+        """Fastest candidate into ``dst`` that really holds ``digest``.
+
+        Returns ``(peer, stale_misses)``; peer is None when no
+        candidate survives.  A candidate in ``trusted`` (ground truth
+        already, like the chunk ledger's partial holders) is taken
+        unchecked; any other is verified as ``viewer`` sees it, and a
+        stale one is metered and pruned from ``candidates`` in place,
+        so the caller never trips over the same dead entry twice.
+        """
+        misses = 0
+        while True:
+            peer = self._fastest(candidates, dst)
+            if (
+                peer is None
+                or peer in trusted
+                or self.verify_holder(viewer, peer, digest)
+            ):
+                return peer, misses
+            misses += 1
+            candidates.discard(peer)
+
     def _fastest(self, candidates: Iterable[str], device: str) -> Optional[str]:
         """Highest-bandwidth reachable candidate.
 
@@ -405,12 +431,130 @@ class LayerSource:
     seconds: float
 
 
-@dataclass(frozen=True)
-class PullPlan:
-    """Cheapest-source resolution of one image pull onto one device."""
+class PullPlanner:
+    """Resolves layers to their cheapest source by transfer time.
 
+    Sources are compared by estimated seconds on the respective
+    channel; ties prefer peers over registries (offloading the origin
+    tiers is the point of the swarm) and earlier registries in the
+    fallback chain over later ones (the chain is ordered regional →
+    hub by convention).  The chunk planner borrows the same choice
+    (:meth:`best_registry`) for every chunk and endgame estimate.
+    """
+
+    def __init__(
+        self,
+        swarm: PeerSwarm,
+        registries: Sequence[Registry],
+        use_peers: bool = True,
+    ) -> None:
+        if not registries:
+            raise ValueError("pull planner needs at least one registry")
+        self.swarm = swarm
+        self.registries = list(registries)
+        self.use_peers = use_peers
+
+    def best_registry(
+        self,
+        digest: str,
+        size_mb: float,
+        device: str,
+        engine: Optional[TransferEngine] = None,
+    ) -> Optional[Tuple[float, str]]:
+        """Cheapest registry holding ``digest`` that reaches ``device``.
+
+        Returns ``(seconds, registry name)``, or None when no registry
+        can serve it.  Seconds are the channel's transfer time, or with
+        an ``engine`` its contention-aware estimate; on equal seconds
+        the earlier registry in the chain wins.
+        """
+        network = self.swarm.network
+        best: Optional[Tuple[float, str]] = None
+        for registry in self.registries:
+            if digest not in registry.blobs:
+                continue
+            if not network.has_registry_channel(registry.name, device):
+                continue
+            if engine is None:
+                seconds = network.registry_channel(
+                    registry.name, device
+                ).transfer_time_s(size_mb)
+            else:
+                seconds = engine.estimated_transfer_s(
+                    registry.name, device, size_mb, src_is_registry=True
+                )
+            if best is None or seconds < best[0]:
+                best = (seconds, registry.name)
+        return best
+
+    def resolve_layer(
+        self,
+        digest: str,
+        size_bytes: int,
+        device: str,
+        cache: ImageCache,
+        exclude_peers: FrozenSet[str] = frozenset(),
+    ) -> LayerSource:
+        """Cheapest source for one layer right now.
+
+        Time-resolved pulls call this repeatedly: once per layer at
+        fetch time (so the choice sees only *committed* replicas) and
+        again with a grown ``exclude_peers`` whenever the chosen peer
+        turned out to be saturated or departed mid-transfer.
+        """
+        if digest in cache:
+            return LayerSource(digest, size_bytes, SourceKind.LOCAL, device, 0.0)
+        size_mb = bytes_to_mb(size_bytes)
+        best: Optional[LayerSource] = None
+        if self.use_peers:
+            peer = self.swarm.best_peer(digest, device, exclude=exclude_peers)
+            if peer is not None:
+                seconds = self.swarm.network.device_channel(
+                    peer, device
+                ).transfer_time_s(size_mb)
+                best = LayerSource(
+                    digest, size_bytes, SourceKind.PEER, peer, seconds
+                )
+        registry = self.best_registry(digest, size_mb, device)
+        if registry is not None and (best is None or registry[0] < best.seconds):
+            best = LayerSource(
+                digest, size_bytes, SourceKind.REGISTRY, registry[1], registry[0]
+            )
+        if best is None:
+            raise RegistryError(
+                f"layer {digest} unreachable from {device!r}: no "
+                f"peer or registry source"
+            )
+        return best
+
+
+@dataclass(frozen=True)
+class P2PPullResult:
+    """Outcome of one three-tier pull (mirrors ``PullResult``'s API).
+
+    ``layers`` holds one source entry per layer (a chunked layer has
+    one per serving source, sized by the bytes it delivered); every
+    byte count below is computed from them.
+    """
+
+    reference: ImageReference
+    registry: str
+    manifest: ImageManifest
     device: str
     layers: Tuple[LayerSource, ...]
+    evictions: Tuple[EvictionRecord, ...] = ()
+    #: Discovered peer sources that failed ground-truth verification
+    #: during this pull (stale view entries: evicted layers, departed
+    #: holders).  Always 0 under omniscient discovery.
+    stale_peer_misses: int = 0
+    #: Bytes that moved over links but were thrown away: progress of a
+    #: transfer abandoned mid-flight (seeder departed and the pull fell
+    #: back) plus losing endgame duplicates.  Always 0 on the analytic
+    #: path, where transfers never fall back mid-flight.
+    bytes_wasted: int = 0
+    #: Duplicate chunk re-requests issued by the chunked endgame (0 on
+    #: single-source pulls).
+    chunk_endgame_dupes: int = 0
 
     @property
     def bytes_total(self) -> int:
@@ -428,7 +572,7 @@ class PullPlan:
         return sum(l.size_bytes for l in self.layers if l.kind is SourceKind.PEER)
 
     def bytes_by_registry(self) -> Dict[str, int]:
-        """Registry name → bytes this plan pulls from it."""
+        """Registry name → bytes this pull takes from it."""
         out: Dict[str, int] = {}
         for layer in self.layers:
             if layer.kind is SourceKind.REGISTRY:
@@ -437,143 +581,12 @@ class PullPlan:
 
     @property
     def seconds(self) -> float:
-        """Estimated transfer time (layers fetched sequentially)."""
+        """Transfer time, layers fetched sequentially."""
         return sum(l.seconds for l in self.layers)
 
     @property
     def cache_hit(self) -> bool:
         return self.bytes_transferred == 0
-
-
-class PullPlanner:
-    """Resolves layers to their cheapest source by transfer time.
-
-    Sources are compared by estimated seconds on the respective
-    channel; ties prefer peers over registries (offloading the origin
-    tiers is the point of the swarm) and earlier registries in the
-    fallback chain over later ones (the chain is ordered regional →
-    hub by convention).
-    """
-
-    def __init__(
-        self,
-        swarm: PeerSwarm,
-        registries: Sequence[Registry],
-        use_peers: bool = True,
-    ) -> None:
-        if not registries:
-            raise ValueError("pull planner needs at least one registry")
-        self.swarm = swarm
-        self.registries = list(registries)
-        self.use_peers = use_peers
-
-    def plan(
-        self, manifest: ImageManifest, device: str, cache: ImageCache
-    ) -> PullPlan:
-        sources = [
-            self.resolve_layer(layer.digest, layer.size_bytes, device, cache)
-            for layer in manifest.layers
-        ]
-        return PullPlan(device=device, layers=tuple(sources))
-
-    def resolve_layer(
-        self,
-        digest: str,
-        size_bytes: int,
-        device: str,
-        cache: ImageCache,
-        exclude_peers: FrozenSet[str] = frozenset(),
-    ) -> LayerSource:
-        """Cheapest source for one layer right now.
-
-        Time-resolved pulls call this repeatedly: once per layer at
-        fetch time (so the choice sees only *committed* replicas) and
-        again with a grown ``exclude_peers`` whenever the chosen peer
-        turned out to be saturated or departed mid-transfer.
-        """
-        network = self.swarm.network
-        if digest in cache:
-            return LayerSource(digest, size_bytes, SourceKind.LOCAL, device, 0.0)
-        size_mb = bytes_to_mb(size_bytes)
-        best: Optional[LayerSource] = None
-        if self.use_peers:
-            peer = self.swarm.best_peer(digest, device, exclude=exclude_peers)
-            if peer is not None:
-                seconds = network.device_channel(peer, device).transfer_time_s(
-                    size_mb
-                )
-                best = LayerSource(
-                    digest, size_bytes, SourceKind.PEER, peer, seconds
-                )
-        for registry in self.registries:
-            if digest not in registry.blobs:
-                continue
-            if not network.has_registry_channel(registry.name, device):
-                continue
-            seconds = network.registry_channel(
-                registry.name, device
-            ).transfer_time_s(size_mb)
-            if best is None or seconds < best.seconds:
-                best = LayerSource(
-                    digest,
-                    size_bytes,
-                    SourceKind.REGISTRY,
-                    registry.name,
-                    seconds,
-                )
-        if best is None:
-            raise RegistryError(
-                f"layer {digest} unreachable from {device!r}: no "
-                f"peer or registry source"
-            )
-        return best
-
-
-@dataclass(frozen=True)
-class P2PPullResult:
-    """Outcome of one three-tier pull (mirrors ``PullResult``'s API)."""
-
-    reference: ImageReference
-    registry: str
-    manifest: ImageManifest
-    device: str
-    plan: PullPlan
-    evictions: Tuple[EvictionRecord, ...] = ()
-    #: Discovered peer sources that failed ground-truth verification
-    #: during this pull (stale view entries: evicted layers, departed
-    #: holders).  Always 0 under omniscient discovery.
-    stale_peer_misses: int = 0
-    #: Bytes that moved over links but were thrown away: progress of a
-    #: transfer abandoned mid-flight (seeder departed and the pull fell
-    #: back) plus losing endgame duplicates.  Always 0 on the analytic
-    #: path, where transfers never fall back mid-flight.
-    bytes_wasted: int = 0
-    #: Duplicate chunk re-requests issued by the chunked endgame (0 on
-    #: single-source pulls).
-    chunk_endgame_dupes: int = 0
-
-    @property
-    def bytes_total(self) -> int:
-        return self.plan.bytes_total
-
-    @property
-    def bytes_transferred(self) -> int:
-        return self.plan.bytes_transferred
-
-    @property
-    def bytes_from_peers(self) -> int:
-        return self.plan.bytes_from_peers
-
-    def bytes_by_registry(self) -> Dict[str, int]:
-        return self.plan.bytes_by_registry()
-
-    @property
-    def seconds(self) -> float:
-        return self.plan.seconds
-
-    @property
-    def cache_hit(self) -> bool:
-        return self.plan.cache_hit
 
     @property
     def hit_ratio(self) -> float:
@@ -621,13 +634,11 @@ class P2PRegistry:
         self.chunks: Optional[ChunkSwarmPlanner] = None
         if chunked:
             self.chunks = ChunkSwarmPlanner(
-                swarm,
-                self.planner.registries,
+                self.planner,
                 chunk_size_bytes=chunk_size_bytes,
                 max_parallel=chunk_parallel,
                 seed=chunk_seed,
                 endgame=chunk_endgame,
-                use_peers=use_peers,
             )
 
     @property
@@ -649,12 +660,6 @@ class P2PRegistry:
             f"{[r.name for r in self.planner.registries]}"
         ) from last_error
 
-    def plan(
-        self, reference: ImageReference, arch: Arch, device: str, cache: ImageCache
-    ) -> PullPlan:
-        _, manifest = self.resolve(reference, arch)
-        return self.planner.plan(manifest, device, cache)
-
     def pull_process(
         self,
         reference: ImageReference,
@@ -671,6 +676,10 @@ class P2PRegistry:
         * each layer is resolved **at fetch time** against committed
           replicas only — a layer another device is still downloading
           is invisible until its reserve→commit completes;
+        * a layer already reserved on this device (a concurrent pull,
+          chunked fetch or replicator copy is landing it) is joined:
+          the pull waits for that reservation to settle, then finds
+          the layer present or fetches it itself;
         * layer bytes occupy shared links for real (fair-share rates,
           upload budgets) via ``engine``;
         * a source that turns out saturated
@@ -704,9 +713,9 @@ class P2PRegistry:
         endgame_dupes = 0
 
         def meter_registry(registry_name: str) -> None:
-            # Mirrors the single-source path: blob existence check per
-            # layer, pull metering once per registry per pull (may
-            # raise — hub rate limiting — aborting the fetch).
+            # Blob existence check per layer, pull metering once per
+            # registry per pull (may raise — hub rate limiting —
+            # aborting the fetch).
             registry = self._registry_named(registry_name)
             registry.fetch_blob(layer.digest)
             if registry_name not in metered:
@@ -715,58 +724,26 @@ class P2PRegistry:
 
         for layer in manifest.layers:
             layer_start = sim.now
-            joined = False
-            spins = 0
-            while True:
-                if layer.digest in cache:
-                    # Present (possibly only after waiting out a
-                    # concurrent download of the same layer).
-                    cache.touch(layer.digest)
-                    sources.append(
-                        LayerSource(
-                            layer.digest,
-                            layer.size_bytes,
-                            SourceKind.LOCAL,
-                            device,
-                            sim.now - layer_start,
-                        )
+            while cache.is_reserved(layer.digest):
+                # Another process (concurrent pull, chunked fetch or
+                # replicator copy) is landing this layer here: wait for
+                # its reservation to settle instead of fetching twice.
+                settled = sim.event()
+                cache.when_settled(layer.digest, settled.succeed)
+                yield settled
+            if layer.digest in cache:
+                # Present (possibly only after waiting out a concurrent
+                # download of the same layer).
+                cache.touch(layer.digest)
+                sources.append(
+                    LayerSource(
+                        layer.digest,
+                        layer.size_bytes,
+                        SourceKind.LOCAL,
+                        device,
+                        sim.now - layer_start,
                     )
-                    joined = True
-                    break
-                if cache.is_reserved(layer.digest):
-                    # Another process (concurrent pull or replicator
-                    # copy) is already landing this layer here: join
-                    # its download instead of fetching twice.
-                    if self.chunks is not None:
-                        waiter = self.chunks.inflight_event(
-                            device, layer.digest
-                        )
-                        if waiter is not None:
-                            # A chunked fetch is assembling the layer;
-                            # wait for it to finish (or abort), then
-                            # re-check presence.
-                            yield waiter
-                            continue
-                    other = engine.inflight_to(device, layer.digest)
-                    if other is not None:
-                        try:
-                            yield other.done
-                        except TransferCancelled:
-                            pass  # its owner re-resolves; re-check
-                        continue
-                    # The owner is between attempts at this very
-                    # timestamp; step one queue tick and look again.
-                    spins += 1
-                    if spins > 1000:
-                        raise RegistryError(
-                            f"reservation for {layer.digest} on {device!r} "
-                            f"has no in-flight transfer and no owner "
-                            f"making progress"
-                        )
-                    yield sim.timeout(0.0)
-                    continue
-                break
-            if joined:
+                )
                 continue
             if self.chunks is not None:
                 outcome = yield from self.chunks.fetch_layer(
@@ -789,60 +766,27 @@ class P2PRegistry:
             excluded: Set[str] = set()
             while True:
                 try:
-                    best = self.planner.resolve_layer(
-                        layer.digest,
-                        layer.size_bytes,
-                        device,
-                        cache,
-                        exclude_peers=frozenset(excluded),
+                    best, misses = self._resolve_verified(
+                        layer.digest, layer.size_bytes, device, cache, excluded
                     )
-                except RegistryError:
+                    stale_misses += misses
+                    if best.kind is SourceKind.REGISTRY:
+                        meter_registry(best.source)
+                except Exception:
+                    # The reservation must not outlive the pull.
                     cache.release(layer.digest)
                     raise
-                if best.kind is SourceKind.PEER:
-                    try:
-                        verified = self.swarm.verify_holder(
-                            device, best.source, layer.digest
-                        )
-                    except RegistryError:
-                        cache.release(layer.digest)
-                        raise
-                    if not verified:
-                        # Stale view entry (gossip): the miss is already
-                        # metered; exclude the dead end and re-resolve —
-                        # the fallback chain ends at regional → hub.
-                        stale_misses += 1
-                        excluded.add(best.source)
-                        continue
-                    try:
-                        transfer = engine.start(
-                            best.source,
-                            device,
-                            layer.size_bytes,
-                            digest=layer.digest,
-                        )
-                    except UploadBudgetExceeded:
-                        excluded.add(best.source)
-                        continue
-                else:
-                    registry = self._registry_named(best.source)
-                    try:
-                        registry.fetch_blob(layer.digest)
-                        if registry.name not in metered:
-                            # May raise (hub rate limiting): the
-                            # reservation must not outlive the pull.
-                            registry.meter_pull(device, sim.now)
-                            metered.add(registry.name)
-                    except Exception:
-                        cache.release(layer.digest)
-                        raise
+                try:
                     transfer = engine.start(
-                        registry.name,
+                        best.source,
                         device,
                         layer.size_bytes,
-                        src_is_registry=True,
+                        src_is_registry=best.kind is SourceKind.REGISTRY,
                         digest=layer.digest,
                     )
+                except UploadBudgetExceeded:
+                    excluded.add(best.source)
+                    continue
                 fetch_start = sim.now
                 try:
                     yield transfer.done
@@ -871,7 +815,7 @@ class P2PRegistry:
             registry=resolved_registry.name,
             manifest=manifest,
             device=device,
-            plan=PullPlan(device=device, layers=tuple(sources)),
+            layers=tuple(sources),
             evictions=tuple(evictions),
             stale_peer_misses=stale_misses,
             bytes_wasted=wasted_bytes,
@@ -951,33 +895,27 @@ class P2PRegistry:
         stale_misses = 0
         for layer in manifest.layers:
             best, misses = self._resolve_verified(
-                layer.digest, layer.size_bytes, device, cache
+                layer.digest, layer.size_bytes, device, cache, set()
             )
             stale_misses += misses
             sources.append(best)
-        plan = PullPlan(device=device, layers=tuple(sources))
         # Meter the registries that actually serve bytes (mirrors the
         # two-tier client: cache hits and peer-served pulls don't burn
         # hub rate-limit tokens — offloading them is the tier's point).
         served = {
-            layer.source
-            for layer in plan.layers
-            if layer.kind is SourceKind.REGISTRY
+            layer.source for layer in sources if layer.kind is SourceKind.REGISTRY
         }
         for registry in self.planner.registries:
             if registry.name in served:
                 registry.meter_pull(device, now_s)
-        for layer in plan.layers:
+        for layer in sources:
             if layer.kind is SourceKind.REGISTRY:
-                registry = next(
-                    r for r in self.planner.registries if r.name == layer.source
-                )
-                registry.fetch_blob(layer.digest)
+                self._registry_named(layer.source).fetch_blob(layer.digest)
         # admit_image (not a bare add loop) keeps the CacheFull guard
         # and the an-image-cannot-evict-itself guarantee of the
         # two-tier client's pull path.
         evictions = list(cache.admit_image(manifest))
-        for layer in plan.layers:
+        for layer in sources:
             if layer.kind is not SourceKind.LOCAL:
                 self.swarm.record_demand(layer.digest, device)
         return P2PPullResult(
@@ -985,7 +923,7 @@ class P2PRegistry:
             registry=resolved_registry.name,
             manifest=manifest,
             device=device,
-            plan=plan,
+            layers=tuple(sources),
             evictions=tuple(evictions),
             stale_peer_misses=stale_misses,
         )
@@ -996,15 +934,17 @@ class P2PRegistry:
         size_bytes: int,
         device: str,
         cache: ImageCache,
+        excluded: Set[str],
     ) -> Tuple[LayerSource, int]:
         """Cheapest source whose holder survives verification.
 
         Returns ``(source, stale_misses)``.  Peer sources come from the
         device's discovery view; each candidate is checked against the
-        ground-truth index and stale entries are excluded until a real
-        holder — or a registry — remains.
+        ground-truth index and a stale one is added to ``excluded``
+        (the caller's set, which also keeps the peers a time-resolved
+        pull found saturated or departed) until a real holder — or a
+        registry — remains.
         """
-        excluded: Set[str] = set()
         misses = 0
         while True:
             best = self.planner.resolve_layer(
@@ -1269,7 +1209,7 @@ class AdaptiveReplicator:
         if size is None:
             return None
         # This region may receive a copy: snapshot the view, because
-        # ``_verified_source`` prunes stale entries from it and, under
+        # ``fastest_verified`` prunes stale entries from it and, under
         # omniscient discovery, ``cache.add`` grows the live set.
         holders = set(view)
         candidates = sorted(
@@ -1287,7 +1227,9 @@ class AdaptiveReplicator:
             # no surviving holder can reach cannot be provisioned
             # peer-to-peer (its first pull will seed it from a
             # registry instead).
-            source = self._verified_source(holders, target, digest)
+            source, _misses = self.swarm.fastest_verified(
+                holders, target, digest, self.swarm.discovery.observer
+            )
             if source is None:
                 continue
             seconds = self.swarm.network.device_channel(
@@ -1337,24 +1279,6 @@ class AdaptiveReplicator:
         return sum(
             self.churn.availability(holder) for holder in sorted(holders)
         )
-
-    def _verified_source(
-        self, holders: Set[str], target: str, digest: str
-    ) -> Optional[str]:
-        """Fastest believed holder that really holds ``digest``.
-
-        Stale entries are pruned from ``holders`` in place (and the
-        miss metered against the management view), so one replication
-        cycle never trips over the same dead entry twice.
-        """
-        swarm = self.swarm
-        while True:
-            source = swarm._fastest(holders, target)
-            if source is None:
-                return None
-            if swarm.verify_holder(swarm.discovery.observer, source, digest):
-                return source
-            holders.discard(source)
 
     def _deliver(self, transfer, cache: ImageCache, digest: str, size: int):
         """Commit a proactive copy when its transfer lands (DES process)."""

@@ -56,9 +56,6 @@ class Repository:
     def tags(self) -> List[str]:
         return list(self._tags)
 
-    def has_tag(self, tag: str) -> bool:
-        return tag in self._tags
-
     def resolve_list(self, reference: str) -> ManifestList:
         """Resolve a tag *or* a manifest-list digest to the list."""
         if is_digest(reference):
@@ -79,9 +76,6 @@ class Repository:
             return self._manifests[digest]
         except KeyError:
             raise ManifestNotFound(f"{self.name}@{digest}") from None
-
-    def manifest_digests(self) -> List[str]:
-        return list(self._manifests)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Repository({self.name!r}, tags={list(self._tags)})"

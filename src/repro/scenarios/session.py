@@ -269,7 +269,7 @@ class SimulationSession:
                 self.sim,
                 self.swarm,
                 self.rng.fork("p2p.churn"),
-                config=spec.churn.to_config(),
+                config=spec.churn,
                 engine=self.engine,
                 is_busy=lambda device: self._busy.get(device, 0) > 0,
             )

@@ -7,7 +7,8 @@ concern — composed into a :class:`ScenarioSpec`:
 * :class:`WorkloadSpec`    — what gets pulled, when (zipf / cold waves)
 * :class:`TransferSpec`    — analytic vs time-resolved, upload budgets
 * :class:`DiscoverySpec`   — omniscient vs gossip (fanout/period/cap)
-* :class:`ChurnSpec`       — stochastic membership (uptime/downtime)
+* :class:`~repro.sim.churn.ChurnSpec` — stochastic membership
+  (uptime/downtime); the churn process's own config, re-exported here
 * :class:`ReplicationSpec` — the adaptive replicator's knobs
 * :class:`ChunkSpec`       — chunked multi-source pulls
 * :class:`TelemetrySpec`   — opt-in traces / metrics / profiling
@@ -37,7 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..model.units import require_non_negative, require_positive
 from ..registry.chunks import DEFAULT_CHUNK_SIZE_BYTES
 from ..util import did_you_mean
-from ..sim.churn import ChurnConfig
+from ..sim.churn import ChurnSpec
 from ..sim.rng import DEFAULT_SEED
 from ..sim.transfers import TransferModel
 
@@ -319,37 +320,6 @@ class DiscoverySpec:
                     f"{set_knobs} only apply to the gossip discovery "
                     f"backend (backend={self.backend!r})"
                 )
-
-
-@dataclass(frozen=True)
-class ChurnSpec:
-    """Stochastic membership: seeded exponential online/offline cycling.
-
-    Mirrors :class:`~repro.sim.churn.ChurnConfig` (and validates by
-    constructing one), so a spec'd regime is exactly a runnable one.
-    """
-
-    mean_uptime_s: float = 600.0
-    mean_downtime_s: float = 120.0
-    min_online: int = 2
-
-    def __post_init__(self) -> None:
-        self.to_config()  # ChurnConfig carries the validation
-
-    def to_config(self) -> ChurnConfig:
-        return ChurnConfig(
-            mean_uptime_s=self.mean_uptime_s,
-            mean_downtime_s=self.mean_downtime_s,
-            min_online=self.min_online,
-        )
-
-    @classmethod
-    def from_config(cls, config: ChurnConfig) -> "ChurnSpec":
-        return cls(
-            mean_uptime_s=config.mean_uptime_s,
-            mean_downtime_s=config.mean_downtime_s,
-            min_online=config.min_online,
-        )
 
 
 #: Where replication demand is judged hot.  ``"global"`` (the pinned

@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulation kernel used by the testbed."""
 
-from .churn import ChurnConfig, ChurnEvent, ChurnProcess
+from .churn import ChurnEvent, ChurnProcess, ChurnSpec
 from .engine import AllOf, Process, Simulator
 from .events import Event, EventQueue, Timeout
 from .resources import Resource
@@ -8,9 +8,9 @@ from .rng import DEFAULT_SEED, RngRegistry, default_registry
 
 __all__ = [
     "AllOf",
-    "ChurnConfig",
     "ChurnEvent",
     "ChurnProcess",
+    "ChurnSpec",
     "DEFAULT_SEED",
     "Event",
     "EventQueue",

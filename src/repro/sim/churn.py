@@ -52,8 +52,8 @@ class ChurnEvent:
 
 
 @dataclass(frozen=True)
-class ChurnConfig:
-    """Knobs of one churn regime.
+class ChurnSpec:
+    """Knobs of one churn regime (a scenario spec's ``churn`` section).
 
     ``mean_uptime_s`` / ``mean_downtime_s`` parameterise the
     exponential holding times; ``min_online`` floors the online member
@@ -95,7 +95,7 @@ class ChurnProcess:
         sim: "Simulator",
         swarm: "PeerSwarm",
         rng: RngRegistry,
-        config: ChurnConfig = ChurnConfig(),
+        config: ChurnSpec = ChurnSpec(),
         engine: Optional["TransferEngine"] = None,
         is_busy: Optional[Callable[[str], bool]] = None,
     ) -> None:

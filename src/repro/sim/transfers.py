@@ -80,17 +80,6 @@ class UploadBudgetExceeded(RuntimeError):
     """The source device is already at its concurrent-upload budget."""
 
 
-class InflightCollision(RuntimeError):
-    """A transfer for the same ``(dst, digest)`` is already in flight.
-
-    Starting a second one would silently evict the first from the
-    inbound index and break the join-in-flight dedup contract that
-    :meth:`TransferEngine.inflight_to` documents — callers must join
-    the existing transfer (or start the duplicate without a digest,
-    as the chunked endgame does for its speculative copies).
-    """
-
-
 class TransferCancelled(Exception):
     """Delivered to waiters of a transfer that was cancelled mid-flight."""
 
@@ -142,7 +131,6 @@ class Transfer:
         "id",
         "src",
         "dst",
-        "digest",
         "size_bytes",
         "src_is_registry",
         "links",
@@ -170,12 +158,10 @@ class Transfer:
         done: Event,
         requested_s: float,
         src_is_registry: bool,
-        digest: str,
     ) -> None:
         self.id = transfer_id
         self.src = src
         self.dst = dst
-        self.digest = digest
         self.size_bytes = size_bytes
         self.src_is_registry = src_is_registry
         self.links = links
@@ -320,7 +306,6 @@ class TransferEngine:
         self._links: Dict[str, Link] = {}
         self._active: Dict[int, Transfer] = {}
         self._uploads: Dict[str, Dict[int, Transfer]] = {}
-        self._inbound: Dict[Tuple[str, str], Transfer] = {}
         self._budgets: Dict[str, Optional[int]] = {}
         self._ids = itertools.count()
         self._generation = 0
@@ -389,11 +374,10 @@ class TransferEngine:
         Returns a :class:`Transfer` whose ``done`` event fires (with
         the transfer as value) at completion, or fails with
         :class:`TransferCancelled` if cancelled.  Raises
-        :class:`UploadBudgetExceeded` if a *device* source is already
-        at its budget, and :class:`InflightCollision` if a transfer
-        for the same ``(dst, digest)`` is already in flight (join it
-        via :meth:`inflight_to` instead) — no slot is consumed in
-        either case.
+        :class:`UploadBudgetExceeded` (consuming no slot) if a *device*
+        source is already at its budget.  ``digest`` only labels the
+        transfer in traces: the device cache's reservation, not the
+        engine, keeps one layer from landing twice on one device.
         """
         if size_bytes < 0:
             raise ValueError(f"negative transfer size: {size_bytes}")
@@ -402,14 +386,6 @@ class TransferEngine:
                 f"{src!r} is at its upload budget "
                 f"({self.uploads_in_flight(src)} in flight)"
             )
-        if digest:
-            existing = self._inbound.get((dst, digest))
-            if existing is not None:
-                raise InflightCollision(
-                    f"transfer of {digest} to {dst!r} already in flight "
-                    f"(#{existing.id} from {existing.src!r}); join it via "
-                    f"inflight_to()"
-                )
         specs, latency_s = self.network.transfer_path(
             src, dst, src_is_registry=src_is_registry
         )
@@ -427,7 +403,6 @@ class TransferEngine:
             done=self.sim.event(),
             requested_s=self.sim.now,
             src_is_registry=src_is_registry,
-            digest=digest,
         )
         self.started += 1
         if self.trace is not None:
@@ -438,8 +413,6 @@ class TransferEngine:
             )
         if not src_is_registry:
             self._uploads.setdefault(src, {})[transfer.id] = transfer
-        if digest:
-            self._inbound[(dst, digest)] = transfer
         if latency_s > 0:
             handshake = self.sim.timeout(latency_s)
             handshake.add_callback(lambda _evt, t=transfer: self._activate(t))
@@ -529,15 +502,6 @@ class TransferEngine:
     @property
     def active_transfers(self) -> List[Transfer]:
         return list(self._active.values())
-
-    def inflight_to(self, dst: str, digest: str) -> Optional[Transfer]:
-        """The transfer currently landing ``digest`` on ``dst``, if any.
-
-        Concurrent pulls on one device use this to *join* a download
-        another pull already started (one reservation, one payload on
-        the wire) instead of fetching the layer twice.
-        """
-        return self._inbound.get((dst, digest))
 
     def remaining_mb(self, transfer: Transfer) -> float:
         """The transfer's unsent payload as of *now*.
@@ -671,10 +635,6 @@ class TransferEngine:
                 slots.pop(transfer.id, None)
                 if not slots:
                     del self._uploads[transfer.src]
-        if transfer.digest:
-            key = (transfer.dst, transfer.digest)
-            if self._inbound.get(key) is transfer:
-                del self._inbound[key]
 
     def _finish(self, transfer: Transfer) -> None:
         self._detach(transfer)

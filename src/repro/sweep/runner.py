@@ -131,8 +131,11 @@ def _load_cached(
         problem = f"holds key {document.get('key')!r}"
     elif not isinstance(document.get("outcome"), dict):
         problem = "no outcome object"
+    elif type(document.get("wall_ms", 0.0)) not in (int, float):
+        # Entries written before per-cell timing existed carry no
+        # wall_ms; a present one must be a number (a bool is not).
+        problem = f"wall_ms {document['wall_ms']!r} is not a number"
     else:
-        # Entries written before per-cell timing existed carry no wall_ms.
         return document["outcome"], float(document.get("wall_ms", 0.0))
     raise ValueError(
         f"corrupt sweep cache entry {path} ({problem}); delete it to "

@@ -115,12 +115,6 @@ class CalibrationConfig:
         """Simulated cold ``Td`` from the hub (startup + bytes/BW)."""
         return self.hub_startup_s + size_gb * 8000.0 / self.hub_bw_mbps[device]
 
-    def regional_deploy_s(self, device: str, size_gb: float) -> float:
-        return (
-            self.regional_startup_s
-            + size_gb * 8000.0 / self.regional_bw_mbps[device]
-        )
-
 
 @dataclass(frozen=True)
 class CalibratedService:

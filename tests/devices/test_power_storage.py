@@ -1,10 +1,9 @@
-"""Power traces and storage ledgers."""
+"""Power traces."""
 
 import pytest
 
 from repro.devices.power import PowerSegment, PowerTrace
 from repro.devices.specs import medium_device, small_device
-from repro.devices.storage import StorageExhausted, StorageLedger
 from repro.model.device import Phase
 
 
@@ -82,38 +81,3 @@ class TestPowerTrace:
     def test_inverted_window_rejected(self, trace):
         with pytest.raises(ValueError):
             trace.energy_between_j(5.0, 1.0)
-
-
-class TestStorageLedger:
-    def test_reserve_and_release(self):
-        ledger = StorageLedger(1.0)  # 1 GB
-        ledger.reserve("img", 400_000_000)
-        assert ledger.used_bytes == 400_000_000
-        assert ledger.release("img") == 400_000_000
-        assert ledger.used_bytes == 0
-
-    def test_capacity_enforced(self):
-        ledger = StorageLedger(1.0)
-        ledger.reserve("a", 800_000_000)
-        with pytest.raises(StorageExhausted):
-            ledger.reserve("b", 300_000_000)
-
-    def test_re_reserve_replaces(self):
-        ledger = StorageLedger(1.0)
-        ledger.reserve("a", 900_000_000)
-        ledger.reserve("a", 950_000_000)  # fits because old freed first
-        assert ledger.used_bytes == 950_000_000
-
-    def test_release_unknown_raises(self):
-        with pytest.raises(KeyError):
-            StorageLedger(1.0).release("ghost")
-
-    def test_fits(self):
-        ledger = StorageLedger(1.0)
-        assert ledger.fits(10**9)
-        assert not ledger.fits(10**9 + 1)
-
-    def test_used_gb(self):
-        ledger = StorageLedger(2.0)
-        ledger.reserve("a", 500_000_000)
-        assert ledger.used_gb == pytest.approx(0.5)

@@ -6,7 +6,7 @@ ever see layers that have fully landed.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.model.units import BYTES_PER_GB
@@ -119,19 +119,47 @@ class TestReserveCommit:
         assert cache.used_bytes + cache.reserved_bytes <= CAPACITY
 
 
+#: One reservation of D[0] with a settle waiter, then each way it can
+#: settle: commit, release, clear() and an absorbing add().  The last
+#: route reserves D[0] again and settles it again, which must not call
+#: the first waiter a second time.
+_SETTLE_ROUTES = [
+    [("reserve", D[0], 10), ("when_settled", D[0], 0), (op, D[0], 10)]
+    for op in ("commit", "release", "clear", "add")
+] + [
+    [
+        ("reserve", D[0], 10), ("when_settled", D[0], 0),
+        ("release", D[0], 0), ("reserve", D[0], 10), ("commit", D[0], 0),
+    ]
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["add", "reserve", "commit", "release", "remove"]),
+            st.sampled_from(
+                [
+                    "add", "reserve", "commit", "release", "remove", "clear",
+                    "when_settled",
+                ]
+            ),
             st.sampled_from(D),
             st.integers(min_value=0, max_value=60),
         ),
         max_size=40,
     )
 )
+@example(ops=_SETTLE_ROUTES[0])
+@example(ops=_SETTLE_ROUTES[1])
+@example(ops=_SETTLE_ROUTES[2])
+@example(ops=_SETTLE_ROUTES[3])
+@example(ops=_SETTLE_ROUTES[4])
 def test_capacity_invariant_under_mixed_operations(ops):
     cache = make_cache()
+    # Settle waiters: digest -> ids still waiting; fired[id] counts calls.
+    waiting = {}
+    fired = []
     for op, digest, size in ops:
         try:
             if op == "add":
@@ -142,6 +170,21 @@ def test_capacity_invariant_under_mixed_operations(ops):
                 cache.commit(digest)
             elif op == "release":
                 cache.release(digest)
+            elif op == "clear":
+                cache.clear()
+            elif op == "when_settled":
+                if not cache.is_reserved(digest):
+                    with pytest.raises(ReservationError):
+                        cache.when_settled(digest, lambda: None)
+                    continue
+                waiter = len(fired)
+                fired.append(0)
+                waiting.setdefault(digest, []).append(waiter)
+
+                def settle(waiter=waiter):
+                    fired[waiter] += 1
+
+                cache.when_settled(digest, settle)
             else:
                 cache.remove(digest)
         except (CacheFull, ReservationError):
@@ -156,6 +199,18 @@ def test_capacity_invariant_under_mixed_operations(ops):
         for d, _ in cache.entries():
             if cache.is_reserved(d):
                 pytest.fail(f"{d} both present and reserved")
+        # A waiter fires exactly once, as soon as its reservation
+        # settles (no operation both settles and re-reserves a digest).
+        for d in list(waiting):
+            if cache.is_reserved(d):
+                assert all(fired[w] == 0 for w in waiting[d])
+            else:
+                del waiting[d]
+        assert all(
+            count == 1
+            for w, count in enumerate(fired)
+            if not any(w in ids for ids in waiting.values())
+        )
 
 
 class TestEmitHardening:

@@ -27,7 +27,7 @@ from repro.registry.chunks import (
 )
 from repro.registry.digest import digest_text
 from repro.registry.hub import DockerHub
-from repro.registry.p2p import PeerSwarm
+from repro.registry.p2p import PeerSwarm, PullPlanner
 
 LAYER = digest_text("prop-layer")
 OTHER = digest_text("prop-other")
@@ -176,7 +176,9 @@ def _planner(seed: int):
     swarm = PeerSwarm(network)
     for name in names:
         swarm.add_device(name, ImageCache(1.0, name), region="lab")
-    return ChunkSwarmPlanner(swarm, [hub], chunk_size_bytes=10, seed=seed)
+    return ChunkSwarmPlanner(
+        PullPlanner(swarm, [hub]), chunk_size_bytes=10, seed=seed
+    )
 
 
 def _claim_order(planner, cmap):

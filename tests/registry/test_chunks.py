@@ -13,6 +13,7 @@ import pytest
 from repro.model.device import Arch
 from repro.model.network import NetworkModel
 from repro.registry.base import ImageReference, RegistryError
+from repro.registry.blobstore import BlobRecord
 from repro.registry.cache import ImageCache
 from repro.registry.chunks import (
     ChunkFetchOutcome,
@@ -25,7 +26,13 @@ from repro.registry.chunks import (
 from repro.registry.digest import digest_text, is_digest
 from repro.registry.hub import DockerHub
 from repro.registry.images import OFFICIAL_BASES, build_image
-from repro.registry.p2p import P2PRegistry, PeerIndex, PeerSwarm, SourceKind
+from repro.registry.p2p import (
+    P2PRegistry,
+    PeerIndex,
+    PeerSwarm,
+    PullPlanner,
+    SourceKind,
+)
 from repro.sim.engine import Simulator
 from repro.sim.transfers import TransferEngine
 
@@ -200,7 +207,9 @@ def planner_on_lan(n_devices: int = 4, seed: int = 0):
     for name in names:
         caches[name] = ImageCache(4.0, name)
         swarm.add_device(name, caches[name], region="lab")
-    planner = ChunkSwarmPlanner(swarm, [hub], chunk_size_bytes=10 * MB, seed=seed)
+    planner = ChunkSwarmPlanner(
+        PullPlanner(swarm, [hub]), chunk_size_bytes=10 * MB, seed=seed
+    )
     return planner, swarm, caches, hub
 
 
@@ -282,6 +291,41 @@ class TestRarestFirst:
 
 
 # ----------------------------------------------------------------------
+# source choice shared with the single-source planner
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("path", ["layer", "chunk"])
+def test_peer_beats_registry_on_equal_seconds(path):
+    # One planner decides both a layer's and a chunk's source: a peer
+    # and a registry that take exactly as long both resolve to the peer.
+    hub = DockerHub(name="docker-hub")
+    hub.blobs.put_record(BlobRecord(digest=LAYER, size_bytes=40 * MB))
+    network = NetworkModel()
+    network.connect_devices("dev", "peer", 100.0)
+    network.connect_registry(hub.name, "dev", 100.0)
+    swarm = PeerSwarm(network)
+    for name in ("dev", "peer"):
+        swarm.add_device(name, ImageCache(1.0, name), region="lab")
+    swarm.index.cache_of("peer").add(LAYER, 40 * MB)
+    planner = PullPlanner(swarm, [hub])
+    size_mb = 40.0 if path == "layer" else 10.0
+    assert network.device_channel("peer", "dev").transfer_time_s(
+        size_mb
+    ) == network.registry_channel(hub.name, "dev").transfer_time_s(size_mb)
+    if path == "layer":
+        source = planner.resolve_layer(
+            LAYER, 40 * MB, "dev", swarm.index.cache_of("dev")
+        )
+        assert (source.kind, source.source) == (SourceKind.PEER, "peer")
+    else:
+        chunks = ChunkSwarmPlanner(planner, chunk_size_bytes=10 * MB)
+        cmap = ChunkMap(LAYER, 40 * MB, 10 * MB)
+        st = _LayerFetch(cmap, ChunkFetchOutcome(LAYER))
+        assert chunks._resolve_chunk(st, cmap.chunk(0), "dev", set()) == (
+            "peer", "peer"
+        )
+
+
+# ----------------------------------------------------------------------
 # chunked pulls through the facade (integration)
 # ----------------------------------------------------------------------
 def make_chunked_swarm(
@@ -351,7 +395,7 @@ class TestChunkedPull:
         assert caches["edge-0"].reserved_bytes == 0
         assert result.bytes_transferred == manifest.total_layer_bytes
         # per-source plan entries sum exactly to the layer bytes
-        assert result.plan.bytes_total == manifest.total_layer_bytes
+        assert result.bytes_total == manifest.total_layer_bytes
         assert swarm.index.coherence_violations() == []
         # nothing partial lingers
         assert facade.chunks.ledger.tracked_layers() == []
@@ -416,7 +460,7 @@ class TestChunkedPull:
         result = cold["result"]
         peer_sources = {
             layer.source
-            for layer in result.plan.layers
+            for layer in result.layers
             if layer.kind is SourceKind.PEER
         }
         assert len(peer_sources) >= 2  # chunks drawn from both holders
@@ -424,7 +468,7 @@ class TestChunkedPull:
         # chunk bytes, and peers plus registries cover every byte moved.
         assert result.bytes_from_peers == sum(
             layer.size_bytes
-            for layer in result.plan.layers
+            for layer in result.layers
             if layer.kind is SourceKind.PEER
         )
         assert (
@@ -457,7 +501,7 @@ class TestChunkedPull:
         assert 0 < result.bytes_wasted <= 16 * MB
         # and the pull mixed peer chunks (before departure) with
         # registry chunks (after)
-        kinds = {layer.kind for layer in result.plan.layers}
+        kinds = {layer.kind for layer in result.layers}
         assert kinds == {SourceKind.PEER, SourceKind.REGISTRY}
 
     def test_single_source_departure_wastes_more_than_chunked(self):
@@ -516,7 +560,7 @@ class TestChunkedPull:
         )
         # the joiner waited for the in-flight fetch instead of
         # re-fetching: exactly one chunk set moved for the layer
-        assert facade.chunks.chunk_transfers == n_chunks
+        assert engine.started == n_chunks
         assert second["result"].bytes_transferred == 0  # all LOCAL
         assert second["end"] == pytest.approx(first["end"])
 

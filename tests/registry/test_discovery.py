@@ -415,7 +415,7 @@ class TestPullFallback:
         ref = ImageReference("acme/app")
         # Seed d0, converge views, then silently gut d0's cache.
         r0 = facade.pull(ref, Arch.AMD64, "d0", caches["d0"])
-        layer_digests = [l.digest for l in r0.plan.layers]
+        layer_digests = [l.digest for l in r0.layers]
         for _ in range(9):
             disc.run_round()
         assert swarm.best_peer(layer_digests[0], "d1") == "d0"
@@ -424,7 +424,7 @@ class TestPullFallback:
         # Every layer fell back to the hub; each stale entry metered.
         assert result.stale_peer_misses == len(layer_digests)
         assert all(
-            layer.kind is SourceKind.REGISTRY for layer in result.plan.layers
+            layer.kind is SourceKind.REGISTRY for layer in result.layers
         )
         assert disc.stale_misses == len(layer_digests)
         assert result.bytes_from_peers == 0

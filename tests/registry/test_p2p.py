@@ -17,6 +17,7 @@ from repro.registry.manifest import ImageManifest, LayerDescriptor
 from repro.registry.minio import MinioStore
 from repro.registry.p2p import (
     AdaptiveReplicator,
+    P2PPullResult,
     P2PRegistry,
     PeerIndex,
     PeerSwarm,
@@ -29,6 +30,21 @@ from repro.sim.engine import Simulator
 
 def small_cache(capacity_bytes: int, device: str) -> ImageCache:
     return ImageCache(capacity_bytes / BYTES_PER_GB, device)
+
+
+def plan_pull(planner, manifest, device, cache) -> P2PPullResult:
+    """Where an analytic pull of ``manifest`` onto ``device`` would take
+    each layer from right now, without moving a byte: one
+    ``resolve_layer`` per layer, wrapped in a pull result for its byte
+    and time totals."""
+    layers = tuple(
+        planner.resolve_layer(layer.digest, layer.size_bytes, device, cache)
+        for layer in manifest.layers
+    )
+    return P2PPullResult(
+        ImageReference("planned"), planner.registries[0].name, manifest,
+        device, layers,
+    )
 
 
 D = [digest_text(f"p2p-layer-{i}") for i in range(6)]
@@ -207,7 +223,7 @@ class TestPullPlanner:
         manifest, hub, regional, swarm = self.build()
         cache = swarm.index.cache_of("dev")
         cache.add(D[0], 100_000_000)
-        plan = PullPlanner(swarm, [regional, hub]).plan(manifest, "dev", cache)
+        plan = plan_pull(PullPlanner(swarm, [regional, hub]), manifest, "dev", cache)
         assert plan.layers[0].kind is SourceKind.LOCAL
         assert plan.layers[0].seconds == 0.0
 
@@ -215,7 +231,7 @@ class TestPullPlanner:
         manifest, hub, regional, swarm = self.build()
         swarm.index.cache_of("peer").add(D[1], 100_000_000)
         cache = swarm.index.cache_of("dev")
-        plan = PullPlanner(swarm, [regional, hub]).plan(manifest, "dev", cache)
+        plan = plan_pull(PullPlanner(swarm, [regional, hub]), manifest, "dev", cache)
         by_digest = {l.digest: l for l in plan.layers}
         # D[1]: peer at 800 Mbps → 1.0 s.
         assert by_digest[D[1]].kind is SourceKind.PEER
@@ -237,7 +253,7 @@ class TestPullPlanner:
         network.connect_devices("dev", "peer", 40.0)
         swarm.index.cache_of("peer").add(D[1], 100_000_000)
         cache = swarm.index.cache_of("dev")
-        plan = PullPlanner(swarm, [regional, hub]).plan(manifest, "dev", cache)
+        plan = plan_pull(PullPlanner(swarm, [regional, hub]), manifest, "dev", cache)
         by_digest = {l.digest: l for l in plan.layers}
         assert by_digest[D[1]].kind is SourceKind.REGISTRY
         assert by_digest[D[1]].source == "reg"
@@ -245,7 +261,7 @@ class TestPullPlanner:
     def test_hub_only_chain_uses_hub(self):
         manifest, hub, _regional, swarm = self.build()
         cache = swarm.index.cache_of("dev")
-        plan = PullPlanner(swarm, [hub]).plan(manifest, "dev", cache)
+        plan = plan_pull(PullPlanner(swarm, [hub]), manifest, "dev", cache)
         assert all(l.source == "hub" for l in plan.layers)
         assert plan.seconds == pytest.approx(30.0)
 
@@ -255,8 +271,9 @@ class TestPullPlanner:
         isolated = PeerSwarm(network)
         isolated.add_device("dev", small_cache(BYTES_PER_GB, "dev"))
         with pytest.raises(RegistryError):
-            PullPlanner(isolated, [hub]).plan(
-                manifest, "dev", isolated.index.cache_of("dev")
+            plan_pull(
+                PullPlanner(isolated, [hub]),
+                manifest, "dev", isolated.index.cache_of("dev"),
             )
 
 
@@ -290,7 +307,7 @@ class TestP2PRegistry:
         assert second.bytes_from_peers == second.bytes_transferred > 0
         assert {
             layer.source
-            for layer in second.plan.layers
+            for layer in second.layers
             if layer.kind is SourceKind.PEER
         } == {"a"}
         # The 800 Mbit/s peer channel is 10x the hub's: the peer-served
@@ -305,7 +322,7 @@ class TestP2PRegistry:
         ref = ImageReference("acme/app")
         result = facade.pull(ref, Arch.AMD64, "a", swarm.index.cache_of("a"))
         drained = swarm.drain_demand()
-        assert sum(drained.values()) == len(result.plan.layers)
+        assert sum(drained.values()) == len(result.layers)
 
     def test_peer_served_pulls_are_not_metered_against_the_hub(self):
         from repro.registry.hub import PullRateLimiter

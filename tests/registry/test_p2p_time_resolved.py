@@ -22,6 +22,7 @@ from repro.registry.p2p import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.transfers import TransferEngine
+from test_p2p import plan_pull
 
 GB = 1_000_000_000
 
@@ -76,7 +77,7 @@ def pull_at(sim, engine, facade, caches, at_s, device, repo="acme/app"):
 
 
 def kinds(result):
-    return [layer.kind for layer in result.plan.layers]
+    return [layer.kind for layer in result.layers]
 
 
 class TestCommittedOnlySourcing:
@@ -145,9 +146,8 @@ class TestCommittedOnlySourcing:
         sim, engine, swarm, caches, facade, hub = make_swarm()
         solo = pull_at(sim, engine, facade, caches, 0.0, "edge-0")
         sim.run()
-        expected = facade.plan(
-            ImageReference("acme/app"), Arch.AMD64, "edge-1", caches["edge-1"]
-        )
+        _, manifest = facade.resolve(ImageReference("acme/app"), Arch.AMD64)
+        expected = plan_pull(facade.planner, manifest, "edge-1", caches["edge-1"])
         # edge-1's plan is all-peer now; edge-0's own pull took the
         # analytic registry time because nothing contended with it.
         analytic = 0.5 * 1000 * 8 / 80.0  # size_mb * 8 / bw
@@ -203,9 +203,8 @@ class TestPeerDeparture:
         seed = pull_at(sim, engine, facade, caches, 0.0, "edge-0")
         sim.run()
         swarm.remove_device("edge-0", engine=engine)
-        plan = facade.plan(
-            ImageReference("acme/app"), Arch.AMD64, "edge-1", caches["edge-1"]
-        )
+        _, manifest = facade.resolve(ImageReference("acme/app"), Arch.AMD64)
+        plan = plan_pull(facade.planner, manifest, "edge-1", caches["edge-1"])
         assert all(l.kind is SourceKind.REGISTRY for l in plan.layers)
 
 
@@ -229,15 +228,40 @@ class TestConcurrentSameDevice:
         assert base_digests  # the two images really share a base
         shared_sources = [
             l
-            for l in sibling["result"].plan.layers
+            for l in sibling["result"].layers
             if l.digest in base_digests
         ]
         # The sibling pull waited for the in-flight base instead of
         # transferring it again: those layers resolve as LOCAL.
         assert all(l.kind is SourceKind.LOCAL for l in shared_sources)
-        assert engine.started == len(app["result"].plan.layers) + sum(
-            1 for l in sibling["result"].plan.layers if l.digest not in base_digests
+        assert engine.started == len(app["result"].layers) + sum(
+            1 for l in sibling["result"].layers if l.digest not in base_digests
         )
+
+    def test_pull_waits_out_an_idle_reservation_then_fetches_itself(self):
+        # The layer is reserved by an owner with no transfer in flight
+        # (the test holds it).  The pull waits for the reservation to
+        # settle instead of spinning, and when the owner releases it one
+        # simulated second later, fetches the layer itself.
+        sim, engine, swarm, caches, facade, hub = make_swarm()
+        _, manifest = facade.resolve(ImageReference("acme/mono"), Arch.AMD64)
+        (layer,) = manifest.layers
+        cache = caches["edge-0"]
+        cache.reserve(layer.digest, layer.size_bytes)
+
+        def owner():
+            yield sim.timeout(1.0)
+            cache.release(layer.digest)
+
+        sim.process(owner())
+        out = pull_at(sim, engine, facade, caches, 0.0, "edge-0", "acme/mono")
+        sim.run()
+        assert kinds(out["result"]) == [SourceKind.REGISTRY]
+        assert engine.started == 1
+        analytic = 0.5 * 1000 * 8 / 80.0  # size_mb * 8 / bw
+        assert out["end"] == pytest.approx(1.0 + analytic)
+        assert cache.has_image(manifest)
+        assert cache.reserved_bytes == 0
 
 
 class TestReplicatorTimeResolved:

@@ -29,7 +29,7 @@ from repro.scenarios import (
 )
 from repro.scenarios import canonical_hash, canonical_json
 from repro.scenarios.spec import parse_set_flags
-from repro.sim.churn import ChurnConfig
+from repro.sim.churn import ChurnSpec as ChurnProcessConfig
 from repro.sim.transfers import TransferModel
 
 
@@ -102,12 +102,10 @@ class TestSectionValidation:
             ChurnSpec(mean_uptime_s=0.0)
         with pytest.raises(ValueError):
             ChurnSpec(min_online=0)
-        config = ChurnSpec(mean_uptime_s=50.0, min_online=3).to_config()
-        assert isinstance(config, ChurnConfig)
+        # The spec section is the churn process's own config class.
+        assert ChurnSpec is ChurnProcessConfig
+        config = ChurnSpec(mean_uptime_s=50.0, min_online=3)
         assert (config.mean_uptime_s, config.min_online) == (50.0, 3)
-        assert ChurnSpec.from_config(config) == ChurnSpec(
-            mean_uptime_s=50.0, min_online=3
-        )
 
     def test_replication_knobs_positive(self):
         with pytest.raises(ValueError, match="interval_s"):

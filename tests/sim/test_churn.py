@@ -7,7 +7,7 @@ from repro.model.units import BYTES_PER_GB
 from repro.registry.cache import ImageCache
 from repro.registry.digest import digest_text
 from repro.registry.p2p import PeerSwarm
-from repro.sim.churn import ChurnConfig, ChurnProcess
+from repro.sim.churn import ChurnProcess, ChurnSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -28,7 +28,7 @@ def build(n=6, seed=11, config=None, is_busy=None):
         sim,
         swarm,
         RngRegistry(seed),
-        config=config or ChurnConfig(mean_uptime_s=100.0, mean_downtime_s=50.0),
+        config=config or ChurnSpec(mean_uptime_s=100.0, mean_downtime_s=50.0),
         is_busy=is_busy,
     )
     return sim, swarm, caches, churn
@@ -37,11 +37,11 @@ def build(n=6, seed=11, config=None, is_busy=None):
 class TestChurnConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ChurnConfig(mean_uptime_s=0.0)
+            ChurnSpec(mean_uptime_s=0.0)
         with pytest.raises(ValueError):
-            ChurnConfig(mean_downtime_s=-1.0)
+            ChurnSpec(mean_downtime_s=-1.0)
         with pytest.raises(ValueError):
-            ChurnConfig(min_online=0)
+            ChurnSpec(min_online=0)
 
 
 class TestChurnProcess:
@@ -78,7 +78,7 @@ class TestChurnProcess:
         assert timelines[0] != timelines[1]
 
     def test_min_online_floor_is_respected(self):
-        config = ChurnConfig(
+        config = ChurnSpec(
             mean_uptime_s=20.0, mean_downtime_s=500.0, min_online=3
         )
         sim, swarm, _caches, churn = build(n=5, config=config)
@@ -144,7 +144,7 @@ class TestSessionStatistics:
         assert churn.mean_session_s("d0") is None
 
     def test_availability_reflects_observed_uptime_fraction(self):
-        config = ChurnConfig(mean_uptime_s=100.0, mean_downtime_s=100.0)
+        config = ChurnSpec(mean_uptime_s=100.0, mean_downtime_s=100.0)
         sim, _swarm, _caches, churn = build(seed=3, config=config)
         churn.start()
         sim.run(until=20_000.0)

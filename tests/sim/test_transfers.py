@@ -19,7 +19,6 @@ from repro.model.network import NetworkModel
 from repro.model.units import MBIT_PER_MB, bytes_to_mb
 from repro.sim.engine import Simulator
 from repro.sim.transfers import (
-    InflightCollision,
     TransferCancelled,
     TransferEngine,
     TransferModel,
@@ -306,64 +305,6 @@ class TestUploadBudgets:
         engine.start("origin", "d1", 10 * MB, src_is_registry=True)
         sim.run()
         assert engine.completed == 2
-
-
-class TestInflightCollision:
-    def test_same_digest_to_same_device_collides(self):
-        """Regression: a second start for an in-flight ``(dst, digest)``
-        used to silently overwrite the join-bookkeeping entry, so the
-        first transfer kept moving bytes but became unjoinable — two
-        payloads on the wire for one layer."""
-        network = star_network()
-        sim = Simulator()
-        engine = TransferEngine(sim, network)
-        first = engine.start(
-            "origin", "d0", 100 * MB, src_is_registry=True, digest="sha:aa"
-        )
-        with pytest.raises(InflightCollision):
-            engine.start("d1", "d0", 100 * MB, digest="sha:aa")
-        assert engine.inflight_to("d0", "sha:aa") is first
-        # The refused start consumed no upload slot on its source.
-        assert engine.uploads_in_flight("d1") == 0
-
-    def test_distinct_device_or_digest_does_not_collide(self):
-        network = star_network()
-        sim = Simulator()
-        engine = TransferEngine(sim, network)
-        engine.start(
-            "origin", "d0", 10 * MB, src_is_registry=True, digest="sha:aa"
-        )
-        engine.start(
-            "origin", "d1", 10 * MB, src_is_registry=True, digest="sha:aa"
-        )
-        engine.start(
-            "origin", "d0", 10 * MB, src_is_registry=True, digest="sha:bb"
-        )
-        # Undigested transfers never participate in join bookkeeping.
-        engine.start("origin", "d0", 10 * MB, src_is_registry=True)
-        engine.start("origin", "d0", 10 * MB, src_is_registry=True)
-        sim.run()
-        assert engine.completed == 5
-
-    def test_slot_frees_on_completion_and_on_cancel(self):
-        network = star_network()
-        sim = Simulator()
-        engine = TransferEngine(sim, network)
-        r = run_transfer(
-            sim, engine, "origin", "d0", 10 * MB,
-            src_is_registry=True, digest="sha:aa",
-        )
-        sim.run()
-        assert r["ok"] is True
-        assert engine.inflight_to("d0", "sha:aa") is None
-        again = engine.start(
-            "origin", "d0", 10 * MB, src_is_registry=True, digest="sha:aa"
-        )
-        engine.cancel(again, "test")
-        assert engine.inflight_to("d0", "sha:aa") is None
-        engine.start(
-            "origin", "d0", 10 * MB, src_is_registry=True, digest="sha:aa"
-        )
 
 
 class TestPeakAccounting:

@@ -156,13 +156,21 @@ class TestResume:
 
     @pytest.mark.parametrize(
         "body",
-        ["{ truncated", "[]", "null", '{"key": "<key>"}'],
-        ids=["truncated", "list", "null", "no-outcome"],
+        ["{ truncated", "[]", "null", '{"key": "<key>"}']
+        + [
+            '{"key": "<key>", "outcome": {}, "wall_ms": %s}' % wall_ms
+            for wall_ms in ('"x"', "{}", "null", "[1]", "true")
+        ],
+        ids=[
+            "truncated", "list", "null", "no-outcome", "wall-ms-string",
+            "wall-ms-object", "wall-ms-null", "wall-ms-list", "wall-ms-bool",
+        ],
     )
     def test_corrupt_cache_entry_is_loud(self, tmp_path, body):
         # Valid JSON that is not an entry object with an object outcome
-        # fails like a truncated file, not with an AttributeError or a
-        # KeyError from inside the loader.
+        # and a numeric wall_ms (when present) fails like a truncated
+        # file, not with an AttributeError, KeyError or TypeError from
+        # inside the loader.
         sweep = small_sweep(axes={}, seeds=(1,))
         run_sweep(sweep, cache_dir=tmp_path)
         (cell,) = sweep.cells()
