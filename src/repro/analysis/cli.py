@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .findings import DEFAULT_CONFIG, LintConfig
+from .findings import LintConfig
 from .registry import UnknownRuleError, all_rules
 from .runner import LintResult, LintUsageError, lint_paths
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from ..util import did_you_mean
-from .findings import Finding, LintConfig
+from .findings import Finding
 
 #: A rule body: (module context) -> findings.
 RuleFn = Callable[["ModuleContext"], Iterator[Finding]]  # noqa: F821

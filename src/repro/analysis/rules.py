@@ -18,7 +18,7 @@ allowlist the file in :class:`~repro.analysis.findings.LintConfig`.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from .astutil import (
     ModuleContext,

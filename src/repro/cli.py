@@ -7,6 +7,7 @@ Usage::
     python -m repro.cli fig3a       # Figure 3a per-service energy
     python -m repro.cli fig3b       # Figure 3b method comparison
     python -m repro.cli ablations   # A1–A4
+    python -m repro.cli cloud       # cloud-edge offloading (extension)
     python -m repro.cli p2p         # three-tier registry comparison
     python -m repro.cli p2p-contended  # analytic vs time-resolved pulls
     python -m repro.cli p2p-gossip  # omniscient vs gossip discovery
@@ -31,16 +32,19 @@ Usage::
     python -m repro.cli lint src/repro --json    # machine-readable
     python -m repro.cli lint --list              # rule catalogue
 
-The swarm experiments accept ``--seed`` to rerun under a different
-random workload/churn realisation, and every experiment (plus the
-``scenario`` and ``sweep`` subcommands) accepts ``--json`` to print
-machine-readable structured results instead of text tables.  Sweeps
-fan cells across a worker pool and resume from the content-addressed
-results cache: re-running a finished sweep executes zero cells, and
-editing one axis re-runs only the new cells.
+Each command is its own subparser and takes exactly the flags it reads
+(``repro <command> --help`` lists them), written after the command; a
+flag another command owns exits 2 instead of being silently ignored.
+The targets and ``all`` take ``--seed``, which only the swarm
+experiments read: the paper artefacts are deterministic.
+
+``--json`` prints machine-readable structured results instead of text
+tables.  Sweeps fan cells across a worker pool and resume from the
+content-addressed results cache: re-running a finished sweep executes
+zero cells, and editing one axis re-runs only the new cells.
 
 Telemetry (see ``src/repro/telemetry/README.md``) hangs off three
-flags shared by the experiments and the ``scenario`` subcommand::
+flags shared by the targets and the ``scenario`` subcommand::
 
     python -m repro.cli p2p --trace p2p.trace.json \\
         --metrics-out p2p.metrics.csv --profile
@@ -52,10 +56,8 @@ every 60 simulated seconds, and ``--profile`` records the transfer
 engine's self-profile.  All three are observation-only: results are
 bit-identical with and without them.
 
-The swarm experiment list (``p2p`` …) is derived from the scenario
-preset registry (:mod:`repro.scenarios`), so a newly registered
-experiment automatically appears in the choices *and* in ``all`` —
-it cannot be silently forgotten.
+The targets, their order in ``all`` and their runners come from one
+table, :data:`repro.experiments.TARGETS`.
 """
 
 from __future__ import annotations
@@ -64,21 +66,14 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Callable, Dict, List
+from dataclasses import replace
+from typing import Dict, List
 
 from . import scenarios, sweep, telemetry
-from .experiments import ablations, cloud, figure3a, figure3b, p2p, table2, table3
-from .experiments.runner import ExperimentResult
+from .experiments import TARGETS
 from .sim.rng import DEFAULT_SEED
 from .workloads.calibration import calibrate
 from .workloads.testbed import build_testbed
-
-# p2p is imported for its side effect as well: importing it attaches
-# the swarm experiment runners to the scenarios registry.
-assert p2p is not None
-
-#: The deterministic paper artefacts (seed-independent).
-PAPER_TARGETS = ("table2", "table3", "fig3a", "fig3b", "ablations", "cloud")
 
 #: Metrics sampling period ``--metrics-out`` uses when the scenario's
 #: own ``telemetry.metrics_period_s`` does not say otherwise.
@@ -106,12 +101,6 @@ def _profile_text(label: str, summary: Dict) -> str:
         f"{summary['transfers_rerated']} transfers rerated, "
         f"closure hist {summary['closure_size_hist']}"
     )
-
-
-def all_targets() -> List[str]:
-    """Every experiment ``all`` runs: paper artefacts + every swarm
-    experiment attached to the scenario preset registry."""
-    return list(PAPER_TARGETS) + list(scenarios.experiment_names())
 
 
 def _calibration_dict() -> dict:
@@ -255,9 +244,7 @@ def _run_scenario_command(args) -> int:
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return 2
-    import dataclasses
-
-    spec = dataclasses.replace(spec, seed=args.seed)
+    spec = replace(spec, seed=args.seed)
     try:
         overrides = scenarios.parse_set_flags(tuple(args.overrides))
         spec = scenarios.with_overrides(spec, overrides)
@@ -269,7 +256,7 @@ def _run_scenario_command(args) -> int:
     if args.trace or args.metrics_out or args.profile:
         # The flags merge *into* the spec's own telemetry section (a
         # --set telemetry.* override stays authoritative where given).
-        spec = dataclasses.replace(
+        spec = replace(
             spec,
             telemetry=scenarios.TelemetrySpec(
                 trace=spec.telemetry.trace or args.trace is not None,
@@ -377,7 +364,7 @@ def _resolve_sweep_target(target: str) -> sweep.SweepSpec:
 
 def _run_sweep_command(args) -> int:
     if args.list:
-        if args.preset:
+        if args.target:
             print("--list does not take a sweep name", file=sys.stderr)
             return 2
         if args.json:
@@ -388,26 +375,20 @@ def _run_sweep_command(args) -> int:
         else:
             print(_sweep_list_text())
         return 0
-    if not args.preset:
+    if not args.target:
         print(
             "sweep needs a target (or --list); known sweeps: "
             + ", ".join(sweep.sweep_names()),
             file=sys.stderr,
         )
         return 2
-    import dataclasses
-
     try:
-        spec = _resolve_sweep_target(args.preset)
+        spec = _resolve_sweep_target(args.target)
         if args.axis:
             extra = sweep.parse_axis_flags(tuple(args.axis))
-            spec = dataclasses.replace(
-                spec, axes=tuple(spec.axes) + tuple(extra.items())
-            )
+            spec = replace(spec, axes=tuple(spec.axes) + tuple(extra.items()))
         if args.seeds:
-            spec = dataclasses.replace(
-                spec, seeds=sweep.parse_seed_flag(args.seeds)
-            )
+            spec = replace(spec, seeds=sweep.parse_seed_flag(args.seeds))
         result = sweep.run_sweep(
             spec, cache_dir=args.cache_dir, workers=args.workers
         )
@@ -428,208 +409,17 @@ def _run_sweep_command(args) -> int:
     return 0
 
 
-def main(argv: List[str] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        # The lint subcommand owns its own flag grammar (multiple path
-        # arguments, repeatable --rule), so it dispatches before the
-        # experiment parser; see src/repro/analysis/cli.py.
-        from .analysis.cli import main as lint_main
-
-        return lint_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate the tables and figures of the DEEP paper.",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=all_targets() + [
-            "all", "calibration", "scenario", "sweep", "lint",
-        ],
-        help=(
-            "which artefact to regenerate (or 'scenario' for one preset, "
-            "'sweep' for an experiment matrix, 'lint' for the static "
-            "determinism analyzer)"
-        ),
-    )
-    parser.add_argument(
-        "preset",
-        nargs="?",
-        help=(
-            "preset name for the scenario subcommand (see scenario "
-            "--list), or the sweep target: a sweep preset, a scenario "
-            "preset, or a SweepSpec .json file (see sweep --list)"
-        ),
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help=(
-            "root seed for the stochastic swarm experiments "
-            "(p2p / p2p-contended / p2p-gossip / p2p-chunked / scenario); "
-            "other artefacts are deterministic and ignore it"
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print machine-readable JSON instead of text tables",
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        help="with 'scenario' or 'sweep': list the named presets and exit",
-    )
-    parser.add_argument(
-        "--set",
-        action="append",
-        dest="overrides",
-        default=[],
-        metavar="SECTION.FIELD=VALUE",
-        help=(
-            "with 'scenario': override one spec field by dotted path "
-            "(repeatable), e.g. --set transfer.model=time-resolved "
-            "--set churn.mean_uptime_s=600"
-        ),
-    )
-    parser.add_argument(
-        "--axis",
-        action="append",
-        dest="axis",
-        default=[],
-        metavar="SECTION.FIELD=V1,V2",
-        help=(
-            "with 'sweep': add one grid axis by dotted path with a "
-            "comma-separated value list (repeatable), e.g. "
-            "--axis discovery.gossip_fanout=1,2,4"
-        ),
-    )
-    parser.add_argument(
-        "--seeds",
-        metavar="S1,S2",
-        help="with 'sweep': replace the sweep's seed list, e.g. --seeds 1,2",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with 'sweep': worker-process pool size (default 1: inline)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help=(
-            "with 'sweep': content-addressed results cache directory; "
-            "re-runs load finished cells from here instead of executing"
-        ),
-    )
-    parser.add_argument(
-        "--csv",
-        metavar="FILE",
-        help="with 'sweep': also write the aggregate rows as CSV",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="FILE",
-        help="with 'sweep': also write the full JSON document to a file",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        help=(
-            "write a sim-time telemetry trace of the run: Chrome "
-            "trace-event JSON, or JSONL when FILE ends in .jsonl "
-            "(experiments and the scenario subcommand)"
-        ),
-    )
-    parser.add_argument(
-        "--metrics-out",
-        dest="metrics_out",
-        metavar="FILE",
-        help=(
-            "write time-series metrics (inflight transfers, trunk "
-            "utilisation, cache occupancy, gossip staleness) as CSV, "
-            f"sampled every {DEFAULT_METRICS_PERIOD_S:.0f} simulated "
-            "seconds unless telemetry.metrics_period_s overrides it"
-        ),
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "self-profile the transfer engine (recompute wall time, "
-            "closure-size histogram, deadline-heap work counters)"
-        ),
-    )
-    args = parser.parse_args(argv)
-
-    if (
-        (args.trace or args.metrics_out or args.profile)
-        and args.experiment in ("sweep", "calibration")
-    ):
-        # Sweep cells run in pool workers (a process-wide capture
-        # cannot see them) and calibration runs no simulation.
-        print(
-            "--trace/--metrics-out/--profile do not apply to the "
-            f"{args.experiment} subcommand",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.experiment == "scenario":
-        return _run_scenario_command(args)
-    if args.experiment == "sweep":
-        return _run_sweep_command(args)
-    if args.preset is not None:
-        print(
-            f"a preset argument only applies to the scenario/sweep "
-            f"subcommands (got {args.preset!r})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.overrides or args.list:
-        print(
-            "--set/--list only apply to the scenario/sweep subcommands",
-            file=sys.stderr,
-        )
-        return 2
-    if (args.axis or args.seeds or args.workers != 1 or args.cache_dir
-            or args.csv or args.out):
-        print(
-            "--axis/--seeds/--workers/--cache-dir/--csv/--out only apply "
-            "to the sweep subcommand",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.experiment == "calibration":
-        if args.json:
-            print(json.dumps(_calibration_dict(), indent=2))
-        else:
-            print(_run_calibration_dump())
-        return 0
-
-    testbed = build_testbed()
-    runs: Dict[str, Callable[[], ExperimentResult]] = {
-        "table2": lambda: table2.run(testbed),
-        "table3": lambda: table3.run(testbed),
-        "fig3a": lambda: figure3a.run(testbed),
-        "fig3b": lambda: figure3b.run(testbed),
-        "cloud": lambda: cloud.run(testbed),
-    }
-    for name in scenarios.experiment_names():
-        runs[name] = (
-            lambda _runner=scenarios.experiment(name): _runner(seed=args.seed)
-        )
-    selected: List[str]
-    if args.experiment == "all":
-        selected = all_targets()
+def _run_calibration_command(args) -> int:
+    if args.json:
+        print(json.dumps(_calibration_dict(), indent=2))
     else:
-        selected = [args.experiment]
+        print(_run_calibration_dump())
+    return 0
 
+
+def _run_targets_command(args) -> int:
+    testbed = build_testbed()
+    selected = list(TARGETS) if args.command == "all" else [args.command]
     capture = None
     if args.trace or args.metrics_out or args.profile:
         # Experiment runners build their sessions internally, so the
@@ -649,16 +439,7 @@ def main(argv: List[str] = None) -> int:
     json_payload: List[Dict] = []
     with capture if capture is not None else contextlib.nullcontext():
         for name in selected:
-            if name == "ablations":
-                produced = [
-                    ablations.bandwidth_sweep(),
-                    ablations.cache_and_dedup(build_testbed()),
-                    ablations.solver_comparison(testbed),
-                    ablations.scaling(),
-                ]
-            else:
-                produced = [runs[name]()]
-            for result in produced:
+            for result in TARGETS[name](testbed, args.seed):
                 if args.json:
                     json_payload.append(result.to_dict())
                 else:
@@ -681,6 +462,174 @@ def main(argv: List[str] = None) -> int:
             indent=2,
         ))
     return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    """One subparser per command, declaring exactly the flags it reads.
+
+    ``allow_abbrev=False`` everywhere: otherwise argparse would read
+    ``sweep … --seed 5`` as ``--seeds 5``.
+    """
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help=(
+            "root seed of the swarm experiments and scenario sessions; "
+            "the paper artefacts are deterministic and ignore it"
+        ),
+    )
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument(
+        "--json",
+        action="store_true",
+        help="print machine-readable JSON instead of text tables",
+    )
+    observe = argparse.ArgumentParser(add_help=False)
+    observe.add_argument(
+        "--trace",
+        metavar="FILE",
+        help=(
+            "write a sim-time telemetry trace of the run: Chrome "
+            "trace-event JSON, or JSONL when FILE ends in .jsonl"
+        ),
+    )
+    observe.add_argument(
+        "--metrics-out",
+        dest="metrics_out",
+        metavar="FILE",
+        help=(
+            "write time-series metrics (inflight transfers, trunk "
+            "utilisation, cache occupancy, gossip staleness) as CSV, "
+            f"sampled every {DEFAULT_METRICS_PERIOD_S:.0f} simulated "
+            "seconds unless telemetry.metrics_period_s overrides it"
+        ),
+    )
+    observe.add_argument(
+        "--profile",
+        action="store_true",
+        help=(
+            "self-profile the transfer engine (recompute wall time, "
+            "closure-size histogram, deadline-heap work counters)"
+        ),
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Regenerate the tables and figures of the DEEP paper.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(
+        dest="command", required=True, metavar="command"
+    )
+
+    def command(name, parents, run, help=None):
+        sub = commands.add_parser(
+            name, parents=parents, allow_abbrev=False, help=help
+        )
+        sub.set_defaults(run=run)
+        return sub
+
+    for name in [*TARGETS, "all"]:
+        command(
+            name, [seed, as_json, observe], _run_targets_command,
+            "every target above, in order" if name == "all" else None,
+        )
+    command(
+        "calibration", [as_json], _run_calibration_command,
+        "dump the fitted constants",
+    )
+
+    scenario = command(
+        "scenario", [seed, as_json, observe], _run_scenario_command,
+        "run one scenario preset",
+    )
+    scenario.add_argument(
+        "preset", nargs="?", help="preset name (see scenario --list)"
+    )
+    scenario.add_argument(
+        "--list", action="store_true", help="list the presets and exit"
+    )
+    scenario.add_argument(
+        "--set",
+        action="append",
+        dest="overrides",
+        default=[],
+        metavar="SECTION.FIELD=VALUE",
+        help=(
+            "override one spec field by dotted path (repeatable), e.g. "
+            "--set churn.mean_uptime_s=600"
+        ),
+    )
+
+    # No telemetry flags: sweep cells run in pool workers, which a
+    # process-wide capture cannot see.
+    grid = command(
+        "sweep", [as_json], _run_sweep_command, "run an experiment matrix"
+    )
+    grid.add_argument(
+        "target",
+        nargs="?",
+        help=(
+            "a sweep preset, a scenario preset, or a SweepSpec .json "
+            "file (see sweep --list)"
+        ),
+    )
+    grid.add_argument(
+        "--list", action="store_true", help="list the sweep presets and exit"
+    )
+    grid.add_argument(
+        "--axis",
+        action="append",
+        default=[],
+        metavar="SECTION.FIELD=V1,V2",
+        help=(
+            "add one grid axis by dotted path with a comma-separated "
+            "value list (repeatable), e.g. --axis discovery.gossip_fanout=1,2"
+        ),
+    )
+    grid.add_argument(
+        "--seeds", metavar="S1,S2", help="replace the sweep's seed list"
+    )
+    grid.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker-process pool size (default 1: inline)",
+    )
+    grid.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        help="content-addressed results cache; re-runs load cells from it",
+    )
+    grid.add_argument(
+        "--csv", metavar="FILE", help="also write the aggregate rows as CSV"
+    )
+    grid.add_argument(
+        "--out", metavar="FILE", help="also write the JSON document to FILE"
+    )
+
+    # lint owns its own flag grammar (multiple path arguments,
+    # repeatable --rule; see src/repro/analysis/cli.py), so main hands
+    # `lint …` over before this parser runs.  The entry here lists it in
+    # --help and rejects flags written before it.
+    commands.add_parser(
+        "lint", add_help=False, help="the static determinism analyzer"
+    )
+    return parser
+
+
+def main(argv: List[str] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] == "lint":
+        from .analysis.cli import main as lint_main
+
+        return lint_main(argv[1:])
+    args = _parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

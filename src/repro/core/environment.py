@@ -11,11 +11,11 @@ testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Mapping, Optional
 
 from ..devices.executor import IntensityFn, unit_intensity
-from ..model.application import Application, Microservice
+from ..model.application import Microservice
 from ..model.device import Device, DeviceFleet
 from ..model.network import NetworkModel
 from ..model.registry import RegistryCatalog

@@ -9,7 +9,7 @@ distribution percentages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 from ..model.application import Application
 

@@ -14,8 +14,8 @@ validating pyRAPL against the model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List
 
 from ..devices.executor import ExecutionRecord
 from ..model.metrics import EnergyBreakdown

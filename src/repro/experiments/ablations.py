@@ -203,3 +203,14 @@ def scaling(
         "stay within its penalty margin of greedy at every size."
     )
     return result
+
+
+def run(testbed: Testbed) -> List[ExperimentResult]:
+    """A1–A4 in order.  A1 and A4 build their own instances and A2 a
+    fresh testbed; only A3 runs on ``testbed``."""
+    return [
+        bandwidth_sweep(),
+        cache_and_dedup(),
+        solver_comparison(testbed),
+        scaling(),
+    ]

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.scheduler import DeepScheduler
 from ..workloads.apps import both_applications
-from ..workloads.cloud import CLOUD_NAME, cloud_environment, cloud_offload_report
+from ..workloads.cloud import cloud_offload_report
 from ..workloads.testbed import Testbed, build_testbed
 from .runner import ExperimentResult
 

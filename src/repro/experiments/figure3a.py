@@ -10,7 +10,7 @@ experiment's acceptance check.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..core.scheduler import DeepScheduler
 from ..model.units import j_to_kj

@@ -17,10 +17,10 @@ distribution pays off.  The headline metric is *origin traffic*: bytes
 pulled from hub + regional.  The P2P tier strictly lowers it because
 every layer already cached anywhere in a region can be served locally.
 
-Every experiment here is driven by the declarative scenario API
-(:mod:`repro.scenarios`): a frozen :class:`ScenarioSpec` per
-configuration, variants derived with :func:`dataclasses.replace`, and
-one :class:`SimulationSession` per run.
+Every experiment here is its scenario preset (:mod:`repro.scenarios`)
+at a seed: ``run_<x>(seed)`` starts from the preset of the same name,
+derives the variants its rows compare with :func:`dataclasses.replace`,
+and runs one :class:`SimulationSession` per variant.
 
 Two transfer models are supported (see
 :class:`~repro.sim.transfers.TransferModel`): the default ``ANALYTIC``
@@ -40,18 +40,14 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..model.units import BYTES_PER_GB
-from ..sim.rng import DEFAULT_SEED
 from ..sim.transfers import TransferModel
 from .. import scenarios
 from ..scenarios import (
     DISCOVERY_BACKENDS,
     MODES,
-    ChunkSpec,
     ChurnSpec,
     DiscoverySpec,
     ModeOutcome,
-    ReplicationSpec,
-    ScenarioSpec,
     SimulationSession,
     TransferSpec,
     build_swarm_scenario,
@@ -70,63 +66,16 @@ __all__ = [
 ]
 
 
-def _contended_base(
-    n_devices: int, n_regions: int, stagger_s: float, seed: int
-) -> ScenarioSpec:
-    """The ``p2p-contended`` preset resized — the single source of the
-    contended topology/cold-wave shape (NIC and egress shaping live in
-    the preset, never re-inlined here).
-
-    Every device pulls the same image ``stagger_s`` apart, then a
-    second image sharing its base, so both waves are cold.  Analytic
-    admission publishes the first puller's layers at pull start, so
-    followers plan LAN peer fetches; time-resolved admission publishes
-    nothing until a transfer completes, so most of a wave goes to the
-    origin and contends for the shared NIC and egress links.
-    """
-    preset = scenarios.get("p2p-contended")
-    return replace(
-        preset,
-        topology=replace(
-            preset.topology, n_devices=n_devices, n_regions=n_regions
-        ),
-        workload=replace(preset.workload, stagger_s=stagger_s),
-        seed=seed,
-    )
-
-
-def run(
-    n_devices: int = 12,
-    n_images: int = 6,
-    pulls_per_device: int = 4,
-    n_regions: int = 3,
-    seed: int = DEFAULT_SEED,
-) -> ExperimentResult:
-    """The three-tier comparison as a standard experiment table.
-
-    The base configuration is the ``p2p`` preset resized — preset and
-    experiment cannot drift apart.
-    """
-    preset = scenarios.get("p2p")
-    base = replace(
-        preset,
-        topology=replace(
-            preset.topology, n_devices=n_devices, n_regions=n_regions
-        ),
-        workload=replace(
-            preset.workload,
-            n_images=n_images,
-            pulls_per_device=pulls_per_device,
-        ),
-        seed=seed,
-    )
+def run(seed: int) -> ExperimentResult:
+    """The three-tier comparison of the ``p2p`` preset at ``seed``."""
+    base = replace(scenarios.get("p2p"), seed=seed)
     # One scenario shared by every mode: registry blob content is
     # immutable, so byte counts stay directly comparable.
     scenario = build_swarm_scenario(base)
     result = ExperimentResult(
         experiment_id="p2p",
         title=(
-            f"P2P tier: origin traffic on a {n_devices}-device "
+            f"P2P tier: origin traffic on a {base.topology.n_devices}-device "
             f"layer-sharing swarm [GB]"
         ),
         columns=[
@@ -177,25 +126,28 @@ def run(
 # ----------------------------------------------------------------------
 # contended overlap: analytic vs time-resolved
 # ----------------------------------------------------------------------
-def run_contended(
-    n_devices: int = 8,
-    n_regions: int = 2,
-    upload_budget: int = 2,
-    seed: int = DEFAULT_SEED,
-) -> ExperimentResult:
+def run_contended(seed: int) -> ExperimentResult:
     """Quantify the analytic-vs-time-resolved gap under overlap.
 
-    Runs the contended-overlap scenario in ``hybrid`` (baseline, no
-    peers) and ``hybrid+p2p`` under both transfer models.  The headline
-    is the *origin-traffic saving* of the P2P tier: analytic admission
-    overstates it because followers fetch from in-flight copies that a
-    real swarm could not have served yet.
+    Runs the ``p2p-contended`` preset at ``seed`` in ``hybrid``
+    (baseline, no peers) and ``hybrid+p2p`` under both transfer
+    models.  Every device pulls the same image in a tight stagger, then
+    a second image sharing its base, so both waves are cold.  Analytic
+    admission publishes the first puller's layers at pull start, so
+    followers plan LAN peer fetches; time-resolved admission publishes
+    nothing until a transfer completes, so most of a wave goes to the
+    origin and contends for the shared NIC and egress links.  The
+    headline is the *origin-traffic saving* of the P2P tier: analytic
+    admission overstates it because followers fetch from in-flight
+    copies that a real swarm could not have served yet.
     """
+    preset = replace(scenarios.get("p2p-contended"), seed=seed)
     result = ExperimentResult(
         experiment_id="p2p-contended",
         title=(
             f"P2P savings under overlapping pulls: analytic vs "
-            f"time-resolved transfers ({n_devices} devices) [GB]"
+            f"time-resolved transfers ({preset.topology.n_devices} "
+            f"devices) [GB]"
         ),
         columns=[
             "model",
@@ -209,19 +161,10 @@ def run_contended(
         ],
     )
     savings: Dict[TransferModel, int] = {}
-    for model in (TransferModel.ANALYTIC, TransferModel.TIME_RESOLVED):
-        base = replace(
-            _contended_base(n_devices, n_regions, 1.0, seed),
-            transfer=TransferSpec(
-                model=model,
-                # The analytic model has no engine to budget uploads.
-                upload_budget=(
-                    upload_budget
-                    if model is TransferModel.TIME_RESOLVED
-                    else None
-                ),
-            ),
-        )
+    # The analytic model has no engine to budget uploads.
+    for transfer in (TransferSpec(), preset.transfer):
+        model = transfer.model
+        base = replace(preset, transfer=transfer)
         scenario = build_swarm_scenario(base)
         hybrid = SimulationSession(
             replace(base, mode="hybrid"), scenario=scenario
@@ -276,18 +219,11 @@ CHUNKED_CHURN_REGIMES: Tuple[Tuple[str, float, Optional[ChurnSpec]], ...] = (
 )
 
 
-def run_chunked(
-    n_devices: int = 8,
-    n_regions: int = 2,
-    upload_budget: int = 2,
-    chunk_size_bytes: int = 16_000_000,
-    chunk_parallel: int = 4,
-    seed: int = DEFAULT_SEED,
-) -> ExperimentResult:
+def run_chunked(seed: int) -> ExperimentResult:
     """Quantify what chunked multi-source transfers buy on a cold wave.
 
-    Runs the contended-overlap scenario (every device pulls the same
-    image nearly simultaneously, twice) through the time-resolved
+    Runs the ``p2p-chunked`` preset at ``seed`` (every device pulls the
+    same image nearly simultaneously, twice) through the time-resolved
     engine in ``hybrid+p2p`` mode, once with the single-source
     per-layer planner and once with the chunked swarm planner, under
     each churn regime.  The headline is the **cold-start makespan**:
@@ -299,12 +235,14 @@ def run_chunked(
     single-source pull the whole layer's progress (``bytes_wasted``)
     but a chunked pull only the chunk in flight.
     """
+    preset = replace(scenarios.get("p2p-chunked"), seed=seed)
     result = ExperimentResult(
         experiment_id="p2p-chunked",
         title=(
             f"Chunked multi-source pulls on a contended cold wave "
-            f"({n_devices} devices, {chunk_size_bytes // 1_000_000} MB "
-            f"chunks, window {chunk_parallel})"
+            f"({preset.topology.n_devices} devices, "
+            f"{preset.chunks.size_bytes // 1_000_000} MB "
+            f"chunks, window {preset.chunks.parallel})"
         ),
         columns=[
             "churn",
@@ -322,20 +260,13 @@ def run_chunked(
         outcomes: Dict[bool, ModeOutcome] = {}
         for chunked in (False, True):
             spec = replace(
-                _contended_base(n_devices, n_regions, stagger_s, seed),
-                transfer=TransferSpec(
-                    model=TransferModel.TIME_RESOLVED,
-                    upload_budget=upload_budget,
-                ),
+                preset,
+                workload=replace(preset.workload, stagger_s=stagger_s),
                 churn=churn_spec,
-                replication=ReplicationSpec(
-                    churn_aware=(churn_spec is not None)
+                replication=replace(
+                    preset.replication, churn_aware=churn_spec is not None
                 ),
-                chunks=ChunkSpec(
-                    enabled=chunked,
-                    size_bytes=chunk_size_bytes,
-                    parallel=chunk_parallel,
-                ),
+                chunks=replace(preset.chunks, enabled=chunked),
             )
             outcome = SimulationSession(spec).run()
             outcomes[chunked] = outcome
@@ -400,31 +331,27 @@ CHURN_REGIMES: Tuple[Tuple[str, Optional[ChurnSpec]], ...] = (
 )
 
 
-def run_gossip(
-    n_devices: int = 16,
-    n_images: int = 6,
-    pulls_per_device: int = 4,
-    n_regions: int = 3,
-    gossip_fanout: int = 2,
-    gossip_period_s: float = 60.0,
-    seed: int = DEFAULT_SEED,
-) -> ExperimentResult:
+def run_gossip(seed: int) -> ExperimentResult:
     """Quantify how much omniscient discovery overstates P2P savings.
 
-    For each churn regime the hybrid baseline (no peers) runs once,
-    then ``hybrid+p2p`` runs twice — with omniscient discovery (every
-    device sees every committed replica instantly) and with gossip
-    discovery (partial views lagging by up to a gossip period, stale
-    entries metered and fallen back from).  The headline is the same
-    shape PR 2 used for analytic admission: the *origin-traffic
-    saving* each backend reports, and the gap between them.
+    For each churn regime the hybrid baseline (no peers) of the
+    ``p2p-gossip`` preset at ``seed`` runs once, then ``hybrid+p2p``
+    runs twice — with omniscient discovery (every device sees every
+    committed replica instantly) and with the preset's gossip discovery
+    (partial views lagging by up to a gossip period, stale entries
+    metered and fallen back from).  The headline is the same shape
+    ``run_contended`` uses for analytic admission: the
+    *origin-traffic saving* each backend reports, and the gap between
+    them.
     """
+    preset = replace(scenarios.get("p2p-gossip"), seed=seed)
     result = ExperimentResult(
         experiment_id="p2p-gossip",
         title=(
             f"P2P savings by discovery backend under churn "
-            f"({n_devices} devices, gossip fanout={gossip_fanout} "
-            f"period={gossip_period_s:.0f}s) [GB]"
+            f"({preset.topology.n_devices} devices, gossip "
+            f"fanout={preset.discovery.gossip_fanout} "
+            f"period={preset.discovery.gossip_period_s:.0f}s) [GB]"
         ),
         columns=[
             "churn",
@@ -438,23 +365,10 @@ def run_gossip(
             "saved_pct",
         ],
     )
-    preset = scenarios.get("p2p-gossip")
     gaps: List[Tuple[str, float]] = []
     for label, churn_spec in CHURN_REGIMES:
-        base = replace(
-            preset,
-            topology=replace(
-                preset.topology, n_devices=n_devices, n_regions=n_regions
-            ),
-            workload=replace(
-                preset.workload,
-                n_images=n_images,
-                pulls_per_device=pulls_per_device,
-            ),
-            discovery=DiscoverySpec(),  # backend swapped per run below
-            churn=churn_spec,
-            seed=seed,
-        )
+        # The backend is swapped per run below.
+        base = replace(preset, discovery=DiscoverySpec(), churn=churn_spec)
         scenario = build_swarm_scenario(base)
         hybrid = SimulationSession(
             replace(base, mode="hybrid"), scenario=scenario
@@ -462,13 +376,7 @@ def run_gossip(
         saved_by_backend: Dict[str, int] = {}
         for backend in DISCOVERY_BACKENDS:
             discovery = (
-                replace(
-                    preset.discovery,
-                    gossip_fanout=gossip_fanout,
-                    gossip_period_s=gossip_period_s,
-                )
-                if backend == "gossip"
-                else DiscoverySpec()
+                preset.discovery if backend == "gossip" else DiscoverySpec()
             )
             outcome = SimulationSession(
                 replace(base, discovery=discovery), scenario=scenario
@@ -501,11 +409,3 @@ def run_gossip(
         )
     return result
 
-
-# The CLI (and anything else enumerating runnable scenario families)
-# derives its run list from this registry — a new experiment that
-# registers here can never be silently dropped from `repro all`.
-scenarios.attach_experiment("p2p", run)
-scenarios.attach_experiment("p2p-contended", run_contended)
-scenarios.attach_experiment("p2p-gossip", run_gossip)
-scenarios.attach_experiment("p2p-chunked", run_chunked)

@@ -9,7 +9,7 @@ objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List
 
 from ..core.placement import PlacementPlan
 from ..model.application import Application

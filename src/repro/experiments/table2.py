@@ -10,21 +10,20 @@ row is compared against the published min–max ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.placement import PlacementPlan
 from ..model.application import Application, Microservice, ResourceRequirements
 from ..orchestrator.controller import ExecutionMode
 from ..workloads.calibration import Calibration
-from ..workloads.table2 import ALL_ROWS, BenchmarkRow, logical_image
+from ..workloads.table2 import ALL_ROWS, logical_image
 from ..workloads.testbed import HUB_NAME, Testbed, build_testbed
 from .runner import ExperimentResult, deploy_and_run
 
 #: Accepted relative slack around the published ranges (the simulator
 #: is calibrated to midpoints; run-to-run jitter from the paper's
 #: physical testbed is inside the ranges themselves).
-DEFAULT_SLACK = 0.05
+SLACK = 0.05
 
 
 def standalone_app(cal: Calibration, name: str) -> Application:
@@ -61,7 +60,7 @@ def benchmark_service(
     return record.times.compute_s, record.completion_s, measured.measured_j
 
 
-def run(testbed: Optional[Testbed] = None, slack: float = DEFAULT_SLACK) -> ExperimentResult:
+def run(testbed: Optional[Testbed] = None) -> ExperimentResult:
     """Regenerate Table II and compare to the published ranges."""
     tb = testbed or build_testbed()
     cal = tb.calibration
@@ -90,10 +89,10 @@ def run(testbed: Optional[Testbed] = None, slack: float = DEFAULT_SLACK) -> Expe
             tp, ct, ec = benchmark_service(tb, name, device)
             # Tp/CT were published for the benchmark device only; EC
             # for both devices.
-            checks = [row.ec_for(device).contains(ec, slack)]
+            checks = [row.ec_for(device).contains(ec, SLACK)]
             if device == bench_device:
-                checks.append(row.tp_s.contains(tp, slack))
-                checks.append(row.ct_s.contains(ct, slack))
+                checks.append(row.tp_s.contains(tp, SLACK))
+                checks.append(row.ct_s.contains(ct, SLACK))
             ok = all(checks)
             in_range += ok
             total += 1
@@ -115,7 +114,7 @@ def run(testbed: Optional[Testbed] = None, slack: float = DEFAULT_SLACK) -> Expe
             )
     result.note(
         f"{in_range}/{total} (service, device) cells inside published "
-        f"ranges (slack {slack:.0%}); Tp/CT checked on each app's "
+        f"ranges (slack {SLACK:.0%}); Tp/CT checked on each app's "
         f"benchmark device, EC on both."
     )
     return result

@@ -9,8 +9,7 @@ history to expose convergence behaviour in the ablation benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +44,6 @@ def fictitious_play(
     game: NormalFormGame,
     iterations: int = 2000,
     tolerance: float = 1e-3,
-    initial_row: Optional[int] = None,
-    initial_col: Optional[int] = None,
-    check_every: int = 25,
 ) -> FictitiousPlayResult:
     """Run discrete fictitious play.
 
@@ -57,25 +53,19 @@ def fictitious_play(
         Hard cap on rounds.
     tolerance:
         Early-out when exploitability of the empirical profile drops
-        below this (checked every ``check_every`` rounds).
-    initial_row / initial_col:
-        First actions (default: each player's maximin-ish first row /
-        column 0, deterministic so runs are reproducible).
+        below this (checked every 25 rounds).
 
-    Ties in best response are broken towards the lowest index, making
-    the dynamics fully deterministic.
+    Both players open with action 0, and ties in best response are
+    broken towards the lowest index, making the dynamics fully
+    deterministic.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     m, n = game.shape
     row_counts = np.zeros(m)
     col_counts = np.zeros(n)
-    row_action = 0 if initial_row is None else int(initial_row)
-    col_action = 0 if initial_col is None else int(initial_col)
-    if not 0 <= row_action < m or not 0 <= col_action < n:
-        raise ValueError("initial actions out of range")
-    row_counts[row_action] += 1
-    col_counts[col_action] += 1
+    row_counts[0] += 1
+    col_counts[0] += 1
 
     done = iterations
     converged = False
@@ -87,7 +77,7 @@ def fictitious_play(
         col_action = int(np.argmax(x_hat @ game.B))
         row_counts[row_action] += 1
         col_counts[col_action] += 1
-        if step % check_every == 0:
+        if step % 25 == 0:
             eps = exploitability(
                 game, row_counts / row_counts.sum(), col_counts / col_counts.sum()
             )

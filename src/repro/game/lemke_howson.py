@@ -18,7 +18,7 @@ on degenerate inputs into an explicit error.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -135,9 +135,7 @@ def lemke_howson(
     return Equilibrium.of(game, x / x.sum(), y / y.sum())
 
 
-def lemke_howson_all(
-    game: NormalFormGame, max_pivots: int = 10_000
-) -> List[Equilibrium]:
+def lemke_howson_all(game: NormalFormGame) -> List[Equilibrium]:
     """Equilibria reached from every dropped label, deduplicated.
 
     Not guaranteed to find *all* equilibria (the LH path only reaches
@@ -148,7 +146,7 @@ def lemke_howson_all(
     found: List[Equilibrium] = []
     for label in range(sum(game.shape)):
         try:
-            found.append(lemke_howson(game, label, max_pivots))
+            found.append(lemke_howson(game, label))
         except DegenerateGameError:
             continue
     return dedupe_equilibria(found)

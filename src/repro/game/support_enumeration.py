@@ -17,7 +17,7 @@ DEEP's scale (registries × devices is a handful of strategies).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 

@@ -10,7 +10,7 @@ over the network or while computing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from .units import require_non_negative, require_positive

@@ -7,7 +7,7 @@ cluster owns one simulator; all device runtimes share its clock.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List
 
 from ..devices.executor import DeviceRuntime, IntensityFn, unit_intensity
 from ..model.device import Device
@@ -26,11 +26,10 @@ class Cluster:
 
     def __init__(
         self,
-        sim: Optional[Simulator] = None,
         pull_policy: PullPolicy = PullPolicy.WHOLE_IMAGE,
         intensity: IntensityFn = unit_intensity,
     ) -> None:
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         self.pull_policy = pull_policy
         self.intensity = intensity
         self._nodes: Dict[str, DeviceRuntime] = {}

@@ -19,8 +19,8 @@ measurement methodology end to end.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from ..core.placement import PlacementPlan
 from ..devices.executor import ExecutionRecord
@@ -82,9 +82,9 @@ class ExecutionReport:
 class ApplicationController:
     """Executes placement plans against a cluster."""
 
-    def __init__(self, cluster: Cluster, monitor: Optional[Monitor] = None) -> None:
+    def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
-        self.monitor = monitor if monitor is not None else Monitor()
+        self.monitor = Monitor()
         self._kubelets: Dict[str, Kubelet] = {
             runtime.name: Kubelet(runtime, self.monitor)
             for runtime in cluster.nodes()

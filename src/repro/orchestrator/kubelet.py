@@ -9,7 +9,7 @@ container, report status.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from ..devices.executor import DeviceRuntime
 from ..model.application import Microservice

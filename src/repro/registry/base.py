@@ -11,13 +11,13 @@ blobs they reference, and serves the three-step pull protocol used by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional
 
 from ..model.device import Arch
 from ..model.registry import RegistryInfo, RegistryKind
 from .blobstore import BlobRecord, BlobStore
-from .manifest import ImageManifest, LayerDescriptor, ManifestList
+from .manifest import ImageManifest, ManifestList
 from .repository import ManifestNotFound, RepositoryIndex
 
 

@@ -171,7 +171,6 @@ class GossipDiscovery(DiscoveryBackend):
         period_s: float = 30.0,
         view_cap: int = 8,
         seed: int = 0,
-        observer: str = "__management__",
         latency_s: float = 0.0,
         exchange: str = "push-pull",
         loss_rate: float = 0.0,
@@ -209,16 +208,17 @@ class GossipDiscovery(DiscoveryBackend):
         #: and merges nothing; anti-entropy re-offers the knowledge
         #: next round, so convergence survives — just slower.
         self.loss_rate = loss_rate
-        self.observer = observer
         self._rng = np.random.default_rng(seed)
         # viewer -> digest -> holder -> key (second-hand knowledge; a
         # viewer's knowledge about itself lives in _firsthand only).
-        self._views: Dict[str, Dict[str, Dict[str, int]]] = {observer: {}}
+        self._views: Dict[str, Dict[str, Dict[str, int]]] = {
+            self.observer: {}
+        }
         # viewer -> digest -> (key, holder) of the lowest kept present
         # entry, only while that digest's present class is exactly full
         # (see _deliver).
         self._floors: Dict[str, Dict[str, Tuple[int, str]]] = {
-            observer: {}
+            self.observer: {}
         }
         # device -> digest -> key (authoritative self-knowledge).
         self._firsthand: Dict[str, Dict[str, int]] = {}

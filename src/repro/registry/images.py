@@ -13,7 +13,7 @@ layer-dedup extension something real to deduplicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..model.device import Arch
 from ..model.units import gb_to_bytes

@@ -38,25 +38,27 @@ class RegionalRegistry(Registry):
     store:
         Backing object store; a fresh 100 GB one is created if omitted
         (the paper's example provisioning).
-    bucket:
-        Bucket holding registry state.
-    endpoint:
-        Informational endpoint (the paper's MinIO console URL).
+
+    Registry state lives in bucket :data:`DEFAULT_BUCKET`; the
+    registry's endpoint is informational (the paper's MinIO console
+    URL).
     """
 
     def __init__(
         self,
         name: str = "regional",
         store: Optional[MinioStore] = None,
-        bucket: str = DEFAULT_BUCKET,
-        endpoint: str = "https://dcloud2.itec.aau.at:9001",
     ) -> None:
-        info = RegistryInfo(name=name, kind=RegistryKind.REGIONAL, endpoint=endpoint)
+        info = RegistryInfo(
+            name=name,
+            kind=RegistryKind.REGIONAL,
+            endpoint="https://dcloud2.itec.aau.at:9001",
+        )
         super().__init__(info)
         self.store = store if store is not None else MinioStore(capacity_gb=100.0)
-        self.bucket = bucket
-        if not self.store.bucket_exists(bucket):
-            self.store.make_bucket(bucket)
+        self.bucket = DEFAULT_BUCKET
+        if not self.store.bucket_exists(self.bucket):
+            self.store.make_bucket(self.bucket)
 
     # ------------------------------------------------------------------
     # persistence helpers

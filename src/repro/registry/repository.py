@@ -9,7 +9,7 @@ are also retrievable by digest, mirroring the Docker Registry HTTP API
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from .digest import is_digest
 from .manifest import ImageManifest, ManifestList

@@ -18,10 +18,7 @@ list, and override examples.
 from .build import SwarmDevice, SwarmScenario, build_swarm_scenario
 from .presets import (
     Preset,
-    attach_experiment,
     entries,
-    experiment,
-    experiment_names,
     get,
     names,
     register,
@@ -74,14 +71,11 @@ __all__ = [
     "TopologySpec",
     "TransferSpec",
     "WorkloadSpec",
-    "attach_experiment",
     "build_swarm_scenario",
     "canonical_hash",
     "canonical_json",
     "deterministic_outcome_dict",
     "entries",
-    "experiment",
-    "experiment_names",
     "get",
     "names",
     "parse_set_flags",

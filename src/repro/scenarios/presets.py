@@ -1,4 +1,4 @@
-"""Named scenario presets and the experiment registry.
+"""Named scenario presets.
 
 Every historical experiment configuration is captured here as a named,
 reproducible :class:`~repro.scenarios.spec.ScenarioSpec` —
@@ -6,18 +6,12 @@ reproducible :class:`~repro.scenarios.spec.ScenarioSpec` —
 spec the ``p2p-gossip`` experiment's headline row runs, ready for
 ``SimulationSession(spec).run()`` or dotted ``--set`` overrides.
 
-Two registries live here:
-
-* **presets** — name → spec factory (:func:`register`, :func:`get`,
-  :func:`names`, :func:`entries`).  Factories return a *fresh* frozen
-  spec each call, so callers can ``dataclasses.replace`` variants
-  without aliasing.
-* **experiments** — preset-family name → full experiment runner
-  (:func:`attach_experiment`, :func:`experiment`,
-  :func:`experiment_names`).  ``repro.experiments.p2p`` attaches its
-  four ``run_*`` entry points at import time; the CLI derives its
-  ``all`` target and its subcommand table from this registry, so a new
-  scenario family can never be silently forgotten.
+The registry maps name → spec factory (:func:`register`, :func:`get`,
+:func:`names`, :func:`entries`).  Factories return a *fresh* frozen
+spec each call, so callers can ``dataclasses.replace`` variants
+without aliasing.  The swarm experiments in
+:mod:`repro.experiments.p2p` each start from the preset of the same
+name; this module knows nothing about them.
 """
 
 from __future__ import annotations
@@ -50,7 +44,6 @@ class Preset:
 
 
 _PRESETS: Dict[str, Preset] = {}
-_EXPERIMENTS: Dict[str, Callable[..., object]] = {}
 
 
 def register(
@@ -91,37 +84,6 @@ def entries() -> Tuple[Preset, ...]:
     return tuple(_PRESETS[name] for name in names())
 
 
-def attach_experiment(name: str, runner: Callable[..., object]) -> None:
-    """Bind the full experiment runner for preset family ``name``.
-
-    ``runner(seed=...)`` must return an
-    :class:`~repro.experiments.runner.ExperimentResult`.  The preset of
-    the same name must exist — an experiment without a representative
-    single-session preset would be invisible to ``repro scenario``.
-    """
-    if name not in _PRESETS:
-        raise ValueError(
-            f"cannot attach an experiment to unknown preset {name!r}"
-        )
-    if name in _EXPERIMENTS:
-        raise ValueError(f"experiment {name!r} already attached")
-    _EXPERIMENTS[name] = runner
-
-
-def experiment(name: str) -> Callable[..., object]:
-    if name not in _EXPERIMENTS:
-        raise KeyError(
-            f"no experiment attached to {name!r}; attached: "
-            f"{', '.join(experiment_names())}"
-        )
-    return _EXPERIMENTS[name]
-
-
-def experiment_names() -> Tuple[str, ...]:
-    """Preset families with a full experiment attached, sorted."""
-    return tuple(sorted(_EXPERIMENTS))
-
-
 # ----------------------------------------------------------------------
 # the built-in presets: every historical experiment family
 # ----------------------------------------------------------------------
@@ -129,9 +91,9 @@ def _standard_topology() -> TopologySpec:
     return TopologySpec(n_devices=12, n_regions=3, cache_gb=12.0)
 
 
-def _contended_topology(n_devices: int = 8) -> TopologySpec:
+def _contended_topology() -> TopologySpec:
     return TopologySpec(
-        n_devices=n_devices,
+        n_devices=8,
         n_regions=2,
         cache_gb=12.0,
         device_nic_mbps=400.0,

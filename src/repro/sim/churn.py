@@ -36,7 +36,6 @@ from ..model.units import require_positive
 from .rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..registry.cache import ImageCache
     from ..registry.p2p import PeerSwarm
     from ..sim.engine import Simulator
     from ..sim.transfers import TransferEngine

@@ -247,7 +247,6 @@ def run_sweep(
     sweep: SweepSpec,
     cache_dir: Optional[os.PathLike] = None,
     workers: int = 1,
-    chunksize: Optional[int] = None,
     marker_dir: Optional[os.PathLike] = None,
 ) -> SweepResult:
     """Execute (or resume) a sweep; see the module docstring.
@@ -255,8 +254,8 @@ def run_sweep(
     ``cache_dir=None`` runs everything in memory (no resume).
     ``workers`` caps the pool size; 1 executes inline in this process
     — bit-identically, which is asserted by the determinism tests.
-    ``chunksize`` tunes pool dispatch (default: enough to hand every
-    worker ~4 chunks, amortising fork/IPC cost over short cells).
+    Pool dispatch hands every worker ~4 chunks, amortising fork/IPC
+    cost over short cells.
     ``marker_dir`` makes execution observable (one file per executed
     cell).
     """
@@ -292,8 +291,7 @@ def run_sweep(
     spec_dicts = {key: spec_dict for key, spec_dict, _marker in payloads}
     n_workers = min(workers, len(payloads))
     if n_workers > 1:
-        if chunksize is None:
-            chunksize = max(1, len(payloads) // (n_workers * 4))
+        chunksize = max(1, len(payloads) // (n_workers * 4))
         with multiprocessing.Pool(processes=n_workers) as pool:
             # Unordered: each cell is cached the moment it completes,
             # so a kill at any point loses at most the in-flight cells.

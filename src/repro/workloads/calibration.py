@@ -51,7 +51,6 @@ from scipy.optimize import linprog
 
 from ..devices.specs import MEDIUM_SPEED_MIPS, SMALL_SPEED_MIPS
 from ..model.device import PowerModel
-from . import table2
 from .table2 import ALL_ROWS, TEXT, VIDEO, BenchmarkRow, logical_image
 
 

@@ -25,16 +25,15 @@ arbitrary device fleets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional
 
 from ..core.environment import Environment
-from ..core.scheduler import DeepScheduler, ScheduleResult
+from ..core.scheduler import DeepScheduler
 from ..model.application import Application
 from ..model.device import Arch, Device, DeviceFleet, DeviceSpec, PowerModel
 from ..model.network import NetworkModel
-from .calibration import Calibration, calibrate
-from .testbed import HUB_NAME, MEDIUM_REGION, REGIONAL_NAME, SMALL_REGION, Testbed
+from .testbed import HUB_NAME, REGIONAL_NAME, Testbed
 
 CLOUD_NAME = "cloud"
 CLOUD_REGION = "cloud-dc"
@@ -165,7 +164,6 @@ def cloud_offload_report(
     testbed: Testbed,
     app: Application,
     static_watts_grid: Optional[List[float]] = None,
-    config: Optional[CloudConfig] = None,
 ) -> List[OffloadPoint]:
     """Sweep the cloud's attributed static power and watch DEEP decide.
 
@@ -174,26 +172,13 @@ def cloud_offload_report(
     rises, the cloud loses its energy case and DEEP pulls work back to
     the edge — the crossover the paper's future work asks about.
     """
-    base = config or CloudConfig()
     grid = static_watts_grid or [2.0, 5.0, 10.0, 20.0, 40.0]
     edge_only = DeepScheduler().schedule(app, testbed.env).total_energy_j
     points: List[OffloadPoint] = []
     for static in grid:
-        cfg = CloudConfig(
-            speed_mips=base.speed_mips,
-            cores=base.cores,
-            memory_gb=base.memory_gb,
-            storage_gb=base.storage_gb,
-            static_watts=static,
-            compute_watts=base.compute_watts,
-            pull_watts=base.pull_watts,
-            transfer_watts=base.transfer_watts,
-            hub_bw_mbps=base.hub_bw_mbps,
-            hub_startup_s=base.hub_startup_s,
-            wan_bw_mbps=base.wan_bw_mbps,
-            ingress_bw_mbps=base.ingress_bw_mbps,
+        env = cloud_environment(
+            testbed, replace(CloudConfig(), static_watts=static)
         )
-        env = cloud_environment(testbed, cfg)
         result = DeepScheduler().schedule(app, env)
         cloud_services = sum(
             1 for a in result.plan if a.device == CLOUD_NAME

@@ -14,7 +14,7 @@ experiment re-measures them through the full simulator stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 VIDEO = "video-processing"
 TEXT = "text-processing"

@@ -15,7 +15,7 @@ Reproduces the paper's experimental set-up (Sec. IV):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.environment import Environment
@@ -89,10 +89,7 @@ class Testbed:
         return list(self.fleet)
 
 
-def build_testbed(
-    cal: Optional[Calibration] = None,
-    regional_capacity_gb: float = 100.0,
-) -> Testbed:
+def build_testbed(cal: Optional[Calibration] = None) -> Testbed:
     """Construct the full simulated testbed from a calibration."""
     cal = cal or calibrate()
     cfg = cal.config
@@ -119,7 +116,7 @@ def build_testbed(
 
     # Regional registry on a MinIO store (the paper's 100 GB example).
     regional = RegionalRegistry(
-        name=REGIONAL_NAME, store=MinioStore(capacity_gb=regional_capacity_gb)
+        name=REGIONAL_NAME, store=MinioStore(capacity_gb=100.0)
     )
 
     # Publish every Table I image to the hub, then mirror regionally.

@@ -92,7 +92,7 @@ class TestChunkedUnderChurn:
 
 class TestChunkedExperiment:
     def test_run_chunked_renders_and_reports_the_reduction(self):
-        result = p2p.run_chunked(n_devices=6, seed=3)
+        result = p2p.run_chunked(seed=3)
         text = result.to_text()
         assert "single-source" in text
         assert "chunked" in text

@@ -19,6 +19,7 @@ from repro.scenarios import (
     TopologySpec,
     WorkloadSpec,
 )
+from repro.sim.rng import DEFAULT_SEED
 
 
 class TestGossipAndChurnSessions:
@@ -84,9 +85,7 @@ class TestGossipAndChurnSessions:
 
 class TestGossipExperiment:
     def test_run_gossip_reports_the_savings_gap(self):
-        result = p2p.run_gossip(
-            n_devices=8, n_images=4, pulls_per_device=3, n_regions=2
-        )
+        result = p2p.run_gossip(seed=DEFAULT_SEED)
         assert result.experiment_id == "p2p-gossip"
         assert len(result.rows) == 2 * len(p2p.CHURN_REGIMES)
         by_key = {(r["churn"], r["discovery"]): r for r in result.rows}

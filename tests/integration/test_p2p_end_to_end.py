@@ -12,6 +12,7 @@ import pytest
 from repro import scenarios
 from repro.experiments import p2p
 from repro.scenarios import SimulationSession, TransferSpec
+from repro.sim.rng import DEFAULT_SEED
 from repro.sim.transfers import TransferModel
 
 
@@ -61,7 +62,7 @@ def test_replicator_converged_and_acted(outcomes):
 
 
 def test_experiment_table_renders(outcomes):
-    result = p2p.run(n_devices=8, n_images=4, pulls_per_device=3)
+    result = p2p.run(seed=DEFAULT_SEED)
     assert [row["mode"] for row in result.rows] == list(p2p.MODES)
     text = result.to_text()
     assert "hybrid+p2p" in text
@@ -115,7 +116,7 @@ class TestContendedOverlap:
         assert resolved_swarm.transfer_s > analytic_swarm.transfer_s
 
     def test_contended_experiment_table_renders(self):
-        result = p2p.run_contended(n_devices=6)
+        result = p2p.run_contended(seed=DEFAULT_SEED)
         assert [row["model"] for row in result.rows] == [
             "analytic", "time-resolved",
         ]

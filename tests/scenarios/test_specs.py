@@ -547,13 +547,6 @@ class TestPresets:
         with pytest.raises(KeyError, match="p2p-gossip"):
             scenarios.get("nope")
 
-    def test_experiments_attached_per_family(self):
-        assert set(scenarios.experiment_names()) == {
-            "p2p", "p2p-contended", "p2p-gossip", "p2p-chunked",
-        }
-        for name in scenarios.experiment_names():
-            assert callable(scenarios.experiment(name))
-
     def test_chunked_preset_matches_experiment_defaults(self):
         spec = scenarios.get("p2p-chunked")
         assert spec.chunks == ChunkSpec(

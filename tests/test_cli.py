@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro import scenarios
-from repro.cli import PAPER_TARGETS, all_targets, main
+from repro.cli import main
+from repro.experiments import TARGETS
 
 
 class TestCli:
@@ -80,27 +81,60 @@ class TestCli:
         assert "vp-ha-train" in payload["services"]
 
     def test_preset_argument_rejected_outside_scenario(self, capsys):
-        assert main(["table3", "p2p"]) == 2
-        assert "scenario/sweep subcommands" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table3", "p2p"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: p2p" in capsys.readouterr().err
 
     def test_set_rejected_outside_scenario(self, capsys):
-        assert main(["table3", "--set", "mode=hybrid"]) == 2
-        assert "scenario" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table3", "--set", "mode=hybrid"])
+        assert exit_info.value.code == 2
+        assert "--set" in capsys.readouterr().err
+
+
+class TestGrammar:
+    """Each command declares exactly the flags it reads: a flag another
+    command owns is rejected (exit 2), never silently ignored."""
+
+    @pytest.mark.parametrize("argv, offending", [
+        (["scenario", "p2p", "--axis", "topology.n_devices=4,6"], "--axis"),
+        (["scenario", "p2p", "--workers", "4"], "--workers"),
+        (["sweep", "p2p", "--set", "topology.n_devices=4"], "--set"),
+        # Without allow_abbrev=False argparse reads --seed as --seeds.
+        (["sweep", "p2p", "--seed", "5"], "--seed"),
+        (["calibration", "--seed", "3"], "--seed"),
+        # Flags follow the command; lint dispatches on argv[0] only.
+        (["--json", "lint"], "--json"),
+    ])
+    def test_misplaced_flag_exits_two(self, capsys, argv, offending):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert offending in err
+        assert "Traceback" not in err
 
 
 class TestAllTarget:
+    SWARM_FAMILIES = {"p2p", "p2p-contended", "p2p-gossip", "p2p-chunked"}
+
     def test_all_derives_swarm_experiments_from_the_registry(self):
         # The historical bug: `all` hard-coded its run list and silently
-        # dropped p2p-contended/p2p-gossip/p2p-chunked.  The list is now
-        # derived from the scenario experiment registry.
-        targets = all_targets()
-        for name in scenarios.experiment_names():
-            assert name in targets
-        assert {"p2p", "p2p-contended", "p2p-gossip", "p2p-chunked"} <= set(
-            targets
-        )
-        for name in PAPER_TARGETS:
-            assert name in targets
+        # dropped p2p-contended/p2p-gossip/p2p-chunked.  One table now
+        # names every target, in `all` order.
+        assert list(TARGETS) == [
+            "table2", "table3", "fig3a", "fig3b", "ablations", "cloud",
+            "p2p", "p2p-chunked", "p2p-contended", "p2p-gossip",
+        ]
+        assert self.SWARM_FAMILIES <= set(TARGETS)
+
+    def test_every_swarm_target_is_a_preset(self):
+        # Each swarm experiment runs the preset of its own name.
+        paper = {"table2", "table3", "fig3a", "fig3b", "ablations", "cloud"}
+        swarm = set(TARGETS) - paper
+        assert swarm == self.SWARM_FAMILIES
+        assert swarm <= set(scenarios.names())
 
 
 class TestScenarioSubcommand:
