@@ -191,7 +191,9 @@ def _cold_wave_schedule(devices, references, work):
     Every device pulls the *same* image almost simultaneously
     (``stagger_s`` apart); a second wave well after the first pulls
     the sibling image (shared base, fresh app layers), so both waves
-    are cold.
+    are cold.  A first wave longer than half the horizon overlaps the
+    second; the stable sort merges them in arrival order, the order the
+    kernel starts them in, ties keeping the first wave first.
     """
     first_wave = [
         (i * work.stagger_s, dev.name, references[0])
@@ -202,4 +204,6 @@ def _cold_wave_schedule(devices, references, work):
         (wave_gap_s + i * work.stagger_s, dev.name, references[1])
         for i, dev in enumerate(devices)
     ]
-    return first_wave + second_wave
+    schedule = first_wave + second_wave
+    schedule.sort(key=lambda item: item[0])
+    return schedule

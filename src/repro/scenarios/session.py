@@ -8,7 +8,7 @@ replicator — and exposes ``session.run() -> ModeOutcome``, driven by
 the spec's validated sections.
 
 RNG stream names ("p2p.gossip", "p2p.churn"), process creation order
-(pull processes first, replicator last), and accounting are fixed,
+(the pull schedule first, replicator last), and accounting are fixed,
 which keeps every experiment output bit-for-bit pinned to PR 4.
 """
 
@@ -332,7 +332,16 @@ class SimulationSession:
 
     # -- execution ------------------------------------------------------
     def run(self) -> ModeOutcome:
-        """Execute the scenario's pull schedule; single-use."""
+        """Execute the scenario's pull schedule; single-use.
+
+        The schedule goes to :meth:`Simulator.process_at`, so a pull's
+        process and generator exist only from its arrival on and the
+        kernel holds one pending arrival, not one process per scheduled
+        pull.  Events run in the order that spawning every pull up
+        front, each first sleeping until its arrival, gives them, so
+        every outcome is unchanged; only the kernel's event count
+        drops, by one less than the number of scheduled pulls.
+        """
         if self._ran:
             raise RuntimeError(
                 "a SimulationSession is single-use; build a new one to "
@@ -389,7 +398,6 @@ class SimulationSession:
                 )
 
         def one_pull(at_s: float, device: str, ref: ImageReference):
-            yield sim.timeout(at_s)
             if churn_process is not None and not churn_process.is_online(
                 device
             ):
@@ -425,8 +433,11 @@ class SimulationSession:
             finally:
                 busy[device] -= 1
 
-        for at_s, device, ref in scenario.schedule:
-            sim.process(one_pull(at_s, device, ref))
+        schedule = scenario.schedule
+        sim.process_at(
+            [at_s for at_s, _device, _ref in schedule],
+            lambda i: one_pull(*schedule[i]),
+        )
 
         if self.replicator is not None:
             sim.process(self.replicator.process())

@@ -4,6 +4,8 @@ A *process* is a Python generator that yields :class:`~repro.sim.events.Event`
 objects; the engine resumes it with the event's value when the event
 fires.  ``AllOf`` composes events into a barrier — the synchronisation
 primitive used by the orchestrator to model the paper's stage barriers.
+:meth:`Simulator.process_at` starts a batch of processes, each at its
+own arrival time, keeping only the next arrival pending.
 
 Example
 -------
@@ -21,7 +23,7 @@ Example
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
 
 from .events import Event, EventQueue, Timeout
 
@@ -34,16 +36,26 @@ class Process(Event):
     The event's value is the generator's return value; uncaught
     exceptions propagate to :meth:`Simulator.run` (there is no silent
     failure mode — a crashed process is a crashed simulation).
+
+    The generator first runs when ``start`` is processed, or at once if
+    it already was; without one the process schedules its own
+    bootstrap event for the current time.
     """
 
     __slots__ = ("_generator",)
 
-    def __init__(self, env: EventQueue, generator: ProcessGenerator) -> None:
+    def __init__(
+        self,
+        env: EventQueue,
+        generator: ProcessGenerator,
+        start: Optional[Event] = None,
+    ) -> None:
         super().__init__(env)
         self._generator = generator
-        bootstrap = Event(env)
-        bootstrap.succeed(None)
-        bootstrap.add_callback(self._resume)
+        if start is None:
+            start = Event(env)
+            start.succeed(None)
+        start.add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
         try:
@@ -134,6 +146,40 @@ class Simulator:
         """Start a process; returns its completion event."""
         return Process(self._queue, generator)
 
+    def process_at(
+        self,
+        delays: Sequence[float],
+        start: Callable[[int], ProcessGenerator],
+    ) -> None:
+        """Start process ``i``, the generator ``start(i)``, ``delays[i]``
+        seconds after this call's bootstrap event runs.
+
+        Events run exactly as if each process were spawned now with
+        :meth:`process`, its generator first yielding
+        ``timeout(delays[i])``, but only the next arrival is pending.
+        The bootstrap reserves the block of sequence numbers those
+        timeouts would take, entry ``i`` is queued under the block's
+        ``i``-th number when entry ``i - 1`` arrives, and process ``i``
+        starts inside its own entry's processing (the package README
+        gives the argument).  ``delays`` must be non-negative and
+        non-decreasing; empty, it schedules nothing.
+        """
+        previous = 0.0
+        for i, delay in enumerate(delays):
+            if not delay >= previous:  # NaN compares false
+                raise ValueError(
+                    f"process_at delays must be non-negative and "
+                    f"non-decreasing: delays[{i}] = {delay} after {previous}"
+                )
+            previous = delay
+        if len(delays) == 0:
+            return
+        bootstrap = Event(self._queue)
+        bootstrap.succeed(None)
+        bootstrap.add_callback(
+            lambda _event: _Arrivals(self._queue, delays, start)
+        )
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Barrier over ``events``."""
         return AllOf(self._queue, events)
@@ -164,6 +210,40 @@ class Simulator:
 
     def _now_to(self, time: float) -> None:
         self._queue._now = max(self._queue._now, time)
+
+
+class _Arrivals:
+    """The one pending arrival of a :meth:`Simulator.process_at` call."""
+
+    __slots__ = ("_queue", "_delays", "_start", "_t0", "_first", "_next")
+
+    def __init__(
+        self,
+        queue: EventQueue,
+        delays: Sequence[float],
+        start: Callable[[int], ProcessGenerator],
+    ) -> None:
+        self._queue = queue
+        self._delays = delays
+        self._start = start
+        self._t0 = queue.now
+        self._first = queue.reserve(len(delays))
+        self._push(0)
+
+    def _push(self, i: int) -> None:
+        entry = Event(self._queue)
+        entry._triggered = True
+        entry.add_callback(self._arrive)
+        self._next = i
+        self._queue.schedule_at(
+            entry, self._t0 + self._delays[i], self._first + i
+        )
+
+    def _arrive(self, entry: Event) -> None:
+        i = self._next
+        if i + 1 < len(self._delays):
+            self._push(i + 1)
+        Process(self._queue, self._start(i), start=entry)
 
 
 def _was_consumed(event: Event) -> bool:

@@ -188,6 +188,23 @@ class EventQueue:
             self._foreground += 1
         heapq.heappush(self._heap, (self._now + delay, next(self._seq), event))
 
+    def reserve(self, count: int) -> int:
+        """Take ``count`` (>= 1) consecutive sequence numbers for
+        :meth:`schedule_at`; returns the first."""
+        first = next(self._seq)
+        self._seq = itertools.count(first + count)
+        return first
+
+    def schedule_at(self, event: Event, time: float, seq: int) -> None:
+        """Enqueue ``event`` at absolute ``time`` under ``seq``, a
+        number taken earlier with :meth:`reserve`."""
+        if not time >= self._now:  # NaN compares false
+            raise ValueError(f"time {time} is before now ({self._now})")
+        event._queued = True
+        if not event.daemon:
+            self._foreground += 1
+        heapq.heappush(self._heap, (time, seq, event))
+
     def _purge_voided(self) -> None:
         """Drop retracted events from the head of the heap (lazy
         deletion: voided entries deeper in the heap are skipped when

@@ -372,8 +372,12 @@ class TransferEngine:
         """Begin moving ``size_bytes`` from ``src`` to ``dst``.
 
         Returns a :class:`Transfer` whose ``done`` event fires (with
-        the transfer as value) at completion, or fails with
-        :class:`TransferCancelled` if cancelled.  Raises
+        no value) at completion, or fails with
+        :class:`TransferCancelled` if cancelled.  A value of the
+        transfer itself would make every finished transfer a
+        ``Transfer`` → ``done`` → ``Transfer`` cycle that only the
+        cyclic collector frees; a cancelled one keeps that cycle
+        through ``TransferCancelled.transfer``.  Raises
         :class:`UploadBudgetExceeded` (consuming no slot) if a *device*
         source is already at its budget.  ``digest`` only labels the
         transfer in traces: the device cache's reservation, not the
@@ -650,7 +654,7 @@ class TransferEngine:
                 id=transfer.id,
                 duration_s=transfer.completed_s - transfer.requested_s,
             )
-        transfer.done.succeed(transfer)
+        transfer.done.succeed()
 
     def _settle_one(self, transfer: Transfer, now: float) -> None:
         """Bring one transfer's ``remaining_mb`` up to ``now`` (the

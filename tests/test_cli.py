@@ -1,6 +1,10 @@
 """CLI entry point: every subcommand renders sound output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,28 @@ class TestCli:
             main(["table3", "--set", "mode=hybrid"])
         assert exit_info.value.code == 2
         assert "--set" in capsys.readouterr().err
+
+
+def test_reader_closing_early_gets_no_traceback():
+    # `repro table3 | head -3`: the reader is gone before the table is
+    # printed, so the print raises BrokenPipeError.  The entry point
+    # exits 1 quietly instead of printing a traceback.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "table3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err, err
 
 
 class TestGrammar:
