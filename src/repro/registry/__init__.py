@@ -3,14 +3,13 @@ registries, content-addressed blobs, manifests, pulls and caching."""
 
 from .base import ImageReference, Registry, RegistryError, mirror_image
 from .blobstore import BlobNotFound, BlobRecord, BlobStore
-from .cache import CacheEvent, CacheFull, EvictionRecord, ImageCache
+from .cache import CacheFull, EvictionRecord, ImageCache
 from .chunks import (
     DEFAULT_CHUNK_SIZE_BYTES,
     Chunk,
     ChunkFetchOutcome,
     ChunkLedger,
     ChunkMap,
-    ChunkStore,
     ChunkSwarmPlanner,
 )
 from .client import PullPolicy, PullResult, RegistryClient
@@ -50,13 +49,11 @@ __all__ = [
     "BlobRecord",
     "BlobStore",
     "BucketAlreadyExists",
-    "CacheEvent",
     "CacheFull",
     "Chunk",
     "ChunkFetchOutcome",
     "ChunkLedger",
     "ChunkMap",
-    "ChunkStore",
     "ChunkSwarmPlanner",
     "DEFAULT_CHUNK_SIZE_BYTES",
     "DiscoveryBackend",

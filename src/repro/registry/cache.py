@@ -13,6 +13,11 @@ what exists on a device:
 Capacity is bounded by the device's storage; inserting past capacity
 evicts least-recently-used entries, and an image is only *complete*
 while every one of its layers survives.
+
+A cache has at most one **observer**, called as ``observer(digest,
+size_bytes, present)`` after every presence change.  Only the P2P
+peer index sets it (:meth:`repro.registry.p2p.PeerIndex.register_cache`),
+and it forwards each change to the discovery backend that needs it.
 """
 
 from __future__ import annotations
@@ -31,28 +36,6 @@ class EvictionRecord:
 
     digest: str
     size_bytes: int
-
-
-@dataclass(frozen=True)
-class CacheEvent:
-    """One presence change in an :class:`ImageCache`.
-
-    Emitted to subscribers whenever a digest enters (``"add"``) or
-    leaves (``"evict"`` for LRU victims, ``"remove"`` for explicit
-    drops and :meth:`ImageCache.clear`) the cache.  Refreshing an
-    already-present entry emits no event unless its size changed —
-    presence, which is what subscribers such as the P2P peer index
-    track, is unaffected by recency updates.
-    """
-
-    kind: str
-    device: str
-    digest: str
-    size_bytes: int
-
-
-#: A cache subscriber; called synchronously after the cache mutates.
-CacheListener = Callable[[CacheEvent], None]
 
 
 class CacheFull(RuntimeError):
@@ -74,10 +57,10 @@ class ImageCache:
     In-flight admission follows a **reserve → commit** protocol: a
     transfer that will land a layer first :meth:`reserve`\\ s its bytes
     (they count against capacity, evicting LRU entries if needed, but
-    the digest is *not present* — no event is emitted, subscribers such
-    as the peer index never see it), then :meth:`commit`\\ s at transfer
-    completion (the digest becomes an entry and the ``"add"`` event
-    fires) or :meth:`release`\\ s on abort.  The analytic pull path
+    the digest is *not present* — the observer, the peer index, never
+    sees it), then :meth:`commit`\\ s at transfer completion (the
+    digest becomes an entry and the observer sees it arrive) or
+    :meth:`release`\\ s on abort.  The analytic pull path
     keeps using :meth:`add`/:meth:`admit_image`, which admit instantly.
     A pull that finds a layer reserved waits for the reservation to
     settle (:meth:`when_settled`), whoever owns it.
@@ -87,6 +70,14 @@ class ImageCache:
     #: on the first :meth:`when_settled`: almost no cache ever has a
     #: waiter, so none pays for an empty map.
     _waiters: Optional[Dict[str, List[Callable[[], None]]]] = None
+
+    #: Called as ``observer(digest, size_bytes, present)`` synchronously
+    #: after a digest enters the cache (``present=True``) or leaves it
+    #: (LRU eviction, :meth:`remove`, :meth:`clear`).  A refresh that
+    #: keeps an entry's size calls nothing: recency is not presence.
+    #: An exception it raises propagates to the mutating call, after
+    #: the cache's own state is updated.
+    observer: Optional[Callable[[str, int, bool], None]] = None
 
     def __init__(self, capacity_gb: float, device: str = "") -> None:
         if capacity_gb <= 0:
@@ -98,41 +89,6 @@ class ImageCache:
         self._reserved: Dict[str, int] = {}
         self._reserved_total = 0
         self._evictions: List[EvictionRecord] = []
-        self._listeners: List[CacheListener] = []
-
-    # ------------------------------------------------------------------
-    # subscriptions (the hook the P2P peer index rides on)
-    # ------------------------------------------------------------------
-    def subscribe(self, listener: CacheListener) -> None:
-        """Register ``listener`` for every presence change."""
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def unsubscribe(self, listener: CacheListener) -> None:
-        """Drop a previously registered listener (no-op if absent)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _emit(self, kind: str, digest: str, size_bytes: int) -> None:
-        if not self._listeners:
-            return
-        event = CacheEvent(kind, self.device, digest, size_bytes)
-        # Snapshot: listeners may subscribe/unsubscribe (even remove
-        # themselves) during delivery without corrupting the iteration.
-        # A raising listener does not starve the others — every
-        # listener sees the event, then the first failure re-raises so
-        # a broken subscriber still crashes loudly.
-        first_error: Optional[BaseException] = None
-        for listener in tuple(self._listeners):
-            try:
-                listener(event)
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -196,8 +152,8 @@ class ImageCache:
         evicted.extend(self._evict_until_fits(size_bytes))
         self._entries[digest] = size_bytes
         self._used += size_bytes
-        if old_size != size_bytes:
-            self._emit("add", digest, size_bytes)
+        if old_size != size_bytes and self.observer is not None:
+            self.observer(digest, size_bytes, True)
         return evicted
 
     def _evict_until_fits(self, size_bytes: int) -> List[EvictionRecord]:
@@ -223,7 +179,8 @@ class ImageCache:
             record = EvictionRecord(victim, victim_size)
             evicted.append(record)
             self._evictions.append(record)
-            self._emit("evict", victim, victim_size)
+            if self.observer is not None:
+                self.observer(victim, victim_size, False)
         return evicted
 
     # ------------------------------------------------------------------
@@ -259,7 +216,7 @@ class ImageCache:
 
         The bytes count against capacity immediately (evicting LRU
         entries as needed) but the digest is **not present**: lookups
-        miss it and no event reaches subscribers until :meth:`commit`.
+        miss it and the observer hears nothing until :meth:`commit`.
         Reserving an already-cached digest is a no-op refresh (returns
         no evictions); reserving a digest twice is a
         :class:`ReservationError` — two transfers racing for the same
@@ -285,7 +242,7 @@ class ImageCache:
         return evicted
 
     def commit(self, digest: str) -> bool:
-        """Turn a reservation into a present entry (emits ``"add"``).
+        """Turn a reservation into a present entry (tells the observer).
 
         Returns True when a reservation was committed.  Committing a
         digest that was never reserved is allowed only when the digest
@@ -309,8 +266,8 @@ class ImageCache:
         self._entries[digest] = size
         self._used += size
         self._settled(digest)
-        if old_size != size:
-            self._emit("add", digest, size)
+        if old_size != size and self.observer is not None:
+            self.observer(digest, size, True)
         return True
 
     def release(self, digest: str) -> bool:
@@ -328,7 +285,8 @@ class ImageCache:
         if size is None:
             return False
         self._used -= size
-        self._emit("remove", digest, size)
+        if self.observer is not None:
+            self.observer(digest, size, False)
         return True
 
     def clear(self) -> None:
@@ -342,8 +300,9 @@ class ImageCache:
         self._reserved_total = 0
         for digest in reserved:
             self._settled(digest)
-        for digest, size in dropped:
-            self._emit("remove", digest, size)
+        if self.observer is not None:
+            for digest, size in dropped:
+                self.observer(digest, size, False)
 
     # ------------------------------------------------------------------
     # image-level queries

@@ -16,16 +16,16 @@ Components
     Deterministic fixed-size chunking of one layer.  Chunks are
     digest-addressed (``sha256`` over layer digest × span), so the same
     layer chunks identically on every device and registry.
-:class:`ChunkStore` / :class:`ChunkLedger`
-    Per-device partial-layer tracking riding the
+:class:`ChunkLedger`
+    Swarm-wide partial-layer holdings riding the
     :class:`~repro.registry.cache.ImageCache` reserve→commit path: a
     chunked download reserves the whole layer (capacity held, digest
-    invisible), then commits chunk-by-chunk into the store — and every
-    committed chunk is published to the swarm-wide ledger, making the
-    device a *partial seeder* other pulls can fetch that chunk from
-    before the layer is complete.  Only when every chunk has landed is
-    the cache entry committed (the layer becomes a normal full replica
-    in the peer index).
+    invisible), and every chunk that lands is published to the ledger,
+    making the device a *partial seeder* other pulls can fetch that
+    chunk from before the layer is complete.  Only when every chunk has
+    landed is the cache entry committed (the layer becomes a normal
+    full replica in the peer index).  The fetch's own record
+    (``_LayerFetch``) is the one place that tracks which chunks landed.
 :class:`ChunkSwarmPlanner`
     Turns the per-layer source choice into a per-chunk schedule:
     **rarest-first** chunk selection across full holders (discovery
@@ -69,7 +69,7 @@ from ..sim.transfers import (
     UploadBudgetExceeded,
 )
 from .base import RegistryError
-from .cache import CacheEvent, EvictionRecord, ImageCache
+from .cache import EvictionRecord, ImageCache
 from .digest import DIGEST_PREFIX
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -172,9 +172,9 @@ class ChunkLedger:
     in the :class:`~repro.registry.p2p.PeerIndex` (they implicitly hold
     every chunk); the ledger covers only the in-flight window where a
     device can already seed the chunks it has.  Entries are ground
-    truth — :class:`ChunkStore` writes them synchronously on chunk
-    commit and drops them on finish/abort — so partial holders need no
-    staleness verification.
+    truth — a chunked fetch writes each one as its chunk lands and
+    drops the layer's entries when it finishes or aborts — so partial
+    holders need no staleness verification.
     """
 
     def __init__(self) -> None:
@@ -221,133 +221,6 @@ class ChunkLedger:
         return sorted(self._chunks)
 
 
-class ChunkStore:
-    """One device's partial layers, riding the cache reserve→commit path.
-
-    Lifecycle per layer::
-
-        begin_layer(cmap)      cache.reserve(layer)  — capacity held,
-                               digest invisible to the peer index
-        commit_chunk(l, i)     chunk recorded + published to the ledger
-                               (the device becomes a partial seeder)
-        finish_layer(l)        every chunk landed: partial record drops,
-                               cache.commit(layer) — the layer becomes a
-                               normal full replica (peer-index "add")
-        abort_layer(l)         partial record drops, cache.release(layer)
-
-    The store subscribes to its cache: if the layer lands through some
-    other path mid-download (an analytic ``add()`` absorbing the
-    reservation) or leaves it (``clear()``), the partial record and its
-    ledger entries are dropped so the ledger never advertises chunks
-    the swarm cannot rely on.
-    """
-
-    def __init__(self, device: str, cache: ImageCache, ledger: ChunkLedger) -> None:
-        self.device = device
-        self.cache = cache
-        self.ledger = ledger
-        self._partial: Dict[str, Set[int]] = {}
-        self._maps: Dict[str, ChunkMap] = {}
-        cache.subscribe(self._on_cache_event)
-
-    def _on_cache_event(self, event: CacheEvent) -> None:
-        if event.digest in self._partial:
-            # The layer's presence changed underneath the download
-            # (instant add absorbed the reservation, or clear/remove
-            # dropped it): the partial record is moot either way.
-            self._drop(event.digest)
-
-    def _drop(self, layer_digest: str) -> None:
-        self._partial.pop(layer_digest, None)
-        self._maps.pop(layer_digest, None)
-        self.ledger.drop_layer(self.device, layer_digest)
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def begin_layer(self, cmap: ChunkMap) -> List[EvictionRecord]:
-        """Reserve the layer's bytes and open its chunk record."""
-        if cmap.layer_digest in self._partial:
-            raise RegistryError(
-                f"chunked download of {cmap.layer_digest} already in "
-                f"flight on {self.device!r}"
-            )
-        evictions = self.cache.reserve(cmap.layer_digest, cmap.layer_size_bytes)
-        self._partial[cmap.layer_digest] = set()
-        self._maps[cmap.layer_digest] = cmap
-        return evictions
-
-    def commit_chunk(self, layer_digest: str, index: int) -> bool:
-        """Record one landed chunk; publishes it to the ledger.
-
-        Returns True when the chunk was newly recorded.  Committing the
-        same chunk twice is a scheduling bug (the exactly-once
-        reassembly invariant) and raises; committing into a layer whose
-        record was absorbed by an out-of-band insert is a no-op.
-        """
-        held = self._partial.get(layer_digest)
-        if held is None:
-            return False  # absorbed/aborted out from under the download
-        cmap = self._maps[layer_digest]
-        if not 0 <= index < cmap.n_chunks:
-            raise ValueError(
-                f"chunk index {index} out of range for {layer_digest} "
-                f"({cmap.n_chunks} chunks)"
-            )
-        if index in held:
-            raise RegistryError(
-                f"chunk {index} of {layer_digest} committed twice on "
-                f"{self.device!r}"
-            )
-        held.add(index)
-        self.ledger.add_chunk(self.device, layer_digest, index)
-        return True
-
-    def finish_layer(self, layer_digest: str) -> bool:
-        """All chunks landed: commit the cache entry (reserve→commit).
-
-        The partial record is cleared *before* the cache commit so the
-        ledger stops advertising partial chunks at the same instant the
-        peer index starts advertising the full replica.  Returns the
-        cache's commit result (False when the reservation was already
-        absorbed by an instant insert).
-        """
-        held = self._partial.get(layer_digest)
-        if held is not None:
-            cmap = self._maps[layer_digest]
-            missing = set(range(cmap.n_chunks)) - held
-            if missing:
-                raise RegistryError(
-                    f"finish_layer({layer_digest}) on {self.device!r} with "
-                    f"{len(missing)} chunk(s) missing: {sorted(missing)[:8]}"
-                )
-            self._drop(layer_digest)
-        return self.cache.commit(layer_digest)
-
-    def abort_layer(self, layer_digest: str) -> None:
-        """Cancelled download: drop partial chunks, release the bytes."""
-        self._drop(layer_digest)
-        self.cache.release(layer_digest)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def has_chunk(self, layer_digest: str, index: int) -> bool:
-        return index in self._partial.get(layer_digest, ())
-
-    def chunk_indices(self, layer_digest: str) -> FrozenSet[int]:
-        return frozenset(self._partial.get(layer_digest, ()))
-
-    def missing_chunks(self, layer_digest: str) -> List[int]:
-        cmap = self._maps.get(layer_digest)
-        if cmap is None:
-            return []
-        return sorted(set(range(cmap.n_chunks)) - self._partial[layer_digest])
-
-    def is_partial(self, layer_digest: str) -> bool:
-        return layer_digest in self._partial
-
-
 @dataclass
 class ChunkFetchOutcome:
     """What one chunked layer fetch produced (consumed by the facade).
@@ -365,13 +238,11 @@ class ChunkFetchOutcome:
     stale_misses: int = 0
     wasted_bytes: int = 0
     endgame_dupes: int = 0
-    #: True when the layer landed without moving bytes (it was already
-    #: present / absorbed by a concurrent insert before any transfer).
-    local: bool = False
 
 
 class _LayerFetch:
-    """Shared mutable state of one layer's chunk workers."""
+    """Shared mutable state of one layer's chunk workers: the one record
+    of which chunks landed (``done``), so each lands exactly once."""
 
     __slots__ = (
         "cmap",
@@ -403,9 +274,8 @@ class ChunkSwarmPlanner:
     """Per-chunk scheduling across every holder the swarm can see.
 
     One planner serves one :class:`~repro.registry.p2p.P2PRegistry`
-    facade.  It owns the swarm-wide :class:`ChunkLedger`, one
-    :class:`ChunkStore` per participating device, and the endgame /
-    rarest-first policy knobs.
+    facade.  It owns the swarm-wide :class:`ChunkLedger` and the
+    endgame / rarest-first policy knobs.
 
     Parameters
     ----------
@@ -450,24 +320,9 @@ class ChunkSwarmPlanner:
         self.seed = seed
         self.endgame = endgame
         self.ledger = ChunkLedger()
-        self._stores: Dict[str, ChunkStore] = {}
         #: Optional telemetry trace sink (duck-typed, None = off):
         #: receives one ``chunk.endgame`` record per duplicate start.
         self.trace = None
-
-    # ------------------------------------------------------------------
-    # stores
-    # ------------------------------------------------------------------
-    def store_for(self, device: str, cache: ImageCache) -> ChunkStore:
-        store = self._stores.get(device)
-        if store is None:
-            store = ChunkStore(device, cache, self.ledger)
-            self._stores[device] = store
-        elif store.cache is not cache:
-            raise ValueError(
-                f"device {device!r} re-registered with a different cache"
-            )
-        return store
 
     # ------------------------------------------------------------------
     # rarest-first selection
@@ -640,27 +495,38 @@ class ChunkSwarmPlanner:
 
         The caller yields from it inside a simulator process; the
         return value is a :class:`ChunkFetchOutcome`.  The layer is
-        reserved up front (capacity held), chunks land in parallel from
-        up to ``max_parallel`` sources, and the cache entry commits
-        only when every chunk has.  On failure (no source can serve a
-        chunk, or registry metering raises) the reservation is released
-        and the error propagates — exactly the single-source contract.
+        reserved up front (capacity held; a second fetch of it on
+        ``device`` is the cache's
+        :class:`~repro.registry.cache.ReservationError`), chunks land in
+        parallel from up to ``max_parallel`` sources, each published to
+        the ledger as it lands, and the cache entry commits only when
+        every chunk has.  Finish or abort first drops the layer's ledger
+        entries — the ledger stops advertising partial chunks at the
+        instant the peer index starts advertising the full replica —
+        then commits or releases the reservation.  A worker that fails
+        (no source can serve a chunk, or registry metering raises)
+        raises out of the run from its own process, as a failing
+        single-source pull does; the fetch, still waiting on its
+        workers, aborts when its generator is closed.
         """
         sim = engine.sim
         outcome = ChunkFetchOutcome(layer_digest=layer_digest)
-        store = self.store_for(device, cache)
         cmap = ChunkMap(layer_digest, layer_size_bytes, self.chunk_size_bytes)
-        outcome.evictions.extend(store.begin_layer(cmap))
+        outcome.evictions.extend(cache.reserve(layer_digest, layer_size_bytes))
         st = _LayerFetch(cmap, outcome)
         started_s = sim.now
         try:
             workers = [
-                sim.process(
-                    self._worker(st, store, device, cache, engine, meter_registry)
-                )
+                sim.process(self._worker(st, device, engine, meter_registry))
                 for _ in range(min(self.max_parallel, cmap.n_chunks))
             ]
             yield sim.all_of(workers)
+            if not st.complete:
+                missing = sorted(set(range(cmap.n_chunks)) - st.done)
+                raise RegistryError(
+                    f"chunked fetch of {layer_digest} on {device!r} ended "
+                    f"with {len(missing)} chunk(s) missing: {missing[:8]}"
+                )
         except BaseException:
             st.aborted = True
             engine.cancel_many(
@@ -671,33 +537,26 @@ class ChunkSwarmPlanner:
                 ),
                 reason="chunked fetch aborted",
             )
-            store.abort_layer(layer_digest)
+            self.ledger.drop_layer(device, layer_digest)
+            cache.release(layer_digest)
             raise
-        store.finish_layer(layer_digest)
+        self.ledger.drop_layer(device, layer_digest)
+        cache.commit(layer_digest)
         outcome.seconds = sim.now - started_s
-        outcome.local = not outcome.bytes_by_source
         return outcome
 
     def _worker(
         self,
         st: _LayerFetch,
-        store: ChunkStore,
         device: str,
-        cache: ImageCache,
         engine: TransferEngine,
         meter_registry: Optional[Callable[[str], None]],
     ):
         """One chunk-slot worker: claim → resolve → transfer → commit,
         looping until no pending chunk and no endgame work remains."""
-        sim = engine.sim
         layer = st.cmap.layer_digest
         while True:
             if st.aborted:
-                return
-            if layer in cache:
-                # The layer landed through another path (instant insert
-                # absorbed the reservation): nothing left to fetch.
-                st.pending.clear()
                 return
             duplicate = False
             index = self._next_chunk(st, device)
@@ -800,7 +659,7 @@ class ChunkSwarmPlanner:
                     st.outcome.wasted_bytes += chunk.size_bytes
                     break
                 st.done.add(index)
-                store.commit_chunk(layer, index)
+                self.ledger.add_chunk(device, layer, index)
                 key = (kind, source)
                 st.outcome.bytes_by_source[key] = (
                     st.outcome.bytes_by_source.get(key, 0) + chunk.size_bytes

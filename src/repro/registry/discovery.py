@@ -31,7 +31,8 @@ A gossip record is one fact about ``(holder, digest)`` at a version
     key = ((incarnation << 32 | seq) << 1) | absent
 
 ``seq`` is the holder's own monotone event counter (every cache
-add/evict/remove bumps it), ``incarnation`` bumps each time the holder
+add/evict/remove bumps it; the peer index passes each one on through
+:meth:`GossipDiscovery.note`), ``incarnation`` bumps each time the holder
 re-joins the swarm — so a device re-joining with a stale cache cannot
 be shadowed by tombstones from its previous life.  Merges keep the
 strictly newer record; on a version tie the *absent* record wins,
@@ -45,12 +46,11 @@ raises rather than misorder its records).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from ..model.units import require_non_negative, require_positive
-from .cache import CacheEvent, ImageCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.engine import Simulator
@@ -87,9 +87,15 @@ class DiscoveryBackend:
     #: backends key their observer view on it.
     observer = "__management__"
 
+    #: The peer index forwards every presence change of a member's
+    #: cache here, as ``note(device, digest, size_bytes, present)``;
+    #: None for a backend that reads the index itself.
+    note: Optional[Callable[[str, str, int, bool], None]] = None
+
     # -- membership ----------------------------------------------------
-    def on_join(self, device: str, cache: ImageCache, region: str) -> None:
-        """``device`` joined the swarm with ``cache``."""
+    def on_join(self, device: str) -> None:
+        """``device`` joined the swarm (its cache's entries follow as
+        :attr:`note` calls when the index registers it)."""
 
     def on_leave(self, device: str) -> None:
         """``device`` departed (its cache may return later, stale)."""
@@ -110,10 +116,6 @@ class DiscoveryBackend:
     # -- staleness feedback --------------------------------------------
     def record_miss(self, viewer: str, holder: str, digest: str) -> None:
         """``viewer`` verified ``holder`` and found the entry stale."""
-
-    # -- wiring --------------------------------------------------------
-    def bind(self, sim: "Simulator") -> None:
-        """Attach the simulator that schedules this backend's processes."""
 
 
 class OmniscientDiscovery(DiscoveryBackend):
@@ -150,7 +152,10 @@ class GossipDiscovery(DiscoveryBackend):
     Every ``period_s`` simulated seconds each participant (every swarm
     member plus one management-plane ``observer``) picks ``fanout``
     random partners and exchanges its knowledge — its own first-hand
-    cache state plus everything second-hand it has heard.  Merging
+    cache state, which the peer index reports through :meth:`note`,
+    plus everything second-hand it has heard.  With a simulator,
+    rounds run on its clock from the first join; without one, callers
+    step :meth:`run_round` themselves.  Merging
     follows the versioning rules in the module docstring; per digest a
     view keeps at most ``view_cap`` *present* entries and ``view_cap``
     tombstones (the freshest of each), which is what makes the views
@@ -224,8 +229,6 @@ class GossipDiscovery(DiscoveryBackend):
         self._firsthand: Dict[str, Dict[str, int]] = {}
         self._clock: Dict[str, int] = {}
         self._incarnation: Dict[str, int] = {}
-        self._caches: Dict[str, ImageCache] = {}
-        self._listeners: Dict[str, object] = {}
         self._sizes: Dict[str, int] = {}
         self._process = None
         # diagnostics
@@ -246,32 +249,22 @@ class GossipDiscovery(DiscoveryBackend):
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
-    def on_join(self, device: str, cache: ImageCache, region: str) -> None:
-        if device in self._caches:
+    def on_join(self, device: str) -> None:
+        if device in self._firsthand:
             raise ValueError(f"device {device!r} already gossiping")
         if device == self.observer:
             raise ValueError(f"{device!r} collides with the observer name")
         self._incarnation[device] = self._incarnation.get(device, 0) + 1
         self._clock[device] = 0
-        self._caches[device] = cache
         self._firsthand[device] = {}
         self._views.setdefault(device, {})
         self._floors.setdefault(device, {})
-
-        def listener(event: CacheEvent, _device: str = device) -> None:
-            self._on_cache_event(_device, event)
-
-        self._listeners[device] = listener
-        cache.subscribe(listener)
-        for digest, size in cache.entries():
-            self._note_firsthand(device, digest, size, present=True)
-        self._ensure_started()
+        if self.sim is not None and self._process is None:
+            self._process = self.sim.process(self._run())
 
     def on_leave(self, device: str) -> None:
-        cache = self._caches.pop(device, None)
-        if cache is None:
+        if device not in self._firsthand:
             raise ValueError(f"device {device!r} not gossiping")
-        cache.unsubscribe(self._listeners.pop(device))
         # First-hand state and the device's view die with it; the
         # incarnation counter survives so a re-join outranks any gossip
         # from the previous life.  Other views keep their (now
@@ -282,10 +275,11 @@ class GossipDiscovery(DiscoveryBackend):
         self._views.pop(device, None)
         self._floors.pop(device, None)
 
-    def _on_cache_event(self, device: str, event: CacheEvent) -> None:
-        self._note_firsthand(
-            device, event.digest, event.size_bytes, present=(event.kind == "add")
-        )
+    def note(
+        self, device: str, digest: str, size_bytes: int, present: bool
+    ) -> None:
+        """A member's cache gained (``present``) or lost ``digest``."""
+        self._note_firsthand(device, digest, size_bytes, present)
 
     def _note_firsthand(
         self, device: str, digest: str, size_bytes: int, present: bool
@@ -319,7 +313,7 @@ class GossipDiscovery(DiscoveryBackend):
         return self._sizes.get(digest)
 
     def participants(self) -> List[str]:
-        return sorted(self._caches) + [self.observer]
+        return sorted(self._firsthand) + [self.observer]
 
     # ------------------------------------------------------------------
     # staleness feedback
@@ -342,16 +336,6 @@ class GossipDiscovery(DiscoveryBackend):
     # ------------------------------------------------------------------
     # anti-entropy rounds
     # ------------------------------------------------------------------
-    def bind(self, sim: "Simulator") -> None:
-        if self.sim is not None and self.sim is not sim and self._process is not None:
-            raise ValueError("gossip discovery already bound to another simulator")
-        self.sim = sim
-        self._ensure_started()
-
-    def _ensure_started(self) -> None:
-        if self.sim is not None and self._process is None and self._caches:
-            self._process = self.sim.process(self._run())
-
     def _run(self):
         # Daemon wake-ups: anti-entropy ticks forever but must not keep
         # a horizonless sim.run() from terminating.
@@ -560,7 +544,7 @@ class GossipDiscovery(DiscoveryBackend):
         holds are skipped.
         """
         ratios: List[float] = []
-        for viewer in self._caches:
+        for viewer in self._firsthand:
             for digest in index.tracked_digests():
                 truth = index.holders(digest) - {viewer}
                 if not truth:

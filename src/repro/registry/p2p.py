@@ -12,9 +12,10 @@ Components
 ----------
 :class:`PeerIndex`
     Maps layer digests to the set of device caches currently holding
-    them.  Kept coherent with every :class:`~repro.registry.cache.ImageCache`
-    through the cache's subscription hook — an eviction on any device
-    is reflected in the index before the evicting call returns.
+    them.  It is the only observer of every
+    :class:`~repro.registry.cache.ImageCache` — an eviction on any
+    device is reflected in the index before the evicting call returns —
+    and it forwards each presence change to the discovery backend.
 :class:`PeerSwarm`
     The index plus topology knowledge: device regions, peer channel
     lookup, and the pull-demand counters the replicator consumes.
@@ -31,9 +32,11 @@ Components
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -55,7 +58,7 @@ from ..sim.transfers import (
     UploadBudgetExceeded,
 )
 from .base import ImageReference, Registry, RegistryError
-from .cache import CacheEvent, CacheFull, CacheListener, EvictionRecord, ImageCache
+from .cache import CacheFull, EvictionRecord, ImageCache
 from .chunks import DEFAULT_CHUNK_SIZE_BYTES, ChunkFetchOutcome, ChunkSwarmPlanner
 from .discovery import DiscoveryBackend, OmniscientDiscovery
 from .manifest import ImageManifest
@@ -68,64 +71,82 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _NO_HOLDERS: FrozenSet[str] = frozenset()
 
 
-class PeerIndex:
-    """Digest → holders map, kept coherent via cache subscriptions.
+#: Where the index forwards each presence change after applying it, as
+#: ``forward(device, digest, size_bytes, present)``.
+PresenceHook = Callable[[str, str, int, bool], None]
 
-    The index never mutates caches; it only observes them.  Coherence
-    is event-driven: :meth:`register_cache` seeds the index from the
-    cache's current entries and subscribes a listener, after which
-    every insert/evict/remove/clear on the cache updates the index
-    synchronously.
+
+def _presence(
+    holders: Dict[str, Set[str]],
+    sizes: Dict[str, int],
+    forward: Optional[PresenceHook],
+    device: str,
+    digest: str,
+    size_bytes: int,
+    present: bool,
+) -> None:
+    """Apply one presence change of ``device``'s cache to the index's
+    tables, then pass it on to ``forward``.  A cache's observer is this
+    function bound to the tables, not to the index, so nothing a cache
+    points to points back at it: a dropped swarm is freed by reference
+    counting."""
+    if present:
+        holders.setdefault(digest, set()).add(device)
+        sizes[digest] = size_bytes
+    else:
+        peers = holders.get(digest)
+        if peers is not None:
+            peers.discard(device)
+            if not peers:
+                del holders[digest]
+                sizes.pop(digest, None)
+    if forward is not None:
+        forward(device, digest, size_bytes, present)
+
+
+class PeerIndex:
+    """Digest → holders map, the only observer of every device cache.
+
+    :meth:`register_cache` makes the index the cache's observer and
+    seeds it from the cache's entries; from then on every
+    insert/evict/remove/clear updates the index synchronously and is
+    passed on to :attr:`forward` (the gossip backend's ``note``; None
+    under omniscient discovery, which reads the index itself).  The
+    index never mutates caches.
     """
 
     def __init__(self) -> None:
         self._holders: Dict[str, Set[str]] = {}
         self._sizes: Dict[str, int] = {}
         self._caches: Dict[str, ImageCache] = {}
-        self._listeners: Dict[str, CacheListener] = {}
+        #: Where each presence change goes after the index applied it;
+        #: caches registered from then on forward to it.
+        self.forward: Optional[PresenceHook] = None
 
     def register_cache(self, device: str, cache: ImageCache) -> None:
-        """Track ``cache`` as ``device``'s; seeds and subscribes."""
+        """Track ``cache`` as ``device``'s: observe it, then seed the
+        index (and :attr:`forward`) from its entries, LRU first."""
         if device in self._caches:
             raise ValueError(f"device {device!r} already registered")
+        if cache.observer is not None:
+            raise ValueError(f"cache of {device!r} already has an observer")
         self._caches[device] = cache
-
-        def listener(event: CacheEvent, _device: str = device) -> None:
-            if event.kind == "add":
-                self._on_add(_device, event.digest, event.size_bytes)
-            else:  # "evict" / "remove"
-                self._on_drop(_device, event.digest)
-
-        self._listeners[device] = listener
-        cache.subscribe(listener)
+        cache.observer = functools.partial(
+            _presence, self._holders, self._sizes, self.forward, device
+        )
         for digest, size in cache.entries():
-            self._on_add(device, digest, size)
+            cache.observer(digest, size, True)
 
     def unregister_cache(self, device: str) -> None:
-        """Stop tracking ``device`` (departure): unsubscribe and drop
-        every holder entry it contributed."""
+        """Stop tracking ``device`` (departure): stop observing its
+        cache and drop every holder entry it contributed, without
+        forwarding the drops (the departed device says nothing)."""
         cache = self._caches.pop(device, None)
         if cache is None:
             raise ValueError(f"device {device!r} not registered")
-        cache.unsubscribe(self._listeners.pop(device))
+        cache.observer = None
         for digest in [d for d, h in self._holders.items() if device in h]:
-            self._on_drop(device, digest)
-
-    # ------------------------------------------------------------------
-    # event handlers
-    # ------------------------------------------------------------------
-    def _on_add(self, device: str, digest: str, size_bytes: int) -> None:
-        self._holders.setdefault(digest, set()).add(device)
-        self._sizes[digest] = size_bytes
-
-    def _on_drop(self, device: str, digest: str) -> None:
-        holders = self._holders.get(digest)
-        if holders is None:
-            return
-        holders.discard(device)
-        if not holders:
-            del self._holders[digest]
-            self._sizes.pop(digest, None)
+            _presence(self._holders, self._sizes, None, device, digest, 0, False)
 
     # ------------------------------------------------------------------
     # queries
@@ -203,6 +224,7 @@ class PeerSwarm:
         self.discovery = (
             discovery if discovery is not None else OmniscientDiscovery(self.index)
         )
+        self.index.forward = self.discovery.note
         self._regions: Dict[str, str] = {}
         self._members: Dict[str, Set[str]] = {}
         self._demand: Dict[Tuple[str, str], int] = {}
@@ -214,11 +236,13 @@ class PeerSwarm:
     def add_device(
         self, device: str, cache: ImageCache, region: str = "edge"
     ) -> None:
-        """Join ``device`` (and its cache) to the swarm."""
+        """Join ``device`` (and its cache) to the swarm.  The backend
+        joins first, so the cache's entries reach it as the new
+        incarnation's first events when the index seeds from them."""
+        self.discovery.on_join(device)
         self.index.register_cache(device, cache)
         self._regions[device] = region
         self._members.setdefault(region, set()).add(device)
-        self.discovery.on_join(device, cache, region)
 
     def remove_device(
         self, device: str, engine: Optional["TransferEngine"] = None
@@ -755,12 +779,11 @@ class P2PRegistry:
                     meter_registry=meter_registry,
                 )
                 evictions.extend(outcome.evictions)
-                sources.extend(self._chunk_sources(layer, outcome, device))
+                sources.extend(self._chunk_sources(layer, outcome))
                 stale_misses += outcome.stale_misses
                 wasted_bytes += outcome.wasted_bytes
                 endgame_dupes += outcome.endgame_dupes
-                if not outcome.local:
-                    self.swarm.record_demand(layer.digest, device)
+                self.swarm.record_demand(layer.digest, device)
                 continue
             evictions.extend(cache.reserve(layer.digest, layer.size_bytes))
             excluded: Set[str] = set()
@@ -823,7 +846,7 @@ class P2PRegistry:
         )
 
     def _chunk_sources(
-        self, layer, outcome: ChunkFetchOutcome, device: str
+        self, layer, outcome: ChunkFetchOutcome
     ) -> List[LayerSource]:
         """Per-source plan entries for one chunked layer fetch.
 
@@ -833,20 +856,8 @@ class P2PRegistry:
         for free.  The layer's wall-clock duration is
         carried by the largest contributor (ties: source name) and the
         rest report 0 s, keeping ``plan.seconds`` a sum of per-layer
-        wall times like the single-source path.  A layer that landed
-        without moving bytes (absorbed by a concurrent insert) is one
-        LOCAL entry.
+        wall times like the single-source path.
         """
-        if outcome.local:
-            return [
-                LayerSource(
-                    layer.digest,
-                    layer.size_bytes,
-                    SourceKind.LOCAL,
-                    device,
-                    outcome.seconds,
-                )
-            ]
         entries = sorted(
             outcome.bytes_by_source.items(),
             key=lambda item: (-item[1], item[0][1]),

@@ -7,10 +7,13 @@ and the headline ``p2p-gossip`` experiment (omniscient must never
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
+from repro import scenarios
 from repro.experiments import p2p
+from repro.registry import ImageCache
 from repro.scenarios import (
     ChurnSpec,
     DiscoverySpec,
@@ -101,3 +104,80 @@ class TestGossipExperiment:
                 omni["pulls"] + omni["skipped"]
             )
         assert any("overstates" in note for note in result.notes)
+
+
+#: Time-resolved gossip sessions pinned by outcome digest: no preset
+#: runs gossip discovery through the transfer engine, yet only such
+#: runs make a pull wait on a concurrent reservation (``when_settled``)
+#: or commit a stale-view replicator copy onto a device that already
+#: holds the layer (``commit``'s refresh branch).  The last row pins
+#: time-resolved Zipf pulls under an upload budget.
+_TIME_RESOLVED = {"transfer.model": "time-resolved"}
+GOSSIP_PINS = [
+    ("p2p-gossip", _TIME_RESOLVED, True, {
+        1: "f185eaf6df9774e469c5b7006677cdc4f3e47d85bbc4d18d35e28d130b9c8254",
+        2: "af37ab3a965288e7fe1483d51ab80f1fe8e9139915c9d9abefa2fcac62ebd40e",
+    }),
+    ("p2p-gossip", dict(
+        _TIME_RESOLVED,
+        **{"chunks.enabled": True, "transfer.upload_budget": 2},
+    ), True, {
+        1: "223e7898f31d0f3408bdf5d98ca0149dfd34fdcff9b6bc29351a923e4a6b24e6",
+        2: "82d3e37c9007acad0033f3d1c8d4e6be3c95978ab2edb893146fbb1990091a75",
+    }),
+    ("p2p-gossip", dict(
+        _TIME_RESOLVED,
+        **{
+            "discovery.gossip_latency_s": 30,
+            "discovery.gossip_loss_rate": 0.1,
+            "replication.churn_aware": True,
+        },
+    ), True, {
+        1: "7d8e5907bcae61c3fc6db0189f334d23b591113464d67c3b8db269811755af91",
+        2: "24afea315cdab83f447de4d16f1e290c541014208f68b5d7514273b848789fe7",
+    }),
+    ("p2p", dict(_TIME_RESOLVED, **{"transfer.upload_budget": 1}), False, {
+        1: "f34dab661eebdd9c260f2f38c19116e7c16939da4f30d3e88c900f4be3cc62ab",
+        2: "d188ffb6a2c62c0402cb4031e9d8ff4abe00ca26ab69d071b430871562ef962d",
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, overrides, reaches_both_paths, digests",
+    GOSSIP_PINS,
+    ids=["gossip", "gossip-chunked", "gossip-lossy", "zipf-budget"],
+)
+def test_time_resolved_gossip_outcome_is_pinned(
+    monkeypatch, preset, overrides, reaches_both_paths, digests
+):
+    calls = {"when_settled": 0, "refresh": 0}
+    when_settled = ImageCache.when_settled
+    commit = ImageCache.commit
+
+    def counting_when_settled(self, *args):
+        calls["when_settled"] += 1
+        return when_settled(self, *args)
+
+    def counting_commit(self, digest):
+        committed = commit(self, digest)
+        calls["refresh"] += not committed
+        return committed
+
+    monkeypatch.setattr(ImageCache, "when_settled", counting_when_settled)
+    monkeypatch.setattr(ImageCache, "commit", counting_commit)
+    seen = {}
+    for seed in digests:
+        spec = scenarios.with_overrides(
+            scenarios.get(preset), dict(overrides, seed=seed)
+        )
+        outcome = SimulationSession(spec).run()
+        canonical = scenarios.canonical_json(
+            scenarios.deterministic_outcome_dict(outcome.to_dict())
+        )
+        seen[seed] = hashlib.sha256(canonical.encode("ascii")).hexdigest()
+    assert seen == digests
+    # Across its seeds each gossip row covers both presence paths; the
+    # Zipf row neither.
+    assert bool(calls["when_settled"]) is reaches_both_paths
+    assert bool(calls["refresh"]) is reaches_both_paths

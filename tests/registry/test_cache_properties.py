@@ -1,7 +1,7 @@
 """Hypothesis property tests for :class:`repro.registry.ImageCache`.
 
 The invariants checked here are load-bearing for the P2P tier: the
-peer index mirrors cache contents through the subscription hook, so
+peer index mirrors cache contents as the cache's observer, so
 used-bytes accounting, completeness semantics, and eviction records
 must be exact under arbitrary operation sequences.
 """
@@ -123,13 +123,13 @@ def test_subscription_events_mirror_cache_contents(operations):
     cache = make_cache()
     shadow = {}
 
-    def listener(event):
-        if event.kind == "add":
-            shadow[event.digest] = event.size_bytes
-        else:  # "evict" or "remove"
-            assert shadow.pop(event.digest) == event.size_bytes
+    def observer(digest, size_bytes, present):
+        if present:
+            shadow[digest] = size_bytes
+        else:  # evicted, removed or cleared
+            assert shadow.pop(digest) == size_bytes
 
-    cache.subscribe(listener)
+    cache.observer = observer
     for op, digest, size in operations:
         if op == "add":
             cache.add(digest, size)
@@ -145,7 +145,7 @@ def test_subscription_events_mirror_cache_contents(operations):
 def test_oversized_entry_still_raises_and_emits_nothing():
     cache = make_cache()
     events = []
-    cache.subscribe(events.append)
+    cache.observer = lambda *change: events.append(change)
     with pytest.raises(CacheFull):
         cache.add(DIGESTS[0], CAPACITY_BYTES + 1)
     assert events == []

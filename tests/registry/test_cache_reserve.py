@@ -1,8 +1,8 @@
-"""Reserve → commit admission protocol and listener-delivery hardening.
+"""Reserve → commit admission protocol and the cache's one observer.
 
 The protocol backs the time-resolved pull path: in-flight bytes hold
-capacity without being *present*, so subscribers (the peer index) only
-ever see layers that have fully landed.
+capacity without being *present*, so the observer (the peer index) only
+ever sees layers that have fully landed.
 """
 
 import pytest
@@ -16,6 +16,7 @@ from repro.registry.cache import (
     ReservationError,
 )
 from repro.registry.digest import digest_text
+from repro.registry.p2p import PeerIndex
 
 D = [digest_text(f"layer-{i}") for i in range(8)]
 
@@ -30,7 +31,9 @@ class TestReserveCommit:
     def test_reserved_digest_is_not_present_until_commit(self):
         cache = make_cache()
         events = []
-        cache.subscribe(lambda e: events.append((e.kind, e.digest)))
+        cache.observer = lambda digest, size, present: events.append(
+            (present, digest)
+        )
         cache.reserve(D[0], 40)
         assert D[0] not in cache
         assert cache.reserved_bytes == 40
@@ -41,12 +44,12 @@ class TestReserveCommit:
         assert D[0] in cache
         assert cache.reserved_bytes == 0
         assert cache.used_bytes == 40
-        assert events == [("add", D[0])]
+        assert events == [(True, D[0])]
 
     def test_release_frees_without_event(self):
         cache = make_cache()
         events = []
-        cache.subscribe(lambda e: events.append(e.kind))
+        cache.observer = lambda digest, size, present: events.append(present)
         cache.reserve(D[0], 40)
         assert cache.release(D[0]) is True
         assert cache.release(D[0]) is False
@@ -213,71 +216,66 @@ def test_capacity_invariant_under_mixed_operations(ops):
         )
 
 
-class TestEmitHardening:
-    """Regression: listeners that unsubscribe or raise mid-delivery."""
+class TestObserver:
+    """A cache has one observer, which only the peer index sets."""
 
-    def test_listener_unsubscribing_itself_does_not_starve_others(self):
+    def test_second_registration_of_an_observed_cache_raises(self):
         cache = make_cache()
-        seen = []
+        PeerIndex().register_cache("edge-r", cache)
+        observer = cache.observer
+        with pytest.raises(ValueError, match="already has an observer"):
+            PeerIndex().register_cache("edge-r", cache)
+        # The first index keeps observing, undisturbed.
+        assert cache.observer is observer
 
-        def flaky(event):
-            seen.append("flaky")
-            cache.unsubscribe(flaky)
-
-        def steady(event):
-            seen.append("steady")
-
-        cache.subscribe(flaky)
-        cache.subscribe(steady)
+    def test_unregistering_frees_the_slot(self):
+        cache = make_cache()
+        first = PeerIndex()
+        first.register_cache("edge-r", cache)
+        first.unregister_cache("edge-r")
+        assert cache.observer is None
+        second = PeerIndex()
+        second.register_cache("edge-r", cache)
         cache.add(D[0], 10)
-        assert seen == ["flaky", "steady"]
-        seen.clear()
-        cache.add(D[1], 10)
-        assert seen == ["steady"]
+        assert second.holders(D[0]) == {"edge-r"}
+        assert first.holders(D[0]) == frozenset()
 
-    def test_subscribing_during_delivery_does_not_deliver_retroactively(self):
+    @pytest.mark.parametrize("op", ["add", "evict", "commit", "remove", "clear"])
+    def test_observer_exception_propagates_after_the_state_change(self, op):
         cache = make_cache()
+        cache.add(D[0], 60)
+        if op == "commit":
+            cache.reserve(D[1], 30)
         seen = []
 
-        def late(event):
-            seen.append(("late", event.digest))
+        def broken(digest, size, present):
+            seen.append((digest, present))
+            raise RuntimeError("observer bug")
 
-        def recruiter(event):
-            seen.append(("recruiter", event.digest))
-            cache.subscribe(late)
-
-        cache.subscribe(recruiter)
-        cache.add(D[0], 10)
-        assert seen == [("recruiter", D[0])]
-        cache.add(D[1], 10)
-        assert ("late", D[1]) in seen
-
-    def test_raising_listener_still_lets_others_see_the_event(self):
-        cache = make_cache()
-        seen = []
-
-        def broken(event):
-            raise RuntimeError("subscriber bug")
-
-        cache.subscribe(broken)
-        cache.subscribe(lambda e: seen.append(e.digest))
-        with pytest.raises(RuntimeError, match="subscriber bug"):
-            cache.add(D[0], 10)
-        # Delivery completed before the re-raise: state and the other
-        # listener are consistent.
-        assert seen == [D[0]]
-        assert D[0] in cache
-
-    def test_first_of_several_errors_wins(self):
-        cache = make_cache()
-
-        def broken_a(event):
-            raise RuntimeError("first")
-
-        def broken_b(event):
-            raise RuntimeError("second")
-
-        cache.subscribe(broken_a)
-        cache.subscribe(broken_b)
-        with pytest.raises(RuntimeError, match="first"):
-            cache.add(D[0], 10)
+        cache.observer = broken
+        with pytest.raises(RuntimeError, match="observer bug"):
+            if op == "add":
+                cache.add(D[1], 30)
+            elif op == "evict":
+                cache.add(D[1], 50)  # D[0] is the LRU victim
+            elif op == "commit":
+                cache.commit(D[1])
+            elif op == "remove":
+                cache.remove(D[0])
+            else:
+                cache.clear()
+        # The change the observer heard of is applied and accounted (an
+        # insert whose eviction raised is not made), and nothing else
+        # was announced.
+        expected = {
+            "add": ({D[0]: 60, D[1]: 30}, (D[1], True)),
+            "evict": ({}, (D[0], False)),
+            "commit": ({D[0]: 60, D[1]: 30}, (D[1], True)),
+            "remove": ({}, (D[0], False)),
+            "clear": ({}, (D[0], False)),
+        }[op]
+        assert dict(cache.entries()) == expected[0]
+        assert seen == [expected[1]]
+        assert cache.used_bytes == sum(expected[0].values())
+        assert cache.reserved_bytes == 0
+        assert not cache.is_reserved(D[1])

@@ -1,153 +1,156 @@
 """Hypothesis properties for chunk reassembly and rarest-first order.
 
 The reassembly invariant is the load-bearing one: whatever interleaving
-of chunk completions, aborts/restarts, out-of-band inserts, and cache
-evictions a simulation produces, a layer that *finishes* must hold
-exactly its own bytes — every chunk landed exactly once (double commits
-raise), the chunk spans tile ``[0, size)`` with no holes and no
-overlaps, and no partial state (reserved bytes, ledger entries)
-survives the layer's terminal transition.
+of chunk completions, upload saturation, seeder departure, partial
+seeding between concurrent fetches and aborts a swarm produces, a layer
+that *finishes* holds exactly its own bytes — committed once, every
+chunk landed exactly once (the per-source bytes add up to the layer) —
+and no partial state (reserved bytes, ledger entries) survives any
+fetch's terminal transition, finished or aborted.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model.network import NetworkModel
-from repro.model.units import BYTES_PER_GB
 from repro.registry.base import RegistryError
+from repro.registry.blobstore import BlobRecord
 from repro.registry.cache import ImageCache
 from repro.registry.chunks import (
     ChunkFetchOutcome,
-    ChunkLedger,
     ChunkMap,
-    ChunkStore,
     ChunkSwarmPlanner,
     _LayerFetch,
 )
 from repro.registry.digest import digest_text
 from repro.registry.hub import DockerHub
 from repro.registry.p2p import PeerSwarm, PullPlanner
+from repro.sim.engine import Simulator
+from repro.sim.transfers import TransferEngine
 
 LAYER = digest_text("prop-layer")
-OTHER = digest_text("prop-other")
-
-CAPACITY_BYTES = 400
 
 
-def make_store():
-    ledger = ChunkLedger()
-    cache = ImageCache(CAPACITY_BYTES / BYTES_PER_GB, device="prop")
-    return ChunkStore("prop", cache, ledger), cache, ledger
+class _CountingCache(ImageCache):
+    """Counts the commits that land a reservation, per digest."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.commits = {}
+
+    def commit(self, digest: str) -> bool:
+        committed = super().commit(digest)
+        self.commits[digest] = self.commits.get(digest, 0) + committed
+        return committed
 
 
-chunk_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("commit"), st.integers(min_value=0, max_value=9)),
-        st.tuples(st.just("abort"), st.just(0)),
-        st.tuples(st.just("begin"), st.just(0)),
-        st.tuples(st.just("insert-other"), st.integers(min_value=0, max_value=150)),
-        st.tuples(st.just("insert-self"), st.just(0)),
-        st.tuples(st.just("finish"), st.just(0)),
-    ),
-    max_size=60,
-)
-
-
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    layer_size=st.integers(min_value=0, max_value=200),
-    chunk_size=st.integers(min_value=1, max_value=64),
-    operations=chunk_ops,
+    chunk_size=st.integers(min_value=4_000_000, max_value=32_000_000),
+    full_chunks=st.integers(min_value=0, max_value=12),
+    remainder=st.integers(min_value=0, max_value=3_999_999),
+    window=st.integers(min_value=1, max_value=4),
+    upload_budget=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+    lan_mbps=st.sampled_from([50.0, 100.0, 800.0]),
+    slow_seeder=st.booleans(),
+    hub_has_layer=st.booleans(),
+    roles=st.lists(
+        st.sampled_from(["seed", "fetch", "idle"]), min_size=1, max_size=2
+    ),
+    starts=st.lists(st.integers(min_value=0, max_value=8), min_size=3,
+                    max_size=3),
+    departure_s=st.one_of(st.none(), st.floats(min_value=0.0, max_value=20.0)),
+    abort=st.one_of(
+        st.none(),
+        st.tuples(st.integers(min_value=0, max_value=2),
+                  st.floats(min_value=0.0, max_value=20.0)),
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_any_interleaving_reassembles_exactly_once(
-    layer_size, chunk_size, operations
+    chunk_size, full_chunks, remainder, window, upload_budget, lan_mbps,
+    slow_seeder, hub_has_layer, roles, starts, departure_s, abort, seed,
 ):
-    store, cache, ledger = make_store()
-    cmap = ChunkMap(LAYER, layer_size, chunk_size)
+    # edge-0 fetches, edge-1 seeds and may depart; each further device
+    # (3–4 in all) seeds, fetches concurrently (and so seeds partial
+    # chunks to the other fetchers) or idles.
+    layer_size = full_chunks * chunk_size + remainder
+    hub = DockerHub(name="docker-hub")
+    if hub_has_layer:
+        hub.blobs.put_record(BlobRecord(digest=LAYER, size_bytes=layer_size))
+    names = [f"edge-{i}" for i in range(2 + len(roles))]
+    network = NetworkModel()
+    network.connect_device_mesh(names, lan_mbps)
+    for name in names:
+        network.connect_registry(hub.name, name, 100.0)
+    if slow_seeder:
+        network.set_uplink("edge-1", 10.0)  # a straggler: endgame bait
+    sim = Simulator()
+    engine = TransferEngine(sim, network, default_upload_budget=upload_budget)
+    swarm = PeerSwarm(network)
+    caches = {name: _CountingCache(1.0, name) for name in names}
+    for name in names:
+        swarm.add_device(name, caches[name], region="lab")
+    planner = ChunkSwarmPlanner(
+        PullPlanner(swarm, [hub]),
+        chunk_size_bytes=chunk_size,
+        max_parallel=window,
+        seed=seed,
+    )
+    role_of = dict(zip(names, ["fetch", "seed"] + roles))
+    for name, role in role_of.items():
+        if role == "seed":
+            caches[name].add(LAYER, layer_size)
+    fetchers = [name for name, role in role_of.items() if role == "fetch"]
+    fetches = {}
 
-    for op, arg in operations:
-        if op == "begin":
-            if store.is_partial(LAYER):
-                # a download is already in flight: starting another is
-                # the scheduling bug begin_layer must reject
-                with pytest.raises(RegistryError):
-                    store.begin_layer(cmap)
-            else:
-                store.begin_layer(cmap)
-        elif op == "commit":
-            idx = arg % cmap.n_chunks
-            if not store.is_partial(LAYER):
-                # no attempt in flight (or it was absorbed): commits
-                # degrade to ignored no-ops, never phantom entries
-                assert store.commit_chunk(LAYER, idx) is False
-            elif store.has_chunk(LAYER, idx):
-                # exactly-once: re-landing a chunk is a hard error
-                with pytest.raises(RegistryError):
-                    store.commit_chunk(LAYER, idx)
-            else:
-                assert store.commit_chunk(LAYER, idx) is True
-        elif op == "abort":
-            store.abort_layer(LAYER)
-        elif op == "insert-other":
-            # eviction pressure from an unrelated layer; may legally
-            # fail when reservations pin all the capacity
-            try:
-                cache.add(OTHER, arg)
-            except Exception:
-                pass
-        elif op == "insert-self":
-            # out-of-band instant insert of the same layer (analytic
-            # replicator copy): absorbs the reservation, and — when a
-            # presence event fires — the partial record with it
-            cache.add(LAYER, layer_size)
-        elif op == "finish":
-            if store.is_partial(LAYER):
-                if store.missing_chunks(LAYER):
-                    with pytest.raises(RegistryError):
-                        store.finish_layer(LAYER)
-                else:
-                    store.finish_layer(LAYER)
-            elif LAYER in cache:
-                store.finish_layer(LAYER)  # refresh of a landed layer
+    def fetch(device, at_s, out):
+        yield sim.timeout(at_s)
+        out["outcome"] = yield from planner.fetch_layer(
+            device, caches[device], LAYER, layer_size, engine
+        )
 
-        # ---- invariants after every operation ----
-        # the ledger advertises exactly the chunks the store holds for
-        # its in-flight attempt, never more, never anyone else's
-        committed = store.chunk_indices(LAYER)
-        for idx in range(cmap.n_chunks):
-            holders = ledger.chunk_holders(LAYER, idx)
-            if idx in committed:
-                assert holders == frozenset({"prop"})
-            else:
-                assert holders == frozenset()
-        if not store.is_partial(LAYER):
-            assert committed == frozenset()
+    for device, at_s in zip(fetchers, starts):
+        fetches[device] = {}
+        fetches[device]["gen"] = fetch(device, at_s, fetches[device])
+        sim.process(fetches[device]["gen"])
+    if departure_s is not None:
+        def depart():
+            yield sim.timeout(departure_s)
+            swarm.remove_device("edge-1", engine=engine)
+
+        sim.process(depart())
+
+    # A chunk no source can serve (the seeder departed or is saturated,
+    # and no registry holds the layer) ends the run with the worker's
+    # error; every fetch still in flight then aborts when its generator
+    # is closed, as when a run is dropped.  An ``abort`` closes one
+    # fetcher's generator mid-run.
+    try:
+        if abort is not None:
+            victim = fetchers[abort[0] % len(fetchers)]
+            sim.run(until=abort[1])
+            fetches[victim]["gen"].close()
+        sim.run()
+    except RegistryError as exc:
+        assert "unreachable" in str(exc)
+        for out in fetches.values():
+            out["gen"].close()
+
+    for device, out in fetches.items():
+        cache = caches[device]
+        if "outcome" in out:
+            assert cache.commits == {LAYER: 1}
+            assert dict(cache.entries())[LAYER] == layer_size
+            assert swarm.index.holds(device, LAYER)
+            bytes_in = sum(out["outcome"].bytes_by_source.values())
+            assert bytes_in == layer_size
         else:
-            # partial layers hold capacity (reserved or already present)
-            assert cache.is_reserved(LAYER) or LAYER in cache
-
-    # drive the attempt to completion: the reassembled layer must hold
-    # exactly its own bytes, once
-    if not store.is_partial(LAYER) and LAYER not in cache:
-        store.begin_layer(cmap)
-    if store.is_partial(LAYER):
-        for idx in store.missing_chunks(LAYER):
-            store.commit_chunk(LAYER, idx)
-        store.finish_layer(LAYER)
-    assert LAYER in cache
-    entry_bytes = dict(cache.entries())[LAYER]
-    assert entry_bytes == layer_size
-    assert cache.reserved_bytes == 0
-    assert not store.is_partial(LAYER)
-    for idx in range(cmap.n_chunks):
-        assert ledger.chunk_holders(LAYER, idx) == frozenset()
-    # the chunk spans tile the layer exactly: no dupes, no holes
-    spans = sorted((c.offset, c.end) for c in cmap)
-    assert spans[0][0] == 0
-    for (a_start, a_end), (b_start, _b_end) in zip(spans, spans[1:]):
-        assert a_end == b_start  # contiguous, non-overlapping
-    assert spans[-1][1] == layer_size or (layer_size == 0 and spans == [(0, 0)])
+            assert cache.commits == {}
+            assert LAYER not in cache
+    assert planner.ledger.tracked_layers() == []
+    assert all(cache.reserved_bytes == 0 for cache in caches.values())
+    assert swarm.index.coherence_violations() == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -156,6 +159,7 @@ def test_any_interleaving_reassembles_exactly_once(
     chunk_size=st.integers(min_value=1, max_value=64),
 )
 def test_chunk_maps_always_tile_exactly(layer_size, chunk_size):
+    # The chunk spans tile the layer exactly: no dupes, no holes.
     cmap = ChunkMap(LAYER, layer_size, chunk_size)
     assert sum(c.size_bytes for c in cmap) == layer_size
     offset = 0
@@ -163,6 +167,7 @@ def test_chunk_maps_always_tile_exactly(layer_size, chunk_size):
         assert chunk.offset == offset
         assert chunk.size_bytes > 0
         offset = chunk.end
+    assert offset == layer_size
     assert len({c.digest for c in cmap}) == cmap.n_chunks
 
 

@@ -1,4 +1,4 @@
-"""Chunked multi-source transfers: maps, stores, swarm scheduling.
+"""Chunked multi-source transfers: maps, partial layers, swarm scheduling.
 
 Covers the chunk subsystem end to end: deterministic chunking, the
 reserve→commit-at-chunk-granularity lifecycle (partial layers hold
@@ -14,12 +14,11 @@ from repro.model.device import Arch
 from repro.model.network import NetworkModel
 from repro.registry.base import ImageReference, RegistryError
 from repro.registry.blobstore import BlobRecord
-from repro.registry.cache import ImageCache
+from repro.registry.cache import ImageCache, ReservationError
 from repro.registry.chunks import (
     ChunkFetchOutcome,
     ChunkLedger,
     ChunkMap,
-    ChunkStore,
     ChunkSwarmPlanner,
     _LayerFetch,
 )
@@ -82,21 +81,41 @@ class TestChunkMap:
 
 
 # ----------------------------------------------------------------------
-# ChunkStore / ChunkLedger lifecycle
+# partial-layer lifecycle: the layer reservation plus its ledger entries
 # ----------------------------------------------------------------------
 def make_store(capacity_gb: float = 1.0, device: str = "dev-a"):
     ledger = ChunkLedger()
     cache = ImageCache(capacity_gb, device)
     index = PeerIndex()
     index.register_cache(device, cache)
-    return ChunkStore(device, cache, ledger), cache, ledger, index
+    return cache, ledger, index
+
+
+def fetch_at(sim, engine, planner, cache, device, layer, size):
+    """Run ``planner.fetch_layer`` as a process; the returned dict gets
+    its ``outcome`` or its ``error``, and its generator as ``gen``."""
+    out = {}
+
+    def proc():
+        try:
+            out["outcome"] = yield from planner.fetch_layer(
+                device, cache, layer, size, engine
+            )
+        except RegistryError as exc:
+            out["error"] = exc
+
+    out["gen"] = proc()
+    sim.process(out["gen"])
+    return out
 
 
 class TestChunkStoreLifecycle:
+    """A device's partial layer is its cache reservation plus the chunks
+    it published to the ledger; ``fetch_layer`` drives both."""
+
     def test_begin_reserves_without_publishing(self):
-        store, cache, ledger, index = make_store()
-        cmap = ChunkMap(LAYER, 100 * MB, 32 * MB)
-        store.begin_layer(cmap)
+        cache, ledger, index = make_store()
+        cache.reserve(LAYER, 100 * MB)
         assert cache.is_reserved(LAYER)
         assert LAYER not in cache
         assert cache.reserved_bytes == 100 * MB
@@ -104,82 +123,163 @@ class TestChunkStoreLifecycle:
         assert ledger.chunk_holders(LAYER, 0) == frozenset()
 
     def test_committed_chunks_become_seedable_before_the_layer_lands(self):
-        store, cache, ledger, index = make_store()
-        cmap = ChunkMap(LAYER, 100 * MB, 32 * MB)
-        store.begin_layer(cmap)
-        store.commit_chunk(LAYER, 2)
-        store.commit_chunk(LAYER, 0)
+        cache, ledger, index = make_store()
+        cache.reserve(LAYER, 100 * MB)
+        ledger.add_chunk("dev-a", LAYER, 2)
+        ledger.add_chunk("dev-a", LAYER, 0)
         # Partial chunks are in the ledger (seedable) but the layer is
         # still invisible to the peer index — reserve→commit intact.
         assert ledger.chunk_holders(LAYER, 2) == frozenset({"dev-a"})
         assert ledger.chunk_holders(LAYER, 0) == frozenset({"dev-a"})
         assert ledger.chunk_holders(LAYER, 1) == frozenset()
+        assert ledger.partial_layers("dev-a") == frozenset({LAYER})
         assert LAYER not in cache
         assert not index.holds("dev-a", LAYER)
-        assert store.missing_chunks(LAYER) == [1, 3]
 
     def test_finish_commits_cache_and_clears_partial_state(self):
-        store, cache, ledger, index = make_store()
+        cache, ledger, index = make_store()
         cmap = ChunkMap(LAYER, 100 * MB, 32 * MB)
-        store.begin_layer(cmap)
+        cache.reserve(LAYER, 100 * MB)
         for i in range(cmap.n_chunks):
-            store.commit_chunk(LAYER, i)
-        assert store.finish_layer(LAYER) is True
+            ledger.add_chunk("dev-a", LAYER, i)
+        # the ledger stops advertising partials the instant the full
+        # replica becomes visible
+        ledger.drop_layer("dev-a", LAYER)
+        assert cache.commit(LAYER) is True
         assert LAYER in cache
         assert cache.used_bytes == 100 * MB
         assert cache.reserved_bytes == 0
         assert index.holds("dev-a", LAYER)
-        # the ledger stops advertising partials the instant the full
-        # replica becomes visible
         assert ledger.chunk_holders(LAYER, 0) == frozenset()
-        assert not store.is_partial(LAYER)
+        assert ledger.partial_layers("dev-a") == frozenset()
 
-    def test_finish_with_missing_chunks_raises(self):
-        store, _cache, _ledger, _index = make_store()
-        cmap = ChunkMap(LAYER, 100 * MB, 32 * MB)
-        store.begin_layer(cmap)
-        store.commit_chunk(LAYER, 0)
-        with pytest.raises(RegistryError, match="missing"):
-            store.finish_layer(LAYER)
+    def test_finish_with_missing_chunks_raises(self, monkeypatch):
+        sim, engine, _swarm, caches, facade, _hub, _net = make_chunked_swarm()
+        planner = facade.chunks
 
-    def test_double_commit_of_a_chunk_raises(self):
-        store, _cache, _ledger, _index = make_store()
-        store.begin_layer(ChunkMap(LAYER, 100 * MB, 32 * MB))
-        store.commit_chunk(LAYER, 1)
-        with pytest.raises(RegistryError, match="twice"):
-            store.commit_chunk(LAYER, 1)
+        def short_worker(st, device, _engine, _meter):
+            # Lands chunk 0, then stops with the rest unclaimed.
+            st.pending.clear()
+            st.done.add(0)
+            planner.ledger.add_chunk(device, st.cmap.layer_digest, 0)
+            yield sim.timeout(1.0)
+
+        monkeypatch.setattr(planner, "_worker", short_worker)
+        cache = caches["edge-0"]
+        out = fetch_at(sim, engine, planner, cache, "edge-0", LAYER, 100 * MB)
+        sim.run()
+        assert "missing" in str(out["error"])
+        assert cache.reserved_bytes == 0 and LAYER not in cache
+        assert planner.ledger.tracked_layers() == []
+
+    def test_double_commit_of_a_chunk_counts_once(self, monkeypatch):
+        # The original peer copy of a chunk and its endgame duplicate
+        # from the registry start together over equal, independent
+        # links, so both land in the same engine wake: the chunk is
+        # committed and credited once, the second payload is waste.
+        sim, engine, _swarm, caches, facade, hub, _net = make_chunked_swarm(
+            hub_bw=100.0, lan_bw=100.0, chunk_parallel=2
+        )
+        hub.blobs.put_record(BlobRecord(digest=LAYER, size_bytes=32 * MB))
+        caches["edge-1"].add(LAYER, 32 * MB)
+        planner = facade.chunks
+        claims = {"next": 0, "endgame": 0}
+        real_next = planner._next_chunk
+
+        def next_chunk(st, device):
+            claims["next"] += 1
+            if claims["next"] == 2:
+                return None  # the second worker goes straight to endgame
+            return real_next(st, device)
+
+        def endgame_candidate(st, device, _engine):
+            claims["endgame"] += 1
+            if claims["endgame"] == 1:
+                return next(iter(st.inflight))
+            return None
+
+        monkeypatch.setattr(planner, "_next_chunk", next_chunk)
+        monkeypatch.setattr(planner, "_endgame_candidate", endgame_candidate)
+        cache = caches["edge-0"]
+        out = fetch_at(sim, engine, planner, cache, "edge-0", LAYER, 32 * MB)
+        sim.run()
+        outcome = out["outcome"]
+        assert outcome.endgame_dupes == 1
+        assert sum(outcome.bytes_by_source.values()) == 32 * MB
+        assert outcome.wasted_bytes == 16 * MB
+        assert dict(cache.entries())[LAYER] == 32 * MB
+        assert cache.reserved_bytes == 0
+        assert planner.ledger.tracked_layers() == []
 
     def test_begin_twice_raises(self):
-        store, _cache, _ledger, _index = make_store()
-        store.begin_layer(ChunkMap(LAYER, 100 * MB, 32 * MB))
-        with pytest.raises(RegistryError, match="already in"):
-            store.begin_layer(ChunkMap(LAYER, 100 * MB, 32 * MB))
+        sim, engine, _swarm, caches, facade, _hub, _net = make_chunked_swarm()
+        cache = caches["edge-0"]
+        cache.reserve(LAYER, 100 * MB)  # a fetch of LAYER is in flight
+        fetch = facade.chunks.fetch_layer(
+            "edge-0", cache, LAYER, 100 * MB, engine
+        )
+        with pytest.raises(ReservationError, match="already reserved"):
+            next(fetch)
+        assert cache.reserved_bytes == 100 * MB
+        assert facade.chunks.ledger.tracked_layers() == []
 
     def test_abort_releases_bytes_and_ledger_entries(self):
-        store, cache, ledger, index = make_store()
-        store.begin_layer(ChunkMap(LAYER, 100 * MB, 32 * MB))
-        store.commit_chunk(LAYER, 0)
-        store.abort_layer(LAYER)
+        # Only edge-1 holds the layer and no registry does: when it
+        # departs mid-fetch the cancelled chunk has no source left.  The
+        # worker's error ends the run; the fetch, suspended after some
+        # chunks landed, aborts when its generator is closed (as when
+        # the run is dropped).
+        sim, engine, swarm, caches, facade, _hub, _net = make_chunked_swarm(
+            lan_bw=100.0, chunk_parallel=1
+        )
+        caches["edge-1"].add(LAYER, 100 * MB)
+        planner = facade.chunks
+        cache = caches["edge-0"]
+        seen = {}
+        out = fetch_at(sim, engine, planner, cache, "edge-0", LAYER, 100 * MB)
+
+        def departure():
+            yield sim.timeout(4.0)  # after two 16 MB chunks, mid-third
+            seen["partial"] = planner.ledger.partial_layers("edge-0")
+            swarm.remove_device("edge-1", engine=engine)
+
+        sim.process(departure())
+        with pytest.raises(RegistryError, match="unreachable"):
+            sim.run()
+        assert seen["partial"] == frozenset({LAYER})
+        assert cache.is_reserved(LAYER)
+        out["gen"].close()
         assert cache.reserved_bytes == 0
         assert LAYER not in cache
-        assert ledger.chunk_holders(LAYER, 0) == frozenset()
+        assert planner.ledger.tracked_layers() == []
         # a fresh download can start over
-        store.begin_layer(ChunkMap(LAYER, 100 * MB, 32 * MB))
-        store.commit_chunk(LAYER, 0)
+        cache.reserve(LAYER, 100 * MB)
 
     def test_out_of_band_insert_absorbs_the_partial_record(self):
-        store, cache, ledger, _index = make_store()
-        store.begin_layer(ChunkMap(LAYER, 100 * MB, 32 * MB))
-        store.commit_chunk(LAYER, 0)
-        # An instant add (analytic replicator copy) lands the layer and
-        # absorbs the reservation; the partial record must evaporate.
-        cache.add(LAYER, 100 * MB)
-        assert not store.is_partial(LAYER)
-        assert ledger.chunk_holders(LAYER, 0) == frozenset()
-        # late chunk completions and the finish degrade to no-ops
-        assert store.commit_chunk(LAYER, 1) is False
-        assert store.finish_layer(LAYER) is False
-        assert LAYER in cache
+        # An instant add landing the layer mid-fetch absorbs the
+        # reservation.  No valid spec does this (chunked pulls need the
+        # engine, and nothing then calls add); the fetch still ends
+        # cleanly: its commit is a refresh and no partial state stays.
+        sim, engine, swarm, caches, facade, _hub, _net = make_chunked_swarm(
+            lan_bw=100.0, chunk_parallel=1
+        )
+        caches["edge-1"].add(LAYER, 100 * MB)
+        planner = facade.chunks
+        cache = caches["edge-0"]
+        out = fetch_at(sim, engine, planner, cache, "edge-0", LAYER, 100 * MB)
+
+        def insert():
+            yield sim.timeout(4.0)
+            cache.add(LAYER, 100 * MB)
+            assert not cache.is_reserved(LAYER)
+
+        sim.process(insert())
+        sim.run()
+        assert sum(out["outcome"].bytes_by_source.values()) == 100 * MB
+        assert dict(cache.entries())[LAYER] == 100 * MB
+        assert cache.reserved_bytes == 0
+        assert swarm.index.holds("edge-0", LAYER)
+        assert planner.ledger.tracked_layers() == []
 
     def test_ledger_drop_device_forgets_all_partials(self):
         ledger = ChunkLedger()
@@ -232,9 +332,8 @@ class TestRarestFirst:
         # edge-1 holds the full layer; edge-3 holds only chunk 0; a
         # stale ledger entry also lists edge-1 for chunk 1.
         caches["edge-1"].add(LAYER, 40 * MB)
-        store3 = planner.store_for("edge-3", caches["edge-3"])
-        store3.begin_layer(cmap)
-        store3.commit_chunk(LAYER, 0)
+        caches["edge-3"].reserve(LAYER, 40 * MB)
+        planner.ledger.add_chunk("edge-3", LAYER, 0)
         planner.ledger.add_chunk("edge-1", LAYER, 1)
         # Rarity is |full ∪ partial|: chunk 0 has two holders, chunks
         # 1–3 one each (edge-1 counts once for chunk 1).
@@ -254,10 +353,9 @@ class TestRarestFirst:
         planner, swarm, caches, _hub = planner_on_lan()
         cmap = ChunkMap(LAYER, 40 * MB, 10 * MB)
         caches["edge-1"].add(LAYER, 40 * MB)
-        store2 = planner.store_for("edge-2", caches["edge-2"])
-        store2.begin_layer(cmap)
-        store2.commit_chunk(LAYER, 0)
-        store2.commit_chunk(LAYER, 1)
+        caches["edge-2"].reserve(LAYER, 40 * MB)
+        planner.ledger.add_chunk("edge-2", LAYER, 0)
+        planner.ledger.add_chunk("edge-2", LAYER, 1)
         order = claim_order(planner, "edge-0", cmap)
         # chunks 2/3 have one holder, chunks 0/1 have two
         assert set(order[:2]) == {2, 3}
@@ -403,7 +501,7 @@ class TestChunkedPull:
     def test_partial_seeding_serves_chunks_before_the_layer_commits(self):
         # acme/mono is a single layer, so the leader commits nothing
         # until its pull completes — any peer bytes the follower gets
-        # can only come from the leader's *partial* chunk store.
+        # can only come from the leader's *partial* chunks (the ledger).
         sim, engine, swarm, caches, facade, hub, _net = make_chunked_swarm()
         lead = pull_at(sim, engine, facade, caches, 0.0, "edge-0")
         follow = pull_at(sim, engine, facade, caches, 5.0, "edge-1")

@@ -126,14 +126,6 @@ class TestGossipConvergence:
         assert disc.rounds == 5
         assert disc.view("d1", D[0]) == {"d0"}
 
-    def test_bind_after_construction(self):
-        disc = GossipDiscovery(fanout=1, period_s=10.0, seed=2)
-        _swarm, caches = mesh_swarm(n=3, discovery=disc)
-        sim = Simulator()
-        disc.bind(sim)
-        sim.run(until=25.0)
-        assert disc.rounds == 2
-
 
 # ----------------------------------------------------------------------
 # gossip backend: staleness as a failure mode
@@ -193,7 +185,7 @@ class TestGossipStaleness:
         disc = GossipDiscovery(seed=1)
         _swarm, caches = mesh_swarm(n=3, discovery=disc)
         with pytest.raises(ValueError):
-            disc.on_join("d0", caches["d0"], "r0")
+            disc.on_join("d0")
 
     def test_leave_unknown_rejected(self):
         disc = GossipDiscovery(seed=1)

@@ -15,6 +15,7 @@ from repro.model.units import BYTES_PER_GB
 from repro.registry.cache import ImageCache
 from repro.registry.digest import digest_text
 from repro.registry.discovery import GossipDiscovery
+from repro.registry.p2p import PeerIndex
 from repro.scenarios import SimulationSession, get, with_overrides
 from repro.scenarios.session import deterministic_outcome_dict
 
@@ -49,10 +50,13 @@ operations = st.one_of(
 
 
 class _World:
-    """One backend plus the caches that feed it first-hand events."""
+    """One backend plus the caches that feed it first-hand events, each
+    through the peer index that observes it (as in a swarm)."""
 
     def __init__(self, cls, n, placement, **knobs):
         self.disc = cls(**knobs)
+        self.index = PeerIndex()
+        self.index.forward = self.disc.note
         self.names = DEVICES[:n]
         # Two 10-byte layers fit: a third add evicts the LRU one.
         self.caches = {
@@ -65,7 +69,8 @@ class _World:
             self.join(name)
 
     def join(self, name):
-        self.disc.on_join(name, self.caches[name], "r0")
+        self.disc.on_join(name)
+        self.index.register_cache(name, self.caches[name])
         self.online.add(name)
 
     def apply(self, op):
@@ -94,6 +99,7 @@ class _World:
             # stale cache back under a new incarnation.
             if name in self.online and len(self.online) > 2:
                 self.disc.on_leave(name)
+                self.index.unregister_cache(name)
                 self.online.discard(name)
         elif kind == "join":
             if name not in self.online:

@@ -221,13 +221,33 @@ class TestRunMemory:
         # A finished transfer's ``done`` event must not carry the
         # transfer as its value: that makes every finished transfer a
         # Transfer -> Event -> Transfer cycle (264 objects here).  The
-        # session itself still holds cycles (cache listeners, processes
+        # session itself still holds cycles (the replicator process
         # pending at the horizon), so collect before dropping it.
         session = SimulationSession(scenarios.get("p2p-contended"))
         gc.collect()
         gc.disable()
         try:
             session.run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "preset", ["p2p-contended", "p2p-chunked", "p2p-swarm-scale"]
+    )
+    def test_a_dropped_swarm_is_freed_by_reference_counting(self, preset):
+        # A device cache's observer holds the peer index's tables, not
+        # the index, so nothing a cache points to points back at it:
+        # dropping a built session frees every device without the
+        # cyclic collector (8,003 objects on p2p-swarm-scale when the
+        # observer closed over the index).
+        spec = scenarios.get(preset)
+        gc.collect()
+        gc.disable()
+        try:
+            session = SimulationSession(spec)
+            assert session.swarm.index.devices()
+            del session
             assert gc.collect() == 0
         finally:
             gc.enable()
