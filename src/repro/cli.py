@@ -43,18 +43,17 @@ tables.  Sweeps fan cells across a worker pool and resume from the
 content-addressed results cache: re-running a finished sweep executes
 zero cells, and editing one axis re-runs only the new cells.
 
-Telemetry (see ``src/repro/telemetry/README.md``) hangs off three
-flags shared by the targets and the ``scenario`` subcommand::
+Telemetry (see ``src/repro/telemetry/README.md``) hangs off one flag
+of the targets, ``all`` and ``scenario``::
 
-    python -m repro.cli p2p --trace p2p.trace.json \\
-        --metrics-out p2p.metrics.csv --profile
-    python -m repro.cli scenario p2p-gossip --trace run.jsonl
+    python -m repro.cli p2p --telemetry-dir p2p-telemetry
 
-``--trace FILE`` writes Chrome trace-event JSON (JSONL when FILE ends
-in ``.jsonl``), ``--metrics-out FILE`` writes time-series CSV sampled
-every 60 simulated seconds, and ``--profile`` records the transfer
-engine's self-profile.  All three are observation-only: results are
-bit-identical with and without them.
+The command's sessions run inside one
+:class:`~repro.telemetry.TelemetryCapture`, and ``DIR`` (created when
+missing) then holds ``trace.json`` (Chrome trace-event JSON),
+``trace.jsonl``, ``metrics.csv`` and ``profile.json`` for every
+session.  The flag is observation-only: it changes no spec, no result
+and nothing printed.
 
 The targets, their order in ``all`` and their runners come from one
 table, :data:`repro.experiments.TARGETS`.
@@ -68,7 +67,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict, Iterator, List, Optional
 
 from . import scenarios, sweep, telemetry
 from .experiments import TARGETS
@@ -76,27 +75,32 @@ from .sim.rng import DEFAULT_SEED
 from .workloads.calibration import calibrate
 from .workloads.testbed import build_testbed
 
-#: Metrics sampling period ``--metrics-out`` uses when the scenario's
-#: own ``telemetry.metrics_period_s`` does not say otherwise.
-DEFAULT_METRICS_PERIOD_S = 60.0
+def _telemetry_dir(path: str) -> str:
+    """``--telemetry-dir``: refuse a path that cannot become the
+    directory before anything runs."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(
+            f"{path!r} exists and is not a directory"
+        )
+    return path
 
 
-def _write_trace_file(path: str, jsonl_text: str, chrome_doc: Dict) -> None:
-    """``--trace FILE``: JSONL when the name says so, else Chrome JSON."""
-    if path.endswith(".jsonl"):
-        with open(path, "w") as handle:
-            handle.write(jsonl_text)
-    else:
-        with open(path, "w") as handle:
-            json.dump(chrome_doc, handle)
-            handle.write("\n")
+@contextlib.contextmanager
+def _observed(directory: Optional[str]) -> Iterator[None]:
+    """Run the block under one telemetry capture when ``directory`` is
+    given, then write the capture's files into it."""
+    if directory is None:
+        yield
+        return
+    with telemetry.TelemetryCapture() as capture:
+        yield
+    capture.write(directory)
 
 
-def _profile_text(label: str, summary: Dict) -> str:
-    """One readable line per profiled engine."""
-    prefix = f"engine profile [{label}]: " if label else "engine profile: "
+def _profile_text(summary: Dict) -> str:
+    """One readable line for a profiled engine."""
     return (
-        f"{prefix}{summary['recomputes']} recomputes "
+        f"engine profile: {summary['recomputes']} recomputes "
         f"({summary['recompute_ns_total'] / 1e6:.1f} ms total, "
         f"max {summary['recompute_ns_max'] / 1e3:.0f} us), "
         f"{summary['transfers_rerated']} transfers rerated, "
@@ -209,7 +213,7 @@ def _outcome_text(preset: str, spec, outcome) -> str:
             f"converged={outcome.replicator.converged()}"
         )
     if outcome.engine_profile is not None:
-        lines.append(_profile_text("", outcome.engine_profile))
+        lines.append(_profile_text(outcome.engine_profile))
     return "\n".join(lines)
 
 
@@ -254,31 +258,8 @@ def _run_scenario_command(args) -> int:
         # field's validation comparison (e.g. --set seed=abc).
         print(f"bad override: {error}", file=sys.stderr)
         return 2
-    if args.trace or args.metrics_out or args.profile:
-        # The flags merge *into* the spec's own telemetry section (a
-        # --set telemetry.* override stays authoritative where given).
-        spec = replace(
-            spec,
-            telemetry=scenarios.TelemetrySpec(
-                trace=spec.telemetry.trace or args.trace is not None,
-                metrics_period_s=(
-                    spec.telemetry.metrics_period_s
-                    if spec.telemetry.metrics_period_s is not None
-                    else (
-                        DEFAULT_METRICS_PERIOD_S if args.metrics_out else None
-                    )
-                ),
-                profile=spec.telemetry.profile or args.profile,
-            ),
-        )
-    session = scenarios.SimulationSession(spec)
-    outcome = session.run()
-    if args.trace:
-        _write_trace_file(
-            args.trace, session.trace.jsonl(), session.trace.chrome_trace()
-        )
-    if args.metrics_out:
-        session.metrics.write_csv(args.metrics_out)
+    with _observed(args.telemetry_dir):
+        outcome = scenarios.SimulationSession(spec).run()
     if args.json:
         print(json.dumps(
             {
@@ -421,24 +402,10 @@ def _run_calibration_command(args) -> int:
 def _run_targets_command(args) -> int:
     testbed = build_testbed()
     selected = list(TARGETS) if args.command == "all" else [args.command]
-    capture = None
-    if args.trace or args.metrics_out or args.profile:
-        # Experiment runners build their sessions internally, so the
-        # flags reach them through a process-wide capture; every
-        # session assembled inside the block registers its recorders
-        # under a stable label (s0, s1, …).
-        capture = telemetry.TelemetryCapture(
-            trace=args.trace is not None,
-            metrics_period_s=(
-                DEFAULT_METRICS_PERIOD_S if args.metrics_out else None
-            ),
-            profile=args.profile,
-        )
-
     # Text output streams per experiment (an `all` run shows tables as
     # they finish); only --json buffers, to emit one valid document.
     json_payload: List[Dict] = []
-    with capture if capture is not None else contextlib.nullcontext():
+    with _observed(args.telemetry_dir):
         for name in selected:
             for result in TARGETS[name](testbed, args.seed):
                 if args.json:
@@ -446,17 +413,6 @@ def _run_targets_command(args) -> int:
                 else:
                     print(result.to_text())
                     print()
-    if capture is not None:
-        if args.trace:
-            _write_trace_file(
-                args.trace, capture.jsonl(), capture.chrome_trace()
-            )
-        if args.metrics_out:
-            with open(args.metrics_out, "w", newline="") as handle:
-                handle.write(capture.metrics_csv())
-        if args.profile and not args.json:
-            for label, summary in capture.profile_summaries().items():
-                print(_profile_text(label, summary))
     if args.json:
         print(json.dumps(
             json_payload[0] if len(json_payload) == 1 else json_payload,
@@ -489,30 +445,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     observe = argparse.ArgumentParser(add_help=False)
     observe.add_argument(
-        "--trace",
-        metavar="FILE",
+        "--telemetry-dir",
+        dest="telemetry_dir",
+        type=_telemetry_dir,
+        metavar="DIR",
         help=(
-            "write a sim-time telemetry trace of the run: Chrome "
-            "trace-event JSON, or JSONL when FILE ends in .jsonl"
-        ),
-    )
-    observe.add_argument(
-        "--metrics-out",
-        dest="metrics_out",
-        metavar="FILE",
-        help=(
-            "write time-series metrics (inflight transfers, trunk "
-            "utilisation, cache occupancy, gossip staleness) as CSV, "
-            f"sampled every {DEFAULT_METRICS_PERIOD_S:.0f} simulated "
-            "seconds unless telemetry.metrics_period_s overrides it"
-        ),
-    )
-    observe.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "self-profile the transfer engine (recompute wall time, "
-            "closure-size histogram, deadline-heap work counters)"
+            "observe every session of the run and write trace.json "
+            "(Chrome trace-event), trace.jsonl, metrics.csv and "
+            "profile.json into DIR; changes nothing the run prints"
         ),
     )
 
@@ -564,7 +504,7 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
 
-    # No telemetry flags: sweep cells run in pool workers, which a
+    # No telemetry flag: sweep cells run in pool workers, which a
     # process-wide capture cannot see.
     grid = command(
         "sweep", [as_json], _run_sweep_command, "run an experiment matrix"

@@ -34,9 +34,11 @@ Components
     the shared :class:`~repro.sim.transfers.TransferEngine`, per-chunk
     re-resolution on :class:`~repro.sim.transfers.TransferCancelled` /
     :class:`~repro.sim.transfers.UploadBudgetExceeded` (replacing the
-    single-source path's whole-layer restart), and an **endgame** that
-    re-requests straggling peer-sourced chunks from the registry tier
-    (duplicated bytes are metered, never silent).
+    single-source path's whole-layer restart; when only saturated
+    seeders are left, the chunk waits for one to free an upload slot),
+    and an **endgame** that re-requests straggling peer-sourced chunks
+    from the registry tier (duplicated bytes are metered, never
+    silent).
 
 Determinism
 -----------
@@ -275,7 +277,10 @@ class ChunkSwarmPlanner:
 
     One planner serves one :class:`~repro.registry.p2p.P2PRegistry`
     facade.  It owns the swarm-wide :class:`ChunkLedger` and the
-    endgame / rarest-first policy knobs.
+    rarest-first policy knobs.  Once no unclaimed chunk remains, the
+    endgame re-requests a straggling peer-sourced chunk from the
+    registry tier; the duplicate bytes are metered in each fetch's
+    ``endgame_dupes`` / ``wasted_bytes``.
 
     Parameters
     ----------
@@ -292,11 +297,6 @@ class ChunkSwarmPlanner:
         window).  1 degenerates to sequential chunking.
     seed:
         Seeds the rarest-first tie-break (stable, deterministic).
-    endgame:
-        When True, straggling peer-sourced chunks are re-requested
-        from the registry tier once no unclaimed chunks remain; the
-        duplicate bytes are metered in each fetch's ``endgame_dupes`` /
-        ``wasted_bytes``.
     """
 
     def __init__(
@@ -305,7 +305,6 @@ class ChunkSwarmPlanner:
         chunk_size_bytes: int = DEFAULT_CHUNK_SIZE_BYTES,
         max_parallel: int = 4,
         seed: int = 0,
-        endgame: bool = True,
     ) -> None:
         if max_parallel < 1:
             raise ValueError(f"max_parallel must be >= 1, got {max_parallel}")
@@ -318,7 +317,6 @@ class ChunkSwarmPlanner:
         self.chunk_size_bytes = chunk_size_bytes
         self.max_parallel = max_parallel
         self.seed = seed
-        self.endgame = endgame
         self.ledger = ChunkLedger()
         #: Optional telemetry trace sink (duck-typed, None = off):
         #: receives one ``chunk.endgame`` record per duplicate start.
@@ -561,7 +559,7 @@ class ChunkSwarmPlanner:
             duplicate = False
             index = self._next_chunk(st, device)
             if index is None:
-                if not self.endgame or st.complete:
+                if st.complete:
                     return
                 index = self._endgame_candidate(st, device, engine)
                 if index is None:
@@ -570,6 +568,8 @@ class ChunkSwarmPlanner:
                 st.dup_requested.add(index)
             chunk = st.cmap.chunk(index)
             excluded: Set[str] = set()
+            # Excluded seeders whose full upload budget will free a slot.
+            busy: Tuple[str, ...] = ()
             while True:
                 if st.aborted:
                     return
@@ -581,6 +581,13 @@ class ChunkSwarmPlanner:
                 if resolved is None:
                     if duplicate:
                         break  # no registry can duplicate it; fine
+                    if busy:
+                        # Only saturated seeders are left: they are
+                        # busy, not gone, so wait for a free slot.
+                        yield engine.upload_slot_freed(busy)
+                        excluded.difference_update(busy)
+                        busy = ()
+                        continue
                     raise RegistryError(
                         f"chunk {index} of layer {layer} unreachable from "
                         f"{device!r}: no peer or registry source"
@@ -616,6 +623,8 @@ class ChunkSwarmPlanner:
                         )
                 except UploadBudgetExceeded:
                     excluded.add(source)
+                    if engine.uploads_in_flight(source):
+                        busy += (source,)
                     continue
                 if duplicate:
                     st.outcome.endgame_dupes += 1

@@ -650,7 +650,6 @@ class P2PRegistry:
         chunk_size_bytes: int = DEFAULT_CHUNK_SIZE_BYTES,
         chunk_parallel: int = 4,
         chunk_seed: int = 0,
-        chunk_endgame: bool = True,
     ) -> None:
         self.swarm = swarm
         self.name = name
@@ -662,7 +661,6 @@ class P2PRegistry:
                 chunk_size_bytes=chunk_size_bytes,
                 max_parallel=chunk_parallel,
                 seed=chunk_seed,
-                endgame=chunk_endgame,
             )
 
     @property
@@ -709,7 +707,9 @@ class P2PRegistry:
         * a source that turns out saturated
           (:class:`UploadBudgetExceeded`) or departs mid-transfer
           (:class:`TransferCancelled`) is excluded and the layer is
-          re-resolved against whatever the swarm holds *now*;
+          re-resolved against whatever the swarm holds *now*; when
+          only saturated seeders are left, the pull waits for one of
+          them to free an upload slot and resolves again;
         * the device cache admits each layer only when its transfer
           completes (reserve → commit), so this device in turn becomes
           a peer source no earlier than it truly holds the bytes.
@@ -787,18 +787,28 @@ class P2PRegistry:
                 continue
             evictions.extend(cache.reserve(layer.digest, layer.size_bytes))
             excluded: Set[str] = set()
+            # Excluded seeders whose full upload budget will free a slot.
+            busy: Tuple[str, ...] = ()
             while True:
                 try:
                     best, misses = self._resolve_verified(
-                        layer.digest, layer.size_bytes, device, cache, excluded
+                        layer.digest, layer.size_bytes, device, cache,
+                        excluded, busy,
                     )
                     stale_misses += misses
-                    if best.kind is SourceKind.REGISTRY:
+                    if best is not None and best.kind is SourceKind.REGISTRY:
                         meter_registry(best.source)
                 except Exception:
                     # The reservation must not outlive the pull.
                     cache.release(layer.digest)
                     raise
+                if best is None:
+                    # Only saturated seeders are left: they are busy,
+                    # not gone, so wait for a free slot.
+                    yield engine.upload_slot_freed(busy)
+                    excluded.difference_update(busy)
+                    busy = ()
+                    continue
                 try:
                     transfer = engine.start(
                         best.source,
@@ -809,6 +819,8 @@ class P2PRegistry:
                     )
                 except UploadBudgetExceeded:
                     excluded.add(best.source)
+                    if engine.uploads_in_flight(best.source):
+                        busy += (best.source,)
                     continue
                 fetch_start = sim.now
                 try:
@@ -946,7 +958,8 @@ class P2PRegistry:
         device: str,
         cache: ImageCache,
         excluded: Set[str],
-    ) -> Tuple[LayerSource, int]:
+        busy: Tuple[str, ...] = (),
+    ) -> Tuple[Optional[LayerSource], int]:
         """Cheapest source whose holder survives verification.
 
         Returns ``(source, stale_misses)``.  Peer sources come from the
@@ -954,17 +967,24 @@ class P2PRegistry:
         ground-truth index and a stale one is added to ``excluded``
         (the caller's set, which also keeps the peers a time-resolved
         pull found saturated or departed) until a real holder — or a
-        registry — remains.
+        registry — remains.  When nothing remains, the planner's
+        "unreachable" error propagates, unless ``busy`` names excluded
+        seeders that will free an upload slot: then the source is None.
         """
         misses = 0
         while True:
-            best = self.planner.resolve_layer(
-                digest,
-                size_bytes,
-                device,
-                cache,
-                exclude_peers=frozenset(excluded),
-            )
+            try:
+                best = self.planner.resolve_layer(
+                    digest,
+                    size_bytes,
+                    device,
+                    cache,
+                    exclude_peers=frozenset(excluded),
+                )
+            except RegistryError:
+                if not busy:
+                    raise
+                return None, misses
             if best.kind is SourceKind.PEER and not self.swarm.verify_holder(
                 device, best.source, digest
             ):

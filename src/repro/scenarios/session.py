@@ -28,6 +28,7 @@ from ..sim.engine import Simulator
 from ..sim.rng import RngRegistry
 from ..sim.transfers import TransferEngine
 from ..telemetry import (
+    DEFAULT_METRICS_PERIOD_S,
     EngineProfile,
     MetricsSampler,
     TraceRecorder,
@@ -262,16 +263,20 @@ class SimulationSession:
                 default_upload_budget=spec.transfer.upload_budget,
             )
 
-        self._busy: Dict[str, int] = {}
+        busy: Dict[str, int] = {}
+        self._busy = busy
         self.churn_process: Optional[ChurnProcess] = None
         if spec.churn is not None:
+            # The probe closes over the counts, not the session: a
+            # session the churn process pointed back at would be a
+            # cycle, and a dropped one would wait for the collector.
             self.churn_process = ChurnProcess(
                 self.sim,
                 self.swarm,
                 self.rng.fork("p2p.churn"),
                 config=spec.churn,
                 engine=self.engine,
-                is_busy=lambda device: self._busy.get(device, 0) > 0,
+                is_busy=lambda device: busy.get(device, 0) > 0,
             )
         self.replicator: Optional[AdaptiveReplicator] = None
         if spec.mode == "hybrid+p2p":
@@ -293,22 +298,18 @@ class SimulationSession:
             )
 
         # -- telemetry (observation-only; defaults wire nothing) -------
-        # The spec's section and any process-wide capture compose: a
-        # capture only ever *adds* recorders, never disables the spec's.
+        # An active capture turns every sink on, on top of the spec's
+        # own section; the spec itself is never touched.
         telemetry = spec.telemetry
         capture = active_capture()
-        trace_on = telemetry.trace or (capture is not None and capture.trace)
         period = telemetry.metrics_period_s
         if period is None and capture is not None:
-            period = capture.metrics_period_s
-        profile_on = telemetry.profile or (
-            capture is not None and capture.profile
-        )
+            period = DEFAULT_METRICS_PERIOD_S
         label = capture.next_label() if capture is not None else ""
         self.trace: Optional[TraceRecorder] = None
         self.metrics: Optional[MetricsSampler] = None
         self.engine_profile: Optional[EngineProfile] = None
-        if trace_on:
+        if telemetry.trace or capture is not None:
             self.trace = TraceRecorder(label=label)
             if self.engine is not None:
                 self.engine.trace = self.trace
@@ -322,6 +323,7 @@ class SimulationSession:
                 self.facade.chunks.trace = self.trace
         if period is not None:
             self.metrics = MetricsSampler(period, label=label)
+        profile_on = telemetry.profile or capture is not None
         if profile_on and self.engine is not None:
             self.engine_profile = EngineProfile()
             self.engine.profile = self.engine_profile
@@ -462,7 +464,10 @@ class SimulationSession:
             # any pull result; fold the total in so the outcome's
             # counter matches the swarm-wide one.
             outcome.stale_peer_misses = self.discovery.stale_misses
-        if self.engine_profile is not None:
+        if self.engine_profile is not None and spec.telemetry.profile:
+            # Only the spec's own profile reaches the outcome: a
+            # capture's goes to its profile.json, never to what the
+            # run prints.
             outcome.engine_profile = self.engine_profile.summary()
         outcome.wall_build_s = self._wall_build_s
         outcome.wall_run_s = perf_counter() - t0

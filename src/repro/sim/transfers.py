@@ -285,7 +285,8 @@ class TransferEngine:
     source* (registries are exempt: their fan-out is the CDN's
     problem, modelled by their uplink capacity instead).  A saturated
     source makes :meth:`start` raise :class:`UploadBudgetExceeded`;
-    callers re-resolve to another source.
+    callers re-resolve to another source, and when none is left wait
+    on :meth:`upload_slot_freed` for a saturated one to free a slot.
     """
 
     def __init__(
@@ -307,6 +308,8 @@ class TransferEngine:
         self._active: Dict[int, Transfer] = {}
         self._uploads: Dict[str, Dict[int, Transfer]] = {}
         self._budgets: Dict[str, Optional[int]] = {}
+        # source device -> events to fire when it next frees a slot
+        self._slot_waiters: Dict[str, List[Event]] = {}
         self._ids = itertools.count()
         self._generation = 0
         self._wake: Optional[Event] = None
@@ -357,6 +360,28 @@ class TransferEngine:
         """Whether ``device`` may start one more upload right now."""
         budget = self.upload_budget(device)
         return budget is None or self.uploads_in_flight(device) < budget
+
+    def upload_slot_freed(self, devices: Sequence[str]) -> Event:
+        """An event that fires once any of ``devices`` has a free
+        upload slot: at once if one has a slot now, else when one of
+        their uploads finishes or is cancelled.
+
+        A device with neither a free slot nor an upload in flight (a
+        budget of 0, say) never gets a slot, so when every device is
+        like that, waiting is a :class:`ValueError`, not a hang.
+        """
+        freed = self.sim.event()
+        if any(self.can_upload(device) for device in devices):
+            return freed.succeed()
+        uploading = [device for device in devices if self._uploads.get(device)]
+        if not uploading:
+            raise ValueError(
+                f"no upload slot will free on {list(devices)}: none has "
+                f"an upload in flight"
+            )
+        for device in uploading:
+            self._slot_waiters.setdefault(device, []).append(freed)
+        return freed
 
     # ------------------------------------------------------------------
     # starting / finishing / cancelling
@@ -639,6 +664,11 @@ class TransferEngine:
                 slots.pop(transfer.id, None)
                 if not slots:
                     del self._uploads[transfer.src]
+            if self._slot_waiters:
+                for freed in self._slot_waiters.pop(transfer.src, ()):
+                    # An event waiting on several sources fires once.
+                    if not freed.triggered:
+                        freed.succeed()
 
     def _finish(self, transfer: Transfer) -> None:
         self._detach(transfer)

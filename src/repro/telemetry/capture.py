@@ -1,32 +1,40 @@
-"""Process-wide telemetry capture for multi-session runs.
+"""Process-wide telemetry capture and its one artifact writer.
 
 The experiment entry points (``repro p2p`` …) build their
 :class:`~repro.scenarios.session.SimulationSession` objects internally
-from default specs, so the CLI's ``--trace`` / ``--metrics-out`` /
-``--profile`` flags cannot reach them through ``TelemetrySpec``.
-:class:`TelemetryCapture` is the side channel: the CLI activates one
-(``with TelemetryCapture(trace=True):``), every session assembled while
-it is active checks :func:`active_capture`, enables the requested
-recorders, and registers them back under a stable per-session label
-(``s0``, ``s1``, …).  After the run the capture exports everything
-merged — one Chrome trace with session-prefixed process names, one
-JSONL stream with a ``session`` field, one CSV with a ``session``
-column.
+from default specs, so observing them cannot go through
+``TelemetrySpec``.  :class:`TelemetryCapture` is the side channel: the
+CLI's ``--telemetry-dir DIR`` activates one (``with
+TelemetryCapture():``), and every session assembled while it is active
+checks :func:`active_capture`, turns all three sinks on without
+touching its spec, and registers them under a stable per-session
+label (``s0``, ``s1``, …).  :meth:`TelemetryCapture.write` then puts
+every session into one directory::
 
-A capture never *disables* anything: a session whose spec already asks
-for telemetry keeps it, and captures only add.  Captures are
-observation-only like the rest of the package, so running under one
-changes no outcome (pinned by the differential tests).  Nesting is
-rejected — two active captures would silently split the registry.
+    trace.json    Chrome trace-event JSON, session-prefixed processes
+    trace.jsonl   one event per line, with a ``session`` field
+    metrics.csv   session,t_s,metric,scope,value
+    profile.json  {session: engine profile summary}
+
+Captures are observation-only like the rest of the package, so running
+under one changes no outcome (pinned by the differential tests).
+Nesting is rejected — two active captures would silently split the
+registry.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import json
+import os
+from typing import Any, List, Optional, Tuple
 
 from .metrics import MetricsSampler, merged_csv
 from .profile import EngineProfile
 from .recorder import TraceRecorder, chrome_trace, merged_jsonl
+
+#: Metrics sampling period of a captured session whose spec sets no
+#: ``telemetry.metrics_period_s`` of its own.
+DEFAULT_METRICS_PERIOD_S = 60.0
 
 _ACTIVE: Optional["TelemetryCapture"] = None
 
@@ -39,19 +47,7 @@ def active_capture() -> Optional["TelemetryCapture"]:
 class TelemetryCapture:
     """One ``with``-scoped collection window over session telemetry."""
 
-    def __init__(
-        self,
-        trace: bool = False,
-        metrics_period_s: Optional[float] = None,
-        profile: bool = False,
-    ) -> None:
-        if metrics_period_s is not None and metrics_period_s <= 0:
-            raise ValueError(
-                f"metrics_period_s must be > 0, got {metrics_period_s}"
-            )
-        self.trace = trace
-        self.metrics_period_s = metrics_period_s
-        self.profile = profile
+    def __init__(self) -> None:
         self.traces: List[TraceRecorder] = []
         self.samplers: List[MetricsSampler] = []
         self.profiles: List[Tuple[str, EngineProfile]] = []
@@ -90,15 +86,23 @@ class TelemetryCapture:
         if profile is not None:
             self.profiles.append((label, profile))
 
-    # -- merged exports -------------------------------------------------
-    def chrome_trace(self) -> Dict[str, Any]:
-        return chrome_trace(self.traces)
-
-    def jsonl(self) -> str:
-        return merged_jsonl(self.traces)
-
-    def metrics_csv(self) -> str:
-        return merged_csv(self.samplers)
-
-    def profile_summaries(self) -> Dict[str, Dict[str, Any]]:
-        return {label: prof.summary() for label, prof in self.profiles}
+    # -- the artifact directory -----------------------------------------
+    def write(self, directory) -> None:
+        """Write the four telemetry files into ``directory`` (created
+        when missing), each merging every adopted session."""
+        profiles = {label: prof.summary() for label, prof in self.profiles}
+        files = {
+            "trace.json": json.dumps(
+                chrome_trace(self.traces), sort_keys=True
+            ) + "\n",
+            "trace.jsonl": merged_jsonl(self.traces),
+            "metrics.csv": merged_csv(self.samplers),
+            "profile.json": json.dumps(
+                profiles, indent=2, sort_keys=True
+            ) + "\n",
+        }
+        os.makedirs(directory, exist_ok=True)
+        for name, text in files.items():
+            path = os.path.join(directory, name)
+            with open(path, "w", newline="") as handle:
+                handle.write(text)

@@ -32,7 +32,7 @@ import csv
 import io
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Column order of the tidy rows (and of the CSV export).
+#: Column order of the tidy rows (the CSV export prepends ``session``).
 METRICS_SCHEMA = ("t_s", "metric", "scope", "value")
 
 #: Scope label for swarm-wide (non-regional) series.
@@ -122,21 +122,11 @@ class MetricsSampler:
             if name == metric and s == scope
         ]
 
-    def csv_text(self) -> str:
-        """The rows as CSV with a :data:`METRICS_SCHEMA` header."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(METRICS_SCHEMA)
-        writer.writerows(self._rows)
-        return buffer.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            handle.write(self.csv_text())
-
 
 def merged_csv(samplers: List[MetricsSampler]) -> str:
-    """CSV of several samplers with a leading ``session`` column."""
+    """CSV of any number of samplers (one session is the one-sampler
+    case): a ``session`` column holding each sampler's label, then the
+    :data:`METRICS_SCHEMA` columns."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(("session",) + METRICS_SCHEMA)

@@ -2,14 +2,15 @@
 
 :class:`EngineProfile` is attached to a
 :class:`~repro.sim.transfers.TransferEngine` (``engine.profile``) when
-``TelemetrySpec.profile`` is on.  The engine notes, per fair-share
-recompute, the wall-clock nanoseconds spent and the dirty-closure size,
-and counts every deadline-heap push / pop / lazy invalidation under the
-heap's label — the index upkeep that the closure engine's heap, with
-one entry per solved component, keeps small.  A summary lands on
-``ModeOutcome.engine_profile`` (and, flattened, in sweep rows), so a
-perf regression in the solvers becomes a measurable diff instead of an
-anecdote.
+``TelemetrySpec.profile`` is on or a telemetry capture is active.  The
+engine notes, per fair-share recompute, the wall-clock nanoseconds
+spent and the dirty-closure size, and counts every deadline-heap push /
+pop / lazy invalidation under the heap's label — the index upkeep that
+the closure engine's heap, with one entry per solved component, keeps
+small.  A summary lands on ``ModeOutcome.engine_profile`` (and,
+flattened, in sweep rows) when the spec asked for it, and in a
+capture's ``profile.json`` otherwise, so a perf regression in the
+solvers becomes a measurable diff instead of an anecdote.
 
 All counters are *work* counters except the ``_ns`` aggregates, which
 are wall-clock and therefore nondeterministic — the sweep aggregate's

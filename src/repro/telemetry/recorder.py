@@ -8,11 +8,14 @@ hook with ``if trace is not None`` — this module deliberately imports
 nothing from the rest of the package, so instrumentation can never
 create an import cycle.
 
-Two export formats:
+Two exporters, each merging any number of recorders (one session is
+the one-recorder case; :meth:`~repro.telemetry.TelemetryCapture.write`
+puts both in the telemetry directory):
 
-* **JSONL** — one event per line, ``{"t_s", "kind", "device",
-  ...detail}``, the machine-readable archive format;
-* **Chrome trace-event JSON** — ``{"traceEvents": [...]}``, loadable in
+* :func:`merged_jsonl` — one event per line, ``{"t_s", "kind",
+  "device", ...detail}`` plus the recorder's ``session`` label, the
+  machine-readable archive format;
+* :func:`chrome_trace` — ``{"traceEvents": [...]}``, loadable in
   Perfetto / ``chrome://tracing``: each device is a *process*, each
   transfer source a *track* (thread) inside its destination device, and
   matched ``transfer.start``/``transfer.finish|cancel`` pairs become
@@ -53,13 +56,6 @@ class TraceEvent:
     kind: str
     device: str
     detail: Mapping[str, Any] = field(default_factory=dict)
-
-    def to_json_obj(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "t_s": self.t_s, "kind": self.kind, "device": self.device,
-        }
-        data.update(self.detail)
-        return data
 
 
 def _json_obj(row: Tuple[float, str, str, Dict[str, Any]]) -> Dict[str, Any]:
@@ -103,29 +99,6 @@ class TraceRecorder:
     def devices(self) -> List[str]:
         """Distinct non-empty device names, sorted."""
         return sorted({row[2] for row in self._raw if row[2]})
-
-    # -- JSONL export ---------------------------------------------------
-    def jsonl(self) -> str:
-        """One JSON object per line (empty string when no events)."""
-        return "\n".join(
-            json.dumps(_json_obj(row), sort_keys=True) for row in self._raw
-        )
-
-    def write_jsonl(self, path) -> None:
-        with open(path, "w") as handle:
-            text = self.jsonl()
-            if text:
-                handle.write(text + "\n")
-
-    # -- Chrome trace-event export --------------------------------------
-    def chrome_trace(self) -> Dict[str, Any]:
-        """This recorder's events as a Chrome trace-event document."""
-        return chrome_trace([self])
-
-    def write_chrome(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.chrome_trace(), handle, sort_keys=True)
-            handle.write("\n")
 
 
 def chrome_trace(recorders: Sequence[TraceRecorder]) -> Dict[str, Any]:
@@ -227,13 +200,14 @@ def chrome_trace(recorders: Sequence[TraceRecorder]) -> Dict[str, Any]:
 
 
 def merged_jsonl(recorders: Sequence[TraceRecorder]) -> str:
-    """JSONL of several recorders; each line carries its ``session``
-    label when the recorder has one."""
+    """JSONL of several recorders, one newline-terminated line per
+    event; each line carries its ``session`` label when the recorder
+    has one."""
     lines: List[str] = []
     for recorder in recorders:
         for row in recorder._raw:
             obj = _json_obj(row)
             if recorder.label:
                 obj["session"] = recorder.label
-            lines.append(json.dumps(obj, sort_keys=True))
-    return "\n".join(lines)
+            lines.append(json.dumps(obj, sort_keys=True) + "\n")
+    return "".join(lines)

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 from repro.registry.discovery import GossipDiscovery, _version_key
 from repro.registry.p2p import AdaptiveReplicator, PeerIndex
 from repro.sweep.runner import _cache_path, _store_cached
-from repro.telemetry.recorder import TraceRecorder
+from repro.telemetry import TelemetryCapture, TraceRecorder
 
 
 class _StubChurn:
@@ -120,8 +120,9 @@ def test_chrome_trace_export_is_detail_order_independent(tmp_path):
     for i, detail in enumerate(({"z": 1, "a": 2}, {"a": 2, "z": 1})):
         rec = TraceRecorder()
         rec.record(0.5, "x", "dev", **detail)
-        path = tmp_path / f"trace{i}.json"
-        rec.write_chrome(path)
-        texts.append(path.read_text())
+        capture = TelemetryCapture()
+        capture.adopt(rec, None, None, "")
+        capture.write(tmp_path / f"telemetry{i}")
+        texts.append((tmp_path / f"telemetry{i}" / "trace.json").read_text())
     assert texts[0] == texts[1]
     json.loads(texts[0])  # stays a valid JSON document

@@ -121,10 +121,11 @@ def test_any_interleaving_reassembles_exactly_once(
 
         sim.process(depart())
 
-    # A chunk no source can serve (the seeder departed or is saturated,
-    # and no registry holds the layer) ends the run with the worker's
-    # error; every fetch still in flight then aborts when its generator
-    # is closed, as when a run is dropped.  An ``abort`` closes one
+    # A chunk no source can serve (the seeder departed and no registry
+    # holds the layer) ends the run with the worker's error; every
+    # fetch still in flight then aborts when its generator is closed,
+    # as when a run is dropped.  A saturated seeder is not such a case:
+    # the chunk waits for its next free slot.  An ``abort`` closes one
     # fetcher's generator mid-run.
     try:
         if abort is not None:

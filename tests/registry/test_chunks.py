@@ -434,7 +434,6 @@ def make_chunked_swarm(
     chunk_size_bytes=16 * MB,
     chunk_parallel=4,
     repo_size_gb=0.5,
-    endgame=True,
 ):
     hub = DockerHub(name="docker-hub")
     mlist, blobs = build_image("acme/mono", repo_size_gb, base=None, app_layers=1)
@@ -461,7 +460,6 @@ def make_chunked_swarm(
         chunked=True,
         chunk_size_bytes=chunk_size_bytes,
         chunk_parallel=chunk_parallel,
-        chunk_endgame=endgame,
     )
     return sim, engine, swarm, caches, facade, hub, network
 
@@ -581,7 +579,7 @@ class TestChunkedPull:
         # departs mid-transfer.  The chunked pull re-resolves the
         # in-flight chunk and keeps every chunk already landed.
         sim, engine, swarm, caches, facade, hub, _net = make_chunked_swarm(
-            hub_bw=80.0, lan_bw=100.0, chunk_parallel=1, endgame=False
+            hub_bw=80.0, lan_bw=100.0, chunk_parallel=1
         )
         warm = pull_at(sim, engine, facade, caches, 0.0, "edge-1")
         cold = pull_at(sim, engine, facade, caches, 100.0, "edge-0")
@@ -608,7 +606,7 @@ class TestChunkedPull:
         # bytes_wasted.
         def run(chunked):
             sim, engine, swarm, caches, facade, hub, _net = make_chunked_swarm(
-                hub_bw=80.0, lan_bw=100.0, chunk_parallel=1, endgame=False
+                hub_bw=80.0, lan_bw=100.0, chunk_parallel=1
             )
             registry = facade if chunked else P2PRegistry(swarm, [hub])
             pull_at(sim, engine, registry, caches, 0.0, "edge-1")
@@ -672,6 +670,69 @@ class TestChunkedPull:
         assert result.bytes_wasted == 0
         assert result.chunk_endgame_dupes == 0
         assert caches["edge-0"].has_image(result.manifest)
+
+
+class TestSaturatedSeeder:
+    """A seeder at its upload budget is busy, not unreachable: a chunk
+    whose only source is saturated waits for a slot."""
+
+    def sole_seeder(self, window, budget):
+        # edge-1 holds a 64 MB layer that no registry does; 16 MB
+        # chunks at 100 Mbit/s take 1.28 s each, so four chunks
+        # through one upload slot take 5.12 s.
+        sim, engine, _swarm, caches, facade, _hub, _net = make_chunked_swarm(
+            lan_bw=100.0, upload_budget=budget, chunk_parallel=window
+        )
+        caches["edge-1"].add(LAYER, 64 * MB)
+        out = fetch_at(
+            sim, engine, facade.chunks, caches["edge-0"], "edge-0",
+            LAYER, 64 * MB,
+        )
+        return sim, out
+
+    @pytest.mark.parametrize("window, budget", [(1, 1), (2, 1), (4, 2)])
+    def test_window_above_the_budget_waits_for_slots(self, window, budget):
+        sim, out = self.sole_seeder(window, budget)
+        sim.run()
+        outcome = out["outcome"]
+        assert sim.now == pytest.approx(5.12)
+        assert outcome.bytes_by_source == {("peer", "edge-1"): 64 * MB}
+        assert outcome.wasted_bytes == 0
+
+    def test_a_seeder_freed_meanwhile_is_retried_at_once(self):
+        # edge-1 is busy (an 8 MB upload to edge-2 ends at 0.64 s), so
+        # the one 16 MB chunk goes to the slower edge-3, which departs
+        # at 1 s.  edge-1 is free by then: the chunk retries it at once
+        # and lands at 1 s + 1.28 s.
+        sim, engine, swarm, caches, facade, _hub, network = (
+            make_chunked_swarm(
+                lan_bw=100.0, upload_budget=1, chunk_parallel=1
+            )
+        )
+        network.set_uplink("edge-3", 50.0)
+        for seeder in ("edge-1", "edge-3"):
+            caches[seeder].add(LAYER, 16 * MB)
+        engine.start("edge-1", "edge-2", 8 * MB)
+        out = fetch_at(
+            sim, engine, facade.chunks, caches["edge-0"], "edge-0",
+            LAYER, 16 * MB,
+        )
+
+        def departure():
+            yield sim.timeout(1.0)
+            swarm.remove_device("edge-3", engine=engine)
+
+        sim.process(departure())
+        sim.run()
+        outcome = out["outcome"]
+        assert outcome.bytes_by_source == {("peer", "edge-1"): 16 * MB}
+        assert outcome.seconds == pytest.approx(2.28)
+
+    def test_a_seeder_with_budget_zero_stays_unreachable(self):
+        # No upload in flight will ever free a slot, so nothing waits.
+        sim, _out = self.sole_seeder(window=2, budget=0)
+        with pytest.raises(RegistryError, match="unreachable"):
+            sim.run()
 
 
 class TestEndgameMeteringFailure:

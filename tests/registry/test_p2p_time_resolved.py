@@ -176,6 +176,40 @@ class TestUploadBudget:
         assert a["result"].bytes_total == b["result"].bytes_total > 0
 
 
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_sole_saturated_seeder_is_waited_for(self, budget):
+        # Only edge-2 holds the one-layer 0.2 GB image and no registry
+        # reaches any device.  Budget 2 serves both pulls at once over
+        # their own 100 Mbit/s channels (16 s each); with budget 1,
+        # edge-1 finds edge-2 busy and waits for its slot instead of
+        # failing "unreachable", starting when edge-0's upload ends.
+        hub = DockerHub(name="docker-hub")
+        mlist, blobs = build_image("acme/mono", 0.2, base=None, app_layers=1)
+        hub.push_image("acme/mono", "latest", mlist, blobs)
+        network = NetworkModel()
+        names = ["edge-0", "edge-1", "edge-2"]
+        network.connect_device_mesh(names, 100.0)
+        sim = Simulator()
+        engine = TransferEngine(sim, network, default_upload_budget=budget)
+        swarm = PeerSwarm(network)
+        caches = {name: ImageCache(1.0, name) for name in names}
+        for name in names:
+            swarm.add_device(name, caches[name], region="lab")
+        caches["edge-2"].admit_image(
+            hub.resolve(ImageReference("acme/mono"), Arch.AMD64)
+        )
+        facade = P2PRegistry(swarm, [hub])
+        first = pull_at(sim, engine, facade, caches, 0.0, "edge-0", "acme/mono")
+        second = pull_at(sim, engine, facade, caches, 0.0, "edge-1", "acme/mono")
+        sim.run()
+        assert first["end"] == pytest.approx(16.0)
+        assert second["end"] == pytest.approx(16.0 * (3 - budget))
+        for out in (first, second):
+            (layer,) = out["result"].layers
+            assert (layer.kind, layer.source) == (SourceKind.PEER, "edge-2")
+            assert layer.seconds == pytest.approx(16.0)
+
+
 class TestPeerDeparture:
     def test_departing_peer_cancels_uploads_and_pull_reresolves(self):
         sim, engine, swarm, caches, facade, hub = make_swarm(lan_bw=100.0)

@@ -306,6 +306,44 @@ class TestUploadBudgets:
         sim.run()
         assert engine.completed == 2
 
+    def test_slot_freed_fires_once_at_the_first_free_slot(self):
+        # d0 and d1 each seed one upload; a waiter on both wakes when
+        # the shorter one ends, whether it finishes or is cancelled.
+        network = star_network()
+        sim = Simulator()
+        engine = TransferEngine(sim, network, default_upload_budget=1)
+        short = engine.start("d0", "d2", 10 * MB)
+        engine.start("d1", "d3", 40 * MB)
+        woke = []
+
+        def waiter():
+            yield engine.upload_slot_freed(("d1", "d0"))
+            woke.append(sim.now)
+            assert engine.can_upload("d0")
+
+        sim.process(waiter())
+        sim.run()
+        assert woke == [pytest.approx(short.completed_s)]
+
+    def test_slot_freed_fires_at_once_for_a_free_slot(self):
+        # d0's only upload ended while its waiter was busy elsewhere.
+        network = star_network()
+        sim = Simulator()
+        engine = TransferEngine(sim, network, default_upload_budget=1)
+        engine.start("d0", "d1", 10 * MB)
+        sim.run()
+        assert engine.upload_slot_freed(("d0",)).triggered
+
+    def test_slot_freed_refuses_a_source_with_nothing_in_flight(self):
+        # A budget of 0 never frees a slot: waiting on it is an error,
+        # never a hang.
+        sim = Simulator()
+        engine = TransferEngine(sim, star_network(), default_upload_budget=0)
+        with pytest.raises(UploadBudgetExceeded):
+            engine.start("d0", "d1", 10 * MB)
+        with pytest.raises(ValueError, match="none has an upload in flight"):
+            engine.upload_slot_freed(("d0",))
+
 
 class TestPeakAccounting:
     def test_peak_reflects_allocated_rate_sum(self):

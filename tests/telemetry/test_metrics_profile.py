@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 
 import pytest
 
@@ -48,10 +49,12 @@ class TestMetricsSampler:
         assert sampler.series("cache_occupancy") == [(5.0, 0.2)]
 
     def test_csv_header_is_schema(self):
+        # One session is the one-sampler case of the merged export.
         sampler = MetricsSampler(10.0)
         sampler.record(0.0, "inflight_transfers", ALL_SCOPE, 1)
-        rows = list(csv.reader(io.StringIO(sampler.csv_text())))
-        assert rows[0] == list(METRICS_SCHEMA)
+        rows = list(csv.reader(io.StringIO(merged_csv([sampler]))))
+        assert rows[0] == ["session"] + list(METRICS_SCHEMA)
+        assert rows[1] == ["", "0.0", "inflight_transfers", ALL_SCOPE, "1.0"]
         assert len(rows) == 2
 
     def test_merged_csv_adds_session_column(self):
@@ -127,26 +130,29 @@ class TestEngineProfile:
 class TestTelemetryCapture:
     def test_activation_scope(self):
         assert active_capture() is None
-        with TelemetryCapture(trace=True) as capture:
+        with TelemetryCapture() as capture:
             assert active_capture() is capture
         assert active_capture() is None
 
     def test_nesting_rejected(self):
-        with TelemetryCapture(trace=True):
+        with TelemetryCapture():
             with pytest.raises(RuntimeError):
-                TelemetryCapture(trace=True).__enter__()
+                TelemetryCapture().__enter__()
 
-    def test_labels_and_adoption(self):
-        with TelemetryCapture(trace=True, profile=True) as capture:
+    def test_labels_and_adoption(self, tmp_path):
+        with TelemetryCapture() as capture:
             assert capture.next_label() == "s0"
             assert capture.next_label() == "s1"
             trace = TraceRecorder(label="s0")
             prof = EngineProfile()
+            prof.note_recompute(100, 3)
             capture.adopt(trace, None, prof, "s0")
         assert capture.traces == [trace]
         assert capture.samplers == []
-        assert capture.profile_summaries() == {"s0": prof.summary()}
-
-    def test_rejects_nonpositive_metrics_period(self):
-        with pytest.raises(ValueError):
-            TelemetryCapture(metrics_period_s=0.0)
+        capture.write(tmp_path)
+        profiles = json.loads((tmp_path / "profile.json").read_text())
+        assert profiles == {"s0": prof.summary()}
+        # A sink nobody adopted still gets its (empty) file.
+        with open(tmp_path / "metrics.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [["session"] + list(METRICS_SCHEMA)]

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.telemetry import TraceRecorder, chrome_trace, merged_jsonl
+from repro.telemetry import (
+    TelemetryCapture,
+    TraceRecorder,
+    chrome_trace,
+    merged_jsonl,
+)
 
 
 def _spanful_recorder(label: str = "") -> TraceRecorder:
@@ -39,27 +44,32 @@ class TestTraceRecorder:
 
     def test_jsonl_round_trips(self):
         trace = _spanful_recorder()
-        lines = [json.loads(line) for line in trace.jsonl().splitlines()]
+        text = merged_jsonl([trace])
+        lines = [json.loads(line) for line in text.splitlines()]
         assert len(lines) == len(trace.events)
         assert lines[0]["kind"] == "transfer.start"
         assert lines[0]["t_s"] == 0.0
         assert lines[0]["device"] == "dev-a"
         assert lines[0]["registry"] is True
+        # An unlabelled recorder's lines carry no session field.
+        assert "session" not in lines[0]
 
     def test_write_exports(self, tmp_path):
-        trace = _spanful_recorder()
-        jsonl_path = tmp_path / "t.jsonl"
-        chrome_path = tmp_path / "t.json"
-        trace.write_jsonl(jsonl_path)
-        trace.write_chrome(chrome_path)
-        assert len(jsonl_path.read_text().splitlines()) == len(trace.events)
-        doc = json.loads(chrome_path.read_text())
+        # The capture's writer is the one way traces reach disk.
+        trace = _spanful_recorder("s0")
+        capture = TelemetryCapture()
+        capture.adopt(trace, None, None, "s0")
+        capture.write(tmp_path / "telemetry")
+        jsonl = (tmp_path / "telemetry" / "trace.jsonl").read_text()
+        assert len(jsonl.splitlines()) == len(trace.events)
+        assert jsonl.endswith("\n")
+        doc = json.loads((tmp_path / "telemetry" / "trace.json").read_text())
         assert isinstance(doc["traceEvents"], list)
 
 
 class TestChromeTrace:
     def test_matched_spans_become_complete_events(self):
-        doc = _spanful_recorder().chrome_trace()
+        doc = chrome_trace([_spanful_recorder()])
         spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(spans) == 2
         finished = next(s for s in spans if not s["args"].get("cancelled"))
@@ -70,7 +80,7 @@ class TestChromeTrace:
         assert cancelled["dur"] == pytest.approx(2.0e6)
 
     def test_devices_are_processes_with_metadata(self):
-        doc = _spanful_recorder().chrome_trace()
+        doc = chrome_trace([_spanful_recorder()])
         names = {
             e["args"]["name"]
             for e in doc["traceEvents"]
@@ -87,13 +97,13 @@ class TestChromeTrace:
             id=7, src="hub", size_bytes=1, digest="d", registry=True,
         )
         trace.record(9.0, "gossip.round", "", round=1)
-        doc = trace.chrome_trace()
+        doc = chrome_trace([trace])
         span = next(e for e in doc["traceEvents"] if e["ph"] == "X")
         assert span["args"]["unfinished"] is True
         assert span["dur"] == pytest.approx(9.0e6)
 
     def test_non_span_kinds_become_instants(self):
-        doc = _spanful_recorder().chrome_trace()
+        doc = chrome_trace([_spanful_recorder()])
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         assert any(e["name"] == "gossip.round" for e in instants)
 

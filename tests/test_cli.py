@@ -1,5 +1,6 @@
 """CLI entry point: every subcommand renders sound output."""
 
+import csv
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from repro import scenarios
 from repro.cli import main
 from repro.experiments import TARGETS
+from repro.scenarios import deterministic_outcome_dict
 
 
 class TestCli:
@@ -230,3 +232,85 @@ class TestScenarioSubcommand:
     def test_missing_preset_fails_cleanly(self, capsys):
         assert main(["scenario"]) == 2
         assert "preset" in capsys.readouterr().err
+
+
+class TestTelemetryDir:
+    """``--telemetry-dir DIR`` observes every session of a run and
+    writes four files into DIR, changing nothing the run prints."""
+
+    def check_directory(self, directory):
+        assert sorted(path.name for path in directory.iterdir()) == [
+            "metrics.csv", "profile.json", "trace.json", "trace.jsonl",
+        ]
+        chrome = json.loads((directory / "trace.json").read_text())
+        assert any(event["ph"] == "X" for event in chrome["traceEvents"])
+        events = [
+            json.loads(line)
+            for line in (directory / "trace.jsonl").read_text().splitlines()
+        ]
+        with open(directory / "metrics.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["session", "t_s", "metric", "scope", "value"]
+        assert len(rows) > 1
+        profiles = json.loads((directory / "profile.json").read_text())
+        # Every session that moved bytes through the transfer engine
+        # has its profile, and every profile counts its recomputes.
+        engine_sessions = {
+            event["session"]
+            for event in events
+            if event["kind"] == "transfer.start"
+        }
+        assert engine_sessions
+        assert engine_sessions <= set(profiles)
+        assert all(
+            profile["recomputes"] > 0 for profile in profiles.values()
+        )
+
+    def test_target(self, capsys, tmp_path):
+        assert main(["p2p-contended"]) == 0
+        plain = capsys.readouterr().out
+        directory = tmp_path / "telemetry"
+        assert main(["p2p-contended", "--telemetry-dir", str(directory)]) == 0
+        assert capsys.readouterr().out == plain
+        self.check_directory(directory)
+
+    def test_scenario(self, capsys, tmp_path):
+        argv = ["scenario", "p2p-contended"]
+        assert main(argv) == 0
+        plain_text = capsys.readouterr().out
+        assert main(argv + ["--json"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--telemetry-dir", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().out == plain_text
+        directory = tmp_path / "b"
+        assert main(argv + ["--json", "--telemetry-dir", str(directory)]) == 0
+        observed = json.loads(capsys.readouterr().out)
+        # Observing a run never changes its spec (nor its cache key).
+        assert observed["spec"] == plain["spec"]
+        assert deterministic_outcome_dict(
+            observed["outcome"]
+        ) == deterministic_outcome_dict(plain["outcome"])
+        self.check_directory(directory)
+
+    @pytest.mark.parametrize("command", [["p2p"], ["scenario", "p2p"]])
+    @pytest.mark.parametrize("flag", [
+        ["--trace", "trace.json"], ["--metrics-out", "metrics.csv"],
+        ["--profile"],
+    ])
+    def test_removed_flags_exit_two(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + flag)
+        assert exit_info.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["p2p"], ["scenario", "p2p"]])
+    def test_a_file_is_not_a_directory(self, capsys, tmp_path, command):
+        path = tmp_path / "taken"
+        path.write_text("keep")
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--telemetry-dir", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--telemetry-dir" in err
+        assert "is not a directory" in err
+        assert path.read_text() == "keep"
