@@ -88,13 +88,30 @@ class NetworkModel:
 
     Device channels live in one store, a row per destination mapping
     each source to its :class:`Channel`; every device-channel lookup
-    reads it.  :meth:`connect_device_mesh` builds one frozen channel
-    and shares it across every row it writes, and it validates the
-    bandwidth and the names before writing anything.
+    reads it.  A mesh is stored once: :meth:`connect_device_mesh`
+    gives every member one shared row that names every member, its
+    destination included, so a row that names its own destination is
+    a shared mesh row.  A device is never its own source: readers of
+    :meth:`channels_into` and :meth:`device_sources_by_preference`
+    skip the destination, and :meth:`device_channel` and
+    :meth:`has_device_channel` exclude loopback before reading a row.
+    The first :meth:`connect_devices` call or overlapping mesh that
+    touches a member copies that member's row out, so every overwrite
+    means what it would on private rows.
+
+    Registry channels live in one row per registry (device →
+    :class:`Channel`).  The model builds one frozen :class:`Channel`
+    per distinct (bandwidth, RTT) pair and shares it across every
+    channel it connects at that value.
     """
 
     def __init__(self) -> None:
-        self._registry_channels: Dict[Tuple[str, str], Channel] = {}
+        # Registry channels, one row per registry: registry → device.
+        self._registry_channels: Dict[str, Dict[str, Channel]] = {}
+        # The one frozen Channel per (bandwidth, RTT) value; keyed by
+        # type too, so an int bandwidth never stands in for an equal
+        # float one.
+        self._shared_channels: Dict[tuple, Channel] = {}
         self._uplinks: Dict[str, float] = {}
         self._downlinks: Dict[str, float] = {}
         # transfer_path results, keyed by (src, dst, src_is_registry).
@@ -107,9 +124,11 @@ class NetworkModel:
         # Device channels grouped per destination: dst → src → Channel.
         # Candidate-source scans fetch the row once and probe it with
         # plain string keys instead of hashing a tuple per candidate.
+        # Every member of a mesh holds the mesh's one shared row.
         self._channels_into: Dict[str, Dict[str, Channel]] = {}
-        # In-neighbors of each device in best-first order (bandwidth
-        # descending, then name) — built lazily, dropped on mutation.
+        # Each row's sources in best-first order (bandwidth descending,
+        # then name), under every destination that reads the row —
+        # built lazily, once per row, and dropped on mutation.
         self._pref_cache: Dict[str, Tuple[str, ...]] = {}
         # Region each endpoint belongs to, for link→shard
         # classification.  Unset endpoints classify onto the trunk.
@@ -134,12 +153,12 @@ class NetworkModel:
         """Install a device↔device channel (both directions by default)."""
         if a == b:
             raise ValueError(f"loopback channel on {a!r} is implicit")
-        channel = Channel(bandwidth_mbps, rtt_s)
+        channel = self._channel(bandwidth_mbps, rtt_s)
         self._path_cache.clear()
         self._pref_cache.clear()
-        self._channels_into.setdefault(b, {})[a] = channel
+        self._own_row(b)[a] = channel
         if symmetric:
-            self._channels_into.setdefault(a, {})[b] = channel
+            self._own_row(a)[b] = channel
 
     def connect_device_mesh(
         self,
@@ -152,14 +171,18 @@ class NetworkModel:
         Convenience for P2P swarm topologies where every device in a
         region can serve layers to every other.  Existing channels
         between the named devices are overwritten.  Every channel of
-        the mesh is one shared frozen :class:`Channel`, and each
-        member's row gains the other members in ``names`` order — the
-        rows :meth:`connect_devices` would leave pair by pair.  The
+        the mesh is one shared frozen :class:`Channel`.  A member with
+        no channels yet reads one row that all such members share: it
+        names every member in ``names`` order, the member itself
+        included.  A member that already has a row gains the other
+        members in ``names`` order in its own copy — the rows
+        :meth:`connect_devices` would leave pair by pair.  The
         bandwidth and the names are validated before anything is
         written, so a rejected mesh leaves the network unchanged.
         """
         members = list(names)
-        mesh_row = dict.fromkeys(members, Channel(bandwidth_mbps, rtt_s))
+        channel = self._channel(bandwidth_mbps, rtt_s)
+        mesh_row = dict.fromkeys(members, channel)
         if len(mesh_row) < len(members):
             dup = next(n for i, n in enumerate(members) if n in members[:i])
             raise ValueError(f"loopback channel on {dup!r} is implicit")
@@ -168,9 +191,32 @@ class NetworkModel:
         self._path_cache.clear()
         self._pref_cache.clear()
         for dst in members:
-            row = self._channels_into.setdefault(dst, {})
-            row.update(mesh_row)
-            del row[dst]  # mesh_row names dst too; loopback is implicit
+            if dst in self._channels_into:
+                row = self._own_row(dst)
+                row.update(mesh_row)
+                del row[dst]  # mesh_row names dst too; loopback is implicit
+            else:
+                self._channels_into[dst] = mesh_row
+
+    def _own_row(self, dst: str) -> Dict[str, Channel]:
+        """``dst``'s writable row, copied out of a shared mesh row first."""
+        row = self._channels_into.get(dst)
+        if row is None:
+            row = self._channels_into[dst] = {}
+        elif dst in row:
+            row = self._channels_into[dst] = {
+                src: channel for src, channel in row.items() if src != dst
+            }
+        return row
+
+    def _channel(self, bandwidth_mbps: float, rtt_s: float) -> Channel:
+        """The model's one frozen channel at this bandwidth and RTT."""
+        key = (bandwidth_mbps, rtt_s, type(bandwidth_mbps), type(rtt_s))
+        channel = self._shared_channels.get(key)
+        if channel is None:
+            channel = Channel(bandwidth_mbps, rtt_s)
+            self._shared_channels[key] = channel
+        return channel
 
     def connect_registry(
         self,
@@ -180,8 +226,9 @@ class NetworkModel:
         rtt_s: float = 0.0,
     ) -> None:
         """Install a registry→device channel (``BW_gj``)."""
+        channel = self._channel(bandwidth_mbps, rtt_s)
         self._path_cache.clear()
-        self._registry_channels[(registry, device)] = Channel(bandwidth_mbps, rtt_s)
+        self._registry_channels.setdefault(registry, {})[device] = channel
 
     # ------------------------------------------------------------------
     # lookups
@@ -198,43 +245,48 @@ class NetworkModel:
     def registry_channel(self, registry: str, device: str) -> Channel:
         """Channel from ``registry`` to ``device``."""
         try:
-            return self._registry_channels[(registry, device)]
+            return self._registry_channels[registry][device]
         except KeyError:
             raise KeyError(
                 f"no channel from registry {registry!r} to device {device!r}"
             ) from None
 
     def has_registry_channel(self, registry: str, device: str) -> bool:
-        return (registry, device) in self._registry_channels
+        return device in self._registry_channels.get(registry, _NO_CHANNELS)
 
     def has_device_channel(self, src: str, dst: str) -> bool:
         """Whether a (non-loopback) channel ``src → dst`` exists."""
-        return src in self._channels_into.get(dst, _NO_CHANNELS)
+        return src != dst and src in self._channels_into.get(dst, _NO_CHANNELS)
 
     def channels_into(self, dst: str) -> Dict[str, Channel]:
         """Source → channel for every device channel into ``dst``.
 
         The store's own row, in connection order — read-only for
         callers.  Source-selection scans fetch the row once and probe
-        candidates with plain string keys.
+        candidates with plain string keys.  A shared mesh row names
+        ``dst`` itself; a device is never its own source, so callers
+        skip that entry.
         """
         return self._channels_into.get(dst, _NO_CHANNELS)
 
     def device_sources_by_preference(self, dst: str) -> Tuple[str, ...]:
-        """In-neighbors of ``dst``, fastest first (ties by name).
+        """Sources of ``dst``'s row, fastest first (ties by name).
 
         The order is exactly the total order peer selection minimises
         over — ``(-bandwidth, name)`` — so the best source among any
         candidate set is the *first* entry of this list contained in
-        it.  Built lazily per device and invalidated by topology
-        mutations; swarm-scale peer lookups walk it with O(1)
+        it.  Built lazily, once per row, and invalidated by topology
+        mutations; every member of a mesh gets the same tuple, which
+        names that member too (see :meth:`channels_into`), so callers
+        skip ``dst``.  Swarm-scale peer lookups walk it with O(1)
         membership probes instead of scanning every holder.  Sources
         are grouped by bandwidth, so only names are sorted per group.
         """
         cached = self._pref_cache.get(dst)
         if cached is None:
+            row = self.channels_into(dst)
             groups: Dict[float, List[str]] = {}
-            for src, channel in self.channels_into(dst).items():
+            for src, channel in row.items():
                 groups.setdefault(channel.bandwidth_mbps, []).append(src)
             cached = tuple(
                 src
@@ -242,6 +294,10 @@ class NetworkModel:
                 for src in sorted(groups[bandwidth])
             )
             self._pref_cache[dst] = cached
+            if dst in row:  # a shared mesh row: its other readers too
+                for member in row:
+                    if self._channels_into.get(member) is row:
+                        self._pref_cache[member] = cached
         return cached
 
     def device_bandwidth_mbps(self, src: str, dst: str) -> float:
@@ -429,13 +485,12 @@ class NetworkModel:
             return 0.0
         return self.registry_channel(INGRESS, device).transfer_time_s(size_mb)
 
-    def registries_reaching(self, device: str) -> list:
-        """Names of registries with a channel to ``device``."""
-        return [r for (r, d) in self._registry_channels if d == device]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        device_channels = sum(
+            len(row) - (dst in row) for dst, row in self._channels_into.items()
+        )
+        registry_channels = sum(map(len, self._registry_channels.values()))
         return (
-            "NetworkModel(device_channels="
-            f"{sum(map(len, self._channels_into.values()))}, "
-            f"registry_channels={len(self._registry_channels)})"
+            f"NetworkModel(device_channels={device_channels}, "
+            f"registry_channels={registry_channels})"
         )

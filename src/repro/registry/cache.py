@@ -22,7 +22,6 @@ and it forwards each change to the discovery backend that needs it.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -52,7 +51,10 @@ class ImageCache:
     Entries are layer digests plus manifest digests (a zero-byte marker
     recording that the full image was assembled).  Completeness of an
     image is always re-derived from layer presence, so layer evictions
-    can never leave a stale "image present" claim behind.
+    can never leave a stale "image present" claim behind.  Recency is
+    a plain dict's insertion order, with no per-entry link nodes: a
+    refresh pops an entry and reinserts it at the end, and eviction
+    takes the first key.
 
     In-flight admission follows a **reserve → commit** protocol: a
     transfer that will land a layer first :meth:`reserve`\\ s its bytes
@@ -84,7 +86,8 @@ class ImageCache:
             raise ValueError(f"capacity_gb must be > 0, got {capacity_gb}")
         self.device = device
         self.capacity_bytes = int(capacity_gb * BYTES_PER_GB)
-        self._entries: "OrderedDict[str, int]" = OrderedDict()
+        # Digest -> size in recency order, least recently used first.
+        self._entries: Dict[str, int] = {}
         self._used = 0
         self._reserved: Dict[str, int] = {}
         self._reserved_total = 0
@@ -125,7 +128,7 @@ class ImageCache:
         """Mark ``digest`` most-recently-used; False if absent."""
         if digest not in self._entries:
             return False
-        self._entries.move_to_end(digest)
+        self._entries[digest] = self._entries.pop(digest)
         return True
 
     def add(self, digest: str, size_bytes: int) -> List[EvictionRecord]:
@@ -174,7 +177,8 @@ class ImageCache:
                     f"{self._reserved_total} B reserved by in-flight "
                     f"transfers and nothing left to evict"
                 )
-            victim, victim_size = self._entries.popitem(last=False)
+            victim = next(iter(self._entries))
+            victim_size = self._entries.pop(victim)
             self._used -= victim_size
             record = EvictionRecord(victim, victim_size)
             evicted.append(record)
@@ -229,7 +233,7 @@ class ImageCache:
                 f"{digest} already reserved on {self.device or 'device'}"
             )
         if digest in self._entries:
-            self._entries.move_to_end(digest)
+            self._entries[digest] = self._entries.pop(digest)
             return []
         if size_bytes > self.capacity_bytes:
             raise CacheFull(
@@ -253,7 +257,7 @@ class ImageCache:
         size = self._reserved.pop(digest, None)
         if size is None:
             if digest in self._entries:
-                self._entries.move_to_end(digest)
+                self._entries[digest] = self._entries.pop(digest)
                 return False
             raise ReservationError(
                 f"commit of unreserved digest {digest} on "

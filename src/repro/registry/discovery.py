@@ -154,7 +154,7 @@ class GossipDiscovery(DiscoveryBackend):
     random partners and exchanges its knowledge — its own first-hand
     cache state, which the peer index reports through :meth:`note`,
     plus everything second-hand it has heard.  With a simulator,
-    rounds run on its clock from the first join; without one, callers
+    rounds run on its clock from :meth:`start`; without one, callers
     step :meth:`run_round` themselves.  Merging
     follows the versioning rules in the module docstring; per digest a
     view keeps at most ``view_cap`` *present* entries and ``view_cap``
@@ -230,7 +230,6 @@ class GossipDiscovery(DiscoveryBackend):
         self._clock: Dict[str, int] = {}
         self._incarnation: Dict[str, int] = {}
         self._sizes: Dict[str, int] = {}
-        self._process = None
         # diagnostics
         self.rounds = 0
         self.exchanges = 0
@@ -259,8 +258,6 @@ class GossipDiscovery(DiscoveryBackend):
         self._firsthand[device] = {}
         self._views.setdefault(device, {})
         self._floors.setdefault(device, {})
-        if self.sim is not None and self._process is None:
-            self._process = self.sim.process(self._run())
 
     def on_leave(self, device: str) -> None:
         if device not in self._firsthand:
@@ -336,6 +333,18 @@ class GossipDiscovery(DiscoveryBackend):
     # ------------------------------------------------------------------
     # anti-entropy rounds
     # ------------------------------------------------------------------
+    def start(self) -> None:
+        """Start the rounds on the bound simulator's clock.
+
+        A pending daemon and the simulator's queue point at each
+        other, so a session starts it when it runs, not while it is
+        assembled: a session built and dropped unrun is then freed by
+        reference counting.
+        """
+        if self.sim is None:
+            raise RuntimeError("gossip rounds need a bound simulator")
+        self.sim.process(self._run())
+
     def _run(self):
         # Daemon wake-ups: anti-entropy ticks forever but must not keep
         # a horizonless sim.run() from terminating.

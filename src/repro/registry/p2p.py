@@ -320,7 +320,8 @@ class PeerSwarm:
         # return the first one holding the layer.  A hot layer's
         # holder set dwarfs a device's degree at swarm scale, and the
         # holder-membership probe is O(1), so a lookup usually costs a
-        # handful of probes instead of a scan over every holder.
+        # handful of probes instead of a scan over every holder.  A
+        # mesh's shared order names the device itself: skip it.
         preference = self.network.device_sources_by_preference(device)
         region = self._regions.get(device)
         if region is not None:
@@ -328,12 +329,13 @@ class PeerSwarm:
             for peer in preference:
                 if (
                     peer in holders
+                    and peer != device
                     and peer in members
                     and peer not in exclude
                 ):
                     return peer
         for peer in preference:
-            if peer in holders and peer not in exclude:
+            if peer in holders and peer != device and peer not in exclude:
                 return peer
         return None
 
@@ -381,8 +383,8 @@ class PeerSwarm:
         best_bw = 0.0
         for peer in candidates:
             channel = row.get(peer)
-            if channel is None:
-                continue
+            if channel is None or peer == device:
+                continue  # unreachable, or the device in a mesh's shared row
             bandwidth = channel.bandwidth_mbps
             if (
                 best is None

@@ -355,6 +355,8 @@ class SimulationSession:
         sim, engine, facade = self.sim, self.engine, self.facade
         caches, busy = self.caches, self._busy
         churn_process = self.churn_process
+        if self.discovery is not None:
+            self.discovery.start()
         if churn_process is not None:
             churn_process.start()
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.model.network import INGRESS, Channel, NetworkModel
+from repro.model.network import Channel, NetworkModel
 
 
 @pytest.fixture
@@ -64,9 +64,6 @@ class TestTopology:
     def test_has_registry_channel(self, net):
         assert net.has_registry_channel("hub", "medium")
         assert not net.has_registry_channel("regional", "medium")
-
-    def test_registries_reaching(self, net):
-        assert net.registries_reaching("medium") == ["hub", INGRESS]
 
 
 def _rows(model, names):

@@ -122,6 +122,7 @@ class TestGossipConvergence:
         disc = GossipDiscovery(sim=sim, fanout=1, period_s=10.0, seed=2)
         _swarm, caches = mesh_swarm(n=3, discovery=disc)
         caches["d0"].add(D[0], 10)
+        disc.start()
         sim.run(until=55.0)
         assert disc.rounds == 5
         assert disc.view("d1", D[0]) == {"d0"}
@@ -204,6 +205,7 @@ class TestGossipTransport:
         )
         _swarm, caches = mesh_swarm(n=3, discovery=disc)
         caches["d0"].add(D[0], 10)
+        disc.start()
         sim.run(until=12.0)
         # The round fired at t=10, but its payloads are on the wire
         # until t=14: nobody has learned of d0's copy yet.
@@ -221,6 +223,7 @@ class TestGossipTransport:
         )
         swarm, caches = mesh_swarm(n=5, discovery=disc)
         caches["d0"].add(D[0], 10)
+        disc.start()
         sim.run(until=200.0)
         for viewer in swarm.devices():
             expected = {"d0"} - {viewer}
