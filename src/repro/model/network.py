@@ -114,13 +114,11 @@ class NetworkModel:
         self._shared_channels: Dict[tuple, Channel] = {}
         self._uplinks: Dict[str, float] = {}
         self._downlinks: Dict[str, float] = {}
-        # transfer_path results, keyed by (src, dst, src_is_registry).
-        # The time-resolved engine calls transfer_path on every start
-        # (and estimate), so at swarm scale the spec rebuild dominates;
-        # any topology mutation clears the cache wholesale.
-        self._path_cache: Dict[
-            Tuple[str, str, bool], Tuple[List[LinkSpec], float]
-        ] = {}
+        #: Bumped by every mutation that can change a
+        #: :meth:`transfer_path` result.  The time-resolved engine
+        #: caches each path it resolves and drops its cache when this
+        #: moves.
+        self.topology_version = 0
         # Device channels grouped per destination: dst → src → Channel.
         # Candidate-source scans fetch the row once and probe it with
         # plain string keys instead of hashing a tuple per candidate.
@@ -154,7 +152,7 @@ class NetworkModel:
         if a == b:
             raise ValueError(f"loopback channel on {a!r} is implicit")
         channel = self._channel(bandwidth_mbps, rtt_s)
-        self._path_cache.clear()
+        self.topology_version += 1
         self._pref_cache.clear()
         self._own_row(b)[a] = channel
         if symmetric:
@@ -188,7 +186,7 @@ class NetworkModel:
             raise ValueError(f"loopback channel on {dup!r} is implicit")
         if len(members) < 2:
             return
-        self._path_cache.clear()
+        self.topology_version += 1
         self._pref_cache.clear()
         for dst in members:
             if dst in self._channels_into:
@@ -227,7 +225,7 @@ class NetworkModel:
     ) -> None:
         """Install a registry→device channel (``BW_gj``)."""
         channel = self._channel(bandwidth_mbps, rtt_s)
-        self._path_cache.clear()
+        self.topology_version += 1
         self._registry_channels.setdefault(registry, {})[device] = channel
 
     # ------------------------------------------------------------------
@@ -337,13 +335,13 @@ class NetworkModel:
         :class:`~repro.sim.transfers.TransferEngine` consults it.
         """
         require_positive(capacity_mbps, "capacity_mbps")
-        self._path_cache.clear()
+        self.topology_version += 1
         self._uplinks[endpoint] = capacity_mbps
 
     def set_downlink(self, endpoint: str, capacity_mbps: float) -> None:
         """Give ``endpoint`` a shared ingress link (NIC capacity)."""
         require_positive(capacity_mbps, "capacity_mbps")
-        self._path_cache.clear()
+        self.topology_version += 1
         self._downlinks[endpoint] = capacity_mbps
 
     def uplink_mbps(self, endpoint: str) -> Optional[float]:
@@ -363,7 +361,7 @@ class NetworkModel:
         """
         if not region:
             raise ValueError(f"empty region for endpoint {endpoint!r}")
-        self._path_cache.clear()
+        self.topology_version += 1
         self._regions[endpoint] = region
 
     def region_of(self, endpoint: str) -> Optional[str]:
@@ -385,7 +383,7 @@ class NetworkModel:
         require_positive(capacity_mbps, "capacity_mbps")
         if not region:
             raise ValueError(f"empty region for endpoint {endpoint!r}")
-        self._path_cache.clear()
+        self.topology_version += 1
         self._regional_uplinks.setdefault(endpoint, {})[region] = capacity_mbps
 
     def regional_uplink_mbps(
@@ -430,14 +428,14 @@ class NetworkModel:
         destination's region (:meth:`set_regional_uplink`), that slice
         replaces the monolithic uplink for this path.  Every spec
         carries the shard that owns it (see :meth:`set_region`).
+
+        Each call builds the path afresh and returns a new list.  The
+        model caches nothing: the time-resolved engine resolves a path
+        once into its live links and keeps it while
+        :attr:`topology_version` stands.
         """
         if not src_is_registry and src == dst:
             return [], 0.0
-        key = (src, dst, src_is_registry)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            specs, rtt_s = cached
-            return list(specs), rtt_s
         if src_is_registry:
             channel = self.registry_channel(src, dst)
         else:
@@ -467,8 +465,7 @@ class NetworkModel:
             specs.append(
                 LinkSpec(f"down:{dst}", down, self._endpoint_shard(dst))
             )
-        self._path_cache[key] = (specs, channel.rtt_s)
-        return list(specs), channel.rtt_s
+        return specs, channel.rtt_s
 
     # ------------------------------------------------------------------
     # external ingress (camera feeds, S3 datasets)

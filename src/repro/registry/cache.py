@@ -14,16 +14,19 @@ Capacity is bounded by the device's storage; inserting past capacity
 evicts least-recently-used entries, and an image is only *complete*
 while every one of its layers survives.
 
-A cache has at most one **observer**, called as ``observer(digest,
-size_bytes, present)`` after every presence change.  Only the P2P
-peer index sets it (:meth:`repro.registry.p2p.PeerIndex.register_cache`),
-and it forwards each change to the discovery backend that needs it.
+A cache has at most one **observer**, called as ``observer(device,
+digest, size_bytes, present)`` after every presence change.  Only the
+P2P peer index sets it
+(:meth:`repro.registry.p2p.PeerIndex.register_cache`), one observer
+for every cache it tracks, and it forwards each change to the
+discovery backend that needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..model.units import BYTES_PER_GB
 from .manifest import ImageManifest
@@ -35,6 +38,10 @@ class EvictionRecord:
 
     digest: str
     size_bytes: int
+
+
+#: The reservations of a cache that holds none: shared and read-only.
+_NO_RESERVATIONS: Mapping[str, int] = MappingProxyType({})
 
 
 class CacheFull(RuntimeError):
@@ -73,13 +80,23 @@ class ImageCache:
     #: waiter, so none pays for an empty map.
     _waiters: Optional[Dict[str, List[Callable[[], None]]]] = None
 
-    #: Called as ``observer(digest, size_bytes, present)`` synchronously
-    #: after a digest enters the cache (``present=True``) or leaves it
-    #: (LRU eviction, :meth:`remove`, :meth:`clear`).  A refresh that
-    #: keeps an entry's size calls nothing: recency is not presence.
-    #: An exception it raises propagates to the mutating call, after
-    #: the cache's own state is updated.
-    observer: Optional[Callable[[str, int, bool], None]] = None
+    #: Called as ``observer(device, digest, size_bytes, present)``
+    #: synchronously after a digest enters the cache (``present=True``)
+    #: or leaves it (LRU eviction, :meth:`remove`, :meth:`clear`), with
+    #: this cache's :attr:`device`, so one observer can serve many
+    #: caches.  A refresh that keeps an entry's size calls nothing:
+    #: recency is not presence.  An exception it raises propagates to
+    #: the mutating call, after the cache's own state is updated.
+    observer: Optional[Callable[[str, str, int, bool], None]] = None
+
+    #: Digest -> bytes held for its in-flight transfer.  A dict of its
+    #: own from the first :meth:`reserve` until the last reservation
+    #: settles: most caches hold none most of the time.
+    _reserved: Mapping[str, int] = _NO_RESERVATIONS
+
+    #: Every eviction so far, oldest first.  A list of its own from the
+    #: first eviction: most caches never evict.
+    _evictions: Sequence[EvictionRecord] = ()
 
     def __init__(self, capacity_gb: float, device: str = "") -> None:
         if capacity_gb <= 0:
@@ -89,9 +106,7 @@ class ImageCache:
         # Digest -> size in recency order, least recently used first.
         self._entries: Dict[str, int] = {}
         self._used = 0
-        self._reserved: Dict[str, int] = {}
         self._reserved_total = 0
-        self._evictions: List[EvictionRecord] = []
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -156,7 +171,7 @@ class ImageCache:
         self._entries[digest] = size_bytes
         self._used += size_bytes
         if old_size != size_bytes and self.observer is not None:
-            self.observer(digest, size_bytes, True)
+            self.observer(self.device, digest, size_bytes, True)
         return evicted
 
     def _evict_until_fits(self, size_bytes: int) -> List[EvictionRecord]:
@@ -182,9 +197,12 @@ class ImageCache:
             self._used -= victim_size
             record = EvictionRecord(victim, victim_size)
             evicted.append(record)
-            self._evictions.append(record)
+            if self._evictions:
+                self._evictions.append(record)
+            else:
+                self._evictions = [record]
             if self.observer is not None:
-                self.observer(victim, victim_size, False)
+                self.observer(self.device, victim, victim_size, False)
         return evicted
 
     # ------------------------------------------------------------------
@@ -241,9 +259,23 @@ class ImageCache:
                 f"{self.capacity_bytes} B on {self.device or 'device'}"
             )
         evicted = self._evict_until_fits(size_bytes)
+        if self._reserved is _NO_RESERVATIONS:
+            self._reserved = {}
         self._reserved[digest] = size_bytes
         self._reserved_total += size_bytes
         return evicted
+
+    def _unreserve(self, digest: str) -> Optional[int]:
+        """Drop ``digest``'s reservation: its bytes, or None if it had
+        none.  The last one to go takes the cache's dict with it."""
+        reserved = self._reserved
+        if digest not in reserved:
+            return None
+        size = reserved.pop(digest)
+        self._reserved_total -= size
+        if not reserved:
+            self._reserved = _NO_RESERVATIONS
+        return size
 
     def commit(self, digest: str) -> bool:
         """Turn a reservation into a present entry (tells the observer).
@@ -254,7 +286,7 @@ class ImageCache:
         refreshes recency and returns False.  Anything else is a
         :class:`ReservationError`.
         """
-        size = self._reserved.pop(digest, None)
+        size = self._unreserve(digest)
         if size is None:
             if digest in self._entries:
                 self._entries[digest] = self._entries.pop(digest)
@@ -263,7 +295,6 @@ class ImageCache:
                 f"commit of unreserved digest {digest} on "
                 f"{self.device or 'device'}"
             )
-        self._reserved_total -= size
         old_size = self._entries.pop(digest, None)
         if old_size is not None:
             self._used -= old_size
@@ -271,15 +302,13 @@ class ImageCache:
         self._used += size
         self._settled(digest)
         if old_size != size and self.observer is not None:
-            self.observer(digest, size, True)
+            self.observer(self.device, digest, size, True)
         return True
 
     def release(self, digest: str) -> bool:
         """Abort a reservation (transfer cancelled); True if one existed."""
-        size = self._reserved.pop(digest, None)
-        if size is None:
+        if self._unreserve(digest) is None:
             return False
-        self._reserved_total -= size
         self._settled(digest)
         return True
 
@@ -290,7 +319,7 @@ class ImageCache:
             return False
         self._used -= size
         if self.observer is not None:
-            self.observer(digest, size, False)
+            self.observer(self.device, digest, size, False)
         return True
 
     def clear(self) -> None:
@@ -300,13 +329,13 @@ class ImageCache:
         # Pending reservations are dropped too: a cleared device has no
         # business completing transfers into its old state (a commit
         # after clear raises ReservationError, loudly).
-        reserved, self._reserved = self._reserved, {}
+        reserved, self._reserved = self._reserved, _NO_RESERVATIONS
         self._reserved_total = 0
         for digest in reserved:
             self._settled(digest)
         if self.observer is not None:
             for digest, size in dropped:
-                self.observer(digest, size, False)
+                self.observer(self.device, digest, size, False)
 
     # ------------------------------------------------------------------
     # image-level queries

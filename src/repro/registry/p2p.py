@@ -86,10 +86,11 @@ def _presence(
     present: bool,
 ) -> None:
     """Apply one presence change of ``device``'s cache to the index's
-    tables, then pass it on to ``forward``.  A cache's observer is this
-    function bound to the tables, not to the index, so nothing a cache
-    points to points back at it: a dropped swarm is freed by reference
-    counting."""
+    tables, then pass it on to ``forward``.  Every cache an index
+    observes shares one observer, this function bound to the tables
+    and ``forward`` but not to the index, and passes its own device:
+    nothing a cache points to points back at it, so a dropped swarm is
+    freed by reference counting."""
     if present:
         holders.setdefault(digest, set()).add(device)
         sizes[digest] = size_bytes
@@ -104,6 +105,15 @@ def _presence(
         forward(device, digest, size_bytes, present)
 
 
+def _exclude(excluded: Optional[Set[str]], source: str) -> Set[str]:
+    """``excluded`` with ``source`` added, made on the first exclusion.
+    Never a shared set: each caller's exclusions are its own."""
+    if excluded is None:
+        return {source}
+    excluded.add(source)
+    return excluded
+
+
 class PeerIndex:
     """Digest → holders map, the only observer of every device cache.
 
@@ -112,30 +122,50 @@ class PeerIndex:
     insert/evict/remove/clear updates the index synchronously and is
     passed on to :attr:`forward` (the gossip backend's ``note``; None
     under omniscient discovery, which reads the index itself).  The
-    index never mutates caches.
+    index never mutates caches, except to name an unnamed one after
+    the device it registers.
     """
 
     def __init__(self) -> None:
         self._holders: Dict[str, Set[str]] = {}
         self._sizes: Dict[str, int] = {}
         self._caches: Dict[str, ImageCache] = {}
-        #: Where each presence change goes after the index applied it;
-        #: caches registered from then on forward to it.
-        self.forward: Optional[PresenceHook] = None
+        self.forward = None  # also builds the shared observer
+
+    @property
+    def forward(self) -> Optional[PresenceHook]:
+        """Where each presence change goes after the index applied it;
+        caches registered from then on forward to it."""
+        return self._forward
+
+    @forward.setter
+    def forward(self, hook: Optional[PresenceHook]) -> None:
+        self._forward = hook
+        # The one observer of every cache registered from now on;
+        # caches registered earlier keep the one they got.
+        self._observer = functools.partial(
+            _presence, self._holders, self._sizes, hook
+        )
 
     def register_cache(self, device: str, cache: ImageCache) -> None:
         """Track ``cache`` as ``device``'s: observe it, then seed the
-        index (and :attr:`forward`) from its entries, LRU first."""
+        index (and :attr:`forward`) from its entries, LRU first.  The
+        cache reports its own ``device``, so an unnamed cache takes
+        ``device`` as its name and a cache named otherwise is refused."""
         if device in self._caches:
             raise ValueError(f"device {device!r} already registered")
         if cache.observer is not None:
             raise ValueError(f"cache of {device!r} already has an observer")
+        if cache.device != device:
+            if cache.device:
+                raise ValueError(
+                    f"cache of {cache.device!r} cannot register as {device!r}"
+                )
+            cache.device = device
         self._caches[device] = cache
-        cache.observer = functools.partial(
-            _presence, self._holders, self._sizes, self.forward, device
-        )
+        cache.observer = observer = self._observer
         for digest, size in cache.entries():
-            cache.observer(digest, size, True)
+            observer(device, digest, size, True)
 
     def unregister_cache(self, device: str) -> None:
         """Stop tracking ``device`` (departure): stop observing its
@@ -295,7 +325,7 @@ class PeerSwarm:
         self,
         digest: str,
         device: str,
-        exclude: FrozenSet[str] = frozenset(),
+        exclude: AbstractSet[str] = _NO_HOLDERS,
     ) -> Optional[str]:
         """Fastest reachable peer holding ``digest`` (region first).
 
@@ -446,7 +476,7 @@ class SourceKind(enum.Enum):
     REGISTRY = "registry"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerSource:
     """The resolved source of one layer."""
 
@@ -519,7 +549,7 @@ class PullPlanner:
         size_bytes: int,
         device: str,
         cache: ImageCache,
-        exclude_peers: FrozenSet[str] = frozenset(),
+        exclude_peers: AbstractSet[str] = _NO_HOLDERS,
     ) -> LayerSource:
         """Cheapest source for one layer right now.
 
@@ -731,23 +761,13 @@ class P2PRegistry:
                 f"image {manifest.digest} needs {needed} new bytes; cache "
                 f"capacity is {cache.capacity_bytes} B"
             )
-        metered: Set[str] = set()
+        # The registries this pull has metered: one or two.
+        metered: List[str] = []
         evictions: List[EvictionRecord] = []
         sources: List[LayerSource] = []
         stale_misses = 0
         wasted_bytes = 0
         endgame_dupes = 0
-
-        def meter_registry(registry_name: str) -> None:
-            # Blob existence check per layer, pull metering once per
-            # registry per pull (may raise — hub rate limiting —
-            # aborting the fetch).
-            registry = self._registry_named(registry_name)
-            registry.fetch_blob(layer.digest)
-            if registry_name not in metered:
-                registry.meter_pull(device, sim.now)
-                metered.add(registry_name)
-
         for layer in manifest.layers:
             layer_start = sim.now
             while cache.is_reserved(layer.digest):
@@ -778,7 +798,9 @@ class P2PRegistry:
                     layer.digest,
                     layer.size_bytes,
                     engine,
-                    meter_registry=meter_registry,
+                    meter_registry=functools.partial(
+                        self._meter, layer.digest, device, sim, metered
+                    ),
                 )
                 evictions.extend(outcome.evictions)
                 sources.extend(self._chunk_sources(layer, outcome))
@@ -788,25 +810,29 @@ class P2PRegistry:
                 self.swarm.record_demand(layer.digest, device)
                 continue
             evictions.extend(cache.reserve(layer.digest, layer.size_bytes))
-            excluded: Set[str] = set()
+            # Sources this layer must not use; None until the first.
+            excluded: Optional[Set[str]] = None
             # Excluded seeders whose full upload budget will free a slot.
             busy: Tuple[str, ...] = ()
             while True:
                 try:
-                    best, misses = self._resolve_verified(
+                    best, misses, excluded = self._resolve_verified(
                         layer.digest, layer.size_bytes, device, cache,
                         excluded, busy,
                     )
                     stale_misses += misses
                     if best is not None and best.kind is SourceKind.REGISTRY:
-                        meter_registry(best.source)
+                        self._meter(
+                            layer.digest, device, sim, metered, best.source
+                        )
                 except Exception:
                     # The reservation must not outlive the pull.
                     cache.release(layer.digest)
                     raise
                 if best is None:
                     # Only saturated seeders are left: they are busy,
-                    # not gone, so wait for a free slot.
+                    # not gone, so wait for a free slot.  ``busy`` names
+                    # excluded seeders, so ``excluded`` exists.
                     yield engine.upload_slot_freed(busy)
                     excluded.difference_update(busy)
                     busy = ()
@@ -820,7 +846,7 @@ class P2PRegistry:
                         digest=layer.digest,
                     )
                 except UploadBudgetExceeded:
-                    excluded.add(best.source)
+                    excluded = _exclude(excluded, best.source)
                     if engine.uploads_in_flight(best.source):
                         busy += (best.source,)
                     continue
@@ -833,7 +859,7 @@ class P2PRegistry:
                     # the baseline the chunked path improves on (only
                     # the cancelled *chunk*'s progress is lost there).
                     wasted_bytes += transfer.moved_bytes
-                    excluded.add(best.source)
+                    excluded = _exclude(excluded, best.source)
                     continue
                 cache.commit(layer.digest)
                 sources.append(
@@ -890,6 +916,24 @@ class P2PRegistry:
             )
         return out
 
+    def _meter(
+        self,
+        digest: str,
+        device: str,
+        sim: Simulator,
+        metered: List[str],
+        registry_name: str,
+    ) -> None:
+        """Check the blob on each fetch of ``digest`` from a registry,
+        and meter ``device``'s pull once per registry (``metered`` lists
+        the ones already metered).  Either may raise (hub rate
+        limiting), aborting the fetch."""
+        registry = self._registry_named(registry_name)
+        registry.fetch_blob(digest)
+        if registry_name not in metered:
+            registry.meter_pull(device, sim.now)
+            metered.append(registry_name)
+
     def _registry_named(self, name: str) -> Registry:
         for registry in self.planner.registries:
             if registry.name == name:
@@ -919,8 +963,8 @@ class P2PRegistry:
         sources: List[LayerSource] = []
         stale_misses = 0
         for layer in manifest.layers:
-            best, misses = self._resolve_verified(
-                layer.digest, layer.size_bytes, device, cache, set()
+            best, misses, _excluded = self._resolve_verified(
+                layer.digest, layer.size_bytes, device, cache, None
             )
             stale_misses += misses
             sources.append(best)
@@ -959,19 +1003,21 @@ class P2PRegistry:
         size_bytes: int,
         device: str,
         cache: ImageCache,
-        excluded: Set[str],
+        excluded: Optional[Set[str]],
         busy: Tuple[str, ...] = (),
-    ) -> Tuple[Optional[LayerSource], int]:
+    ) -> Tuple[Optional[LayerSource], int, Optional[Set[str]]]:
         """Cheapest source whose holder survives verification.
 
-        Returns ``(source, stale_misses)``.  Peer sources come from the
-        device's discovery view; each candidate is checked against the
-        ground-truth index and a stale one is added to ``excluded``
-        (the caller's set, which also keeps the peers a time-resolved
-        pull found saturated or departed) until a real holder — or a
-        registry — remains.  When nothing remains, the planner's
-        "unreachable" error propagates, unless ``busy`` names excluded
-        seeders that will free an upload slot: then the source is None.
+        Returns ``(source, stale_misses, excluded)``.  Peer sources come
+        from the device's discovery view; each candidate is checked
+        against the ground-truth index and a stale one is added to
+        ``excluded`` (the caller's set, which also keeps the peers a
+        time-resolved pull found saturated or departed; None until it
+        names one, and made on the first stale holder) until a real
+        holder — or a registry — remains.  When nothing remains, the
+        planner's "unreachable" error propagates, unless ``busy`` names
+        excluded seeders that will free an upload slot: then the source
+        is None.
         """
         misses = 0
         while True:
@@ -981,19 +1027,19 @@ class P2PRegistry:
                     size_bytes,
                     device,
                     cache,
-                    exclude_peers=frozenset(excluded),
+                    exclude_peers=_NO_HOLDERS if excluded is None else excluded,
                 )
             except RegistryError:
                 if not busy:
                     raise
-                return None, misses
+                return None, misses, excluded
             if best.kind is SourceKind.PEER and not self.swarm.verify_holder(
                 device, best.source, digest
             ):
                 misses += 1
-                excluded.add(best.source)
+                excluded = _exclude(excluded, best.source)
                 continue
-            return best, misses
+            return best, misses, excluded
 
 
 @dataclass(frozen=True)

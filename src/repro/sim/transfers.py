@@ -260,10 +260,13 @@ class TransferEngine:
 
     One engine serves one simulation: it owns the :class:`Link` objects
     (materialised lazily from the network's
-    :meth:`~repro.model.network.NetworkModel.transfer_path` specs),
-    tracks every in-flight :class:`Transfer`, and keeps all rates
-    max-min fair.  Rate recomputation runs on every start, finish, and
-    cancellation — there is no per-tick work, so idle links are free.
+    :meth:`~repro.model.network.NetworkModel.transfer_path` specs) and
+    the one cache of resolved paths, each pair's tuple of live links
+    plus its latency, kept while the network's ``topology_version``
+    stands.  It tracks every in-flight :class:`Transfer`, and keeps
+    all rates max-min fair.  Rate recomputation runs on every start,
+    finish, and cancellation — there is no per-tick work, so idle
+    links are free.
 
     Recompute cost
     --------------
@@ -305,6 +308,13 @@ class TransferEngine:
         self.default_upload_budget = default_upload_budget
         self.self_check = self_check
         self._links: Dict[str, Link] = {}
+        # Each resolved (src, dst, src_is_registry) path: its live links
+        # and its latency.  Valid while the network's topology version
+        # is ``_paths_version``; any topology change drops it wholesale.
+        self._paths: Dict[
+            Tuple[str, str, bool], Tuple[Tuple[Link, ...], float]
+        ] = {}
+        self._paths_version = network.topology_version
         self._active: Dict[int, Transfer] = {}
         self._uploads: Dict[str, Dict[int, Transfer]] = {}
         self._budgets: Dict[str, Optional[int]] = {}
@@ -415,13 +425,7 @@ class TransferEngine:
                 f"{src!r} is at its upload budget "
                 f"({self.uploads_in_flight(src)} in flight)"
             )
-        specs, latency_s = self.network.transfer_path(
-            src, dst, src_is_registry=src_is_registry
-        )
-        links = tuple(
-            self._link(spec.name, spec.capacity_mbps, spec.shard)
-            for spec in specs
-        )
+        links, latency_s = self._path(src, dst, src_is_registry)
         transfer = Transfer(
             transfer_id=next(self._ids),
             src=src,
@@ -568,17 +572,26 @@ class TransferEngine:
         when other occupants are bottlenecked elsewhere).  Links with
         no live state count at full capacity.  Loopback and empty
         transfers cost 0.
+
+        A path a transfer already resolved is read from the engine's
+        cache; any other is built from the network and not kept, so an
+        estimate never creates a link (:meth:`links` feeds the metrics
+        sampler's per-shard utilisation).
         """
-        specs, latency_s = self.network.transfer_path(
-            src, dst, src_is_registry=src_is_registry
-        )
-        if not specs or size_mb <= 0:
+        self._check_paths()
+        path = self._paths.get((src, dst, src_is_registry))
+        if path is None:
+            path = self.network.transfer_path(
+                src, dst, src_is_registry=src_is_registry
+            )
+        hops, latency_s = path
+        if not hops or size_mb <= 0:
             return 0.0
         rate = float("inf")
-        for spec in specs:
-            link = self._links.get(spec.name)
+        for hop in hops:
+            link = self._links.get(hop.name)
             occupants = len(link.transfers) if link is not None else 0
-            rate = min(rate, spec.capacity_mbps / (occupants + 1))
+            rate = min(rate, hop.capacity_mbps / (occupants + 1))
         return latency_s + transfer_time_s(size_mb, rate)
 
     def peak_oversubscription(self) -> float:
@@ -610,6 +623,36 @@ class TransferEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _check_paths(self) -> None:
+        """Drop every cached path once the network's topology moved."""
+        version = self.network.topology_version
+        if version != self._paths_version:
+            self._paths.clear()
+            self._paths_version = version
+
+    def _path(
+        self, src: str, dst: str, src_is_registry: bool
+    ) -> Tuple[Tuple[Link, ...], float]:
+        """The ``src → dst`` path's live links and its latency,
+        resolved from the network once per topology version.  Resolving
+        runs :meth:`_link`'s capacity and shard checks, so a topology
+        change that alters a live link still fails loudly."""
+        self._check_paths()
+        key = (src, dst, src_is_registry)
+        path = self._paths.get(key)
+        if path is None:
+            specs, latency_s = self.network.transfer_path(
+                src, dst, src_is_registry=src_is_registry
+            )
+            path = self._paths[key] = (
+                tuple(
+                    self._link(spec.name, spec.capacity_mbps, spec.shard)
+                    for spec in specs
+                ),
+                latency_s,
+            )
+        return path
+
     def _link(
         self, name: str, capacity_mbps: float, shard: str = TRUNK
     ) -> Link:
@@ -655,7 +698,12 @@ class TransferEngine:
             component.live = False
             transfer.component = None
         for link in transfer.links:
-            link.transfers.pop(transfer.id, None)
+            occupants = link.transfers
+            occupants.pop(transfer.id, None)
+            if not occupants:
+                # A dict keeps its table after its last pop; clear()
+                # frees it, so an idle link costs an empty dict.
+                occupants.clear()
 
     def _release_slot(self, transfer: Transfer) -> None:
         if not transfer.src_is_registry:

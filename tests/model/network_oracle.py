@@ -5,12 +5,13 @@ device-channel code swapped for an unchanged copy of what the model
 shipped before the per-destination rows became the only store: three
 maps (a ``(src, dst)``-keyed channel matrix, an in-neighbor set per
 device and the per-destination rows), all written by a per-pair
-``connect_devices`` that builds a fresh ``Channel`` and clears both
-caches on every call; a mesh that connects pair by pair; and a
-preference order sorted with a ``(-bandwidth, name)`` key.  Registry
-channels, links, regions and ``transfer_path`` are inherited, so any
-divergence is the device-channel store's.  It stays here as the oracle
-the live store must match exactly.
+``connect_devices`` that builds a fresh ``Channel``, clears the
+preference cache and bumps the topology version on every call; a
+mesh that connects pair by pair; and a preference order sorted with
+a ``(-bandwidth, name)`` key.  Registry channels, links, regions and
+``transfer_path`` are inherited, so any divergence is the
+device-channel store's.  It stays here as the oracle the live store
+must match exactly.
 """
 
 from typing import Dict, Iterable, Optional, Tuple
@@ -40,7 +41,7 @@ class OracleNetworkModel(NetworkModel):
         if a == b:
             raise ValueError(f"loopback channel on {a!r} is implicit")
         channel = Channel(bandwidth_mbps, rtt_s)
-        self._path_cache.clear()
+        self.topology_version += 1
         self._pref_cache.clear()
         self._device_channels[(a, b)] = channel
         self._in_neighbors.setdefault(b, set()).add(a)

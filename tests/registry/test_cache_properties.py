@@ -123,7 +123,8 @@ def test_subscription_events_mirror_cache_contents(operations):
     cache = make_cache()
     shadow = {}
 
-    def observer(digest, size_bytes, present):
+    def observer(device, digest, size_bytes, present):
+        assert device == "prop"
         if present:
             shadow[digest] = size_bytes
         else:  # evicted, removed or cleared

@@ -31,8 +31,8 @@ class TestReserveCommit:
     def test_reserved_digest_is_not_present_until_commit(self):
         cache = make_cache()
         events = []
-        cache.observer = lambda digest, size, present: events.append(
-            (present, digest)
+        cache.observer = lambda device, digest, size, present: (
+            events.append((present, digest))
         )
         cache.reserve(D[0], 40)
         assert D[0] not in cache
@@ -49,7 +49,9 @@ class TestReserveCommit:
     def test_release_frees_without_event(self):
         cache = make_cache()
         events = []
-        cache.observer = lambda digest, size, present: events.append(present)
+        cache.observer = lambda device, digest, size, present: (
+            events.append(present)
+        )
         cache.reserve(D[0], 40)
         assert cache.release(D[0]) is True
         assert cache.release(D[0]) is False
@@ -62,6 +64,22 @@ class TestReserveCommit:
         cache.reserve(D[0], 10)
         with pytest.raises(ReservationError):
             cache.reserve(D[0], 10)
+
+    def test_a_reservation_map_lives_only_while_a_reservation_does(self):
+        first, second = make_cache(), make_cache()
+        idle = second._reserved  # the shared empty default
+        first.reserve(D[0], 10)
+        first.reserve(D[1], 20)
+        assert first._reserved is not idle
+        assert not second.is_reserved(D[0]) and not idle
+        assert first.commit(D[0]) is True
+        assert first.is_reserved(D[1])
+        assert first.release(D[1]) is True
+        assert first._reserved is idle
+        assert first.reserved_bytes == 0
+        first.reserve(D[2], 30)
+        assert first.reserved_bytes == 30
+        assert first.evictions == [] and second.evictions == []
 
     def test_reserve_of_present_digest_is_refresh(self):
         cache = make_cache()
@@ -248,7 +266,7 @@ class TestObserver:
             cache.reserve(D[1], 30)
         seen = []
 
-        def broken(digest, size, present):
+        def broken(device, digest, size, present):
             seen.append((digest, present))
             raise RuntimeError("observer bug")
 

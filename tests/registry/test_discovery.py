@@ -383,6 +383,24 @@ class TestViewCapFloor:
         # cap then drops it; h2 is already known and does not.
         assert disc.records_sent == sent + 1
 
+    def test_a_repeated_payload_can_readmit_a_tombstone_the_cap_outran(self):
+        # The capped merge is not idempotent.  The cap drops a's newer
+        # present record for b's, so nothing is left to outrank a's
+        # older tombstone when the same payload comes again.
+        disc = GossipDiscovery(view_cap=1, seed=1)
+        viewer = disc.observer
+        offer(disc, viewer, D[0], ("a", _version_key(2, 1, True)))
+        payload = (
+            ("a", _version_key(1, 5, False)), ("b", _version_key(3, 1, True))
+        )
+        offer(disc, viewer, D[0], *payload)
+        assert disc._views[viewer][D[0]] == {"b": _version_key(3, 1, True)}
+        offer(disc, viewer, D[0], *payload)
+        assert disc._views[viewer][D[0]] == {
+            "b": _version_key(3, 1, True), "a": _version_key(1, 5, False)
+        }
+        assert disc.view(viewer, D[0]) == {"b"}
+
 
 # ----------------------------------------------------------------------
 # the pull path falls back through the registry chain on stale views

@@ -108,6 +108,34 @@ class TestPeerIndex:
         with pytest.raises(ValueError):
             index.register_cache("a", small_cache(100, "a"))
 
+    def test_caches_share_one_observer_until_forward_changes(self):
+        index = PeerIndex()
+        a, b, c = (small_cache(100, name) for name in "abc")
+        index.register_cache("a", a)
+        index.register_cache("b", b)
+        assert a.observer is b.observer
+        seen = []
+        index.forward = lambda *change: seen.append(change)
+        index.register_cache("c", c)
+        assert c.observer is not a.observer
+        a.add(D[0], 10)
+        c.add(D[0], 10)
+        # Only the cache registered after ``forward`` was set reports
+        # to it, and the index hears both.
+        assert seen == [("c", D[0], 10, True)]
+        assert index.holders(D[0]) == {"a", "c"}
+
+    def test_registration_names_an_unnamed_cache_and_refuses_another(self):
+        index = PeerIndex()
+        unnamed = ImageCache(1.0)
+        index.register_cache("a", unnamed)
+        assert unnamed.device == "a"
+        unnamed.add(D[0], 10)
+        assert index.holders(D[0]) == {"a"}
+        with pytest.raises(ValueError, match="cannot register as 'b'"):
+            index.register_cache("b", small_cache(100, "c"))
+        assert index.devices() == ["a"]
+
 
 # ----------------------------------------------------------------------
 # PeerSwarm lookup

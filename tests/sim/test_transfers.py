@@ -272,6 +272,53 @@ class TestEstimatedTransfer:
             "hub", "small", 1000.0, src_is_registry=True
         ) == pytest.approx(200.0)
 
+    def test_estimating_an_unstarted_pair_creates_no_link(self):
+        engine = self.engine()
+        engine.start("medium", "small", 500 * MB)
+        before = engine.links()
+        assert engine.estimated_transfer_s(
+            "hub", "small", 1000.0, src_is_registry=True
+        ) == pytest.approx(100.0)
+        assert engine.links() == before
+
+
+class TestPathCache:
+    """The engine resolves each pair's path once, into its live links,
+    and resolves it again after any topology change."""
+
+    def test_a_pair_reuses_its_resolved_links(self):
+        engine = TransferEngine(Simulator(), star_network())
+        first = engine.start("origin", "d0", 10 * MB, src_is_registry=True)
+        second = engine.start("origin", "d0", 10 * MB, src_is_registry=True)
+        assert second.links is first.links
+
+    def test_topology_change_reaches_the_next_transfer(self):
+        network = star_network()
+        sim = Simulator()
+        engine = TransferEngine(sim, network)
+        first = engine.start("origin", "d0", 10 * MB, src_is_registry=True)
+        assert [link.name for link in first.links] == ["chan:origin->d0"]
+        assert first.rate_mbps == 80.0
+        sim.run()
+        network.set_downlink("d0", 40.0)
+        second = engine.start("origin", "d0", 10 * MB, src_is_registry=True)
+        assert [link.name for link in second.links] == [
+            "chan:origin->d0", "down:d0"
+        ]
+        assert second.links[0] is first.links[0]
+        assert second.rate_mbps == 40.0
+        assert engine.estimated_transfer_s(
+            "origin", "d0", 100.0, src_is_registry=True
+        ) == pytest.approx(100.0 * 8 / 20.0)
+
+    def test_a_changed_live_link_still_fails_loudly(self):
+        network = star_network(downlink_mbps=40.0)
+        engine = TransferEngine(Simulator(), network)
+        engine.start("origin", "d0", 10 * MB, src_is_registry=True)
+        network.set_downlink("d0", 60.0)
+        with pytest.raises(ValueError, match="capacity changed"):
+            engine.start("origin", "d0", 10 * MB, src_is_registry=True)
+
 
 class TestUploadBudgets:
     def test_budget_exhaustion_raises_and_slot_frees_on_completion(self):
