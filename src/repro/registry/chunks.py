@@ -249,6 +249,7 @@ class _LayerFetch:
     __slots__ = (
         "cmap",
         "pending",
+        "tiebreaks",
         "done",
         "inflight",
         "dup_requested",
@@ -259,6 +260,9 @@ class _LayerFetch:
     def __init__(self, cmap: ChunkMap, outcome: ChunkFetchOutcome) -> None:
         self.cmap = cmap
         self.pending: Set[int] = set(range(cmap.n_chunks))
+        # Each chunk's rarest-first tie-break for the fetching device,
+        # computed at the fetch's first claim.
+        self.tiebreaks: Optional[List[int]] = None
         self.done: Set[int] = set()
         # chunk index -> list of (transfer, kind, source) currently on
         # the wire for it (more than one only during endgame).
@@ -352,17 +356,25 @@ class ChunkSwarmPlanner:
         Rarity counts the holders ``device`` can see: full replicas in
         its discovery view (unverified — verification happens at fetch
         time) plus partial holders in the ledger.  Ties fall to the
-        seeded :meth:`_tiebreak`, then to the index.
+        seeded :meth:`_tiebreak`, then to the index.  One fetch claims
+        for one device, so the first claim computes every chunk's
+        tie-break and later claims read them.
         """
         if not st.pending:
             return None
         layer = st.cmap.layer_digest
+        tiebreaks = st.tiebreaks
+        if tiebreaks is None:
+            tiebreaks = st.tiebreaks = [
+                self._tiebreak(device, layer, i)
+                for i in range(st.cmap.n_chunks)
+            ]
         full = self._full_holders(device, layer)
         best = min(
             st.pending,
             key=lambda i: (
                 len(full | (self.ledger.chunk_holders(layer, i) - {device})),
-                self._tiebreak(device, layer, i),
+                tiebreaks[i],
                 i,
             ),
         )

@@ -53,6 +53,7 @@ from ..model.network import NetworkModel
 from ..model.units import bytes_to_mb, require_positive
 from ..sim.engine import Simulator
 from ..sim.transfers import (
+    Transfer,
     TransferCancelled,
     TransferEngine,
     UploadBudgetExceeded,
@@ -814,8 +815,9 @@ class P2PRegistry:
             excluded: Optional[Set[str]] = None
             # Excluded seeders whose full upload budget will free a slot.
             busy: Tuple[str, ...] = ()
-            while True:
-                try:
+            transfer: Optional[Transfer] = None
+            try:
+                while True:
                     best, misses, excluded = self._resolve_verified(
                         layer.digest, layer.size_bytes, device, cache,
                         excluded, busy,
@@ -825,54 +827,59 @@ class P2PRegistry:
                         self._meter(
                             layer.digest, device, sim, metered, best.source
                         )
-                except Exception:
-                    # The reservation must not outlive the pull.
-                    cache.release(layer.digest)
-                    raise
-                if best is None:
-                    # Only saturated seeders are left: they are busy,
-                    # not gone, so wait for a free slot.  ``busy`` names
-                    # excluded seeders, so ``excluded`` exists.
-                    yield engine.upload_slot_freed(busy)
-                    excluded.difference_update(busy)
-                    busy = ()
-                    continue
-                try:
-                    transfer = engine.start(
-                        best.source,
-                        device,
-                        layer.size_bytes,
-                        src_is_registry=best.kind is SourceKind.REGISTRY,
-                        digest=layer.digest,
-                    )
-                except UploadBudgetExceeded:
-                    excluded = _exclude(excluded, best.source)
-                    if engine.uploads_in_flight(best.source):
-                        busy += (best.source,)
-                    continue
-                fetch_start = sim.now
-                try:
-                    yield transfer.done
-                except TransferCancelled:
-                    # Whole-layer restart: everything the dead transfer
-                    # already delivered is thrown away.  Metering it is
-                    # the baseline the chunked path improves on (only
-                    # the cancelled *chunk*'s progress is lost there).
-                    wasted_bytes += transfer.moved_bytes
-                    excluded = _exclude(excluded, best.source)
-                    continue
-                cache.commit(layer.digest)
-                sources.append(
-                    LayerSource(
-                        layer.digest,
-                        layer.size_bytes,
-                        best.kind,
-                        best.source,
-                        sim.now - fetch_start,
-                    )
+                    if best is None:
+                        # Only saturated seeders are left: they are busy,
+                        # not gone, so wait for a free slot.  ``busy``
+                        # names excluded seeders, so ``excluded`` exists.
+                        yield engine.upload_slot_freed(busy)
+                        excluded.difference_update(busy)
+                        busy = ()
+                        continue
+                    try:
+                        transfer = engine.start(
+                            best.source,
+                            device,
+                            layer.size_bytes,
+                            src_is_registry=best.kind is SourceKind.REGISTRY,
+                            digest=layer.digest,
+                        )
+                    except UploadBudgetExceeded:
+                        excluded = _exclude(excluded, best.source)
+                        if engine.uploads_in_flight(best.source):
+                            busy += (best.source,)
+                        continue
+                    fetch_start = sim.now
+                    try:
+                        yield transfer.done
+                    except TransferCancelled:
+                        # Whole-layer restart: everything the dead
+                        # transfer already delivered is thrown away.
+                        # Metering it is the baseline the chunked path
+                        # improves on (only the cancelled *chunk*'s
+                        # progress is lost there).
+                        wasted_bytes += transfer.moved_bytes
+                        excluded = _exclude(excluded, best.source)
+                        continue
+                    break
+            except BaseException:
+                # A failed resolve or metering, or the pull closed while
+                # it waits: neither the transfer nor the reservation may
+                # outlive the pull.
+                if transfer is not None:
+                    engine.cancel(transfer, reason="pull aborted")
+                cache.release(layer.digest)
+                raise
+            cache.commit(layer.digest)
+            sources.append(
+                LayerSource(
+                    layer.digest,
+                    layer.size_bytes,
+                    best.kind,
+                    best.source,
+                    sim.now - fetch_start,
                 )
-                self.swarm.record_demand(layer.digest, device)
-                break
+            )
+            self.swarm.record_demand(layer.digest, device)
         return P2PPullResult(
             reference=reference,
             registry=resolved_registry.name,

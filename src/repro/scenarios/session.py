@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Generator, Optional
 
 from ..model.device import Arch
 from ..registry.base import ImageReference
@@ -343,6 +343,11 @@ class SimulationSession:
         front, each first sleeping until its arrival, gives them, so
         every outcome is unchanged; only the kernel's event count
         drops, by one less than the number of scheduled pulls.
+
+        Pulls still in flight at the horizon are closed in schedule
+        order once every outcome counter is read: their transfers are
+        cancelled and their reservations released before ``run()``
+        returns, so the engine ends with nothing in flight.
         """
         if self._ran:
             raise RuntimeError(
@@ -365,7 +370,9 @@ class SimulationSession:
             # The sampler loop is the session's only telemetry process.
             # It ticks on daemon timeouts (never extends a horizonless
             # run) and is scheduled *only* when sampling is on, so the
-            # default event sequence is untouched.
+            # default event sequence is untouched.  Its ticks are
+            # observer timeouts, so they never keep two co-started
+            # transfers' handshakes apart (TransferEngine batches them).
             discovery, index = self.discovery, self.swarm.index
 
             def sample_now() -> None:
@@ -380,7 +387,9 @@ class SimulationSession:
             def metrics_loop():
                 sample_now()
                 while True:
-                    yield sim.timeout(metrics.period_s, daemon=True)
+                    yield sim.timeout(
+                        metrics.period_s, daemon=True, observer=True
+                    )
                     sample_now()
 
             sim.process(metrics_loop())
@@ -401,47 +410,56 @@ class SimulationSession:
                     outcome.bytes_by_registry.get(registry, 0) + count
                 )
 
-        def one_pull(at_s: float, device: str, ref: ImageReference):
-            if churn_process is not None and not churn_process.is_online(
-                device
-            ):
-                # The device churned out before its pull arrived; a real
-                # workload would reschedule elsewhere — here the skip is
-                # counted so byte totals are never silently short.
-                outcome.skipped_pulls += 1
-                return
-            busy[device] = busy.get(device, 0) + 1
+        # Pulls that arrived and have not finished, by schedule index.
+        in_flight: Dict[int, Generator] = {}
+
+        def one_pull(i: int, at_s: float, device: str, ref: ImageReference):
             try:
-                if engine is None:
-                    result = facade.pull(
-                        ref, Arch.AMD64, device, caches[device], now_s=sim.now
-                    )
-                    account(result)
-                    if result.seconds > 0:
-                        yield sim.timeout(result.seconds)
-                    # account() ran at pull start (analytic admission is
-                    # instant); the makespan must cover the modelled
-                    # sleep.
-                    outcome.makespan_s = max(outcome.makespan_s, sim.now)
-                    outcome.longest_pull_s = max(
-                        outcome.longest_pull_s, sim.now - at_s
-                    )
-                else:
-                    result = yield from facade.pull_process(
-                        ref, Arch.AMD64, device, caches[device], engine
-                    )
-                    account(result)
-                    outcome.longest_pull_s = max(
-                        outcome.longest_pull_s, sim.now - at_s
-                    )
+                if churn_process is not None and not churn_process.is_online(
+                    device
+                ):
+                    # The device churned out before its pull arrived; a
+                    # real workload would reschedule elsewhere — here the
+                    # skip is counted so byte totals are never silently
+                    # short.
+                    outcome.skipped_pulls += 1
+                    return
+                busy[device] = busy.get(device, 0) + 1
+                try:
+                    if engine is None:
+                        result = facade.pull(
+                            ref, Arch.AMD64, device, caches[device],
+                            now_s=sim.now,
+                        )
+                        account(result)
+                        if result.seconds > 0:
+                            yield sim.timeout(result.seconds)
+                        # account() ran at pull start (analytic admission
+                        # is instant); the makespan must cover the
+                        # modelled sleep.
+                        outcome.makespan_s = max(outcome.makespan_s, sim.now)
+                        outcome.longest_pull_s = max(
+                            outcome.longest_pull_s, sim.now - at_s
+                        )
+                    else:
+                        result = yield from facade.pull_process(
+                            ref, Arch.AMD64, device, caches[device], engine
+                        )
+                        account(result)
+                        outcome.longest_pull_s = max(
+                            outcome.longest_pull_s, sim.now - at_s
+                        )
+                finally:
+                    busy[device] -= 1
             finally:
-                busy[device] -= 1
+                del in_flight[i]
+
+        def start_pull(i: int):
+            pull = in_flight[i] = one_pull(i, *schedule[i])
+            return pull
 
         schedule = scenario.schedule
-        sim.process_at(
-            [at_s for at_s, _device, _ref in schedule],
-            lambda i: one_pull(*schedule[i]),
-        )
+        sim.process_at([at_s for at_s, _device, _ref in schedule], start_pull)
 
         if self.replicator is not None:
             sim.process(self.replicator.process())
@@ -471,6 +489,12 @@ class SimulationSession:
             # capture's goes to its profile.json, never to what the
             # run prints.
             outcome.engine_profile = self.engine_profile.summary()
+        # Every counter is read: abort the pulls the horizon cut off, in
+        # schedule order, so their transfers are cancelled and their
+        # reservations released inside the run, not whenever the
+        # collector closes their generators.
+        for pull in list(in_flight.values()):
+            pull.close()
         outcome.wall_build_s = self._wall_build_s
         outcome.wall_run_s = perf_counter() - t0
         return outcome

@@ -133,14 +133,26 @@ class Simulator:
         return Event(self._queue)
 
     def timeout(
-        self, delay: float, value: Any = None, daemon: bool = False
+        self,
+        delay: float,
+        value: Any = None,
+        daemon: bool = False,
+        observer: bool = False,
     ) -> Timeout:
         """An event firing ``delay`` seconds from now.
 
         ``daemon=True`` marks a background wake-up that does not keep
-        a horizonless :meth:`run` alive (see :class:`Timeout`).
+        a horizonless :meth:`run` alive; ``observer=True`` one whose
+        processing only reads state (see :class:`Timeout`).
         """
-        return Timeout(self._queue, delay, value, daemon=daemon)
+        return Timeout(
+            self._queue, delay, value, daemon=daemon, observer=observer
+        )
+
+    def last_scheduled(self) -> Optional[Event]:
+        """The latest non-observer event queued, unless numbers were
+        reserved since (:meth:`EventQueue.last_scheduled`)."""
+        return self._queue.last_scheduled()
 
     def process(self, generator: ProcessGenerator) -> Process:
         """Start a process; returns its completion event."""

@@ -140,6 +140,10 @@ class Timeout(Event):
     not keep a horizonless ``run()`` going — eternal periodic
     processes (gossip anti-entropy, churn) yield these so simulations
     that drain the queue still terminate.
+
+    ``observer=True`` marks a wake-up whose processing only reads
+    state (the metrics sampler's tick): it is never
+    :meth:`EventQueue.last_scheduled`.
     """
 
     __slots__ = ("delay",)
@@ -150,6 +154,7 @@ class Timeout(Event):
         delay: float,
         value: Any = None,
         daemon: bool = False,
+        observer: bool = False,
     ) -> None:
         if not delay >= 0:  # NaN compares false
             raise ValueError(f"negative or NaN timeout: {delay}")
@@ -158,7 +163,7 @@ class Timeout(Event):
         self.delay = delay
         self._triggered = True
         self._value = value
-        env.schedule(self, delay)
+        env.schedule(self, delay, observer)
 
 
 class EventQueue:
@@ -169,6 +174,7 @@ class EventQueue:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._foreground = 0
+        self._last: Optional[Event] = None
 
     @property
     def now(self) -> float:
@@ -179,18 +185,40 @@ class EventQueue:
         """Scheduled non-daemon events still awaiting processing."""
         return self._foreground
 
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Enqueue ``event`` to process at ``now + delay``."""
+    def schedule(
+        self, event: Event, delay: float = 0.0, observer: bool = False
+    ) -> None:
+        """Enqueue ``event`` to process at ``now + delay``.
+
+        An ``observer`` event (one whose processing only reads state)
+        does not become :meth:`last_scheduled`.
+        """
         if not delay >= 0:  # NaN compares false
             raise ValueError(f"negative or NaN delay: {delay}")
         event._queued = True
         if not event.daemon:
             self._foreground += 1
+        if not observer:
+            self._last = event
         heapq.heappush(self._heap, (self._now + delay, next(self._seq), event))
+
+    def last_scheduled(self) -> Optional[Event]:
+        """The event the latest :meth:`schedule` queued, observer events
+        excepted; None once :meth:`reserve` has taken numbers since.
+
+        While a pending event is still the last one scheduled, an event
+        scheduled now for the same instant sorts right behind it: only
+        observer events can have taken a number in between, so nothing
+        else can run between the two.  :meth:`schedule_at` leaves it
+        alone, because it queues under a number reserved earlier, which
+        sorts before both.
+        """
+        return self._last
 
     def reserve(self, count: int) -> int:
         """Take ``count`` (>= 1) consecutive sequence numbers for
         :meth:`schedule_at`; returns the first."""
+        self._last = None
         first = next(self._seq)
         self._seq = itertools.count(first + count)
         return first

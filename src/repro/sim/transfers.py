@@ -281,6 +281,9 @@ class TransferEngine:
     scale benchmarks can compare the work directly.  Predicted
     completions are indexed with one heap entry per solved component,
     and the single wake is armed at the earliest live entry.
+    Transfers whose latency handshakes the kernel would process back
+    to back join their links under one recompute
+    (:meth:`_await_handshake`).
 
     Upload budgets
     --------------
@@ -323,6 +326,10 @@ class TransferEngine:
         self._ids = itertools.count()
         self._generation = 0
         self._wake: Optional[Event] = None
+        # The open handshake batch: an event whose value lists the
+        # transfers it activates, and the instant it is due.
+        self._handshake: Optional[Event] = None
+        self._handshake_due = 0.0
         # The component deadline index: a lazy min-heap of (earliest
         # member deadline, seq, component); an entry whose component is
         # no longer live is skipped when it surfaces.
@@ -447,10 +454,9 @@ class TransferEngine:
         if not src_is_registry:
             self._uploads.setdefault(src, {})[transfer.id] = transfer
         if latency_s > 0:
-            handshake = self.sim.timeout(latency_s)
-            handshake.add_callback(lambda _evt, t=transfer: self._activate(t))
+            self._await_handshake(transfer)
         else:
-            self._activate(transfer)
+            self._activate((transfer,))
         return transfer
 
     def cancel(self, transfer: Transfer, reason: str = "") -> bool:
@@ -672,25 +678,73 @@ class TransferEngine:
             )
         return link
 
-    def _activate(self, transfer: Transfer) -> None:
-        """Latency elapsed: the transfer joins its links."""
-        if transfer.cancelled:
-            return
-        if transfer.remaining_mb <= _EPS_MB or not transfer.links:
-            # Zero payload (or loopback): done as soon as the
-            # handshake completes — it never occupies a link.
-            self._finish(transfer)
-            return
-        transfer.active = True
-        transfer.settled_s = self.sim.now
-        self._active[transfer.id] = transfer
-        for link in transfer.links:
-            link.transfers[transfer.id] = transfer
-        self._recompute(transfer.links)
+    def _await_handshake(self, transfer: Transfer) -> None:
+        """Activate ``transfer`` once its latency elapses.
+
+        Handshakes the kernel would process back to back share one
+        event: a transfer whose handshake is due at the same instant as
+        the open batch's, while that batch's event is still the last
+        one the queue scheduled, joins the batch instead of queueing its
+        own.  Nothing but observer events could run between the two
+        handshakes, so activating them together changes no outcome.
+        """
+        sim = self.sim
+        due = sim.now + transfer.latency_s
+        handshake = self._handshake
+        if (
+            handshake is None
+            or due != self._handshake_due
+            or sim.last_scheduled() is not handshake
+        ):
+            handshake = sim.timeout(transfer.latency_s, [])
+            handshake.add_callback(self._on_handshake)
+            self._handshake = handshake
+            self._handshake_due = due
+        handshake.value.append(transfer)
+
+    def _on_handshake(self, handshake: Event) -> None:
+        if handshake is self._handshake:
+            self._handshake = None
+        self._activate(handshake.value)
+
+    def _activate(self, transfers: Sequence[Transfer]) -> None:
+        """Latency elapsed: the transfers join their links in start
+        order, and one recompute re-solves the union of their links.
+
+        A transfer cancelled in its latency window is skipped.  A
+        zero-payload (or loopback) one finishes here: it never occupies
+        a link.  The links joined before it are re-solved first, so the
+        events its finish schedules follow the wake that re-solve arms,
+        exactly as they did when every transfer had its own handshake.
+        """
+        now = self.sim.now
+        seeds: List[Link] = []
+        for transfer in transfers:
+            if transfer.cancelled:
+                continue
+            if transfer.remaining_mb <= _EPS_MB or not transfer.links:
+                if seeds:
+                    self._recompute(seeds)
+                    seeds = []
+                self._finish(transfer)
+                continue
+            transfer.active = True
+            transfer.settled_s = now
+            self._active[transfer.id] = transfer
+            for link in transfer.links:
+                link.transfers[transfer.id] = transfer
+            seeds.extend(transfer.links)
+        if seeds:
+            self._recompute(seeds)
 
     def _detach(self, transfer: Transfer) -> None:
         transfer.active = False
-        self._active.pop(transfer.id, None)
+        active = self._active
+        active.pop(transfer.id, None)
+        if not active:
+            # Like a link's occupant table below: free the grown table
+            # once the last transfer leaves.
+            active.clear()
         component = transfer.component
         if component is not None:
             # Retire the indexed component: a cancelled transfer alone

@@ -8,7 +8,9 @@ experiments share one scenario across the modes they compare.
 
 import dataclasses
 import gc
+import hashlib
 import inspect
+import json
 
 import pytest
 
@@ -24,7 +26,7 @@ from repro.scenarios import (
     WorkloadSpec,
     build_swarm_scenario,
 )
-from repro.sim.transfers import TransferModel
+from repro.sim.transfers import TransferEngine, TransferModel
 
 
 def _small_spec(**kwargs) -> ScenarioSpec:
@@ -300,3 +302,64 @@ class TestRunMemory:
             del gc.garbage[:]
             gc.enable()
         assert not collected, collected
+
+
+class TestHorizonCut:
+    """A horizon that cuts pulls off mid-fetch.  Once every outcome
+    counter is read, ``run()`` closes the in-flight pulls in schedule
+    order, so their transfers are cancelled and their reservations
+    released inside the run, not by the cyclic collector."""
+
+    #: (preset, horizon, outcome digest: the first 8 hex digits of the
+    #: sha256 of the sorted-key JSON of the deterministic outcome
+    #: dict).  Closing the cut pulls changes no outcome field.  At 7 s
+    #: the chunked wave has handshake batches of four pending.
+    CUTS = [
+        ("p2p-chunked", 30.0, "a6b2243c"),
+        ("p2p-chunked", 7.0, "d93f072b"),
+        ("p2p-contended", 10.0, "9da5705c"),
+    ]
+
+    @pytest.mark.parametrize("preset, horizon_s, digest", CUTS)
+    def test_run_aborts_the_pulls_the_horizon_cut_off(
+        self, monkeypatch, preset, horizon_s, digest
+    ):
+        victims = []
+        cancel_batch = TransferEngine._cancel_batch
+
+        def counting_cancel_batch(engine, transfers, reason):
+            transfers = list(transfers)
+            waiting = sum(
+                1 for t in transfers
+                if not (t.active or t.cancelled or t.completed_s is not None)
+            )
+            victims.append((cancel_batch(engine, transfers, reason), waiting))
+            return victims[-1][0]
+
+        monkeypatch.setattr(
+            TransferEngine, "_cancel_batch", counting_cancel_batch
+        )
+        spec = scenarios.with_overrides(
+            scenarios.get(preset), {"workload.horizon_s": horizon_s}
+        )
+        session = SimulationSession(spec)
+        outcome = session.run()
+        deterministic = scenarios.deterministic_outcome_dict(outcome.to_dict())
+        blob = json.dumps(deterministic, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest()[:8] == digest
+        assert outcome.unfinished_pulls > 0
+        engine = session.engine
+        assert not engine.active_transfers
+        # Nothing is left in its latency window either: every transfer
+        # the run started finished or was cancelled.
+        assert engine.started == engine.completed + engine.cancellations
+        assert not any(engine.uploads_in_flight(d) for d in session.caches)
+        assert all(c.reserved_bytes == 0 for c in session.caches.values())
+        assert victims and sum(n for n, _ in victims) > 0
+        if horizon_s == 7.0:
+            assert sum(waiting for _, waiting in victims) >= 4
+        # The collector finds nothing left to abort.
+        aborted = len(victims)
+        del session, engine, outcome
+        gc.collect()
+        assert len(victims) == aborted

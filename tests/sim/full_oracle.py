@@ -74,19 +74,22 @@ class FullModeEngine(TransferEngine):
         # As fresh as the last engine event, not as of now.
         return transfer.remaining_mb
 
-    def _activate(self, transfer: Transfer) -> None:
-        if transfer.cancelled:
-            return
-        if transfer.remaining_mb <= _EPS_MB or not transfer.links:
-            self._finish(transfer)
-            return
-        self._settle()
-        transfer.active = True
-        transfer.settled_s = self.sim.now
-        self._active[transfer.id] = transfer
-        for link in transfer.links:
-            link.transfers[transfer.id] = transfer
-        self._recompute()
+    def _activate(self, transfers: Sequence[Transfer]) -> None:
+        # Full mode activates each transfer of a handshake batch on its
+        # own, as when every transfer had its own handshake event.
+        for transfer in transfers:
+            if transfer.cancelled:
+                continue
+            if transfer.remaining_mb <= _EPS_MB or not transfer.links:
+                self._finish(transfer)
+                continue
+            self._settle()
+            transfer.active = True
+            transfer.settled_s = self.sim.now
+            self._active[transfer.id] = transfer
+            for link in transfer.links:
+                link.transfers[transfer.id] = transfer
+            self._recompute()
 
     def _settle(self) -> None:
         """Account progress made at the current rates since the last

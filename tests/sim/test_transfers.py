@@ -11,6 +11,8 @@ The Hypothesis invariants here are the acceptance bar of the engine:
     from that instant on.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -390,6 +392,29 @@ class TestUploadBudgets:
             engine.start("d0", "d1", 10 * MB)
         with pytest.raises(ValueError, match="none has an upload in flight"):
             engine.upload_slot_freed(("d0",))
+
+
+class TestIdleTables:
+    def test_an_idle_engine_frees_its_grown_tables(self):
+        # A dict keeps its grown table after its last pop; once the
+        # last transfer leaves, the active table and every link's
+        # occupant table are cleared back to an empty dict's size.
+        network = star_network(n_devices=40, uplink_mbps=400.0)
+        sim = Simulator()
+        engine = TransferEngine(sim, network)
+        for i in range(40):
+            run_transfer(
+                sim, engine, "origin", f"d{i}", (i + 1) * MB,
+                src_is_registry=True,
+            )
+        sim.run(until=0.5)
+        assert len(engine.active_transfers) == 40
+        sim.run()
+        empty = sys.getsizeof({})
+        assert sys.getsizeof(engine._active) == empty
+        assert all(
+            sys.getsizeof(link.transfers) == empty for link in engine.links()
+        )
 
 
 class TestPeakAccounting:

@@ -55,6 +55,37 @@ def test_quick_swarm_cell_is_bit_identical(quick_swarm_spec):
     assert on.engine_profile["recomputes"] > 0
 
 
+#: Sessions whose engines batch co-started transfers' handshakes, run
+#: with a metrics tick on every arrival instant (both presets stagger
+#: arrivals by 1 s).  In the contended cell the replicator also cycles
+#: every second: at t = 5 s a tick falls between a pull's peer transfer
+#: and a replicator copy that share a handshake instant, so a tick that
+#: kept them apart would add a recompute and move
+#: ``engine_transfers_visited``.
+BATCHING_CELLS = [
+    ("p2p-chunked", {}),
+    ("p2p-contended", {"replication.interval_s": 1.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, overrides", BATCHING_CELLS, ids=["chunked", "contended"]
+)
+def test_sampler_ticks_never_split_a_handshake_batch(preset, overrides):
+    spec = scenarios.with_overrides(scenarios.get(preset), overrides)
+    off, off_session = _outcome(spec)
+    on, on_session = _outcome(
+        dataclasses.replace(
+            spec, telemetry=TelemetrySpec(trace=True, metrics_period_s=1.0)
+        )
+    )
+    assert deterministic_outcome_dict(on.to_dict()) == (
+        deterministic_outcome_dict(off.to_dict())
+    )
+    assert on_session.engine.recomputes == off_session.engine.recomputes
+    assert len(on_session.metrics) > 0
+
+
 def test_default_spec_keeps_telemetry_off(quick_swarm_spec):
     _, session = _outcome(quick_swarm_spec)
     assert session.trace is None
