@@ -414,27 +414,20 @@ def _guarded(
                 return True
         return False
 
+    # ``child`` is always ``ancestor``'s direct child, so identity says
+    # which branch of the conditional holds the emission.
     child = node
     for ancestor in ctx.ancestors(node):
         if isinstance(ancestor, ast.If):
-            in_body = any(
-                child is stmt or _contains(stmt, child)
-                for stmt in ancestor.body
-            )
+            in_body = any(stmt is child for stmt in ancestor.body)
             if test_checks(ancestor.test, want_not_none=in_body):
                 return True
         elif isinstance(ancestor, ast.IfExp):
-            in_body = ancestor.body is child or _contains(
-                ancestor.body, child
-            )
+            in_body = ancestor.body is child
             if test_checks(ancestor.test, want_not_none=in_body):
                 return True
         child = ancestor
     return False
-
-
-def _contains(tree: ast.AST, node: ast.AST) -> bool:
-    return any(sub is node for sub in ast.walk(tree))
 
 
 @rule(

@@ -41,7 +41,10 @@ experiments read: the paper artefacts are deterministic.
 ``--json`` prints machine-readable structured results instead of text
 tables.  Sweeps fan cells across a worker pool and resume from the
 content-addressed results cache: re-running a finished sweep executes
-zero cells, and editing one axis re-runs only the new cells.
+zero cells, and editing one axis re-runs only the new cells.  A cell
+whose session raises becomes an error row that is never cached; the
+sweep still runs the rest of the grid, prints every row, names each
+failed cell's cache key on stderr and exits 1.
 
 Telemetry (see ``src/repro/telemetry/README.md``) hangs off one flag
 of the targets, ``all`` and ``scenario``::
@@ -95,17 +98,6 @@ def _observed(directory: Optional[str]) -> Iterator[None]:
     with telemetry.TelemetryCapture() as capture:
         yield
     capture.write(directory)
-
-
-def _profile_text(summary: Dict) -> str:
-    """One readable line for a profiled engine."""
-    return (
-        f"engine profile: {summary['recomputes']} recomputes "
-        f"({summary['recompute_ns_total'] / 1e6:.1f} ms total, "
-        f"max {summary['recompute_ns_max'] / 1e3:.0f} us), "
-        f"{summary['transfers_rerated']} transfers rerated, "
-        f"closure hist {summary['closure_size_hist']}"
-    )
 
 
 def _calibration_dict() -> dict:
@@ -212,8 +204,6 @@ def _outcome_text(preset: str, spec, outcome) -> str:
             f"({outcome.replicator.bytes_replicated / gb:.2f} GB), "
             f"converged={outcome.replicator.converged()}"
         )
-    if outcome.engine_profile is not None:
-        lines.append(_profile_text(outcome.engine_profile))
     return "\n".join(lines)
 
 
@@ -305,7 +295,7 @@ def _sweep_text(result) -> str:
     headline = [
         "pulls", "hit_ratio", "origin_bytes", "bytes_from_peers",
         "makespan_s", "stale_peer_misses", "gossip_records_sent",
-        "gossip_payloads_lost",
+        "gossip_payloads_lost", "error_type",
     ]
     columns = id_columns + [
         name for name in headline if any(name in row for row in result.rows)
@@ -388,7 +378,14 @@ def _run_sweep_command(args) -> int:
         print(json.dumps(result.to_dict(), indent=2))
     else:
         print(_sweep_text(result))
-    return 0
+    failed = {row["key"]: row for row in result.rows if "error_type" in row}
+    for key, row in failed.items():
+        print(
+            f"sweep: cell {key} raised {row['error_type']}: "
+            f"{row['error_message']}",
+            file=sys.stderr,
+        )
+    return 1 if failed else 0
 
 
 def _run_calibration_command(args) -> int:

@@ -96,12 +96,6 @@ class CostMatrix:
         masked = np.where(self.feasible, self.energy_j, np.inf)
         return np.unravel_index(int(np.argmin(masked)), masked.shape)  # type: ignore[return-value]
 
-    def cell(self, registry: str, device: str) -> Tuple[float, float]:
-        """(energy_j, completion_s) of a named cell."""
-        g = self.registries.index(registry)
-        d = self.devices.index(device)
-        return float(self.energy_j[g, d]), float(self.completion_s[g, d])
-
 
 class CostTable:
     """Evaluates the paper's cost equations against scheduler state."""

@@ -9,7 +9,7 @@ distribution percentages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, Tuple
 
 from ..model.application import Application
 
@@ -59,10 +59,6 @@ class PlacementPlan:
         """``sched(m_i)``."""
         return self._get(service).device
 
-    def registry_of(self, service: str) -> str:
-        """``regist(m_i)``."""
-        return self._get(service).registry
-
     def _get(self, service: str) -> Assignment:
         try:
             return self.assignments[service]
@@ -70,14 +66,6 @@ class PlacementPlan:
             raise PlacementError(
                 f"{service!r} not in plan for {self.application!r}"
             ) from None
-
-    def devices(self) -> Mapping[str, str]:
-        """service → device mapping (what the cost model's ``Tc`` needs)."""
-        return {name: a.device for name, a in self.assignments.items()}
-
-    def covers(self, app: Application) -> bool:
-        """True when every microservice of ``app`` is assigned."""
-        return set(self.assignments) == set(app.microservices)
 
     def validate_against(self, app: Application) -> None:
         """Raise :class:`PlacementError` unless the plan covers ``app``.

@@ -51,12 +51,6 @@ class ScheduleResult:
     #: non-game schedulers).
     equilibria_found: Dict[str, int] = field(default_factory=dict)
 
-    def record_of(self, service: str) -> CostRecord:
-        for record in self.records:
-            if record.service == service:
-                return record
-        raise KeyError(service)
-
 
 class SchedulerBase:
     """Topological-sweep driver; subclasses implement :meth:`choose`."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..model.device import Device, Phase
 
@@ -35,14 +35,6 @@ class PowerSegment:
         if self.watts < 0:
             raise ValueError(f"negative power: {self.watts}")
 
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
-    @property
-    def energy_j(self) -> float:
-        return self.watts * self.duration_s
-
 
 class PowerTrace:
     """Append-only, time-ordered power history of one device.
@@ -61,15 +53,6 @@ class PowerTrace:
 
     def __len__(self) -> int:
         return len(self._segments)
-
-    @property
-    def segments(self) -> List[PowerSegment]:
-        return list(self._segments)
-
-    @property
-    def end_s(self) -> float:
-        """End time of the last segment (0 for an empty trace)."""
-        return self._segments[-1].end_s if self._segments else 0.0
 
     def record(
         self,
@@ -127,12 +110,3 @@ class PowerTrace:
             if overlap > 0:
                 energy += (segment.watts - self.device.power.static_watts) * overlap
         return energy
-
-    def total_energy_j(self, until_s: Optional[float] = None) -> float:
-        """Energy from t=0 to ``until_s`` (default: last segment end)."""
-        return self.energy_between_j(0.0, self.end_s if until_s is None else until_s)
-
-    def active_energy_j(self) -> float:
-        """Energy above static over all recorded segments (``Ea``)."""
-        static = self.device.power.static_watts
-        return sum((s.watts - static) * s.duration_s for s in self._segments)

@@ -1,12 +1,7 @@
 """Energy measurement substrate: RAPL-style counters (Intel), sampled
 wall-plug metering (ARM), and ledger aggregation for the figures."""
 
-from .accounting import (
-    EnergyLedger,
-    Reconciliation,
-    ServiceEnergy,
-    reconcile,
-)
+from .accounting import EnergyLedger
 from .powermeter import MeterReading, PowerMeter, PowerSample
 from .rapl import (
     COUNTER_WRAP_UJ,
@@ -24,7 +19,4 @@ __all__ = [
     "PowerSample",
     "RaplMeasurement",
     "RaplMeter",
-    "Reconciliation",
-    "ServiceEnergy",
-    "reconcile",
 ]

@@ -34,18 +34,8 @@ class RaplMeasurement:
     pkg_uj: float
 
     @property
-    def duration_s(self) -> float:
-        return self.end_s - self.begin_s
-
-    @property
     def energy_j(self) -> float:
         return self.pkg_uj / 1e6
-
-    @property
-    def average_watts(self) -> float:
-        if self.duration_s == 0:
-            return 0.0
-        return self.energy_j / self.duration_s
 
 
 class MeasurementError(RuntimeError):

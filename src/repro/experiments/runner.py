@@ -56,9 +56,6 @@ class ExperimentResult:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def column(self, name: str) -> List[Any]:
-        return [row[name] for row in self.rows]
-
     def to_dict(self) -> Dict[str, Any]:
         """A plain JSON-safe dict (the CLI's ``--json`` payload)."""
         return {

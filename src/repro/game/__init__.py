@@ -10,12 +10,7 @@ The scheduler and the A3 solver ablation run these four:
 * :func:`fictitious_play` — learning dynamics (ablation)
 """
 
-from .dilemma import (
-    coordination_game,
-    energy_game,
-    matching_pennies,
-    prisoners_dilemma,
-)
+from .dilemma import energy_game
 from .fictitious_play import FictitiousPlayResult, exploitability, fictitious_play
 from .lemke_howson import DegenerateGameError, lemke_howson, lemke_howson_all
 from .normal_form import (
@@ -23,7 +18,6 @@ from .normal_form import (
     NormalFormGame,
     as_strategy,
     dedupe_equilibria,
-    support,
 )
 from .pure import pure_equilibria
 from .support_enumeration import all_equilibria, support_enumeration
@@ -35,16 +29,12 @@ __all__ = [
     "NormalFormGame",
     "all_equilibria",
     "as_strategy",
-    "coordination_game",
     "dedupe_equilibria",
     "energy_game",
     "exploitability",
     "fictitious_play",
     "lemke_howson",
     "lemke_howson_all",
-    "matching_pennies",
-    "prisoners_dilemma",
     "pure_equilibria",
-    "support",
     "support_enumeration",
 ]

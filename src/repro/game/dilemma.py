@@ -1,18 +1,13 @@
-"""Prisoner's-dilemma constructors and the DEEP payoff framing.
+"""The DEEP payoff framing: a cost tensor slice as a two-player game.
 
 The paper models registry/device selection "using the prisoner dilemma
 model within the nash equilibrium to optimize energy consumption
 through cooperation between microservices and devices" (Sec. III-E).
 
-This module provides
-
-* the textbook dilemma (for tests and documentation),
-* :func:`energy_game` — the transformation DEEP applies to a cost
-  tensor slice: payoffs are *negated energies* (players maximise, the
-  system minimises energy), optionally perturbed by congestion
-  penalties that create the dilemma's cooperate/defect tension, and
-* :func:`classic games <matching_pennies>` used to exercise the
-  solvers from multiple angles.
+:func:`energy_game` is the transformation DEEP applies to a cost tensor
+slice: payoffs are *negated energies* (players maximise, the system
+minimises energy), optionally perturbed by congestion penalties that
+create the dilemma's cooperate/defect tension.
 """
 
 from __future__ import annotations
@@ -22,43 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .normal_form import NormalFormGame
-
-
-def prisoners_dilemma(
-    reward: float = 3.0,
-    temptation: float = 5.0,
-    sucker: float = 0.0,
-    punishment: float = 1.0,
-) -> NormalFormGame:
-    """The canonical 2×2 dilemma (row 0 / col 0 = cooperate).
-
-    Requires ``temptation > reward > punishment > sucker`` so that
-    defection strictly dominates yet mutual defection is Pareto-worse
-    than mutual cooperation.
-    """
-    if not (temptation > reward > punishment > sucker):
-        raise ValueError(
-            "need temptation > reward > punishment > sucker, got "
-            f"T={temptation}, R={reward}, P={punishment}, S={sucker}"
-        )
-    A = np.array([[reward, sucker], [temptation, punishment]])
-    return NormalFormGame(
-        A, A.T, row_labels=["cooperate", "defect"], col_labels=["cooperate", "defect"]
-    )
-
-
-def matching_pennies() -> NormalFormGame:
-    """Zero-sum 2×2 with the unique mixed equilibrium (½, ½)."""
-    A = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return NormalFormGame(A, row_labels=["heads", "tails"], col_labels=["heads", "tails"])
-
-
-def coordination_game(a: float = 2.0, b: float = 1.0) -> NormalFormGame:
-    """Pure coordination with two pure equilibria and one mixed."""
-    if a <= 0 or b <= 0:
-        raise ValueError("coordination payoffs must be positive")
-    A = np.array([[a, 0.0], [0.0, b]])
-    return NormalFormGame(A, A.copy())
 
 
 def energy_game(

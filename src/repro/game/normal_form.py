@@ -41,11 +41,6 @@ def as_strategy(value, size: int) -> np.ndarray:
     return np.clip(strategy, 0.0, None) / strategy.sum()
 
 
-def support(strategy: np.ndarray, tol: float = DEFAULT_TOL) -> Tuple[int, ...]:
-    """Indices played with positive probability."""
-    return tuple(int(i) for i in np.flatnonzero(strategy > tol))
-
-
 class NormalFormGame:
     """A bimatrix game ``(A, B)``.
 
@@ -124,11 +119,6 @@ class NormalFormGame:
     # ------------------------------------------------------------------
     # best responses
     # ------------------------------------------------------------------
-    def row_best_responses(self, col_strategy, tol: float = 1e-9) -> List[int]:
-        """Pure rows maximising utility against ``col_strategy``."""
-        utilities = self.row_payoff_vector(col_strategy)
-        best = utilities.max()
-        return [int(i) for i in np.flatnonzero(utilities >= best - tol)]
 
     def is_best_response_row(self, row_strategy, col_strategy, tol=1e-8) -> bool:
         """Is ``row_strategy`` optimal against ``col_strategy``?
@@ -169,12 +159,6 @@ class NormalFormGame:
             self.A + shift_a, self.B + shift_b, self.row_labels, self.col_labels
         )
 
-    def transpose(self) -> "NormalFormGame":
-        """Swap the players (useful for symmetric solver code paths)."""
-        return NormalFormGame(
-            self.B.T, self.A.T, self.col_labels, self.row_labels
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NormalFormGame(shape={self.shape})"
 
@@ -194,12 +178,6 @@ class Equilibrium:
         y = as_strategy(col_strategy, game.n_cols)
         u, v = game.payoffs(x, y)
         return cls(x, y, u, v)
-
-    @property
-    def is_pure(self) -> bool:
-        return len(support(self.row_strategy)) == 1 and len(
-            support(self.col_strategy)
-        ) == 1
 
     def pure_profile(self) -> Tuple[int, int]:
         """(row, col) indices of the modal pure profile.

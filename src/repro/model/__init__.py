@@ -17,8 +17,6 @@ from .metrics import (
     deployment_time_s,
     energy_breakdown,
     phase_times,
-    total_completion_s,
-    total_energy_j,
     transmission_time_s,
 )
 from .network import INGRESS, Channel, NetworkModel
@@ -49,7 +47,5 @@ __all__ = [
     "deployment_time_s",
     "energy_breakdown",
     "phase_times",
-    "total_completion_s",
-    "total_energy_j",
     "transmission_time_s",
 ]

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
-from .units import require_non_negative, require_positive
+from .units import require_non_negative
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,6 @@ class ResourceRequirements:
         require_non_negative(self.cpu_mi, "cpu_mi")
         require_non_negative(self.memory_gb, "memory_gb")
         require_non_negative(self.storage_gb, "storage_gb")
-
-    def scaled(self, cpu_factor: float) -> "ResourceRequirements":
-        """Return a copy with the CPU load scaled by ``cpu_factor``."""
-        require_positive(cpu_factor, "cpu_factor")
-        return ResourceRequirements(
-            cores=self.cores,
-            cpu_mi=self.cpu_mi * cpu_factor,
-            memory_gb=self.memory_gb,
-            storage_gb=self.storage_gb,
-        )
 
 
 @dataclass(frozen=True)
@@ -240,11 +230,6 @@ class Application:
         """Read-only name → microservice mapping (``M``)."""
         return dict(self._services)
 
-    @property
-    def dataflows(self) -> Sequence[Dataflow]:
-        """All dataflow edges (``E``), in insertion order."""
-        return list(self._flows.values())
-
     def __len__(self) -> int:
         return len(self._services)
 
@@ -258,33 +243,9 @@ class Application:
         """Look up a microservice by name (KeyError if absent)."""
         return self._services[name]
 
-    def flow(self, src: str, dst: str) -> Dataflow:
-        """Look up the dataflow on edge ``src -> dst`` (KeyError if absent)."""
-        return self._flows[(src, dst)]
-
-    def predecessors(self, name: str) -> List[str]:
-        """Upstage microservices of ``name`` (dependency order preserved)."""
-        return list(self._pred[name])
-
-    def successors(self, name: str) -> List[str]:
-        """Downstage microservices of ``name``."""
-        return list(self._succ[name])
-
     def in_flows(self, name: str) -> List[Dataflow]:
         """All dataflows entering ``name``."""
         return [self._flows[(p, name)] for p in self._pred[name]]
-
-    def out_flows(self, name: str) -> List[Dataflow]:
-        """All dataflows leaving ``name``."""
-        return [self._flows[(name, s)] for s in self._succ[name]]
-
-    def sources(self) -> List[str]:
-        """Microservices with no upstage dependencies."""
-        return [n for n in self._services if not self._pred[n]]
-
-    def sinks(self) -> List[str]:
-        """Microservices with no downstage dependents."""
-        return [n for n in self._services if not self._succ[n]]
 
     # ------------------------------------------------------------------
     # structure
@@ -327,30 +288,6 @@ class Application:
         for node in self._services:  # insertion order within a stage
             out[level[node]].append(node)
         return out
-
-    def stage_of(self, name: str) -> int:
-        """Stage index of ``name`` (0-based)."""
-        for idx, stage in enumerate(self.stages()):
-            if name in stage:
-                return idx
-        raise KeyError(name)
-
-    def critical_path_mi(self) -> float:
-        """Largest cumulative ``cpu_mi`` along any dependency chain."""
-        best: Dict[str, float] = {}
-        for node in self.topological_order():
-            own = self._services[node].requirements.cpu_mi
-            incoming = max((best[p] for p in self._pred[node]), default=0.0)
-            best[node] = own + incoming
-        return max(best.values(), default=0.0)
-
-    def total_image_gb(self) -> float:
-        """Sum of all image sizes (lower bound on registry traffic)."""
-        return sum(ms.size_gb for ms in self._services.values())
-
-    def total_dataflow_mb(self) -> float:
-        """Sum of all dataflow payload sizes."""
-        return sum(df.size_mb for df in self._flows.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

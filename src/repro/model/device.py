@@ -10,7 +10,7 @@ over the network or while computing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .units import require_non_negative, require_positive
@@ -167,22 +167,6 @@ class Device:
     @property
     def arch(self) -> Arch:
         return self.spec.arch
-
-    def with_power(self, power: PowerModel) -> "Device":
-        """Return a copy with a different power model (calibration)."""
-        return replace(self, power=power)
-
-    def can_host(self, cores: int, memory_gb: float, storage_gb: float) -> bool:
-        """Static feasibility: does the *empty* device satisfy the triple?
-
-        Dynamic occupancy (images already stored, co-located services)
-        is tracked by ``repro.devices.storage`` / the schedulers.
-        """
-        return (
-            self.spec.cores >= cores
-            and self.spec.memory_gb >= memory_gb
-            and self.spec.storage_gb >= storage_gb
-        )
 
 
 class DeviceFleet:

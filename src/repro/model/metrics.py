@@ -24,7 +24,7 @@ testable in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from .application import Microservice
 from .device import Device, Phase
@@ -178,21 +178,3 @@ class CostRecord:
     device: str
     times: PhaseTimes
     energy: EnergyBreakdown
-
-    @property
-    def completion_s(self) -> float:
-        return self.times.completion_s
-
-    @property
-    def energy_j(self) -> float:
-        return self.energy.total_j
-
-
-def total_energy_j(records: Sequence[CostRecord]) -> float:
-    """``EC_total``: sum of per-microservice energies."""
-    return sum(r.energy.total_j for r in records)
-
-
-def total_completion_s(records: Sequence[CostRecord]) -> float:
-    """Sum of per-microservice completion times (non-concurrent mode)."""
-    return sum(r.times.completion_s for r in records)

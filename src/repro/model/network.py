@@ -252,10 +252,6 @@ class NetworkModel:
     def has_registry_channel(self, registry: str, device: str) -> bool:
         return device in self._registry_channels.get(registry, _NO_CHANNELS)
 
-    def has_device_channel(self, src: str, dst: str) -> bool:
-        """Whether a (non-loopback) channel ``src → dst`` exists."""
-        return src != dst and src in self._channels_into.get(dst, _NO_CHANNELS)
-
     def channels_into(self, dst: str) -> Dict[str, Channel]:
         """Source → channel for every device channel into ``dst``.
 
@@ -298,15 +294,6 @@ class NetworkModel:
                         self._pref_cache[member] = cached
         return cached
 
-    def device_bandwidth_mbps(self, src: str, dst: str) -> float:
-        """``BW_kj``; ``inf`` for loopback."""
-        channel = self.device_channel(src, dst)
-        return float("inf") if channel is None else channel.bandwidth_mbps
-
-    def registry_bandwidth_mbps(self, registry: str, device: str) -> float:
-        """``BW_gj``."""
-        return self.registry_channel(registry, device).bandwidth_mbps
-
     # ------------------------------------------------------------------
     # transfer-time queries (the paper's Size/BW terms)
     # ------------------------------------------------------------------
@@ -344,12 +331,6 @@ class NetworkModel:
         self.topology_version += 1
         self._downlinks[endpoint] = capacity_mbps
 
-    def uplink_mbps(self, endpoint: str) -> Optional[float]:
-        return self._uplinks.get(endpoint)
-
-    def downlink_mbps(self, endpoint: str) -> Optional[float]:
-        return self._downlinks.get(endpoint)
-
     def set_region(self, endpoint: str, region: str) -> None:
         """Declare which region owns ``endpoint`` for shard labelling.
 
@@ -363,10 +344,6 @@ class NetworkModel:
             raise ValueError(f"empty region for endpoint {endpoint!r}")
         self.topology_version += 1
         self._regions[endpoint] = region
-
-    def region_of(self, endpoint: str) -> Optional[str]:
-        """The declared region of ``endpoint``, or ``None``."""
-        return self._regions.get(endpoint)
 
     def set_regional_uplink(
         self, endpoint: str, region: str, capacity_mbps: float

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 
 class RegistryKind(enum.Enum):
@@ -47,14 +47,6 @@ class RegistryInfo:
         if not self.name:
             raise ValueError("registry name must be non-empty")
 
-    @property
-    def is_hub(self) -> bool:
-        return self.kind is RegistryKind.HUB
-
-    @property
-    def is_regional(self) -> bool:
-        return self.kind is RegistryKind.REGIONAL
-
 
 class RegistryCatalog:
     """Ordered, name-indexed collection of registries (the set ``R``)."""
@@ -88,14 +80,6 @@ class RegistryCatalog:
 
     def names(self) -> list:
         return list(self._registries)
-
-    def hub(self) -> Optional[RegistryInfo]:
-        """The first HUB registry, if any."""
-        return next((r for r in self if r.is_hub), None)
-
-    def regional(self) -> Optional[RegistryInfo]:
-        """The first REGIONAL registry, if any."""
-        return next((r for r in self if r.is_regional), None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RegistryCatalog({', '.join(self._registries)})"

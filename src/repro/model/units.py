@@ -51,24 +51,9 @@ BYTES_PER_MB: int = 1_000_000
 BYTES_PER_GB: int = 1_000_000_000
 
 
-def gb_to_mb(size_gb: float) -> float:
-    """Convert gigabytes to megabytes."""
-    return size_gb * MB_PER_GB
-
-
-def mb_to_gb(size_mb: float) -> float:
-    """Convert megabytes to gigabytes."""
-    return size_mb / MB_PER_GB
-
-
 def gb_to_bytes(size_gb: float) -> int:
     """Convert gigabytes to whole bytes (rounded to nearest byte)."""
     return int(round(size_gb * BYTES_PER_GB))
-
-
-def mb_to_bytes(size_mb: float) -> int:
-    """Convert megabytes to whole bytes (rounded to nearest byte)."""
-    return int(round(size_mb * BYTES_PER_MB))
 
 
 def bytes_to_mb(size_bytes: int) -> float:
@@ -107,11 +92,6 @@ def transfer_time_s(size_mb: float, bandwidth_mbps: float) -> float:
     return size_mb * MBIT_PER_MB / bandwidth_mbps
 
 
-def transfer_time_gb_s(size_gb: float, bandwidth_mbps: float) -> float:
-    """Time in seconds to transfer ``size_gb`` gigabytes (image pulls)."""
-    return transfer_time_s(gb_to_mb(size_gb), bandwidth_mbps)
-
-
 def processing_time_s(load_mi: float, speed_mips: float) -> float:
     """The paper's ``CPU(m_i) / CPU_j`` term.
 
@@ -129,15 +109,6 @@ def processing_time_s(load_mi: float, speed_mips: float) -> float:
     if speed_mips <= 0:
         raise ValueError(f"cannot process {load_mi} MI at {speed_mips} MI/s")
     return load_mi / speed_mips
-
-
-def energy_j(power_w: float, duration_s: float) -> float:
-    """Energy of holding ``power_w`` for ``duration_s`` (E = P·t)."""
-    if duration_s < 0:
-        raise ValueError(f"negative duration: {duration_s} s")
-    if power_w < 0:
-        raise ValueError(f"negative power: {power_w} W")
-    return power_w * duration_s
 
 
 def j_to_kj(energy_joules: float) -> float:

@@ -10,7 +10,7 @@ from .controller import (
 )
 from .kubelet import Kubelet
 from .monitoring import Event, Monitor
-from .objects import ImagePullPolicy, Pod, PodPhase
+from .objects import Pod, PodPhase
 
 __all__ = [
     "ApplicationController",
@@ -20,7 +20,6 @@ __all__ = [
     "Event",
     "ExecutionMode",
     "ExecutionReport",
-    "ImagePullPolicy",
     "Kubelet",
     "Monitor",
     "Pod",

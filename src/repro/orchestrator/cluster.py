@@ -61,9 +61,6 @@ class Cluster:
     def nodes(self) -> List[DeviceRuntime]:
         return list(self._nodes.values())
 
-    def node_names(self) -> List[str]:
-        return list(self._nodes)
-
     # ------------------------------------------------------------------
     # registries
     # ------------------------------------------------------------------
@@ -77,6 +74,3 @@ class Cluster:
             return self._registries[name]
         except KeyError:
             raise ClusterError(f"unknown registry {name!r}") from None
-
-    def registries(self) -> List[Registry]:
-        return list(self._registries.values())

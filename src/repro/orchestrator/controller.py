@@ -12,7 +12,7 @@ Two execution modes:
 
 After the rollout the controller reads both energy meters — the RAPL
 stand-in on amd64 nodes, the wall-plug sampler on arm64 — and
-reconciles them against the analytic ledger, reproducing the paper's
+pairs them with the analytic ledger, reproducing the paper's
 measurement methodology end to end.
 """
 
@@ -24,7 +24,7 @@ from typing import Dict, List
 
 from ..core.placement import PlacementPlan
 from ..devices.executor import ExecutionRecord
-from ..energy.accounting import EnergyLedger, Reconciliation, reconcile
+from ..energy.accounting import EnergyLedger
 from ..energy.powermeter import PowerMeter
 from ..energy.rapl import RaplMeter
 from ..model.application import Application
@@ -32,7 +32,7 @@ from ..model.device import Arch
 from .cluster import Cluster
 from .kubelet import Kubelet
 from .monitoring import Monitor
-from .objects import ImagePullPolicy, Pod
+from .objects import Pod
 
 
 class ExecutionMode(enum.Enum):
@@ -48,10 +48,6 @@ class DeviceEnergyReading:
     meter: str
     measured_j: float
     analytic_j: float
-
-    @property
-    def reconciliation(self) -> Reconciliation:
-        return reconcile(self.analytic_j, self.measured_j)
 
 
 @dataclass
@@ -101,7 +97,6 @@ class ApplicationController:
         plan: PlacementPlan,
         service: str,
         references,
-        pull_policy: ImagePullPolicy,
     ) -> Pod:
         assignment = plan.assignments[service]
         image = references[(assignment.registry, app.service(service).image)]
@@ -111,7 +106,6 @@ class ApplicationController:
             image=image,
             registry=assignment.registry,
             node=assignment.device,
-            pull_policy=pull_policy,
         )
 
     def execute(
@@ -120,7 +114,6 @@ class ApplicationController:
         plan: PlacementPlan,
         references,
         mode: ExecutionMode = ExecutionMode.SEQUENTIAL,
-        pull_policy: ImagePullPolicy = ImagePullPolicy.IF_NOT_PRESENT,
     ) -> ExecutionReport:
         """Roll out ``plan`` and run the application to completion.
 
@@ -134,7 +127,7 @@ class ApplicationController:
         pods: List[Pod] = []
 
         def run_one(service: str):
-            pod = self._make_pod(app, plan, service, references, pull_policy)
+            pod = self._make_pod(app, plan, service, references)
             pods.append(pod)
             kubelet = self._kubelet(pod.node)
             incoming = [

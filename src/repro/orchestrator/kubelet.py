@@ -15,7 +15,7 @@ from ..devices.executor import DeviceRuntime
 from ..model.application import Microservice
 from ..registry.base import Registry
 from .monitoring import Monitor
-from .objects import ImagePullPolicy, Pod, PodPhase
+from .objects import Pod, PodPhase
 
 
 class Kubelet:
@@ -38,15 +38,12 @@ class Kubelet:
     ):
         """DES process executing ``pod``; returns the ExecutionRecord.
 
-        ``ImagePullPolicy.ALWAYS`` invalidates the cached image first
-        (forcing a re-pull), matching Kubernetes semantics; the default
-        ``IF_NOT_PRESENT`` reuses the device cache — the behaviour the
-        paper's deployment-time model assumes.
+        The pull reuses the device cache (Kubernetes' ``IfNotPresent``),
+        the behaviour the paper's deployment-time model assumes.
 
         A pod whose pull or run raises (a missing manifest, a
-        rate-limited hub, a full cache) is marked ``FAILED``, logged as
-        ``pod-failed`` and counted in ``pods_failed`` before the error
-        propagates.
+        rate-limited hub, a full cache) is marked ``FAILED`` and logged
+        as ``pod-failed`` before the error propagates.
         """
         sim = self.runtime.sim
         if pod.node != self.node_name:
@@ -61,17 +58,12 @@ class Kubelet:
             sim.now, "pull-start", pod.name, f"{pod.image} from {pod.registry}"
         )
         try:
-            if pod.pull_policy is ImagePullPolicy.ALWAYS:
-                manifest = registry.resolve(pod.image, self.runtime.device.arch)
-                for digest in manifest.layer_digests():
-                    self.runtime.cache.remove(digest)
             record = yield from self.runtime.run_microservice(
                 service, registry, pod.image, incoming
             )
         except Exception as exc:
             pod.transition(sim.now, PodPhase.FAILED, str(exc))
             self.monitor.log(sim.now, "pod-failed", pod.name, str(exc))
-            self.monitor.count("pods_failed")
             raise
 
         # The runtime finished all three phases; replay the lifecycle
@@ -92,11 +84,4 @@ class Kubelet:
             pod.name,
             f"ct={record.completion_s:.1f}s ec={record.energy_j:.1f}J",
         )
-        self.monitor.count("pods_succeeded")
-        self.monitor.count("bytes_pulled", record.pull.bytes_transferred)
-        if record.pull.bytes_transferred:
-            self.monitor.count(
-                f"bytes_from.{record.pull.registry}",
-                record.pull.bytes_transferred,
-            )
         return record

@@ -26,13 +26,6 @@ class PodPhase(enum.Enum):
     FAILED = "failed"
 
 
-class ImagePullPolicy(enum.Enum):
-    """When the kubelet pulls (mirrors Kubernetes semantics)."""
-
-    IF_NOT_PRESENT = "IfNotPresent"
-    ALWAYS = "Always"
-
-
 _VALID_TRANSITIONS = {
     PodPhase.PENDING: {PodPhase.PULLING, PodPhase.FAILED},
     PodPhase.PULLING: {PodPhase.RUNNING, PodPhase.FAILED},
@@ -66,7 +59,6 @@ class Pod:
     image: ImageReference
     registry: str
     node: str
-    pull_policy: ImagePullPolicy = ImagePullPolicy.IF_NOT_PRESENT
     phase: PodPhase = PodPhase.PENDING
     transitions: List[Tuple[float, PodPhase]] = field(default_factory=list)
     failure_reason: Optional[str] = None
@@ -82,17 +74,3 @@ class Pod:
         self.transitions.append((now_s, phase))
         if phase is PodPhase.FAILED:
             self.failure_reason = reason or "unknown"
-
-    @property
-    def terminal(self) -> bool:
-        return self.phase in (PodPhase.SUCCEEDED, PodPhase.FAILED)
-
-    def phase_at(self, t_s: float) -> PodPhase:
-        """Phase the pod was in at simulation time ``t_s``."""
-        current = PodPhase.PENDING
-        for ts, phase in self.transitions:
-            if ts <= t_s:
-                current = phase
-            else:
-                break
-        return current

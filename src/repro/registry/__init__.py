@@ -13,7 +13,7 @@ from .chunks import (
     ChunkSwarmPlanner,
 )
 from .client import PullPolicy, PullResult, RegistryClient
-from .digest import digest_bytes, digest_text, is_digest, short_digest
+from .digest import digest_bytes, digest_text, is_digest
 from .discovery import DiscoveryBackend, GossipDiscovery, OmniscientDiscovery
 from .hub import DockerHub, PointOfPresence, PullRateLimiter, RateLimitExceeded
 from .images import OFFICIAL_BASES, BaseImage, build_image, split_sizes, synthetic_blob
@@ -23,7 +23,6 @@ from .minio import (
     MinioError,
     MinioStore,
     NoSuchBucket,
-    NoSuchKey,
     ObjectInfo,
     QuotaExceeded,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "MinioError",
     "MinioStore",
     "NoSuchBucket",
-    "NoSuchKey",
     "OFFICIAL_BASES",
     "ObjectInfo",
     "OmniscientDiscovery",
@@ -99,7 +97,6 @@ __all__ = [
     "digest_text",
     "is_digest",
     "mirror_image",
-    "short_digest",
     "split_sizes",
     "synthetic_blob",
 ]

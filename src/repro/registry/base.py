@@ -12,10 +12,10 @@ blobs they reference, and serves the three-step pull protocol used by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from ..model.device import Arch
-from ..model.registry import RegistryInfo, RegistryKind
+from ..model.registry import RegistryInfo
 from .blobstore import BlobRecord, BlobStore
 from .manifest import ImageManifest, ManifestList
 from .repository import ManifestNotFound, RepositoryIndex
@@ -40,18 +40,6 @@ class ImageReference:
         if not self.tag:
             raise ValueError("tag must be non-empty")
 
-    @classmethod
-    def parse(cls, ref: str) -> "ImageReference":
-        """Parse ``repo[:tag]`` (digests are resolved via repo methods)."""
-        if "@" in ref:
-            raise ValueError(
-                f"digest references not supported here: {ref!r}"
-            )
-        if ":" in ref:
-            repo, _, tag = ref.rpartition(":")
-            return cls(repo, tag)
-        return cls(ref)
-
     def __str__(self) -> str:
         return f"{self.repository}:{self.tag}"
 
@@ -67,15 +55,10 @@ class Registry:
         self.info = info
         self.repositories = RepositoryIndex()
         self.blobs = BlobStore()
-        self._pull_count: Dict[str, int] = {}
 
     @property
     def name(self) -> str:
         return self.info.name
-
-    @property
-    def kind(self) -> RegistryKind:
-        return self.info.kind
 
     # ------------------------------------------------------------------
     # publishing
@@ -119,28 +102,13 @@ class Registry:
         if not mlist.supports(arch):
             raise ManifestNotFound(
                 f"{self.name}/{ref}: no {arch.value} platform "
-                f"(has {[a.value for a in mlist.architectures()]})"
+                f"(has {[m.arch.value for m in mlist.manifests]})"
             )
-        self._pull_count[str(ref)] = self._pull_count.get(str(ref), 0) + 1
         return mlist.for_arch(arch)
 
     def fetch_blob(self, digest: str) -> BlobRecord:
         """Step 3: blob by digest."""
         return self.blobs.get(digest)
-
-    def has_image(self, ref: ImageReference, arch: Arch) -> bool:
-        """Whether a pull of ``ref`` for ``arch`` would succeed."""
-        try:
-            manifest = self.resolve(ref, arch)
-            # resolve() counts as a pull; undo the accounting for a probe.
-            self._pull_count[str(ref)] -= 1
-        except (ManifestNotFound, KeyError):
-            return False
-        return all(d in self.blobs for d in manifest.layer_digests())
-
-    def pull_count(self, ref: ImageReference) -> int:
-        """How many times ``ref`` was resolved (mirrors Hub rate metering)."""
-        return self._pull_count.get(str(ref), 0)
 
     def meter_pull(self, client: str, now_s: float) -> None:
         """Hook for pull metering; the base registry does not meter."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
-from .digest import digest_bytes, validate_digest
+from .digest import validate_digest
 
 
 @dataclass(frozen=True)
@@ -68,31 +68,6 @@ class BlobStore:
     def __iter__(self) -> Iterator[BlobRecord]:
         return iter(self._blobs.values())
 
-    def put_bytes(self, data: bytes) -> BlobRecord:
-        """Store real content; returns the (possibly pre-existing) record."""
-        digest = digest_bytes(data)
-        existing = self._blobs.get(digest)
-        if existing is not None:
-            return existing
-        record = BlobRecord(digest=digest, size_bytes=len(data), data=data)
-        self._blobs[digest] = record
-        return record
-
-    def put_synthetic(self, digest: str, size_bytes: int) -> BlobRecord:
-        """Store a size-only blob under a producer-supplied digest."""
-        validate_digest(digest)
-        existing = self._blobs.get(digest)
-        if existing is not None:
-            if existing.size_bytes != size_bytes:
-                raise ValueError(
-                    f"digest collision on {digest}: sizes "
-                    f"{existing.size_bytes} != {size_bytes}"
-                )
-            return existing
-        record = BlobRecord(digest=digest, size_bytes=size_bytes)
-        self._blobs[digest] = record
-        return record
-
     def put_record(self, record: BlobRecord) -> BlobRecord:
         """Copy a record from another store (registry mirroring)."""
         existing = self._blobs.get(record.digest)
@@ -109,19 +84,6 @@ class BlobStore:
         except KeyError:
             raise BlobNotFound(digest) from None
 
-    def stat(self, digest: str) -> int:
-        """Size in bytes of the blob (BlobNotFound if absent)."""
-        return self.get(digest).size_bytes
-
-    def delete(self, digest: str) -> None:
-        try:
-            del self._blobs[digest]
-        except KeyError:
-            raise BlobNotFound(digest) from None
-
     def total_bytes(self) -> int:
         """Sum of stored blob sizes (dedup already applied)."""
         return sum(b.size_bytes for b in self._blobs.values())
-
-    def digests(self) -> list:
-        return list(self._blobs)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..model.units import BYTES_PER_GB
 from .manifest import ImageManifest
@@ -82,7 +82,7 @@ class ImageCache:
 
     #: Called as ``observer(device, digest, size_bytes, present)``
     #: synchronously after a digest enters the cache (``present=True``)
-    #: or leaves it (LRU eviction, :meth:`remove`, :meth:`clear`), with
+    #: or leaves it (LRU eviction), with
     #: this cache's :attr:`device`, so one observer can serve many
     #: caches.  A refresh that keeps an entry's size calls nothing:
     #: recency is not presence.  An exception it raises propagates to
@@ -93,10 +93,6 @@ class ImageCache:
     #: own from the first :meth:`reserve` until the last reservation
     #: settles: most caches hold none most of the time.
     _reserved: Mapping[str, int] = _NO_RESERVATIONS
-
-    #: Every eviction so far, oldest first.  A list of its own from the
-    #: first eviction: most caches never evict.
-    _evictions: Sequence[EvictionRecord] = ()
 
     def __init__(self, capacity_gb: float, device: str = "") -> None:
         if capacity_gb <= 0:
@@ -130,11 +126,6 @@ class ImageCache:
 
     def __contains__(self, digest: object) -> bool:
         return digest in self._entries
-
-    @property
-    def evictions(self) -> List[EvictionRecord]:
-        """All evictions so far, oldest first."""
-        return list(self._evictions)
 
     # ------------------------------------------------------------------
     # entry operations
@@ -195,12 +186,7 @@ class ImageCache:
             victim = next(iter(self._entries))
             victim_size = self._entries.pop(victim)
             self._used -= victim_size
-            record = EvictionRecord(victim, victim_size)
-            evicted.append(record)
-            if self._evictions:
-                self._evictions.append(record)
-            else:
-                self._evictions = [record]
+            evicted.append(EvictionRecord(victim, victim_size))
             if self.observer is not None:
                 self.observer(self.device, victim, victim_size, False)
         return evicted
@@ -214,8 +200,8 @@ class ImageCache:
     def when_settled(self, digest: str, callback: Callable[[], None]) -> None:
         """Call ``callback()`` once, when ``digest``'s reservation settles.
 
-        A reservation settles when it is committed, released, dropped by
-        :meth:`clear` or absorbed by an instant :meth:`add`.  Waiting on
+        A reservation settles when it is committed, released or
+        absorbed by an instant :meth:`add`.  Waiting on
         a digest that is not reserved is a :class:`ReservationError`:
         there is nothing in flight to wait for.
         """
@@ -311,31 +297,6 @@ class ImageCache:
             return False
         self._settled(digest)
         return True
-
-    def remove(self, digest: str) -> bool:
-        """Explicitly drop an entry; True if it was present."""
-        size = self._entries.pop(digest, None)
-        if size is None:
-            return False
-        self._used -= size
-        if self.observer is not None:
-            self.observer(self.device, digest, size, False)
-        return True
-
-    def clear(self) -> None:
-        dropped = list(self._entries.items())
-        self._entries.clear()
-        self._used = 0
-        # Pending reservations are dropped too: a cleared device has no
-        # business completing transfers into its old state (a commit
-        # after clear raises ReservationError, loudly).
-        reserved, self._reserved = self._reserved, _NO_RESERVATIONS
-        self._reserved_total = 0
-        for digest in reserved:
-            self._settled(digest)
-        if self.observer is not None:
-            for digest, size in dropped:
-                self.observer(self.device, digest, size, False)
 
     # ------------------------------------------------------------------
     # image-level queries

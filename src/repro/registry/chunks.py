@@ -93,10 +93,6 @@ class Chunk:
     size_bytes: int
     digest: str
 
-    @property
-    def end(self) -> int:
-        return self.offset + self.size_bytes
-
 
 class ChunkMap:
     """Deterministic fixed-size chunking of one layer.
@@ -207,17 +203,9 @@ class ChunkLedger:
             if not layers:
                 del self._by_device[device]
 
-    def drop_device(self, device: str) -> None:
-        """Forget every partial holding of ``device`` (departure)."""
-        for layer_digest in sorted(self._by_device.get(device, set())):
-            self.drop_layer(device, layer_digest)
-
     def chunk_holders(self, layer_digest: str, index: int) -> FrozenSet[str]:
         """Partial holders of one chunk (full replicas not included)."""
         return frozenset(self._chunks.get(layer_digest, {}).get(index, ()))
-
-    def partial_layers(self, device: str) -> FrozenSet[str]:
-        return frozenset(self._by_device.get(device, ()))
 
     def tracked_layers(self) -> List[str]:
         return sorted(self._chunks)

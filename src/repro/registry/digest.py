@@ -38,9 +38,3 @@ def validate_digest(value: str) -> str:
     if not is_digest(value):
         raise ValueError(f"malformed digest: {value!r}")
     return value
-
-
-def short_digest(value: str, length: int = 12) -> str:
-    """Abbreviated hex (like ``docker images`` output)."""
-    validate_digest(value)
-    return value[len(DIGEST_PREFIX) : len(DIGEST_PREFIX) + length]

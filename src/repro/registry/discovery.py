@@ -482,14 +482,6 @@ class GossipDiscovery(DiscoveryBackend):
         else:
             self.records_sent += count
 
-    def _exchange(self, a: str, b: str) -> None:
-        """One immediate push-pull between ``a`` and ``b`` (tests)."""
-        self.exchanges += 1
-        payload_a = self._payload(a)
-        payload_b = self._payload(b)
-        self._deliver(b, payload_a)
-        self._deliver(a, payload_b)
-
     def _payload(self, name: str) -> Payload:
         """Everything ``name`` knows — its view plus its first-hand
         records, each in its digest's group — snapshotted, with the

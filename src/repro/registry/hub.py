@@ -80,12 +80,6 @@ class PullRateLimiter:
         self._windows[client] = (start, count)
         return count
 
-    def remaining(self, client: str, now_s: float) -> int:
-        start, count = self._windows.get(client, (now_s, 0))
-        if now_s - start >= self.window_s:
-            return self.limit
-        return max(0, self.limit - count)
-
 
 class DockerHub(Registry):
     """The public cloud registry with CDN-based distribution.
@@ -120,11 +114,6 @@ class DockerHub(Registry):
             origin_bandwidth_mbps, "origin_bandwidth_mbps"
         )
         self.rate_limiter = rate_limiter
-
-    def add_pop(self, pop: PointOfPresence) -> None:
-        if any(existing.name == pop.name for existing in self.pops):
-            raise ValueError(f"duplicate PoP {pop.name!r}")
-        self.pops.append(pop)
 
     def pop_for_region(self, region: str) -> Optional[PointOfPresence]:
         """Fastest PoP covering ``region``; None → origin fallback."""

@@ -118,9 +118,6 @@ class ManifestList:
         if len(set(archs)) != len(archs):
             raise ValueError(f"duplicate architectures in manifest list: {archs}")
 
-    def architectures(self) -> List[Arch]:
-        return [m.arch for m in self.manifests]
-
     def for_arch(self, arch: Arch) -> ImageManifest:
         """Platform manifest for ``arch`` (KeyError if unsupported)."""
         for manifest in self.manifests:
@@ -128,7 +125,7 @@ class ManifestList:
                 return manifest
         raise KeyError(
             f"no manifest for {arch.value}; available: "
-            f"{[a.value for a in self.architectures()]}"
+            f"{[m.arch.value for m in self.manifests]}"
         )
 
     def supports(self, arch: Arch) -> bool:

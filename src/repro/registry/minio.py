@@ -7,9 +7,11 @@ registry needs — buckets, keyed objects, ETags, prefix listing and a
 capacity quota (the paper provisions "a specific storage capacity
 according to the user's requirements (e.g., 100 GB)").
 
-Objects may be *materialised* (real bytes, ETag = MD5 like S3) or
-*synthetic* (nominal size only, ETag derived from the declared digest),
-matching the two blob kinds in :mod:`repro.registry.blobstore`.
+A bucket keeps each object's metadata (:class:`ObjectInfo`), not its
+bytes: nothing reads an object back.  A *materialised* put (real
+bytes) gets an MD5 ETag like S3; a *synthetic* one (nominal size only)
+gets an ETag derived from its key and size, matching the two blob
+kinds in :mod:`repro.registry.blobstore`.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ class MinioError(RuntimeError):
 
 
 class NoSuchBucket(MinioError):
-    pass
-
-
-class NoSuchKey(MinioError):
     pass
 
 
@@ -50,12 +48,6 @@ class ObjectInfo:
     size_bytes: int
     etag: str
     content_type: str = "application/octet-stream"
-
-
-@dataclass
-class _StoredObject:
-    info: ObjectInfo
-    data: Optional[bytes]
 
 
 def _etag_of(data: bytes) -> str:
@@ -86,7 +78,7 @@ class MinioStore:
         self.capacity_bytes: Optional[int] = (
             None if capacity_gb is None else int(capacity_gb * BYTES_PER_GB)
         )
-        self._buckets: Dict[str, Dict[str, _StoredObject]] = {}
+        self._buckets: Dict[str, Dict[str, ObjectInfo]] = {}
 
     # ------------------------------------------------------------------
     # buckets
@@ -101,7 +93,7 @@ class MinioStore:
     def bucket_exists(self, bucket: str) -> bool:
         return bucket in self._buckets
 
-    def _bucket(self, bucket: str) -> Dict[str, _StoredObject]:
+    def _bucket(self, bucket: str) -> Dict[str, ObjectInfo]:
         try:
             return self._buckets[bucket]
         except KeyError:
@@ -112,9 +104,9 @@ class MinioStore:
     # ------------------------------------------------------------------
     def used_bytes(self) -> int:
         return sum(
-            obj.info.size_bytes
+            info.size_bytes
             for objects in self._buckets.values()
-            for obj in objects.values()
+            for info in objects.values()
         )
 
     def _check_quota(self, bucket: str, key: str, incoming_bytes: int) -> None:
@@ -123,7 +115,7 @@ class MinioStore:
         current = self.used_bytes()
         existing = self._buckets.get(bucket, {}).get(key)
         if existing is not None:
-            current -= existing.info.size_bytes
+            current -= existing.size_bytes
         if current + incoming_bytes > self.capacity_bytes:
             raise QuotaExceeded(
                 f"putting {incoming_bytes} B into {bucket}/{key} exceeds "
@@ -141,7 +133,7 @@ class MinioStore:
         objects = self._bucket(bucket)
         self._check_quota(bucket, key, len(data))
         info = ObjectInfo(bucket, key, len(data), _etag_of(data), content_type)
-        objects[key] = _StoredObject(info=info, data=data)
+        objects[key] = info
         return info
 
     def put_synthetic_object(
@@ -159,46 +151,17 @@ class MinioStore:
         info = ObjectInfo(
             bucket, key, size_bytes, _etag_synthetic(key, size_bytes), content_type
         )
-        objects[key] = _StoredObject(info=info, data=None)
+        objects[key] = info
         return info
 
-    def get_object(self, bucket: str, key: str) -> bytes:
-        """Fetch object bytes; synthetic objects cannot be read."""
-        obj = self._object(bucket, key)
-        if obj.data is None:
-            raise MinioError(
-                f"{bucket}/{key} is synthetic (size-only); no bytes to read"
-            )
-        return obj.data
-
-    def stat_object(self, bucket: str, key: str) -> ObjectInfo:
-        return self._object(bucket, key).info
-
     def object_exists(self, bucket: str, key: str) -> bool:
-        try:
-            self._object(bucket, key)
-            return True
-        except (NoSuchBucket, NoSuchKey):
-            return False
-
-    def remove_object(self, bucket: str, key: str) -> None:
-        objects = self._bucket(bucket)
-        if key not in objects:
-            raise NoSuchKey(f"{bucket}/{key}")
-        del objects[key]
+        return key in self._buckets.get(bucket, {})
 
     def list_objects(self, bucket: str, prefix: str = "") -> List[ObjectInfo]:
         """Objects whose key starts with ``prefix``, sorted by key."""
         objects = self._bucket(bucket)
         return [
-            obj.info
-            for key, obj in sorted(objects.items())
+            info
+            for key, info in sorted(objects.items())
             if key.startswith(prefix)
         ]
-
-    def _object(self, bucket: str, key: str) -> _StoredObject:
-        objects = self._bucket(bucket)
-        try:
-            return objects[key]
-        except KeyError:
-            raise NoSuchKey(f"{bucket}/{key}") from None

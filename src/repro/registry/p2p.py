@@ -119,10 +119,10 @@ class PeerIndex:
     """Digest → holders map, the only observer of every device cache.
 
     :meth:`register_cache` makes the index the cache's observer and
-    seeds it from the cache's entries; from then on every
-    insert/evict/remove/clear updates the index synchronously and is
-    passed on to :attr:`forward` (the gossip backend's ``note``; None
-    under omniscient discovery, which reads the index itself).  The
+    seeds it from the cache's entries; from then on every insert and
+    eviction updates the index synchronously and is passed on to the
+    hook given to :meth:`forward_to` (the gossip backend's ``note``;
+    None under omniscient discovery, which reads the index itself).  The
     index never mutates caches, except to name an unnamed one after
     the device it registers.
     """
@@ -131,17 +131,11 @@ class PeerIndex:
         self._holders: Dict[str, Set[str]] = {}
         self._sizes: Dict[str, int] = {}
         self._caches: Dict[str, ImageCache] = {}
-        self.forward = None  # also builds the shared observer
+        self.forward_to(None)  # builds the shared observer
 
-    @property
-    def forward(self) -> Optional[PresenceHook]:
-        """Where each presence change goes after the index applied it;
-        caches registered from then on forward to it."""
-        return self._forward
-
-    @forward.setter
-    def forward(self, hook: Optional[PresenceHook]) -> None:
-        self._forward = hook
+    def forward_to(self, hook: Optional[PresenceHook]) -> None:
+        """Pass each presence change on to ``hook`` after the index
+        applied it, for caches registered from now on."""
         # The one observer of every cache registered from now on;
         # caches registered earlier keep the one they got.
         self._observer = functools.partial(
@@ -150,7 +144,7 @@ class PeerIndex:
 
     def register_cache(self, device: str, cache: ImageCache) -> None:
         """Track ``cache`` as ``device``'s: observe it, then seed the
-        index (and :attr:`forward`) from its entries, LRU first.  The
+        index (and the forward hook) from its entries, LRU first.  The
         cache reports its own ``device``, so an unnamed cache takes
         ``device`` as its name and a cache named otherwise is refused."""
         if device in self._caches:
@@ -255,11 +249,10 @@ class PeerSwarm:
         self.discovery = (
             discovery if discovery is not None else OmniscientDiscovery(self.index)
         )
-        self.index.forward = self.discovery.note
+        self.index.forward_to(self.discovery.note)
         self._regions: Dict[str, str] = {}
         self._members: Dict[str, Set[str]] = {}
         self._demand: Dict[Tuple[str, str], int] = {}
-        self._demand_total: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # membership
@@ -444,11 +437,6 @@ class PeerSwarm:
         self.discovery.record_miss(viewer, holder, digest)
         return False
 
-    @property
-    def stale_peer_misses(self) -> int:
-        """Swarm-wide stale view entries caught by verification."""
-        return self.discovery.stale_misses
-
     # ------------------------------------------------------------------
     # demand accounting (consumed by the adaptive replicator)
     # ------------------------------------------------------------------
@@ -457,16 +445,11 @@ class PeerSwarm:
         region = self._regions.get(device, "edge")
         key = (digest, region)
         self._demand[key] = self._demand.get(key, 0) + 1
-        self._demand_total[digest] = self._demand_total.get(digest, 0) + 1
 
     def drain_demand(self) -> Dict[Tuple[str, str], int]:
         """Demand accumulated since the last drain; resets counters."""
         drained, self._demand = self._demand, {}
         return drained
-
-    def total_demand(self, digest: str) -> int:
-        """All-time remote fetches of ``digest`` (diagnostics)."""
-        return self._demand_total.get(digest, 0)
 
 
 class SourceKind(enum.Enum):
@@ -614,10 +597,6 @@ class P2PPullResult:
     chunk_endgame_dupes: int = 0
 
     @property
-    def bytes_total(self) -> int:
-        return sum(l.size_bytes for l in self.layers)
-
-    @property
     def bytes_transferred(self) -> int:
         """Bytes that must actually move (non-local layers)."""
         return sum(
@@ -644,12 +623,6 @@ class P2PPullResult:
     @property
     def cache_hit(self) -> bool:
         return self.bytes_transferred == 0
-
-    @property
-    def hit_ratio(self) -> float:
-        if self.bytes_total == 0:
-            return 1.0
-        return 1.0 - self.bytes_transferred / self.bytes_total
 
 
 class P2PRegistry:
@@ -695,10 +668,6 @@ class P2PRegistry:
                 max_parallel=chunk_parallel,
                 seed=chunk_seed,
             )
-
-    @property
-    def registries(self) -> List[Registry]:
-        return self.planner.registries
 
     def resolve(
         self, reference: ImageReference, arch: Arch

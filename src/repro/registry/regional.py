@@ -130,16 +130,9 @@ class RegionalRegistry(Registry):
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def persisted_blob_count(self) -> int:
-        return len(self.store.list_objects(self.bucket, prefix="blobs/"))
 
     def persisted_bytes(self) -> int:
         return sum(
             info.size_bytes
             for info in self.store.list_objects(self.bucket, prefix="blobs/")
         )
-
-    def free_bytes(self) -> Optional[int]:
-        if self.store.capacity_bytes is None:
-            return None
-        return self.store.capacity_bytes - self.store.used_bytes()

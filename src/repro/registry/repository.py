@@ -53,8 +53,6 @@ class Repository:
     # ------------------------------------------------------------------
     # resolution
     # ------------------------------------------------------------------
-    def tags(self) -> List[str]:
-        return list(self._tags)
 
     def resolve_list(self, reference: str) -> ManifestList:
         """Resolve a tag *or* a manifest-list digest to the list."""
@@ -69,13 +67,6 @@ class Repository:
             return self._lists[self._tags[reference]]
         except KeyError:
             raise ManifestNotFound(f"{self.name}:{reference}") from None
-
-    def resolve_manifest(self, digest: str) -> ImageManifest:
-        """Resolve a platform manifest by digest."""
-        try:
-            return self._manifests[digest]
-        except KeyError:
-            raise ManifestNotFound(f"{self.name}@{digest}") from None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Repository({self.name!r}, tags={list(self._tags)})"

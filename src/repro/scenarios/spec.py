@@ -434,11 +434,6 @@ class TelemetrySpec:
         if self.metrics_period_s is not None:
             require_positive(self.metrics_period_s, "metrics_period_s")
 
-    @property
-    def enabled(self) -> bool:
-        """Whether any sink is requested."""
-        return self.trace or self.profile or self.metrics_period_s is not None
-
 
 #: Sub-spec classes by ScenarioSpec field name, shared by the generic
 #: (de)serialisation below.

@@ -202,15 +202,9 @@ class ChurnProcess:
     def is_online(self, device: str) -> bool:
         return device not in self._offline
 
-    def offline_devices(self) -> List[str]:
-        return sorted(self._offline)
-
     # ------------------------------------------------------------------
     # observed session statistics (consumed by churn-aware replication)
     # ------------------------------------------------------------------
-    def session_lengths(self, device: str) -> List[float]:
-        """Completed online-session lengths observed for ``device``."""
-        return list(self._session_lengths.get(device, ()))
 
     def mean_session_s(self, device: str) -> Optional[float]:
         """Mean *completed* online session (None before any departure).

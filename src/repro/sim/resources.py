@@ -34,24 +34,6 @@ class Resource:
         self._available = capacity
         self._waiters: Deque[Tuple[Event, int]] = deque()
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def available(self) -> int:
-        """Tokens currently free."""
-        return self._available
-
-    @property
-    def in_use(self) -> int:
-        return self._capacity - self._available
-
-    @property
-    def queue_length(self) -> int:
-        """Number of pending requests."""
-        return len(self._waiters)
-
     def request(self, amount: int = 1) -> Event:
         """Acquire ``amount`` tokens; the returned event fires on grant."""
         if amount < 1:

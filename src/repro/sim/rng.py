@@ -29,10 +29,6 @@ class RngRegistry:
         self._root_seed = int(root_seed)
         self._streams: Dict[str, np.random.Generator] = {}
 
-    @property
-    def root_seed(self) -> int:
-        return self._root_seed
-
     def derive_seed(self, name: str) -> int:
         """Deterministic 64-bit seed for stream ``name``."""
         digest = hashlib.sha256(
@@ -49,10 +45,6 @@ class RngRegistry:
     def fork(self, salt: str) -> "RngRegistry":
         """A new registry whose streams are independent of this one."""
         return RngRegistry(self.derive_seed(f"fork:{salt}") % (2**63))
-
-    def reset(self) -> None:
-        """Drop all memoised streams (they restart from their seeds)."""
-        self._streams.clear()
 
 
 DEFAULT_SEED = 20250323  # arXiv submission date of the paper

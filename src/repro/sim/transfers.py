@@ -195,13 +195,6 @@ class Transfer:
         )
 
     @property
-    def seconds(self) -> Optional[float]:
-        """Wall-clock (simulated) duration; None while in flight."""
-        if self.completed_s is None:
-            return None
-        return self.completed_s - self.requested_s
-
-    @property
     def moved_bytes(self) -> int:
         """Payload bytes already delivered (settled progress).
 
@@ -320,7 +313,6 @@ class TransferEngine:
         self._paths_version = network.topology_version
         self._active: Dict[int, Transfer] = {}
         self._uploads: Dict[str, Dict[int, Transfer]] = {}
-        self._budgets: Dict[str, Optional[int]] = {}
         # source device -> events to fire when it next frees a slot
         self._slot_waiters: Dict[str, List[Event]] = {}
         self._ids = itertools.count()
@@ -361,14 +353,9 @@ class TransferEngine:
     # ------------------------------------------------------------------
     # upload budgets
     # ------------------------------------------------------------------
-    def set_upload_budget(self, device: str, budget: Optional[int]) -> None:
-        """Override the concurrent-upload budget for one device."""
-        if budget is not None and budget < 0:
-            raise ValueError(f"upload budget must be >= 0, got {budget}")
-        self._budgets[device] = budget
 
     def upload_budget(self, device: str) -> Optional[int]:
-        return self._budgets.get(device, self.default_upload_budget)
+        return self.default_upload_budget
 
     def uploads_in_flight(self, device: str) -> int:
         return len(self._uploads.get(device, ()))
@@ -560,9 +547,6 @@ class TransferEngine:
             0.0,
             transfer.remaining_mb - transfer.rate_mbps / MBIT_PER_MB * dt,
         )
-
-    def link(self, name: str) -> Optional[Link]:
-        return self._links.get(name)
 
     def links(self) -> List[Link]:
         return list(self._links.values())

@@ -12,6 +12,9 @@ aggregate:
   write-then-rename), so a killed sweep resumes with only the missing
   cells re-executed, and editing one grid axis re-runs only the new
   cells;
+* a cell whose session raises becomes an **error row** (its identity
+  columns, ``error_type`` and ``error_message``) that is never cached:
+  the rest of the grid still runs, and a re-run retries only it;
 * the aggregate is built in **cell order**, not completion order —
   serial and parallel runs of the same sweep produce byte-identical
   aggregates (cells are independent seeded simulations; asserted in
@@ -89,22 +92,33 @@ def cell_row(
 
 def _execute_cell(
     payload: Tuple[str, Dict[str, Any], Optional[str]],
-) -> Tuple[str, Dict[str, Any], float]:
+) -> Tuple[str, Dict[str, Any], float, bool]:
     """Worker body: one cell, one fresh session, one outcome dict.
 
     Runs inside a pool process (or inline when ``workers == 1``).  The
     optional marker directory receives an (empty) file per *executed*
     cell — the observable tests and CI use to prove that resumed
     sweeps only run what the cache is missing.
+
+    A cell whose session raises returns ``error_type`` and
+    ``error_message`` in place of its outcome, and False: one failing
+    cell must not abort the grid, and its row names what failed.
     """
     key, spec_dict, marker_dir = payload
     if marker_dir is not None:
         (Path(marker_dir) / key).touch()
-    spec = ScenarioSpec.from_dict(spec_dict)
-    started = time.perf_counter()
-    outcome = SimulationSession(spec).run()
+    try:
+        spec = ScenarioSpec.from_dict(spec_dict)
+        started = time.perf_counter()
+        outcome = SimulationSession(spec).run()
+    except Exception as error:
+        failure = {
+            "error_type": type(error).__name__,
+            "error_message": str(error),
+        }
+        return key, failure, 0.0, False
     wall_ms = (time.perf_counter() - started) * 1000.0
-    return key, outcome.to_dict(), wall_ms
+    return key, outcome.to_dict(), wall_ms, True
 
 
 def _cache_path(cache_dir: Path, key: str) -> Path:
@@ -238,10 +252,6 @@ class SweepResult:
             writer.writeheader()
             writer.writerows(self.rows)
 
-    def column(self, name: str) -> List[Any]:
-        """One column across all rows (missing values become None)."""
-        return [row.get(name) for row in self.rows]
-
 
 def run_sweep(
     sweep: SweepSpec,
@@ -289,26 +299,28 @@ def run_sweep(
         (cell.key, cell.spec.to_dict(), marker_dir) for cell in pending
     ]
     spec_dicts = {key: spec_dict for key, spec_dict, _marker in payloads}
+
+    def settle(
+        key: str, outcome: Dict[str, Any], wall_ms: float, ok: bool
+    ) -> None:
+        outcomes[key] = (outcome, wall_ms)
+        # A failed cell is never cached, so a re-run retries it.
+        if ok and cache is not None:
+            _store_cached(cache, key, spec_dicts[key], outcome, wall_ms)
+
     n_workers = min(workers, len(payloads))
     if n_workers > 1:
         chunksize = max(1, len(payloads) // (n_workers * 4))
         with multiprocessing.Pool(processes=n_workers) as pool:
             # Unordered: each cell is cached the moment it completes,
             # so a kill at any point loses at most the in-flight cells.
-            for key, outcome, wall_ms in pool.imap_unordered(
+            for executed in pool.imap_unordered(
                 _execute_cell, payloads, chunksize=chunksize
             ):
-                outcomes[key] = (outcome, wall_ms)
-                if cache is not None:
-                    _store_cached(
-                        cache, key, spec_dicts[key], outcome, wall_ms
-                    )
+                settle(*executed)
     else:
         for payload in payloads:
-            key, outcome, wall_ms = _execute_cell(payload)
-            outcomes[key] = (outcome, wall_ms)
-            if cache is not None:
-                _store_cached(cache, key, payload[1], outcome, wall_ms)
+            settle(*_execute_cell(payload))
 
     result = SweepResult(sweep=sweep)
     result.rows = [cell_row(cell, *outcomes[cell.key]) for cell in cells]

@@ -194,12 +194,6 @@ class SweepSpec:
         assert self.base is not None  # __post_init__: exactly one is set
         return self.base
 
-    def n_cells(self) -> int:
-        n_axes = 1
-        for _path, values in self.axes:
-            n_axes *= len(values)
-        return max(1, len(self.variants)) * n_axes * len(self.seeds)
-
     def cells(self) -> Tuple[SweepCell, ...]:
         """The cross-product, expanded and validated.
 

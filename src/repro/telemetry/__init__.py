@@ -34,7 +34,7 @@ from .capture import (
     active_capture,
 )
 from .metrics import ALL_SCOPE, METRICS_SCHEMA, MetricsSampler, merged_csv
-from .profile import DEADLINE_HEAP, EngineProfile, closure_bucket
+from .profile import DEADLINE_HEAP, EngineProfile
 from .recorder import (
     TraceEvent,
     TraceRecorder,
@@ -54,7 +54,6 @@ __all__ = [
     "TraceRecorder",
     "active_capture",
     "chrome_trace",
-    "closure_bucket",
     "merged_csv",
     "merged_jsonl",
 ]

@@ -106,22 +106,6 @@ class MetricsSampler:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def rows(self) -> List[Dict[str, Any]]:
-        """The tidy rows as dicts in :data:`METRICS_SCHEMA` order."""
-        return [
-            dict(zip(METRICS_SCHEMA, row)) for row in self._rows
-        ]
-
-    def series(self, metric: str, scope: str = ALL_SCOPE) -> List[
-        Tuple[float, float]
-    ]:
-        """``(t_s, value)`` pairs of one metric/scope series."""
-        return [
-            (t, value)
-            for t, name, s, value in self._rows
-            if name == metric and s == scope
-        ]
-
 
 def merged_csv(samplers: List[MetricsSampler]) -> str:
     """CSV of any number of samplers (one session is the one-sampler

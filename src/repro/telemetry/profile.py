@@ -25,18 +25,6 @@ from typing import Any, Dict, List
 DEADLINE_HEAP = "@deadline"
 
 
-def closure_bucket(size: int) -> str:
-    """Power-of-two histogram bucket label for a closure size.
-
-    0 stays ``"0"``; anything else lands in the next power of two at
-    or above it (1, 2, 4, 8, …) — a fixed, scale-free bucketing that
-    keeps the histogram a handful of keys at any swarm size.
-    """
-    if size <= 0:
-        return "0"
-    return str(1 << (size - 1).bit_length())
-
-
 class EngineProfile:
     """Recompute timings, closure-size histogram, heap work counters."""
 
@@ -88,8 +76,8 @@ class EngineProfile:
     def summary(self) -> Dict[str, Any]:
         """JSON-safe summary for ``ModeOutcome.engine_profile``.
 
-        ``closure_size_hist`` keys are the bucket labels of
-        :func:`closure_bucket`; ``heaps`` keys are heap labels
+        ``closure_size_hist`` keys are closure sizes rounded up to the
+        next power of two (0 stays 0); ``heaps`` keys are heap labels
         (:data:`DEADLINE_HEAP` for the closure engine's heap).
         """
         return {

@@ -93,13 +93,6 @@ class TraceRecorder:
     def events(self) -> List[TraceEvent]:
         return [TraceEvent(*row) for row in self._raw]
 
-    def events_of(self, kind: str) -> List[TraceEvent]:
-        return [TraceEvent(*row) for row in self._raw if row[1] == kind]
-
-    def devices(self) -> List[str]:
-        """Distinct non-empty device names, sorted."""
-        return sorted({row[2] for row in self._raw if row[2]})
-
 
 def chrome_trace(recorders: Sequence[TraceRecorder]) -> Dict[str, Any]:
     """Merge recorders into one Chrome trace-event JSON document.

@@ -25,8 +25,6 @@ from .table2 import (
     hub_repository,
     logical_image,
     regional_repository,
-    row,
-    rows_for,
 )
 from .testbed import HUB_NAME, REGIONAL_NAME, Testbed, build_testbed
 
@@ -51,8 +49,6 @@ __all__ = [
     "hub_repository",
     "logical_image",
     "regional_repository",
-    "row",
-    "rows_for",
     "synthetic_application",
     "synthetic_environment",
     "synthetic_fleet",

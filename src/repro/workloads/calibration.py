@@ -152,29 +152,6 @@ class Calibration:
         """IntensityFn-compatible lookup (1.0 for unknown pairs)."""
         return self.intensities.get((name, device), 1.0)
 
-    def predicted_times(
-        self, name: str, device: str
-    ) -> Tuple[float, float, float]:
-        """(Td_hub, Tc, Tp) on ``device`` under the benchmark setup."""
-        svc = self.services[name]
-        cfg = self.config
-        td = cfg.hub_deploy_s(device, svc.cold_pull_gb)
-        tc = svc.input_mb * 8.0 / cfg.ingress_bw_mbps[device]
-        tp = svc.cpu_mi / cfg.speed_mips[device]
-        return td, tc, tp
-
-    def predicted_energy_j(self, name: str, device: str) -> float:
-        """Model EC on ``device`` (hub pull, calibrated intensity)."""
-        td, tc, tp = self.predicted_times(name, device)
-        p = self.power[device]
-        scale = self.intensity(name, device)
-        return (
-            p.static_watts * (td + tc + tp)
-            + p.pull_watts * td
-            + p.transfer_watts * tc
-            + p.compute_watts * scale * tp
-        )
-
 
 #: Fraction of each service's EC budget the non-compute (static + pull
 #: + transfer) terms may consume.  Keeping headroom guarantees the

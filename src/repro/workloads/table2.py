@@ -35,21 +35,10 @@ class Range:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def contains(self, value: float, slack: float = 0.0) -> bool:
         """Is ``value`` inside the range, widened by ``slack`` (fraction)?"""
         pad = slack * max(self.mid, 1e-12)
         return self.lo - pad <= value <= self.hi + pad
-
-    def deviation(self, value: float) -> float:
-        """Relative distance outside the range (0 when inside)."""
-        if self.contains(value):
-            return 0.0
-        edge = self.lo if value < self.lo else self.hi
-        return abs(value - edge) / max(abs(edge), 1e-12)
 
 
 @dataclass(frozen=True)
@@ -105,22 +94,6 @@ TEXT_ROWS: List[BenchmarkRow] = [
 ]
 
 ALL_ROWS: List[BenchmarkRow] = VIDEO_ROWS + TEXT_ROWS
-
-
-def rows_for(application: str) -> List[BenchmarkRow]:
-    """Table II block for one application."""
-    rows = [r for r in ALL_ROWS if r.application == application]
-    if not rows:
-        raise KeyError(f"unknown application {application!r}")
-    return rows
-
-
-def row(application: str, service: str) -> BenchmarkRow:
-    """One Table II line by (application, service)."""
-    for r in rows_for(application):
-        if r.service == service:
-            return r
-    raise KeyError(f"no Table II row for {application}/{service}")
 
 
 #: Table I: image repository names on each registry.  The logical image

@@ -69,21 +69,8 @@ class Testbed:
     #: (registry name, logical image) → pull reference.
     references: Dict[Tuple[str, str], ImageReference]
 
-    def registry(self, name: str) -> Registry:
-        if name == self.hub.name:
-            return self.hub
-        if name == self.regional.name:
-            return self.regional
-        raise KeyError(f"unknown registry {name!r}")
-
     def registries(self) -> List[Registry]:
         return [self.hub, self.regional]
-
-    def reference(self, registry: str, image: str) -> ImageReference:
-        try:
-            return self.references[(registry, image)]
-        except KeyError:
-            raise KeyError(f"{image!r} not published on {registry!r}") from None
 
     def devices(self) -> List[Device]:
         return list(self.fleet)

@@ -130,8 +130,9 @@ class TestCostTable:
         state = SchedulerState()
         state.commit(app.service("a"), "hub", "big", 10.0)
         costs = table.matrix("a", state)
-        e_cached, ct_cached = costs.cell("hub", "big")
-        e_cold, ct_cold = costs.cell("hub", "tiny")
+        hub = costs.registries.index("hub")
+        ct_cached = costs.completion_s[hub, costs.devices.index("big")]
+        ct_cold = costs.completion_s[hub, costs.devices.index("tiny")]
         assert ct_cached < ct_cold
 
         record = table.record("a", "hub", "big", state)

@@ -22,7 +22,7 @@ class TestPlan:
         plan = PlacementPlan("app")
         plan.assign("a", "hub", "medium")
         assert plan.device_of("a") == "medium"
-        assert plan.registry_of("a") == "hub"
+        assert plan.assignments["a"].registry == "hub"
         assert "a" in plan and len(plan) == 1
 
     def test_double_assign_rejected(self):
@@ -35,17 +35,10 @@ class TestPlan:
         with pytest.raises(PlacementError):
             PlacementPlan("app").device_of("ghost")
 
-    def test_devices_mapping(self):
-        plan = PlacementPlan("app")
-        plan.assign("a", "hub", "medium")
-        plan.assign("b", "regional", "small")
-        assert plan.devices() == {"a": "medium", "b": "small"}
-
     def test_covers_and_validate(self):
         app = two_service_app()
         plan = PlacementPlan("app")
         plan.assign("a", "hub", "medium")
-        assert not plan.covers(app)
         with pytest.raises(PlacementError, match="missing"):
             plan.validate_against(app)
         plan.assign("b", "hub", "medium")

@@ -67,7 +67,7 @@ class TestExecution:
         sim = Simulator()
         runtime = DeviceRuntime(sim, medium_device(), net)
         run(runtime, service(ingress=100.0), hub)
-        phases = [seg.phase for seg in runtime.trace.segments]
+        phases = [seg.phase for seg in runtime.trace._segments]
         assert phases == [Phase.PULL, Phase.TRANSFER, Phase.COMPUTE]
 
     def test_trace_energy_matches_record(self, hub, net):

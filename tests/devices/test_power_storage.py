@@ -18,11 +18,6 @@ def trace(device):
 
 
 class TestPowerSegment:
-    def test_energy(self):
-        seg = PowerSegment(0.0, 10.0, 3.0, Phase.COMPUTE)
-        assert seg.energy_j == 30.0
-        assert seg.duration_s == 10.0
-
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError):
             PowerSegment(5.0, 4.0, 1.0, Phase.IDLE)
@@ -66,17 +61,6 @@ class TestPowerTrace:
         expected = p.total_watts(Phase.COMPUTE) * 5 + p.static_watts * 5
         assert trace.energy_between_j(5.0, 15.0) == pytest.approx(expected)
 
-    def test_active_energy_excludes_static(self, trace, device):
-        trace.record(0.0, 10.0, Phase.COMPUTE)
-        assert trace.active_energy_j() == pytest.approx(
-            device.power.compute_watts * 10
-        )
-
-    def test_total_energy_to_end(self, trace):
-        trace.record(0.0, 4.0, Phase.PULL)
-        assert trace.total_energy_j() == pytest.approx(
-            trace.energy_between_j(0.0, 4.0)
-        )
 
     def test_inverted_window_rejected(self, trace):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.devices.executor import ExecutionRecord
-from repro.energy.accounting import EnergyLedger, ServiceEnergy
+from repro.energy.accounting import EnergyLedger
 from repro.model.metrics import EnergyBreakdown, PhaseTimes
 from repro.registry.base import ImageReference
 from repro.registry.client import PullResult
@@ -39,21 +39,26 @@ def record(service, device, registry, start, deploy=10.0, compute=5.0):
     )
 
 
+RECORDS = [
+    record("a", "medium", "hub", 0.0),
+    record("b", "small", "regional", 20.0),
+    record("c", "medium", "regional", 40.0, compute=20.0),
+]
+
+
 @pytest.fixture
 def ledger():
     l = EnergyLedger()
-    l.add(record("a", "medium", "hub", 0.0))
-    l.add(record("b", "small", "regional", 20.0))
-    l.add(record("c", "medium", "regional", 40.0, compute=20.0))
+    for r in RECORDS:
+        l.add(r)
     return l
 
 
 class TestLedger:
     def test_total_is_sum(self, ledger):
         assert ledger.total_j() == pytest.approx(
-            sum(r.energy_j for r in ledger.records)
+            sum(r.energy_j for r in RECORDS)
         )
-        assert ledger.total_kj() == pytest.approx(ledger.total_j() / 1000)
 
     def test_active_plus_static(self, ledger):
         assert ledger.total_j() == pytest.approx(
@@ -70,21 +75,9 @@ class TestLedger:
         assert set(by_registry) == {"hub", "regional"}
         assert sum(by_registry.values()) == pytest.approx(ledger.total_j())
 
-    def test_per_service_lines(self, ledger):
-        lines = ledger.per_service()
-        assert [l.service for l in lines] == ["a", "b", "c"]
-        assert all(isinstance(l, ServiceEnergy) for l in lines)
-        assert lines[0].total_kj == pytest.approx(lines[0].total_j / 1000)
-
-    def test_completion_vs_makespan(self, ledger):
-        # Records at t=0 and t=20 last 17 s; the one at t=40 lasts 32 s.
-        assert ledger.completion_s() == pytest.approx(17.0 + 17.0 + 32.0)
-        assert ledger.makespan_s() == pytest.approx(72.0)
-
     def test_empty_ledger(self):
         empty = EnergyLedger()
         assert empty.total_j() == 0.0
-        assert empty.makespan_s() == 0.0
         assert len(empty) == 0
 
     def test_extend(self):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.devices.power import PowerTrace
 from repro.devices.specs import medium_device, small_device
-from repro.energy.accounting import EnergyLedger, reconcile
 from repro.energy.powermeter import PowerMeter
 from repro.energy.rapl import COUNTER_WRAP_UJ, MeasurementError, RaplMeter
 from repro.model.device import Phase
@@ -30,12 +29,6 @@ class TestRaplMeter:
             trace.energy_between_j(0.0, 150.0), rel=1e-6
         )
         assert result.label == "svc"
-
-    def test_average_watts(self, trace):
-        meter = RaplMeter(trace)
-        result = meter.measure_window(100.0, 150.0)
-        expected = trace.energy_between_j(100.0, 150.0) / 50.0
-        assert result.average_watts == pytest.approx(expected, rel=1e-6)
 
     def test_begin_end_protocol(self, trace):
         meter = RaplMeter(trace)
@@ -115,20 +108,3 @@ class TestPowerMeter:
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             PowerMeter(PowerTrace(small_device()), 0.0)
-
-
-class TestReconciliation:
-    def test_exact_match(self):
-        r = reconcile(100.0, 100.0)
-        assert r.relative_error == 0.0
-        assert r.within(0.01)
-
-    def test_relative_error(self):
-        r = reconcile(100.0, 103.0)
-        assert r.relative_error == pytest.approx(0.03)
-        assert not r.within(0.01)
-        assert r.within(0.05)
-
-    def test_zero_analytic(self):
-        assert reconcile(0.0, 0.0).relative_error == 0.0
-        assert reconcile(0.0, 1.0).relative_error == float("inf")

@@ -20,12 +20,6 @@ class TestRunner:
         text = result.to_text()
         assert "2.50" in text and "10" in text and "note: hello" in text
 
-    def test_column_extraction(self):
-        result = ExperimentResult("x", "t", ["a"])
-        result.add_row(a=1)
-        result.add_row(a=2)
-        assert result.column("a") == [1, 2]
-
 
 class TestTable2Experiment:
     def test_all_cells_in_range(self, testbed):
@@ -112,8 +106,8 @@ class TestAblations:
 
     def test_bandwidth_sweep_monotone_share(self):
         result = ablations.bandwidth_sweep(multipliers=[0.6, 1.0, 1.6])
-        assert result.column("bw_multiplier") == [0.6, 1.0, 1.6]
-        shares = result.column("deep_regional_share")
+        assert [row["bw_multiplier"] for row in result.rows] == [0.6, 1.0, 1.6]
+        shares = [row["deep_regional_share"] for row in result.rows]
         assert shares[0] <= shares[-1]
         # At very poor regional bandwidth the hub wins; at very good,
         # the regional registry wins.

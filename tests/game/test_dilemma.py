@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.game import (
-    coordination_game,
-    energy_game,
-    matching_pennies,
-    prisoners_dilemma,
-    pure_equilibria,
-)
+from repro.game import energy_game, pure_equilibria
+from classic_games import coordination_game, matching_pennies, prisoners_dilemma
 
 
 class TestPrisonersDilemma:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.game import NormalFormGame, as_strategy, support
+from repro.game import NormalFormGame, as_strategy
 from repro.game.normal_form import Equilibrium, dedupe_equilibria
 
 
@@ -55,9 +55,6 @@ class TestStrategies:
         with pytest.raises(ValueError):
             as_strategy([1.5, -0.5], 2)
 
-    def test_support(self):
-        assert support(np.array([0.5, 0.0, 0.5])) == (0, 2)
-
 
 class TestPayoffs:
     def test_pure_payoffs(self, pd):
@@ -75,14 +72,6 @@ class TestPayoffs:
 
 
 class TestBestResponse:
-    def test_defect_dominates(self, pd):
-        assert pd.row_best_responses(0) == [1]
-        assert pd.row_best_responses(1) == [1]
-
-    def test_ties_reported(self):
-        g = NormalFormGame([[1.0, 1.0], [1.0, 1.0]])
-        assert g.row_best_responses(0) == [0, 1]
-
     def test_is_nash_on_pd(self, pd):
         assert pd.is_nash(1, 1)
         assert not pd.is_nash(0, 0)  # mutual cooperation is not Nash
@@ -102,23 +91,12 @@ class TestTransformations:
         assert shifted.is_nash(1, 1)
         assert not shifted.is_nash(0, 0)
 
-    def test_transpose_swaps_players(self, pd):
-        t = pd.transpose()
-        assert t.shape == (2, 2)
-        np.testing.assert_allclose(t.A, pd.B.T)
-        np.testing.assert_allclose(t.B, pd.A.T)
-
 
 class TestEquilibriumObject:
     def test_of_computes_payoffs(self, pd):
         eq = Equilibrium.of(pd, 1, 1)
         assert eq.row_payoff == 1.0 and eq.col_payoff == 1.0
-        assert eq.is_pure
         assert eq.pure_profile() == (1, 1)
-
-    def test_mixed_not_pure(self, pd):
-        eq = Equilibrium.of(pd, [0.5, 0.5], 1)
-        assert not eq.is_pure
 
     def test_dedupe(self, pd):
         a = Equilibrium.of(pd, 1, 1)

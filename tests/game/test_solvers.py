@@ -6,15 +6,13 @@ import pytest
 from repro.game import (
     NormalFormGame,
     all_equilibria,
-    coordination_game,
     exploitability,
     fictitious_play,
     lemke_howson,
     lemke_howson_all,
-    matching_pennies,
-    prisoners_dilemma,
     pure_equilibria,
 )
+from classic_games import coordination_game, matching_pennies, prisoners_dilemma
 from vertex_oracle import vertex_enumeration
 
 
@@ -40,7 +38,7 @@ class TestSupportEnumeration:
     def test_coordination_three_equilibria(self):
         eqs = all_equilibria(coordination_game(2.0, 1.0))
         assert len(eqs) == 3
-        mixed = [e for e in eqs if not e.is_pure]
+        mixed = [e for e in eqs if e.row_strategy.max() < 1.0 - 1e-9]
         assert len(mixed) == 1
         # Mixed equilibrium of a 2x2 coordination game: p = b/(a+b).
         np.testing.assert_allclose(mixed[0].row_strategy, [1 / 3, 2 / 3])

@@ -18,7 +18,7 @@ from repro.model.application import (
     Microservice,
     ResourceRequirements,
 )
-from repro.orchestrator import ApplicationController, ImagePullPolicy, PodPhase
+from repro.orchestrator import ApplicationController, PodPhase
 from repro.registry.base import ImageReference
 from repro.registry.cache import CacheFull, ImageCache
 from repro.registry.hub import PullRateLimiter, RateLimitExceeded
@@ -65,17 +65,14 @@ class TestRolloutFailures:
         # Corrupt the reference table: point one image at a ghost repo.
         broken = dict(testbed.references)
         key = ("docker-hub", "vp-frame")
-        if plan.registry_of("vp-frame") == "regional":
+        if plan.assignments["vp-frame"].registry == "regional":
             key = ("regional", "vp-frame")
         broken[key] = ImageReference("ghost/nowhere")
-        # ALWAYS resolves the image before pulling it; the pod must fail
-        # at that step too, not stay PULLING.
-        for policy in (ImagePullPolicy.IF_NOT_PRESENT, ImagePullPolicy.ALWAYS):
-            controller = ApplicationController(make_cluster(testbed))
-            with pytest.raises((ManifestNotFound, RuntimeError)):
-                controller.execute(video_app, plan, broken, pull_policy=policy)
-            failed = [p for p in controller_failed_pods(controller)]
-            assert any(p.service == "vp-frame" for p in failed), policy
+        controller = ApplicationController(make_cluster(testbed))
+        with pytest.raises((ManifestNotFound, RuntimeError)):
+            controller.execute(video_app, plan, broken)
+        failed = [p for p in controller_failed_pods(controller)]
+        assert any(p.service == "vp-frame" for p in failed)
 
     def test_rate_limited_hub_mid_rollout(self, testbed, video_app):
         plan = DeepScheduler().schedule(video_app, testbed.env).plan
@@ -91,15 +88,14 @@ class TestRolloutFailures:
         finally:
             testbed.hub.rate_limiter = None  # restore shared fixture
         # The throttled pod fails visibly instead of staying PULLING.
-        assert len(controller.monitor.events_of("pod-failed")) == 1
-        assert controller.monitor.counter("pods_failed") == 1
+        assert controller.monitor.render().count("pod-failed") == 1
 
 
 class TestCacheFailures:
     def test_image_larger_than_device_storage(self, testbed):
         cache = ImageCache(0.001, "micro")  # 1 MB
         manifest = testbed.hub.resolve(
-            testbed.reference("docker-hub", "vp-ha-train"),
+            testbed.references[("docker-hub", "vp-ha-train")],
             testbed.fleet["medium"].arch,
         )
         with pytest.raises(CacheFull):
@@ -108,7 +104,7 @@ class TestCacheFailures:
     def test_cache_full_leaves_cache_consistent(self, testbed):
         cache = ImageCache(0.001, "micro")
         manifest = testbed.hub.resolve(
-            testbed.reference("docker-hub", "vp-ha-train"),
+            testbed.references[("docker-hub", "vp-ha-train")],
             testbed.fleet["medium"].arch,
         )
         with pytest.raises(CacheFull):
@@ -121,7 +117,7 @@ def controller_failed_pods(controller):
     # The controller stores pods on reports; on a crashed rollout we
     # inspect the monitor's pod-failed events and rebuild the minimum.
     failed_names = {
-        e.subject for e in controller.monitor.events_of("pod-failed")
+        e.subject for e in controller.monitor._events if e.kind == "pod-failed"
     }
 
     class _P:

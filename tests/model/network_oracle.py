@@ -72,9 +72,6 @@ class OracleNetworkModel(NetworkModel):
                 f"no channel between devices {src!r} and {dst!r}"
             ) from None
 
-    def has_device_channel(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._device_channels
-
     def channels_into(self, dst: str) -> Dict[str, Channel]:
         return self._channels_into.get(dst, _NO_CHANNELS)
 

@@ -67,19 +67,6 @@ class TestDeviceSpec:
 
 
 class TestDevice:
-    def test_can_host_respects_all_dimensions(self, spec, power):
-        device = Device(spec=spec, power=power)
-        assert device.can_host(cores=8, memory_gb=16.0, storage_gb=64.0)
-        assert not device.can_host(cores=9, memory_gb=1.0, storage_gb=1.0)
-        assert not device.can_host(cores=1, memory_gb=17.0, storage_gb=1.0)
-        assert not device.can_host(cores=1, memory_gb=1.0, storage_gb=65.0)
-
-    def test_with_power_replaces_model(self, spec, power):
-        device = Device(spec=spec, power=power)
-        new = device.with_power(PowerModel(static_watts=9.0, compute_watts=1.0))
-        assert new.power.static_watts == 9.0
-        assert device.power.static_watts == 2.0  # original untouched
-
     def test_name_and_arch_shortcuts(self, spec, power):
         device = Device(spec=spec, power=power)
         assert device.name == "dev"

@@ -12,8 +12,6 @@ from repro.model.metrics import (
     deployment_time_s,
     energy_breakdown,
     phase_times,
-    total_completion_s,
-    total_energy_j,
     transmission_time_s,
 )
 from repro.model.network import NetworkModel
@@ -151,15 +149,10 @@ class TestMicroserviceCost:
         assert record.times.compute_s == pytest.approx(5.0)
         assert record.registry == "hub"
         assert record.device == "d0"
-        assert record.energy_j == pytest.approx(
+        assert record.energy.total_j == pytest.approx(
             2 * 100 + 0.5 * 10 + 10 * 5 + 1 * 115
         )
 
     def test_cached_removes_deploy(self, device, net, service):
         record = self._record(device, net, service, cached=True)
         assert record.times.deploy_s == 0.0
-
-    def test_totals(self, device, net, service):
-        r = self._record(device, net, service)
-        assert total_energy_j([r, r]) == pytest.approx(2 * r.energy_j)
-        assert total_completion_s([r, r]) == pytest.approx(2 * r.completion_s)

@@ -4,7 +4,7 @@ frozen per-pair reference (:mod:`network_oracle`).
 Both models take the same random sequence of symmetric and asymmetric
 connects, overwrites and overlapping meshes.  After every operation
 they must agree on each destination's row (key order included), on
-``device_channel`` / ``has_device_channel`` for every ordered pair, on
+``device_channel`` for every ordered pair, on
 the preference order and on ``transfer_path``.  Queries run between
 mutations, so a cache a mutation failed to drop shows up as a
 difference.  The live rows and orders are compared without their
@@ -73,7 +73,6 @@ def _observe(net):
     pairs = {
         (src, dst): (
             _answer(net.device_channel, src, dst),
-            net.has_device_channel(src, dst),
             _answer(net.transfer_path, src, dst),
         )
         for src in NAMES

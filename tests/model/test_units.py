@@ -10,14 +10,8 @@ from repro.model import units
 
 
 class TestConversions:
-    def test_gb_mb_round_trip(self):
-        assert units.mb_to_gb(units.gb_to_mb(5.78)) == pytest.approx(5.78)
-
     def test_gb_to_bytes_decimal_convention(self):
         assert units.gb_to_bytes(1.0) == 1_000_000_000
-
-    def test_mb_to_bytes(self):
-        assert units.mb_to_bytes(1.5) == 1_500_000
 
     def test_bytes_to_mb(self):
         assert units.bytes_to_mb(2_500_000) == pytest.approx(2.5)
@@ -30,11 +24,6 @@ class TestTransferTime:
     def test_basic_formula(self):
         # 100 MB over 100 Mbit/s = 800 Mbit / 100 Mbit/s = 8 s.
         assert units.transfer_time_s(100.0, 100.0) == pytest.approx(8.0)
-
-    def test_gb_variant_matches_mb(self):
-        assert units.transfer_time_gb_s(5.78, 44.0) == pytest.approx(
-            units.transfer_time_s(5780.0, 44.0)
-        )
 
     def test_zero_payload_is_free(self):
         assert units.transfer_time_s(0.0, 44.0) == 0.0
@@ -75,19 +64,6 @@ class TestProcessingTime:
     def test_negative_load_rejected(self):
         with pytest.raises(ValueError):
             units.processing_time_s(-1.0, 100.0)
-
-
-class TestEnergy:
-    def test_energy_is_power_times_time(self):
-        assert units.energy_j(2.5, 100.0) == pytest.approx(250.0)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            units.energy_j(-1.0, 10.0)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            units.energy_j(1.0, -10.0)
 
 
 class TestValidators:

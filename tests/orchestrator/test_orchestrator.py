@@ -9,7 +9,6 @@ from repro.orchestrator import (
     Cluster,
     ClusterError,
     ExecutionMode,
-    ImagePullPolicy,
     Monitor,
     Pod,
     PodPhase,
@@ -35,7 +34,7 @@ class TestPod:
         pod.transition(0.0, PodPhase.PULLING)
         pod.transition(1.0, PodPhase.RUNNING)
         pod.transition(2.0, PodPhase.SUCCEEDED)
-        assert pod.terminal
+        assert pod.phase is PodPhase.SUCCEEDED
 
     def test_illegal_transition_rejected(self):
         pod = self._pod()
@@ -49,14 +48,6 @@ class TestPod:
         with pytest.raises(ValueError):
             pod.transition(1.0, PodPhase.PULLING)
 
-    def test_phase_at(self):
-        pod = self._pod()
-        pod.transition(1.0, PodPhase.PULLING)
-        pod.transition(5.0, PodPhase.RUNNING)
-        assert pod.phase_at(0.5) is PodPhase.PENDING
-        assert pod.phase_at(3.0) is PodPhase.PULLING
-        assert pod.phase_at(6.0) is PodPhase.RUNNING
-
 
 class TestMonitor:
     def test_events_ordered(self):
@@ -66,33 +57,15 @@ class TestMonitor:
         with pytest.raises(ValueError):
             monitor.log(0.5, "c", "z")
 
-    def test_counters_and_gauges(self):
-        monitor = Monitor()
-        monitor.count("pulls")
-        monitor.count("pulls", 2.0)
-        monitor.gauge("load", 0.5)
-        assert monitor.counter("pulls") == 3.0
-        assert monitor.gauges() == {"load": 0.5}
-
-    def test_events_of_and_render(self):
+    def test_render_lists_events_in_log_order(self):
         monitor = Monitor()
         monitor.log(0.0, "pull-start", "pod-a", "detail")
         monitor.log(1.0, "pod-succeeded", "pod-a")
-        assert len(monitor.events_of("pull-start")) == 1
-        assert "pull-start" in monitor.render()
-
-    def test_events_of_preserves_log_order(self):
-        # The per-kind index must return exactly the filtered view of
-        # the append-ordered log — same events, same order.
-        monitor = Monitor()
-        for step in range(50):
-            kind = ("pull-start", "pull-done", "pod-succeeded")[step % 3]
-            monitor.log(float(step), kind, f"pod-{step % 7}", str(step))
-        for kind in ("pull-start", "pull-done", "pod-succeeded"):
-            assert monitor.events_of(kind) == [
-                event for event in monitor.events if event.kind == kind
-            ]
-        assert monitor.events_of("never-logged") == []
+        lines = monitor.render().splitlines()
+        assert len(lines) == 2
+        assert "pull-start" in lines[0] and "detail" in lines[0]
+        assert "pod-succeeded" in lines[1]
+        assert monitor.render(limit=1) == lines[1]
 
 
 class TestCluster:
@@ -112,10 +85,10 @@ class TestCluster:
 
     def test_make_cluster_wires_testbed(self, testbed):
         cluster = make_cluster(testbed)
-        assert set(cluster.node_names()) == {"medium", "small"}
-        assert {r.name for r in cluster.registries()} == {
-            "docker-hub", "regional",
-        }
+        for node in ("medium", "small"):
+            assert cluster.node(node).name == node
+        for registry in ("docker-hub", "regional"):
+            assert cluster.registry(registry).name == registry
 
 
 class TestControllerSequential:
@@ -158,14 +131,16 @@ class TestControllerSequential:
             video_app, plan, testbed.references
         )
         for reading in report.readings:
-            assert reading.reconciliation.within(0.01)
+            error = abs(reading.measured_j - reading.analytic_j)
+            assert error <= 0.01 * reading.analytic_j, reading
 
     def test_monitor_saw_all_pods(self, testbed, video_app, plan):
         cluster = make_cluster(testbed)
         controller = ApplicationController(cluster)
         report = controller.execute(video_app, plan, testbed.references)
-        assert report.monitor.counter("pods_succeeded") == 6
-        assert len(report.monitor.events_of("pull-done")) == 6
+        log = report.monitor.render()
+        assert log.count("pod-succeeded") == 6
+        assert log.count("pull-done") == 6
 
     def test_plan_must_cover_app(self, testbed, video_app):
         from repro.core.placement import PlacementError, PlacementPlan
@@ -223,16 +198,6 @@ class TestPullPolicies:
         assert all(r.cache_hit for r in warm.records)
         assert warm.total_energy_j < cold.total_energy_j
 
-    def test_always_pull_policy_forces_repull(self, testbed, video_app, plan):
-        cluster = make_cluster(testbed)
-        controller = ApplicationController(cluster)
-        controller.execute(video_app, plan, testbed.references)
-        again = controller.execute(
-            video_app, plan, testbed.references,
-            pull_policy=ImagePullPolicy.ALWAYS,
-        )
-        assert not any(r.cache_hit for r in again.records)
-
     def test_layered_cluster_pulls_fewer_bytes(self, testbed, video_app, plan):
         whole = ApplicationController(
             make_cluster(testbed, PullPolicy.WHOLE_IMAGE)
@@ -243,25 +208,3 @@ class TestPullPolicies:
         whole_bytes = sum(r.pull.bytes_transferred for r in whole.records)
         layered_bytes = sum(r.pull.bytes_transferred for r in layered.records)
         assert layered_bytes < whole_bytes
-
-
-class TestPullByteCounters:
-    """The monitor meters each rollout's pulled bytes per registry."""
-
-    def test_two_tier_rollout_attributes_bytes_to_registries(
-        self, testbed, video_app, plan
-    ):
-        cluster = make_cluster(testbed)
-        controller = ApplicationController(cluster)
-        report = controller.execute(video_app, plan, testbed.references)
-        counters = report.monitor.counters()
-        assert counters["bytes_pulled"] == sum(
-            r.pull.bytes_transferred for r in report.records
-        )
-        by_source = {
-            name[len("bytes_from."):]: value
-            for name, value in counters.items()
-            if name.startswith("bytes_from.")
-        }
-        assert sum(by_source.values()) == counters["bytes_pulled"]
-        assert all(cluster.registry(name) for name in by_source)

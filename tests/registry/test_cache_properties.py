@@ -33,9 +33,7 @@ ops = st.lists(
             st.sampled_from(DIGESTS),
             st.integers(min_value=0, max_value=60),
         ),
-        st.tuples(st.just("remove"), st.sampled_from(DIGESTS), st.just(0)),
         st.tuples(st.just("touch"), st.sampled_from(DIGESTS), st.just(0)),
-        st.tuples(st.just("clear"), st.just(DIGESTS[0]), st.just(0)),
     ),
     max_size=40,
 )
@@ -48,12 +46,8 @@ def test_used_bytes_never_exceed_capacity_and_match_entries(operations):
     for op, digest, size in operations:
         if op == "add":
             cache.add(digest, size)
-        elif op == "remove":
-            cache.remove(digest)
-        elif op == "touch":
-            cache.touch(digest)
         else:
-            cache.clear()
+            cache.touch(digest)
         assert 0 <= cache.used_bytes <= cache.capacity_bytes
         assert cache.used_bytes == sum(s for _, s in cache.entries())
         assert len(cache) == len(cache.entries())
@@ -74,14 +68,8 @@ def test_eviction_records_exactly_account_for_freed_bytes(operations):
                 assert before[record.digest] == record.size_bytes
                 assert mirror.pop(record.digest) == record.size_bytes
             mirror[digest] = size
-        elif op == "remove":
-            cache.remove(digest)
-            mirror.pop(digest, None)
-        elif op == "touch":
-            cache.touch(digest)
         else:
-            cache.clear()
-            mirror.clear()
+            cache.touch(digest)
         assert dict(cache.entries()) == mirror
         assert cache.used_bytes == sum(mirror.values())
 
@@ -106,12 +94,8 @@ def test_image_complete_iff_all_layers_present(operations, layer_idx):
     for op, digest, size in operations:
         if op == "add":
             cache.add(digest, size)
-        elif op == "remove":
-            cache.remove(digest)
-        elif op == "touch":
-            cache.touch(digest)
         else:
-            cache.clear()
+            cache.touch(digest)
         expected = all(d in cache for d in manifest.layer_digests())
         assert cache.has_image(manifest) == expected
         assert (not cache.missing_layers(manifest)) == expected
@@ -127,19 +111,15 @@ def test_subscription_events_mirror_cache_contents(operations):
         assert device == "prop"
         if present:
             shadow[digest] = size_bytes
-        else:  # evicted, removed or cleared
+        else:  # evicted
             assert shadow.pop(digest) == size_bytes
 
     cache.observer = observer
     for op, digest, size in operations:
         if op == "add":
             cache.add(digest, size)
-        elif op == "remove":
-            cache.remove(digest)
-        elif op == "touch":
-            cache.touch(digest)
         else:
-            cache.clear()
+            cache.touch(digest)
         assert shadow == dict(cache.entries())
 
 

@@ -79,7 +79,6 @@ class TestReserveCommit:
         assert first.reserved_bytes == 0
         first.reserve(D[2], 30)
         assert first.reserved_bytes == 30
-        assert first.evictions == [] and second.evictions == []
 
     def test_reserve_of_present_digest_is_refresh(self):
         cache = make_cache()
@@ -120,14 +119,6 @@ class TestReserveCommit:
         with pytest.raises(CacheFull):
             cache.reserve(D[0], CAPACITY + 1)
 
-    def test_clear_drops_reservations(self):
-        cache = make_cache()
-        cache.reserve(D[0], 40)
-        cache.clear()
-        assert cache.reserved_bytes == 0
-        with pytest.raises(ReservationError):
-            cache.commit(D[0])
-
     def test_add_can_still_fill_capacity_alongside_reservations(self):
         cache = make_cache()
         cache.reserve(D[0], 30)
@@ -141,12 +132,12 @@ class TestReserveCommit:
 
 
 #: One reservation of D[0] with a settle waiter, then each way it can
-#: settle: commit, release, clear() and an absorbing add().  The last
+#: settle: commit, release and an absorbing add().  The last
 #: route reserves D[0] again and settles it again, which must not call
 #: the first waiter a second time.
 _SETTLE_ROUTES = [
     [("reserve", D[0], 10), ("when_settled", D[0], 0), (op, D[0], 10)]
-    for op in ("commit", "release", "clear", "add")
+    for op in ("commit", "release", "add")
 ] + [
     [
         ("reserve", D[0], 10), ("when_settled", D[0], 0),
@@ -161,8 +152,7 @@ _SETTLE_ROUTES = [
         st.tuples(
             st.sampled_from(
                 [
-                    "add", "reserve", "commit", "release", "remove", "clear",
-                    "when_settled",
+                    "add", "reserve", "commit", "release", "when_settled",
                 ]
             ),
             st.sampled_from(D),
@@ -171,11 +161,12 @@ _SETTLE_ROUTES = [
         max_size=40,
     )
 )
+
+
 @example(ops=_SETTLE_ROUTES[0])
 @example(ops=_SETTLE_ROUTES[1])
 @example(ops=_SETTLE_ROUTES[2])
 @example(ops=_SETTLE_ROUTES[3])
-@example(ops=_SETTLE_ROUTES[4])
 def test_capacity_invariant_under_mixed_operations(ops):
     cache = make_cache()
     # Settle waiters: digest -> ids still waiting; fired[id] counts calls.
@@ -191,9 +182,7 @@ def test_capacity_invariant_under_mixed_operations(ops):
                 cache.commit(digest)
             elif op == "release":
                 cache.release(digest)
-            elif op == "clear":
-                cache.clear()
-            elif op == "when_settled":
+            else:
                 if not cache.is_reserved(digest):
                     with pytest.raises(ReservationError):
                         cache.when_settled(digest, lambda: None)
@@ -206,8 +195,6 @@ def test_capacity_invariant_under_mixed_operations(ops):
                     fired[waiter] += 1
 
                 cache.when_settled(digest, settle)
-            else:
-                cache.remove(digest)
         except (CacheFull, ReservationError):
             pass
         assert 0 <= cache.used_bytes + cache.reserved_bytes <= CAPACITY
@@ -258,7 +245,7 @@ class TestObserver:
         assert second.holders(D[0]) == {"edge-r"}
         assert first.holders(D[0]) == frozenset()
 
-    @pytest.mark.parametrize("op", ["add", "evict", "commit", "remove", "clear"])
+    @pytest.mark.parametrize("op", ["add", "evict", "commit"])
     def test_observer_exception_propagates_after_the_state_change(self, op):
         cache = make_cache()
         cache.add(D[0], 60)
@@ -276,12 +263,8 @@ class TestObserver:
                 cache.add(D[1], 30)
             elif op == "evict":
                 cache.add(D[1], 50)  # D[0] is the LRU victim
-            elif op == "commit":
-                cache.commit(D[1])
-            elif op == "remove":
-                cache.remove(D[0])
             else:
-                cache.clear()
+                cache.commit(D[1])
         # The change the observer heard of is applied and accounted (an
         # insert whose eviction raised is not made), and nothing else
         # was announced.
@@ -289,8 +272,6 @@ class TestObserver:
             "add": ({D[0]: 60, D[1]: 30}, (D[1], True)),
             "evict": ({}, (D[0], False)),
             "commit": ({D[0]: 60, D[1]: 30}, (D[1], True)),
-            "remove": ({}, (D[0], False)),
-            "clear": ({}, (D[0], False)),
         }[op]
         assert dict(cache.entries()) == expected[0]
         assert seen == [expected[1]]

@@ -167,7 +167,7 @@ def test_chunk_maps_always_tile_exactly(layer_size, chunk_size):
     for chunk in cmap:
         assert chunk.offset == offset
         assert chunk.size_bytes > 0
-        offset = chunk.end
+        offset += chunk.size_bytes
     assert offset == layer_size
     assert len({c.digest for c in cmap}) == cmap.n_chunks
 

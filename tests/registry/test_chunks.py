@@ -50,7 +50,7 @@ class TestChunkMap:
         offset = 0
         for chunk in cmap:
             assert chunk.offset == offset
-            offset = chunk.end
+            offset += chunk.size_bytes
         assert offset == 100 * MB
 
     def test_exact_multiple_has_no_remainder_chunk(self):
@@ -132,7 +132,7 @@ class TestChunkStoreLifecycle:
         assert ledger.chunk_holders(LAYER, 2) == frozenset({"dev-a"})
         assert ledger.chunk_holders(LAYER, 0) == frozenset({"dev-a"})
         assert ledger.chunk_holders(LAYER, 1) == frozenset()
-        assert ledger.partial_layers("dev-a") == frozenset({LAYER})
+        assert ledger.tracked_layers() == [LAYER]
         assert LAYER not in cache
         assert not index.holds("dev-a", LAYER)
 
@@ -151,7 +151,7 @@ class TestChunkStoreLifecycle:
         assert cache.reserved_bytes == 0
         assert index.holds("dev-a", LAYER)
         assert ledger.chunk_holders(LAYER, 0) == frozenset()
-        assert ledger.partial_layers("dev-a") == frozenset()
+        assert ledger.tracked_layers() == []
 
     def test_finish_with_missing_chunks_raises(self, monkeypatch):
         sim, engine, _swarm, caches, facade, _hub, _net = make_chunked_swarm()
@@ -240,13 +240,13 @@ class TestChunkStoreLifecycle:
 
         def departure():
             yield sim.timeout(4.0)  # after two 16 MB chunks, mid-third
-            seen["partial"] = planner.ledger.partial_layers("edge-0")
+            seen["partial"] = planner.ledger.tracked_layers()
             swarm.remove_device("edge-1", engine=engine)
 
         sim.process(departure())
         with pytest.raises(RegistryError, match="unreachable"):
             sim.run()
-        assert seen["partial"] == frozenset({LAYER})
+        assert seen["partial"] == [LAYER]
         assert cache.is_reserved(LAYER)
         out["gen"].close()
         assert cache.reserved_bytes == 0
@@ -280,16 +280,6 @@ class TestChunkStoreLifecycle:
         assert cache.reserved_bytes == 0
         assert swarm.index.holds("edge-0", LAYER)
         assert planner.ledger.tracked_layers() == []
-
-    def test_ledger_drop_device_forgets_all_partials(self):
-        ledger = ChunkLedger()
-        ledger.add_chunk("dev-a", LAYER, 0)
-        ledger.add_chunk("dev-a", LAYER, 3)
-        ledger.add_chunk("dev-b", LAYER, 0)
-        ledger.drop_device("dev-a")
-        assert ledger.chunk_holders(LAYER, 0) == frozenset({"dev-b"})
-        assert ledger.chunk_holders(LAYER, 3) == frozenset()
-        assert ledger.partial_layers("dev-a") == frozenset()
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +481,7 @@ class TestChunkedPull:
         assert caches["edge-0"].reserved_bytes == 0
         assert result.bytes_transferred == manifest.total_layer_bytes
         # per-source plan entries sum exactly to the layer bytes
-        assert result.bytes_total == manifest.total_layer_bytes
+        assert sum(l.size_bytes for l in result.layers) == manifest.total_layer_bytes
         assert swarm.index.coherence_violations() == []
         # nothing partial lingers
         assert facade.chunks.ledger.tracked_layers() == []

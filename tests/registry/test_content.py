@@ -10,7 +10,6 @@ from repro.registry.digest import (
     digest_bytes,
     digest_text,
     is_digest,
-    short_digest,
     validate_digest,
 )
 from repro.registry.manifest import ImageManifest, LayerDescriptor, ManifestList
@@ -40,58 +39,52 @@ class TestDigest:
         with pytest.raises(ValueError):
             validate_digest(bad)
 
-    def test_short_digest(self):
-        d = digest_bytes(b"hello")
-        assert short_digest(d) == d[7:19]
-
     @given(data=st.binary(max_size=256))
     def test_digest_always_valid(self, data):
         assert is_digest(digest_bytes(data))
 
 
+def blob(data: bytes) -> BlobRecord:
+    return BlobRecord(digest_bytes(data), len(data), data)
+
+
 class TestBlobStore:
     def test_put_get_round_trip(self):
         store = BlobStore()
-        rec = store.put_bytes(b"payload")
+        rec = store.put_record(blob(b"payload"))
         assert store.get(rec.digest).data == b"payload"
-        assert store.stat(rec.digest) == 7
+        assert store.get(rec.digest).size_bytes == 7
 
     def test_put_idempotent(self):
         store = BlobStore()
-        a = store.put_bytes(b"x")
-        b = store.put_bytes(b"x")
+        a = store.put_record(blob(b"x"))
+        b = store.put_record(blob(b"x"))
         assert a is b
         assert len(store) == 1
 
     def test_synthetic_blob(self):
         store = BlobStore()
         d = digest_text("layer:fake")
-        rec = store.put_synthetic(d, 5_000_000)
+        rec = store.put_record(BlobRecord(d, 5_000_000))
         assert rec.size_bytes == 5_000_000
         assert not rec.materialised
 
     def test_synthetic_size_collision_rejected(self):
         store = BlobStore()
         d = digest_text("layer:fake")
-        store.put_synthetic(d, 100)
+        store.put_record(BlobRecord(d, 100))
         with pytest.raises(ValueError):
-            store.put_synthetic(d, 200)
+            store.put_record(BlobRecord(d, 200))
 
     def test_missing_raises_blob_not_found(self):
         with pytest.raises(BlobNotFound):
             BlobStore().get(digest_text("ghost"))
 
-    def test_delete(self):
-        store = BlobStore()
-        rec = store.put_bytes(b"x")
-        store.delete(rec.digest)
-        assert rec.digest not in store
-
     def test_total_bytes_dedup(self):
         store = BlobStore()
-        store.put_bytes(b"abc")
-        store.put_bytes(b"abc")
-        store.put_bytes(b"defg")
+        store.put_record(blob(b"abc"))
+        store.put_record(blob(b"abc"))
+        store.put_record(blob(b"defg"))
         assert store.total_bytes() == 7
 
     def test_record_size_mismatch_rejected(self):
@@ -165,12 +158,6 @@ class TestRepository:
         digest = repo.put_manifest_list("latest", mlist)
         assert repo.resolve_list("latest") is mlist
         assert repo.resolve_list(digest) is mlist
-
-    def test_manifest_by_digest(self):
-        repo = Repository("r")
-        m = make_manifest()
-        repo.put_manifest_list("latest", ManifestList(manifests=(m,)))
-        assert repo.resolve_manifest(m.digest) is m
 
     def test_retag_moves_pointer(self):
         repo = Repository("r")

@@ -23,6 +23,7 @@ from gossip_oracle import OracleGossipDiscovery, decoded_views
 
 DEVICES = [f"d{i}" for i in range(6)]
 DIGESTS = [digest_text(f"gossip-oracle-{i}") for i in range(3)]
+FILLER = digest_text("gossip-oracle-filler")
 
 device_idx = st.integers(0, len(DEVICES) - 1)
 digest_idx = st.integers(0, len(DIGESTS) - 1)
@@ -38,8 +39,8 @@ operations = st.one_of(
     st.tuples(st.just("round")),
     st.tuples(st.just("add"), device_idx, digest_idx),
     st.tuples(st.just("add"), device_idx, digest_idx),
-    st.tuples(st.just("remove"), device_idx, digest_idx),
-    st.tuples(st.just("remove"), device_idx, digest_idx),
+    st.tuples(st.just("evict"), device_idx, digest_idx),
+    st.tuples(st.just("evict"), device_idx, digest_idx),
     st.tuples(st.just("leave"), device_idx),
     st.tuples(st.just("join"), device_idx),
     st.tuples(
@@ -56,7 +57,7 @@ class _World:
     def __init__(self, cls, n, placement, **knobs):
         self.disc = cls(**knobs)
         self.index = PeerIndex()
-        self.index.forward = self.disc.note
+        self.index.forward_to(self.disc.note)
         self.names = DEVICES[:n]
         # Two 10-byte layers fit: a third add evicts the LRU one.
         self.caches = {
@@ -92,8 +93,10 @@ class _World:
         name = self.names[args[0] % len(self.names)]
         if kind == "add":
             self.caches[name].add(DIGESTS[args[1]], 10)
-        elif kind == "remove":
-            self.caches[name].remove(DIGESTS[args[1]])
+        elif kind == "evict":
+            # One entry as large as the cache evicts all the others.
+            cache = self.caches[name]
+            cache.add(FILLER, cache.capacity_bytes)
         elif kind == "leave":
             # Offline caches keep changing unseen: a re-join brings a
             # stale cache back under a new incarnation.

@@ -27,6 +27,12 @@ from repro.registry.p2p import PeerSwarm
 DIGESTS = [digest_text(f"gossip-prop-{i}") for i in range(4)]
 
 
+def evict_everything(cache: ImageCache) -> None:
+    """Drop every entry the way a run does: admit one that fills the
+    cache, so LRU eviction takes all the others."""
+    cache.add(digest_text(f"filler-{cache.device}"), cache.capacity_bytes)
+
+
 def build_swarm(n: int, fanout: int, seed: int):
     network = NetworkModel()
     names = [f"d{i}" for i in range(n)]
@@ -92,7 +98,7 @@ class TestBoundedConvergence:
             caches[name].add(DIGESTS[0], 10)
         for _ in range(3 * n):
             discovery.run_round()
-        caches["d0"].remove(DIGESTS[0])
+        evict_everything(caches["d0"])
         rounds = 0
         while not fully_converged(swarm, discovery):
             discovery.run_round()
@@ -160,7 +166,7 @@ class TestMonotoneStaleness:
         for _ in range(12):
             discovery.run_round()
         assert "d1" in discovery.view("d0", DIGESTS[0])
-        caches["d1"].remove(DIGESTS[0])
+        evict_everything(caches["d1"])
         # d0 trips over the stale entry before gossip spreads the drop;
         # re-merge every *other* participant's (old) knowledge at d0.
         discovery.record_miss("d0", "d1", DIGESTS[0])

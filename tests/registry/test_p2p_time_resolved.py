@@ -112,7 +112,7 @@ class TestCommittedOnlySourcing:
         sim.run()
         assert first["end"] < 200.0  # sanity: seeder finished first
         assert all(k is SourceKind.PEER for k in kinds(late["result"]))
-        assert late["result"].bytes_from_peers == late["result"].bytes_total
+        assert late["result"].bytes_from_peers == late["result"].manifest.total_layer_bytes
         # LAN is 10x the hub channel: the peer-served pull is faster.
         assert (late["end"] - 200.0) < (first["end"] - 0.0)
 
@@ -153,7 +153,7 @@ class TestCommittedOnlySourcing:
         analytic = 0.5 * 1000 * 8 / 80.0  # size_mb * 8 / bw
         assert solo["end"] == pytest.approx(analytic)
         assert solo["result"].seconds == pytest.approx(analytic)
-        assert expected.bytes_from_peers == expected.bytes_total
+        assert expected.bytes_from_peers == expected.manifest.total_layer_bytes
 
 
 class TestUploadBudget:
@@ -173,7 +173,7 @@ class TestUploadBudget:
         served = [r["result"].bytes_from_peers for r in (a, b)]
         assert sorted(x > 0 for x in served) == [False, True]
         # Nobody failed: the saturated path fell back, loudly complete.
-        assert a["result"].bytes_total == b["result"].bytes_total > 0
+        assert a["result"].manifest.total_layer_bytes == b["result"].manifest.total_layer_bytes > 0
 
 
     @pytest.mark.parametrize("budget", [1, 2])
@@ -226,7 +226,7 @@ class TestPeerDeparture:
         result = follower["result"]
         # The pull completed despite the departure, re-resolved to the
         # registry for whatever the departed peer had not delivered.
-        assert result.bytes_total > 0
+        assert result.manifest.total_layer_bytes > 0
         assert any(k is SourceKind.REGISTRY for k in kinds(result))
         assert caches["edge-1"].reserved_bytes == 0
         assert swarm.index.coherence_violations() == []
@@ -388,5 +388,5 @@ class TestRateLimitedRegistry:
         hub.rate_limiter._windows.clear()
         sim2.process(retry())
         sim2.run()
-        assert done["result"].bytes_total > 0
+        assert done["result"].manifest.total_layer_bytes > 0
         assert cache.reserved_bytes == 0

@@ -22,6 +22,10 @@ def image():
     return build_image("acme/app", 0.5, base=OFFICIAL_BASES["alpine:3"])
 
 
+def persisted_blobs(regional: RegionalRegistry) -> int:
+    return len(regional.store.list_objects(regional.bucket, prefix="blobs/"))
+
+
 @pytest.fixture
 def hub(image):
     registry = DockerHub()
@@ -31,17 +35,6 @@ def hub(image):
 
 
 class TestImageReference:
-    def test_parse_with_tag(self):
-        ref = ImageReference.parse("acme/app:v2")
-        assert ref.repository == "acme/app" and ref.tag == "v2"
-
-    def test_parse_default_tag(self):
-        assert ImageReference.parse("acme/app").tag == "latest"
-
-    def test_digest_form_rejected(self):
-        with pytest.raises(ValueError):
-            ImageReference.parse("acme/app@sha256:" + "0" * 64)
-
     def test_str(self):
         assert str(ImageReference("a/b", "t")) == "a/b:t"
 
@@ -62,17 +55,6 @@ class TestPushPull:
     def test_resolve_unknown_repo(self, hub):
         with pytest.raises(ManifestNotFound):
             hub.resolve(ImageReference("ghost/app"), Arch.AMD64)
-
-    def test_has_image_does_not_count_pull(self, hub):
-        ref = ImageReference("acme/app")
-        assert hub.has_image(ref, Arch.ARM64)
-        assert hub.pull_count(ref) == 0
-
-    def test_pull_count_increments(self, hub):
-        ref = ImageReference("acme/app")
-        hub.resolve(ref, Arch.AMD64)
-        hub.resolve(ref, Arch.ARM64)
-        assert hub.pull_count(ref) == 2
 
     def test_fetch_blob_integrity(self, hub, image):
         mlist, _ = image
@@ -114,10 +96,10 @@ class TestMirroring:
     def test_mirror_is_incremental(self, hub):
         regional = RegionalRegistry()
         mirror_image(hub, regional, "acme/app", "latest", "aau/app")
-        before = regional.persisted_blob_count()
+        before = persisted_blobs(regional)
         mirror_image(hub, regional, "acme/app", "latest", "aau/app2")
         # Same blobs: only the new manifest object is written.
-        assert regional.persisted_blob_count() == before
+        assert persisted_blobs(regional) == before
 
 
 class TestDockerHub:
@@ -136,11 +118,6 @@ class TestDockerHub:
         assert hub.pop_for_region("mars") is None
         assert hub.effective_bandwidth_mbps("mars") == 10.0
 
-    def test_duplicate_pop_rejected(self):
-        hub = DockerHub(pops=[PointOfPresence("p", ("eu",), 10.0)])
-        with pytest.raises(ValueError):
-            hub.add_pop(PointOfPresence("p", ("us",), 10.0))
-
     def test_rate_limiter_window(self):
         limiter = PullRateLimiter(limit=2, window_s=100.0)
         limiter.record_pull("dev", 0.0)
@@ -155,12 +132,6 @@ class TestDockerHub:
         limiter.record_pull("a", 0.0)
         limiter.record_pull("b", 0.0)  # independent allowance
 
-    def test_remaining(self):
-        limiter = PullRateLimiter(limit=3, window_s=100.0)
-        limiter.record_pull("dev", 0.0)
-        assert limiter.remaining("dev", 1.0) == 2
-        assert limiter.remaining("dev", 200.0) == 3
-
     def test_metered_hub_raises_on_exhaustion(self, image):
         hub = DockerHub(rate_limiter=PullRateLimiter(limit=1, window_s=60.0))
         mlist, blobs = image
@@ -174,8 +145,8 @@ class TestRegionalRegistry:
     def test_kind_and_persistence(self, hub):
         regional = RegionalRegistry()
         mirror_image(hub, regional, "acme/app", "latest", "aau/app")
-        assert regional.kind is RegistryKind.REGIONAL
-        assert regional.persisted_blob_count() > 0
+        assert regional.info.kind is RegistryKind.REGIONAL
+        assert persisted_blobs(regional) > 0
         assert regional.persisted_bytes() == regional.storage_bytes()
 
     def test_capacity_enforced_before_publish(self, hub):
@@ -184,18 +155,14 @@ class TestRegionalRegistry:
             mirror_image(hub, tiny, "acme/app", "latest", "aau/app")
         # Atomic failure: nothing half-published.
         assert "aau/app" not in tiny.repositories
-        assert tiny.persisted_blob_count() == 0
-
-    def test_free_bytes(self):
-        regional = RegionalRegistry(store=MinioStore(capacity_gb=1.0))
-        assert regional.free_bytes() == 10**9
+        assert persisted_blobs(tiny) == 0
 
     def test_manifest_persisted_as_json(self, hub):
         regional = RegionalRegistry()
         mirror_image(hub, regional, "acme/app", "latest", "aau/app")
-        raw = regional.store.get_object(
-            regional.bucket, regional.manifest_key("aau/app", "latest")
+        mlist = regional.repositories.get("aau/app").resolve_list("latest")
+        (info,) = regional.store.list_objects(
+            regional.bucket, prefix=regional.manifest_key("aau/app", "latest")
         )
-        import json
-
-        assert json.loads(raw)["schemaVersion"] == 2
+        assert info.content_type.endswith("+json")
+        assert info.size_bytes == len(mlist.canonical_json().encode("utf-8"))

@@ -60,7 +60,9 @@ class TestAssembly:
 
     def test_hub_only_chain_is_single_tier(self):
         session = SimulationSession(_small_spec(mode="hub-only"))
-        assert [r.name for r in session.facade.registries] == ["docker-hub"]
+        assert [r.name for r in session.facade.planner.registries] == [
+            "docker-hub"
+        ]
 
     def test_sessions_are_single_use(self):
         session = SimulationSession(_small_spec())
@@ -146,7 +148,6 @@ class TestSharedTopology:
         ) == 5
         for d in names:
             assert network.device_channel(d, d) is None
-            assert not network.has_device_channel(d, d)
         # edge-0003 reads region-0's shared row, which names it.
         lone, peer = "edge-0003", "edge-0006"
         assert lone in network.channels_into(lone)

@@ -515,19 +515,12 @@ class TestTelemetrySection:
             ScenarioSpec(), {"telemetry.trace": True}
         )
         assert spec.telemetry.trace is True
-        assert spec.telemetry.enabled
 
     def test_nonpositive_period_rejected(self):
         with pytest.raises(ValueError):
             TelemetrySpec(metrics_period_s=0.0)
         with pytest.raises(ValueError):
             TelemetrySpec(metrics_period_s=-1.0)
-
-    def test_enabled_property(self):
-        assert not TelemetrySpec().enabled
-        assert TelemetrySpec(trace=True).enabled
-        assert TelemetrySpec(metrics_period_s=5.0).enabled
-        assert TelemetrySpec(profile=True).enabled
 
 
 class TestPresets:

@@ -24,7 +24,6 @@ class TestResource:
         sim.process(proc())
         sim.run()
         assert log == [0.0]
-        assert res.in_use == 2
 
     def test_fifo_queueing(self):
         sim = Simulator()
@@ -86,13 +85,6 @@ class TestResource:
         with pytest.raises(RuntimeError):
             res.release(1)
 
-    def test_queue_length(self):
-        sim = Simulator()
-        res = Resource(sim, 1)
-        res.request()  # granted
-        res.request()  # queued
-        assert res.queue_length == 1
-
 
 class TestRng:
     def test_same_name_same_stream(self):
@@ -125,19 +117,12 @@ class TestRng:
         b = list(fork.stream("x").integers(0, 10**6, 5))
         assert a != b
 
-    def test_reset_restarts_streams(self):
-        reg = RngRegistry(7)
-        first = list(reg.stream("x").integers(0, 10**6, 5))
-        reg.reset()
-        again = list(reg.stream("x").integers(0, 10**6, 5))
-        assert first == again
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RngRegistry(-1)
 
     def test_default_registry_stable(self):
-        assert default_registry().root_seed == default_registry().root_seed
+        assert default_registry().derive_seed("x") == default_registry().derive_seed("x")
 
     @given(seed=st.integers(0, 2**32), name=st.text(min_size=1, max_size=20))
     def test_derive_seed_in_64_bit_range(self, seed, name):

@@ -191,6 +191,48 @@ class TestResume:
             run_sweep(sweep, cache_dir=tmp_path)
 
 
+#: One healthy cell and one whose session raises: no image fits in
+#: a 0.1 GB cache.
+FAILING = {"axes": {"topology.cache_gb": (12.0, 0.1)}, "seeds": (1,)}
+
+
+class TestFailingCells:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raising_cell_becomes_an_uncached_error_row(
+        self, tmp_path, workers
+    ):
+        sweep = small_sweep(**FAILING)
+        healthy, failing = sweep.cells()
+        cache = tmp_path / "cache"
+        result = run_sweep(sweep, cache_dir=cache, workers=workers)
+        ok, error = result.rows
+        assert ok["key"] == healthy.key and ok["pulls"] > 0
+        assert "error_type" not in ok
+        assert error["key"] == failing.key
+        assert error["error_type"] == "CacheFull"
+        assert "cache capacity" in error["error_message"]
+        assert "pulls" not in error
+        assert result.stats.executed == 2
+        assert [p.name for p in cache.iterdir()] == [f"{healthy.key}.json"]
+
+    def test_error_rows_match_inline_and_pooled(self):
+        sweep = small_sweep(**FAILING)
+        inline = run_sweep(sweep)
+        pooled = run_sweep(sweep, workers=2)
+        assert pooled.aggregate_json() == inline.aggregate_json()
+
+    def test_a_rerun_executes_only_the_failed_cell(self, tmp_path):
+        sweep = small_sweep(**FAILING)
+        healthy, failing = sweep.cells()
+        cache = tmp_path / "cache"
+        first = run_sweep(sweep, cache_dir=cache, marker_dir=tmp_path / "m1")
+        assert executed_markers(tmp_path / "m1") == {healthy.key, failing.key}
+        again = run_sweep(sweep, cache_dir=cache, marker_dir=tmp_path / "m2")
+        assert executed_markers(tmp_path / "m2") == {failing.key}
+        assert again.stats.cache_hits == 1
+        assert again.aggregate_json() == first.aggregate_json()
+
+
 class TestAggregate:
     def test_to_csv_emits_every_row(self, tmp_path):
         result = run_sweep(small_sweep())
@@ -200,11 +242,6 @@ class TestAggregate:
         assert len(lines) == 1 + len(result.rows)
         header = lines[0].split(",")
         assert header[:3] == ["replication.decay", "seed", "key"]
-
-    def test_column_projection(self):
-        result = run_sweep(small_sweep())
-        assert result.column("seed") == [1, 2, 1, 2]
-        assert result.column("not-a-column") == [None] * 4
 
     def test_cell_row_flattens_nested_outcomes(self):
         (cell, *_rest) = small_sweep().cells()

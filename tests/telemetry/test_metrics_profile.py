@@ -18,7 +18,6 @@ from repro.telemetry import (
     TelemetryCapture,
     TraceRecorder,
     active_capture,
-    closure_bucket,
     merged_csv,
 )
 
@@ -33,9 +32,9 @@ class TestMetricsSampler:
     def test_rows_follow_schema(self):
         sampler = MetricsSampler(10.0)
         sampler.record(0.0, "inflight_transfers", ALL_SCOPE, 3)
-        (row,) = sampler.rows()
-        assert tuple(row) == METRICS_SCHEMA
-        assert row["value"] == 3.0
+        header, row = csv.reader(io.StringIO(merged_csv([sampler])))
+        assert header == ["session", *METRICS_SCHEMA]
+        assert float(row[-1]) == 3.0
 
     def test_cache_probe(self):
         class Cache:
@@ -45,8 +44,12 @@ class TestMetricsSampler:
 
         sampler = MetricsSampler(10.0)
         sampler.sample(5.0, caches={"a": Cache(10, 100), "b": Cache(30, 100)})
-        assert sampler.series("cache_used_bytes") == [(5.0, 40.0)]
-        assert sampler.series("cache_occupancy") == [(5.0, 0.2)]
+        series = {
+            (row["metric"], row["scope"]): (float(row["t_s"]), float(row["value"]))
+            for row in csv.DictReader(io.StringIO(merged_csv([sampler])))
+        }
+        assert series[("cache_used_bytes", ALL_SCOPE)] == (5.0, 40.0)
+        assert series[("cache_occupancy", ALL_SCOPE)] == (5.0, 0.2)
 
     def test_csv_header_is_schema(self):
         # One session is the one-sampler case of the merged export.
@@ -68,12 +71,14 @@ class TestMetricsSampler:
 
 class TestEngineProfile:
     def test_closure_bucket_powers_of_two(self):
-        assert closure_bucket(0) == "0"
-        assert closure_bucket(1) == "1"
-        assert closure_bucket(3) == "4"
-        assert closure_bucket(4) == "4"
-        assert closure_bucket(5) == "8"
-        assert closure_bucket(1000) == "1024"
+        # The histogram's labels, through the recompute hook that
+        # fills it: 0 stays 0, anything else rounds up to a power of 2.
+        for closure_size, bucket in [
+            (0, "0"), (1, "1"), (3, "4"), (4, "4"), (5, "8"), (1000, "1024"),
+        ]:
+            prof = EngineProfile()
+            prof.note_recompute(1, closure_size)
+            assert prof.summary()["closure_size_hist"] == {bucket: 1}
 
     def test_recompute_accounting(self):
         prof = EngineProfile()

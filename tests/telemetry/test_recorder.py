@@ -39,8 +39,7 @@ class TestTraceRecorder:
             "transfer.start", "transfer.start", "transfer.finish",
             "transfer.cancel", "gossip.round",
         ]
-        assert trace.events_of("transfer.start")[0].detail["id"] == 1
-        assert trace.devices() == ["dev-a", "dev-b"]
+        assert trace.events[0].detail["id"] == 1
 
     def test_jsonl_round_trips(self):
         trace = _spanful_recorder()

@@ -234,6 +234,21 @@ class TestScenarioSubcommand:
         assert "preset" in capsys.readouterr().err
 
 
+class TestSweepSubcommand:
+    def test_a_failing_cell_prints_the_grid_and_exits_one(self, capsys):
+        status = main(["sweep", "p2p", "--axis", "topology.cache_gb=12,0.1"])
+        captured = capsys.readouterr()
+        assert status == 1
+        # The table holds both cells; the healthy one has its outcome.
+        rows = captured.out.splitlines()[2:]
+        assert len(rows) == 2
+        assert "CacheFull" not in rows[0] and "CacheFull" in rows[1]
+        spec = scenarios.with_overrides(
+            scenarios.get("p2p"), {"topology.cache_gb": 0.1}
+        )
+        assert f"cell {spec.cache_key()} raised CacheFull: " in captured.err
+
+
 class TestTelemetryDir:
     """``--telemetry-dir DIR`` observes every session of a run and
     writes four files into DIR, changing nothing the run prints."""

@@ -28,8 +28,9 @@ class TestCloudEnvironment:
 
     def test_wan_channels_wired(self, testbed):
         env = cloud_environment(testbed, CloudConfig(wan_bw_mbps=30.0))
-        assert env.network.device_bandwidth_mbps("medium", CLOUD_NAME) == 30.0
-        assert env.network.device_bandwidth_mbps("small", CLOUD_NAME) == 30.0
+        for device in ("medium", "small"):
+            channel = env.network.device_channel(device, CLOUD_NAME)
+            assert channel.bandwidth_mbps == 30.0
 
     def test_cloud_intensity_mirrors_medium(self, testbed):
         env = cloud_environment(testbed)
