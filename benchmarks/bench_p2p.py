@@ -31,7 +31,6 @@ from repro.scenarios import (  # noqa: E402
     TopologySpec,
     TransferSpec,
     WorkloadSpec,
-    build_swarm_scenario,
 )
 from repro.sim.transfers import TransferModel  # noqa: E402
 
@@ -68,12 +67,10 @@ def run_sweep(
     rows = []
     for n in sizes:
         base = _scenario_spec(n, transfer_model)
-        # One scenario shared by both sessions: byte counts comparable.
-        scenario = build_swarm_scenario(base)
-        hybrid = SimulationSession(
-            replace(base, mode="hybrid"), scenario=scenario
-        ).run()
-        p2p = SimulationSession(base, scenario=scenario).run()
+        # Both sessions build the same scenario (same topology, workload
+        # and seed), so their byte counts are directly comparable.
+        hybrid = SimulationSession(replace(base, mode="hybrid")).run()
+        p2p = SimulationSession(base).run()
         replicator = p2p.replicator
         rows.append(
             dict(

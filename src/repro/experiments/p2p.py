@@ -20,7 +20,10 @@ every layer already cached anywhere in a region can be served locally.
 Every experiment here is its scenario preset (:mod:`repro.scenarios`)
 at a seed: ``run_<x>(seed)`` starts from the preset of the same name,
 derives the variants its rows compare with :func:`dataclasses.replace`,
-and runs one :class:`SimulationSession` per variant.
+and runs one :class:`SimulationSession` per variant.  Each session
+builds its own scenario from its spec; the variants share topology,
+workload and seed, so every row sees the same registries, devices and
+pull schedule and byte counts stay directly comparable.
 
 Two transfer models are supported (see
 :class:`~repro.sim.transfers.TransferModel`): the default ``ANALYTIC``
@@ -50,7 +53,6 @@ from ..scenarios import (
     ModeOutcome,
     SimulationSession,
     TransferSpec,
-    build_swarm_scenario,
 )
 from .runner import ExperimentResult
 
@@ -69,9 +71,6 @@ __all__ = [
 def run(seed: int) -> ExperimentResult:
     """The three-tier comparison of the ``p2p`` preset at ``seed``."""
     base = replace(scenarios.get("p2p"), seed=seed)
-    # One scenario shared by every mode: registry blob content is
-    # immutable, so byte counts stay directly comparable.
-    scenario = build_swarm_scenario(base)
     result = ExperimentResult(
         experiment_id="p2p",
         title=(
@@ -91,9 +90,7 @@ def run(seed: int) -> ExperimentResult:
     )
     outcomes: Dict[str, ModeOutcome] = {}
     for mode in MODES:
-        outcome = SimulationSession(
-            replace(base, mode=mode), scenario=scenario
-        ).run()
+        outcome = SimulationSession(replace(base, mode=mode)).run()
         outcomes[mode] = outcome
         result.add_row(
             mode=mode,
@@ -165,11 +162,8 @@ def run_contended(seed: int) -> ExperimentResult:
     for transfer in (TransferSpec(), preset.transfer):
         model = transfer.model
         base = replace(preset, transfer=transfer)
-        scenario = build_swarm_scenario(base)
-        hybrid = SimulationSession(
-            replace(base, mode="hybrid"), scenario=scenario
-        ).run()
-        p2p = SimulationSession(base, scenario=scenario).run()
+        hybrid = SimulationSession(replace(base, mode="hybrid")).run()
+        p2p = SimulationSession(base).run()
         saved = hybrid.origin_bytes - p2p.origin_bytes
         savings[model] = saved
         for outcome in (hybrid, p2p):
@@ -369,17 +363,14 @@ def run_gossip(seed: int) -> ExperimentResult:
     for label, churn_spec in CHURN_REGIMES:
         # The backend is swapped per run below.
         base = replace(preset, discovery=DiscoverySpec(), churn=churn_spec)
-        scenario = build_swarm_scenario(base)
-        hybrid = SimulationSession(
-            replace(base, mode="hybrid"), scenario=scenario
-        ).run()
+        hybrid = SimulationSession(replace(base, mode="hybrid")).run()
         saved_by_backend: Dict[str, int] = {}
         for backend in DISCOVERY_BACKENDS:
             discovery = (
                 preset.discovery if backend == "gossip" else DiscoverySpec()
             )
             outcome = SimulationSession(
-                replace(base, discovery=discovery), scenario=scenario
+                replace(base, discovery=discovery)
             ).run()
             saved = hybrid.origin_bytes - outcome.origin_bytes
             saved_by_backend[backend] = saved

@@ -30,9 +30,10 @@ Components
     Turns the per-layer source choice into a per-chunk schedule:
     **rarest-first** chunk selection across full holders (discovery
     view, verified against ground truth) and partial holders (ledger),
-    up to ``max_parallel`` concurrent chunk transfers per layer through
-    the shared :class:`~repro.sim.transfers.TransferEngine`, per-chunk
-    re-resolution on :class:`~repro.sim.transfers.TransferCancelled` /
+    up to ``ChunkSpec.parallel`` concurrent chunk transfers per layer
+    through the shared :class:`~repro.sim.transfers.TransferEngine`,
+    per-chunk re-resolution on
+    :class:`~repro.sim.transfers.TransferCancelled` /
     :class:`~repro.sim.transfers.UploadBudgetExceeded` (replacing the
     single-source path's whole-layer restart; when only saturated
     seeders are left, the chunk waits for one to free an upload slot),
@@ -75,6 +76,7 @@ from .cache import EvictionRecord, ImageCache
 from .digest import DIGEST_PREFIX
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..scenarios.spec import ChunkSpec
     from .p2p import PullPlanner
 
 #: Default chunk size (decimal MB convention, like image sizes): large
@@ -268,8 +270,8 @@ class ChunkSwarmPlanner:
     """Per-chunk scheduling across every holder the swarm can see.
 
     One planner serves one :class:`~repro.registry.p2p.P2PRegistry`
-    facade.  It owns the swarm-wide :class:`ChunkLedger` and the
-    rarest-first policy knobs.  Once no unclaimed chunk remains, the
+    facade.  It owns the swarm-wide :class:`ChunkLedger`.  Once no
+    unclaimed chunk remains, the
     endgame re-requests a straggling peer-sourced chunk from the
     registry tier; the duplicate bytes are metered in each fetch's
     ``endgame_dupes`` / ``wasted_bytes``.
@@ -282,32 +284,21 @@ class ChunkSwarmPlanner:
         preference-ordered registry chain and registry choice, and its
         ``use_peers`` (a peer-less planner keeps every chunk on the
         registry tier).
-    chunk_size_bytes:
-        The unit of transfer.
-    max_parallel:
-        Concurrent chunk transfers per layer fetch (the swarming
-        window).  1 degenerates to sequential chunking.
+    config:
+        The :class:`~repro.scenarios.spec.ChunkSpec`: ``size_bytes`` is
+        the unit of transfer, ``parallel`` the concurrent chunk
+        transfers per layer fetch (the swarming window; 1 degenerates
+        to sequential chunking).
     seed:
         Seeds the rarest-first tie-break (stable, deterministic).
     """
 
     def __init__(
-        self,
-        planner: "PullPlanner",
-        chunk_size_bytes: int = DEFAULT_CHUNK_SIZE_BYTES,
-        max_parallel: int = 4,
-        seed: int = 0,
+        self, planner: "PullPlanner", config: "ChunkSpec", seed: int = 0
     ) -> None:
-        if max_parallel < 1:
-            raise ValueError(f"max_parallel must be >= 1, got {max_parallel}")
-        if chunk_size_bytes <= 0:
-            raise ValueError(
-                f"chunk_size_bytes must be > 0, got {chunk_size_bytes}"
-            )
         self.planner = planner
         self.swarm = planner.swarm
-        self.chunk_size_bytes = chunk_size_bytes
-        self.max_parallel = max_parallel
+        self.config = config
         self.seed = seed
         self.ledger = ChunkLedger()
         #: Optional telemetry trace sink (duck-typed, None = off):
@@ -496,8 +487,8 @@ class ChunkSwarmPlanner:
         reserved up front (capacity held; a second fetch of it on
         ``device`` is the cache's
         :class:`~repro.registry.cache.ReservationError`), chunks land in
-        parallel from up to ``max_parallel`` sources, each published to
-        the ledger as it lands, and the cache entry commits only when
+        parallel from up to ``config.parallel`` sources, each published
+        to the ledger as it lands, and the cache entry commits only when
         every chunk has.  Finish or abort first drops the layer's ledger
         entries — the ledger stops advertising partial chunks at the
         instant the peer index starts advertising the full replica —
@@ -509,14 +500,14 @@ class ChunkSwarmPlanner:
         """
         sim = engine.sim
         outcome = ChunkFetchOutcome(layer_digest=layer_digest)
-        cmap = ChunkMap(layer_digest, layer_size_bytes, self.chunk_size_bytes)
+        cmap = ChunkMap(layer_digest, layer_size_bytes, self.config.size_bytes)
         outcome.evictions.extend(cache.reserve(layer_digest, layer_size_bytes))
         st = _LayerFetch(cmap, outcome)
         started_s = sim.now
         try:
             workers = [
                 sim.process(self._worker(st, device, engine, meter_registry))
-                for _ in range(min(self.max_parallel, cmap.n_chunks))
+                for _ in range(min(self.config.parallel, cmap.n_chunks))
             ]
             yield sim.all_of(workers)
             if not st.complete:

@@ -50,9 +50,8 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKI
 
 import numpy as np
 
-from ..model.units import require_non_negative, require_positive
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..scenarios.spec import DiscoverySpec
     from ..sim.engine import Simulator
     from .p2p import PeerIndex
 
@@ -153,9 +152,9 @@ class GossipDiscovery(DiscoveryBackend):
     member plus one management-plane ``observer``) picks ``fanout``
     random partners and exchanges its knowledge — its own first-hand
     cache state, which the peer index reports through :meth:`note`,
-    plus everything second-hand it has heard.  With a simulator,
-    rounds run on its clock from :meth:`start`; without one, callers
-    step :meth:`run_round` themselves.  Merging
+    plus everything second-hand it has heard.  The knobs come from a
+    gossip :class:`~repro.scenarios.spec.DiscoverySpec`; rounds run on
+    ``sim``'s clock from :meth:`start`.  Merging
     follows the versioning rules in the module docstring; per digest a
     view keeps at most ``view_cap`` *present* entries and ``view_cap``
     tombstones (the freshest of each), which is what makes the views
@@ -170,49 +169,17 @@ class GossipDiscovery(DiscoveryBackend):
     authoritative = False
 
     def __init__(
-        self,
-        sim: Optional["Simulator"] = None,
-        fanout: int = 2,
-        period_s: float = 30.0,
-        view_cap: int = 8,
-        seed: int = 0,
-        latency_s: float = 0.0,
-        exchange: str = "push-pull",
-        loss_rate: float = 0.0,
+        self, sim: "Simulator", config: "DiscoverySpec", seed: int = 0
     ) -> None:
-        if fanout < 1:
-            raise ValueError(f"fanout must be >= 1, got {fanout}")
-        require_positive(period_s, "period_s")
-        if view_cap < 1:
-            raise ValueError(f"view_cap must be >= 1, got {view_cap}")
-        require_non_negative(latency_s, "latency_s")
-        if exchange not in ("push-pull", "digest-summary"):
-            raise ValueError(
-                f"unknown exchange {exchange!r}; expected 'push-pull' or "
-                f"'digest-summary'"
-            )
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(
-                f"loss_rate must be in [0, 1), got {loss_rate}"
-            )
         self.sim = sim
-        self.fanout = fanout
-        self.period_s = period_s
-        self.view_cap = view_cap
-        #: Per-pair metadata transport latency: exchanged payloads land
-        #: this many simulated seconds after the round fires (0 =
-        #: instantaneous, the historical model).  Needs a bound
-        #: simulator; synchronous test rounds deliver immediately.
-        self.latency_s = latency_s
-        #: ``"push-pull"`` ships full payloads; ``"digest-summary"``
-        #: ships only records strictly newer than what the receiver
-        #: already holds (identical merge result, fewer wire records).
-        self.exchange = exchange
-        #: Probability each *directed* payload of a round is dropped in
-        #: transit (seeded).  A lost payload costs nothing on the wire
-        #: and merges nothing; anti-entropy re-offers the knowledge
-        #: next round, so convergence survives — just slower.
-        self.loss_rate = loss_rate
+        # The knobs, read once from the spec section that validated
+        # them (see DiscoverySpec for what each one means).
+        self.fanout = config.gossip_fanout
+        self.period_s = config.gossip_period_s
+        self.view_cap = config.gossip_view_cap
+        self.latency_s = config.gossip_latency_s
+        self.exchange = config.gossip_exchange
+        self.loss_rate = config.gossip_loss_rate
         self._rng = np.random.default_rng(seed)
         # viewer -> digest -> holder -> key (second-hand knowledge; a
         # viewer's knowledge about itself lives in _firsthand only).
@@ -341,8 +308,6 @@ class GossipDiscovery(DiscoveryBackend):
         assembled: a session built and dropped unrun is then freed by
         reference counting.
         """
-        if self.sim is None:
-            raise RuntimeError("gossip rounds need a bound simulator")
         self.sim.process(self._run())
 
     def _run(self):
@@ -360,7 +325,8 @@ class GossipDiscovery(DiscoveryBackend):
         — one hop per round, the classic synchronous-gossip model),
         then each participant push-pulls with ``fanout`` seeded random
         partners.  Public so tests (and convergence measurements) can
-        step rounds without a simulator.
+        step rounds without running the simulator; with a latency, the
+        round's payloads land once the simulator reaches them.
         """
         names = self.participants()
         if len(names) < 2:
@@ -392,7 +358,7 @@ class GossipDiscovery(DiscoveryBackend):
                 else:
                     kept.append(pair)
             deliveries = kept
-        if self.latency_s > 0 and self.sim is not None:
+        if self.latency_s > 0:
             # Metadata takes time to cross the wire: the whole round's
             # payloads (snapshotted above) land latency_s later, so
             # views lag reality by a period *plus* the transport.
@@ -406,8 +372,7 @@ class GossipDiscovery(DiscoveryBackend):
             # deliveries land later, so their records count in a later
             # round's delta — the trace mirrors when work happened).
             self.trace.record(
-                self.sim.now if self.sim is not None else 0.0,
-                "gossip.round", "",
+                self.sim.now, "gossip.round", "",
                 round=self.rounds,
                 records_sent=self.records_sent - sent0,
                 payloads_lost=self.payloads_lost - lost0,

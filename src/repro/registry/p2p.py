@@ -50,7 +50,7 @@ from typing import (
 
 from ..model.device import Arch
 from ..model.network import NetworkModel
-from ..model.units import bytes_to_mb, require_positive
+from ..model.units import bytes_to_mb
 from ..sim.engine import Simulator
 from ..sim.transfers import (
     Transfer,
@@ -60,12 +60,13 @@ from ..sim.transfers import (
 )
 from .base import ImageReference, Registry, RegistryError
 from .cache import CacheFull, EvictionRecord, ImageCache
-from .chunks import DEFAULT_CHUNK_SIZE_BYTES, ChunkFetchOutcome, ChunkSwarmPlanner
+from .chunks import ChunkFetchOutcome, ChunkSwarmPlanner
 from .discovery import DiscoveryBackend, OmniscientDiscovery
 from .manifest import ImageManifest
 from .repository import ManifestNotFound
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..scenarios.spec import ChunkSpec, ReplicationSpec
     from ..sim.churn import ChurnProcess
 
 #: Shared empty holder set for digests nobody holds.
@@ -634,15 +635,15 @@ class P2PRegistry:
     resolution walks the chain and uses the first registry that can
     serve the reference, so hub-only images still resolve.
 
-    ``chunked=True`` (opt-in; needs the time-resolved engine) replaces
-    the per-layer single-source fetch of :meth:`pull_process` with the
-    BitTorrent-style per-chunk schedule of
-    :class:`~repro.registry.chunks.ChunkSwarmPlanner`: rarest-first
+    An enabled ``chunks`` section (opt-in; needs the time-resolved
+    engine) replaces the per-layer single-source fetch of
+    :meth:`pull_process` with the BitTorrent-style per-chunk schedule
+    of :class:`~repro.registry.chunks.ChunkSwarmPlanner`: rarest-first
     chunk selection across full and *partial* holders, up to
-    ``chunk_parallel`` concurrent sources per layer, endgame registry
+    ``chunks.parallel`` concurrent sources per layer, endgame registry
     re-requests for stragglers, and per-chunk (not per-layer)
-    re-resolution on seeder departure or saturation.  The default
-    ``chunked=False`` keeps the analytic and single-source paths
+    re-resolution on seeder departure or saturation; ``seed`` seeds its
+    tie-break.  Without one, the analytic and single-source paths stay
     bit-for-bit unchanged.
     """
 
@@ -652,22 +653,15 @@ class P2PRegistry:
         registries: Sequence[Registry],
         name: str = "p2p",
         use_peers: bool = True,
-        chunked: bool = False,
-        chunk_size_bytes: int = DEFAULT_CHUNK_SIZE_BYTES,
-        chunk_parallel: int = 4,
-        chunk_seed: int = 0,
+        chunks: Optional["ChunkSpec"] = None,
+        seed: int = 0,
     ) -> None:
         self.swarm = swarm
         self.name = name
         self.planner = PullPlanner(swarm, registries, use_peers=use_peers)
         self.chunks: Optional[ChunkSwarmPlanner] = None
-        if chunked:
-            self.chunks = ChunkSwarmPlanner(
-                self.planner,
-                chunk_size_bytes=chunk_size_bytes,
-                max_parallel=chunk_parallel,
-                seed=chunk_seed,
-            )
+        if chunks is not None and chunks.enabled:
+            self.chunks = ChunkSwarmPlanner(self.planner, chunks, seed=seed)
 
     def resolve(
         self, reference: ImageReference, arch: Arch
@@ -1043,6 +1037,10 @@ class ReplicatorCycle:
     replica_counts: Dict[str, int]
 
 
+#: Most proactive copies one replicator cycle performs.
+MAX_ACTIONS_PER_CYCLE = 64
+
+
 class AdaptiveReplicator:
     """Demand-driven hot-layer replication, run as a DES process.
 
@@ -1056,7 +1054,16 @@ class AdaptiveReplicator:
     is replicated into the others *before* they ask, so their first
     pull is already a LAN-speed peer hit.  Copies go through the
     ordinary cache insert, so the peer index stays coherent and cold
-    layers can be evicted by the copy like any other insert.
+    layers can be evicted by the copy like any other insert.  The knobs
+    come from ``config``, a :class:`~repro.scenarios.spec.ReplicationSpec`
+    (its docstring covers ``hotness`` and ``hot_fraction``); a cycle
+    performs at most :data:`MAX_ACTIONS_PER_CYCLE` copies.
+
+    With an ``engine``, copies move through the time-resolved transfer
+    engine (reserve → transfer → commit) instead of landing instantly,
+    and ``bytes_replicated`` counts only *delivered* copies.  With a
+    ``churn`` process, a region's replica count weights each holder by
+    its observed availability (:meth:`_effective_replicas`).
 
     Convergence is observable: once demand cools, cycles perform zero
     actions and :meth:`converged` turns true.
@@ -1066,74 +1073,15 @@ class AdaptiveReplicator:
         self,
         sim: Simulator,
         swarm: PeerSwarm,
-        interval_s: float = 60.0,
-        hot_threshold: float = 3.0,
-        target_replicas: int = 2,
-        decay: float = 0.5,
-        max_actions_per_cycle: int = 64,
+        config: "ReplicationSpec",
         engine: Optional[TransferEngine] = None,
         churn: Optional["ChurnProcess"] = None,
-        hotness: str = "global",
-        hot_fraction: Optional[float] = None,
     ) -> None:
-        require_positive(interval_s, "interval_s")
-        require_positive(hot_threshold, "hot_threshold")
-        if target_replicas < 1:
-            raise ValueError(f"target_replicas must be >= 1, got {target_replicas}")
-        if max_actions_per_cycle < 1:
-            raise ValueError(
-                f"max_actions_per_cycle must be >= 1, got {max_actions_per_cycle}"
-            )
-        if not 0.0 <= decay < 1.0:
-            raise ValueError(f"decay must be in [0, 1), got {decay}")
-        if hotness not in ("global", "per-region"):
-            raise ValueError(
-                f"unknown hotness scope {hotness!r}; expected 'global' or "
-                f"'per-region'"
-            )
-        if hot_fraction is not None:
-            if not 0.0 < hot_fraction <= 1.0:
-                raise ValueError(
-                    f"hot_fraction must be in (0, 1], got {hot_fraction}"
-                )
-            if hotness != "per-region":
-                raise ValueError(
-                    "hot_fraction scales the per-region threshold; it needs "
-                    f"hotness='per-region' (got {hotness!r})"
-                )
         self.sim = sim
         self.swarm = swarm
-        self.interval_s = interval_s
-        self.hot_threshold = hot_threshold
-        self.target_replicas = target_replicas
-        self.decay = decay
-        self.max_actions_per_cycle = max_actions_per_cycle
-        #: When set, proactive copies move through the time-resolved
-        #: transfer engine (reserve → transfer → commit) instead of
-        #: landing instantly; ``bytes_replicated`` then counts only
-        #: *delivered* copies.
+        self.config = config
         self.engine = engine
-        #: When set, replication targets become churn-aware: a region's
-        #: replica count weights each holder by its *observed*
-        #: availability (:meth:`~repro.sim.churn.ChurnProcess.availability`),
-        #: so a region whose holders keep departing is treated as
-        #: under-provisioned instead of counted at face value.  Without
-        #: a churn process (or before any departure is observed) every
-        #: weight is 1.0 — bit-for-bit the historical behaviour.
         self.churn = churn
-        #: ``"global"`` (the historical policy): a digest whose
-        #: swarm-wide score clears ``hot_threshold`` is topped up in
-        #: *every* region.  ``"per-region"``: a region only receives a
-        #: proactive copy when its own demand score clears the
-        #: threshold — colder regions wait for their first pull.
-        self.hotness = hotness
-        #: Per-region auto-scaling: when set, a (digest, region) pair
-        #: is hot when its score reaches ``hot_fraction`` of the
-        #: cycle's *peak* per-region score, not the absolute
-        #: ``hot_threshold``.  Per-region scores shrink as regions do,
-        #: so the absolute knob goes deaf on small regions; the
-        #: fraction adapts to whatever magnitude the cycle carries.
-        self.hot_fraction = hot_fraction
         self.history: List[ReplicatorCycle] = []
         self.bytes_replicated = 0
         self._scores: Dict[Tuple[str, str], float] = {}
@@ -1144,29 +1092,25 @@ class AdaptiveReplicator:
     # ------------------------------------------------------------------
     # the DES process
     # ------------------------------------------------------------------
-    def process(self, cycles: Optional[int] = None):
-        """Generator to hand to ``sim.process`` (None = run forever).
-
-        The run-forever form ticks on daemon timeouts, so it never
-        keeps a horizonless ``sim.run()`` from terminating; a bounded
-        ``cycles`` run uses ordinary timeouts and is awaitable.
-        """
-        done = 0
-        while cycles is None or done < cycles:
-            yield self.sim.timeout(self.interval_s, daemon=(cycles is None))
+    def process(self):
+        """Generator to hand to ``sim.process``: one cycle every
+        ``interval_s``, forever.  It ticks on daemon timeouts, so it
+        never keeps a horizonless ``sim.run()`` from terminating."""
+        while True:
+            yield self.sim.timeout(self.config.interval_s, daemon=True)
             self.run_cycle()
-            done += 1
 
     # ------------------------------------------------------------------
     # one cycle of continuous reasoning
     # ------------------------------------------------------------------
     def run_cycle(self) -> ReplicatorCycle:
         """Drain demand, refresh scores, replicate, record history."""
+        config = self.config
         bytes0 = self.bytes_replicated
         fresh = self.swarm.drain_demand()
         scores: Dict[Tuple[str, str], float] = {}
         for key, score in self._scores.items():
-            decayed = score * self.decay
+            decayed = score * config.decay
             if decayed >= 0.01:
                 scores[key] = decayed
         for key, count in fresh.items():
@@ -1176,17 +1120,17 @@ class AdaptiveReplicator:
         swarm_score: Dict[str, float] = {}
         for (digest, _region), score in scores.items():
             swarm_score[digest] = swarm_score.get(digest, 0.0) + score
-        if self.hotness == "per-region":
+        if config.hotness == "per-region":
             # A (digest, region) pair is hot only on that region's own
             # decayed demand; hot digests are those hot *somewhere*,
             # ranked by swarm-wide score exactly like the global policy
             # so the two scopes stay comparable cycle for cycle.
-            if self.hot_fraction is not None:
+            if config.hot_fraction is not None:
                 # Auto-scaled threshold: a fraction of this cycle's
                 # peak per-region score.  The peak pair is hot by
                 # construction, so a cycle with any demand always acts.
                 peak = max(scores.values(), default=0.0)
-                threshold = self.hot_fraction * peak
+                threshold = config.hot_fraction * peak
                 hot_pairs = {
                     key for key, score in scores.items()
                     if peak > 0.0 and score >= threshold
@@ -1194,7 +1138,7 @@ class AdaptiveReplicator:
             else:
                 hot_pairs = {
                     key for key, score in scores.items()
-                    if score >= self.hot_threshold
+                    if score >= config.hot_threshold
                 }
             hot = sorted(
                 {digest for digest, _region in hot_pairs},
@@ -1204,7 +1148,7 @@ class AdaptiveReplicator:
             hot_pairs = None
             hot = sorted(
                 (d for d, score in swarm_score.items()
-                 if score >= self.hot_threshold),
+                 if score >= config.hot_threshold),
                 key=lambda d: (-swarm_score[d], d),
             )
         actions: List[ReplicationAction] = []
@@ -1212,10 +1156,10 @@ class AdaptiveReplicator:
         # instant; departures are other processes' events).
         regions = self.swarm.regions()
         for digest in hot:
-            if len(actions) >= self.max_actions_per_cycle:
+            if len(actions) >= MAX_ACTIONS_PER_CYCLE:
                 break
             for region in regions:
-                if len(actions) >= self.max_actions_per_cycle:
+                if len(actions) >= MAX_ACTIONS_PER_CYCLE:
                     break
                 if hot_pairs is not None and (digest, region) not in hot_pairs:
                     continue
@@ -1258,7 +1202,10 @@ class AdaptiveReplicator:
         # operand (the region's members, not a hot layer's thousand
         # holders), and almost every check ends here, copying nothing.
         members = self.swarm.members(region)
-        if self._effective_replicas(members & view) >= self.target_replicas:
+        if (
+            self._effective_replicas(members & view)
+            >= self.config.target_replicas
+        ):
             return None
         size = discovery.size_of(digest)
         if size is None:

@@ -34,7 +34,7 @@ from ..telemetry import (
     TraceRecorder,
     active_capture,
 )
-from .build import SwarmScenario, build_swarm_scenario
+from .build import build_swarm_scenario
 from .spec import ScenarioSpec
 
 #: :meth:`ModeOutcome.to_dict` keys whose values depend on wall-clock
@@ -175,14 +175,15 @@ class ModeOutcome:
 class SimulationSession:
     """Assembles one scenario run and executes its pull schedule.
 
-    ``SimulationSession(spec)`` builds the scenario from the spec's
-    topology/workload sections; passing a pre-built ``scenario`` reuses
-    it instead — that is how comparative experiments run several
-    sessions (different modes, discovery backends, …) over the *same*
-    registries, so byte counts stay directly comparable (registry blob
-    content is immutable; only diagnostic pull counters accumulate —
-    scenarios must not configure a hub rate limiter, and the builder
-    never does).  A shared scenario must carry the spec's seed.
+    ``SimulationSession(spec)`` builds the scenario from the spec and
+    nothing else.  The build is deterministic and reads only the
+    topology and workload sections and the seed, so sessions that
+    compare variants of one spec (modes, discovery backends, …) each
+    build their own and still see the same registries, devices and
+    schedule.  Each component takes its spec section: the gossip
+    backend its ``discovery``, the replicator its ``replication``, the
+    facade its ``chunks``, the engine the ``transfer`` section's upload
+    budget.
 
     Sessions are single-use: :meth:`run` consumes the simulator state
     and raises on a second call.  After assembly the wired components
@@ -194,22 +195,10 @@ class SimulationSession:
     diagnostics.
     """
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        scenario: Optional[SwarmScenario] = None,
-    ) -> None:
+    def __init__(self, spec: ScenarioSpec) -> None:
         t0 = perf_counter()
         self.spec = spec
-        if scenario is None:
-            scenario = build_swarm_scenario(spec)
-        elif scenario.seed != spec.seed:
-            raise ValueError(
-                f"pre-built scenario seed {scenario.seed} does not match "
-                f"spec seed {spec.seed}; derive the spec with "
-                f"replace(spec, seed=scenario.seed)"
-            )
-        self.scenario = scenario
+        self.scenario = build_swarm_scenario(spec)
         self._ran = False
         self._assemble()
         self._wall_build_s = perf_counter() - t0
@@ -223,13 +212,8 @@ class SimulationSession:
         self.discovery: Optional[GossipDiscovery] = None
         if spec.discovery.backend == "gossip":
             self.discovery = GossipDiscovery(
-                sim=self.sim,
-                fanout=spec.discovery.gossip_fanout,
-                period_s=spec.discovery.gossip_period_s,
-                view_cap=spec.discovery.gossip_view_cap,
-                latency_s=spec.discovery.gossip_latency_s,
-                exchange=spec.discovery.gossip_exchange,
-                loss_rate=spec.discovery.gossip_loss_rate,
+                self.sim,
+                spec.discovery,
                 seed=self.rng.derive_seed("p2p.gossip") % (2**32),
             )
             self.swarm = PeerSwarm(scenario.network, discovery=self.discovery)
@@ -250,17 +234,15 @@ class SimulationSession:
             chain,
             name=spec.mode,
             use_peers=(spec.mode == "hybrid+p2p"),
-            chunked=spec.chunks.enabled,
-            chunk_size_bytes=spec.chunks.size_bytes,
-            chunk_parallel=spec.chunks.parallel,
-            chunk_seed=scenario.seed,
+            chunks=spec.chunks,
+            seed=scenario.seed,
         )
         self.engine: Optional[TransferEngine] = None
         if spec.transfer.time_resolved:
             self.engine = TransferEngine(
                 self.sim,
                 scenario.network,
-                default_upload_budget=spec.transfer.upload_budget,
+                upload_budget=spec.transfer.upload_budget,
             )
 
         busy: Dict[str, int] = {}
@@ -283,12 +265,7 @@ class SimulationSession:
             self.replicator = AdaptiveReplicator(
                 self.sim,
                 self.swarm,
-                interval_s=spec.replication.interval_s,
-                hot_threshold=spec.replication.hot_threshold,
-                target_replicas=spec.replication.target_replicas,
-                decay=spec.replication.decay,
-                hotness=spec.replication.hotness,
-                hot_fraction=spec.replication.hot_fraction,
+                spec.replication,
                 engine=self.engine,
                 churn=(
                     self.churn_process

@@ -90,6 +90,13 @@ class TopologySpec:
             raise ValueError("a swarm needs at least 2 devices")
         if self.n_regions < 1:
             raise ValueError(f"n_regions must be >= 1, got {self.n_regions}")
+        if self.n_regions > self.n_devices:
+            # Devices are dealt to regions round-robin: each would sit
+            # alone in its own region, and the surplus regions be empty.
+            raise ValueError(
+                f"n_regions ({self.n_regions}) exceeds n_devices "
+                f"({self.n_devices}); every region needs a device"
+            )
         require_positive(self.cache_gb, "cache_gb")
         for name in ("device_nic_mbps", "hub_egress_mbps",
                      "regional_egress_mbps", "hub_trunk_mbps",

@@ -280,8 +280,8 @@ class TransferEngine:
 
     Upload budgets
     --------------
-    ``default_upload_budget`` caps concurrent uploads *per device
-    source* (registries are exempt: their fan-out is the CDN's
+    ``upload_budget`` (None, or 1 and up) caps concurrent uploads *per
+    device source* (registries are exempt: their fan-out is the CDN's
     problem, modelled by their uplink capacity instead).  A saturated
     source makes :meth:`start` raise :class:`UploadBudgetExceeded`;
     callers re-resolve to another source, and when none is left wait
@@ -292,16 +292,12 @@ class TransferEngine:
         self,
         sim: Simulator,
         network,
-        default_upload_budget: Optional[int] = None,
+        upload_budget: Optional[int] = None,
         self_check: bool = False,
     ) -> None:
-        if default_upload_budget is not None and default_upload_budget < 0:
-            raise ValueError(
-                f"default_upload_budget must be >= 0, got {default_upload_budget}"
-            )
         self.sim = sim
         self.network = network
-        self.default_upload_budget = default_upload_budget
+        self.upload_budget = upload_budget
         self.self_check = self_check
         self._links: Dict[str, Link] = {}
         # Each resolved (src, dst, src_is_registry) path: its live links
@@ -354,36 +350,24 @@ class TransferEngine:
     # upload budgets
     # ------------------------------------------------------------------
 
-    def upload_budget(self, device: str) -> Optional[int]:
-        return self.default_upload_budget
-
     def uploads_in_flight(self, device: str) -> int:
         return len(self._uploads.get(device, ()))
 
     def can_upload(self, device: str) -> bool:
         """Whether ``device`` may start one more upload right now."""
-        budget = self.upload_budget(device)
+        budget = self.upload_budget
         return budget is None or self.uploads_in_flight(device) < budget
 
     def upload_slot_freed(self, devices: Sequence[str]) -> Event:
         """An event that fires once any of ``devices`` has a free
         upload slot: at once if one has a slot now, else when one of
-        their uploads finishes or is cancelled.
-
-        A device with neither a free slot nor an upload in flight (a
-        budget of 0, say) never gets a slot, so when every device is
-        like that, waiting is a :class:`ValueError`, not a hang.
+        their uploads finishes or is cancelled (a device without a
+        free slot has an upload in flight, as every budget is >= 1).
         """
         freed = self.sim.event()
         if any(self.can_upload(device) for device in devices):
             return freed.succeed()
-        uploading = [device for device in devices if self._uploads.get(device)]
-        if not uploading:
-            raise ValueError(
-                f"no upload slot will free on {list(devices)}: none has "
-                f"an upload in flight"
-            )
-        for device in uploading:
+        for device in devices:
             self._slot_waiters.setdefault(device, []).append(freed)
         return freed
 

@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 from repro.registry.discovery import GossipDiscovery, _version_key
 from repro.registry.p2p import AdaptiveReplicator, PeerIndex
+from repro.scenarios import DiscoverySpec
+from repro.sim.engine import Simulator
 from repro.sweep.runner import _cache_path, _store_cached
 from repro.telemetry import TelemetryCapture, TraceRecorder
 
@@ -73,7 +75,9 @@ def test_gossip_merge_cap_is_payload_order_independent():
         return _version_key(1, seq, True)
 
     def run(groups, prefill):
-        g = GossipDiscovery(view_cap=2)
+        g = GossipDiscovery(
+            Simulator(), DiscoverySpec(backend="gossip", gossip_view_cap=2)
+        )
         viewer = g.observer
         if prefill:
             # A full present class at seq 2/3: a floor exists, so part

@@ -3,8 +3,6 @@
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.cli import main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.costs import CostMatrix, SchedulerState
 from repro.core.games import (
-    NO_PENALTIES,
     PenaltyWeights,
     build_penalties,
     microservice_game,

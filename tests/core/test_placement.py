@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.placement import Assignment, PlacementError, PlacementPlan
+from repro.core.placement import PlacementError, PlacementPlan
 from repro.model.application import Application, Dataflow, Microservice
 
 

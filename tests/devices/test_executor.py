@@ -3,7 +3,7 @@
 import pytest
 
 from repro.devices.executor import DeviceRuntime
-from repro.devices.specs import medium_device, small_device
+from repro.devices.specs import medium_device
 from repro.model.application import Microservice, ResourceRequirements
 from repro.model.device import Phase
 from repro.model.network import NetworkModel

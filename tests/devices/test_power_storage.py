@@ -3,7 +3,7 @@
 import pytest
 
 from repro.devices.power import PowerSegment, PowerTrace
-from repro.devices.specs import medium_device, small_device
+from repro.devices.specs import medium_device
 from repro.model.device import Phase
 
 

@@ -6,7 +6,6 @@ and the independent algorithms must agree with each other.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -17,7 +16,6 @@ from repro.game import (
     energy_game,
     fictitious_play,
     lemke_howson,
-    lemke_howson_all,
     pure_equilibria,
 )
 from repro.game.lemke_howson import DegenerateGameError

@@ -20,7 +20,7 @@ here as that oracle.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Tuple
 
 import numpy as np
 

@@ -10,7 +10,7 @@ modes.
 import pytest
 
 from repro.core.environment import Environment
-from repro.core.placement import PlacementError, PlacementPlan
+from repro.core.placement import PlacementError
 from repro.core.scheduler import DeepScheduler
 from repro.experiments.runner import make_cluster
 from repro.model.application import (
@@ -18,7 +18,7 @@ from repro.model.application import (
     Microservice,
     ResourceRequirements,
 )
-from repro.orchestrator import ApplicationController, PodPhase
+from repro.orchestrator import ApplicationController
 from repro.registry.base import ImageReference
 from repro.registry.cache import CacheFull, ImageCache
 from repro.registry.hub import PullRateLimiter, RateLimitExceeded

@@ -6,7 +6,6 @@ from repro.model.application import Microservice, ResourceRequirements
 from repro.model.device import Arch, Device, DeviceSpec, PowerModel
 from repro.model.metrics import (
     CostRecord,
-    EnergyBreakdown,
     PhaseTimes,
     compute_time_s,
     deployment_time_s,

@@ -193,7 +193,8 @@ def entry_set(workdir: Path) -> List[Entry]:
     ]
     for preset in scenarios.names():
         sized = (
-            ("--set", "topology.n_devices=2000")
+            ("--set", "topology.n_devices=2000",
+             "--set", "topology.n_regions=100")
             if preset == "p2p-swarm-100k" else ()
         )
         entries.append(_cli("scenario", preset, *sized, "--json"))

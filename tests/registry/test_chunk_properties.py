@@ -25,6 +25,7 @@ from repro.registry.chunks import (
 from repro.registry.digest import digest_text
 from repro.registry.hub import DockerHub
 from repro.registry.p2p import PeerSwarm, PullPlanner
+from repro.scenarios import ChunkSpec
 from repro.sim.engine import Simulator
 from repro.sim.transfers import TransferEngine
 
@@ -86,15 +87,14 @@ def test_any_interleaving_reassembles_exactly_once(
     if slow_seeder:
         network.set_uplink("edge-1", 10.0)  # a straggler: endgame bait
     sim = Simulator()
-    engine = TransferEngine(sim, network, default_upload_budget=upload_budget)
+    engine = TransferEngine(sim, network, upload_budget=upload_budget)
     swarm = PeerSwarm(network)
     caches = {name: _CountingCache(1.0, name) for name in names}
     for name in names:
         swarm.add_device(name, caches[name], region="lab")
     planner = ChunkSwarmPlanner(
         PullPlanner(swarm, [hub]),
-        chunk_size_bytes=chunk_size,
-        max_parallel=window,
+        ChunkSpec(size_bytes=chunk_size, parallel=window),
         seed=seed,
     )
     role_of = dict(zip(names, ["fetch", "seed"] + roles))
@@ -183,7 +183,7 @@ def _planner(seed: int):
     for name in names:
         swarm.add_device(name, ImageCache(1.0, name), region="lab")
     return ChunkSwarmPlanner(
-        PullPlanner(swarm, [hub]), chunk_size_bytes=10, seed=seed
+        PullPlanner(swarm, [hub]), ChunkSpec(size_bytes=10), seed=seed
     )
 
 

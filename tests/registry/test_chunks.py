@@ -32,6 +32,7 @@ from repro.registry.p2p import (
     PullPlanner,
     SourceKind,
 )
+from repro.scenarios import ChunkSpec
 from repro.sim.engine import Simulator
 from repro.sim.transfers import TransferEngine
 
@@ -298,7 +299,7 @@ def planner_on_lan(n_devices: int = 4, seed: int = 0):
         caches[name] = ImageCache(4.0, name)
         swarm.add_device(name, caches[name], region="lab")
     planner = ChunkSwarmPlanner(
-        PullPlanner(swarm, [hub]), chunk_size_bytes=10 * MB, seed=seed
+        PullPlanner(swarm, [hub]), ChunkSpec(size_bytes=10 * MB), seed=seed
     )
     return planner, swarm, caches, hub
 
@@ -405,7 +406,7 @@ def test_peer_beats_registry_on_equal_seconds(path):
         )
         assert (source.kind, source.source) == (SourceKind.PEER, "peer")
     else:
-        chunks = ChunkSwarmPlanner(planner, chunk_size_bytes=10 * MB)
+        chunks = ChunkSwarmPlanner(planner, ChunkSpec(size_bytes=10 * MB))
         cmap = ChunkMap(LAYER, 40 * MB, 10 * MB)
         st = _LayerFetch(cmap, ChunkFetchOutcome(LAYER))
         assert chunks._resolve_chunk(st, cmap.chunk(0), "dev", set()) == (
@@ -438,7 +439,7 @@ def make_chunked_swarm(
     for name in names:
         network.connect_registry(hub.name, name, hub_bw)
     sim = Simulator()
-    engine = TransferEngine(sim, network, default_upload_budget=upload_budget)
+    engine = TransferEngine(sim, network, upload_budget=upload_budget)
     swarm = PeerSwarm(network)
     caches = {}
     for name in names:
@@ -447,9 +448,9 @@ def make_chunked_swarm(
     facade = P2PRegistry(
         swarm,
         [hub],
-        chunked=True,
-        chunk_size_bytes=chunk_size_bytes,
-        chunk_parallel=chunk_parallel,
+        chunks=ChunkSpec(
+            enabled=True, size_bytes=chunk_size_bytes, parallel=chunk_parallel
+        ),
     )
     return sim, engine, swarm, caches, facade, hub, network
 
@@ -504,7 +505,7 @@ class TestChunkedPull:
         # timing, single-source planner — the follower resolves while
         # nothing is committed and must go to the registry.
         sim, engine, swarm, caches, facade, hub, _net = make_chunked_swarm()
-        single = P2PRegistry(swarm, [hub])  # chunked=False default
+        single = P2PRegistry(swarm, [hub])  # no chunks: single-source
         lead = pull_at(sim, engine, single, caches, 0.0, "edge-0")
         follow = pull_at(sim, engine, single, caches, 5.0, "edge-1")
         sim.run()

@@ -16,8 +16,14 @@ from repro.registry.cache import ImageCache
 from repro.registry.digest import digest_text
 from repro.registry.discovery import GossipDiscovery
 from repro.registry.p2p import PeerIndex
-from repro.scenarios import SimulationSession, get, with_overrides
+from repro.scenarios import (
+    DiscoverySpec,
+    SimulationSession,
+    get,
+    with_overrides,
+)
 from repro.scenarios.session import deterministic_outcome_dict
+from repro.sim.engine import Simulator
 
 from gossip_oracle import OracleGossipDiscovery, decoded_views
 
@@ -54,8 +60,11 @@ class _World:
     """One backend plus the caches that feed it first-hand events, each
     through the peer index that observes it (as in a swarm)."""
 
-    def __init__(self, cls, n, placement, **knobs):
-        self.disc = cls(**knobs)
+    def __init__(self, cls, n, placement, seed, **knobs):
+        config = DiscoverySpec(
+            backend="gossip", **{f"gossip_{k}": v for k, v in knobs.items()}
+        )
+        self.disc = cls(Simulator(), config, seed=seed)
         self.index = PeerIndex()
         self.index.forward_to(self.disc.note)
         self.names = DEVICES[:n]

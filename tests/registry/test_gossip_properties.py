@@ -23,6 +23,8 @@ from repro.registry.cache import ImageCache
 from repro.registry.digest import digest_text
 from repro.registry.discovery import GossipDiscovery, _version_key
 from repro.registry.p2p import PeerSwarm
+from repro.scenarios import DiscoverySpec
+from repro.sim.engine import Simulator
 
 DIGESTS = [digest_text(f"gossip-prop-{i}") for i in range(4)]
 
@@ -38,7 +40,13 @@ def build_swarm(n: int, fanout: int, seed: int):
     names = [f"d{i}" for i in range(n)]
     network.connect_device_mesh(names, 800.0)
     # view_cap >= n so convergence can be *exact* (partiality off).
-    discovery = GossipDiscovery(fanout=fanout, view_cap=n, seed=seed)
+    discovery = GossipDiscovery(
+        Simulator(),
+        DiscoverySpec(
+            backend="gossip", gossip_fanout=fanout, gossip_view_cap=n
+        ),
+        seed=seed,
+    )
     swarm = PeerSwarm(network, discovery=discovery)
     caches = {}
     for name in names:

@@ -16,6 +16,7 @@ from repro.registry.images import OFFICIAL_BASES, build_image
 from repro.registry.manifest import ImageManifest, LayerDescriptor
 from repro.registry.minio import MinioStore
 from repro.registry.p2p import (
+    MAX_ACTIONS_PER_CYCLE,
     AdaptiveReplicator,
     P2PPullResult,
     P2PRegistry,
@@ -25,6 +26,7 @@ from repro.registry.p2p import (
     SourceKind,
 )
 from repro.registry.regional import RegionalRegistry
+from repro.scenarios import ReplicationSpec
 from repro.sim.engine import Simulator
 
 
@@ -424,8 +426,10 @@ class TestAdaptiveReplicator:
             swarm.add_device(name, small_cache(1000, name), region=region)
         sim = Simulator()
         replicator = AdaptiveReplicator(
-            sim, swarm, interval_s=10.0, hot_threshold=3.0,
-            target_replicas=1, **kwargs,
+            sim, swarm, ReplicationSpec(
+                interval_s=10.0, hot_threshold=3.0, target_replicas=1,
+                **kwargs,
+            ),
         )
         return sim, swarm, replicator
 
@@ -454,8 +458,9 @@ class TestAdaptiveReplicator:
         swarm.index.cache_of("r0-d0").add(D[0], 50)
         for _ in range(5):
             swarm.record_demand(D[0], "r0-d1")
-        sim.process(replicator.process(cycles=6))
-        sim.run()
+        sim.process(replicator.process())
+        sim.run(until=60.0)
+        assert len(replicator.history) == 6
         assert replicator.total_actions() >= 1
         assert replicator.converged(quiet_cycles=3)
         # Replica counts stabilised at >= target in every region.
@@ -473,7 +478,9 @@ class TestAdaptiveReplicator:
             swarm.add_device(name, small_cache(1000, name), region=name[:2])
         sim = Simulator()
         replicator = AdaptiveReplicator(
-            sim, swarm, interval_s=10.0, hot_threshold=3.0, target_replicas=1
+            sim, swarm, ReplicationSpec(
+                interval_s=10.0, hot_threshold=3.0, target_replicas=1
+            ),
         )
         swarm.index.cache_of("r0-d0").add(D[0], 50)
         for _ in range(5):
@@ -520,20 +527,31 @@ class TestAdaptiveReplicator:
         assert cycle.actions == ()
         assert cycle.hot_digests == ()
 
-    def test_unknown_hotness_scope_rejected(self):
-        with pytest.raises(ValueError, match="hotness"):
-            self.build(hotness="everywhere")
-
     def test_bad_cadence_knobs_rejected(self):
         sim, swarm = Simulator(), PeerSwarm(NetworkModel())
         for bad in (float("nan"), float("inf"), 0.0, -1.0):
             with pytest.raises(ValueError, match="interval_s"):
-                AdaptiveReplicator(sim, swarm, interval_s=bad)
+                AdaptiveReplicator(sim, swarm, ReplicationSpec(interval_s=bad))
             with pytest.raises(ValueError, match="hot_threshold"):
-                AdaptiveReplicator(sim, swarm, hot_threshold=bad)
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match="max_actions_per_cycle"):
-                AdaptiveReplicator(sim, swarm, max_actions_per_cycle=bad)
+                AdaptiveReplicator(
+                    sim, swarm, ReplicationSpec(hot_threshold=bad)
+                )
+
+    def test_a_cycle_stops_at_the_action_cap(self):
+        # 70 hot layers are missing from r1: the first cycle copies the
+        # first 64 and stops, the next copies the other six.
+        _sim, swarm, replicator = self.build(per_region=1)
+        digests = [digest_text(f"p2p-capped-{i}") for i in range(70)]
+        for digest in digests:
+            swarm.index.cache_of("r0-d0").add(digest, 10)
+            for _ in range(10):
+                swarm.record_demand(digest, "r0-d0")
+        first = replicator.run_cycle()
+        assert len(first.actions) == MAX_ACTIONS_PER_CYCLE == 64
+        assert [a.digest for a in first.actions] == sorted(digests)[:64]
+        second = replicator.run_cycle()
+        assert len(second.actions) == 70 - 64
+        assert all(swarm.index.holds("r1-d0", d) for d in digests)
 
     def test_actions_carry_transfer_seconds(self):
         _sim, swarm, replicator = self.build()
@@ -574,8 +592,9 @@ class TestAdaptiveReplicator:
             for name in members[:2]:
                 index.cache_of(name).add(D[0], 50)
         replicator = AdaptiveReplicator(
-            Simulator(), swarm, interval_s=10.0, hot_threshold=3.0,
-            target_replicas=2,
+            Simulator(), swarm, ReplicationSpec(
+                interval_s=10.0, hot_threshold=3.0, target_replicas=2
+            ),
         )
         for _ in range(5):
             swarm.record_demand(D[0], "r0-d2")
@@ -639,9 +658,9 @@ class TestChurnAwareReplication:
         replicator = AdaptiveReplicator(
             sim,
             swarm,
-            interval_s=10.0,
-            hot_threshold=3.0,
-            target_replicas=1,
+            ReplicationSpec(
+                interval_s=10.0, hot_threshold=3.0, target_replicas=1
+            ),
             churn=churn,
         )
         return sim, swarm, replicator
@@ -705,8 +724,10 @@ class TestHotFraction:
             swarm.add_device(name, small_cache(1000, name), region=region)
         sim = Simulator()
         replicator = AdaptiveReplicator(
-            sim, swarm, interval_s=10.0, hot_threshold=3.0,
-            target_replicas=1, hotness="per-region", **kwargs,
+            sim, swarm, ReplicationSpec(
+                interval_s=10.0, hot_threshold=3.0, target_replicas=1,
+                hotness="per-region", **kwargs,
+            ),
         )
         return sim, swarm, replicator
 
@@ -715,8 +736,9 @@ class TestHotFraction:
         swarm = PeerSwarm(NetworkModel())
         with pytest.raises(ValueError, match="per-region"):
             AdaptiveReplicator(
-                sim, swarm, interval_s=10.0, hotness="global",
-                hot_fraction=0.5,
+                sim, swarm, ReplicationSpec(
+                    interval_s=10.0, hotness="global", hot_fraction=0.5
+                ),
             )
 
     def test_bounds_are_validated(self):

@@ -20,6 +20,7 @@ from repro.registry.p2p import (
     PeerSwarm,
     SourceKind,
 )
+from repro.scenarios import ReplicationSpec
 from repro.sim.engine import Simulator
 from repro.sim.transfers import TransferEngine
 from test_p2p import plan_pull
@@ -50,7 +51,7 @@ def make_swarm(n_devices=3, hub_bw=80.0, lan_bw=800.0, upload_budget=None):
         network.connect_registry(hub.name, name, hub_bw)
 
     sim = Simulator()
-    engine = TransferEngine(sim, network, default_upload_budget=upload_budget)
+    engine = TransferEngine(sim, network, upload_budget=upload_budget)
     swarm = PeerSwarm(network)
     caches = {}
     for name in names:
@@ -190,7 +191,7 @@ class TestUploadBudget:
         names = ["edge-0", "edge-1", "edge-2"]
         network.connect_device_mesh(names, 100.0)
         sim = Simulator()
-        engine = TransferEngine(sim, network, default_upload_budget=budget)
+        engine = TransferEngine(sim, network, upload_budget=budget)
         swarm = PeerSwarm(network)
         caches = {name: ImageCache(1.0, name) for name in names}
         for name in names:
@@ -304,15 +305,16 @@ class TestReplicatorTimeResolved:
         replicator = AdaptiveReplicator(
             sim,
             swarm,
-            interval_s=60.0,
-            hot_threshold=1.0,
-            target_replicas=3,
+            ReplicationSpec(
+                interval_s=60.0, hot_threshold=1.0, target_replicas=3
+            ),
             engine=engine,
         )
         pull_at(sim, engine, facade, caches, 0.0, "edge-0")
         pull_at(sim, engine, facade, caches, 80.0, "edge-1")
-        sim.process(replicator.process(cycles=20))
-        sim.run()
+        sim.process(replicator.process())
+        sim.run(until=1200.0)
+        assert len(replicator.history) == 20
         assert replicator.total_actions() > 0
         assert replicator.bytes_replicated > 0
         assert swarm.index.coherence_violations() == []

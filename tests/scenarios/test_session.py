@@ -1,12 +1,11 @@
-"""SimulationSession: assembly, scenario reuse, and the outcome dict.
+"""SimulationSession: assembly, the outcome dict, and every preset's
+pinned outcome.
 
-The headline guarantee: a session run on a scenario that an earlier
-session already ran equals a session that builds its own, on every
-configuration axis (transfer model, discovery, churn, chunking) — the
-experiments share one scenario across the modes they compare.
+The headline guarantee: each preset, run at its own seed, reproduces
+its pinned outcome digest exactly, so a change that moves any outcome
+of any preset fails here, not in a by-hand comparison.
 """
 
-import dataclasses
 import gc
 import hashlib
 import inspect
@@ -16,7 +15,6 @@ import pytest
 
 from repro import scenarios
 from repro.scenarios import (
-    ChunkSpec,
     ChurnSpec,
     DiscoverySpec,
     ScenarioSpec,
@@ -69,56 +67,6 @@ class TestAssembly:
         session.run()
         with pytest.raises(RuntimeError, match="single-use"):
             session.run()
-
-    def test_prebuilt_scenario_seed_must_match(self):
-        spec = _small_spec(seed=3)
-        scenario = build_swarm_scenario(spec)
-        with pytest.raises(ValueError, match="seed"):
-            SimulationSession(
-                dataclasses.replace(spec, seed=4), scenario=scenario
-            )
-
-
-class TestScenarioReuse:
-    """``run``, ``run_contended`` and ``run_gossip`` run every mode they
-    compare on one built scenario, so a run must leave nothing in it
-    that changes the next run."""
-
-    CASES = {
-        "analytic-omniscient": dict(),
-        "time-resolved": dict(
-            transfer=TransferSpec(
-                model=TransferModel.TIME_RESOLVED, upload_budget=2
-            ),
-        ),
-        "gossip-churn": dict(
-            discovery=DiscoverySpec(backend="gossip", gossip_period_s=120.0),
-            churn=ChurnSpec(
-                mean_uptime_s=400.0, mean_downtime_s=200.0, min_online=3
-            ),
-        ),
-        "chunked": dict(
-            transfer=TransferSpec(
-                model=TransferModel.TIME_RESOLVED, upload_budget=2
-            ),
-            chunks=ChunkSpec(enabled=True, size_bytes=16_000_000),
-        ),
-    }
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_reused_scenario_matches_fresh_build(self, case):
-        spec = _small_spec(**self.CASES[case])
-        scenario = build_swarm_scenario(spec)
-        SimulationSession(
-            dataclasses.replace(spec, mode="hybrid"), scenario=scenario
-        ).run()
-        reused = SimulationSession(spec, scenario=scenario).run()
-        fresh = SimulationSession(spec).run()
-        # Wall-clock (and profile) fields differ between any two runs;
-        # equivalence is over the deterministic surface only.
-        assert scenarios.deterministic_outcome_dict(
-            reused.to_dict()
-        ) == scenarios.deterministic_outcome_dict(fresh.to_dict())
 
 
 class TestSharedTopology:
@@ -200,6 +148,45 @@ class TestPresetSessions:
         outcome = SimulationSession(spec).run()
         assert outcome.pulls + outcome.skipped_pulls == 12
         assert outcome.gossip_rounds > 0
+
+
+class TestPresetOutcomes:
+    """Every preset at its own seed against its pinned outcome: the first
+    12 hex digits of the sha256 of the canonical JSON of the
+    deterministic outcome dict.  ``p2p-swarm-100k`` runs at 2,000
+    devices in 100 regions, as the reach check runs it.  A change that
+    moves a pin updates it here and says why in CHANGES.md."""
+
+    PINS = {
+        "p2p": "a7006c9430ba",
+        "p2p-chunked": "aa30dfc36d87",
+        "p2p-contended": "6b8c475e3d23",
+        "p2p-gossip": "d575a2ac8b19",
+        "p2p-hub-only": "3d6fa9e6fb8a",
+        "p2p-hybrid": "c5f31606872c",
+        "p2p-swarm-100k": "ca3165daf5fd",
+        "p2p-swarm-scale": "a209a41aad07",
+    }
+    SIZED = {
+        "p2p-swarm-100k": {
+            "topology.n_devices": 2000, "topology.n_regions": 100,
+        },
+    }
+
+    def test_every_preset_is_pinned(self):
+        assert sorted(self.PINS) == sorted(scenarios.names())
+
+    @pytest.mark.parametrize("preset", sorted(PINS))
+    def test_preset_outcome_matches_its_pin(self, preset):
+        spec = scenarios.with_overrides(
+            scenarios.get(preset), self.SIZED.get(preset, {})
+        )
+        outcome = SimulationSession(spec).run()
+        blob = scenarios.canonical_json(
+            scenarios.deterministic_outcome_dict(outcome.to_dict())
+        )
+        digest = hashlib.sha256(blob.encode("ascii")).hexdigest()
+        assert digest[:12] == self.PINS[preset]
 
 
 class TestRunMemory:

@@ -45,6 +45,13 @@ class TestSectionValidation:
         with pytest.raises(ValueError, match="at least 2 devices"):
             TopologySpec(n_devices=1)
 
+    def test_more_regions_than_devices_rejected(self):
+        # Devices are dealt to regions round-robin: 2,000 devices in
+        # 5,000 regions would be 2,000 lone devices with no peer.
+        with pytest.raises(ValueError, match=r"n_regions \(5000\).*\(2000\)"):
+            TopologySpec(n_devices=2000, n_regions=5000)
+        assert TopologySpec(n_devices=4, n_regions=4).n_regions == 4
+
     def test_nic_shaping_must_be_positive(self):
         with pytest.raises(ValueError, match="device_nic_mbps"):
             TopologySpec(device_nic_mbps=0.0)
@@ -97,6 +104,23 @@ class TestSectionValidation:
         assert (spec.gossip_fanout, spec.gossip_period_s,
                 spec.gossip_view_cap) == (2, 60.0, 8)
 
+    def test_gossip_knob_ranges(self):
+        with pytest.raises(ValueError, match="gossip_exchange"):
+            DiscoverySpec(backend="gossip", gossip_exchange="telepathy")
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="gossip_latency_s"):
+                DiscoverySpec(backend="gossip", gossip_latency_s=bad)
+            with pytest.raises(ValueError, match="gossip_period_s"):
+                DiscoverySpec(backend="gossip", gossip_period_s=bad)
+        for name in ("gossip_fanout", "gossip_view_cap"):
+            with pytest.raises(ValueError, match=name):
+                DiscoverySpec(backend="gossip", **{name: 0})
+        spec = DiscoverySpec(
+            backend="gossip", gossip_exchange="digest-summary",
+            gossip_fanout=1, gossip_view_cap=1, gossip_latency_s=0.0,
+        )
+        assert spec.gossip_exchange == "digest-summary"
+
     def test_churn_spec_validates_like_churn_config(self):
         with pytest.raises(ValueError):
             ChurnSpec(mean_uptime_s=0.0)
@@ -110,8 +134,19 @@ class TestSectionValidation:
     def test_replication_knobs_positive(self):
         with pytest.raises(ValueError, match="interval_s"):
             ReplicationSpec(interval_s=0.0)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="hot_threshold"):
+                ReplicationSpec(hot_threshold=bad)
         with pytest.raises(ValueError, match="target_replicas"):
             ReplicationSpec(target_replicas=0)
+
+    def test_replication_decay_and_hotness(self):
+        for bad in (-0.1, 1.0):
+            with pytest.raises(ValueError, match="decay"):
+                ReplicationSpec(decay=bad)
+        assert ReplicationSpec(decay=0.0).decay == 0.0
+        with pytest.raises(ValueError, match="hotness"):
+            ReplicationSpec(hotness="everywhere")
 
     def test_trunk_slices_exclude_monolithic_egress(self):
         with pytest.raises(ValueError, match="hub"):
@@ -268,12 +303,13 @@ def _churn_and_replication():
 def scenario_specs(draw):
     transfer, chunks = draw(_transfers_and_chunks())
     churn, replication = draw(_churn_and_replication())
+    n_devices = draw(st.integers(2, 64))
     return ScenarioSpec(
         mode=draw(st.sampled_from(scenarios.MODES)),
         topology=draw(st.builds(
             TopologySpec,
-            n_devices=st.integers(2, 64),
-            n_regions=st.integers(1, 8),
+            n_devices=st.just(n_devices),
+            n_regions=st.integers(1, min(8, n_devices)),
             cache_gb=st.floats(1.0, 64.0, allow_nan=False),
             device_nic_mbps=st.one_of(
                 st.none(), st.floats(10.0, 1000.0, allow_nan=False)

@@ -1,7 +1,5 @@
 """Cloud–edge extension (the paper's future work)."""
 
-import pytest
-
 from repro.core.scheduler import DeepScheduler
 from repro.experiments import cloud as cloud_experiment
 from repro.workloads.apps import text_processing, video_processing

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.model.device import Arch
-from repro.registry.base import ImageReference
 from repro.workloads.calibration import CalibrationConfig, calibrate
 from repro.workloads.synthetic import (
     SyntheticConfig,
