@@ -252,6 +252,12 @@ class NetworkModel:
     def has_registry_channel(self, registry: str, device: str) -> bool:
         return device in self._registry_channels.get(registry, _NO_CHANNELS)
 
+    def find_registry_channel(
+        self, registry: str, device: str
+    ) -> Optional[Channel]:
+        """Channel from ``registry`` to ``device``; None if unconnected."""
+        return self._registry_channels.get(registry, _NO_CHANNELS).get(device)
+
     def channels_into(self, dst: str) -> Dict[str, Channel]:
         """Source → channel for every device channel into ``dst``.
 

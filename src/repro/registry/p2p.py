@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
     Callable,
@@ -514,18 +514,18 @@ class PullPlanner:
         for registry in self.registries:
             if digest not in registry.blobs:
                 continue
-            if not network.has_registry_channel(registry.name, device):
+            name = registry.name
+            channel = network.find_registry_channel(name, device)
+            if channel is None:
                 continue
             if engine is None:
-                seconds = network.registry_channel(
-                    registry.name, device
-                ).transfer_time_s(size_mb)
+                seconds = channel.transfer_time_s(size_mb)
             else:
                 seconds = engine.estimated_transfer_s(
-                    registry.name, device, size_mb, src_is_registry=True
+                    name, device, size_mb, src_is_registry=True
                 )
             if best is None or seconds < best[0]:
-                best = (seconds, registry.name)
+                best = (seconds, name)
         return best
 
     def resolve_layer(
@@ -574,8 +574,9 @@ class P2PPullResult:
     """Outcome of one three-tier pull (mirrors ``PullResult``'s API).
 
     ``layers`` holds one source entry per layer (a chunked layer has
-    one per serving source, sized by the bytes it delivered); every
-    byte count below is computed from them.
+    one per serving source, sized by the bytes it delivered).  The
+    tallies after the constructor fields are computed from them once,
+    when the result is built, in one pass in layer order.
     """
 
     reference: ImageReference
@@ -596,30 +597,40 @@ class P2PPullResult:
     #: Duplicate chunk re-requests issued by the chunked endgame (0 on
     #: single-source pulls).
     chunk_endgame_dupes: int = 0
+    #: Bytes that must actually move (non-local layers).
+    bytes_transferred: int = field(init=False, compare=False)
+    #: Bytes peers serve (the rest come from registries).
+    bytes_from_peers: int = field(init=False, compare=False)
+    #: Registry name → bytes this pull takes from it.
+    bytes_by_registry: Dict[str, int] = field(init=False, compare=False)
+    #: Transfer time, layers fetched sequentially: the layers' seconds
+    #: added left to right, so a session's ``transfer_s`` adds the same
+    #: floats in the same order as a sum over ``layers``.
+    seconds: float = field(init=False, compare=False)
 
-    @property
-    def bytes_transferred(self) -> int:
-        """Bytes that must actually move (non-local layers)."""
-        return sum(
-            l.size_bytes for l in self.layers if l.kind is not SourceKind.LOCAL
-        )
-
-    @property
-    def bytes_from_peers(self) -> int:
-        return sum(l.size_bytes for l in self.layers if l.kind is SourceKind.PEER)
-
-    def bytes_by_registry(self) -> Dict[str, int]:
-        """Registry name → bytes this pull takes from it."""
-        out: Dict[str, int] = {}
+    def __post_init__(self) -> None:
+        local, peer = SourceKind.LOCAL, SourceKind.PEER
+        moved = from_peers = 0
+        seconds = 0.0
+        by_registry: Dict[str, int] = {}
         for layer in self.layers:
-            if layer.kind is SourceKind.REGISTRY:
-                out[layer.source] = out.get(layer.source, 0) + layer.size_bytes
-        return out
-
-    @property
-    def seconds(self) -> float:
-        """Transfer time, layers fetched sequentially."""
-        return sum(l.seconds for l in self.layers)
+            seconds += layer.seconds
+            kind = layer.kind
+            if kind is local:
+                continue
+            size = layer.size_bytes
+            moved += size
+            if kind is peer:
+                from_peers += size
+            else:
+                source = layer.source
+                by_registry[source] = by_registry.get(source, 0) + size
+        # The dataclass is frozen: set the tallies the way its
+        # generated __init__ sets the fields.
+        object.__setattr__(self, "bytes_transferred", moved)
+        object.__setattr__(self, "bytes_from_peers", from_peers)
+        object.__setattr__(self, "bytes_by_registry", by_registry)
+        object.__setattr__(self, "seconds", seconds)
 
     @property
     def cache_hit(self) -> bool:
@@ -1198,14 +1209,9 @@ class AdaptiveReplicator:
         view = discovery.management_view(digest)
         if not view:
             return None  # nobody to copy from; the next pull will seed it
-        # Decide on the live sets: the intersection iterates its smaller
-        # operand (the region's members, not a hot layer's thousand
-        # holders), and almost every check ends here, copying nothing.
+        # Almost every check ends here, copying nothing.
         members = self.swarm.members(region)
-        if (
-            self._effective_replicas(members & view)
-            >= self.config.target_replicas
-        ):
+        if self._provisioned(members, view):
             return None
         size = discovery.size_of(digest)
         if size is None:
@@ -1263,6 +1269,33 @@ class AdaptiveReplicator:
             )
         return None
 
+    def _provisioned(
+        self, members: AbstractSet[str], view: AbstractSet[str]
+    ) -> bool:
+        """Whether ``view`` shows ``target_replicas`` copies among a
+        region's ``members``.
+
+        Without churn every copy counts once: the check walks the
+        smaller of the two live sets, probes the other, and stops at
+        the target.  The answer is a threshold on the size of the
+        intersection, so no set order can change it, and no
+        intersection is built.  With churn, copies are weighted by
+        availability (:meth:`_effective_replicas`) over the
+        intersection.
+        """
+        target = self.config.target_replicas
+        if self.churn is not None:
+            return self._effective_replicas(members & view) >= target
+        if len(view) < len(members):
+            members, view = view, members
+        found = 0
+        for member in members:
+            if member in view:
+                found += 1
+                if found == target:
+                    return True
+        return False
+
     def _effective_replicas(self, holders: AbstractSet[str]) -> float:
         """Availability-weighted replica count of one region's holders.
 
@@ -1270,11 +1303,8 @@ class AdaptiveReplicator:
         online 20% of the time like one that never leaves; weighting
         by observed session behaviour makes departure-prone regions
         look under-provisioned — which they are, from the perspective
-        of the next pull.  Without a churn process every weight is 1
-        and this is exactly ``len(holders)``.
+        of the next pull.
         """
-        if self.churn is None:
-            return float(len(holders))
         # Float addition is not associative: summing in set order would
         # make the replica weight — and every threshold decision built
         # on it — vary with the hash seed.

@@ -382,7 +382,7 @@ class SimulationSession:
             outcome.bytes_wasted += result.bytes_wasted
             outcome.chunk_endgame_dupes += result.chunk_endgame_dupes
             outcome.makespan_s = max(outcome.makespan_s, sim.now)
-            for registry, count in result.bytes_by_registry().items():
+            for registry, count in result.bytes_by_registry.items():
                 outcome.bytes_by_registry[registry] = (
                     outcome.bytes_by_registry.get(registry, 0) + count
                 )

@@ -10,9 +10,13 @@ i.e. independent of the interpreter's hash seed.
 import json
 from types import SimpleNamespace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.model.network import NetworkModel
 from repro.registry.discovery import GossipDiscovery, _version_key
-from repro.registry.p2p import AdaptiveReplicator, PeerIndex
-from repro.scenarios import DiscoverySpec
+from repro.registry.p2p import AdaptiveReplicator, PeerIndex, PeerSwarm
+from repro.scenarios import DiscoverySpec, ReplicationSpec
 from repro.sim.engine import Simulator
 from repro.sweep.runner import _cache_path, _store_cached
 from repro.telemetry import TelemetryCapture, TraceRecorder
@@ -45,9 +49,91 @@ def test_effective_replicas_is_order_independent():
     assert a == sum(table[h] for h in sorted(table))
 
 
-def test_effective_replicas_without_churn_counts_faces():
-    stub = SimpleNamespace(churn=None)
-    assert AdaptiveReplicator._effective_replicas(stub, {"a", "b"}) == 2.0
+_DEVICES = [f"dev-{i:02d}" for i in range(10)]
+_FILLERS = [f"filler-{i}" for i in range(64)]
+
+
+def _some(draw, names):
+    """A drawn list of distinct ``names`` (empty when there are none)."""
+    if not names:
+        return []
+    return draw(st.lists(st.sampled_from(names), unique=True))
+
+
+@st.composite
+def _members_and_view(draw):
+    """A region's members and a management view, as name lists: empty,
+    disjoint, nested (either way), equal, or arbitrary."""
+    members = _some(draw, _DEVICES)
+    others = [d for d in _DEVICES if d not in members]
+    shape = draw(st.sampled_from(
+        ("empty", "disjoint", "view-inside", "members-inside", "equal", "any")
+    ))
+    if shape == "empty":
+        view = []
+    elif shape == "disjoint":
+        view = _some(draw, others)
+    elif shape == "view-inside":
+        view = _some(draw, members)
+    elif shape == "members-inside":
+        view = members + _some(draw, others)
+    elif shape == "equal":
+        view = list(members)
+    else:
+        view = _some(draw, _DEVICES)
+    return members, view
+
+
+def _built(names, fillers):
+    """The set of ``names``, inserted in their order; with ``fillers``
+    its table first grew for 64 more names, so it iterates in another
+    order."""
+    out = set(_FILLERS) if fillers else set()
+    out.update(names)
+    out.difference_update(_FILLERS)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sets=_members_and_view(),
+    target=st.integers(min_value=1, max_value=4),
+    # Availabilities of 0.5 and 1.0 sum to the target exactly.
+    weights=st.lists(
+        st.one_of(
+            st.sampled_from((0.5, 1.0)),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+        min_size=len(_DEVICES), max_size=len(_DEVICES),
+    ),
+    data=st.data(),
+)
+def test_provisioned_is_a_threshold_on_the_replicas_found(
+    sets, target, weights, data
+):
+    members, view = sets
+    plain, weighted = (
+        AdaptiveReplicator(
+            Simulator(), PeerSwarm(NetworkModel()),
+            ReplicationSpec(target_replicas=target), churn=churn,
+        )
+        for churn in (None, _StubChurn(dict(zip(_DEVICES, weights))))
+    )
+    member_set, view_set = set(members), frozenset(view)
+    found = member_set & view_set
+    for replicator, answer in (
+        (plain, len(found) >= target),
+        (weighted, weighted._effective_replicas(found) >= target),
+    ):
+        assert replicator._provisioned(member_set, view_set) is answer
+        # The same sets built in another order give the same answer.
+        reordered = (
+            _built(data.draw(st.permutations(members)), data.draw(st.booleans())),
+            frozenset(
+                _built(data.draw(st.permutations(view)), data.draw(st.booleans()))
+            ),
+        )
+        assert replicator._provisioned(*reordered) is answer
 
 
 class _FakeCache:

@@ -1,5 +1,7 @@
 """Individual solver behaviour on classic games."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.game import (
     pure_equilibria,
 )
 from classic_games import coordination_game, matching_pennies, prisoners_dilemma
-from vertex_oracle import vertex_enumeration
+from vertex_oracle import polytope_vertices, vertex_enumeration
 
 
 class TestPure:
@@ -110,6 +112,20 @@ class TestVertexEnumeration:
             ve = vertex_enumeration(g)
         for eq in all_equilibria(g):
             assert any(eq.close_to(other, tol=1e-6) for other in ve)
+
+    def test_huge_finite_basis_is_skipped_without_warning(self):
+        # Row 0 with x0 >= 0 tight solves to the finite point
+        # (0, 5e307), whose product with row 1 overflows; that basis
+        # must be skipped quietly, like one whose solve overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vertices = polytope_vertices(
+                np.array([[1e-308, 2.0], [3.0, 1e308]]),
+                np.array([1e308, 1.0]),
+            )
+        assert sorted(labels for _point, labels in vertices) == sorted(
+            [frozenset({1, 2, 3}), frozenset({1, 3}), frozenset({2, 3})]
+        )
 
 
 class TestFictitiousPlay:

@@ -57,13 +57,18 @@ def polytope_vertices(
         except np.linalg.LinAlgError:
             continue
         # A near-singular basis (e.g. a subnormal payoff) can overflow
-        # to inf without raising; it pins no vertex.
+        # to inf without raising, in the solve or, from a finite but
+        # huge point, in the product; either way it pins no vertex.
         if not np.all(np.isfinite(point)):
             continue
-        if np.any(full_m @ point > full_b + _TOL):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = full_m @ point
+        if not np.all(np.isfinite(lhs)):
+            continue
+        if np.any(lhs > full_b + _TOL):
             continue  # infeasible
         labels = frozenset(
-            int(i) for i in np.flatnonzero(full_m @ point >= full_b - _TOL)
+            int(i) for i in np.flatnonzero(lhs >= full_b - _TOL)
         )
         vertices.append((point, labels))
     return vertices

@@ -559,7 +559,7 @@ class TestChunkedPull:
             if layer.kind is SourceKind.PEER
         )
         assert (
-            sum(result.bytes_by_registry().values()) + result.bytes_from_peers
+            sum(result.bytes_by_registry.values()) + result.bytes_from_peers
             == result.bytes_transferred
         )
         assert result.bytes_wasted == 0

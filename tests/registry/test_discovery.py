@@ -449,7 +449,7 @@ class TestPullFallback:
         )
         assert disc.stale_misses == len(layer_digests)
         assert result.bytes_from_peers == 0
-        assert result.bytes_by_registry() == {"hub": result.bytes_transferred}
+        assert result.bytes_by_registry == {"hub": result.bytes_transferred}
 
     def test_verified_peer_serves_normally(self):
         facade, swarm, caches, disc = self.build()

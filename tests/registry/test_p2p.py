@@ -18,6 +18,7 @@ from repro.registry.minio import MinioStore
 from repro.registry.p2p import (
     MAX_ACTIONS_PER_CYCLE,
     AdaptiveReplicator,
+    LayerSource,
     P2PPullResult,
     P2PRegistry,
     PeerIndex,
@@ -273,7 +274,7 @@ class TestPullPlanner:
             assert by_digest[d].seconds == pytest.approx(4.0)
         assert plan.seconds == pytest.approx(1.0 + 4.0 + 4.0)
         assert plan.bytes_from_peers == 100_000_000
-        assert plan.bytes_by_registry() == {"reg": 200_000_000}
+        assert plan.bytes_by_registry == {"reg": 200_000_000}
 
     def test_slow_peer_loses_to_fast_registry(self):
         manifest, hub, regional, swarm = self.build()
@@ -307,6 +308,46 @@ class TestPullPlanner:
 
 
 # ----------------------------------------------------------------------
+# P2PPullResult tallies
+# ----------------------------------------------------------------------
+class TestP2PPullResult:
+    def test_tallies_add_the_layers_in_order(self):
+        # A local layer reports the time a pull waited for another
+        # process to land it, and it moves no bytes; chunked layers
+        # have one entry per serving source.
+        layers = (
+            LayerSource(D[0], 7, SourceKind.LOCAL, "dev", 3.0),
+            LayerSource(D[1], 11, SourceKind.REGISTRY, "hub", 0.1),
+            LayerSource(D[2], 13, SourceKind.PEER, "peer", 0.1),
+            LayerSource(D[3], 17, SourceKind.REGISTRY, "reg", 1e16),
+            LayerSource(D[3], 19, SourceKind.REGISTRY, "hub", 1.5),
+        )
+        result = P2PPullResult(
+            ImageReference("tallied"), "hub", None, "dev", layers
+        )
+        assert result.bytes_transferred == 11 + 13 + 17 + 19
+        assert result.bytes_from_peers == 13
+        assert list(result.bytes_by_registry.items()) == [
+            ("hub", 11 + 19), ("reg", 17),
+        ]
+        # Left to right, as a sum over the layers adds, local wait
+        # included: in sorted order, or without the local layer, these
+        # floats round to other totals.
+        seconds = [layer.seconds for layer in layers]
+        assert result.seconds == sum(seconds) == 1.0000000000000006e16
+        assert sum(sorted(seconds)) != result.seconds != sum(seconds[1:])
+        assert not result.cache_hit
+
+    def test_an_all_local_pull_is_a_cache_hit(self):
+        result = P2PPullResult(
+            ImageReference("warm"), "hub", None, "dev",
+            (LayerSource(D[0], 7, SourceKind.LOCAL, "dev", 0.0),),
+        )
+        assert result.cache_hit
+        assert (result.bytes_transferred, result.bytes_by_registry) == (0, {})
+
+
+# ----------------------------------------------------------------------
 # P2PRegistry pulls
 # ----------------------------------------------------------------------
 class TestP2PRegistry:
@@ -330,9 +371,9 @@ class TestP2PRegistry:
         ref = ImageReference("acme/app")
         first = facade.pull(ref, Arch.AMD64, "a", swarm.index.cache_of("a"))
         assert first.bytes_from_peers == 0
-        assert first.bytes_by_registry() == {"hub": first.bytes_transferred}
+        assert first.bytes_by_registry == {"hub": first.bytes_transferred}
         second = facade.pull(ref, Arch.AMD64, "b", swarm.index.cache_of("b"))
-        assert second.bytes_by_registry() == {}
+        assert second.bytes_by_registry == {}
         assert second.bytes_from_peers == second.bytes_transferred > 0
         assert {
             layer.source

@@ -172,6 +172,30 @@ class TestPresetOutcomes:
             "topology.n_devices": 2000, "topology.n_regions": 100,
         },
     }
+    #: Replicator decision paths no preset runs, each at its preset's
+    #: seed: the per-region hotness arm of the ``replicator-policy``
+    #: sweep (62 copies) and the churn-aware replica weighting (23).
+    VARIANTS = {
+        "per-region-hot-fraction": (
+            "p2p",
+            {"replication.hotness": "per-region",
+             "replication.hot_fraction": 0.6},
+            "63bfdc8434f0",
+        ),
+        "churn-aware-replicas": (
+            "p2p-gossip",
+            {"replication.churn_aware": True},
+            "757b4c5dfdbd",
+        ),
+    }
+
+    @staticmethod
+    def _pin(spec) -> str:
+        outcome = SimulationSession(spec).run()
+        blob = scenarios.canonical_json(
+            scenarios.deterministic_outcome_dict(outcome.to_dict())
+        )
+        return hashlib.sha256(blob.encode("ascii")).hexdigest()[:12]
 
     def test_every_preset_is_pinned(self):
         assert sorted(self.PINS) == sorted(scenarios.names())
@@ -181,12 +205,13 @@ class TestPresetOutcomes:
         spec = scenarios.with_overrides(
             scenarios.get(preset), self.SIZED.get(preset, {})
         )
-        outcome = SimulationSession(spec).run()
-        blob = scenarios.canonical_json(
-            scenarios.deterministic_outcome_dict(outcome.to_dict())
-        )
-        digest = hashlib.sha256(blob.encode("ascii")).hexdigest()
-        assert digest[:12] == self.PINS[preset]
+        assert self._pin(spec) == self.PINS[preset]
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_replicator_variant_matches_its_pin(self, variant):
+        preset, overrides, pin = self.VARIANTS[variant]
+        spec = scenarios.with_overrides(scenarios.get(preset), overrides)
+        assert self._pin(spec) == pin
 
 
 class TestRunMemory:

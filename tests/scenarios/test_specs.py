@@ -249,6 +249,15 @@ def _discoveries():
             st.none(), st.floats(1.0, 600.0, allow_nan=False)
         ),
         gossip_view_cap=st.one_of(st.none(), st.integers(1, 32)),
+        gossip_latency_s=st.one_of(
+            st.none(), st.floats(0.0, 30.0, allow_nan=False)
+        ),
+        gossip_exchange=st.one_of(
+            st.none(), st.sampled_from(scenarios.GOSSIP_EXCHANGES)
+        ),
+        gossip_loss_rate=st.one_of(
+            st.none(), st.floats(0.0, 1.0, exclude_max=True)
+        ),
     )
     return st.one_of(omniscient, gossip)
 
@@ -273,17 +282,29 @@ def _transfers_and_chunks():
     return st.one_of(analytic, time_resolved)
 
 
-def _churn_and_replication():
-    churnless = st.tuples(
-        st.none(),
-        st.builds(
-            ReplicationSpec,
-            interval_s=st.floats(1.0, 600.0, allow_nan=False),
-            hot_threshold=st.floats(0.5, 10.0, allow_nan=False),
-            target_replicas=st.integers(1, 4),
-            churn_aware=st.just(False),
+@st.composite
+def _replications(draw, churn_aware):
+    """Every replicator knob; ``hot_fraction`` only with per-region
+    hotness, as :class:`ReplicationSpec` requires."""
+    hotness = draw(st.sampled_from(scenarios.HOTNESS_SCOPES))
+    return ReplicationSpec(
+        interval_s=draw(st.floats(1.0, 600.0, allow_nan=False)),
+        hot_threshold=draw(st.floats(0.5, 10.0, allow_nan=False)),
+        target_replicas=draw(st.integers(1, 4)),
+        decay=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        hotness=hotness,
+        churn_aware=draw(churn_aware),
+        hot_fraction=(
+            draw(st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)))
+            if hotness == "per-region"
+            else None
         ),
     )
+
+
+def _churn_and_replication():
+    # ``churn_aware`` only with a churn section, as ScenarioSpec requires.
+    churnless = st.tuples(st.none(), _replications(st.just(False)))
     churned = st.tuples(
         st.builds(
             ChurnSpec,
@@ -291,30 +312,41 @@ def _churn_and_replication():
             mean_downtime_s=st.floats(1.0, 3600.0, allow_nan=False),
             min_online=st.integers(1, 8),
         ),
-        st.builds(
-            ReplicationSpec,
-            churn_aware=st.booleans(),
-        ),
+        _replications(st.booleans()),
     )
     return st.one_of(churnless, churned)
+
+
+@st.composite
+def _topologies(draw):
+    """Every topology knob; a trunk knob leaves its tier's monolithic
+    egress knob unset, as :class:`TopologySpec` requires."""
+    n_devices = draw(st.integers(2, 64))
+    mbps = st.one_of(st.none(), st.floats(10.0, 1000.0, allow_nan=False))
+    hub_trunk_mbps = draw(mbps)
+    regional_trunk_mbps = draw(mbps)
+    return TopologySpec(
+        n_devices=n_devices,
+        n_regions=draw(st.integers(1, min(8, n_devices))),
+        cache_gb=draw(st.floats(1.0, 64.0, allow_nan=False)),
+        device_nic_mbps=draw(mbps),
+        hub_egress_mbps=None if hub_trunk_mbps is not None else draw(mbps),
+        regional_egress_mbps=(
+            None if regional_trunk_mbps is not None else draw(mbps)
+        ),
+        hub_trunk_mbps=hub_trunk_mbps,
+        regional_trunk_mbps=regional_trunk_mbps,
+        inter_region_mesh=draw(st.booleans()),
+    )
 
 
 @st.composite
 def scenario_specs(draw):
     transfer, chunks = draw(_transfers_and_chunks())
     churn, replication = draw(_churn_and_replication())
-    n_devices = draw(st.integers(2, 64))
     return ScenarioSpec(
         mode=draw(st.sampled_from(scenarios.MODES)),
-        topology=draw(st.builds(
-            TopologySpec,
-            n_devices=st.just(n_devices),
-            n_regions=st.integers(1, min(8, n_devices)),
-            cache_gb=st.floats(1.0, 64.0, allow_nan=False),
-            device_nic_mbps=st.one_of(
-                st.none(), st.floats(10.0, 1000.0, allow_nan=False)
-            ),
-        )),
+        topology=draw(_topologies()),
         workload=draw(_workloads()),
         transfer=transfer,
         discovery=draw(_discoveries()),
