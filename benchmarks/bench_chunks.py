@@ -39,7 +39,6 @@ from bench_p2p import _scenario_spec  # noqa: E402 - shared scaling rule
 from repro.model.units import BYTES_PER_GB  # noqa: E402
 from repro import scenarios  # noqa: E402
 from repro.scenarios import TransferSpec  # noqa: E402
-from repro.sim.transfers import TransferModel  # noqa: E402
 from repro.sweep import SweepSpec, run_sweep, write_bench_record  # noqa: E402
 
 MB = 1_000_000
@@ -92,9 +91,7 @@ def chunk_sweep(grid_sizes, grid_chunks, scale_chunks) -> SweepSpec:
             )
     base = _scenario_spec(
         grid_sizes[0],
-        transfer=TransferSpec(
-            model=TransferModel.TIME_RESOLVED, upload_budget=4
-        ),
+        transfer=TransferSpec(model="time-resolved", upload_budget=4),
     )
     return SweepSpec(
         name="chunk-grid",

@@ -9,8 +9,8 @@ For every swarm size the sweep checks that hybrid+P2P pulls strictly
 fewer bytes from hub+regional than plain hybrid on the layer-sharing
 workload, and that in the 1000-device run the adaptive replicator
 converges (its trailing cycles perform no actions, i.e. hot-layer
-replica counts have stabilised).  The sweep then repeats under
-``TransferModel.TIME_RESOLVED`` — every pull riding the shared-
+replica counts have stabilised).  The sweep then repeats with
+``transfer.model="time-resolved"`` — every pull riding the shared-
 bandwidth transfer engine — checking the peer tier still wins when
 transfers contend for links and commit-at-completion hides in-flight
 layers, and that the engine sustains the 1000-device run.
@@ -32,7 +32,6 @@ from repro.scenarios import (  # noqa: E402
     TransferSpec,
     WorkloadSpec,
 )
-from repro.sim.transfers import TransferModel  # noqa: E402
 
 #: The sweep the acceptance criteria name.
 SWEEP_SIZES = (10, 100, 1000)
@@ -40,7 +39,7 @@ SWEEP_SIZES = (10, 100, 1000)
 
 def _scenario_spec(
     n_devices: int,
-    transfer_model: TransferModel = TransferModel.ANALYTIC,
+    transfer_model: str = "analytic",
     **kwargs,
 ) -> ScenarioSpec:
     """The sweep's base spec: regions/catalogue scale with swarm size."""
@@ -60,9 +59,7 @@ def _scenario_spec(
     )
 
 
-def run_sweep(
-    sizes=SWEEP_SIZES, transfer_model=TransferModel.ANALYTIC
-) -> list:
+def run_sweep(sizes=SWEEP_SIZES, transfer_model="analytic") -> list:
     """hybrid vs hybrid+p2p origin traffic across swarm sizes."""
     rows = []
     for n in sizes:
@@ -140,8 +137,8 @@ def main(argv=None) -> int:
     print("sweep OK: P2P strictly reduces origin traffic at every size; "
           "replicator converged in the largest run")
 
-    tr_rows = run_sweep(sizes, transfer_model=TransferModel.TIME_RESOLVED)
-    print("== same sweep, TIME_RESOLVED transfers "
+    tr_rows = run_sweep(sizes, transfer_model="time-resolved")
+    print("== same sweep, time-resolved transfers "
           "(shared links, commit-at-completion) ==")
     _print_rows(tr_rows)
     for analytic, tr in zip(rows, tr_rows):

@@ -93,7 +93,7 @@ class Environment:
             reg.name
             for reg in self.registries
             if self.availability(reg.name, service.image)
-            and self.network.has_registry_channel(reg.name, device)
+            and self.network.find_registry_channel(reg.name, device) is not None
         ]
 
     def device(self, name: str) -> Device:

@@ -25,14 +25,15 @@ builds its own scenario from its spec; the variants share topology,
 workload and seed, so every row sees the same registries, devices and
 pull schedule and byte counts stay directly comparable.
 
-Two transfer models are supported (see
-:class:`~repro.sim.transfers.TransferModel`): the default ``ANALYTIC``
-mode keeps the paper's instant-admission accounting (every transfer an
-isolated ``size/BW`` sleep, layers visible to peers at pull *start*),
-while ``TIME_RESOLVED`` drives every pull through the shared-bandwidth
-:class:`~repro.sim.transfers.TransferEngine` with reserve→commit cache
-admission — overlapping pulls contend for links and can only source
-layers from peers whose copies have actually landed.
+Two transfer models are supported (a spec's ``transfer.model``, one
+of :data:`~repro.scenarios.spec.TRANSFER_MODELS`): the default
+``"analytic"`` keeps the paper's instant-admission accounting (every
+transfer an isolated ``size/BW`` sleep, layers visible to peers at
+pull *start*), while ``"time-resolved"`` drives every pull through the
+shared-bandwidth :class:`~repro.sim.transfers.TransferEngine` with
+reserve→commit cache admission — overlapping pulls contend for links
+and can only source layers from peers whose copies have actually
+landed.
 :func:`run_contended` quantifies the gap between the two on a
 deliberately overlapping schedule.
 """
@@ -43,7 +44,6 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..model.units import BYTES_PER_GB
-from ..sim.transfers import TransferModel
 from .. import scenarios
 from ..scenarios import (
     DISCOVERY_BACKENDS,
@@ -157,7 +157,7 @@ def run_contended(seed: int) -> ExperimentResult:
             "transfer_s",
         ],
     )
-    savings: Dict[TransferModel, int] = {}
+    savings: Dict[str, int] = {}
     # The analytic model has no engine to budget uploads.
     for transfer in (TransferSpec(), preset.transfer):
         model = transfer.model
@@ -170,11 +170,11 @@ def run_contended(seed: int) -> ExperimentResult:
             if outcome.unfinished_pulls:
                 result.note(
                     f"WARNING: {outcome.unfinished_pulls} pull(s) of the "
-                    f"{model.value} {outcome.mode} run did not finish by "
+                    f"{model} {outcome.mode} run did not finish by "
                     f"the horizon — its byte counters under-report"
                 )
         result.add_row(
-            model=model.value,
+            model=model,
             pulls=p2p.pulls,
             hybrid_origin_gb=hybrid.origin_bytes / BYTES_PER_GB,
             p2p_origin_gb=p2p.origin_bytes / BYTES_PER_GB,
@@ -185,7 +185,7 @@ def run_contended(seed: int) -> ExperimentResult:
             peer_gb=(p2p.bytes_from_peers + p2p.bytes_replicated) / BYTES_PER_GB,
             transfer_s=p2p.transfer_s,
         )
-    gap = savings[TransferModel.ANALYTIC] - savings[TransferModel.TIME_RESOLVED]
+    gap = savings["analytic"] - savings["time-resolved"]
     result.note(
         f"analytic admission overstates P2P origin savings by "
         f"{gap / BYTES_PER_GB:.2f} GB under this overlap "

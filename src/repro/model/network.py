@@ -249,9 +249,6 @@ class NetworkModel:
                 f"no channel from registry {registry!r} to device {device!r}"
             ) from None
 
-    def has_registry_channel(self, registry: str, device: str) -> bool:
-        return device in self._registry_channels.get(registry, _NO_CHANNELS)
-
     def find_registry_channel(
         self, registry: str, device: str
     ) -> Optional[Channel]:

@@ -72,7 +72,7 @@ from ..sim.transfers import (
     UploadBudgetExceeded,
 )
 from .base import RegistryError
-from .cache import EvictionRecord, ImageCache
+from .cache import ImageCache
 from .digest import DIGEST_PREFIX
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -217,16 +217,16 @@ class ChunkLedger:
 class ChunkFetchOutcome:
     """What one chunked layer fetch produced (consumed by the facade).
 
-    ``bytes_by_source`` keys are ``(kind, source)`` with kind one of
-    ``"peer"`` / ``"registry"`` — the facade converts them to
-    :class:`~repro.registry.p2p.LayerSource` entries (kept as strings
-    here to avoid an import cycle with :mod:`repro.registry.p2p`).
+    ``bytes_by_source`` keys are ``(src_is_registry, source)``, a
+    source named the way the engine names a transfer's
+    (:class:`~repro.sim.transfers.Transfer`'s ``src_is_registry`` and
+    ``src``); the facade converts them to
+    :class:`~repro.registry.p2p.LayerSource` entries.
     """
 
     layer_digest: str
     seconds: float = 0.0
-    evictions: List[EvictionRecord] = field(default_factory=list)
-    bytes_by_source: Dict[Tuple[str, str], int] = field(default_factory=dict)
+    bytes_by_source: Dict[Tuple[bool, str], int] = field(default_factory=dict)
     stale_misses: int = 0
     wasted_bytes: int = 0
     endgame_dupes: int = 0
@@ -254,9 +254,9 @@ class _LayerFetch:
         # computed at the fetch's first claim.
         self.tiebreaks: Optional[List[int]] = None
         self.done: Set[int] = set()
-        # chunk index -> list of (transfer, kind, source) currently on
-        # the wire for it (more than one only during endgame).
-        self.inflight: Dict[int, List[Tuple[Transfer, str, str]]] = {}
+        # chunk index -> transfers currently on the wire for it (more
+        # than one only during endgame).
+        self.inflight: Dict[int, List[Transfer]] = {}
         self.dup_requested: Set[int] = set()
         self.outcome = outcome
         self.aborted = False
@@ -374,13 +374,13 @@ class ChunkSwarmPlanner:
         longest-running eligible chunk (stable tie-break by index).
         """
         candidates: List[Tuple[float, int]] = []
-        for index, entries in st.inflight.items():
+        for index, transfers in st.inflight.items():
             if index in st.done or index in st.dup_requested:
                 continue
             live = [
                 t
-                for t, kind, _s in entries
-                if kind == "peer"
+                for t in transfers
+                if not t.src_is_registry
                 and t.completed_s is None
                 and not t.cancelled
             ]
@@ -424,11 +424,12 @@ class ChunkSwarmPlanner:
         device: str,
         excluded: Set[str],
         registry_only: bool = False,
-    ) -> Optional[Tuple[str, str]]:
+    ) -> Optional[Tuple[str, bool]]:
         """Cheapest verified source of one chunk right now.
 
-        Returns ``(kind, source)`` with kind ``"peer"``/``"registry"``,
-        or None when nothing can serve the chunk.  Full-replica claims
+        Returns ``(source, src_is_registry)``, as
+        :meth:`~repro.sim.transfers.TransferEngine.start` takes them, or
+        None when nothing can serve the chunk.  Full-replica claims
         from the discovery view are verified against the ground-truth
         index (stale entries metered and excluded, like the
         single-source path); partial holders come from the ledger,
@@ -438,7 +439,7 @@ class ChunkSwarmPlanner:
         swarm = self.swarm
         layer = chunk.layer_digest
         size_mb = bytes_to_mb(chunk.size_bytes)
-        best: Optional[Tuple[float, str, str]] = None
+        best: Optional[Tuple[float, str]] = None
         if self.planner.use_peers and not registry_only:
             partial = self.ledger.chunk_holders(layer, chunk.index)
             candidates: Set[str] = set()
@@ -460,13 +461,13 @@ class ChunkSwarmPlanner:
                 seconds = swarm.network.device_channel(
                     peer, device
                 ).transfer_time_s(size_mb)
-                best = (seconds, "peer", peer)
+                best = (seconds, peer)
         registry = self.planner.best_registry(layer, size_mb, device)
         if registry is not None and (best is None or registry[0] < best[0]):
-            return "registry", registry[1]
+            return registry[1], True
         if best is None:
             return None
-        return best[1], best[2]
+        return best[1], False
 
     # ------------------------------------------------------------------
     # the chunked layer fetch (a DES process)
@@ -501,7 +502,7 @@ class ChunkSwarmPlanner:
         sim = engine.sim
         outcome = ChunkFetchOutcome(layer_digest=layer_digest)
         cmap = ChunkMap(layer_digest, layer_size_bytes, self.config.size_bytes)
-        outcome.evictions.extend(cache.reserve(layer_digest, layer_size_bytes))
+        cache.reserve(layer_digest, layer_size_bytes)
         st = _LayerFetch(cmap, outcome)
         started_s = sim.now
         try:
@@ -521,8 +522,8 @@ class ChunkSwarmPlanner:
             engine.cancel_many(
                 (
                     transfer
-                    for entries in list(st.inflight.values())
-                    for transfer, _kind, _source in list(entries)
+                    for transfers in list(st.inflight.values())
+                    for transfer in list(transfers)
                 ),
                 reason="chunked fetch aborted",
             )
@@ -583,35 +584,30 @@ class ChunkSwarmPlanner:
                         f"chunk {index} of layer {layer} unreachable from "
                         f"{device!r}: no peer or registry source"
                     )
-                kind, source = resolved
+                source, src_is_registry = resolved
+                if src_is_registry and meter_registry is not None:
+                    try:
+                        meter_registry(source)
+                    except Exception:
+                        if duplicate:
+                            # A purely speculative endgame copy must
+                            # never sink a pull the peer path is
+                            # already completing: give the duplicate
+                            # up, keep waiting.
+                            break
+                        # A *required* registry chunk: the metering
+                        # failure (hub rate limiting) propagates,
+                        # aborting the fetch like the single-source
+                        # path's would.
+                        raise
                 try:
-                    if kind == "peer":
-                        transfer = engine.start(
-                            source, device, chunk.size_bytes, digest=chunk.digest
-                        )
-                    else:
-                        if meter_registry is not None:
-                            try:
-                                meter_registry(source)
-                            except Exception:
-                                if duplicate:
-                                    # A purely speculative endgame copy
-                                    # must never sink a pull the peer
-                                    # path is already completing: give
-                                    # the duplicate up, keep waiting.
-                                    break
-                                # A *required* registry chunk: the
-                                # metering failure (hub rate limiting)
-                                # propagates, aborting the fetch like
-                                # the single-source path's would.
-                                raise
-                        transfer = engine.start(
-                            source,
-                            device,
-                            chunk.size_bytes,
-                            src_is_registry=True,
-                            digest=chunk.digest,
-                        )
+                    transfer = engine.start(
+                        source,
+                        device,
+                        chunk.size_bytes,
+                        src_is_registry=src_is_registry,
+                        digest=chunk.digest,
+                    )
                 except UploadBudgetExceeded:
                     excluded.add(source)
                     if engine.uploads_in_flight(source):
@@ -624,20 +620,19 @@ class ChunkSwarmPlanner:
                             engine.sim.now, "chunk.endgame", device,
                             layer=layer, chunk=index, source=source,
                         )
-                entry = (transfer, kind, source)
-                st.inflight.setdefault(index, []).append(entry)
+                st.inflight.setdefault(index, []).append(transfer)
                 try:
                     yield transfer.done
                     completed = True
                 except TransferCancelled:
                     completed = False
-                entries = st.inflight.get(index)
-                if entries is not None:
+                transfers = st.inflight.get(index)
+                if transfers is not None:
                     try:
-                        entries.remove(entry)
+                        transfers.remove(transfer)
                     except ValueError:  # pragma: no cover - defensive
                         pass
-                    if not entries:
+                    if not transfers:
                         st.inflight.pop(index, None)
                 if not completed:
                     # Seeder departed / duplicate lost the race / fetch
@@ -660,14 +655,14 @@ class ChunkSwarmPlanner:
                     break
                 st.done.add(index)
                 self.ledger.add_chunk(device, layer, index)
-                key = (kind, source)
+                key = (src_is_registry, source)
                 st.outcome.bytes_by_source[key] = (
                     st.outcome.bytes_by_source.get(key, 0) + chunk.size_bytes
                 )
                 # First completion wins: any rival transfer still on
                 # the wire for this chunk is duplication — cancel it so
                 # its bandwidth frees now (its worker meters the waste).
-                for rival, _k, _s in list(st.inflight.get(index, [])):
+                for rival in list(st.inflight.get(index, [])):
                     engine.cancel(
                         rival, reason="chunk completed via faster source"
                     )

@@ -243,11 +243,6 @@ class GossipDiscovery(DiscoveryBackend):
         self, device: str, digest: str, size_bytes: int, present: bool
     ) -> None:
         """A member's cache gained (``present``) or lost ``digest``."""
-        self._note_firsthand(device, digest, size_bytes, present)
-
-    def _note_firsthand(
-        self, device: str, digest: str, size_bytes: int, present: bool
-    ) -> None:
         seq = self._clock[device] + 1
         if seq >= 1 << _SEQ_BITS:
             raise OverflowError(

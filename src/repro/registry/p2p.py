@@ -39,7 +39,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -59,7 +58,7 @@ from ..sim.transfers import (
     UploadBudgetExceeded,
 )
 from .base import ImageReference, Registry, RegistryError
-from .cache import CacheFull, EvictionRecord, ImageCache
+from .cache import CacheFull, ImageCache
 from .chunks import ChunkFetchOutcome, ChunkSwarmPlanner
 from .discovery import DiscoveryBackend, OmniscientDiscovery
 from .manifest import ImageManifest
@@ -322,31 +321,32 @@ class PeerSwarm:
         device: str,
         exclude: AbstractSet[str] = _NO_HOLDERS,
     ) -> Optional[str]:
-        """Fastest reachable peer holding ``digest`` (region first).
-
-        Same-region holders are preferred — they are the cheap LAN hop
-        a real swarm gossips over — and checked before falling back to
-        a full scan, which keeps the lookup fast in large swarms where
-        a hot layer may have hundreds of holders.  ``exclude`` names
-        peers the caller already found saturated, departed, or stale;
-        they are skipped so a re-resolution never returns the same
-        dead end.
+        """Fastest reachable peer holding ``digest``; a live member of
+        ``device``'s region first.
 
         Holders come from the discovery backend **as seen by
         ``device``** — under gossip discovery the answer may be stale
         (an entry for an evicted layer or a departed peer); callers on
         the pull path must :meth:`verify_holder` before transferring.
+        ``exclude`` names peers the caller already found saturated,
+        departed, or stale; they are skipped so a re-resolution never
+        returns the same dead end.
+
+        Both passes walk the device's preference order, as
+        :meth:`fastest_verified` does.  The first accepts only live
+        members of ``device``'s region.  It is not a speed-up (with no
+        such holder the order is walked twice): it keeps a departed
+        device that a gossip view still ranks first from being chosen,
+        verified and missed.
         """
         holders = self.discovery.view(device, digest)
         if not holders:
             return None
-        # Walk the device's in-neighbors in (-bandwidth, name) order —
-        # the exact total order ``_fastest`` minimises over — and
-        # return the first one holding the layer.  A hot layer's
-        # holder set dwarfs a device's degree at swarm scale, and the
-        # holder-membership probe is O(1), so a lookup usually costs a
-        # handful of probes instead of a scan over every holder.  A
-        # mesh's shared order names the device itself: skip it.
+        # A hot layer's holder set dwarfs a device's degree at swarm
+        # scale, and the holder-membership probe is O(1), so a lookup
+        # usually costs a handful of probes instead of a scan over
+        # every holder.  A mesh's shared order names the device
+        # itself: skip it.
         preference = self.network.device_sources_by_preference(device)
         region = self._regions.get(device)
         if region is not None:
@@ -375,49 +375,26 @@ class PeerSwarm:
         """Fastest candidate into ``dst`` that really holds ``digest``.
 
         Returns ``(peer, stale_misses)``; peer is None when no
-        candidate survives.  A candidate in ``trusted`` (ground truth
-        already, like the chunk ledger's partial holders) is taken
-        unchecked; any other is verified as ``viewer`` sees it, and a
-        stale one is metered and pruned from ``candidates`` in place,
-        so the caller never trips over the same dead entry twice.
+        candidate survives.  Candidates are tried in ``dst``'s
+        preference order, as :meth:`best_peer` tries holders: higher
+        bandwidth first and equal bandwidth by name, so the answer
+        never depends on the set's iteration order, and a candidate
+        with no channel into ``dst`` is never tried.  A candidate in
+        ``trusted`` (ground truth already, like the chunk ledger's
+        partial holders) is taken unchecked; any other is verified as
+        ``viewer`` sees it, and a stale one is metered and pruned from
+        ``candidates`` in place, so the caller never trips over the
+        same dead entry twice.
         """
         misses = 0
-        while True:
-            peer = self._fastest(candidates, dst)
-            if (
-                peer is None
-                or peer in trusted
-                or self.verify_holder(viewer, peer, digest)
-            ):
+        for peer in self.network.device_sources_by_preference(dst):
+            if peer not in candidates or peer == dst:
+                continue
+            if peer in trusted or self.verify_holder(viewer, peer, digest):
                 return peer, misses
             misses += 1
             candidates.discard(peer)
-
-    def _fastest(self, candidates: Iterable[str], device: str) -> Optional[str]:
-        """Highest-bandwidth reachable candidate.
-
-        The champion comparison is total — higher bandwidth wins, and
-        equal bandwidth falls back to the lexicographically smaller
-        device name — so the result is independent of candidate
-        iteration order, hash seeds, or Python version (no sort
-        needed).  Gossip/churn sweeps rely on this for
-        reproducibility.
-        """
-        row = self.network.channels_into(device)
-        best: Optional[str] = None
-        best_bw = 0.0
-        for peer in candidates:
-            channel = row.get(peer)
-            if channel is None or peer == device:
-                continue  # unreachable, or the device in a mesh's shared row
-            bandwidth = channel.bandwidth_mbps
-            if (
-                best is None
-                or bandwidth > best_bw
-                or (bandwidth == best_bw and peer < best)
-            ):
-                best, best_bw = peer, bandwidth
-        return best
+        return None, misses
 
     def verify_holder(self, viewer: str, holder: str, digest: str) -> bool:
         """Check a discovered holder against the ground-truth index.
@@ -584,7 +561,6 @@ class P2PPullResult:
     manifest: ImageManifest
     device: str
     layers: Tuple[LayerSource, ...]
-    evictions: Tuple[EvictionRecord, ...] = ()
     #: Discovered peer sources that failed ground-truth verification
     #: during this pull (stale view entries: evicted layers, departed
     #: holders).  Always 0 under omniscient discovery.
@@ -738,7 +714,6 @@ class P2PRegistry:
             )
         # The registries this pull has metered: one or two.
         metered: List[str] = []
-        evictions: List[EvictionRecord] = []
         sources: List[LayerSource] = []
         stale_misses = 0
         wasted_bytes = 0
@@ -777,14 +752,13 @@ class P2PRegistry:
                         self._meter, layer.digest, device, sim, metered
                     ),
                 )
-                evictions.extend(outcome.evictions)
                 sources.extend(self._chunk_sources(layer, outcome))
                 stale_misses += outcome.stale_misses
                 wasted_bytes += outcome.wasted_bytes
                 endgame_dupes += outcome.endgame_dupes
                 self.swarm.record_demand(layer.digest, device)
                 continue
-            evictions.extend(cache.reserve(layer.digest, layer.size_bytes))
+            cache.reserve(layer.digest, layer.size_bytes)
             # Sources this layer must not use; None until the first.
             excluded: Optional[Set[str]] = None
             # Excluded seeders whose full upload budget will free a slot.
@@ -860,7 +834,6 @@ class P2PRegistry:
             manifest=manifest,
             device=device,
             layers=tuple(sources),
-            evictions=tuple(evictions),
             stale_peer_misses=stale_misses,
             bytes_wasted=wasted_bytes,
             chunk_endgame_dupes=endgame_dupes,
@@ -885,14 +858,15 @@ class P2PRegistry:
         )
         primary = entries[0][0]
         out: List[LayerSource] = []
-        for (kind, source), size in entries:
+        for key, size in entries:
+            src_is_registry, source = key
             out.append(
                 LayerSource(
                     layer.digest,
                     size,
-                    SourceKind.PEER if kind == "peer" else SourceKind.REGISTRY,
+                    SourceKind.REGISTRY if src_is_registry else SourceKind.PEER,
                     source,
-                    outcome.seconds if (kind, source) == primary else 0.0,
+                    outcome.seconds if key == primary else 0.0,
                 )
             )
         return out
@@ -964,7 +938,7 @@ class P2PRegistry:
         # admit_image (not a bare add loop) keeps the CacheFull guard
         # and the an-image-cannot-evict-itself guarantee of the
         # two-tier client's pull path.
-        evictions = list(cache.admit_image(manifest))
+        cache.admit_image(manifest)
         for layer in sources:
             if layer.kind is not SourceKind.LOCAL:
                 self.swarm.record_demand(layer.digest, device)
@@ -974,7 +948,6 @@ class P2PRegistry:
             manifest=manifest,
             device=device,
             layers=tuple(sources),
-            evictions=tuple(evictions),
             stale_peer_misses=stale_misses,
         )
 

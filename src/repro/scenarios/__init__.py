@@ -34,6 +34,7 @@ from .spec import (
     GOSSIP_EXCHANGES,
     HOTNESS_SCOPES,
     MODES,
+    TRANSFER_MODELS,
     WORKLOAD_KINDS,
     ChunkSpec,
     ChurnSpec,
@@ -55,6 +56,7 @@ __all__ = [
     "GOSSIP_EXCHANGES",
     "HOTNESS_SCOPES",
     "MODES",
+    "TRANSFER_MODELS",
     "WORKLOAD_KINDS",
     "ChunkSpec",
     "ChurnSpec",

@@ -40,7 +40,6 @@ from ..registry.chunks import DEFAULT_CHUNK_SIZE_BYTES
 from ..util import did_you_mean
 from ..sim.churn import ChurnSpec
 from ..sim.rng import DEFAULT_SEED
-from ..sim.transfers import TransferModel
 
 #: The registry-chain configurations a scenario can run under.
 MODES = ("hub-only", "hybrid", "hybrid+p2p")
@@ -50,6 +49,9 @@ DISCOVERY_BACKENDS = ("omniscient", "gossip")
 
 #: The pull-schedule shapes a workload can take.
 WORKLOAD_KINDS = ("zipf", "cold-waves")
+
+#: How a scenario turns bytes into elapsed time (see :class:`TransferSpec`).
+TRANSFER_MODELS = ("analytic", "time-resolved")
 
 
 @dataclass(frozen=True)
@@ -178,9 +180,10 @@ class WorkloadSpec:
 class TransferSpec:
     """How bytes become elapsed time.
 
-    ``model="analytic"`` keeps the paper's instant-admission
-    accounting; ``"time-resolved"`` drives every pull through the
-    shared-bandwidth :class:`~repro.sim.transfers.TransferEngine`.
+    ``model`` is one of :data:`TRANSFER_MODELS`: ``"analytic"`` keeps
+    the paper's instant-admission accounting; ``"time-resolved"``
+    drives every pull through the shared-bandwidth
+    :class:`~repro.sim.transfers.TransferEngine`.
     ``upload_budget`` caps concurrent uploads per device and is only
     meaningful (and only accepted) with the time-resolved model — the
     analytic model has no engine to enforce it.  The engine has one
@@ -188,20 +191,21 @@ class TransferSpec:
     an event perturbs), so no field selects one.
     """
 
-    model: TransferModel = TransferModel.ANALYTIC
+    model: str = "analytic"
     upload_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.model, TransferModel):
-            object.__setattr__(
-                self, "model", _parse_transfer_model(self.model)
+        if self.model not in TRANSFER_MODELS:
+            raise ValueError(
+                f"unknown transfer model {self.model!r}; expected one of "
+                f"{TRANSFER_MODELS}"
             )
         if self.upload_budget is not None:
             if self.upload_budget < 1:
                 raise ValueError(
                     f"upload_budget must be >= 1, got {self.upload_budget}"
                 )
-            if self.model is not TransferModel.TIME_RESOLVED:
+            if not self.time_resolved:
                 raise ValueError(
                     "upload_budget needs the time-resolved transfer model "
                     "(the analytic model has no engine to enforce it)"
@@ -209,20 +213,7 @@ class TransferSpec:
 
     @property
     def time_resolved(self) -> bool:
-        return self.model is TransferModel.TIME_RESOLVED
-
-
-def _parse_transfer_model(value: Any) -> TransferModel:
-    """Accept enum members, ``"time-resolved"``, and ``"time_resolved"``."""
-    if isinstance(value, TransferModel):
-        return value
-    try:
-        return TransferModel(str(value).replace("_", "-"))
-    except ValueError:
-        raise ValueError(
-            f"unknown transfer model {value!r}; expected one of "
-            f"{tuple(m.value for m in TransferModel)}"
-        ) from None
+        return self.model == "time-resolved"
 
 
 #: How gossip partners exchange knowledge. ``"push-pull"`` ships the
@@ -465,7 +456,7 @@ class ScenarioSpec:
     at construction, so an invalid combination raises immediately —
     never mid-run:
 
-    * ``chunks.enabled`` requires ``transfer.model == TIME_RESOLVED``,
+    * ``chunks.enabled`` requires ``transfer.model == "time-resolved"``,
     * ``replication.churn_aware`` requires a ``churn`` section.
 
     Use :func:`dataclasses.replace` to derive variants (``replace(spec,
@@ -493,7 +484,7 @@ class ScenarioSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.chunks.enabled and not self.transfer.time_resolved:
             raise ValueError(
-                "chunked pulls need TransferModel.TIME_RESOLVED (the "
+                "chunked pulls need transfer.model='time-resolved' (the "
                 "analytic model has no notion of a partially transferred "
                 "layer)"
             )
@@ -578,11 +569,7 @@ def canonical_hash(data: Any) -> str:
 
 
 def _section_to_dict(section: Any) -> Dict[str, Any]:
-    data: Dict[str, Any] = {}
-    for f in fields(section):
-        value = getattr(section, f.name)
-        data[f.name] = value.value if isinstance(value, TransferModel) else value
-    return data
+    return {f.name: getattr(section, f.name) for f in fields(section)}
 
 
 def _section_from_dict(section_cls: type, data: Mapping[str, Any]) -> Any:
@@ -597,8 +584,6 @@ def _section_from_dict(section_cls: type, data: Mapping[str, Any]) -> Any:
         raise ValueError(
             f"unknown {section_cls.__name__} keys {sorted(unknown)}"
         )
-    # String transfer models parse inside TransferSpec.__post_init__,
-    # so the deserializer stays fully generic.
     return section_cls(**data)
 
 

@@ -38,14 +38,14 @@ re-solved whole, so a live entry's key is its members' exact minimum
 and one wake armed at the heap's earliest live entry fires exactly when
 a per-transfer index would.
 
-Which model a simulation uses is selected by :class:`TransferModel`:
-``ANALYTIC`` keeps the paper-faithful instant-accounting path bit-for-
-bit, ``TIME_RESOLVED`` routes transfers through this engine.
+A scenario runs its pulls through this engine when its spec's
+``transfer.model`` is ``"time-resolved"``; under ``"analytic"`` (the
+paper's model, where every transfer is an isolated ``Size / BW``
+sleep) no engine exists.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 import itertools
 from time import perf_counter_ns
@@ -64,16 +64,6 @@ _EPS_MB = 1e-9
 #: Profile label of the engine's deadline heap (mirrors
 #: ``repro.telemetry.DEADLINE_HEAP``; this package never imports it).
 _DEADLINE_HEAP = "@deadline"
-
-
-class TransferModel(enum.Enum):
-    """How the simulation turns bytes into elapsed time."""
-
-    #: The paper's model: ``Size / BW`` computed analytically, slept in
-    #: one piece, no contention.  Seed experiments reproduce bit-for-bit.
-    ANALYTIC = "analytic"
-    #: Transfers occupy shared links over time via :class:`TransferEngine`.
-    TIME_RESOLVED = "time-resolved"
 
 
 class UploadBudgetExceeded(RuntimeError):
@@ -329,7 +319,6 @@ class TransferEngine:
         self.completed = 0
         self.cancellations = 0
         self.recomputes = 0
-        self.bytes_completed = 0
         #: Transfers assigned a rate, summed over all recomputes (each
         #: re-rates its dirty closure) — the work metric the scale
         #: benchmarks compare.
@@ -747,7 +736,6 @@ class TransferEngine:
         transfer.remaining_mb = 0.0
         transfer.rate_mbps = 0.0
         self.completed += 1
-        self.bytes_completed += transfer.size_bytes
         if self.trace is not None:
             self.trace.record(
                 self.sim.now, "transfer.finish", transfer.dst,

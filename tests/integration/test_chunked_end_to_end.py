@@ -20,7 +20,6 @@ from repro.scenarios import (
     SimulationSession,
     TransferSpec,
 )
-from repro.sim.transfers import TransferModel
 
 
 def _chunked_spec(chunked: bool, **changes):
@@ -117,7 +116,7 @@ class TestPeerlessModesStayPeerless:
             True,
             mode="hybrid",
             topology=replace(preset.topology, n_devices=6),
-            transfer=TransferSpec(model=TransferModel.TIME_RESOLVED),
+            transfer=TransferSpec(model="time-resolved"),
         ))
         outcome = session.run()
         assert outcome.bytes_from_peers == 0

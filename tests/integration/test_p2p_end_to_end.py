@@ -13,7 +13,6 @@ from repro import scenarios
 from repro.experiments import p2p
 from repro.scenarios import SimulationSession, TransferSpec
 from repro.sim.rng import DEFAULT_SEED
-from repro.sim.transfers import TransferModel
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +75,12 @@ class TestContendedOverlap:
     @pytest.fixture(scope="class")
     def contended(self):
         out = {}
-        for model in (TransferModel.ANALYTIC, TransferModel.TIME_RESOLVED):
+        for model in scenarios.TRANSFER_MODELS:
             spec = replace(
                 scenarios.get("p2p-contended"),
                 transfer=TransferSpec(
                     model=model,
-                    upload_budget=(
-                        2 if model is TransferModel.TIME_RESOLVED else None
-                    ),
+                    upload_budget=2 if model == "time-resolved" else None,
                 ),
             )
             hybrid = SimulationSession(replace(spec, mode="hybrid")).run()
@@ -96,11 +93,8 @@ class TestContendedOverlap:
             model: hybrid.origin_bytes - swarm.origin_bytes
             for model, (hybrid, swarm) in contended.items()
         }
-        assert saving[TransferModel.ANALYTIC] > 0
-        assert (
-            saving[TransferModel.TIME_RESOLVED]
-            < saving[TransferModel.ANALYTIC]
-        )
+        assert saving["analytic"] > 0
+        assert saving["time-resolved"] < saving["analytic"]
 
     def test_hybrid_baseline_bytes_are_model_independent(self, contended):
         # Without peers there is nothing to mis-attribute: both models
@@ -111,8 +105,8 @@ class TestContendedOverlap:
         assert len(origins) == 1
 
     def test_contention_slows_transfers_down(self, contended):
-        _, analytic_swarm = contended[TransferModel.ANALYTIC]
-        _, resolved_swarm = contended[TransferModel.TIME_RESOLVED]
+        _, analytic_swarm = contended["analytic"]
+        _, resolved_swarm = contended["time-resolved"]
         assert resolved_swarm.transfer_s > analytic_swarm.transfer_s
 
     def test_contended_experiment_table_renders(self):

@@ -61,8 +61,10 @@ class TestTopology:
             net.registry_channel("ghost", "medium")
 
     def test_has_registry_channel(self, net):
-        assert net.has_registry_channel("hub", "medium")
-        assert not net.has_registry_channel("regional", "medium")
+        assert net.find_registry_channel("hub", "medium") is (
+            net.registry_channel("hub", "medium")
+        )
+        assert net.find_registry_channel("regional", "medium") is None
 
 
 def _rows(model, names):

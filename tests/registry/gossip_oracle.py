@@ -43,7 +43,7 @@ def _newer(incoming: ViewRecord, current: Optional[ViewRecord]) -> bool:
 class OracleGossipDiscovery(GossipDiscovery):
     """:class:`GossipDiscovery` on the frozen record-object merge path."""
 
-    def _note_firsthand(
+    def note(
         self, device: str, digest: str, size_bytes: int, present: bool
     ) -> None:
         self._clock[device] += 1

@@ -410,7 +410,7 @@ def test_peer_beats_registry_on_equal_seconds(path):
         cmap = ChunkMap(LAYER, 40 * MB, 10 * MB)
         st = _LayerFetch(cmap, ChunkFetchOutcome(LAYER))
         assert chunks._resolve_chunk(st, cmap.chunk(0), "dev", set()) == (
-            "peer", "peer"
+            "peer", False
         )
 
 
@@ -687,7 +687,7 @@ class TestSaturatedSeeder:
         sim.run()
         outcome = out["outcome"]
         assert sim.now == pytest.approx(5.12)
-        assert outcome.bytes_by_source == {("peer", "edge-1"): 64 * MB}
+        assert outcome.bytes_by_source == {(False, "edge-1"): 64 * MB}
         assert outcome.wasted_bytes == 0
 
     def test_a_seeder_freed_meanwhile_is_retried_at_once(self):
@@ -716,7 +716,7 @@ class TestSaturatedSeeder:
         sim.process(departure())
         sim.run()
         outcome = out["outcome"]
-        assert outcome.bytes_by_source == {("peer", "edge-1"): 16 * MB}
+        assert outcome.bytes_by_source == {(False, "edge-1"): 16 * MB}
         assert outcome.seconds == pytest.approx(2.28)
 
     def test_a_seeder_with_budget_zero_stays_unreachable(self):
@@ -770,5 +770,5 @@ class TestEndgameMeteringFailure:
         # duplicate — and the layer still assembled entirely from peers
         assert meter_calls
         assert outcome.endgame_dupes == 0
-        assert all(kind == "peer" for kind, _ in outcome.bytes_by_source)
+        assert not any(registry for registry, _ in outcome.bytes_by_source)
         assert sum(outcome.bytes_by_source.values()) == 500_000_000

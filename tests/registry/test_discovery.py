@@ -187,6 +187,19 @@ class TestGossipStaleness:
         assert swarm.verify_holder("d1", "d3", D[0]) is False
         assert "d3" not in disc.view("d1", D[0])
 
+    def test_best_peer_ranks_a_live_region_member_before_a_departed_one(self):
+        # d0 departed unseen: d1's view still holds it, and it ranks
+        # first in d1's preference order (same bandwidth, smaller
+        # name).  best_peer's same-region pass takes the live member
+        # d3 instead, so no stale entry is tried, verified and missed.
+        disc, swarm, caches = self.converged()
+        swarm.remove_device("d0")
+        preference = swarm.network.device_sources_by_preference("d1")
+        view = disc.view("d1", D[0])
+        assert [peer for peer in preference if peer in view] == ["d0", "d3"]
+        assert swarm.best_peer(D[0], "d1") == "d3"
+        assert disc.stale_misses == 0
+
     def test_rejoin_with_stale_cache_bumps_incarnation(self):
         disc, swarm, caches = self.converged()
         swarm.remove_device("d3")
@@ -321,9 +334,9 @@ class TestMergeRule:
         disc = gossip(seed=1)
         mesh_swarm(n=2, discovery=disc)
         disc._clock["d0"] = 2**32 - 2
-        disc._note_firsthand("d0", D[0], 10, present=True)  # last seq
+        disc.note("d0", D[0], 10, present=True)  # last seq
         with pytest.raises(OverflowError, match="d0"):
-            disc._note_firsthand("d0", D[1], 10, present=True)
+            disc.note("d0", D[1], 10, present=True)
 
 
 # ----------------------------------------------------------------------

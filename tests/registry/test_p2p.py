@@ -1,8 +1,11 @@
 """Tests for the P2P tier: peer index, pull planner, and replicator."""
 
+import itertools
 from collections.abc import Set as AbstractSet
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model.device import Arch
 from repro.model.network import NetworkModel
@@ -166,25 +169,63 @@ class TestPeerSwarm:
         swarm.index.cache_of("c").add(D[0], 10)
         assert swarm.best_peer(D[0], "a") == "c"
 
-    def test_fastest_tie_break_is_deterministic(self):
-        # Equal-bandwidth holders must resolve by device name — never
-        # by set iteration order — so sweeps reproduce across runs and
-        # Python versions.
-        for insertion_order in (
-            ("p-c", "p-a", "p-b"),
-            ("p-b", "p-c", "p-a"),
-            ("p-a", "p-b", "p-c"),
-        ):
-            network = NetworkModel()
-            network.connect_device_mesh(("target",) + insertion_order, 400.0)
-            swarm = PeerSwarm(network)
-            swarm.add_device("target", small_cache(1000, "target"))
-            for name in insertion_order:
-                cache = small_cache(1000, name)
-                cache.add(D[0], 10)
-                swarm.add_device(name, cache)
-            assert swarm.best_peer(D[0], "target") == "p-a"
-            assert swarm._fastest(set(insertion_order), "target") == "p-a"
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_fastest_tie_break_is_deterministic(self, data):
+        # The fastest candidate is the first entry of the destination's
+        # preference order that is a candidate and not the destination
+        # itself: higher bandwidth first, equal bandwidths (an int one
+        # and an equal float one too) by name, unreachable candidates
+        # never.  It must not depend on the order the candidates went
+        # into their set, so sweeps reproduce across runs and Python
+        # versions.  A mesh's shared row names its destination too.
+        names = [f"p-{c}" for c in "abcdef"]
+        bandwidths = st.sampled_from([100, 100.0, 400, 400.0, 800.0])
+        network = NetworkModel()
+        meshes = data.draw(st.lists(
+            st.lists(st.sampled_from(names), min_size=2, max_size=4,
+                     unique=True),
+            max_size=3,
+        ))
+        for members in meshes:
+            network.connect_device_mesh(members, data.draw(bandwidths))
+        links = data.draw(st.lists(
+            st.tuples(st.sampled_from(names), st.sampled_from(names),
+                      bandwidths),
+            max_size=6,
+        ))
+        for src, dst, bandwidth in links:
+            if src != dst:
+                network.connect_devices(src, dst, bandwidth, symmetric=False)
+        dst = data.draw(st.sampled_from(names))
+        candidates = data.draw(st.lists(
+            st.sampled_from(names), min_size=1, max_size=5, unique=True
+        ))
+        expected = next(
+            (
+                peer for peer in network.device_sources_by_preference(dst)
+                if peer in candidates and peer != dst
+            ),
+            None,
+        )
+        row = network.channels_into(dst)
+        assert expected == min(
+            (peer for peer in candidates if peer in row and peer != dst),
+            key=lambda peer: (-row[peer].bandwidth_mbps, peer),
+            default=None,
+        )
+        swarm = PeerSwarm(network)
+        for order in itertools.permutations(candidates):
+            pool = set(order)
+            assert swarm.fastest_verified(
+                pool, dst, D[0], dst, trusted=pool
+            ) == (expected, 0)
+        # best_peer ranks holders in the same order (one region here).
+        for name in names:
+            swarm.add_device(name, small_cache(1000, name))
+        for name in data.draw(st.permutations(candidates)):
+            swarm.index.cache_of(name).add(D[0], 10)
+        assert swarm.best_peer(D[0], dst) == expected
 
     def test_fastest_prefers_bandwidth_over_name(self):
         network = NetworkModel()

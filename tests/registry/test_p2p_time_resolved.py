@@ -330,13 +330,12 @@ class TestReplicatorTimeResolved:
             WorkloadSpec,
             deterministic_outcome_dict,
         )
-        from repro.sim.transfers import TransferModel
 
         spec = ScenarioSpec(
             mode="hybrid+p2p",
             topology=TopologySpec(n_devices=8),
             workload=WorkloadSpec(n_images=4, pulls_per_device=3),
-            transfer=TransferSpec(model=TransferModel.TIME_RESOLVED),
+            transfer=TransferSpec(model="time-resolved"),
         )
         first = SimulationSession(spec).run()
         second = SimulationSession(spec).run()

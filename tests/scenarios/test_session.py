@@ -24,7 +24,7 @@ from repro.scenarios import (
     WorkloadSpec,
     build_swarm_scenario,
 )
-from repro.sim.transfers import TransferEngine, TransferModel
+from repro.sim.transfers import TransferEngine
 
 
 def _small_spec(**kwargs) -> ScenarioSpec:
@@ -38,7 +38,7 @@ def _small_spec(**kwargs) -> ScenarioSpec:
 class TestAssembly:
     def test_components_exposed_after_construction(self):
         session = SimulationSession(_small_spec(
-            transfer=TransferSpec(model=TransferModel.TIME_RESOLVED),
+            transfer=TransferSpec(model="time-resolved"),
             discovery=DiscoverySpec(backend="gossip"),
             churn=ChurnSpec(),
         ))
@@ -218,9 +218,7 @@ class TestRunMemory:
     """What ``run()`` keeps alive: pulls exist only from their arrival
     on, and finished transfers are freed by reference counting."""
 
-    @pytest.mark.parametrize(
-        "model", [TransferModel.ANALYTIC, TransferModel.TIME_RESOLVED]
-    )
+    @pytest.mark.parametrize("model", scenarios.TRANSFER_MODELS)
     def test_no_pull_generator_exists_before_its_arrival(self, model):
         session = SimulationSession(
             _small_spec(transfer=TransferSpec(model=model))

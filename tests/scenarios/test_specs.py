@@ -30,7 +30,6 @@ from repro.scenarios import (
 from repro.scenarios import canonical_hash, canonical_json
 from repro.scenarios.spec import parse_set_flags
 from repro.sim.churn import ChurnSpec as ChurnProcessConfig
-from repro.sim.transfers import TransferModel
 
 
 class TestSectionValidation:
@@ -78,16 +77,16 @@ class TestSectionValidation:
 
     def test_upload_budget_needs_time_resolved(self):
         with pytest.raises(ValueError, match="time-resolved"):
-            TransferSpec(model=TransferModel.ANALYTIC, upload_budget=2)
+            TransferSpec(model="analytic", upload_budget=2)
 
-    def test_transfer_model_parses_underscore_alias(self):
-        assert (
-            TransferSpec(model="time_resolved").model
-            is TransferModel.TIME_RESOLVED
-        )
-        assert TransferSpec(model="analytic").model is TransferModel.ANALYTIC
-        with pytest.raises(ValueError, match="transfer model"):
-            TransferSpec(model="psychic")
+    def test_transfer_model_is_one_of_two_names(self):
+        assert scenarios.TRANSFER_MODELS == ("analytic", "time-resolved")
+        for model in scenarios.TRANSFER_MODELS:
+            assert TransferSpec(model=model).model == model
+        # One spelling per model: the underscore one is not it.
+        for model in ("time_resolved", "psychic"):
+            with pytest.raises(ValueError, match="transfer model"):
+                TransferSpec(model=model)
 
     def test_unknown_discovery_rejected(self):
         with pytest.raises(ValueError, match="discovery"):
@@ -192,11 +191,11 @@ class TestCrossSectionValidation:
             ScenarioSpec(mode="p2p-only")
 
     def test_chunked_needs_time_resolved(self):
-        with pytest.raises(ValueError, match="TIME_RESOLVED"):
+        with pytest.raises(ValueError, match="time-resolved"):
             ScenarioSpec(chunks=ChunkSpec(enabled=True))
         # ... and is accepted with it
         spec = ScenarioSpec(
-            transfer=TransferSpec(model=TransferModel.TIME_RESOLVED),
+            transfer=TransferSpec(model="time-resolved"),
             chunks=ChunkSpec(enabled=True),
         )
         assert spec.chunks.enabled
@@ -263,13 +262,11 @@ def _discoveries():
 
 
 def _transfers_and_chunks():
-    analytic = st.just(
-        (TransferSpec(model=TransferModel.ANALYTIC), ChunkSpec())
-    )
+    analytic = st.just((TransferSpec(model="analytic"), ChunkSpec()))
     time_resolved = st.tuples(
         st.builds(
             TransferSpec,
-            model=st.just(TransferModel.TIME_RESOLVED),
+            model=st.just("time-resolved"),
             upload_budget=st.one_of(st.none(), st.integers(1, 8)),
         ),
         st.builds(
@@ -395,10 +392,9 @@ class TestRoundTrip:
             ScenarioSpec.from_dict({"transfer": None})
 
     def test_transfer_model_serialises_as_value(self):
-        spec = ScenarioSpec(
-            transfer=TransferSpec(model=TransferModel.TIME_RESOLVED)
-        )
+        spec = ScenarioSpec(transfer=TransferSpec(model="time-resolved"))
         assert spec.to_dict()["transfer"]["model"] == "time-resolved"
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestOverrides:
@@ -409,7 +405,7 @@ class TestOverrides:
             "topology.n_devices": "24",
             "mode": "hybrid",
         })
-        assert spec.transfer.model is TransferModel.TIME_RESOLVED
+        assert spec.transfer.model == "time-resolved"
         assert spec.transfer.upload_budget == 2
         assert spec.topology.n_devices == 24
         assert spec.mode == "hybrid"
@@ -425,7 +421,7 @@ class TestOverrides:
         assert with_overrides(base, {"churn": "none"}).churn is None
 
     def test_override_cannot_bypass_validation(self):
-        with pytest.raises(ValueError, match="TIME_RESOLVED"):
+        with pytest.raises(ValueError, match="time-resolved"):
             with_overrides(ScenarioSpec(), {"chunks.enabled": "true"})
 
     @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])
@@ -613,11 +609,11 @@ class TestPresets:
         assert spec.chunks == ChunkSpec(
             enabled=True, size_bytes=16_000_000, parallel=4
         )
-        assert spec.transfer.model is TransferModel.TIME_RESOLVED
+        assert spec.transfer.model == "time-resolved"
 
     def test_swarm_scale_preset_uses_incremental_engine(self):
         spec = scenarios.get("p2p-swarm-scale")
-        assert spec.transfer.model is TransferModel.TIME_RESOLVED
+        assert spec.transfer.model == "time-resolved"
         assert spec.topology.n_devices == 1000
         assert spec.workload.kind == "cold-waves"
         # No hub/regional egress shaping: a shared registry uplink

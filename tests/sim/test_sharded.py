@@ -381,7 +381,7 @@ class TestShardIndex:
 _TIME_RESOLVED_PRESETS = [
     name
     for name in scenarios.names()
-    if scenarios.get(name).transfer.model.value == "time-resolved"
+    if scenarios.get(name).transfer.time_resolved
 ]
 
 #: Outcome digests of the time-resolved presets (swarm presets shrunk

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from repro.model.network import NetworkModel
 from repro.model.units import MBIT_PER_MB, bytes_to_mb
+from repro.scenarios import TRANSFER_MODELS, TransferSpec
 from repro.sim.engine import Simulator
 from repro.sim.transfers import (
     TransferCancelled,
     TransferEngine,
-    TransferModel,
     UploadBudgetExceeded,
 )
 
@@ -74,8 +74,10 @@ def run_transfer(sim, engine, src, dst, size, **kw):
 
 class TestTransferModel:
     def test_two_models_exist(self):
-        assert TransferModel.ANALYTIC.value == "analytic"
-        assert TransferModel.TIME_RESOLVED.value == "time-resolved"
+        assert TRANSFER_MODELS == ("analytic", "time-resolved")
+        # Only the time-resolved model routes pulls through this engine.
+        assert [TransferSpec(model=m).time_resolved
+                for m in TRANSFER_MODELS] == [False, True]
 
 
 class TestSingleTransfer:

@@ -211,7 +211,13 @@ class TestScenarioSubcommand:
         assert main([
             "scenario", "p2p", "--set", "chunks.enabled=true",
         ]) == 2
-        assert "TIME_RESOLVED" in capsys.readouterr().err
+        assert "transfer.model='time-resolved'" in capsys.readouterr().err
+
+    def test_underscore_transfer_model_fails_cleanly(self, capsys):
+        assert main([
+            "scenario", "p2p", "--set", "transfer.model=time_resolved",
+        ]) == 2
+        assert "('analytic', 'time-resolved')" in capsys.readouterr().err
 
     def test_wrongly_typed_override_fails_cleanly(self, capsys):
         # A value of the wrong JSON type must hit the same clean error

@@ -21,8 +21,9 @@ class TestCloudEnvironment:
 
     def test_cloud_reaches_hub_only(self, testbed):
         env = cloud_environment(testbed)
-        assert env.network.has_registry_channel(HUB_NAME, CLOUD_NAME)
-        assert not env.network.has_registry_channel(REGIONAL_NAME, CLOUD_NAME)
+        network = env.network
+        assert network.find_registry_channel(HUB_NAME, CLOUD_NAME) is not None
+        assert network.find_registry_channel(REGIONAL_NAME, CLOUD_NAME) is None
 
     def test_wan_channels_wired(self, testbed):
         env = cloud_environment(testbed, CloudConfig(wan_bw_mbps=30.0))
