@@ -79,8 +79,8 @@ def run_sweep(sizes=SWEEP_SIZES, transfer_model="analytic") -> list:
                 * (1.0 - p2p.origin_bytes / hybrid.origin_bytes),
                 peer_gb=(p2p.bytes_from_peers + p2p.bytes_replicated)
                 / BYTES_PER_GB,
-                replica_copies=replicator.total_actions(),
-                converged=replicator.converged(),
+                replica_copies=replicator["actions"],
+                converged=replicator["converged"],
                 unfinished=hybrid.unfinished_pulls + p2p.unfinished_pulls,
             )
         )

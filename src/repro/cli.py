@@ -198,11 +198,12 @@ def _outcome_text(preset: str, spec, outcome) -> str:
         lines.append(
             f"departures={outcome.departures} rejoins={outcome.rejoins}"
         )
-    if outcome.replicator is not None:
+    replicator = outcome.replicator
+    if replicator is not None:
         lines.append(
-            f"replicator: {outcome.replicator.total_actions()} copies "
-            f"({outcome.replicator.bytes_replicated / gb:.2f} GB), "
-            f"converged={outcome.replicator.converged()}"
+            f"replicator: {replicator['actions']} copies "
+            f"({replicator['bytes_replicated'] / gb:.2f} GB), "
+            f"converged={replicator['converged']}"
         )
     return "\n".join(lines)
 
@@ -244,8 +245,8 @@ def _run_scenario_command(args) -> int:
         overrides = scenarios.parse_set_flags(tuple(args.overrides))
         spec = scenarios.with_overrides(spec, overrides)
     except (TypeError, ValueError) as error:
-        # TypeError: a value of the wrong JSON type reached a spec
-        # field's validation comparison (e.g. --set seed=abc).
+        # TypeError: a value of the wrong JSON type reached a float
+        # field's validation (e.g. --set topology.cache_gb=abc).
         print(f"bad override: {error}", file=sys.stderr)
         return 2
     with _observed(args.telemetry_dir):

@@ -113,9 +113,9 @@ def run(seed: int) -> ExperimentResult:
     replicator = outcomes["hybrid+p2p"].replicator
     if replicator is not None:
         result.note(
-            f"adaptive replicator: {replicator.total_actions()} proactive "
-            f"copies ({replicator.bytes_replicated / BYTES_PER_GB:.2f} GB), "
-            f"converged={replicator.converged()}"
+            f"adaptive replicator: {replicator['actions']} proactive "
+            f"copies ({replicator['bytes_replicated'] / BYTES_PER_GB:.2f} "
+            f"GB), converged={replicator['converged']}"
         )
     return result
 

@@ -123,6 +123,23 @@ def require_positive(value: float, name: str) -> float:
     return float(value)
 
 
+def require_int(value: object, name: str, minimum: int) -> int:
+    """Validate that ``value`` is an ``int`` (not a ``bool``) of at least
+    ``minimum``: ``2.5`` or ``True`` for a count is a typo, not a count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
+
+
+def require_bool(value: object, name: str) -> bool:
+    """Validate that ``value`` is a ``bool`` (``1`` and ``"no"`` are not)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def require_non_negative(value: float, name: str) -> float:
     """Validate that ``value`` is a finite, non-negative number."""
     if not math.isfinite(value) or value < 0:

@@ -69,7 +69,10 @@ class ModeOutcome:
     bytes_from_peers: int = 0
     bytes_replicated: int = 0
     transfer_s: float = 0.0
-    replicator: Optional[AdaptiveReplicator] = None
+    #: The replicator's summary at run end: ``{"actions",
+    #: "bytes_replicated", "converged"}`` (None when the mode ran
+    #: without one).  A value, so the outcome keeps no swarm alive.
+    replicator: Optional[Dict[str, Any]] = None
     #: Scheduled pulls that did not finish (time-resolved: still in
     #: flight; analytic: not yet arrived) when the horizon cut the run
     #: off.  Nonzero values mean the byte counters under-report — the
@@ -130,12 +133,8 @@ class ModeOutcome:
         return self.cache_hits / self.pulls if self.pulls else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        """A plain JSON-safe dict of every counter.
-
-        The live :class:`AdaptiveReplicator` object is summarised to
-        its headline numbers (``None`` when the mode ran without one).
-        """
-        data = {
+        """A plain JSON-safe dict of every counter."""
+        return {
             "mode": self.mode,
             "pulls": self.pulls,
             "cache_hits": self.cache_hits,
@@ -161,15 +160,10 @@ class ModeOutcome:
             "wall_build_s": self.wall_build_s,
             "wall_run_s": self.wall_run_s,
             "engine_profile": self.engine_profile,
-            "replicator": None,
+            "replicator": (
+                None if self.replicator is None else dict(self.replicator)
+            ),
         }
-        if self.replicator is not None:
-            data["replicator"] = {
-                "actions": self.replicator.total_actions(),
-                "bytes_replicated": self.replicator.bytes_replicated,
-                "converged": self.replicator.converged(),
-            }
-        return data
 
 
 class SimulationSession:
@@ -440,11 +434,7 @@ class SimulationSession:
 
         if self.replicator is not None:
             sim.process(self.replicator.process())
-            outcome.replicator = self.replicator
-            sim.run(until=scenario.horizon_s)
-            outcome.bytes_replicated = self.replicator.bytes_replicated
-        else:
-            sim.run(until=scenario.horizon_s)
+        sim.run(until=scenario.horizon_s)
         outcome.unfinished_pulls = (
             len(scenario.schedule) - outcome.pulls - outcome.skipped_pulls
         )
@@ -466,6 +456,14 @@ class SimulationSession:
             # capture's goes to its profile.json, never to what the
             # run prints.
             outcome.engine_profile = self.engine_profile.summary()
+        replicator = self.replicator
+        if replicator is not None:
+            outcome.bytes_replicated = replicator.bytes_replicated
+            outcome.replicator = {
+                "actions": replicator.total_actions(),
+                "bytes_replicated": replicator.bytes_replicated,
+                "converged": replicator.converged(),
+            }
         # Every counter is read: abort the pulls the horizon cut off, in
         # schedule order, so their transfers are cancelled and their
         # reservations released inside the run, not whenever the

@@ -20,7 +20,11 @@ invalid combination can never reach the simulator:
 * an upload budget is only meaningful with the time-resolved model,
 * gossip knobs are only accepted with the gossip backend,
 * a churn-aware replicator requires a churn process,
+* a churn process must leave some device free to depart,
 * cold-wave workloads pull exactly once per device per wave.
+
+Every count is an ``int`` and every switch a ``bool``: ``2.5`` devices
+or ``inter_region_mesh="no"`` is rejected, not run.
 
 Specs round-trip losslessly through :meth:`ScenarioSpec.to_dict` /
 :meth:`ScenarioSpec.from_dict` (plain JSON-safe dicts), so sweeps,
@@ -35,7 +39,12 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..model.units import require_non_negative, require_positive
+from ..model.units import (
+    require_bool,
+    require_int,
+    require_non_negative,
+    require_positive,
+)
 from ..registry.chunks import DEFAULT_CHUNK_SIZE_BYTES
 from ..util import did_you_mean
 from ..sim.churn import ChurnSpec
@@ -88,10 +97,8 @@ class TopologySpec:
     inter_region_mesh: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_devices < 2:
-            raise ValueError("a swarm needs at least 2 devices")
-        if self.n_regions < 1:
-            raise ValueError(f"n_regions must be >= 1, got {self.n_regions}")
+        require_int(self.n_devices, "n_devices", 2)
+        require_int(self.n_regions, "n_regions", 1)
         if self.n_regions > self.n_devices:
             # Devices are dealt to regions round-robin: each would sit
             # alone in its own region, and the surplus regions be empty.
@@ -106,6 +113,7 @@ class TopologySpec:
             value = getattr(self, name)
             if value is not None:
                 require_positive(value, name)
+        require_bool(self.inter_region_mesh, "inter_region_mesh")
         if self.hub_trunk_mbps is not None and self.hub_egress_mbps is not None:
             raise ValueError(
                 "hub_trunk_mbps and hub_egress_mbps both shape hub egress; "
@@ -147,12 +155,8 @@ class WorkloadSpec:
                 f"unknown workload kind {self.kind!r}; expected one of "
                 f"{WORKLOAD_KINDS}"
             )
-        if self.n_images < 1:
-            raise ValueError(f"n_images must be >= 1, got {self.n_images}")
-        if self.pulls_per_device < 1:
-            raise ValueError(
-                f"pulls_per_device must be >= 1, got {self.pulls_per_device}"
-            )
+        require_int(self.n_images, "n_images", 1)
+        require_int(self.pulls_per_device, "pulls_per_device", 1)
         require_positive(self.horizon_s, "horizon_s")
         if self.kind == "cold-waves":
             if self.n_images < 2:
@@ -201,10 +205,7 @@ class TransferSpec:
                 f"{TRANSFER_MODELS}"
             )
         if self.upload_budget is not None:
-            if self.upload_budget < 1:
-                raise ValueError(
-                    f"upload_budget must be >= 1, got {self.upload_budget}"
-                )
+            require_int(self.upload_budget, "upload_budget", 1)
             if not self.time_resolved:
                 raise ValueError(
                     "upload_budget needs the time-resolved transfer model "
@@ -287,15 +288,9 @@ class DiscoverySpec:
                 and exchange is not None
                 and loss_rate is not None
             )
-            if fanout < 1:
-                raise ValueError(
-                    f"gossip_fanout must be >= 1, got {fanout}"
-                )
+            require_int(fanout, "gossip_fanout", 1)
             require_positive(period_s, "gossip_period_s")
-            if view_cap < 1:
-                raise ValueError(
-                    f"gossip_view_cap must be >= 1, got {view_cap}"
-                )
+            require_int(view_cap, "gossip_view_cap", 1)
             require_non_negative(latency_s, "gossip_latency_s")
             if exchange not in GOSSIP_EXCHANGES:
                 raise ValueError(
@@ -360,10 +355,7 @@ class ReplicationSpec:
     def __post_init__(self) -> None:
         require_positive(self.interval_s, "interval_s")
         require_positive(self.hot_threshold, "hot_threshold")
-        if self.target_replicas < 1:
-            raise ValueError(
-                f"target_replicas must be >= 1, got {self.target_replicas}"
-            )
+        require_int(self.target_replicas, "target_replicas", 1)
         if not 0.0 <= self.decay < 1.0:
             raise ValueError(
                 f"decay must be in [0, 1), got {self.decay}"
@@ -373,6 +365,7 @@ class ReplicationSpec:
                 f"unknown hotness scope {self.hotness!r}; expected one of "
                 f"{HOTNESS_SCOPES}"
             )
+        require_bool(self.churn_aware, "churn_aware")
         if self.hot_fraction is not None:
             if not 0.0 < self.hot_fraction <= 1.0:
                 raise ValueError(
@@ -399,9 +392,9 @@ class ChunkSpec:
     parallel: int = 4
 
     def __post_init__(self) -> None:
-        require_positive(self.size_bytes, "size_bytes")
-        if self.parallel < 1:
-            raise ValueError(f"parallel must be >= 1, got {self.parallel}")
+        require_bool(self.enabled, "enabled")
+        require_int(self.size_bytes, "size_bytes", 1)
+        require_int(self.parallel, "parallel", 1)
 
 
 @dataclass(frozen=True)
@@ -429,6 +422,8 @@ class TelemetrySpec:
     profile: bool = False
 
     def __post_init__(self) -> None:
+        require_bool(self.trace, "trace")
+        require_bool(self.profile, "profile")
         if self.metrics_period_s is not None:
             require_positive(self.metrics_period_s, "metrics_period_s")
 
@@ -457,7 +452,8 @@ class ScenarioSpec:
     never mid-run:
 
     * ``chunks.enabled`` requires ``transfer.model == "time-resolved"``,
-    * ``replication.churn_aware`` requires a ``churn`` section.
+    * ``replication.churn_aware`` requires a ``churn`` section,
+    * ``churn.min_online`` must be below ``topology.n_devices``.
 
     Use :func:`dataclasses.replace` to derive variants (``replace(spec,
     mode="hybrid")``), :func:`with_overrides` for dotted-path string
@@ -480,8 +476,7 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected one of {MODES}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        require_int(self.seed, "seed", 0)
         if self.chunks.enabled and not self.transfer.time_resolved:
             raise ValueError(
                 "chunked pulls need transfer.model='time-resolved' (the "
@@ -492,6 +487,15 @@ class ScenarioSpec:
             raise ValueError(
                 "replication.churn_aware needs a churn section — there is "
                 "no churn process to learn session lengths from"
+            )
+        if (
+            self.churn is not None
+            and self.churn.min_online >= self.topology.n_devices
+        ):
+            raise ValueError(
+                f"churn.min_online ({self.churn.min_online}) must be below "
+                f"topology.n_devices ({self.topology.n_devices}); a regime "
+                f"that keeps every device online never churns"
             )
 
     # -- serialisation -------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from ..model.units import require_positive
+from ..model.units import require_int, require_positive
 from .rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -66,8 +66,7 @@ class ChurnSpec:
     def __post_init__(self) -> None:
         require_positive(self.mean_uptime_s, "mean_uptime_s")
         require_positive(self.mean_downtime_s, "mean_downtime_s")
-        if self.min_online < 1:
-            raise ValueError(f"min_online must be >= 1, got {self.min_online}")
+        require_int(self.min_online, "min_online", 1)
 
 
 class ChurnProcess:

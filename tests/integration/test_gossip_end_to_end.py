@@ -7,7 +7,6 @@ and the headline ``p2p-gossip`` experiment (omniscient must never
 """
 
 import dataclasses
-import hashlib
 
 import pytest
 
@@ -106,53 +105,38 @@ class TestGossipExperiment:
         assert any("overstates" in note for note in result.notes)
 
 
-#: Time-resolved gossip sessions pinned by outcome digest: no preset
-#: runs gossip discovery through the transfer engine, yet only such
-#: runs make a pull wait on a concurrent reservation (``when_settled``)
-#: or commit a stale-view replicator copy onto a device that already
+#: Time-resolved gossip sessions pinned by their golden outcome dicts,
+#: ``tests/golden/gossip/<name>-seed<seed>.json``: no preset runs
+#: gossip discovery through the transfer engine, yet only such runs
+#: make a pull wait on a concurrent reservation (``when_settled``) or
+#: commit a stale-view replicator copy onto a device that already
 #: holds the layer (``commit``'s refresh branch).  The last row pins
-#: time-resolved Zipf pulls under an upload budget.  Batching co-started
-#: handshakes moved the chunked row (223e7898…, 82d3e37c…) through
-#: ``engine_transfers_visited`` alone: 1,808 -> 1,217 and 2,105 -> 1,441.
+#: time-resolved Zipf pulls under an upload budget.  Each row maps its
+#: name to (preset, overrides, whether its runs reach both paths).
 _TIME_RESOLVED = {"transfer.model": "time-resolved"}
-GOSSIP_PINS = [
-    ("p2p-gossip", _TIME_RESOLVED, True, {
-        1: "f185eaf6df9774e469c5b7006677cdc4f3e47d85bbc4d18d35e28d130b9c8254",
-        2: "af37ab3a965288e7fe1483d51ab80f1fe8e9139915c9d9abefa2fcac62ebd40e",
-    }),
-    ("p2p-gossip", dict(
+GOSSIP_PINS = {
+    "gossip": ("p2p-gossip", _TIME_RESOLVED, True),
+    "gossip-chunked": ("p2p-gossip", dict(
         _TIME_RESOLVED,
         **{"chunks.enabled": True, "transfer.upload_budget": 2},
-    ), True, {
-        1: "41ca5a13bc31cd81b69a2b61b0787a9f9ce8fd1be39d24fa407e887bef5e9e4b",
-        2: "959f86dc8d51a9c7e47675a7eda54192b9ea28defe2202a5ef8ab186c671e391",
-    }),
-    ("p2p-gossip", dict(
+    ), True),
+    "gossip-lossy": ("p2p-gossip", dict(
         _TIME_RESOLVED,
         **{
             "discovery.gossip_latency_s": 30,
             "discovery.gossip_loss_rate": 0.1,
             "replication.churn_aware": True,
         },
-    ), True, {
-        1: "7d8e5907bcae61c3fc6db0189f334d23b591113464d67c3b8db269811755af91",
-        2: "24afea315cdab83f447de4d16f1e290c541014208f68b5d7514273b848789fe7",
-    }),
-    ("p2p", dict(_TIME_RESOLVED, **{"transfer.upload_budget": 1}), False, {
-        1: "f34dab661eebdd9c260f2f38c19116e7c16939da4f30d3e88c900f4be3cc62ab",
-        2: "d188ffb6a2c62c0402cb4031e9d8ff4abe00ca26ab69d071b430871562ef962d",
-    }),
-]
+    ), True),
+    "zipf-budget": (
+        "p2p", dict(_TIME_RESOLVED, **{"transfer.upload_budget": 1}), False,
+    ),
+}
 
 
-@pytest.mark.parametrize(
-    "preset, overrides, reaches_both_paths, digests",
-    GOSSIP_PINS,
-    ids=["gossip", "gossip-chunked", "gossip-lossy", "zipf-budget"],
-)
-def test_time_resolved_gossip_outcome_is_pinned(
-    monkeypatch, preset, overrides, reaches_both_paths, digests
-):
+@pytest.mark.parametrize("name", GOSSIP_PINS)
+def test_time_resolved_gossip_outcome_is_pinned(monkeypatch, golden, name):
+    preset, overrides, reaches_both_paths = GOSSIP_PINS[name]
     calls = {"when_settled": 0, "refresh": 0}
     when_settled = ImageCache.when_settled
     commit = ImageCache.commit
@@ -168,17 +152,15 @@ def test_time_resolved_gossip_outcome_is_pinned(
 
     monkeypatch.setattr(ImageCache, "when_settled", counting_when_settled)
     monkeypatch.setattr(ImageCache, "commit", counting_commit)
-    seen = {}
-    for seed in digests:
+    for seed in (1, 2):
         spec = scenarios.with_overrides(
             scenarios.get(preset), dict(overrides, seed=seed)
         )
         outcome = SimulationSession(spec).run()
-        canonical = scenarios.canonical_json(
-            scenarios.deterministic_outcome_dict(outcome.to_dict())
+        golden(
+            f"gossip/{name}-seed{seed}.json",
+            scenarios.deterministic_outcome_dict(outcome.to_dict()),
         )
-        seen[seed] = hashlib.sha256(canonical.encode("ascii")).hexdigest()
-    assert seen == digests
     # Across its seeds each gossip row covers both presence paths; the
     # Zipf row neither.
     assert bool(calls["when_settled"]) is reaches_both_paths

@@ -16,11 +16,16 @@ from repro.sim.rng import DEFAULT_SEED
 
 
 @pytest.fixture(scope="module")
-def outcomes():
+def sessions():
     return {
-        mode: SimulationSession(replace(scenarios.get("p2p"), mode=mode)).run()
+        mode: SimulationSession(replace(scenarios.get("p2p"), mode=mode))
         for mode in p2p.MODES
     }
+
+
+@pytest.fixture(scope="module")
+def outcomes(sessions):
+    return {mode: session.run() for mode, session in sessions.items()}
 
 
 def test_p2p_strictly_lowers_origin_bytes_vs_hybrid(outcomes):
@@ -53,11 +58,41 @@ def test_p2p_transfer_time_beats_hybrid(outcomes):
     assert outcomes["hybrid+p2p"].transfer_s < outcomes["hybrid"].transfer_s
 
 
-def test_replicator_converged_and_acted(outcomes):
-    replicator = outcomes["hybrid+p2p"].replicator
-    assert replicator is not None
-    assert replicator.converged()
+def test_replicator_converged_and_acted(sessions, outcomes):
+    assert outcomes["hybrid+p2p"].replicator["converged"]
+    replicator = sessions["hybrid+p2p"].replicator
     assert replicator.swarm.index.coherence_violations() == []
+
+
+@pytest.mark.parametrize("preset, seed", [
+    ("p2p", 1), ("p2p", 2), ("p2p", 3), ("p2p-gossip", 1), ("p2p-gossip", 2),
+])
+def test_peers_reroute_origin_bytes_and_add_none(preset, seed):
+    # An analytic pull admits its whole manifest whatever served each
+    # layer, so without churn and without replicator copies (a hot
+    # threshold no demand score reaches) the three modes hold the same
+    # layers at every instant.  The analytic p2p* presets differ only
+    # in mode, so `p2p` stands for all three.
+    spec = scenarios.with_overrides(scenarios.get(preset), {
+        "seed": seed, "churn": "none", "replication.hot_threshold": 1e12,
+    })
+    runs = [
+        SimulationSession(replace(spec, mode=mode)).run()
+        for mode in scenarios.MODES
+    ]
+    counts = {
+        (run.pulls, run.cache_hits, run.skipped_pulls, run.unfinished_pulls)
+        for run in runs
+    }
+    assert len(counts) == 1, counts
+    hub_only, hybrid, swarm = runs
+    assert swarm.replicator["actions"] == 0
+    assert swarm.bytes_from_peers > 0
+    assert (
+        hub_only.origin_bytes
+        == hybrid.origin_bytes
+        == swarm.origin_bytes + swarm.bytes_from_peers
+    )
 
 
 def test_experiment_table_renders(outcomes):

@@ -2,14 +2,14 @@
 pinned outcome.
 
 The headline guarantee: each preset, run at its own seed, reproduces
-its pinned outcome digest exactly, so a change that moves any outcome
-of any preset fails here, not in a by-hand comparison.
+its golden outcome dict exactly, so a change that moves any outcome of
+any preset fails here, naming every field that moved.
 """
 
 import gc
-import hashlib
 import inspect
-import json
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +26,8 @@ from repro.scenarios import (
 )
 from repro.sim.transfers import TransferEngine
 
+GOLDEN = Path(__file__).resolve().parents[1] / "golden"
+
 
 def _small_spec(**kwargs) -> ScenarioSpec:
     kwargs.setdefault("topology", TopologySpec(n_devices=6, n_regions=2))
@@ -33,6 +35,11 @@ def _small_spec(**kwargs) -> ScenarioSpec:
         "workload", WorkloadSpec(kind="zipf", n_images=4, pulls_per_device=3)
     )
     return ScenarioSpec(**kwargs)
+
+
+def _deterministic_outcome(spec) -> dict:
+    outcome = SimulationSession(spec).run()
+    return scenarios.deterministic_outcome_dict(outcome.to_dict())
 
 
 class TestAssembly:
@@ -151,22 +158,11 @@ class TestPresetSessions:
 
 
 class TestPresetOutcomes:
-    """Every preset at its own seed against its pinned outcome: the first
-    12 hex digits of the sha256 of the canonical JSON of the
-    deterministic outcome dict.  ``p2p-swarm-100k`` runs at 2,000
-    devices in 100 regions, as the reach check runs it.  A change that
-    moves a pin updates it here and says why in CHANGES.md."""
+    """Every preset at its own seed against its golden deterministic
+    outcome dict, ``tests/golden/presets/<preset>.json``.
+    ``p2p-swarm-100k`` runs at 2,000 devices in 100 regions, as the
+    reach check runs it."""
 
-    PINS = {
-        "p2p": "a7006c9430ba",
-        "p2p-chunked": "aa30dfc36d87",
-        "p2p-contended": "6b8c475e3d23",
-        "p2p-gossip": "d575a2ac8b19",
-        "p2p-hub-only": "3d6fa9e6fb8a",
-        "p2p-hybrid": "c5f31606872c",
-        "p2p-swarm-100k": "ca3165daf5fd",
-        "p2p-swarm-scale": "a209a41aad07",
-    }
     SIZED = {
         "p2p-swarm-100k": {
             "topology.n_devices": 2000, "topology.n_regions": 100,
@@ -180,38 +176,30 @@ class TestPresetOutcomes:
             "p2p",
             {"replication.hotness": "per-region",
              "replication.hot_fraction": 0.6},
-            "63bfdc8434f0",
         ),
         "churn-aware-replicas": (
             "p2p-gossip",
             {"replication.churn_aware": True},
-            "757b4c5dfdbd",
         ),
     }
 
-    @staticmethod
-    def _pin(spec) -> str:
-        outcome = SimulationSession(spec).run()
-        blob = scenarios.canonical_json(
-            scenarios.deterministic_outcome_dict(outcome.to_dict())
-        )
-        return hashlib.sha256(blob.encode("ascii")).hexdigest()[:12]
-
     def test_every_preset_is_pinned(self):
-        assert sorted(self.PINS) == sorted(scenarios.names())
+        # ...and no golden file outlives its preset.
+        pinned = (GOLDEN / "presets").glob("*.json")
+        assert sorted(p.stem for p in pinned) == sorted(scenarios.names())
 
-    @pytest.mark.parametrize("preset", sorted(PINS))
-    def test_preset_outcome_matches_its_pin(self, preset):
+    @pytest.mark.parametrize("preset", sorted(scenarios.names()))
+    def test_preset_outcome_matches_its_pin(self, golden, preset):
         spec = scenarios.with_overrides(
             scenarios.get(preset), self.SIZED.get(preset, {})
         )
-        assert self._pin(spec) == self.PINS[preset]
+        golden(f"presets/{preset}.json", _deterministic_outcome(spec))
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    def test_replicator_variant_matches_its_pin(self, variant):
-        preset, overrides, pin = self.VARIANTS[variant]
+    def test_replicator_variant_matches_its_pin(self, golden, variant):
+        preset, overrides = self.VARIANTS[variant]
         spec = scenarios.with_overrides(scenarios.get(preset), overrides)
-        assert self._pin(spec) == pin
+        golden(f"variants/{variant}.json", _deterministic_outcome(spec))
 
 
 class TestRunMemory:
@@ -269,6 +257,19 @@ class TestRunMemory:
         outcome = SimulationSession(spec).run()
         assert outcome.pulls + outcome.unfinished_pulls == len(schedule)
 
+    def test_an_outcome_keeps_no_swarm_alive(self):
+        # The outcome holds the replicator's summary, not the
+        # replicator, so it outlives its session without keeping the
+        # swarm, its caches and its network reachable.
+        session = SimulationSession(scenarios.get("p2p"))
+        outcome = session.run()
+        swarm = weakref.ref(session.swarm)
+        del session
+        gc.collect()
+        assert swarm() is None
+        assert outcome.replicator == outcome.to_dict()["replicator"]
+        assert outcome.replicator["actions"] > 0
+
     def test_a_run_leaves_no_cyclic_garbage(self):
         # A finished transfer's ``done`` event must not carry the
         # transfer as its value: that makes every finished transfer a
@@ -321,19 +322,19 @@ class TestHorizonCut:
     order, so their transfers are cancelled and their reservations
     released inside the run, not by the cyclic collector."""
 
-    #: (preset, horizon, outcome digest: the first 8 hex digits of the
-    #: sha256 of the sorted-key JSON of the deterministic outcome
-    #: dict).  Closing the cut pulls changes no outcome field.  At 7 s
-    #: the chunked wave has handshake batches of four pending.
+    #: (preset, horizon), each with its golden deterministic outcome
+    #: dict in ``tests/golden/horizon-cut/``.  Closing the cut pulls
+    #: changes no outcome field.  At 7 s the chunked wave has handshake
+    #: batches of four pending.
     CUTS = [
-        ("p2p-chunked", 30.0, "a6b2243c"),
-        ("p2p-chunked", 7.0, "d93f072b"),
-        ("p2p-contended", 10.0, "9da5705c"),
+        ("p2p-chunked", 30.0),
+        ("p2p-chunked", 7.0),
+        ("p2p-contended", 10.0),
     ]
 
-    @pytest.mark.parametrize("preset, horizon_s, digest", CUTS)
+    @pytest.mark.parametrize("preset, horizon_s", CUTS)
     def test_run_aborts_the_pulls_the_horizon_cut_off(
-        self, monkeypatch, preset, horizon_s, digest
+        self, monkeypatch, golden, preset, horizon_s
     ):
         victims = []
         cancel_batch = TransferEngine._cancel_batch
@@ -355,9 +356,10 @@ class TestHorizonCut:
         )
         session = SimulationSession(spec)
         outcome = session.run()
-        deterministic = scenarios.deterministic_outcome_dict(outcome.to_dict())
-        blob = json.dumps(deterministic, sort_keys=True).encode()
-        assert hashlib.sha256(blob).hexdigest()[:8] == digest
+        golden(
+            f"horizon-cut/{preset}-{horizon_s:g}s.json",
+            scenarios.deterministic_outcome_dict(outcome.to_dict()),
+        )
         assert outcome.unfinished_pulls > 0
         engine = session.engine
         assert not engine.active_transfers

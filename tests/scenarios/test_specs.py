@@ -41,7 +41,7 @@ class TestSectionValidation:
             spec.topology.n_devices = 99
 
     def test_swarm_needs_two_devices(self):
-        with pytest.raises(ValueError, match="at least 2 devices"):
+        with pytest.raises(ValueError, match="n_devices must be >= 2"):
             TopologySpec(n_devices=1)
 
     def test_more_regions_than_devices_rejected(self):
@@ -184,6 +184,35 @@ class TestSectionValidation:
         with pytest.raises(ValueError, match="parallel"):
             ChunkSpec(parallel=0)
 
+    #: Every integer and bool spec field.  A fractional or boolean
+    #: count must fail at construction, not raise a TypeError mid-build
+    #: or run silently (``seed=true``, ``n_regions=2.5``).
+    INT_FIELDS = [
+        "topology.n_devices", "topology.n_regions", "workload.n_images",
+        "workload.pulls_per_device", "transfer.upload_budget",
+        "discovery.gossip_fanout", "discovery.gossip_view_cap",
+        "replication.target_replicas", "chunks.size_bytes",
+        "chunks.parallel", "churn.min_online", "seed",
+    ]
+    BOOL_FIELDS = [
+        "topology.inter_region_mesh", "replication.churn_aware",
+        "chunks.enabled", "telemetry.trace", "telemetry.profile",
+    ]
+
+    @pytest.mark.parametrize("path, raw, expected", [
+        (path, raw, "an integer")
+        for path in INT_FIELDS for raw in ("2.5", "true")
+    ] + [
+        (path, raw, "true or false")
+        for path in BOOL_FIELDS for raw in ("no", "1")
+    ])
+    def test_wrongly_typed_count_or_switch_rejected(self, path, raw, expected):
+        # p2p-gossip has the gossip backend and a churn section, so
+        # every field here applies to it.
+        field = path.rpartition(".")[2]
+        with pytest.raises(ValueError, match=f"{field} must be {expected}"):
+            with_overrides(scenarios.get("p2p-gossip"), {path: raw})
+
 
 class TestCrossSectionValidation:
     def test_unknown_mode_rejected(self):
@@ -299,15 +328,16 @@ def _replications(draw, churn_aware):
     )
 
 
-def _churn_and_replication():
-    # ``churn_aware`` only with a churn section, as ScenarioSpec requires.
+def _churn_and_replication(n_devices):
+    # ``churn_aware`` only with a churn section, and a floor below the
+    # device count, as ScenarioSpec requires.
     churnless = st.tuples(st.none(), _replications(st.just(False)))
     churned = st.tuples(
         st.builds(
             ChurnSpec,
             mean_uptime_s=st.floats(1.0, 3600.0, allow_nan=False),
             mean_downtime_s=st.floats(1.0, 3600.0, allow_nan=False),
-            min_online=st.integers(1, 8),
+            min_online=st.integers(1, min(8, n_devices - 1)),
         ),
         _replications(st.booleans()),
     )
@@ -340,10 +370,11 @@ def _topologies(draw):
 @st.composite
 def scenario_specs(draw):
     transfer, chunks = draw(_transfers_and_chunks())
-    churn, replication = draw(_churn_and_replication())
+    topology = draw(_topologies())
+    churn, replication = draw(_churn_and_replication(topology.n_devices))
     return ScenarioSpec(
         mode=draw(st.sampled_from(scenarios.MODES)),
-        topology=draw(_topologies()),
+        topology=topology,
         workload=draw(_workloads()),
         transfer=transfer,
         discovery=draw(_discoveries()),

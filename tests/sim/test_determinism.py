@@ -173,8 +173,9 @@ def test_seeded_replicator_schedules_are_reproducible():
     )
     outcomes = []
     for _ in range(2):
-        outcome = SimulationSession(spec).run()
-        replicator = outcome.replicator
+        session = SimulationSession(spec)
+        outcome = session.run()
+        replicator = session.replicator
         outcomes.append(
             (
                 outcome.bytes_by_registry,

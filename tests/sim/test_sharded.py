@@ -20,9 +20,6 @@ spans several components and one component often spans several
 regions.
 """
 
-import hashlib
-import json
-
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings
@@ -384,25 +381,11 @@ _TIME_RESOLVED_PRESETS = [
     if scenarios.get(name).transfer.time_resolved
 ]
 
-#: Outcome digests of the time-resolved presets (swarm presets shrunk
-#: to 120 devices in at most 6 regions) on the closure engine, as
-#: pinned when it still ran a single global deadline heap: the first 8
-#: hex digits of the sha256 of the sorted-key JSON of the deterministic
-#: outcome dict.  Batching co-started handshakes moved p2p-chunked's
-#: (6659e5ec) through ``engine_transfers_visited`` alone, 12,583 ->
-#: 8,625.
-_PRESET_DIGESTS = {
-    "p2p-chunked": "c2bc05d7",
-    "p2p-contended": "a5a733bf",
-    "p2p-swarm-scale": "d900a02d",
-    "p2p-swarm-100k": "23b18a5f",
-}
-
 #: The engine's work counters on the same runs: recomputes, then the
-#: deadline heap's pushes, pops and invalidations.  The digest covers
-#: ``engine_transfers_visited`` but none of these, so a change that
-#: only makes the engine faster must leave them equal too; one that
-#: moves them updates the pin and says why.  Batching co-started
+#: deadline heap's pushes, pops and invalidations.  The golden outcome
+#: covers ``engine_transfers_visited`` but none of these, so a change
+#: that only makes the engine faster must leave them equal too; one
+#: that moves them updates the pin and says why.  Batching co-started
 #: handshakes took p2p-chunked from (853, 809, 326, 483), the swarm
 #: presets' recomputes from 2627 and 2639.
 _PRESET_WORK = {
@@ -413,23 +396,19 @@ _PRESET_WORK = {
 }
 
 
-def _outcome_digest(outcome) -> str:
-    deterministic = scenarios.deterministic_outcome_dict(outcome.to_dict())
-    blob = json.dumps(deterministic, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:8]
-
-
 @pytest.mark.parametrize("preset", _TIME_RESOLVED_PRESETS)
-def test_preset_outcomes_match_incremental_engine(preset):
+def test_preset_outcomes_match_incremental_engine(golden, preset):
     """Every registered time-resolved preset replayed through the
-    engine must reproduce its pinned outcome digest *exactly* —
-    including ``engine_transfers_visited`` — and its pinned work
-    counters (the swarm presets are downsized so the run stays
-    test-sized)."""
-    assert preset in _PRESET_DIGESTS, f"pin a digest for {preset!r}"
+    engine must reproduce its golden outcome *exactly* — including
+    ``engine_transfers_visited`` — and its pinned work counters (the
+    swarm presets are downsized so the run stays test-sized).  A preset
+    that runs at full size shares its golden file with
+    ``TestPresetOutcomes``."""
     assert preset in _PRESET_WORK, f"pin the work counters of {preset!r}"
     base = scenarios.get(preset)
+    name = f"presets/{preset}.json"
     if base.topology.n_devices > 200:
+        name = f"sharded/{preset}-120-devices.json"
         base = replace(
             base,
             topology=replace(
@@ -441,7 +420,8 @@ def test_preset_outcomes_match_incremental_engine(preset):
     session = SimulationSession(base)
     session.engine.self_check = True
     profile = session.engine.profile = EngineProfile()
-    assert _outcome_digest(session.run()) == _PRESET_DIGESTS[preset]
+    outcome = session.run()
+    golden(name, scenarios.deterministic_outcome_dict(outcome.to_dict()))
     heap = profile.summary()["heaps"][DEADLINE_HEAP]
     assert (
         session.engine.recomputes,

@@ -157,6 +157,13 @@ class TestAllTarget:
         ]
         assert self.SWARM_FAMILIES <= set(TARGETS)
 
+    def test_output_matches_its_golden_text(self, capsys, golden):
+        # Every target prints deterministic tables, so the whole of
+        # `repro all` is pinned; CI diffs it against the same file, with
+        # and without --telemetry-dir.
+        assert main(["all"]) == 0
+        golden("repro-all.txt", capsys.readouterr().out)
+
     def test_every_swarm_target_is_a_preset(self):
         # Each swarm experiment runs the preset of its own name.
         paper = {"table2", "table3", "fig3a", "fig3b", "ablations", "cloud"}
@@ -226,6 +233,16 @@ class TestScenarioSubcommand:
             "scenario", "p2p", "--set", "topology.n_devices=abc",
         ]) == 2
         assert "bad override" in capsys.readouterr().err
+
+    def test_churn_floor_at_the_device_count_fails_cleanly(self, capsys):
+        # 16 devices that must all stay online can never churn: the run
+        # is refused, not reported with 0 departures.
+        assert main([
+            "scenario", "p2p-gossip", "--set", "churn.min_online=16",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "churn.min_online (16)" in err
+        assert "topology.n_devices (16)" in err
 
     def test_non_finite_override_fails_cleanly(self, capsys):
         assert main([
