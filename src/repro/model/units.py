@@ -27,6 +27,7 @@ the inner kernels simple and vectorisable.
 from __future__ import annotations
 
 import math
+import numbers
 
 #: Megabytes per gigabyte (decimal convention, as used by Docker image
 #: sizes and the paper's Table II).
@@ -116,8 +117,22 @@ def j_to_kj(energy_joules: float) -> float:
     return energy_joules / J_PER_KJ
 
 
+def require_number(value: object, name: str) -> float:
+    """Validate that ``value`` is a real number and not a ``bool``:
+    ``true`` or ``"abc"`` for a quantity is a typo, not a quantity."""
+    # A plain float or int passes on its exact type: scenario builds
+    # validate thousands of link capacities, and an isinstance check
+    # against the numbers.Real ABC costs several times as much.
+    if type(value) not in (float, int) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def require_positive(value: float, name: str) -> float:
     """Validate that ``value`` is a finite, strictly positive number."""
+    require_number(value, name)
     if not math.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return float(value)
@@ -142,6 +157,7 @@ def require_bool(value: object, name: str) -> bool:
 
 def require_non_negative(value: float, name: str) -> float:
     """Validate that ``value`` is a finite, non-negative number."""
+    require_number(value, name)
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return float(value)

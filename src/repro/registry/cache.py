@@ -316,11 +316,20 @@ class ImageCache:
         are refreshed.  The returned evictions never include layers of
         the image being admitted (an image cannot evict itself —
         guaranteed because admission order refreshes recency).
+
+        A layer present at the same size and not reserved is only
+        moved to the most-recently-used end.  That is all :meth:`add`
+        does for it: its ``release`` finds nothing, no eviction runs
+        (``used + reserved <= capacity`` holds between calls, so the
+        re-added bytes fit where they were) and the observer hears
+        nothing, since the size did not change.  Every other layer
+        goes through :meth:`add`.
         """
+        entries = self._entries
         needed = sum(
             layer.size_bytes
             for layer in manifest.layers
-            if layer.digest not in self._entries
+            if layer.digest not in entries
         )
         if needed + self._reserved_total > self.capacity_bytes:
             raise CacheFull(
@@ -329,7 +338,11 @@ class ImageCache:
             )
         evicted: List[EvictionRecord] = []
         for layer in manifest.layers:
-            evicted.extend(self.add(layer.digest, layer.size_bytes))
+            digest, size = layer.digest, layer.size_bytes
+            if entries.get(digest) == size and digest not in self._reserved:
+                entries[digest] = entries.pop(digest)
+            else:
+                evicted.extend(self.add(digest, size))
         return evicted
 
     def entries(self) -> List[Tuple[str, int]]:

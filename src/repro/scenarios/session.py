@@ -25,6 +25,7 @@ from ..registry.discovery import GossipDiscovery
 from ..registry.p2p import AdaptiveReplicator, P2PRegistry, PeerSwarm
 from ..sim.churn import ChurnProcess
 from ..sim.engine import Simulator
+from ..sim.events import Event
 from ..sim.rng import RngRegistry
 from ..sim.transfers import TransferEngine
 from ..telemetry import (
@@ -307,18 +308,27 @@ class SimulationSession:
     def run(self) -> ModeOutcome:
         """Execute the scenario's pull schedule; single-use.
 
-        The schedule goes to :meth:`Simulator.process_at`, so a pull's
-        process and generator exist only from its arrival on and the
+        The schedule goes to :meth:`Simulator.process_at`, so the
         kernel holds one pending arrival, not one process per scheduled
         pull.  Events run in the order that spawning every pull up
         front, each first sleeping until its arrival, gives them, so
         every outcome is unchanged; only the kernel's event count
         drops, by one less than the number of scheduled pulls.
 
-        Pulls still in flight at the horizon are closed in schedule
-        order once every outcome counter is read: their transfers are
-        cancelled and their reservations released before ``run()``
-        returns, so the engine ends with nothing in flight.
+        A time-resolved pull is a process whose generator exists only
+        from its arrival on.  An analytic pull is a plain call at its
+        arrival, with no process and no generator: it does the churn
+        skip, pulls and accounts, and a pull that moves bytes marks its
+        device busy and arms one timeout for its modelled transfer
+        time, whose callback updates the makespan and the longest pull
+        and frees the device.  That timeout takes the sequence number a
+        process's sleep would, and nothing waits on a pull's completion,
+        so every outcome equals that of one process per pull.
+
+        Time-resolved pulls still in flight at the horizon are closed
+        in schedule order once every outcome counter is read: their
+        transfers are cancelled and their reservations released before
+        ``run()`` returns, so the engine ends with nothing in flight.
         """
         if self._ran:
             raise RuntimeError(
@@ -381,56 +391,72 @@ class SimulationSession:
                     outcome.bytes_by_registry.get(registry, 0) + count
                 )
 
-        # Pulls that arrived and have not finished, by schedule index.
+        schedule = scenario.schedule
+        # Time-resolved pulls that arrived and have not finished, by
+        # schedule index.
         in_flight: Dict[int, Generator] = {}
+
+        def wake(sleep: Event) -> None:
+            # An analytic pull's modelled transfer time is over; the
+            # timeout's value is its schedule index.
+            at_s, device, _ref = schedule[sleep.value]
+            outcome.makespan_s = max(outcome.makespan_s, sim.now)
+            outcome.longest_pull_s = max(
+                outcome.longest_pull_s, sim.now - at_s
+            )
+            busy[device] -= 1
+
+        def skipped(device: str) -> bool:
+            if churn_process is None or churn_process.is_online(device):
+                return False
+            # The device churned out before its pull arrived; a real
+            # workload would reschedule elsewhere — here the skip is
+            # counted so byte totals are never silently short.
+            outcome.skipped_pulls += 1
+            return True
+
+        def pull_now(i: int) -> None:
+            _at_s, device, ref = schedule[i]
+            if skipped(device):
+                return
+            result = facade.pull(
+                ref, Arch.AMD64, device, caches[device], now_s=sim.now
+            )
+            # Admission is instant, so the pull is accounted at its
+            # arrival.  A pull that moves bytes keeps its device busy
+            # for the modelled transfer time; one that moves none ends
+            # here, at a latency of 0 s, with the makespan covered.
+            account(result)
+            if result.seconds > 0:
+                busy[device] = busy.get(device, 0) + 1
+                sim.timeout(result.seconds, i).add_callback(wake)
 
         def one_pull(i: int, at_s: float, device: str, ref: ImageReference):
             try:
-                if churn_process is not None and not churn_process.is_online(
-                    device
-                ):
-                    # The device churned out before its pull arrived; a
-                    # real workload would reschedule elsewhere — here the
-                    # skip is counted so byte totals are never silently
-                    # short.
-                    outcome.skipped_pulls += 1
+                if skipped(device):
                     return
                 busy[device] = busy.get(device, 0) + 1
                 try:
-                    if engine is None:
-                        result = facade.pull(
-                            ref, Arch.AMD64, device, caches[device],
-                            now_s=sim.now,
-                        )
-                        account(result)
-                        if result.seconds > 0:
-                            yield sim.timeout(result.seconds)
-                        # account() ran at pull start (analytic admission
-                        # is instant); the makespan must cover the
-                        # modelled sleep.
-                        outcome.makespan_s = max(outcome.makespan_s, sim.now)
-                        outcome.longest_pull_s = max(
-                            outcome.longest_pull_s, sim.now - at_s
-                        )
-                    else:
-                        result = yield from facade.pull_process(
-                            ref, Arch.AMD64, device, caches[device], engine
-                        )
-                        account(result)
-                        outcome.longest_pull_s = max(
-                            outcome.longest_pull_s, sim.now - at_s
-                        )
+                    result = yield from facade.pull_process(
+                        ref, Arch.AMD64, device, caches[device], engine
+                    )
+                    account(result)
+                    outcome.longest_pull_s = max(
+                        outcome.longest_pull_s, sim.now - at_s
+                    )
                 finally:
                     busy[device] -= 1
             finally:
                 del in_flight[i]
 
-        def start_pull(i: int):
+        def start_pull(i: int) -> Generator:
             pull = in_flight[i] = one_pull(i, *schedule[i])
             return pull
 
-        schedule = scenario.schedule
-        sim.process_at([at_s for at_s, _device, _ref in schedule], start_pull)
+        sim.process_at(
+            [at_s for at_s, _device, _ref in schedule],
+            pull_now if engine is None else start_pull,
+        )
 
         if self.replicator is not None:
             sim.process(self.replicator.process())

@@ -23,8 +23,9 @@ invalid combination can never reach the simulator:
 * a churn process must leave some device free to depart,
 * cold-wave workloads pull exactly once per device per wave.
 
-Every count is an ``int`` and every switch a ``bool``: ``2.5`` devices
-or ``inter_region_mesh="no"`` is rejected, not run.
+Every count is an ``int``, every switch a ``bool`` and every quantity
+a number: ``2.5`` devices, ``inter_region_mesh="no"`` or
+``cache_gb=true`` is rejected, naming the field, not run.
 
 Specs round-trip losslessly through :meth:`ScenarioSpec.to_dict` /
 :meth:`ScenarioSpec.from_dict` (plain JSON-safe dicts), so sweeps,
@@ -43,6 +44,7 @@ from ..model.units import (
     require_bool,
     require_int,
     require_non_negative,
+    require_number,
     require_positive,
 )
 from ..registry.chunks import DEFAULT_CHUNK_SIZE_BYTES
@@ -297,6 +299,7 @@ class DiscoverySpec:
                     f"unknown gossip_exchange {exchange!r}; "
                     f"expected one of {GOSSIP_EXCHANGES}"
                 )
+            require_number(loss_rate, "gossip_loss_rate")
             if not 0.0 <= loss_rate < 1.0:
                 raise ValueError(
                     f"gossip_loss_rate must be in [0, 1), got "
@@ -356,6 +359,7 @@ class ReplicationSpec:
         require_positive(self.interval_s, "interval_s")
         require_positive(self.hot_threshold, "hot_threshold")
         require_int(self.target_replicas, "target_replicas", 1)
+        require_number(self.decay, "decay")
         if not 0.0 <= self.decay < 1.0:
             raise ValueError(
                 f"decay must be in [0, 1), got {self.decay}"
@@ -367,6 +371,7 @@ class ReplicationSpec:
             )
         require_bool(self.churn_aware, "churn_aware")
         if self.hot_fraction is not None:
+            require_number(self.hot_fraction, "hot_fraction")
             if not 0.0 < self.hot_fraction <= 1.0:
                 raise ValueError(
                     f"hot_fraction must be in (0, 1], got {self.hot_fraction}"

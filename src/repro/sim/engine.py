@@ -161,7 +161,7 @@ class Simulator:
     def process_at(
         self,
         delays: Sequence[float],
-        start: Callable[[int], ProcessGenerator],
+        start: Callable[[int], Optional[ProcessGenerator]],
     ) -> None:
         """Start process ``i``, the generator ``start(i)``, ``delays[i]``
         seconds after this call's bootstrap event runs.
@@ -173,8 +173,11 @@ class Simulator:
         timeouts would take, entry ``i`` is queued under the block's
         ``i``-th number when entry ``i - 1`` arrives, and process ``i``
         starts inside its own entry's processing (the package README
-        gives the argument).  ``delays`` must be non-negative and
-        non-decreasing; empty, it schedules nothing.
+        gives the argument).  A ``start(i)`` that returns None did its
+        work inline, in that same processing: entry ``i`` then builds
+        no process, and no completion event takes a sequence number,
+        which reorders no other event.  ``delays`` must be
+        non-negative and non-decreasing; empty, it schedules nothing.
         """
         previous = 0.0
         for i, delay in enumerate(delays):
@@ -233,7 +236,7 @@ class _Arrivals:
         self,
         queue: EventQueue,
         delays: Sequence[float],
-        start: Callable[[int], ProcessGenerator],
+        start: Callable[[int], Optional[ProcessGenerator]],
     ) -> None:
         self._queue = queue
         self._delays = delays
@@ -255,7 +258,9 @@ class _Arrivals:
         i = self._next
         if i + 1 < len(self._delays):
             self._push(i + 1)
-        Process(self._queue, self._start(i), start=entry)
+        generator = self._start(i)
+        if generator is not None:
+            Process(self._queue, generator, start=entry)
 
 
 def _was_consumed(event: Event) -> bool:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.model.device import Arch
 from repro.model.units import BYTES_PER_GB
-from repro.registry.cache import CacheFull, ImageCache
+from repro.registry.cache import CacheFull, ImageCache, ReservationError
 from repro.registry.digest import digest_text
 from repro.registry.manifest import ImageManifest, LayerDescriptor
 
@@ -131,3 +131,76 @@ def test_oversized_entry_still_raises_and_emits_nothing():
         cache.add(DIGESTS[0], CAPACITY_BYTES + 1)
     assert events == []
     assert cache.used_bytes == 0
+
+
+def _admit_by_add(cache, manifest):
+    """``admit_image`` as a plain per-layer :meth:`ImageCache.add` loop:
+    the reference its in-place refresh of present layers must match."""
+    needed = sum(
+        layer.size_bytes
+        for layer in manifest.layers
+        if layer.digest not in cache
+    )
+    if needed + cache.reserved_bytes > cache.capacity_bytes:
+        raise CacheFull(
+            f"image {manifest.digest} needs {needed} new bytes; cache "
+            f"capacity is {cache.capacity_bytes} B"
+        )
+    evicted = []
+    for layer in manifest.layers:
+        evicted.extend(cache.add(layer.digest, layer.size_bytes))
+    return evicted
+
+
+#: Few sizes, so a layer is often present at the size it is admitted at.
+SIZES = st.sampled_from([0, 5, 10, 30, 60])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=120),
+    setup=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "reserve", "commit", "touch"]),
+            st.sampled_from(DIGESTS[:5]),
+            SIZES,
+        ),
+        max_size=12,
+    ),
+    layers=st.lists(
+        st.tuples(st.sampled_from(DIGESTS[:5]), SIZES), min_size=1, max_size=6
+    ),
+)
+def test_admit_image_matches_the_per_layer_add_loop(capacity, setup, layers):
+    # Random capacities, entries and reservations; the manifest may
+    # repeat a digest and change a present layer's size.
+    manifest = ImageManifest(
+        arch=Arch.AMD64,
+        config_digest=digest_text("config"),
+        layers=tuple(LayerDescriptor(d, size) for d, size in layers),
+    )
+    runs = []
+    for admit in (ImageCache.admit_image, _admit_by_add):
+        cache = ImageCache(capacity / BYTES_PER_GB, device="prop")
+        for op, digest, size in setup:
+            try:
+                if op in ("add", "reserve"):
+                    getattr(cache, op)(digest, size)
+                else:
+                    getattr(cache, op)(digest)
+            except (CacheFull, ReservationError):
+                pass
+        calls = []
+        cache.observer = lambda *change: calls.append(change)
+        try:
+            result = admit(cache, manifest)
+        except CacheFull as error:
+            result = f"CacheFull: {error}"
+        runs.append((
+            cache.entries(),
+            cache.used_bytes,
+            cache.reserved_bytes,
+            result,
+            calls,
+        ))
+    assert runs[0] == runs[1]

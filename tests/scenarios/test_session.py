@@ -216,6 +216,7 @@ class TestRunMemory:
         assert arrivals[0] > 0.0
         probes = [0.0] + [(a + b) / 2 for a, b in zip(arrivals, arrivals[1:])]
         live_counts = []
+        busy_counts = []
 
         def probe():
             for at in probes:
@@ -230,12 +231,21 @@ class TestRunMemory:
                 ]
                 assert all(at_s <= sim.now for at_s in live), (sim.now, live)
                 live_counts.append(len(live))
+                busy_counts.append(sum(session._busy.values()))
 
         sim.process(probe())
         session.run()
         assert len(live_counts) == len(probes)
-        # The probe is not vacuous: it saw pulls in flight.
-        assert max(live_counts) > 0
+        if model == "analytic":
+            # An analytic pull is a plain call at its arrival: a pull
+            # still sleeping out its transfer time holds a busy count
+            # and a timeout, never a generator.
+            assert max(live_counts) == 0
+            # The probe is not vacuous: it saw pulls in flight.
+            assert max(busy_counts) > 0
+        else:
+            # The probe is not vacuous: it saw pulls in flight.
+            assert max(live_counts) > 0
 
     def test_overlapping_cold_waves_start_in_arrival_order(self):
         # A first wave longer than half the horizon overlaps the second;
@@ -314,6 +324,53 @@ class TestRunMemory:
             del gc.garbage[:]
             gc.enable()
         assert not collected, collected
+
+
+class TestAnalyticSleep:
+    """An analytic pull admits its layers at arrival and then sleeps
+    out its modelled transfer time; its device stays busy until then."""
+
+    def test_churn_does_not_depart_a_device_whose_pull_sleeps(self):
+        session = SimulationSession(_small_spec(
+            churn=ChurnSpec(
+                mean_uptime_s=60.0, mean_downtime_s=30.0, min_online=1
+            ),
+        ))
+        sim, facade, churn = session.sim, session.facade, session.churn_process
+        sleeps = []
+        blocked = []
+        pull, is_busy = facade.pull, churn.is_busy
+
+        def recording_pull(ref, arch, device, cache, now_s=0.0):
+            result = pull(ref, arch, device, cache, now_s=now_s)
+            if result.seconds > 0:
+                sleeps.append((device, sim.now, sim.now + result.seconds))
+            return result
+
+        def recording_is_busy(device):
+            busy = is_busy(device)
+            if busy:
+                blocked.append((sim.now, device))
+            return busy
+
+        facade.pull = recording_pull
+        churn.is_busy = recording_is_busy
+        session.run()
+        # Not vacuous: departures happened, and sleeping pulls blocked
+        # some.
+        assert churn.departures > 0
+        assert blocked
+        for t, device in blocked:
+            assert any(
+                d == device and start <= t <= end
+                for d, start, end in sleeps
+            )
+        for event in churn.events:
+            if event.kind == "depart":
+                assert not any(
+                    d == event.device and start <= event.time_s < end
+                    for d, start, end in sleeps
+                ), event
 
 
 class TestHorizonCut:

@@ -199,7 +199,24 @@ class TestSectionValidation:
         "chunks.enabled", "telemetry.trace", "telemetry.profile",
     ]
 
+    #: Every float spec field.  ``true`` must not run as 1.0, and
+    #: ``"abc"`` must not fail without naming the field.
+    FLOAT_FIELDS = [
+        "topology.cache_gb", "topology.device_nic_mbps",
+        "topology.hub_egress_mbps", "topology.regional_egress_mbps",
+        "topology.hub_trunk_mbps", "topology.regional_trunk_mbps",
+        "workload.horizon_s", "workload.stagger_s",
+        "discovery.gossip_period_s", "discovery.gossip_latency_s",
+        "discovery.gossip_loss_rate", "replication.interval_s",
+        "replication.hot_threshold", "replication.decay",
+        "replication.hot_fraction", "telemetry.metrics_period_s",
+        "churn.mean_uptime_s", "churn.mean_downtime_s",
+    ]
+
     @pytest.mark.parametrize("path, raw, expected", [
+        (path, raw, "a number")
+        for path in FLOAT_FIELDS for raw in ("true", "abc")
+    ] + [
         (path, raw, "an integer")
         for path in INT_FIELDS for raw in ("2.5", "true")
     ] + [
@@ -208,10 +225,11 @@ class TestSectionValidation:
     ])
     def test_wrongly_typed_count_or_switch_rejected(self, path, raw, expected):
         # p2p-gossip has the gossip backend and a churn section, so
-        # every field here applies to it.
+        # every field here but the cold-wave stagger applies to it.
         field = path.rpartition(".")[2]
+        preset = "p2p-contended" if field == "stagger_s" else "p2p-gossip"
         with pytest.raises(ValueError, match=f"{field} must be {expected}"):
-            with_overrides(scenarios.get("p2p-gossip"), {path: raw})
+            with_overrides(scenarios.get(preset), {path: raw})
 
 
 class TestCrossSectionValidation:

@@ -7,7 +7,9 @@ generator that first yields ``timeout(delays[i])``.  The Hypothesis
 trace below compares the two with integer delays full of ties, a
 ticker created before the call and one created after it (their
 timeouts tie with arrivals but were scheduled at other times),
-zero-delay events scheduled at arrival, and a ``start`` that raises.
+zero-delay events scheduled at arrival, a ``start`` that raises, and
+starts that do their work inline and return None (the eager process
+then ends at its first step, and its completion event has no waiter).
 
 A variant that takes a fresh sequence number for each arrival as it
 queues it, instead of reserving the eager block up front, keeps every
@@ -26,10 +28,11 @@ class Boom(Exception):
     pass
 
 
-def _trace(steps, holds, raise_at, periods, lazy):
+def _trace(steps, holds, raise_at, periods, inline, lazy):
     """The ``(now, label)`` log of one run, eager or through
     ``process_at``; a raise from ``start`` ends it with a ``raised``
-    entry at the clock it surfaced at."""
+    entry at the clock it surfaced at.  The starts in ``inline`` run
+    their body as callbacks and return None."""
     delays = []
     for step in steps:
         delays.append((delays[-1] if delays else 0) + step)
@@ -50,14 +53,25 @@ def _trace(steps, holds, raise_at, periods, lazy):
         yield sim.timeout(holds[i % len(holds)])
         log.append((sim.now, f"done {i}"))
 
+    def body_inline(i):
+        log.append((sim.now, f"start {i}"))
+        zero = sim.timeout(0)
+        zero.add_callback(lambda _event: log.append((sim.now, f"zero {i}")))
+        hold = sim.timeout(holds[i % len(holds)])
+        hold.add_callback(lambda _event: log.append((sim.now, f"done {i}")))
+
     def start(i):
         if i == raise_at:
             raise Boom(i)
+        if i in inline:
+            return body_inline(i)
         return body(i)
 
     def eager(i):
         yield sim.timeout(delays[i])
-        yield from start(i)
+        generator = start(i)
+        if generator is not None:
+            yield from generator
 
     sim.process(ticker("before", periods[0]))
     if lazy:
@@ -81,10 +95,11 @@ def _trace(steps, holds, raise_at, periods, lazy):
     holds=st.lists(st.integers(0, 3), min_size=1, max_size=4),
     raise_at=st.none() | st.integers(0, 11),
     periods=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    inline=st.frozensets(st.integers(0, 11)),
 )
-def test_trace_equals_the_eager_spawn(steps, holds, raise_at, periods):
-    eager = _trace(steps, holds, raise_at, periods, lazy=False)
-    assert _trace(steps, holds, raise_at, periods, lazy=True) == eager
+def test_trace_equals_the_eager_spawn(steps, holds, raise_at, periods, inline):
+    eager = _trace(steps, holds, raise_at, periods, inline, lazy=False)
+    assert _trace(steps, holds, raise_at, periods, inline, lazy=True) == eager
     if raise_at is not None and raise_at < len(steps):
         assert eager[-1][1] == f"raised {raise_at}"
 
@@ -132,6 +147,18 @@ def test_rejects_negative_decreasing_or_nan_delays(delays):
     with pytest.raises(ValueError, match="non-decreasing"):
         sim.process_at(delays, lambda i: iter(()))
     assert sim._queue.empty()
+
+
+def test_a_start_returning_none_builds_no_process():
+    # Its work ran inline at arrival: nothing is left queued for it, so
+    # a horizonless run ends at the last arrival.
+    sim = Simulator()
+    started = []
+    sim.process_at([1.0, 2.0], lambda i: started.append((sim.now, i)))
+    sim.run()
+    assert started == [(1.0, 0), (2.0, 1)]
+    assert sim._queue.empty()
+    assert sim.now == 2.0
 
 
 def test_no_entries_schedule_nothing():

@@ -234,6 +234,19 @@ class TestScenarioSubcommand:
         ]) == 2
         assert "bad override" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment", [
+        "topology.cache_gb=true", "workload.horizon_s=true",
+        "topology.cache_gb=abc", "replication.decay=abc",
+    ])
+    def test_non_number_quantity_fails_naming_its_field(
+        self, capsys, assignment
+    ):
+        # ``true`` must not run as 1.0 (a 1 GB cache then overflows
+        # mid-run), and neither value may fail without the field's name.
+        field = assignment.partition("=")[0].rpartition(".")[2]
+        assert main(["scenario", "p2p", "--set", assignment]) == 2
+        assert f"{field} must be a number" in capsys.readouterr().err
+
     def test_churn_floor_at_the_device_count_fails_cleanly(self, capsys):
         # 16 devices that must all stay online can never churn: the run
         # is refused, not reported with 0 departures.
